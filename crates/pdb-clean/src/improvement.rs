@@ -120,18 +120,10 @@ pub fn marginal_gain_raw(g_l: f64, sc_prob: f64, j: u64) -> f64 {
     -(1.0 - sc_prob).powi((j - 1).min(i32::MAX as u64) as i32) * sc_prob * g_l
 }
 
-/// Number of per-x-tuple terms per summation chunk.  Both the sequential
-/// and the parallel path sum chunk-by-chunk in index order, so their
-/// floating-point results are bit-for-bit identical.
+/// Number of per-x-tuple terms per summation chunk.  Terms are summed
+/// chunk by chunk in index order, and the fixed chunking pins the
+/// floating-point result.
 const IMPROVEMENT_CHUNK: usize = 1024;
-
-/// Minimum number of per-candidate evaluations before the parallel path
-/// reaches for threads.  Each term costs only nanoseconds, and the
-/// (pool-less) rayon stand-in pays a thread spawn/join per call, so the
-/// input must be large enough to amortize that; below the gate the
-/// parallel entry points run the identical chunked evaluation inline.
-#[cfg(feature = "parallel")]
-const PARALLEL_MIN_ITEMS: usize = 16 * IMPROVEMENT_CHUNK;
 
 /// The contribution of x-tuples `lo..hi` to Theorem 2's sum.
 fn improvement_chunk(
@@ -158,30 +150,7 @@ fn improvement_chunk_bounds(m: usize) -> impl Iterator<Item = (usize, usize)> {
 }
 
 /// The expected quality improvement of a plan (Theorem 2).
-///
-/// With the `parallel` feature (on by default) the per-x-tuple terms are
-/// evaluated across threads ([`expected_improvement_parallel`]); the
-/// result is bit-for-bit identical to
-/// [`expected_improvement_sequential`] because both paths sum fixed-size
-/// chunks in index order.
 pub fn expected_improvement(
-    ctx: &CleaningContext,
-    setup: &CleaningSetup,
-    plan: &CleaningPlan,
-) -> f64 {
-    #[cfg(feature = "parallel")]
-    {
-        expected_improvement_parallel(ctx, setup, plan)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        expected_improvement_sequential(ctx, setup, plan)
-    }
-}
-
-/// The strictly sequential Theorem 2 evaluation (always available; the
-/// `parallel` feature's reference for equivalence testing).
-pub fn expected_improvement_sequential(
     ctx: &CleaningContext,
     setup: &CleaningSetup,
     plan: &CleaningPlan,
@@ -191,45 +160,14 @@ pub fn expected_improvement_sequential(
         .sum()
 }
 
-/// Theorem 2 evaluation with the per-x-tuple terms computed across
-/// threads. Inputs below `PARALLEL_MIN_ITEMS` x-tuples skip the thread
-/// pool entirely and run the identical chunked sum inline.
-#[cfg(feature = "parallel")]
-pub fn expected_improvement_parallel(
-    ctx: &CleaningContext,
-    setup: &CleaningSetup,
-    plan: &CleaningPlan,
-) -> f64 {
-    use rayon::prelude::*;
-
-    if ctx.num_x_tuples() < PARALLEL_MIN_ITEMS {
-        return expected_improvement_sequential(ctx, setup, plan);
-    }
-    let chunks: Vec<(usize, usize)> = improvement_chunk_bounds(ctx.num_x_tuples()).collect();
-    let partials: Vec<f64> =
-        chunks.par_iter().map(|&(lo, hi)| improvement_chunk(ctx, setup, plan, lo, hi)).collect();
-    partials.into_iter().sum()
-}
-
 /// The first-attempt score of every candidate — `b(l, D, 1) / c_l`, the
-/// quantity the greedy planner seeds its heap with.  Scores are pure per
-/// candidate, so with the `parallel` feature they are evaluated across
-/// threads once the candidate set is large enough; output order and values
-/// match the sequential evaluation exactly.
+/// quantity the greedy planner seeds its heap with — in candidate order.
 pub fn first_attempt_scores(
     ctx: &CleaningContext,
     setup: &CleaningSetup,
     candidates: &[usize],
 ) -> Vec<f64> {
-    let score = |&l: &usize| marginal_gain(ctx, setup, l, 1) / setup.cost(l) as f64;
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        if candidates.len() >= PARALLEL_MIN_ITEMS {
-            return candidates.par_iter().map(score).collect();
-        }
-    }
-    candidates.iter().map(score).collect()
+    candidates.iter().map(|&l| marginal_gain(ctx, setup, l, 1) / setup.cost(l) as f64).collect()
 }
 
 /// The single next cleaning action with the best expected improvement per

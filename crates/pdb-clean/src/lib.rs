@@ -45,12 +45,10 @@ pub use adaptive::{run_adaptive_session, run_adaptive_session_with, AdaptiveOutc
 pub use algorithms::{
     plan_dp, plan_exhaustive, plan_greedy, plan_rand_p, plan_rand_u, CleaningAlgorithm,
 };
-#[cfg(feature = "parallel")]
-pub use improvement::expected_improvement_parallel;
 pub use improvement::{
     apply_outcomes, best_single_probe, expected_improvement, expected_improvement_exhaustive,
-    expected_improvement_sequential, expected_quality_exhaustive, first_attempt_scores,
-    marginal_gain, marginal_gain_raw, simulate_cleaning, CleanOutcome, CleaningContext,
+    expected_quality_exhaustive, first_attempt_scores, marginal_gain, marginal_gain_raw,
+    simulate_cleaning, CleanOutcome, CleaningContext,
 };
 pub use model::{CleaningPlan, CleaningSetup};
 pub use target::{

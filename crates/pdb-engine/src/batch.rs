@@ -44,13 +44,6 @@ use pdb_core::{DbError, RankedDatabase, Result};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
-/// Minimum `rows × queries` volume before [`BatchEvaluation::answers`]
-/// evaluates the registered queries across threads (the pool-less rayon
-/// stand-in pays a thread spawn/join per call, so small batches run
-/// inline).
-#[cfg(feature = "parallel")]
-const PARALLEL_ANSWER_THRESHOLD: usize = 1 << 16;
-
 /// How a set of registered queries maps onto one shared PSR run: the
 /// planning step of the batch engine.
 ///
@@ -269,20 +262,8 @@ impl<'a> BatchEvaluation<'a> {
         self.queries[q].evaluate_with(self.database(), &self.ranks(q))
     }
 
-    /// Answer every registered query, in registration order.  With the
-    /// `parallel` feature the per-query selections fan out across threads
-    /// once the batch is large enough; answers are identical to the
-    /// sequential order either way (each is a pure function of the shared
-    /// matrix).
+    /// Answer every registered query, in registration order.
     pub fn answers(&self) -> Result<Vec<QueryAnswer>> {
-        #[cfg(feature = "parallel")]
-        {
-            use rayon::prelude::*;
-            if self.master.num_tuples() * self.queries.len() >= PARALLEL_ANSWER_THRESHOLD {
-                let ids: Vec<usize> = (0..self.queries.len()).collect();
-                return ids.par_iter().map(|&q| self.answer(q)).collect();
-            }
-        }
         (0..self.queries.len()).map(|q| self.answer(q)).collect()
     }
 

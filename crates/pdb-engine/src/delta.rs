@@ -59,9 +59,9 @@
 //! * when the ill-conditioned rows are few, each is recomputed exactly
 //!   (`psr::exact_row`, O(m·k) per row);
 //! * when they are many, one **windowed scan** re-runs the incremental PSR
-//!   planning pass up to the last ill-conditioned position and finalizes
-//!   only those rows (O(w·k) for a window of length `w`) — never more
-//!   expensive than the full rebuild it replaces.
+//!   scan up to the last ill-conditioned position and writes only those
+//!   rows (O(w·k) for a window of length `w`) — never more expensive than
+//!   the full rebuild it replaces.
 //!
 //! The cheaper of the two is chosen per mutation; [`DeltaStats`] reports
 //! which rows took which path.  [`rank_probabilities`] /
@@ -156,7 +156,7 @@ pub struct DeltaStats {
     /// Rows removed together with the mutated x-tuple's dropped
     /// alternatives.
     pub rows_dropped: usize,
-    /// Number of mutations that fell back to a windowed planning scan for
+    /// Number of mutations that fell back to a windowed PSR scan for
     /// their rebuilt rows (as opposed to per-row exact rebuilds).
     pub windowed_scans: usize,
 }
@@ -367,7 +367,7 @@ pub fn apply_mutation_in_place(
 
 /// Rebuild the rows at the given (post-mutation, ascending) positions from
 /// the mutated database: per-row exact rebuilds cost O(m·k) each, one
-/// windowed planning scan costs O(last·k) — pick the cheaper total.
+/// windowed PSR scan costs O(last·k) — pick the cheaper total.
 fn rebuild_ill_rows(
     db: &RankedDatabase,
     rp: &mut RankProbabilities,
@@ -386,16 +386,9 @@ fn rebuild_ill_rows(
         for &p in ill {
             want[p] = true;
         }
-        psr::scan_rows_filtered(
-            db,
-            k,
-            last,
-            |pos| want[pos],
-            |task| {
-                let pos = task.pos;
-                psr::compute_row_into(task, k, &mut rho[pos * k..(pos + 1) * k]);
-            },
-        )?;
+        // The ill rows were zeroed when they were flagged, as the scan
+        // requires.
+        psr::scan_rows_into(db, k, last + 1, |pos| want[pos], rho)?;
     } else {
         for &p in ill {
             let row = psr::exact_row(db, k, p);

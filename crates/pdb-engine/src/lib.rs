@@ -43,12 +43,7 @@ pub use batch::{BatchEvaluation, BatchPlan, QueryRanks};
 pub use delta::{
     apply_mutation, apply_mutation_in_place, DeltaEvaluation, DeltaStats, XTupleMutation,
 };
-#[cfg(feature = "parallel")]
-pub use psr::rank_probabilities_parallel;
-pub use psr::{
-    rank_probabilities, rank_probabilities_exact, rank_probabilities_sequential, RankAccess,
-    RankProbabilities,
-};
+pub use psr::{rank_probabilities, rank_probabilities_exact, RankAccess, RankProbabilities};
 pub use queries::{
     global_topk, pt_k, u_k_ranks, AnswerTuple, QueryAnswer, TopKQuery, TupleSetAnswer,
     UKRanksAnswer,

@@ -45,7 +45,7 @@
 //! correctness oracle for tests and to quantify the incremental version's
 //! numerical error.
 
-use crate::poly::TruncatedPoly;
+use crate::poly::{clamp_non_negative_in, divide_binomial_in, TruncatedPoly};
 use pdb_core::{DbError, RankedDatabase, Result};
 use serde::{Deserialize, Serialize};
 
@@ -242,80 +242,34 @@ fn validate_k(db: &RankedDatabase, k: usize) -> Result<()> {
     Ok(())
 }
 
-/// Minimum number of pending ρ-row coefficients (`rows × k`) before the
-/// parallel path spreads incremental-PSR row finalization across threads.
-/// Each row costs only O(k), so the volume must comfortably amortize the
-/// per-call thread spawn/join overhead of the (pool-less) rayon stand-in.
-#[cfg(feature = "parallel")]
-const PARALLEL_ROW_THRESHOLD: usize = 1 << 16;
-
-/// Threading gate for the exact reference: each of its rows costs O(m·k),
-/// so far fewer coefficients are needed before threads pay off.
-#[cfg(feature = "parallel")]
-const PARALLEL_EXACT_THRESHOLD: usize = 4096;
-
-/// How one pending row obtains its "other x-tuples" polynomial.
-#[derive(Clone)]
-enum RowOthers {
-    /// Snapshot of the running product; divide out the tuple's own factor
-    /// (`divide_q > 0`) or use it as-is (`divide_q == 0`).
-    Snapshot { poly: TruncatedPoly, divide_q: f64 },
-    /// Polynomial already rebuilt from the active-factor list during the
-    /// planning scan (the rare ill-conditioned `q > MAX_DIVISOR_Q` case).
-    Ready(TruncatedPoly),
-}
-
-/// One tuple's pending ρ-row computation, produced by [`scan_rows`].
-///
-/// Finalizing a task ([`compute_row_into`]) is a pure function of the task, so
-/// tasks can be finalized sequentially or in parallel with bit-for-bit
-/// identical results.
-#[derive(Clone)]
-pub(crate) struct RowTask {
-    /// Rank position of the tuple (row index into ρ).
-    pub(crate) pos: usize,
-    /// The tuple's existential probability eᵢ.
-    prob: f64,
-    /// Number of saturated x-tuples above this position (deterministic
-    /// contribution to the higher-ranked count).
-    saturated: usize,
-    others: RowOthers,
-}
-
-/// Sequential scan of the incremental PSR algorithm.
+/// One incremental PSR scan, writing each wanted tuple's ρ row straight
+/// into `rho` (row-major, `n × k`).
 ///
 /// Maintains the running generating-function product (advance = one
 /// divide + one multiply per tuple, with saturation tracking and rare
-/// rebuilds) and hands each tuple's pending ρ row to `sink` as a
-/// [`RowTask`]. A streaming sink that finalizes each task immediately
-/// (the sequential path) keeps the one-pass O(k) working state — each
-/// snapshot is transient, exactly like the per-row clone of the one-pass
-/// formulation; a collecting sink (the parallel path) trades O(rows·k)
-/// snapshot memory for threadable row finalization.
-fn scan_rows(db: &RankedDatabase, k: usize, sink: impl FnMut(RowTask)) -> Result<()> {
-    scan_rows_filtered(db, k, db.len().saturating_sub(1), |_| true, sink)
-}
-
-/// [`scan_rows`] restricted to a window: the scan stops after planning
-/// position `stop_after`, and a row snapshot (an O(k) polynomial clone) is
-/// only taken for positions accepted by `want`.  The running product is
-/// still advanced through every position, so accepted rows are planned with
+/// rebuilds), so the working state beyond `rho` itself is O(k).  Only
+/// the entries PSR makes non-zero are written: a row below `s` saturated
+/// x-tuples gets entries `s..k`, and the rows of saturated tuples and of
+/// tuples past the Lemma-2 early stop are skipped.  Callers therefore
+/// pass the wanted rows zeroed.
+///
+/// The scan covers positions `0..end` (`end ≤ n`), and a row is only
+/// written for positions accepted by `want`.  The running product is still
+/// advanced through every position, so accepted rows are computed with
 /// exactly the state the unrestricted scan would use — results are
 /// bit-for-bit identical to the corresponding rows of
-/// [`rank_probabilities_sequential`].
-///
-/// The incremental re-evaluation engine ([`crate::delta`]) uses this to
-/// rebuild only the (typically few) rows whose mutated factor is too
-/// ill-conditioned to divide out of the stored ρ row.
-pub(crate) fn scan_rows_filtered(
+/// [`rank_probabilities`].  The incremental re-evaluation engine
+/// ([`crate::delta`]) relies on this to rebuild only the (typically few)
+/// rows whose mutated factor is too ill-conditioned to divide out of the
+/// stored ρ row.
+pub(crate) fn scan_rows_into(
     db: &RankedDatabase,
     k: usize,
-    stop_after: usize,
+    end: usize,
     mut want: impl FnMut(usize) -> bool,
-    mut sink: impl FnMut(RowTask),
+    rho: &mut [f64],
 ) -> Result<()> {
     validate_k(db, k)?;
-    let n = db.len();
     let m = db.num_x_tuples();
 
     // q[l]: existential mass of x-tuple l's alternatives ranked strictly
@@ -347,10 +301,7 @@ pub(crate) fn scan_rows_filtered(
         p
     }
 
-    for i in 0..n {
-        if i > stop_after {
-            break;
-        }
+    for i in 0..end {
         if i > 0 {
             // Advance: the previous tuple is now "higher-ranked"; its
             // x-tuple's factor gains the previous tuple's mass.
@@ -403,116 +354,47 @@ pub(crate) fn scan_rows_filtered(
             // mass above it, so eᵢ ≤ 1 − SATURATION_THRESHOLD ≈ 0.
             continue;
         }
+        // ρᵢ(h) = eᵢ · Pr[exactly h−1 higher-ranked tuples exist], where the
+        // saturated x-tuples contribute a deterministic `saturated_count`:
+        // entry h−1 takes coefficient h−1−saturated_count of the other
+        // x-tuples' product.  That product is the running one with the
+        // tuple's own factor divided out, computed here on the truncated
+        // prefix the row needs (every poly op computes coefficient j from
+        // coefficients ≤ j only, so the prefix holds the same values).
+        let row = &mut rho[i * k + saturated_count..(i + 1) * k];
         let ql = q[l];
-        let others = if ql <= MAX_DIVISOR_Q {
-            RowOthers::Snapshot { poly: poly.clone(), divide_q: ql }
+        if ql <= MAX_DIVISOR_Q {
+            row.copy_from_slice(&poly.coeffs()[..row.len()]);
+            if ql > 0.0 {
+                divide_binomial_in(row, ql);
+                clamp_non_negative_in(row);
+            }
         } else {
-            RowOthers::Ready(rebuild(k, &q, &is_saturated, &mut active, Some(l)))
-        };
-        sink(RowTask { pos: i, prob: t.prob, saturated: saturated_count, others });
+            let others = rebuild(k, &q, &is_saturated, &mut active, Some(l));
+            row.copy_from_slice(&others.coeffs()[..row.len()]);
+        }
+        for c in row.iter_mut() {
+            *c *= t.prob;
+        }
     }
 
     Ok(())
 }
 
-/// Finalize one row: ρᵢ(h) = eᵢ · Pr[exactly h−1 higher-ranked tuples
-/// exist], where the saturated x-tuples contribute a deterministic
-/// `task.saturated`. Pure per task.
-pub(crate) fn compute_row_into(task: RowTask, k: usize, row: &mut [f64]) {
-    let others = match task.others {
-        RowOthers::Ready(poly) => poly,
-        RowOthers::Snapshot { mut poly, divide_q } => {
-            if divide_q > 0.0 {
-                poly.divide_binomial(divide_q);
-                poly.clamp_non_negative();
-            }
-            poly
-        }
-    };
-    for h in 1..=k {
-        let needed = h - 1;
-        if needed >= task.saturated {
-            row[h - 1] = task.prob * others.coeff(needed - task.saturated);
-        }
-    }
-}
-
 /// Compute rank-h and top-k probabilities with the incremental PSR
-/// algorithm in O(n·k) time (plus rare polynomial rebuilds).
-///
-/// With the `parallel` feature (on by default) row finalization is spread
-/// across threads ([`rank_probabilities_parallel`]); the result is
-/// bit-for-bit identical to [`rank_probabilities_sequential`] because each
-/// row is a pure function of its planning-scan snapshot.
+/// algorithm in O(n·k) time (plus rare polynomial rebuilds) and O(k)
+/// working state beyond the ρ matrix itself.
 pub fn rank_probabilities(db: &RankedDatabase, k: usize) -> Result<RankProbabilities> {
     pdb_obs::metrics::ENGINE_PSR_RUNS_TOTAL.inc();
-    #[cfg(feature = "parallel")]
-    {
-        rank_probabilities_parallel(db, k)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        rank_probabilities_sequential(db, k)
-    }
-}
-
-/// The strictly sequential PSR path (always available; the `parallel`
-/// feature's reference for equivalence testing).
-///
-/// Streams each row out of the scan as soon as it is planned, so the
-/// working state beyond the ρ matrix itself stays O(k): one transient
-/// snapshot per row, exactly like the one-pass formulation.
-pub fn rank_probabilities_sequential(db: &RankedDatabase, k: usize) -> Result<RankProbabilities> {
     let mut rho = vec![0.0; db.len() * k];
-    scan_rows(db, k, |task| {
-        let pos = task.pos;
-        compute_row_into(task, k, &mut rho[pos * k..(pos + 1) * k]);
-    })?;
-    Ok(RankProbabilities::from_rho(k, rho))
-}
-
-/// PSR with data-parallel row finalization.
-///
-/// The scan stays sequential (the generating-function product is a
-/// running state), but each pending row is then finalized independently.
-/// Below `PARALLEL_ROW_THRESHOLD` pending coefficients this defers to
-/// the streaming sequential path (same O(k) working state, no thread
-/// overhead); above it, the scan collects its row tasks — O(rows·k)
-/// snapshot memory — and finalizes them across threads. Either way the
-/// arithmetic per row is identical, so results match the sequential path
-/// bit for bit.
-#[cfg(feature = "parallel")]
-pub fn rank_probabilities_parallel(db: &RankedDatabase, k: usize) -> Result<RankProbabilities> {
-    use rayon::prelude::*;
-
-    // Collecting row tasks only pays off when threads exist to finalize
-    // them; on a single-core host the streaming path is strictly better
-    // (same arithmetic, no snapshot buffer).
-    let single_core = std::thread::available_parallelism().map(|c| c.get() <= 1).unwrap_or(false);
-    if single_core || db.len() * k < PARALLEL_ROW_THRESHOLD {
-        return rank_probabilities_sequential(db, k);
-    }
-    let mut tasks = Vec::with_capacity(db.len());
-    scan_rows(db, k, |task| tasks.push(task))?;
-    let mut rho = vec![0.0; db.len() * k];
-    let rows: Vec<(usize, Vec<f64>)> = tasks
-        .par_iter()
-        .map(|t| {
-            let mut row = vec![0.0; k];
-            compute_row_into(t.clone(), k, &mut row);
-            (t.pos, row)
-        })
-        .collect();
-    for (pos, row) in rows {
-        rho[pos * k..(pos + 1) * k].copy_from_slice(&row);
-    }
+    scan_rows_into(db, k, db.len(), |_| true, &mut rho)?;
     Ok(RankProbabilities::from_rho(k, rho))
 }
 
 /// One tuple's ρ row for the exact reference algorithm: rebuild the
 /// generating-function product from scratch using only the mass ranked
 /// strictly above `pos`. Pure per tuple, so rows can be computed in any
-/// order or in parallel.
+/// order.
 pub(crate) fn exact_row(db: &RankedDatabase, k: usize, pos: usize) -> Vec<f64> {
     let t = db.tuple(pos);
     let mut poly = TruncatedPoly::one(k);
@@ -540,27 +422,12 @@ pub(crate) fn exact_row(db: &RankedDatabase, k: usize, pos: usize) -> Vec<f64> {
 /// Reference implementation of PSR that rebuilds the generating-function
 /// product for every tuple: O(n·m·k) time, no divisions, no saturation
 /// approximation.  Used as a numerical oracle in tests and available to
-/// callers who prefer robustness over speed on small inputs.  Rows are
-/// independent, so the `parallel` feature computes them across threads
-/// (bit-for-bit identical to the sequential order).
+/// callers who prefer robustness over speed on small inputs.
 pub fn rank_probabilities_exact(db: &RankedDatabase, k: usize) -> Result<RankProbabilities> {
     validate_k(db, k)?;
-    let n = db.len();
-    let positions: Vec<usize> = (0..n).collect();
-
-    #[cfg(feature = "parallel")]
-    let rows: Vec<Vec<f64>> = if n * k >= PARALLEL_EXACT_THRESHOLD {
-        use rayon::prelude::*;
-        positions.par_iter().map(|&i| exact_row(db, k, i)).collect()
-    } else {
-        positions.iter().map(|&i| exact_row(db, k, i)).collect()
-    };
-    #[cfg(not(feature = "parallel"))]
-    let rows: Vec<Vec<f64>> = positions.iter().map(|&i| exact_row(db, k, i)).collect();
-
-    let mut rho = Vec::with_capacity(n * k);
-    for row in rows {
-        rho.extend_from_slice(&row);
+    let mut rho = Vec::with_capacity(db.len() * k);
+    for pos in 0..db.len() {
+        rho.extend_from_slice(&exact_row(db, k, pos));
     }
     Ok(RankProbabilities::from_rho(k, rho))
 }
