@@ -3,9 +3,16 @@
 //!
 //! This is the shared substrate of every query and of the TP quality
 //! algorithm, so its scaling underpins Figures 4(e)/4(f) and 5.
+//!
+//! `psr/mass_k50_10000tuples` runs the scan on the synthetic fixture with
+//! every x-tuple rescaled to one total mass.  Below 1 the x-tuples carry
+//! null mass and never saturate, which is where PSR's running product
+//! used to be rebuilt from every passed x-tuple; mass 0.5 keeps every
+//! factor divisible and is the floor the other masses are held to.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdb_bench::synthetic;
+use pdb_core::RankedDatabase;
 use pdb_engine::psr::{rank_probabilities, rank_probabilities_exact};
 use std::hint::black_box;
 use std::time::Duration;
@@ -43,5 +50,33 @@ fn bench_psr_vs_k(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_psr_vs_size, bench_psr_vs_k);
+/// The synthetic fixture with every x-tuple's alternatives rescaled to
+/// total mass `total`; scores, and so the ranking, are unchanged.
+fn synthetic_with_mass(tuples: usize, total: f64) -> RankedDatabase {
+    let db = synthetic(tuples);
+    let x_tuples: Vec<Vec<(f64, f64)>> = db
+        .x_tuples()
+        .map(|info| {
+            let scale = total / info.total_mass;
+            info.members.iter().map(|&p| (db.tuple(p).score, db.tuple(p).prob * scale)).collect()
+        })
+        .collect();
+    RankedDatabase::from_scored_x_tuples(&x_tuples).expect("rescaled x-tuples stay valid")
+}
+
+fn bench_psr_vs_mass(c: &mut Criterion) {
+    let mut group = c.benchmark_group("psr/mass_k50_10000tuples");
+    group.sample_size(20);
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(2));
+    for &total in &[1.0, 0.999, 0.99, 0.9, 0.5] {
+        let db = synthetic_with_mass(10_000, total);
+        group.bench_with_input(BenchmarkId::from_parameter(total), &db, |b, db| {
+            b.iter(|| rank_probabilities(black_box(db), 50).unwrap())
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_psr_vs_size, bench_psr_vs_k, bench_psr_vs_mass);
 criterion_main!(benches);

@@ -367,7 +367,11 @@ pub fn apply_mutation_in_place(
 
 /// Rebuild the rows at the given (post-mutation, ascending) positions from
 /// the mutated database: per-row exact rebuilds cost O(m·k) each, one
-/// windowed PSR scan costs O(last·k) — pick the cheaper total.
+/// windowed PSR scan costs O(last·k) plus O(|in-flight|·k) per
+/// ill-conditioned step or row it re-forms — pick the cheaper total.  The
+/// choice counts the scan as O(last·k), which holds while each x-tuple's
+/// alternatives sit in a narrow score band (few in flight), including on
+/// null-mass x-tuples that never saturate.
 fn rebuild_ill_rows(
     db: &RankedDatabase,
     rp: &mut RankProbabilities,

@@ -13,17 +13,20 @@
 //!   multiplication, exact over the truncated coefficients);
 //! * read coefficients.
 //!
-//! Division is numerically delicate when `1 − q` is tiny; callers are
-//! expected to keep near-saturated factors (q ≈ 1) out of the polynomial
-//! (see `psr::SaturationTracker`) and to rebuild from scratch when a divisor
-//! falls below [`DIVISION_REBUILD_THRESHOLD`].
+//! Division is numerically delicate when `1 − q` is small: its
+//! back-substitution amplifies existing floating-point error by
+//! `(q / (1 − q))^j` at degree `j`.  Callers therefore divide only factors
+//! with `q ≤` [`MAX_DIVISOR_Q`](crate::psr::MAX_DIVISOR_Q) = 0.5, where
+//! the amplification is at most 1.  The PSR scan re-forms its running
+//! product without a heavier factor, and the delta engine rebuilds the
+//! rows whose divided factor is heavier.  [`DIVISION_REBUILD_THRESHOLD`]
+//! is only the floor of a debug assertion, far below that gate.
 
-/// Divisors whose constant term `1 − q` falls below this threshold should
-/// not be divided out; the caller rebuilds the polynomial instead.  The
-/// back-substitution used by [`TruncatedPoly::divide_binomial`] loses
-/// roughly `q / (1 − q)` digits per coefficient, so keeping the divisor's
-/// constant term above 1% bounds the amplification at ~100× machine
-/// epsilon.
+/// Floor of the debug assertion in [`divide_binomial_in`]: dividing by a
+/// factor whose constant term `1 − q` is below it is a caller bug.  The
+/// PSR scan and the delta engine never come near it: both gate their
+/// divisions on [`MAX_DIVISOR_Q`](crate::psr::MAX_DIVISOR_Q)
+/// (`1 − q ≥ 0.5`).
 pub const DIVISION_REBUILD_THRESHOLD: f64 = 1e-2;
 
 /// A polynomial truncated to a fixed number of coefficients (degree

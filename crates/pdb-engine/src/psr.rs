@@ -37,15 +37,25 @@
 //!   later tuple can enter a top-k answer (Lemma 2 of the paper) and the
 //!   scan stops early.
 //! * a factor is only divided out of the product when its `q` is at most
-//!   `MAX_DIVISOR_Q` (the well-conditioned regime); otherwise the product
-//!   is rebuilt from the small list of currently active factors.
+//!   [`MAX_DIVISOR_Q`] (the well-conditioned regime).  Otherwise the
+//!   product is **re-formed** without it, from two parts the scan keeps
+//!   apart: the *frozen* product of the unsaturated x-tuples whose last
+//!   alternative is passed (their `q` is final, so it is only ever
+//!   multiplied), and the short list of *in-flight* x-tuples with some but
+//!   not all alternatives passed.  A re-form costs O(|in-flight|·k).  An
+//!   x-tuple with null mass never saturates, so without the split every
+//!   such step re-multiplied every x-tuple passed so far.  When each
+//!   entity's alternatives sit in a narrow score band, as in the paper's
+//!   data model, only a few x-tuples are in flight at any position.
+//!   Complete x-tuples saturate when their last alternative is passed, so
+//!   on complete data nothing freezes.
 //!
 //! [`rank_probabilities_exact`] is a slower O(n·m·k) reference
 //! implementation that rebuilds the product for every tuple; it exists as a
 //! correctness oracle for tests and to quantify the incremental version's
 //! numerical error.
 
-use crate::poly::{clamp_non_negative_in, divide_binomial_in, TruncatedPoly};
+use crate::poly::{clamp_non_negative_in, divide_binomial_in, multiply_binomial_in, TruncatedPoly};
 use pdb_core::{DbError, RankedDatabase, Result};
 use serde::{Deserialize, Serialize};
 
@@ -58,11 +68,12 @@ const SATURATION_THRESHOLD: f64 = 1.0 - 1e-12;
 /// product when `q` is at most this value.  The back-substitution used by
 /// polynomial division amplifies existing floating-point error by
 /// `(q / (1 − q))^j` at degree `j`, so divisions are restricted to the
-/// well-conditioned regime `q ≤ 0.5` (amplification ≤ 1); factors with
-/// larger `q` are removed by rebuilding the product from the active factor
-/// list instead.  The incremental re-evaluation engine ([`crate::delta`])
-/// applies the same gate before dividing a mutated x-tuple's factor out of
-/// a stored ρ row.
+/// well-conditioned regime `q ≤ 0.5` (amplification ≤ 1).  The scan
+/// removes a factor with larger `q` by re-forming the product as the
+/// frozen product times the in-flight factors (see the module docs).
+/// The incremental re-evaluation engine ([`crate::delta`]) applies the
+/// same gate before dividing a mutated x-tuple's factor out of a stored
+/// ρ row, and rebuilds the rows it refuses.
 pub const MAX_DIVISOR_Q: f64 = 0.5;
 
 /// Read access to rank-probability information for a fixed `k`.
@@ -178,11 +189,13 @@ impl RankProbabilities {
     /// This is the prefix property the batched evaluation engine
     /// ([`crate::batch`]) builds on: ρᵢ(h) is the degree-(h−1) coefficient
     /// of a generating-function product, and every [`TruncatedPoly`]
-    /// operation (multiply, divide, rebuild) computes coefficient `j` from
-    /// coefficients `≤ j` only, while the saturation and division gates
-    /// depend on factor masses, never on `k`.  A PSR run at `k_max`
-    /// therefore contains the run at every `k ≤ k_max` bit for bit: its
-    /// first `k` columns *are* that run's ρ matrix (positions past a
+    /// operation (multiply, divide, and the re-form that multiplies the
+    /// in-flight factors into a copy of the frozen product) computes
+    /// coefficient `j` from coefficients `≤ j` only, while the saturation,
+    /// division and freezing decisions depend on factor masses and
+    /// positions, never on `k`.  A PSR run at `k_max` therefore contains
+    /// the run at every `k ≤ k_max` bit for bit: its first `k` columns
+    /// *are* that run's ρ matrix (positions past a
     /// smaller `k`'s Lemma-2 early stop carry ≥ `k` saturated x-tuples, so
     /// their first `k` entries are identically zero), and the prefix
     /// top-k probability is the same left-to-right partial sum the smaller
@@ -245,13 +258,14 @@ fn validate_k(db: &RankedDatabase, k: usize) -> Result<()> {
 /// One incremental PSR scan, writing each wanted tuple's ρ row straight
 /// into `rho` (row-major, `n × k`).
 ///
-/// Maintains the running generating-function product (advance = one
-/// divide + one multiply per tuple, with saturation tracking and rare
-/// rebuilds), so the working state beyond `rho` itself is O(k).  Only
-/// the entries PSR makes non-zero are written: a row below `s` saturated
-/// x-tuples gets entries `s..k`, and the rows of saturated tuples and of
-/// tuples past the Lemma-2 early stop are skipped.  Callers therefore
-/// pass the wanted rows zeroed.
+/// Maintains the running generating-function product: advancing past a
+/// tuple is one divide + one multiply, or an O(|in-flight|·k) re-form when
+/// the divisor is ill-conditioned (see the module docs).  The working
+/// state beyond `rho` itself is O(m + k).  Only the entries PSR makes
+/// non-zero are written: a row below `s` saturated x-tuples gets entries
+/// `s..k`, and the rows of saturated tuples and of tuples past the
+/// Lemma-2 early stop are skipped.  Callers therefore pass the wanted
+/// rows zeroed.
 ///
 /// The scan covers positions `0..end` (`end ≤ n`), and a row is only
 /// written for positions accepted by `want`.  The running product is still
@@ -277,28 +291,45 @@ pub(crate) fn scan_rows_into(
     let mut q = vec![0.0; m];
     let mut is_saturated = vec![false; m];
     let mut saturated_count = 0usize;
-    // x-tuples whose factor is currently part of `poly` (0 < q < saturated);
-    // kept as a compact list so rebuilds cost O(|active|·k) instead of
-    // O(m·k).  Saturated entries are pruned lazily at the next rebuild.
-    let mut active: Vec<usize> = Vec::new();
-    // Product of ((1 − q_l) + q_l z) over unsaturated x-tuples with q_l > 0.
-    let mut poly = TruncatedPoly::one(k);
+    // unpassed[l]: an unsaturated x-tuple l's alternatives at or below the
+    // current position.  Once it reaches 0, q[l] is final.
+    let mut unpassed: Vec<usize> = db.x_tuples().map(|info| info.members.len()).collect();
+    // Product of ((1 − q_l) + q_l z) over the *frozen* x-tuples: every
+    // alternative passed, unsaturated, q_l > 0.  Their q never changes
+    // again, so this product is only ever multiplied.
+    let mut frozen = vec![0.0; k];
+    frozen[0] = 1.0;
+    // The *in-flight* x-tuples: some but not all alternatives passed,
+    // unsaturated.  Entries that saturate or freeze are pruned lazily at
+    // the next re-form.
+    let mut in_flight: Vec<usize> = Vec::new();
+    // The running product: frozen × every in-flight factor.
+    let mut poly = frozen.clone();
+    let mut scanned = end;
+    let mut reform_factors = 0usize;
 
-    fn rebuild(
-        k: usize,
+    /// Overwrite `out` (a prefix of the running product) with the frozen
+    /// product times every in-flight factor except `skip`'s; returns the
+    /// number of factors multiplied.
+    fn reform(
+        out: &mut [f64],
+        frozen: &[f64],
+        in_flight: &mut Vec<usize>,
         q: &[f64],
         is_saturated: &[bool],
-        active: &mut Vec<usize>,
+        unpassed: &[usize],
         skip: Option<usize>,
-    ) -> TruncatedPoly {
-        active.retain(|&l| !is_saturated[l] && q[l] > 0.0);
-        let mut p = TruncatedPoly::one(k);
-        for &l in active.iter() {
+    ) -> usize {
+        in_flight.retain(|&l| !is_saturated[l] && unpassed[l] > 0);
+        out.copy_from_slice(&frozen[..out.len()]);
+        let mut multiplied = 0;
+        for &l in in_flight.iter() {
             if Some(l) != skip {
-                p.multiply_binomial(q[l]);
+                multiply_binomial_in(out, q[l]);
+                multiplied += 1;
             }
         }
-        p
+        multiplied
     }
 
     for i in 0..end {
@@ -311,29 +342,38 @@ pub(crate) fn scan_rows_into(
             let new_q = (old_q + prev.prob).min(1.0);
             q[pl] = new_q;
             if !is_saturated[pl] {
+                unpassed[pl] -= 1;
                 let becomes_saturated = new_q >= SATURATION_THRESHOLD;
                 // pdb-analyze: allow(float-eq): q starts at exactly 0.0 and only this pass writes it, so the first-activation test is exact by construction
-                if old_q == 0.0 && new_q > 0.0 && !becomes_saturated {
-                    active.push(pl);
-                }
-                let safe_divide = old_q <= MAX_DIVISOR_Q;
-                if safe_divide {
-                    if old_q > 0.0 {
-                        poly.divide_binomial(old_q);
-                        poly.clamp_non_negative();
+                let activates = old_q == 0.0 && new_q > 0.0;
+                if becomes_saturated {
+                    is_saturated[pl] = true;
+                    saturated_count += 1;
+                } else if unpassed[pl] == 0 {
+                    if new_q > 0.0 {
+                        multiply_binomial_in(&mut frozen, new_q);
                     }
-                    if becomes_saturated {
-                        is_saturated[pl] = true;
-                        saturated_count += 1;
-                    } else if new_q > 0.0 {
-                        poly.multiply_binomial(new_q);
+                } else if activates {
+                    in_flight.push(pl);
+                }
+                if old_q <= MAX_DIVISOR_Q {
+                    if old_q > 0.0 {
+                        divide_binomial_in(&mut poly, old_q);
+                        clamp_non_negative_in(&mut poly);
+                    }
+                    if !becomes_saturated && new_q > 0.0 {
+                        multiply_binomial_in(&mut poly, new_q);
                     }
                 } else {
-                    if becomes_saturated {
-                        is_saturated[pl] = true;
-                        saturated_count += 1;
-                    }
-                    poly = rebuild(k, &q, &is_saturated, &mut active, None);
+                    reform_factors += reform(
+                        &mut poly,
+                        &frozen,
+                        &mut in_flight,
+                        &q,
+                        &is_saturated,
+                        &unpassed,
+                        None,
+                    );
                 }
             }
         }
@@ -341,6 +381,7 @@ pub(crate) fn scan_rows_into(
         // Lemma 2: once k x-tuples certainly place a tuple above position i,
         // no tuple from position i onwards can reach the top-k.
         if saturated_count >= k {
+            scanned = i;
             break;
         }
 
@@ -364,26 +405,37 @@ pub(crate) fn scan_rows_into(
         let row = &mut rho[i * k + saturated_count..(i + 1) * k];
         let ql = q[l];
         if ql <= MAX_DIVISOR_Q {
-            row.copy_from_slice(&poly.coeffs()[..row.len()]);
+            row.copy_from_slice(&poly[..row.len()]);
             if ql > 0.0 {
                 divide_binomial_in(row, ql);
                 clamp_non_negative_in(row);
             }
         } else {
-            let others = rebuild(k, &q, &is_saturated, &mut active, Some(l));
-            row.copy_from_slice(&others.coeffs()[..row.len()]);
+            // The tuple's own x-tuple is in flight (its q > 0 and this
+            // alternative is not passed yet), so it is left out here.
+            reform_factors +=
+                reform(row, &frozen, &mut in_flight, &q, &is_saturated, &unpassed, Some(l));
         }
         for c in row.iter_mut() {
             *c *= t.prob;
         }
     }
 
+    pdb_obs::metrics::ENGINE_PSR_ROWS_SCANNED_TOTAL.add(scanned as u64);
+    pdb_obs::metrics::ENGINE_PSR_REFORM_FACTORS_TOTAL.add(reform_factors as u64);
     Ok(())
 }
 
 /// Compute rank-h and top-k probabilities with the incremental PSR
-/// algorithm in O(n·k) time (plus rare polynomial rebuilds) and O(k)
-/// working state beyond the ρ matrix itself.
+/// algorithm: O(k) per position, plus O(|in-flight|·k) for each position
+/// whose step or own factor is ill-conditioned, and O(m + k) working
+/// state beyond the ρ matrix itself.
+///
+/// Complete x-tuples stay near O(n·k), with Lemma 2 often ending the scan
+/// early.  So do null-mass x-tuples whose alternatives sit in a narrow
+/// score band, because only a few of them are in flight at a time.
+/// Null-mass x-tuples whose alternatives spread across the whole ranking
+/// keep many factors in flight and approach O(n·m·k).
 pub fn rank_probabilities(db: &RankedDatabase, k: usize) -> Result<RankProbabilities> {
     pdb_obs::metrics::ENGINE_PSR_RUNS_TOTAL.inc();
     let mut rho = vec![0.0; db.len() * k];
@@ -577,6 +629,40 @@ mod tests {
         }
         assert!(master.prefix(0).is_err());
         assert!(master.prefix(6).is_err());
+
+        // Clustered null-mass data, where rows come from frozen ×
+        // in-flight re-forms, keeps the property that serves k = 5 and
+        // k = 15 from a k_max = 50 batch matrix.
+        let db = clustered_null_mass();
+        let master = rank_probabilities(&db, 50).unwrap();
+        for k in [1, 5, 15, 50] {
+            let independent = rank_probabilities(&db, k).unwrap();
+            assert_eq!(master.prefix(k).unwrap(), independent, "clustered null mass, k = {k}");
+            let exact = rank_probabilities_exact(&db, k).unwrap();
+            assert_matrix_close(&independent.rho, &exact.rho, 1e-12);
+        }
+    }
+
+    /// 60 x-tuples × 5 alternatives, each x-tuple's scores inside one
+    /// 8-point band and its total mass in [0.55, 0.99]: no x-tuple
+    /// saturates, every one crosses `MAX_DIVISOR_Q`, and overlapping
+    /// bands keep a few in flight while passed ones freeze.
+    fn clustered_null_mass() -> RankedDatabase {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let x_tuples: Vec<Vec<(f64, f64)>> = (0..60)
+            .map(|_| {
+                let centre = rng.gen_range(0.0..240.0);
+                let total = rng.gen_range(0.55..0.99);
+                let weights: Vec<f64> = (0..5).map(|_| rng.gen_range(0.1..1.0)).collect();
+                let sum: f64 = weights.iter().sum();
+                weights
+                    .iter()
+                    .map(|w| (centre + rng.gen_range(0.0..8.0), w / sum * total))
+                    .collect()
+            })
+            .collect();
+        RankedDatabase::from_scored_x_tuples(&x_tuples).unwrap()
     }
 
     #[test]
@@ -600,7 +686,7 @@ mod tests {
 
     #[test]
     fn incremental_matches_exact_on_adversarial_probabilities() {
-        // Many near-certain tuples force the saturation / rebuild paths.
+        // Many near-certain tuples force the saturation / re-form paths.
         let db = RankedDatabase::from_scored_x_tuples(&[
             vec![(100.0, 0.999_999_9)],
             vec![(99.0, 0.999_999)],

@@ -8,14 +8,18 @@
 //! incremental scan bit-for-bit; factor-swapped rows accumulate one
 //! divide + one multiply of floating-point error per mutation).  These
 //! tests pin that promise across proptest-generated collapse / reweight
-//! sequences and on deterministic databases that force the saturated and
-//! ill-conditioned (`q > MAX_DIVISOR_Q`) rebuild paths.
+//! sequences (including clustered null-mass databases, whose heavy
+//! factors send many rows to the rebuild) and on deterministic databases
+//! that force the saturated and ill-conditioned (`q > MAX_DIVISOR_Q`)
+//! rebuild paths.
 
 use pdb_core::RankedDatabase;
 use pdb_engine::delta::{apply_mutation, DeltaEvaluation, XTupleMutation};
 use pdb_engine::psr::{rank_probabilities, rank_probabilities_exact};
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+mod common;
 
 /// Documented tolerance of the delta path against the exact oracle, per
 /// row entry, after a handful of chained mutations.
@@ -142,6 +146,23 @@ proptest! {
         db in adversarial_db(),
         k in 1usize..4,
         steps in vec(step(), 1..5),
+    ) {
+        let mut eval = DeltaEvaluation::new(db, k).unwrap();
+        for (i, s) in steps.iter().enumerate() {
+            let Some((l, mutation)) = resolve(eval.database(), s) else { continue };
+            eval.apply(l, &mutation).unwrap();
+            assert_matches_exact(&eval, DELTA_TOLERANCE, &format!("step {i} ({mutation:?})"));
+        }
+    }
+
+    /// Clustered null-mass databases push most divided factors above
+    /// `MAX_DIVISOR_Q`, so mutations rebuild many rows, often through
+    /// the windowed scan's frozen × in-flight re-forms.
+    #[test]
+    fn clustered_null_mass_sequences_match_the_exact_oracle(
+        db in common::clustered_null_mass_db(),
+        k in 1usize..13,
+        steps in vec(step(), 1..6),
     ) {
         let mut eval = DeltaEvaluation::new(db, k).unwrap();
         for (i, s) in steps.iter().enumerate() {

@@ -6,6 +6,8 @@ use pdb_engine::prelude::*;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+mod common;
+
 fn x_tuple() -> impl Strategy<Value = Vec<(f64, f64)>> {
     (vec((0.0f64..100.0, 0.05f64..1.0), 1..5), 0.1f64..1.0).prop_map(|(alts, mass)| {
         let total: f64 = alts.iter().map(|(_, w)| w).sum();
@@ -31,6 +33,23 @@ proptest! {
             for h in 1..=k {
                 prop_assert!((fast.rank_prob(pos, h) - exact.rank_prob(pos, h)).abs() < 1e-9);
                 prop_assert!((fast.rank_prob(pos, h) - oracle.rank_prob(pos, h)).abs() < 1e-9);
+            }
+        }
+    }
+
+    /// On clustered null-mass data, where the scan re-forms its running
+    /// product from frozen and in-flight factors, PSR still agrees with
+    /// the exact reference.
+    #[test]
+    fn psr_agrees_with_reference_on_clustered_null_mass(
+        db in common::clustered_null_mass_db(),
+        k in 1usize..13,
+    ) {
+        let fast = rank_probabilities(&db, k).unwrap();
+        let exact = rank_probabilities_exact(&db, k).unwrap();
+        for pos in 0..db.len() {
+            for h in 1..=k {
+                prop_assert!((fast.rank_prob(pos, h) - exact.rank_prob(pos, h)).abs() < 1e-9);
             }
         }
     }

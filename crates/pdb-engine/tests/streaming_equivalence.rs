@@ -20,6 +20,8 @@ use pdb_engine::psr::rank_probabilities_exact;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+mod common;
+
 /// Documented tolerance of the delta path against the exact oracle, per
 /// row entry, after a handful of chained mutations.
 const DELTA_TOLERANCE: f64 = 1e-8;
@@ -158,6 +160,23 @@ proptest! {
         db in adversarial_db(),
         k in 1usize..4,
         steps in vec(step(), 1..6),
+    ) {
+        let mut eval = DeltaEvaluation::new(db, k).unwrap();
+        for (i, s) in steps.iter().enumerate() {
+            let Some((l, mutation)) = resolve(eval.database(), s) else { continue };
+            eval.apply(l, &mutation).unwrap();
+            assert_matches_exact(&eval, DELTA_TOLERANCE, &format!("step {i} ({mutation:?})"));
+        }
+    }
+
+    /// Clustered null-mass databases: inserts, removes and reweights
+    /// next to x-tuples that never saturate, so many rows are rebuilt,
+    /// often through the windowed scan's frozen × in-flight re-forms.
+    #[test]
+    fn clustered_null_mass_streaming_sequences_match_the_exact_oracle(
+        db in common::clustered_null_mass_db(),
+        k in 1usize..13,
+        steps in vec(step(), 1..8),
     ) {
         let mut eval = DeltaEvaluation::new(db, k).unwrap();
         for (i, s) in steps.iter().enumerate() {

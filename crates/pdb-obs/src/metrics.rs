@@ -79,6 +79,10 @@ pub static ENGINE_DELTA_PATCHES_TOTAL: Counter = Counter::new();
 pub static ENGINE_FULL_REBUILDS_TOTAL: Counter = Counter::new();
 /// Ill-conditioned rows rebuilt exactly inside delta patches.
 pub static ENGINE_REBUILT_ROWS_TOTAL: Counter = Counter::new();
+/// Positions the PSR scan advanced through, full or windowed.
+pub static ENGINE_PSR_ROWS_SCANNED_TOTAL: Counter = Counter::new();
+/// In-flight factors multiplied while re-forming PSR's running product.
+pub static ENGINE_PSR_REFORM_FACTORS_TOTAL: Counter = Counter::new();
 
 static FLEET_FORWARD_CELLS: [Histogram; SHARD_LABELS.len()] =
     [const { Histogram::new() }; SHARD_LABELS.len()];
@@ -120,7 +124,7 @@ pub enum SeriesRef {
     HistogramVec(&'static HistogramVec),
 }
 
-static REGISTRY: [MetricDef; 15] = [
+static REGISTRY: [MetricDef; 17] = [
     MetricDef {
         name: names::SERVER_REQUESTS_TOTAL,
         help: "requests dispatched, by verb",
@@ -175,6 +179,16 @@ static REGISTRY: [MetricDef; 15] = [
         name: names::ENGINE_REBUILT_ROWS_TOTAL,
         help: "ill-conditioned rows rebuilt exactly inside delta patches",
         series: SeriesRef::Counter(&ENGINE_REBUILT_ROWS_TOTAL),
+    },
+    MetricDef {
+        name: names::ENGINE_PSR_ROWS_SCANNED_TOTAL,
+        help: "positions the PSR scan advanced through, full or windowed",
+        series: SeriesRef::Counter(&ENGINE_PSR_ROWS_SCANNED_TOTAL),
+    },
+    MetricDef {
+        name: names::ENGINE_PSR_REFORM_FACTORS_TOTAL,
+        help: "in-flight factors multiplied while re-forming the PSR running product",
+        series: SeriesRef::Counter(&ENGINE_PSR_REFORM_FACTORS_TOTAL),
     },
     MetricDef {
         name: names::FLEET_FORWARD_LATENCY_NS,

@@ -38,6 +38,14 @@ pub const ENGINE_DELTA_PATCHES_TOTAL: &str = "engine_delta_patches_total";
 pub const ENGINE_FULL_REBUILDS_TOTAL: &str = "engine_full_rebuilds_total";
 /// Ill-conditioned rows the delta kernel rebuilt exactly (counter).
 pub const ENGINE_REBUILT_ROWS_TOTAL: &str = "engine_rebuilt_rows_total";
+/// Positions the PSR scan advanced through, full or windowed (counter).
+pub const ENGINE_PSR_ROWS_SCANNED_TOTAL: &str = "engine_psr_rows_scanned_total";
+/// In-flight factors the PSR scan multiplied while re-forming its running
+/// product after an ill-conditioned step or for an ill-conditioned row
+/// (counter).  Its ratio to [`ENGINE_PSR_ROWS_SCANNED_TOTAL`] is a few
+/// when each x-tuple's alternatives sit in a narrow score band, and
+/// hundreds when null-mass alternatives spread across the ranking.
+pub const ENGINE_PSR_REFORM_FACTORS_TOTAL: &str = "engine_psr_reform_factors_total";
 
 /// Router-side latency of one forwarded request, by shard (histogram
 /// family).
@@ -65,6 +73,8 @@ pub const ALL: &[&str] = &[
     ENGINE_DELTA_PATCHES_TOTAL,
     ENGINE_FULL_REBUILDS_TOTAL,
     ENGINE_REBUILT_ROWS_TOTAL,
+    ENGINE_PSR_ROWS_SCANNED_TOTAL,
+    ENGINE_PSR_REFORM_FACTORS_TOTAL,
     FLEET_FORWARD_LATENCY_NS,
     FLEET_RETRIES_TOTAL,
     FLEET_RESPAWNS_TOTAL,
