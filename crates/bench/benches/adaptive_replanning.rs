@@ -4,8 +4,9 @@
 //! Two granularities:
 //!
 //! * `delta/` — the kernel itself: one single-x-tuple mutation applied via
-//!   the in-place delta engine ([`DeltaEvaluation::apply`]) against one
-//!   full [`rank_probabilities`] rerun on the same database (a reweighting
+//!   the in-place delta engine (a one-query
+//!   [`BatchEvaluation::apply_collapse_in_place`]) against one full
+//!   [`rank_probabilities`] rerun on the same database (a reweighting
 //!   mutation, so the database size stays fixed and the step can be
 //!   repeated indefinitely);
 //! * `adaptive_session/` — a whole budgeted session (probes collapse
@@ -14,8 +15,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdb_bench::{cleaning_setup, synthetic};
 use pdb_clean::{run_adaptive_session_with, ReplanMode};
-use pdb_engine::delta::{DeltaEvaluation, XTupleMutation};
+use pdb_engine::batch::BatchEvaluation;
+use pdb_engine::delta::XTupleMutation;
 use pdb_engine::psr::rank_probabilities;
+use pdb_engine::queries::TopKQuery;
 use rand::{rngs::StdRng, SeedableRng};
 use std::hint::black_box;
 use std::time::Duration;
@@ -41,12 +44,13 @@ fn bench_delta_vs_rebuild(c: &mut Criterion) {
             XTupleMutation::Reweight { probs: probs_a },
             XTupleMutation::Reweight { probs: probs_b },
         ];
-        let mut eval = DeltaEvaluation::new(db.clone(), K).unwrap();
+        let mut eval =
+            BatchEvaluation::from_owned(db.clone(), vec![TopKQuery::UKRanks { k: K }]).unwrap();
         let mut flip = 0usize;
         group.bench_with_input(BenchmarkId::new("incremental", tuples), &(), |b, ()| {
             b.iter(|| {
                 flip ^= 1;
-                eval.apply(l, black_box(&mutations[flip])).unwrap()
+                eval.apply_collapse_in_place(l, black_box(&mutations[flip])).unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("full_rebuild", tuples), &db, |b, db| {

@@ -9,13 +9,14 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdb_bench::synthetic;
 use pdb_engine::batch::BatchEvaluation;
 use pdb_engine::delta::XTupleMutation;
-use pdb_engine::queries::TopKQuery;
+use pdb_engine::psr::rank_probabilities;
+use pdb_engine::queries::{pt_k, TopKQuery};
 // The same registered query set the batch-q experiment measures, so the
 // committed BENCH_batch.json and the experiment figures track one
 // workload.
 use pdb_experiments::datasets::DEFAULT_THRESHOLD as THRESHOLD;
 use pdb_experiments::sharing_exp::batch_query_set as query_set;
-use pdb_quality::{BatchQuality, SharedEvaluation};
+use pdb_quality::{quality_tp_with, BatchQuality};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -33,9 +34,9 @@ fn bench_batch_vs_independent(c: &mut Criterion) {
             b.iter(|| {
                 let mut out = Vec::with_capacity(specs.len());
                 for spec in &specs {
-                    let shared = SharedEvaluation::new(black_box(&db), spec.query.k()).unwrap();
-                    let answer = shared.pt_k(THRESHOLD).unwrap();
-                    out.push((answer.len(), shared.quality()));
+                    let rp = rank_probabilities(black_box(&db), spec.query.k()).unwrap();
+                    let answer = pt_k(&db, &rp, THRESHOLD).unwrap();
+                    out.push((answer.len(), quality_tp_with(&db, &rp)));
                 }
                 out
             })
@@ -63,9 +64,15 @@ fn bench_collapse_repatch(c: &mut Criterion) {
     let keep = db.x_tuple(l).members[0];
     let mutation = XTupleMutation::CollapseToAlternative { keep_pos: keep };
     let batch = BatchEvaluation::new(&db, queries.clone()).unwrap();
-    // One shared delta pass re-serves all 10 registered queries.
+    // One shared delta pass re-serves all 10 registered queries.  Each
+    // iteration patches a fresh clone, so the database and matrix copy is
+    // timed along with the patch.
     group.bench_with_input(BenchmarkId::new("delta_repatch", 10), &l, |b, &l| {
-        b.iter(|| batch.apply_collapse(black_box(l), &mutation).unwrap())
+        b.iter(|| {
+            let mut next = batch.clone();
+            let stats = next.apply_collapse_in_place(black_box(l), &mutation).unwrap();
+            (next, stats)
+        })
     });
     // Baseline: rebuild the whole batch evaluation on the mutated database.
     let mut mutated = db.clone();

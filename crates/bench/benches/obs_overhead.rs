@@ -17,7 +17,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
-use pdb_server::protocol::EvalMode;
 use pdb_server::{Client, DatasetSpec, Server, ServerConfig};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -34,7 +33,7 @@ const TUPLES: usize = 1_000;
 /// Same three-tenant PT-k mix as `server_throughput` (k_max = 50).
 const KS: [usize; 3] = [5, 15, 50];
 
-/// One `apply_probe` (delta mode) round trip per iteration, with the
+/// One `apply_mutation` round trip per iteration, with the
 /// same self-inverting reweight mutation as `server_throughput`, so the
 /// session state is stationary over the run.
 fn bench_obs_overhead(c: &mut Criterion) {
@@ -75,13 +74,8 @@ fn bench_obs_overhead(c: &mut Criterion) {
             b.iter(|| {
                 let probs = if flip.replace(!flip.get()) { &original } else { &swapped };
                 let applied = client
-                    .apply_probe(
-                        session,
-                        0,
-                        XTupleMutation::Reweight { probs: probs.clone() },
-                        EvalMode::Delta,
-                    )
-                    .expect("apply_probe");
+                    .apply_mutation(session, 0, XTupleMutation::Reweight { probs: probs.clone() })
+                    .expect("apply_mutation");
                 black_box(applied.update.aggregate)
             })
         });

@@ -9,7 +9,7 @@ use pdb_bench::{mov, synthetic};
 use pdb_core::RankedDatabase;
 use pdb_engine::psr::rank_probabilities;
 use pdb_engine::queries::{global_topk, pt_k, u_k_ranks};
-use pdb_quality::{quality_tp, quality_tp_with, SharedEvaluation};
+use pdb_quality::{quality_tp, quality_tp_with};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -32,9 +32,9 @@ fn bench_sharing(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("sharing", k), &k, |b, &k| {
             b.iter(|| {
-                let shared = SharedEvaluation::new(black_box(&db), k).unwrap();
-                let answer = shared.pt_k(THRESHOLD).unwrap();
-                let quality = shared.quality();
+                let rp = rank_probabilities(black_box(&db), k).unwrap();
+                let answer = pt_k(&db, &rp, THRESHOLD).unwrap();
+                let quality = quality_tp_with(&db, &rp);
                 (answer, quality)
             })
         });

@@ -1,20 +1,18 @@
-//! Serving-path throughput: session reuse (delta re-evaluation) vs naive
-//! per-request full PSR re-evaluation, measured end-to-end over a real
-//! loopback TCP connection to a running `pdb-server`.
+//! Serving-path throughput: one `apply_mutation` round trip on a live
+//! session — the in-place delta patch every registered query shares plus
+//! the refreshed qualities — measured end-to-end over a real loopback TCP
+//! connection to a running `pdb-server`.
 //!
-//! Both series pay the identical protocol cost (one request line, one
-//! response line, same JSON payloads); the only difference is how the
-//! server folds the probe outcome into the session — the in-place delta
-//! patch every registered query shares, or a from-scratch PSR + TP rerun.
-//! The gap is therefore exactly the value of keeping sessions (and their
-//! shared PSR run) alive across requests.  The `server-smoke` CI job runs
-//! this target in quick mode and commits its medians as
-//! `BENCH_server.json` (see `crates/bench/src/bin/bench_json.rs`).
+//! The server has no full-rebuild mode; the in-process comparison of the
+//! delta patch against a from-scratch PSR + TP rerun is the
+//! `batch/collapse` group of the `batch_evaluation` bench.  The
+//! `server-smoke` CI job runs this target in quick mode and commits its
+//! medians as `BENCH_server.json` (see
+//! `crates/bench/src/bin/bench_json.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
-use pdb_server::protocol::EvalMode;
 use pdb_server::{Client, DatasetSpec, Server, ServerConfig};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -26,7 +24,7 @@ const TUPLES: usize = 10_000;
 /// (k_max = 50 drives the shared PSR run).
 const KS: [usize; 3] = [5, 15, 50];
 
-/// One `apply_probe` + refreshed qualities round trip per iteration.  The
+/// One `apply_mutation` + refreshed qualities round trip per iteration.  The
 /// mutation alternates between the x-tuple's original probabilities and a
 /// copy with the first and last alternatives' masses exchanged: like a
 /// collapse, it perturbs cumulative mass only inside the x-tuple's own
@@ -58,30 +56,22 @@ fn bench_probe_requality(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(2));
 
-    for (mode, label) in [(EvalMode::Delta, "session_delta"), (EvalMode::Rebuild, "full_rebuild")] {
-        let session = client.create_session(spec.clone(), 1, 0.8).expect("create_session").session;
-        for &k in &KS {
-            client
-                .register_query(session, TopKQuery::PTk { k, threshold: 0.1 }, 1.0)
-                .expect("register_query");
-        }
-        let flip = Cell::new(false);
-        group.bench_with_input(BenchmarkId::new(label, TUPLES), &TUPLES, |b, _| {
-            b.iter(|| {
-                let probs = if flip.replace(!flip.get()) { &original } else { &swapped };
-                let applied = client
-                    .apply_probe(
-                        session,
-                        0,
-                        XTupleMutation::Reweight { probs: probs.clone() },
-                        mode,
-                    )
-                    .expect("apply_probe");
-                black_box(applied.update.aggregate)
-            })
-        });
-        client.drop_session(session).expect("drop_session");
+    let session = client.create_session(spec, 1, 0.8).expect("create_session").session;
+    for &k in &KS {
+        client
+            .register_query(session, TopKQuery::PTk { k, threshold: 0.1 }, 1.0)
+            .expect("register_query");
     }
+    let flip = Cell::new(false);
+    group.bench_with_input(BenchmarkId::new("session_delta", TUPLES), &TUPLES, |b, _| {
+        b.iter(|| {
+            let probs = if flip.replace(!flip.get()) { &original } else { &swapped };
+            let mutation = XTupleMutation::Reweight { probs: probs.clone() };
+            let applied = client.apply_mutation(session, 0, mutation).expect("apply_mutation");
+            black_box(applied.update.aggregate)
+        })
+    });
+    client.drop_session(session).expect("drop_session");
     group.finish();
 
     client.shutdown().expect("shutdown");

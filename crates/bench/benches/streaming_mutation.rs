@@ -38,9 +38,14 @@ fn bench_insert(c: &mut Criterion) {
     let mutation =
         XTupleMutation::Insert { key: "arrival".into(), alternatives: alternatives.clone() };
     // One shared delta pass grows the master matrix and re-serves all
-    // registered queries.
+    // registered queries; each iteration patches a fresh clone, like the
+    // rebuild arm starting from the unmutated database.
     group.bench_with_input(BenchmarkId::new("delta", QUERIES), &l, |b, &l| {
-        b.iter(|| batch.apply_collapse(black_box(l), &mutation).unwrap())
+        b.iter(|| {
+            let mut next = batch.clone();
+            let stats = next.apply_collapse_in_place(black_box(l), &mutation).unwrap();
+            (next, stats)
+        })
     });
     // Baseline: apply the arrival to the database and rebuild the whole
     // batch evaluation — both sides start from the same `(db, mutation)`
@@ -67,7 +72,12 @@ fn bench_remove(c: &mut Criterion) {
     // Remove a mid-ranking entity: plenty of affected rows below it.
     let l = db.tuple(db.len() / 2).x_index;
     group.bench_with_input(BenchmarkId::new("delta", QUERIES), &l, |b, &l| {
-        b.iter(|| batch.apply_collapse(black_box(l), &XTupleMutation::Remove).unwrap())
+        b.iter(|| {
+            let mut next = batch.clone();
+            let stats =
+                next.apply_collapse_in_place(black_box(l), &XTupleMutation::Remove).unwrap();
+            (next, stats)
+        })
     });
     group.bench_with_input(BenchmarkId::new("full_rebuild", QUERIES), &db, |b, db| {
         b.iter(|| {

@@ -9,7 +9,9 @@
 //!    (a verb you can serialize but not parse is drift),
 //! 2. the `//! | `verb` |` doc table at the top of `protocol.rs`,
 //! 3. the public client methods in `crates/pdb-server/src/client.rs`
-//!    (every verb needs a typed method),
+//!    (every verb needs a typed method; a wire alias, whose payload type
+//!    is a `type` alias of another verb's payload, is covered by that
+//!    verb's method),
 //! 4. the `pdb call` usage text in `crates/pdb-cli/src/args.rs`,
 //! 5. the README's verb table (both directions),
 //! 6. the fleet router's routing table in
@@ -19,7 +21,7 @@
 use crate::diag::Diagnostic;
 use crate::lexer::{SourceFile, TokenKind};
 use crate::scanner::functions;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 const PROTOCOL: &str = "crates/pdb-server/src/protocol.rs";
@@ -63,8 +65,10 @@ pub fn check(root: &Path) -> Vec<Diagnostic> {
 
     // 3. Client methods (superset is fine: connect/call are not verbs).
     let methods: BTreeSet<String> = functions(&client).into_iter().map(|f| f.name).collect();
+    let aliases = alias_verbs(&protocol);
     for v in &verbs {
-        if !methods.contains(v) {
+        let target = aliases.get(v).unwrap_or(v);
+        if !methods.contains(target) {
             out.push(Diagnostic::new(
                 "protocol-drift",
                 CLIENT,
@@ -152,6 +156,46 @@ fn diff_sets(
             format!("{what} lists `{v}`, which fn verb() does not return"),
         ));
     }
+}
+
+/// `alias verb → target verb` for every verb whose payload type is a
+/// `type` alias of another verb's payload (`Request::ApplyProbe(ApplyProbe)`
+/// with `type ApplyProbe = ApplyMutation;`): the two verbs carry the same
+/// request, so the target's client method can send either.
+fn alias_verbs(file: &SourceFile) -> BTreeMap<String, String> {
+    fn text<'a>(file: &'a SourceFile, code: &[usize], k: usize) -> &'a str {
+        code.get(k).map_or("", |&t| file.text(&file.tokens[t]))
+    }
+    let code = file.code_indices();
+    let mut aliased = BTreeMap::new(); // alias type -> target type
+    let mut payload = BTreeMap::new(); // Request variant -> payload type
+    let mut k = 0usize;
+    while k < code.len() {
+        let t = |j: usize| text(file, &code, j);
+        if t(k) == "type" && t(k + 2) == "=" && t(k + 4) == ";" {
+            aliased.insert(t(k + 1), t(k + 3));
+        } else if t(k) == "enum" && t(k + 1) == "Request" && t(k + 2) == "{" {
+            let close = super::matching_close(file, &code, k + 2).unwrap_or(code.len());
+            for j in k + 3..close {
+                if t(j + 1) == "(" && t(j + 3) == ")" {
+                    payload.insert(t(j), t(j + 2));
+                }
+            }
+            k = close;
+        }
+        k += 1;
+    }
+    let arms = super::dead_verb::verb_arms(file);
+    let verb_of: BTreeMap<&str, &str> = arms
+        .iter()
+        .filter_map(|(variant, verb, _)| Some((*payload.get(variant.as_str())?, verb.as_str())))
+        .collect();
+    arms.iter()
+        .filter_map(|(variant, verb, _)| {
+            let target = aliased.get(payload.get(variant.as_str())?)?;
+            Some((verb.clone(), verb_of.get(target)?.to_string()))
+        })
+        .collect()
 }
 
 /// The string literals inside `fn verb(..)`.

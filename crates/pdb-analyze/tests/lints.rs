@@ -372,6 +372,69 @@ fn protocol_drift_clean_when_all_sites_agree() {
     assert!(diags.is_empty(), "{diags:?}");
 }
 
+#[test]
+fn protocol_drift_lets_a_wire_alias_share_its_targets_client_method() {
+    // `beta` carries `alpha`'s payload type under a `type` alias, so the
+    // typed `alpha` method covers it; as a payload of its own it needs a
+    // method of its own.
+    let protocol = |beta_payload: &str| {
+        format!(
+            "\
+//! | Verb | Payload | Response |
+//! |------|---------|----------|
+//! | `alpha` | — | `ok` |
+//! | `beta` | — | `ok` |
+
+pub struct AlphaReq;
+{beta_payload}
+
+pub enum Request {{
+    Alpha(AlphaReq),
+    Beta(BetaReq),
+}}
+
+impl Request {{
+    pub fn verb(&self) -> &'static str {{
+        match self {{
+            Request::Alpha(_) => \"alpha\",
+            Request::Beta(_) => \"beta\",
+        }}
+    }}
+}}
+
+impl Deserialize for Request {{
+    fn from_value(value: &Value) -> Result<Self, SerdeError> {{
+        match verb {{
+            \"alpha\" => Ok(Request::Alpha(AlphaReq)),
+            \"beta\" => Ok(Request::Beta(AlphaReq)),
+            other => Err(other),
+        }}
+    }}
+}}
+"
+        )
+    };
+    let readme = DRIFT_README.replace("| `gamma` | — | `ok` |", "| `beta` | — | `ok` |");
+    let check = |beta_payload: &str| {
+        let ws = TempWorkspace::new(
+            "drift-alias",
+            &[
+                ("Cargo.toml", "[workspace]\n"),
+                ("crates/pdb-server/src/protocol.rs", &protocol(beta_payload)),
+                ("crates/pdb-server/src/client.rs", DRIFT_CLIENT),
+                ("crates/pdb-cli/src/args.rs", "pub const USAGE: &str = \"alpha beta\";\n"),
+                ("README.md", &readme),
+            ],
+        );
+        lints::protocol_drift::check(&ws.root)
+    };
+    let diags = check("pub type BetaReq = AlphaReq;");
+    assert!(diags.is_empty(), "{diags:?}");
+    let diags = check("pub struct BetaReq;");
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert!(diags[0].message.contains("no client method for verb `beta`"), "{diags:?}");
+}
+
 /// Strip the protocol-drift noise a synthetic tree always produces
 /// (missing server files) so mini-workspace tests can assert exactly.
 fn without_drift(diags: Vec<Diagnostic>) -> Vec<Diagnostic> {

@@ -13,11 +13,13 @@
 //! Re-planning needs the fresh per-x-tuple contribution vector `g(l, D′)`
 //! after every observed outcome.  Two [`ReplanMode`]s provide it:
 //!
-//! * [`ReplanMode::Incremental`] (the default) runs the PSR + TP pipeline
-//!   **once** at session start and then patches the rank probabilities
-//!   through the delta engine ([`SharedEvaluation::apply_collapse`]) after
-//!   each successful probe — O(k) per affected row instead of O(n·k) per
-//!   probe;
+//! * [`ReplanMode::Incremental`] (the default) runs PSR **once** at
+//!   session start, as a one-query [`BatchEvaluation`], and then patches
+//!   the rank probabilities through the delta engine
+//!   ([`BatchEvaluation::apply_collapse_in_place`]) after each successful
+//!   probe — O(k) per affected row instead of O(n·k) per probe.  TP's
+//!   [`quality_breakdown`] re-derives `g` from the patched matrix,
+//!   weighting only tuples with a non-zero top-k probability;
 //! * [`ReplanMode::FullRebuild`] re-runs the full pipeline after every
 //!   probe.  It is kept as the correctness oracle and as the baseline the
 //!   `adaptive_replanning` benchmark and the `adaptive-n` / `adaptive-c`
@@ -31,7 +33,9 @@
 use crate::improvement::marginal_gain_raw;
 use crate::model::CleaningSetup;
 use pdb_core::{DbError, RankedDatabase, Result};
-use pdb_quality::{quality_tp, DeltaStats, SharedEvaluation, XTupleMutation};
+use pdb_engine::batch::BatchEvaluation;
+use pdb_engine::psr::rank_probabilities;
+use pdb_quality::{quality_breakdown, quality_tp, DeltaStats, TopKQuery, XTupleMutation};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -84,7 +88,7 @@ impl AdaptiveOutcome {
 /// The evaluation state a session re-plans from.
 enum EvalState {
     Rebuild(RankedDatabase),
-    Incremental { eval: SharedEvaluation<'static>, g: Vec<f64> },
+    Incremental { eval: Box<BatchEvaluation<'static>>, g: Vec<f64> },
 }
 
 impl EvalState {
@@ -193,8 +197,10 @@ pub fn run_adaptive_session_with<R: Rng + ?Sized>(
     let initial_quality;
     let mut state = match mode {
         ReplanMode::Incremental => {
-            let eval = SharedEvaluation::from_owned(db.clone(), k)?;
-            let breakdown = eval.quality_breakdown();
+            // Quality depends only on k, so any one semantics serves.
+            let query = TopKQuery::UKRanks { k };
+            let eval = Box::new(BatchEvaluation::from_owned(db.clone(), vec![query])?);
+            let breakdown = quality_breakdown(eval.database(), eval.master());
             initial_quality = breakdown.quality;
             EvalState::Incremental { eval, g: breakdown.x_tuple_contribution }
         }
@@ -213,8 +219,8 @@ pub fn run_adaptive_session_with<R: Rng + ?Sized>(
         let rebuilt_g;
         let g: &[f64] = match &state {
             EvalState::Rebuild(current) => {
-                rebuilt_g =
-                    SharedEvaluation::new(current, k)?.quality_breakdown().x_tuple_contribution;
+                let rp = rank_probabilities(current, k)?;
+                rebuilt_g = quality_breakdown(current, &rp).x_tuple_contribution;
                 &rebuilt_g
             }
             EvalState::Incremental { g, .. } => g,
@@ -273,9 +279,9 @@ pub fn run_adaptive_session_with<R: Rng + ?Sized>(
                 }
             },
             EvalState::Incremental { eval, g } => {
-                eval.apply_collapse_in_place(l, &mutation).map(|update| {
-                    *g = update.g;
-                    delta_stats.accumulate(&update.stats);
+                eval.apply_collapse_in_place(l, &mutation).map(|stats| {
+                    *g = quality_breakdown(eval.database(), eval.master()).x_tuple_contribution;
+                    delta_stats.accumulate(&stats);
                 })
             }
         };
@@ -302,9 +308,8 @@ pub fn run_adaptive_session_with<R: Rng + ?Sized>(
     } else {
         match &state {
             EvalState::Rebuild(current) => quality_tp(current, k)?,
-            // The evaluation's cached quality is maintained by every
-            // apply_collapse_in_place, so this is a cache hit.
-            EvalState::Incremental { eval, .. } => eval.quality(),
+            // Σ g, the sum the initial quality and `CleaningContext` use.
+            EvalState::Incremental { g, .. } => g.iter().sum(),
         }
     };
     Ok(AdaptiveOutcome {

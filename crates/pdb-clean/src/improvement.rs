@@ -18,7 +18,7 @@
 
 use crate::model::{CleaningPlan, CleaningSetup};
 use pdb_core::{DbError, RankedDatabase, Result, TupleId};
-use pdb_quality::{quality_tp, BatchQuality, SharedEvaluation};
+use pdb_quality::{quality_tp, BatchQuality, TopKQuery, WeightedQuery};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -43,27 +43,11 @@ pub struct CleaningContext {
 
 impl CleaningContext {
     /// Run the shared PSR + TP evaluation once and extract the quantities
-    /// the cleaning algorithms need.
+    /// the cleaning algorithms need.  The quality of a top-k query depends
+    /// only on `k`, so a one-query batch of any semantics serves it.
     pub fn prepare(db: &RankedDatabase, k: usize) -> Result<Self> {
-        let shared = SharedEvaluation::new(db, k)?;
-        Ok(Self::from_shared(&shared))
-    }
-
-    /// Extract the cleaning context from an existing shared evaluation
-    /// (avoids re-running PSR when the caller already has one).
-    pub fn from_shared(shared: &SharedEvaluation<'_>) -> Self {
-        let db = shared.database();
-        let breakdown = shared.quality_breakdown();
-        let mut x_topk = vec![0.0; db.num_x_tuples()];
-        for pos in 0..db.len() {
-            x_topk[db.tuple(pos).x_index] += shared.rank_probabilities().top_k_prob(pos);
-        }
-        Self {
-            k: shared.k(),
-            quality: breakdown.quality,
-            g: breakdown.x_tuple_contribution,
-            x_topk,
-        }
+        let query = WeightedQuery::new(TopKQuery::UKRanks { k });
+        Ok(Self::from_batch(&BatchQuality::new(db, vec![query])?))
     }
 
     /// The *aggregate* cleaning context of a whole registered query set:

@@ -21,8 +21,8 @@ pub const USAGE: &str = "usage:
   pdb fleet status [--addr <host:port>]
   pdb metrics [--addr <host:port>] [--text]
   pdb call <request-json | -> [--addr <host:port>] [--timing]   (- streams stdin lines over one connection)
-  pdb mutate <session> insert --key <key> --alts <score:prob,...> [--mode delta|rebuild] [--addr <host:port>]
-  pdb mutate <session> remove --x-tuple <l> [--mode delta|rebuild] [--addr <host:port>]
+  pdb mutate <session> insert --key <key> --alts <score:prob,...> [--addr <host:port>]
+  pdb mutate <session> remove --x-tuple <l> [--addr <host:port>]
   pdb export [--dataset synthetic|mov|udb1] [--tuples <n>] --out <file.pdbs>
   pdb import <file> [--out <file>]
   pdb recover --store-dir <dir>
@@ -161,8 +161,6 @@ pub enum Command {
         session: u64,
         /// The streaming operation (insert or remove).
         op: MutateOp,
-        /// Evaluation mode (`delta` or `rebuild`).
-        mode: String,
     },
     /// `pdb export`
     Export {
@@ -496,7 +494,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 .split_first()
                 .ok_or_else(|| "mutate requires an operation (insert or remove)".to_string())?;
             let mut addr = "127.0.0.1:7878".to_string();
-            let mut mode = "delta".to_string();
             let mut key = None;
             let mut alts = None;
             let mut x_tuple = None;
@@ -504,7 +501,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             while let Some(flag) = flags.next_flag() {
                 match flag {
                     "--addr" => addr = flags.value_for("--addr")?.to_string(),
-                    "--mode" => mode = flags.value_for("--mode")?.to_ascii_lowercase(),
                     "--key" => key = Some(flags.value_for("--key")?.to_string()),
                     "--alts" => alts = Some(parse_alternatives(flags.value_for("--alts")?)?),
                     "--x-tuple" => {
@@ -512,9 +508,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     }
                     other => return Err(format!("unknown flag {other:?}")),
                 }
-            }
-            if mode != "delta" && mode != "rebuild" {
-                return Err(format!("unknown mode {mode:?} (expected delta or rebuild)"));
             }
             let op = match op_name.as_str() {
                 "insert" => {
@@ -541,7 +534,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     ))
                 }
             };
-            Ok(Command::Mutate { addr, session, op, mode })
+            Ok(Command::Mutate { addr, session, op })
         }
         "export" => {
             let mut dataset = DatasetChoice::Synthetic;
@@ -998,28 +991,16 @@ mod tests {
                     key: "s9".into(),
                     alternatives: vec![(28.5, 0.5), (23.0, 0.25)],
                 },
-                mode: "delta".into(),
             }
         );
-        let c = parse(&argv(&[
-            "mutate",
-            "0",
-            "remove",
-            "--x-tuple",
-            "2",
-            "--mode",
-            "rebuild",
-            "--addr",
-            "127.0.0.1:9",
-        ]))
-        .unwrap();
+        let c = parse(&argv(&["mutate", "0", "remove", "--x-tuple", "2", "--addr", "127.0.0.1:9"]))
+            .unwrap();
         assert_eq!(
             c,
             Command::Mutate {
                 addr: "127.0.0.1:9".into(),
                 session: 0,
                 op: MutateOp::Remove { x_tuple: 2 },
-                mode: "rebuild".into(),
             }
         );
         assert!(parse(&argv(&["mutate"])).is_err(), "session id is mandatory");
@@ -1037,8 +1018,8 @@ mod tests {
             "--key only applies to insert"
         );
         assert!(
-            parse(&argv(&["mutate", "0", "remove", "--x-tuple", "1", "--mode", "nope"])).is_err(),
-            "mode must be delta or rebuild"
+            parse(&argv(&["mutate", "0", "remove", "--x-tuple", "1", "--mode", "delta"])).is_err(),
+            "mutations always take the delta path; there is no --mode"
         );
     }
 

@@ -7,9 +7,11 @@ use pdb_clean::{
     CleaningAlgorithm, CleaningContext, CleaningSetup, ReplanMode,
 };
 use pdb_core::{DbError, RankedDatabase, Result, ScoreRanking};
+use pdb_engine::psr::rank_probabilities;
+use pdb_engine::queries::pt_k;
 use pdb_experiments::{datasets, report::ExperimentResult, scale::time_ms, Scale, ALL_EXPERIMENTS};
 use pdb_quality::{
-    quality_pw, quality_pwr, quality_tp, BatchQuality, QueryAnswer, SharedEvaluation, TopKQuery,
+    quality_pw, quality_pwr, quality_tp, quality_tp_with, BatchQuality, QueryAnswer, TopKQuery,
     WeightedQuery,
 };
 use rand::{rngs::StdRng, SeedableRng};
@@ -34,7 +36,7 @@ pub fn run(command: Command) -> Result<String> {
         Command::Fleet { op } => fleet(op),
         Command::Call { addr, request, timing } => call(&addr, &request, timing),
         Command::Metrics { addr, text } => metrics(&addr, text),
-        Command::Mutate { addr, session, op, mode } => mutate(&addr, session, op, &mode),
+        Command::Mutate { addr, session, op } => mutate(&addr, session, op),
         Command::Export { dataset, tuples, out } => export(dataset, tuples, &out),
         Command::Import { file, out } => import(&file, out.as_deref()),
         Command::Recover { store_dir } => recover(&store_dir),
@@ -122,8 +124,7 @@ fn quality(choice: DatasetChoice, k: usize, algo: &str, json: bool) -> Result<St
             )))
         }
     };
-    let shared = SharedEvaluation::new(&db, k)?;
-    let answer = shared.pt_k(datasets::DEFAULT_THRESHOLD)?;
+    let answer = pt_k(&db, &rank_probabilities(&db, k)?, datasets::DEFAULT_THRESHOLD)?;
     if json {
         let report = QualityJson {
             dataset: dataset_name(choice).to_string(),
@@ -476,18 +477,12 @@ fn call_lines(
 /// verb) to a running server through the typed client and print the
 /// `probe_applied` response line — the same JSON a scripted `pdb call`
 /// would see, so both entry points compose.
-fn mutate(addr: &str, session: u64, op: MutateOp, mode: &str) -> Result<String> {
-    let mode = match mode {
-        "rebuild" => pdb_server::protocol::EvalMode::Rebuild,
-        _ => pdb_server::protocol::EvalMode::Delta,
-    };
+fn mutate(addr: &str, session: u64, op: MutateOp) -> Result<String> {
     let mut client = pdb_server::Client::connect(addr)
         .map_err(|e| DbError::invalid_parameter(format!("connecting to {addr} failed: {e}")))?;
     let applied = match op {
-        MutateOp::Insert { key, alternatives } => {
-            client.insert_x_tuple(session, key, alternatives, mode)
-        }
-        MutateOp::Remove { x_tuple } => client.remove_x_tuple(session, x_tuple, mode),
+        MutateOp::Insert { key, alternatives } => client.insert_x_tuple(session, key, alternatives),
+        MutateOp::Remove { x_tuple } => client.remove_x_tuple(session, x_tuple),
     }
     .map_err(|e| DbError::invalid_parameter(e.to_string()))?;
     pdb_server::protocol::encode(&pdb_server::Response::ProbeApplied(applied))
@@ -674,9 +669,9 @@ fn batch(
     // Independent baseline: one full evaluation per registered query.
     let (independent, independent_ms) = time_ms(|| -> Result<()> {
         for spec in &specs {
-            let shared = SharedEvaluation::new(&db, spec.query.k())?;
-            let _answer = shared.pt_k(threshold)?;
-            let _quality = shared.quality();
+            let rp = rank_probabilities(&db, spec.query.k())?;
+            let _answer = pt_k(&db, &rp, threshold)?;
+            let _quality = quality_tp_with(&db, &rp);
         }
         Ok(())
     });
@@ -861,15 +856,26 @@ mod tests {
         // A new entity arrives: the response reports the grown database.
         let op =
             MutateOp::Insert { key: "s9".into(), alternatives: vec![(28.5, 0.5), (23.0, 0.25)] };
-        let reply = mutate(&addr, 1, op, "delta").unwrap();
+        let reply = mutate(&addr, 1, op).unwrap();
         assert!(reply.contains("probe_applied"), "{reply}");
 
-        // And departs again, through the rebuild oracle this time.
-        let reply = mutate(&addr, 1, MutateOp::Remove { x_tuple: 4 }, "rebuild").unwrap();
-        assert!(reply.contains("probe_applied"), "{reply}");
+        // And departs again; a fresh in-process evaluation of the mutated
+        // database is the oracle for the served delta patch.
+        let reply = mutate(&addr, 1, MutateOp::Remove { x_tuple: 4 }).unwrap();
+        let Ok(pdb_server::Response::ProbeApplied(applied)) =
+            pdb_server::protocol::decode_response(&reply)
+        else {
+            panic!("expected probe_applied, got {reply}");
+        };
+        let mut db = pdb_gen::spec::build_dataset(&pdb_gen::DatasetSpec::Udb1).unwrap();
+        db.insert_x_tuple_in_place("s9".into(), &[(28.5, 0.5), (23.0, 0.25)]).unwrap();
+        db.remove_x_tuple_in_place(4).unwrap();
+        let query = WeightedQuery::new(TopKQuery::PTk { k: 2, threshold: 0.4 });
+        let rebuild = BatchQuality::from_owned(db, vec![query]).unwrap();
+        assert!((applied.update.aggregate - rebuild.aggregate_quality()).abs() < 1e-9);
 
         // Out-of-range removal surfaces as a server error, not a hang.
-        assert!(mutate(&addr, 1, MutateOp::Remove { x_tuple: 99 }, "delta").is_err());
+        assert!(mutate(&addr, 1, MutateOp::Remove { x_tuple: 99 }).is_err());
 
         call(&addr, "\"shutdown\"", false).unwrap();
         handle.join().unwrap().unwrap();

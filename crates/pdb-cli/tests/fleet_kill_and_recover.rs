@@ -14,7 +14,6 @@
 //! retry), which for an absolute reweight is state-identical.
 
 use pdb_quality::{BatchQuality, TopKQuery, WeightedQuery, XTupleMutation};
-use pdb_server::protocol::EvalMode;
 use pdb_server::{Client, DatasetSpec};
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
@@ -143,7 +142,7 @@ fn apply_with_retry(
     mutation: &XTupleMutation,
 ) {
     for _ in 0..200 {
-        match client.apply_probe(session, x_tuple, mutation.clone(), EvalMode::Delta) {
+        match client.apply_mutation(session, x_tuple, mutation.clone()) {
             Ok(_) => return,
             Err(_) => {
                 std::thread::sleep(Duration::from_millis(20));
@@ -190,7 +189,7 @@ fn fleet_survives_a_sigkilled_shard_with_zero_lost_mutations() {
             let keep_pos = mirror.database().x_tuple(l).members[0];
             let mutation = XTupleMutation::CollapseToAlternative { keep_pos };
             let served = client
-                .apply_probe(created.session, l, mutation.clone(), EvalMode::Delta)
+                .apply_mutation(created.session, l, mutation.clone())
                 .expect("pre-kill probe");
             let direct = mirror.apply_collapse_in_place(l, &mutation).expect("mirror probe");
             assert_close(served.update.aggregate, direct.aggregate, "pre-kill aggregate");

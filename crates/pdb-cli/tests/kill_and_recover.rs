@@ -5,14 +5,13 @@
 //! and qualities matching an uninterrupted in-process mirror at 1e-12.
 //!
 //! This is the end-to-end proof of the durability chain: every
-//! `apply_probe` / `apply_mutation` was fsync'd into the write-ahead log
+//! `apply_mutation` was fsync'd into the write-ahead log
 //! before it was acknowledged, so none of the acknowledged mutations may
 //! be lost, and recovery replays them through the delta engine onto the
 //! journalled base dataset — including the re-allocation of tuple ids for
 //! inserted x-tuples, which must come out byte-identical on replay.
 
 use pdb_quality::{BatchQuality, TopKQuery, WeightedQuery, XTupleMutation};
-use pdb_server::protocol::EvalMode;
 use pdb_server::{Client, DatasetSpec};
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
@@ -119,9 +118,8 @@ fn killed_server_recovers_sessions_from_its_store() {
         let l = probe * 7; // spread over distinct x-tuples
         let keep_pos = mirror.database().x_tuple(l).members[0];
         let mutation = XTupleMutation::CollapseToAlternative { keep_pos };
-        let served = client
-            .apply_probe(created.session, l, mutation.clone(), EvalMode::Delta)
-            .expect("apply_probe");
+        let served =
+            client.apply_mutation(created.session, l, mutation.clone()).expect("apply_mutation");
         let direct = mirror.apply_collapse_in_place(l, &mutation).expect("mirror probe");
         assert_close(served.update.aggregate, direct.aggregate, "live aggregate");
     }
@@ -134,14 +132,12 @@ fn killed_server_recovers_sessions_from_its_store() {
     let arrival =
         XTupleMutation::Insert { key: "arrival".into(), alternatives: alternatives.clone() };
     let appended_at = mirror.database().num_x_tuples();
-    let served = client
-        .insert_x_tuple(created.session, "arrival", alternatives, EvalMode::Delta)
-        .expect("streaming insert");
+    let served =
+        client.insert_x_tuple(created.session, "arrival", alternatives).expect("streaming insert");
     let direct = mirror.apply_collapse_in_place(appended_at, &arrival).expect("mirror insert");
     assert_close(served.update.aggregate, direct.aggregate, "insert aggregate");
 
-    let served =
-        client.remove_x_tuple(created.session, 3, EvalMode::Delta).expect("streaming remove");
+    let served = client.remove_x_tuple(created.session, 3).expect("streaming remove");
     let direct = mirror.apply_collapse_in_place(3, &XTupleMutation::Remove).expect("mirror remove");
     assert_close(served.update.aggregate, direct.aggregate, "remove aggregate");
 
@@ -174,9 +170,8 @@ fn killed_server_recovers_sessions_from_its_store() {
     let l = 2;
     let keep_pos = mirror.database().x_tuple(l).members[0];
     let mutation = XTupleMutation::CollapseToAlternative { keep_pos };
-    let served = client
-        .apply_probe(created.session, l, mutation.clone(), EvalMode::Delta)
-        .expect("post-recovery probe");
+    let served =
+        client.apply_mutation(created.session, l, mutation.clone()).expect("post-recovery probe");
     let direct = mirror.apply_collapse_in_place(l, &mutation).expect("mirror post-recovery probe");
     assert_close(served.update.aggregate, direct.aggregate, "post-recovery aggregate");
 

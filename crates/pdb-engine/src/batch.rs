@@ -33,6 +33,9 @@
 //! pass instead of one per registered query
 //! ([`BatchEvaluation::apply_collapse_in_place`]).
 //!
+//! [`BatchEvaluation`] is the engine's one evaluation type: a single
+//! query is a one-query batch (its master matrix *is* that query's PSR
+//! run), and a caller that needs the pre-mutation state keeps a clone.
 //! The quality layer on top (per-query PWS-quality, aggregate-improvement
 //! cleaning) lives in `pdb-quality`'s `batch` module, which wraps this
 //! type.
@@ -180,10 +183,7 @@ pub struct BatchEvaluation<'a> {
 impl<'a> BatchEvaluation<'a> {
     /// Plan `queries` and run PSR once at `k_max`, borrowing the database.
     pub fn new(db: &'a RankedDatabase, queries: Vec<TopKQuery>) -> Result<Self> {
-        let plan = BatchPlan::plan(&queries)?;
-        let master = rank_probabilities(db, plan.k_max())?;
-        let snapshot_top_k = snapshot_top_ks(&master, plan.snapshot_ks());
-        Ok(Self { db: Cow::Borrowed(db), queries, plan, master, snapshot_top_k })
+        Self::build(Cow::Borrowed(db), queries)
     }
 
     /// [`new`](Self::new) taking ownership of the database — the form
@@ -193,10 +193,14 @@ impl<'a> BatchEvaluation<'a> {
         db: RankedDatabase,
         queries: Vec<TopKQuery>,
     ) -> Result<BatchEvaluation<'static>> {
+        BatchEvaluation::build(Cow::Owned(db), queries)
+    }
+
+    fn build(db: Cow<'a, RankedDatabase>, queries: Vec<TopKQuery>) -> Result<Self> {
         let plan = BatchPlan::plan(&queries)?;
         let master = rank_probabilities(&db, plan.k_max())?;
         let snapshot_top_k = snapshot_top_ks(&master, plan.snapshot_ks());
-        Ok(BatchEvaluation { db: Cow::Owned(db), queries, plan, master, snapshot_top_k })
+        Ok(Self { db, queries, plan, master, snapshot_top_k })
     }
 
     /// The database under evaluation.
@@ -292,47 +296,6 @@ impl<'a> BatchEvaluation<'a> {
             &mut self.snapshot_top_k,
         );
         Ok(stats)
-    }
-
-    /// Replay a journalled sequence of probe outcomes in order, one delta
-    /// pass each, and return the accumulated statistics.
-    ///
-    /// This is the crash-recovery hook of `pdb-store`: a write-ahead log
-    /// replays as O(probes) delta passes on the shared master matrix —
-    /// never a PSR rerun per probe.  On `Err` the already-applied prefix
-    /// of the sequence remains in place (the evaluation matches the state
-    /// just before the failing mutation), so a caller recovering from a
-    /// log should discard the evaluation on error.
-    pub fn replay_in_place(
-        &mut self,
-        probes: impl IntoIterator<Item = (usize, XTupleMutation)>,
-    ) -> Result<DeltaStats> {
-        let mut total = DeltaStats::default();
-        for (l, mutation) in probes {
-            total.accumulate(&self.apply_collapse_in_place(l, &mutation)?);
-        }
-        Ok(total)
-    }
-
-    /// [`apply_collapse_in_place`](Self::apply_collapse_in_place) on a
-    /// copy: the pre-mutation evaluation is untouched (and remains usable
-    /// as an oracle); the returned evaluation owns its database.
-    pub fn apply_collapse(
-        &self,
-        l: usize,
-        mutation: &XTupleMutation,
-    ) -> Result<(BatchEvaluation<'static>, DeltaStats)> {
-        let mut next = BatchEvaluation {
-            db: Cow::Owned(self.database().clone()),
-            queries: self.queries.clone(),
-            plan: self.plan.clone(),
-            master: self.master.clone(),
-            // The untouched-prefix entries are reused by the incremental
-            // snapshot refresh, so the clone is live data, not waste.
-            snapshot_top_k: self.snapshot_top_k.clone(),
-        };
-        let stats = next.apply_collapse_in_place(l, mutation)?;
-        Ok((next, stats))
     }
 }
 
@@ -483,8 +446,9 @@ mod tests {
         let queries = mixed_queries();
         let batch = BatchEvaluation::from_owned(db, queries.clone()).unwrap();
         // Collapse S3 to its 27° reading: the paper's udb1 → udb2 step.
-        let (next, stats) = batch
-            .apply_collapse(2, &XTupleMutation::CollapseToAlternative { keep_pos: 2 })
+        let mut next = batch.clone();
+        let stats = next
+            .apply_collapse_in_place(2, &XTupleMutation::CollapseToAlternative { keep_pos: 2 })
             .unwrap();
         assert_eq!(stats.rows_dropped, 1);
         assert_eq!(next.database().len(), 6);
@@ -492,7 +456,7 @@ mod tests {
             let oracle = rank_probabilities_exact(next.database(), query.k()).unwrap();
             assert_view_matches(&next.ranks(q), &oracle, 1e-9, &format!("query {q}"));
         }
-        // The pre-mutation batch is untouched.
+        // The clone the mutation was applied to is independent.
         assert_eq!(batch.database().len(), 7);
     }
 

@@ -64,14 +64,15 @@
 //!   the full rebuild it replaces.
 //!
 //! The cheaper of the two is chosen per mutation; [`DeltaStats`] reports
-//! which rows took which path.  [`rank_probabilities`] /
+//! which rows took which path.
+//! [`rank_probabilities`](crate::psr::rank_probabilities) /
 //! [`rank_probabilities_exact`](crate::psr::rank_probabilities_exact) on
 //! the mutated database remain the correctness oracles; the
 //! `delta_equivalence` test suite pins the delta path against them across
 //! randomized mutation sequences.
 
 use crate::poly;
-use crate::psr::{self, rank_probabilities, RankProbabilities, MAX_DIVISOR_Q};
+use crate::psr::{self, RankProbabilities, MAX_DIVISOR_Q};
 use pdb_core::{DbError, RankedDatabase, Result};
 use serde::{Deserialize, Serialize};
 
@@ -92,8 +93,7 @@ const MIN_SCALE_PROB: f64 = 1e-3;
 const Q_EQUAL_EPSILON: f64 = 1e-12;
 
 /// A mutation of a single x-tuple — the unified mutation surface shared by
-/// the engine, the `apply_mutation`/`apply_probe` wire verbs, the WAL and
-/// the CLI.
+/// the engine, the `apply_mutation` wire verb, the WAL and the CLI.
 ///
 /// The first three variants are probe outcomes (they mutate an *existing*
 /// x-tuple); [`Insert`](XTupleMutation::Insert) and
@@ -179,28 +179,12 @@ impl DeltaStats {
 }
 
 /// Apply a single-x-tuple mutation to a database **and** its completed
-/// rank-probability matrix, producing the mutated database, the updated
-/// matrix and the per-row update statistics.
-///
-/// This is the pure form of [`apply_mutation_in_place`] (one clone of the
-/// inputs); use the in-place form — or [`DeltaEvaluation`], which wraps it
-/// — when the pre-mutation state is no longer needed, since the clone of
-/// the ρ matrix costs more than the patch itself.
-pub fn apply_mutation(
-    db: &RankedDatabase,
-    rp: &RankProbabilities,
-    l: usize,
-    mutation: &XTupleMutation,
-) -> Result<(RankedDatabase, RankProbabilities, DeltaStats)> {
-    let mut db = db.clone();
-    let mut rp = rp.clone();
-    let stats = apply_mutation_in_place(&mut db, &mut rp, l, mutation)?;
-    Ok((db, rp, stats))
-}
-
-/// [`apply_mutation`] without reallocating: the database is mutated in
-/// place (no re-sort — every mutation preserves the rank order of the
-/// surviving tuples) and the ρ matrix is patched row by row.
+/// rank-probability matrix, in place: the database is mutated without a
+/// re-sort (every mutation preserves the rank order of the surviving
+/// tuples) and the ρ matrix is patched row by row.  Callers that need the
+/// pre-mutation state keep a clone; this is the only mutation entry
+/// point, and `BatchEvaluation` runs it once per mutation on its master
+/// matrix.
 ///
 /// Rows ranked above the mutated x-tuple's first alternative are not
 /// touched at all; surviving rows below it are compacted forward (a
@@ -495,99 +479,10 @@ fn insert_in_place(
     Ok(stats)
 }
 
-/// A database together with rank probabilities that are kept current under
-/// single-x-tuple mutations.
-///
-/// Run the full PSR pipeline once ([`DeltaEvaluation::new`]), then
-/// [`apply`](DeltaEvaluation::apply) each observed mutation in O(k) per
-/// affected row.  The full-rebuild entry points remain available as the
-/// correctness oracle: at any point, [`rank_probabilities`] on
-/// [`database`](DeltaEvaluation::database) must agree with
-/// [`rank_probabilities`](DeltaEvaluation::rank_probabilities) within the
-/// documented tolerance.
-#[derive(Debug, Clone)]
-pub struct DeltaEvaluation {
-    db: RankedDatabase,
-    rp: RankProbabilities,
-    last: DeltaStats,
-    total: DeltaStats,
-    mutations: u64,
-}
-
-impl DeltaEvaluation {
-    /// Run PSR once for the given `k` and take ownership of the database.
-    pub fn new(db: RankedDatabase, k: usize) -> Result<Self> {
-        let rp = rank_probabilities(&db, k)?;
-        Ok(Self::assemble(db, rp))
-    }
-
-    /// Wrap a database and rank probabilities computed elsewhere.
-    pub fn from_parts(db: RankedDatabase, rp: RankProbabilities) -> Result<Self> {
-        if rp.num_tuples() != db.len() {
-            return Err(DbError::invalid_parameter(format!(
-                "rank probabilities cover {} tuples but the database has {}",
-                rp.num_tuples(),
-                db.len()
-            )));
-        }
-        Ok(Self::assemble(db, rp))
-    }
-
-    fn assemble(db: RankedDatabase, rp: RankProbabilities) -> Self {
-        Self { db, rp, last: DeltaStats::default(), total: DeltaStats::default(), mutations: 0 }
-    }
-
-    /// The `k` the evaluation is maintained for.
-    pub fn k(&self) -> usize {
-        self.rp.k()
-    }
-
-    /// The current (post-mutation) database.
-    pub fn database(&self) -> &RankedDatabase {
-        &self.db
-    }
-
-    /// The current rank probabilities.
-    pub fn rank_probabilities(&self) -> &RankProbabilities {
-        &self.rp
-    }
-
-    /// Statistics of the most recent [`apply`](DeltaEvaluation::apply).
-    pub fn last_stats(&self) -> DeltaStats {
-        self.last
-    }
-
-    /// Statistics accumulated over every mutation applied so far.
-    pub fn total_stats(&self) -> DeltaStats {
-        self.total
-    }
-
-    /// Number of mutations applied so far.
-    pub fn mutations(&self) -> u64 {
-        self.mutations
-    }
-
-    /// Apply one mutation incrementally, patching the held database and
-    /// probabilities in place.  On error the evaluation is left unchanged
-    /// (all validation happens before anything is mutated).
-    pub fn apply(&mut self, l: usize, mutation: &XTupleMutation) -> Result<DeltaStats> {
-        let stats = apply_mutation_in_place(&mut self.db, &mut self.rp, l, mutation)?;
-        self.last = stats;
-        self.total.accumulate(&stats);
-        self.mutations += 1;
-        Ok(stats)
-    }
-
-    /// Dissolve into the current database and rank probabilities.
-    pub fn into_parts(self) -> (RankedDatabase, RankProbabilities) {
-        (self.db, self.rp)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::psr::rank_probabilities_exact;
+    use crate::psr::{rank_probabilities, rank_probabilities_exact};
 
     #[test]
     fn mutations_and_delta_stats_round_trip_through_json() {
@@ -639,122 +534,123 @@ mod tests {
         }
     }
 
+    /// `db` and its PSR matrix at `k`, ready to be mutated in place.
+    fn evaluated(db: RankedDatabase, k: usize) -> (RankedDatabase, RankProbabilities) {
+        let rp = rank_probabilities(&db, k).unwrap();
+        (db, rp)
+    }
+
     #[test]
     fn collapse_to_alternative_matches_full_rebuild() {
-        let db = udb1();
-        let rp = rank_probabilities(&db, 2).unwrap();
+        let (mut db, mut rp) = evaluated(udb1(), 2);
         // Collapse S3 to its 27° reading (position 2): the udb1 → udb2
         // transition of the paper.
-        let (db2, rp2, stats) =
-            apply_mutation(&db, &rp, 2, &XTupleMutation::CollapseToAlternative { keep_pos: 2 })
-                .unwrap();
-        assert_eq!(db2.len(), 6);
+        let mutation = XTupleMutation::CollapseToAlternative { keep_pos: 2 };
+        let stats = apply_mutation_in_place(&mut db, &mut rp, 2, &mutation).unwrap();
+        assert_eq!(db.len(), 6);
         assert_eq!(stats.rows_dropped, 1);
         assert_eq!(stats.rows_total(), 6);
-        assert_matches_oracle(&db2, &rp2, 1e-9);
+        assert_matches_oracle(&db, &rp, 1e-9);
     }
 
     #[test]
     fn collapse_to_null_matches_full_rebuild() {
-        let db = RankedDatabase::from_scored_x_tuples(&[
-            vec![(10.0, 0.5)],
-            vec![(9.0, 0.4), (8.0, 0.2)],
-            vec![(7.0, 1.0)],
-        ])
-        .unwrap();
-        let rp = rank_probabilities(&db, 2).unwrap();
-        let (db2, rp2, stats) =
-            apply_mutation(&db, &rp, 0, &XTupleMutation::CollapseToNull).unwrap();
-        assert_eq!(db2.num_x_tuples(), 2);
+        let (mut db, mut rp) = evaluated(
+            RankedDatabase::from_scored_x_tuples(&[
+                vec![(10.0, 0.5)],
+                vec![(9.0, 0.4), (8.0, 0.2)],
+                vec![(7.0, 1.0)],
+            ])
+            .unwrap(),
+            2,
+        );
+        let stats =
+            apply_mutation_in_place(&mut db, &mut rp, 0, &XTupleMutation::CollapseToNull).unwrap();
+        assert_eq!(db.num_x_tuples(), 2);
         assert_eq!(stats.rows_dropped, 1);
-        assert_matches_oracle(&db2, &rp2, 1e-9);
+        assert_matches_oracle(&db, &rp, 1e-9);
     }
 
     #[test]
     fn reweight_matches_full_rebuild() {
-        let db = udb1();
-        let rp = rank_probabilities(&db, 3).unwrap();
-        let (db2, rp2, _) =
-            apply_mutation(&db, &rp, 0, &XTupleMutation::Reweight { probs: vec![0.1, 0.8] })
-                .unwrap();
-        assert_matches_oracle(&db2, &rp2, 1e-9);
+        let (mut db, mut rp) = evaluated(udb1(), 3);
+        let mutation = XTupleMutation::Reweight { probs: vec![0.1, 0.8] };
+        apply_mutation_in_place(&mut db, &mut rp, 0, &mutation).unwrap();
+        assert_matches_oracle(&db, &rp, 1e-9);
     }
 
     #[test]
     fn insert_matches_full_rebuild() {
-        let db = udb1();
-        let rp = rank_probabilities(&db, 3).unwrap();
+        let (mut db, mut rp) = evaluated(udb1(), 3);
         // A new sensor arrives mid-ranking: one alternative lands above
         // existing tuples, one below, and mass is withheld (null prob).
         let mutation = XTupleMutation::Insert {
             key: "S5".into(),
             alternatives: vec![(28.0, 0.5), (23.0, 0.3)],
         };
-        let (db2, rp2, stats) = apply_mutation(&db, &rp, db.num_x_tuples(), &mutation).unwrap();
-        assert_eq!(db2.num_x_tuples(), 5);
-        assert_eq!(db2.len(), 9);
+        let stats = apply_mutation_in_place(&mut db, &mut rp, 4, &mutation).unwrap();
+        assert_eq!(db.num_x_tuples(), 5);
+        assert_eq!(db.len(), 9);
         assert_eq!(stats.rows_rebuilt, 2, "the new x-tuple's own rows: {stats:?}");
         assert_eq!(stats.rows_dropped, 0);
         assert_eq!(stats.rows_total(), 9);
-        assert_matches_oracle(&db2, &rp2, 1e-9);
+        assert_matches_oracle(&db, &rp, 1e-9);
     }
 
     #[test]
     fn insert_below_everything_copies_all_rows() {
         // An arrival ranked below the whole database affects no stored
         // row: only its own row is built.
-        let db = udb1();
-        let rp = rank_probabilities(&db, 2).unwrap();
+        let (mut db, mut rp) = evaluated(udb1(), 2);
         let mutation = XTupleMutation::Insert { key: "low".into(), alternatives: vec![(1.0, 0.4)] };
-        let (db2, rp2, stats) = apply_mutation(&db, &rp, 4, &mutation).unwrap();
+        let stats = apply_mutation_in_place(&mut db, &mut rp, 4, &mutation).unwrap();
         assert_eq!(stats.rows_copied, 7, "{stats:?}");
         assert_eq!(stats.rows_swapped, 0);
-        assert_matches_oracle(&db2, &rp2, 1e-9);
+        assert_matches_oracle(&db, &rp, 1e-9);
     }
 
     #[test]
     fn remove_matches_full_rebuild() {
-        let db = udb1();
-        let rp = rank_probabilities(&db, 2).unwrap();
+        let (mut db, mut rp) = evaluated(udb1(), 2);
         // Remove S2 (x-index 1), a full-mass x-tuple — collapse-to-null
         // would reject it, removal must not.
-        let (db2, rp2, stats) = apply_mutation(&db, &rp, 1, &XTupleMutation::Remove).unwrap();
-        assert_eq!(db2.num_x_tuples(), 3);
-        assert_eq!(db2.len(), 5);
+        let stats = apply_mutation_in_place(&mut db, &mut rp, 1, &XTupleMutation::Remove).unwrap();
+        assert_eq!(db.num_x_tuples(), 3);
+        assert_eq!(db.len(), 5);
         assert_eq!(stats.rows_dropped, 2);
-        assert_matches_oracle(&db2, &rp2, 1e-9);
+        assert_matches_oracle(&db, &rp, 1e-9);
     }
 
     #[test]
     fn insert_rejects_non_appended_target_index() {
-        let db = udb1();
-        let rp = rank_probabilities(&db, 2).unwrap();
+        let (db, rp) = evaluated(udb1(), 2);
+        let (mut db2, mut rp2) = (db.clone(), rp.clone());
         let mutation = XTupleMutation::Insert { key: "S5".into(), alternatives: vec![(28.0, 0.5)] };
         // Anything other than the current x-tuple count is rejected, and
         // invalid alternatives leave both inputs unchanged.
-        assert!(apply_mutation(&db, &rp, 0, &mutation).is_err());
-        assert!(apply_mutation(&db, &rp, 99, &mutation).is_err());
+        assert!(apply_mutation_in_place(&mut db2, &mut rp2, 0, &mutation).is_err());
+        assert!(apply_mutation_in_place(&mut db2, &mut rp2, 99, &mutation).is_err());
         let bad = XTupleMutation::Insert { key: "S5".into(), alternatives: vec![(28.0, 1.5)] };
-        let mut db2 = db.clone();
-        let mut rp2 = rp.clone();
         assert!(apply_mutation_in_place(&mut db2, &mut rp2, 4, &bad).is_err());
         assert_eq!(db2, db);
+        assert_eq!(rp2, rp);
     }
 
     #[test]
     fn delta_evaluation_tracks_a_mutation_sequence() {
-        let db = udb1();
-        let mut eval = DeltaEvaluation::new(db, 2).unwrap();
-        assert_eq!(eval.k(), 2);
-        eval.apply(2, &XTupleMutation::CollapseToAlternative { keep_pos: 2 }).unwrap();
-        eval.apply(1, &XTupleMutation::Reweight { probs: vec![0.2, 0.1] }).unwrap();
-        eval.apply(1, &XTupleMutation::CollapseToNull).unwrap();
-        assert_eq!(eval.mutations(), 3);
-        assert_eq!(eval.database().num_x_tuples(), 3);
-        assert_eq!(eval.total_stats().rows_dropped, 3);
-        assert_matches_oracle(eval.database(), eval.rank_probabilities(), 1e-8);
-        let (db, rp) = eval.into_parts();
+        let (mut db, mut rp) = evaluated(udb1(), 2);
+        let mut total = DeltaStats::default();
+        for (l, mutation) in [
+            (2, XTupleMutation::CollapseToAlternative { keep_pos: 2 }),
+            (1, XTupleMutation::Reweight { probs: vec![0.2, 0.1] }),
+            (1, XTupleMutation::CollapseToNull),
+        ] {
+            total.accumulate(&apply_mutation_in_place(&mut db, &mut rp, l, &mutation).unwrap());
+        }
+        assert_eq!(db.num_x_tuples(), 3);
+        assert_eq!(total.rows_dropped, 3);
         assert_eq!(db.len(), rp.num_tuples());
+        assert_matches_oracle(&db, &rp, 1e-8);
     }
 
     #[test]
@@ -763,43 +659,42 @@ mod tests {
         // it at k = 1; collapsing it to null must resurrect those rows,
         // which requires dividing out a factor with q > MAX_DIVISOR_Q —
         // i.e. the rebuild path.
-        let db = RankedDatabase::from_scored_x_tuples(&[
-            vec![(100.0, 0.99)],
-            vec![(50.0, 0.6), (40.0, 0.4)],
-            vec![(30.0, 1.0)],
-        ])
-        .unwrap();
-        let rp = rank_probabilities(&db, 1).unwrap();
-        let (db2, rp2, stats) =
-            apply_mutation(&db, &rp, 0, &XTupleMutation::CollapseToNull).unwrap();
+        let (mut db, mut rp) = evaluated(
+            RankedDatabase::from_scored_x_tuples(&[
+                vec![(100.0, 0.99)],
+                vec![(50.0, 0.6), (40.0, 0.4)],
+                vec![(30.0, 1.0)],
+            ])
+            .unwrap(),
+            1,
+        );
+        let stats =
+            apply_mutation_in_place(&mut db, &mut rp, 0, &XTupleMutation::CollapseToNull).unwrap();
         assert!(stats.rows_rebuilt > 0, "expected the ill-conditioned rebuild path: {stats:?}");
-        assert_matches_oracle(&db2, &rp2, 1e-9);
+        assert_matches_oracle(&db, &rp, 1e-9);
         // The 50-score tuple now leads the ranking outright.
-        assert!((rp2.top_k_prob(0) - 0.6).abs() < 1e-9);
+        assert!((rp.top_k_prob(0) - 0.6).abs() < 1e-9);
     }
 
     #[test]
     fn rejects_inconsistent_inputs() {
-        let db = udb1();
-        let rp = rank_probabilities(&db, 2).unwrap();
-        // Foreign keep position.
-        assert!(apply_mutation(
-            &db,
-            &rp,
-            0,
-            &XTupleMutation::CollapseToAlternative { keep_pos: 1 }
-        )
-        .is_err());
-        // Out-of-range x-tuple.
-        assert!(apply_mutation(&db, &rp, 9, &XTupleMutation::CollapseToNull).is_err());
-        // Reweight arity mismatch.
-        assert!(
-            apply_mutation(&db, &rp, 0, &XTupleMutation::Reweight { probs: vec![0.5] }).is_err()
-        );
+        let (db, rp) = evaluated(udb1(), 2);
+        let (mut db2, mut rp2) = (db.clone(), rp.clone());
+        for (l, mutation) in [
+            // Foreign keep position.
+            (0, XTupleMutation::CollapseToAlternative { keep_pos: 1 }),
+            // Out-of-range x-tuple.
+            (9, XTupleMutation::CollapseToNull),
+            // Reweight arity mismatch.
+            (0, XTupleMutation::Reweight { probs: vec![0.5] }),
+        ] {
+            assert!(apply_mutation_in_place(&mut db2, &mut rp2, l, &mutation).is_err());
+        }
+        assert_eq!((&db2, &rp2), (&db, &rp), "a rejected mutation changes nothing");
         // Probabilities computed for a different database.
         let other = RankedDatabase::from_scored_x_tuples(&[vec![(1.0, 1.0)]]).unwrap();
-        let rp_other = rank_probabilities(&other, 2).unwrap();
-        assert!(apply_mutation(&db, &rp_other, 0, &XTupleMutation::CollapseToNull).is_err());
-        assert!(DeltaEvaluation::from_parts(db, rp_other).is_err());
+        let mut rp_other = rank_probabilities(&other, 2).unwrap();
+        let null = XTupleMutation::CollapseToNull;
+        assert!(apply_mutation_in_place(&mut db2, &mut rp_other, 0, &null).is_err());
     }
 }

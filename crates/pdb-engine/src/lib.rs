@@ -40,9 +40,7 @@ pub mod psr;
 pub mod queries;
 
 pub use batch::{BatchEvaluation, BatchPlan, QueryRanks};
-pub use delta::{
-    apply_mutation, apply_mutation_in_place, DeltaEvaluation, DeltaStats, XTupleMutation,
-};
+pub use delta::{apply_mutation_in_place, DeltaStats, XTupleMutation};
 pub use psr::{rank_probabilities, rank_probabilities_exact, RankAccess, RankProbabilities};
 pub use queries::{
     global_topk, pt_k, u_k_ranks, AnswerTuple, QueryAnswer, TopKQuery, TupleSetAnswer,
@@ -52,7 +50,7 @@ pub use queries::{
 /// Convenience prelude bringing the most frequently used items into scope.
 pub mod prelude {
     pub use crate::batch::{BatchEvaluation, BatchPlan, QueryRanks};
-    pub use crate::delta::{DeltaEvaluation, DeltaStats, XTupleMutation};
+    pub use crate::delta::{DeltaStats, XTupleMutation};
     pub use crate::psr::{
         rank_probabilities, rank_probabilities_exact, RankAccess, RankProbabilities,
     };

@@ -436,9 +436,29 @@ pub(crate) fn scan_rows_into(
 /// score band, because only a few of them are in flight at a time.
 /// Null-mass x-tuples whose alternatives spread across the whole ranking
 /// keep many factors in flight and approach O(n·m·k).
+///
+/// A `k` above the tuple count whose `n × k` matrix cannot be allocated
+/// is an invalid parameter: `k` arrives from clients, so that size is
+/// checked instead of aborting the process.
 pub fn rank_probabilities(db: &RankedDatabase, k: usize) -> Result<RankProbabilities> {
     pdb_obs::metrics::ENGINE_PSR_RUNS_TOTAL.inc();
-    let mut rho = vec![0.0; db.len() * k];
+    let too_large = || {
+        DbError::invalid_parameter(format!(
+            "k = {k} needs a {} x {k} rank-probability matrix, which cannot be allocated",
+            db.len()
+        ))
+    };
+    let len = db.len().checked_mul(k).ok_or_else(too_large)?;
+    // Past k = n the columns are all zero, so the caller's k alone sizes
+    // the matrix: a reservation checks that the allocator can provide it
+    // (`vec!` would abort the process instead).  Up to k = n the matrix is
+    // at most n² entries and `vec!` allocates it directly: a reservation
+    // released first would hand `vec!` reused memory it must clear, where
+    // fresh zeroed pages leave rows past Lemma 2's early stop untouched.
+    if k > db.len() {
+        Vec::<f64>::new().try_reserve_exact(len).map_err(|_| too_large())?;
+    }
+    let mut rho = vec![0.0; len];
     scan_rows_into(db, k, db.len(), |_| true, &mut rho)?;
     Ok(RankProbabilities::from_rho(k, rho))
 }
@@ -513,6 +533,19 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert!((x - y).abs() < tol, "entry {i}: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn an_unallocatable_k_is_an_invalid_parameter() {
+        let db = udb1();
+        // 7 · k · 8 bytes exceeds isize::MAX, so the reservation fails
+        // before asking the allocator; usize::MAX overflows 7 · k itself.
+        for k in [isize::MAX as usize / 8 + 1, usize::MAX] {
+            match rank_probabilities(&db, k) {
+                Err(DbError::InvalidParameter { message }) => assert!(message.contains("k = ")),
+                other => panic!("k = {k}: expected an invalid-parameter error, got {other:?}"),
+            }
         }
     }
 

@@ -1,8 +1,9 @@
 //! Equivalence of the incremental delta engine and the full-rebuild
 //! oracles.
 //!
-//! [`DeltaEvaluation`] promises that, after any sequence of
-//! single-x-tuple mutations, its rank probabilities match what
+//! A one-query [`BatchEvaluation`] (the type the server runs) promises
+//! that, after any sequence of single-x-tuple mutations, its master rank
+//! probabilities match what
 //! [`rank_probabilities_exact`] computes from scratch on the mutated
 //! database within the documented tolerance (rebuilt rows match the
 //! incremental scan bit-for-bit; factor-swapped rows accumulate one
@@ -14,8 +15,10 @@
 //! rebuild paths.
 
 use pdb_core::RankedDatabase;
-use pdb_engine::delta::{apply_mutation, DeltaEvaluation, XTupleMutation};
+use pdb_engine::batch::BatchEvaluation;
+use pdb_engine::delta::XTupleMutation;
 use pdb_engine::psr::{rank_probabilities, rank_probabilities_exact};
+use pdb_engine::queries::TopKQuery;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -25,9 +28,14 @@ mod common;
 /// row entry, after a handful of chained mutations.
 const DELTA_TOLERANCE: f64 = 1e-8;
 
-fn assert_matches_exact(eval: &DeltaEvaluation, tol: f64, context: &str) {
+/// One PSR run at `k`, advanced in place by the delta engine.
+fn evaluation(db: RankedDatabase, k: usize) -> BatchEvaluation<'static> {
+    BatchEvaluation::from_owned(db, vec![TopKQuery::UKRanks { k }]).unwrap()
+}
+
+fn assert_matches_exact(eval: &BatchEvaluation<'_>, tol: f64, context: &str) {
     let db = eval.database();
-    let rp = eval.rank_probabilities();
+    let rp = eval.master();
     let oracle = rank_probabilities_exact(db, rp.k()).unwrap();
     for pos in 0..db.len() {
         for h in 1..=rp.k() {
@@ -130,10 +138,10 @@ proptest! {
         k in 1usize..6,
         steps in vec(step(), 1..6),
     ) {
-        let mut eval = DeltaEvaluation::new(db, k).unwrap();
+        let mut eval = evaluation(db, k);
         for (i, s) in steps.iter().enumerate() {
             let Some((l, mutation)) = resolve(eval.database(), s) else { continue };
-            eval.apply(l, &mutation).unwrap();
+            eval.apply_collapse_in_place(l, &mutation).unwrap();
             assert_matches_exact(&eval, DELTA_TOLERANCE, &format!("step {i} ({mutation:?})"));
         }
     }
@@ -147,10 +155,10 @@ proptest! {
         k in 1usize..4,
         steps in vec(step(), 1..5),
     ) {
-        let mut eval = DeltaEvaluation::new(db, k).unwrap();
+        let mut eval = evaluation(db, k);
         for (i, s) in steps.iter().enumerate() {
             let Some((l, mutation)) = resolve(eval.database(), s) else { continue };
-            eval.apply(l, &mutation).unwrap();
+            eval.apply_collapse_in_place(l, &mutation).unwrap();
             assert_matches_exact(&eval, DELTA_TOLERANCE, &format!("step {i} ({mutation:?})"));
         }
     }
@@ -164,10 +172,10 @@ proptest! {
         k in 1usize..13,
         steps in vec(step(), 1..6),
     ) {
-        let mut eval = DeltaEvaluation::new(db, k).unwrap();
+        let mut eval = evaluation(db, k);
         for (i, s) in steps.iter().enumerate() {
             let Some((l, mutation)) = resolve(eval.database(), s) else { continue };
-            eval.apply(l, &mutation).unwrap();
+            eval.apply_collapse_in_place(l, &mutation).unwrap();
             assert_matches_exact(&eval, DELTA_TOLERANCE, &format!("step {i} ({mutation:?})"));
         }
     }
@@ -176,13 +184,12 @@ proptest! {
     /// rebuild — the path the adaptive session would otherwise take.
     #[test]
     fn single_collapse_matches_the_incremental_rebuild(db in db(), k in 1usize..6) {
-        let rp = rank_probabilities(&db, k).unwrap();
-        let info = db.x_tuple(0);
-        let keep_pos = info.members[0];
-        let (db2, rp2, _) =
-            apply_mutation(&db, &rp, 0, &XTupleMutation::CollapseToAlternative { keep_pos })
-                .unwrap();
-        let rebuilt = rank_probabilities(&db2, k).unwrap();
+        let keep_pos = db.x_tuple(0).members[0];
+        let mut eval = evaluation(db, k);
+        eval.apply_collapse_in_place(0, &XTupleMutation::CollapseToAlternative { keep_pos })
+            .unwrap();
+        let (db2, rp2) = (eval.database(), eval.master());
+        let rebuilt = rank_probabilities(db2, k).unwrap();
         for pos in 0..db2.len() {
             for h in 1..=k {
                 prop_assert!(
@@ -203,12 +210,12 @@ fn windowed_scan_handles_a_mass_resurrection() {
     for i in 0..30 {
         x.push(vec![(500.0 - i as f64, 0.5)]);
     }
-    let db = RankedDatabase::from_scored_x_tuples(&x).unwrap();
-    let rp = rank_probabilities(&db, 2).unwrap();
-    let (db2, rp2, stats) = apply_mutation(&db, &rp, 0, &XTupleMutation::CollapseToNull).unwrap();
+    let mut eval = evaluation(RankedDatabase::from_scored_x_tuples(&x).unwrap(), 2);
+    let stats = eval.apply_collapse_in_place(0, &XTupleMutation::CollapseToNull).unwrap();
+    let (db2, rp2) = (eval.database(), eval.master());
     assert_eq!(stats.rows_rebuilt, db2.len(), "every surviving row rebuilt: {stats:?}");
     assert_eq!(stats.windowed_scans, 1, "expected the windowed scan: {stats:?}");
-    let oracle = rank_probabilities_exact(&db2, 2).unwrap();
+    let oracle = rank_probabilities_exact(db2, 2).unwrap();
     for pos in 0..db2.len() {
         for h in 1..=2 {
             assert!((rp2.rank_prob(pos, h) - oracle.rank_prob(pos, h)).abs() < 1e-9);
@@ -216,7 +223,7 @@ fn windowed_scan_handles_a_mass_resurrection() {
     }
     // The windowed scan shares the full PSR scan's arithmetic, so its rows
     // are the fresh run's rows bit for bit.
-    let fresh = rank_probabilities(&db2, 2).unwrap();
+    let fresh = rank_probabilities(db2, 2).unwrap();
     for pos in 0..db2.len() {
         let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(rp2.rank_probs(pos)), bits(fresh.rank_probs(pos)), "row {pos}");
@@ -235,13 +242,12 @@ fn few_ill_rows_use_the_per_row_exact_rebuild() {
     x.push(vec![(50.0, 0.9)]); // the blocker (null mass 0.1)
     x.push(vec![(40.0, 0.5)]);
     x.push(vec![(30.0, 0.5)]);
-    let db = RankedDatabase::from_scored_x_tuples(&x).unwrap();
-    let l = 12;
-    let rp = rank_probabilities(&db, 1).unwrap();
-    let (db2, rp2, stats) = apply_mutation(&db, &rp, l, &XTupleMutation::CollapseToNull).unwrap();
+    let mut eval = evaluation(RankedDatabase::from_scored_x_tuples(&x).unwrap(), 1);
+    let stats = eval.apply_collapse_in_place(12, &XTupleMutation::CollapseToNull).unwrap();
+    let (db2, rp2) = (eval.database(), eval.master());
     assert_eq!(stats.rows_rebuilt, 2, "{stats:?}");
     assert_eq!(stats.windowed_scans, 0, "{stats:?}");
-    let oracle = rank_probabilities_exact(&db2, 1).unwrap();
+    let oracle = rank_probabilities_exact(db2, 1).unwrap();
     for pos in 0..db2.len() {
         assert!((rp2.rank_prob(pos, 1) - oracle.rank_prob(pos, 1)).abs() < 1e-9);
     }
@@ -256,13 +262,14 @@ fn k_edge_cases() {
     ])
     .unwrap();
     // k = 0 is rejected up front, exactly like the full pipeline.
-    assert!(DeltaEvaluation::new(db.clone(), 0).is_err());
+    assert!(BatchEvaluation::from_owned(db.clone(), vec![TopKQuery::UKRanks { k: 0 }]).is_err());
     // k far beyond n: every rank position is representable and the delta
     // still matches the oracle.
     for k in [db.len(), db.len() + 7] {
-        let mut eval = DeltaEvaluation::new(db.clone(), k).unwrap();
-        eval.apply(0, &XTupleMutation::CollapseToAlternative { keep_pos: 0 }).unwrap();
-        eval.apply(1, &XTupleMutation::CollapseToNull).unwrap();
+        let mut eval = evaluation(db.clone(), k);
+        eval.apply_collapse_in_place(0, &XTupleMutation::CollapseToAlternative { keep_pos: 0 })
+            .unwrap();
+        eval.apply_collapse_in_place(1, &XTupleMutation::CollapseToNull).unwrap();
         assert_matches_exact(&eval, 1e-9, "k >= n");
     }
 }
@@ -276,14 +283,15 @@ fn collapsing_every_x_tuple_yields_a_certain_database() {
         vec![(26.0, 1.0)],
     ])
     .unwrap();
-    let mut eval = DeltaEvaluation::new(db, 2).unwrap();
+    let mut eval = evaluation(db, 2);
     for l in 0..4 {
         let keep_pos = eval.database().x_tuple(l).members[0];
-        eval.apply(l, &XTupleMutation::CollapseToAlternative { keep_pos }).unwrap();
+        eval.apply_collapse_in_place(l, &XTupleMutation::CollapseToAlternative { keep_pos })
+            .unwrap();
     }
     let db = eval.database();
     assert!(db.tuples().all(|t| (t.prob - 1.0).abs() < 1e-12));
     assert_matches_exact(&eval, 1e-9, "fully collapsed");
     // Top-2 of a certain 4-tuple database is deterministic.
-    assert_eq!(eval.rank_probabilities().nonzero_positions().len(), 2);
+    assert_eq!(eval.master().nonzero_positions().len(), 2);
 }

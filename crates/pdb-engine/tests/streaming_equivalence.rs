@@ -15,8 +15,10 @@
 //! [`Remove`]: XTupleMutation::Remove
 
 use pdb_core::RankedDatabase;
-use pdb_engine::delta::{DeltaEvaluation, XTupleMutation};
+use pdb_engine::batch::BatchEvaluation;
+use pdb_engine::delta::XTupleMutation;
 use pdb_engine::psr::rank_probabilities_exact;
+use pdb_engine::queries::TopKQuery;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -26,9 +28,15 @@ mod common;
 /// row entry, after a handful of chained mutations.
 const DELTA_TOLERANCE: f64 = 1e-8;
 
-fn assert_matches_exact(eval: &DeltaEvaluation, tol: f64, context: &str) {
+/// One PSR run at `k` (a one-query batch, the type the server runs),
+/// advanced in place by the delta engine.
+fn evaluation(db: RankedDatabase, k: usize) -> BatchEvaluation<'static> {
+    BatchEvaluation::from_owned(db, vec![TopKQuery::UKRanks { k }]).unwrap()
+}
+
+fn assert_matches_exact(eval: &BatchEvaluation<'_>, tol: f64, context: &str) {
     let db = eval.database();
-    let rp = eval.rank_probabilities();
+    let rp = eval.master();
     assert_eq!(rp.num_tuples(), db.len(), "{context}: ρ matrix tracks the database size");
     let oracle = rank_probabilities_exact(db, rp.k()).unwrap();
     for pos in 0..db.len() {
@@ -144,10 +152,10 @@ proptest! {
         k in 1usize..6,
         steps in vec(step(), 1..8),
     ) {
-        let mut eval = DeltaEvaluation::new(db, k).unwrap();
+        let mut eval = evaluation(db, k);
         for (i, s) in steps.iter().enumerate() {
             let Some((l, mutation)) = resolve(eval.database(), s) else { continue };
-            eval.apply(l, &mutation).unwrap();
+            eval.apply_collapse_in_place(l, &mutation).unwrap();
             assert_matches_exact(&eval, DELTA_TOLERANCE, &format!("step {i} ({mutation:?})"));
         }
     }
@@ -161,10 +169,10 @@ proptest! {
         k in 1usize..4,
         steps in vec(step(), 1..6),
     ) {
-        let mut eval = DeltaEvaluation::new(db, k).unwrap();
+        let mut eval = evaluation(db, k);
         for (i, s) in steps.iter().enumerate() {
             let Some((l, mutation)) = resolve(eval.database(), s) else { continue };
-            eval.apply(l, &mutation).unwrap();
+            eval.apply_collapse_in_place(l, &mutation).unwrap();
             assert_matches_exact(&eval, DELTA_TOLERANCE, &format!("step {i} ({mutation:?})"));
         }
     }
@@ -178,10 +186,10 @@ proptest! {
         k in 1usize..13,
         steps in vec(step(), 1..8),
     ) {
-        let mut eval = DeltaEvaluation::new(db, k).unwrap();
+        let mut eval = evaluation(db, k);
         for (i, s) in steps.iter().enumerate() {
             let Some((l, mutation)) = resolve(eval.database(), s) else { continue };
-            eval.apply(l, &mutation).unwrap();
+            eval.apply_collapse_in_place(l, &mutation).unwrap();
             assert_matches_exact(&eval, DELTA_TOLERANCE, &format!("step {i} ({mutation:?})"));
         }
     }
@@ -196,16 +204,16 @@ fn shrinking_to_the_last_entity_stays_exact_and_the_final_removal_errors() {
         vec![(26.0, 1.0)],
     ])
     .unwrap();
-    let mut eval = DeltaEvaluation::new(db, 2).unwrap();
+    let mut eval = evaluation(db, 2);
     // Remove from the front so every surviving x-index shifts each time.
     for step in 0..3 {
-        eval.apply(0, &XTupleMutation::Remove).unwrap();
+        eval.apply_collapse_in_place(0, &XTupleMutation::Remove).unwrap();
         assert_eq!(eval.database().num_x_tuples(), 3 - step);
         assert_matches_exact(&eval, DELTA_TOLERANCE, &format!("shrink step {step}"));
     }
     // The last entity may not be removed: databases stay non-empty, same
     // as the null-collapse invariant.
-    let err = eval.apply(0, &XTupleMutation::Remove).unwrap_err();
+    let err = eval.apply_collapse_in_place(0, &XTupleMutation::Remove).unwrap_err();
     assert!(matches!(err, pdb_core::DbError::EmptyDatabase), "{err:?}");
     assert_eq!(eval.database().num_x_tuples(), 1, "failed removal leaves the database intact");
     assert_matches_exact(&eval, DELTA_TOLERANCE, "after rejected removal");
@@ -217,18 +225,18 @@ fn inserts_cross_the_k_geq_n_boundary_in_both_directions() {
     let db =
         RankedDatabase::from_scored_x_tuples(&[vec![(10.0, 0.5), (9.0, 0.5)], vec![(8.0, 0.7)]])
             .unwrap();
-    let mut eval = DeltaEvaluation::new(db, 4).unwrap();
+    let mut eval = evaluation(db, 4);
     // Grow across the k = n boundary one insert at a time.
     for (i, (score, prob)) in [(7.0, 0.9), (11.0, 0.4), (6.5, 0.25)].iter().enumerate() {
         let l = eval.database().num_x_tuples();
         let mutation =
             XTupleMutation::Insert { key: format!("g{i}"), alternatives: vec![(*score, *prob)] };
-        eval.apply(l, &mutation).unwrap();
+        eval.apply_collapse_in_place(l, &mutation).unwrap();
         assert_matches_exact(&eval, DELTA_TOLERANCE, &format!("grow step {i}"));
     }
     // And shrink back below it.
     for step in 0..3 {
-        eval.apply(0, &XTupleMutation::Remove).unwrap();
+        eval.apply_collapse_in_place(0, &XTupleMutation::Remove).unwrap();
         assert_matches_exact(&eval, DELTA_TOLERANCE, &format!("shrink-back step {step}"));
     }
     assert_eq!(eval.database().num_x_tuples(), 2);
@@ -242,12 +250,12 @@ fn reinserting_a_removed_entity_matches_a_fresh_evaluation() {
         vec![(25.0, 0.4), (27.0, 0.6)],
     ])
     .unwrap();
-    let mut eval = DeltaEvaluation::new(db, 2).unwrap();
+    let mut eval = evaluation(db, 2);
     let departed: Vec<(f64, f64)> = {
         let db = eval.database();
         db.x_tuple(1).members.iter().map(|&p| (db.tuple(p).score, db.tuple(p).prob)).collect()
     };
-    eval.apply(1, &XTupleMutation::Remove).unwrap();
+    eval.apply_collapse_in_place(1, &XTupleMutation::Remove).unwrap();
     assert_matches_exact(&eval, DELTA_TOLERANCE, "after remove");
 
     // The same alternatives come back under a fresh key: tuple ids are
@@ -255,7 +263,7 @@ fn reinserting_a_removed_entity_matches_a_fresh_evaluation() {
     // probabilities agree with a from-scratch evaluation of the result.
     let l = eval.database().num_x_tuples();
     let mutation = XTupleMutation::Insert { key: "returned".into(), alternatives: departed };
-    eval.apply(l, &mutation).unwrap();
+    eval.apply_collapse_in_place(l, &mutation).unwrap();
     assert_matches_exact(&eval, DELTA_TOLERANCE, "after re-insert");
     assert_eq!(eval.database().num_x_tuples(), 3);
     assert_eq!(eval.database().x_tuple(l).key, "returned");

@@ -9,7 +9,7 @@ use crate::scale::{time_ms, Scale};
 use pdb_core::{RankedDatabase, Result};
 use pdb_engine::psr::rank_probabilities;
 use pdb_engine::queries::{global_topk, pt_k, u_k_ranks, TopKQuery};
-use pdb_quality::{quality_tp, quality_tp_with, BatchQuality, SharedEvaluation, WeightedQuery};
+use pdb_quality::{quality_tp, quality_tp_with, BatchQuality, WeightedQuery};
 
 fn sweep_ks(scale: Scale) -> Vec<usize> {
     scale.pick(vec![5, 15, 30, 50, 80, 100], vec![1, 5, 15, 30, 50, 80, 100])
@@ -42,9 +42,9 @@ pub fn fig5a(scale: Scale) -> Result<ExperimentResult> {
 
         // Sharing: one PSR run feeds both the answer and the quality score.
         let (res, ms) = time_ms(|| -> Result<()> {
-            let shared = SharedEvaluation::new(&db, k)?;
-            let _answer = shared.pt_k(datasets::DEFAULT_THRESHOLD)?;
-            let _quality = shared.quality();
+            let rp = rank_probabilities(&db, k)?;
+            let _answer = pt_k(&db, &rp, datasets::DEFAULT_THRESHOLD)?;
+            let _quality = quality_tp_with(&db, &rp);
             Ok(())
         });
         res?;
@@ -192,9 +192,9 @@ pub fn batch_q(scale: Scale) -> Result<ExperimentResult> {
         // registered query.
         let indep_ms = min_time(&|| -> Result<()> {
             for spec in &specs {
-                let shared = SharedEvaluation::new(&db, spec.query.k())?;
-                let _answer = shared.pt_k(datasets::DEFAULT_THRESHOLD)?;
-                let _quality = shared.quality();
+                let rp = rank_probabilities(&db, spec.query.k())?;
+                let _answer = pt_k(&db, &rp, datasets::DEFAULT_THRESHOLD)?;
+                let _quality = quality_tp_with(&db, &rp);
             }
             Ok(())
         })?;

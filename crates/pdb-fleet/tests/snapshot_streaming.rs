@@ -6,7 +6,6 @@
 
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
-use pdb_server::protocol::EvalMode;
 use pdb_server::{Client, DatasetSpec, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::path::Path;
@@ -60,7 +59,7 @@ fn streamed_replica_matches_the_source_session() {
     for x_tuple in [0usize, 3, 7] {
         let keep_pos = mirror.database().x_tuple(x_tuple).members[0];
         let mutation = XTupleMutation::CollapseToAlternative { keep_pos };
-        src.apply_probe(session, x_tuple, mutation.clone(), EvalMode::Delta).unwrap();
+        src.apply_mutation(session, x_tuple, mutation.clone()).unwrap();
         mirror.apply_collapse_in_place(x_tuple, &mutation).unwrap();
     }
     let source_report = src.quality(session).unwrap();

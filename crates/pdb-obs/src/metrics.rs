@@ -75,8 +75,6 @@ pub static WAL_DEGRADED: Gauge = Gauge::new();
 pub static ENGINE_PSR_RUNS_TOTAL: Counter = Counter::new();
 /// Mutations folded in incrementally by the delta kernel.
 pub static ENGINE_DELTA_PATCHES_TOTAL: Counter = Counter::new();
-/// Mutations that took the full rebuild path instead.
-pub static ENGINE_FULL_REBUILDS_TOTAL: Counter = Counter::new();
 /// Ill-conditioned rows rebuilt exactly inside delta patches.
 pub static ENGINE_REBUILT_ROWS_TOTAL: Counter = Counter::new();
 /// Positions the PSR scan advanced through, full or windowed.
@@ -124,7 +122,7 @@ pub enum SeriesRef {
     HistogramVec(&'static HistogramVec),
 }
 
-static REGISTRY: [MetricDef; 17] = [
+static REGISTRY: [MetricDef; 16] = [
     MetricDef {
         name: names::SERVER_REQUESTS_TOTAL,
         help: "requests dispatched, by verb",
@@ -169,11 +167,6 @@ static REGISTRY: [MetricDef; 17] = [
         name: names::ENGINE_DELTA_PATCHES_TOTAL,
         help: "mutations folded in by the incremental delta kernel",
         series: SeriesRef::Counter(&ENGINE_DELTA_PATCHES_TOTAL),
-    },
-    MetricDef {
-        name: names::ENGINE_FULL_REBUILDS_TOTAL,
-        help: "mutations evaluated via full rebuild",
-        series: SeriesRef::Counter(&ENGINE_FULL_REBUILDS_TOTAL),
     },
     MetricDef {
         name: names::ENGINE_REBUILT_ROWS_TOTAL,

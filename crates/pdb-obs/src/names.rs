@@ -34,8 +34,6 @@ pub const WAL_DEGRADED: &str = "wal_degraded";
 pub const ENGINE_PSR_RUNS_TOTAL: &str = "engine_psr_runs_total";
 /// Mutations folded in via the incremental delta kernel (counter).
 pub const ENGINE_DELTA_PATCHES_TOTAL: &str = "engine_delta_patches_total";
-/// Mutations that took the full PSR + TP rebuild path (counter).
-pub const ENGINE_FULL_REBUILDS_TOTAL: &str = "engine_full_rebuilds_total";
 /// Ill-conditioned rows the delta kernel rebuilt exactly (counter).
 pub const ENGINE_REBUILT_ROWS_TOTAL: &str = "engine_rebuilt_rows_total";
 /// Positions the PSR scan advanced through, full or windowed (counter).
@@ -71,7 +69,6 @@ pub const ALL: &[&str] = &[
     WAL_DEGRADED,
     ENGINE_PSR_RUNS_TOTAL,
     ENGINE_DELTA_PATCHES_TOTAL,
-    ENGINE_FULL_REBUILDS_TOTAL,
     ENGINE_REBUILT_ROWS_TOTAL,
     ENGINE_PSR_ROWS_SCANNED_TOTAL,
     ENGINE_PSR_REFORM_FACTORS_TOTAL,

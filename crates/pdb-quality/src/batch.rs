@@ -26,6 +26,10 @@
 //! shared matrix re-serves every query, and the returned
 //! [`BatchCollapseUpdate`] carries the refreshed quality vector and
 //! aggregate decomposition for re-planning.
+//!
+//! A single query is a one-query batch, so this is the crate's one
+//! evaluation type: `CleaningContext::prepare` builds a one-query batch,
+//! the server holds one per session.
 
 use crate::tp::tuple_weights;
 use pdb_core::{DbError, RankedDatabase, Result};
@@ -106,21 +110,11 @@ fn validate_weights(weights: &[f64]) -> Result<()> {
     Ok(())
 }
 
-fn split_specs(specs: Vec<WeightedQuery>) -> (Vec<TopKQuery>, Vec<f64>) {
-    specs.into_iter().map(|s| (s.query, s.weight)).unzip()
-}
-
 impl<'a> BatchQuality<'a> {
     /// Plan the query set and run PSR once at `k_max`, borrowing the
     /// database.
     pub fn new(db: &'a RankedDatabase, specs: Vec<WeightedQuery>) -> Result<Self> {
-        let (queries, weights) = split_specs(specs);
-        validate_weights(&weights)?;
-        let eval = BatchEvaluation::new(db, queries)?;
-        let tuple_w = tuple_weights(eval.database());
-        let mut batch = Self { eval, weights, tuple_w, aggregate: 0.0 };
-        batch.aggregate = weighted_aggregate(&batch.quality_vector(), &batch.weights);
-        Ok(batch)
+        Self::build(specs, |queries| BatchEvaluation::new(db, queries))
     }
 
     /// [`new`](Self::new) taking ownership of the database (the long-lived
@@ -129,11 +123,21 @@ impl<'a> BatchQuality<'a> {
         db: RankedDatabase,
         specs: Vec<WeightedQuery>,
     ) -> Result<BatchQuality<'static>> {
-        let (queries, weights) = split_specs(specs);
+        BatchQuality::build(specs, |queries| BatchEvaluation::from_owned(db, queries))
+    }
+
+    /// Validate the weights, then run the engine evaluation and fill the
+    /// quality caches.
+    fn build(
+        specs: Vec<WeightedQuery>,
+        evaluate: impl FnOnce(Vec<TopKQuery>) -> Result<BatchEvaluation<'a>>,
+    ) -> Result<Self> {
+        let (queries, weights): (Vec<TopKQuery>, Vec<f64>) =
+            specs.into_iter().map(|s| (s.query, s.weight)).unzip();
         validate_weights(&weights)?;
-        let eval = BatchEvaluation::from_owned(db, queries)?;
+        let eval = evaluate(queries)?;
         let tuple_w = tuple_weights(eval.database());
-        let mut batch = BatchQuality { eval, weights, tuple_w, aggregate: 0.0 };
+        let mut batch = Self { eval, weights, tuple_w, aggregate: 0.0 };
         batch.aggregate = weighted_aggregate(&batch.quality_vector(), &batch.weights);
         Ok(batch)
     }
@@ -243,7 +247,7 @@ impl<'a> BatchQuality<'a> {
 
     /// Refresh the caches after a successful delta pass and assemble the
     /// re-planning update (`before` is the pre-mutation aggregate).  The
-    /// single code path both collapse forms share.
+    /// single code path both mutation forms share.
     fn finish_update(&mut self, before: f64, stats: DeltaStats) -> BatchCollapseUpdate {
         self.tuple_w = tuple_weights(self.eval.database());
         let (qualities, combined) = self.per_query_parts();
@@ -262,7 +266,9 @@ impl<'a> BatchQuality<'a> {
     /// batch: one shared delta pass patches the master matrix, every
     /// registered query is re-served from it, and the refreshed quality
     /// vector / aggregate decomposition are returned for re-planning.  On
-    /// `Err` nothing is modified.
+    /// `Err` nothing is modified.  A caller that still needs the
+    /// pre-mutation state (an oracle, a what-if branch) applies the
+    /// mutation to a clone.
     pub fn apply_collapse_in_place(
         &mut self,
         l: usize,
@@ -287,34 +293,18 @@ impl<'a> BatchQuality<'a> {
         probes: impl IntoIterator<Item = (usize, XTupleMutation)>,
     ) -> Result<BatchCollapseUpdate> {
         let before = self.aggregate;
-        let stats = self.eval.replay_in_place(probes)?;
+        let mut stats = DeltaStats::default();
+        for (l, mutation) in probes {
+            stats.accumulate(&self.eval.apply_collapse_in_place(l, &mutation)?);
+        }
         Ok(self.finish_update(before, stats))
-    }
-
-    /// [`apply_collapse_in_place`](Self::apply_collapse_in_place) on a
-    /// copy: the pre-mutation batch stays usable as an oracle.
-    pub fn apply_collapse(
-        &self,
-        l: usize,
-        mutation: &XTupleMutation,
-    ) -> Result<(BatchQuality<'static>, BatchCollapseUpdate)> {
-        let (eval, stats) = self.eval.apply_collapse(l, mutation)?;
-        let mut next = BatchQuality {
-            eval,
-            weights: self.weights.clone(),
-            // Placeholders: finish_update recomputes both caches.
-            tuple_w: Vec::new(),
-            aggregate: 0.0,
-        };
-        // The delta is measured against the *pre*-mutation aggregate.
-        let update = next.finish_update(self.aggregate, stats);
-        Ok((next, update))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pw::quality_pw;
     use crate::tp::quality_tp;
 
     fn udb1() -> RankedDatabase {
@@ -394,16 +384,23 @@ mod tests {
 
     #[test]
     fn batch_collapse_update_round_trips_through_json() {
-        let db = udb1();
-        let batch = BatchQuality::from_owned(db, specs()).unwrap();
-        let (_, update) = batch
-            .apply_collapse(2, &XTupleMutation::CollapseToAlternative { keep_pos: 2 })
+        let mut batch = BatchQuality::from_owned(udb1(), specs()).unwrap();
+        let update = batch
+            .apply_collapse_in_place(2, &XTupleMutation::CollapseToAlternative { keep_pos: 2 })
             .unwrap();
         let json = serde_json::to_string(&update).unwrap();
         let back: BatchCollapseUpdate = serde_json::from_str(&json).unwrap();
         // The vendored serde_json prints shortest-round-trip floats, so the
         // decoded update is bit-identical, not merely close.
         assert_eq!(back, update, "via {json}");
+    }
+
+    #[test]
+    fn evaluation_is_send_and_sync() {
+        // Sessions move between server threads, and read-only query
+        // evaluation may fan out across threads.
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<BatchQuality<'static>>();
     }
 
     #[test]
@@ -433,11 +430,11 @@ mod tests {
 
     #[test]
     fn collapse_refreshes_every_quality() {
-        let db = udb1();
-        let batch = BatchQuality::from_owned(db, specs()).unwrap();
+        let batch = BatchQuality::from_owned(udb1(), specs()).unwrap();
         let before = batch.aggregate_quality();
-        let (next, update) = batch
-            .apply_collapse(2, &XTupleMutation::CollapseToAlternative { keep_pos: 2 })
+        let mut next = batch.clone();
+        let update = next
+            .apply_collapse_in_place(2, &XTupleMutation::CollapseToAlternative { keep_pos: 2 })
             .unwrap();
         assert!(update.aggregate > before, "cleaning improves the weighted aggregate");
         assert!((update.aggregate_delta - (update.aggregate - before)).abs() < 1e-12);
@@ -451,7 +448,25 @@ mod tests {
                 update.qualities[q]
             );
         }
-        // Pre-mutation batch untouched.
+        // The clone the mutation was applied to is independent.
         assert!((batch.aggregate_quality() - before).abs() < 1e-12);
+    }
+
+    #[test]
+    fn apply_collapse_chains_across_owned_evaluations() {
+        let top2 = vec![WeightedQuery::new(TopKQuery::UKRanks { k: 2 })];
+        let mut batch = BatchQuality::from_owned(udb1(), top2).unwrap();
+        let mut quality = batch.aggregate_quality();
+        for l in [2usize, 1, 0] {
+            let keep_pos = batch.database().x_tuple(l).members[0];
+            let update = batch
+                .apply_collapse_in_place(l, &XTupleMutation::CollapseToAlternative { keep_pos })
+                .unwrap();
+            assert!(update.aggregate >= quality - 1e-12, "collapsing never hurts the quality");
+            quality = update.aggregate;
+        }
+        // Every x-tuple is certain now, so the ambiguity is fully resolved.
+        assert!(quality.abs() < 1e-9);
+        assert!((quality - quality_pw(batch.database(), 2).unwrap()).abs() < 1e-8);
     }
 }

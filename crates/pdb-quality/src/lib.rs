@@ -12,12 +12,15 @@
 //! | PWR | [`pwr`] | `O(n^{k+1})` (pw-results)      | avoids world expansion |
 //! | TP  | [`tp`]  | `O(k·n)` (Theorem 1 + PSR)     | the paper's fast path |
 //!
-//! [`shared::SharedEvaluation`] runs PSR once and serves both query answers
-//! and quality scores from it (Section IV-C), which is the configuration
-//! the paper benchmarks in Figure 5.  [`batch::BatchQuality`] extends the
-//! same sharing across a whole set of registered queries: one PSR run at
-//! `k_max` serves every query's answer *and* quality score, plus the
-//! aggregate decomposition a multi-query cleaner plans from.
+//! [`batch::BatchQuality`] runs PSR once and serves both query answers and
+//! quality scores from it (Section IV-C, the configuration the paper
+//! benchmarks in Figure 5), for one query or a whole set of registered
+//! queries: one PSR run at `k_max` serves every query's answer *and*
+//! quality score, plus the aggregate decomposition a multi-query cleaner
+//! plans from.  It is the crate's one evaluation type; a caller that only
+//! needs one `k` may equally run
+//! [`rank_probabilities`](pdb_engine::psr::rank_probabilities) and pass
+//! the matrix to a query and to [`tp::quality_tp_with`].
 //!
 //! ```
 //! use pdb_core::prelude::*;
@@ -38,14 +41,12 @@ pub mod batch;
 pub mod pw;
 pub mod pw_results;
 pub mod pwr;
-pub mod shared;
 pub mod tp;
 
 pub use batch::{BatchCollapseUpdate, BatchQuality, WeightedQuery};
 pub use pw::{pw_result_distribution, quality_pw};
 pub use pw_results::{PwEntry, PwResult, PwResultSet};
 pub use pwr::{pwr_result_distribution, quality_pwr, quality_pwr_bounded};
-pub use shared::{CollapseOutcome, CollapseUpdate, SharedEvaluation};
 pub use tp::{quality_breakdown, quality_tp, quality_tp_with, tuple_weights, QualityBreakdown};
 
 // Re-exported so downstream crates (the adaptive cleaning session, the
@@ -60,7 +61,6 @@ pub mod prelude {
     pub use crate::pw::{pw_result_distribution, quality_pw};
     pub use crate::pw_results::{PwEntry, PwResult, PwResultSet};
     pub use crate::pwr::{pwr_result_distribution, quality_pwr, quality_pwr_bounded};
-    pub use crate::shared::{CollapseOutcome, CollapseUpdate, SharedEvaluation};
     pub use crate::tp::{
         quality_breakdown, quality_tp, quality_tp_with, tuple_weights, QualityBreakdown,
     };

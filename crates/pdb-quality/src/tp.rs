@@ -14,7 +14,7 @@
 //! from a single incremental pass over the sorted tuples, so the whole
 //! computation is O(k·n) — and the expensive part (PSR) is exactly what
 //! query evaluation needs anyway, enabling the computation sharing of
-//! Section IV-C (see [`crate::shared`]).
+//! Section IV-C (see [`crate::batch`]).
 //!
 //! Implicit null alternatives need no special handling: a null tuple's
 //! weight is identically zero (its at-or-above mass is the full x-tuple

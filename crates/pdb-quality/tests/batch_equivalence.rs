@@ -15,7 +15,7 @@ use pdb_core::RankedDatabase;
 use pdb_engine::batch::BatchEvaluation;
 use pdb_engine::psr::{rank_probabilities, RankAccess};
 use pdb_quality::{
-    quality_tp, BatchQuality, SharedEvaluation, TopKQuery, WeightedQuery, XTupleMutation,
+    quality_tp, quality_tp_with, BatchQuality, TopKQuery, WeightedQuery, XTupleMutation,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -114,19 +114,17 @@ proptest! {
         k_sel in 0usize..12,
         threshold in 0.01f64..0.9,
     ) {
-        // The degenerate one-query batch must collapse to exactly what
-        // SharedEvaluation produces (including k = n and k > n).
+        // The degenerate one-query batch must collapse to exactly what one
+        // PSR run shared by the answer and TP produces (including k = n
+        // and k > n).
         let k = 1 + k_sel % (db.len() + 2);
         let specs = vec![WeightedQuery::new(TopKQuery::PTk { k, threshold })];
         assert_batch_matches_independent(&db, &specs, "single-query batch");
 
         let batch = BatchQuality::new(&db, specs).unwrap();
-        let shared = SharedEvaluation::new(&db, k).unwrap();
-        prop_assert!((batch.quality_vector()[0] - shared.quality()).abs() < TOLERANCE);
-        prop_assert_eq!(
-            batch.evaluation().ranks(0).top_k_probs(),
-            shared.rank_probabilities().top_k_probs()
-        );
+        let rp = rank_probabilities(&db, k).unwrap();
+        prop_assert!((batch.quality_vector()[0] - quality_tp_with(&db, &rp)).abs() < TOLERANCE);
+        prop_assert_eq!(batch.evaluation().ranks(0).top_k_probs(), rp.top_k_probs());
     }
 
     #[test]
@@ -139,12 +137,11 @@ proptest! {
         // served as if freshly evaluated on the mutated database.
         let specs = resolve_queries(&db, &raw);
         let queries: Vec<TopKQuery> = specs.iter().map(|s| s.query).collect();
-        let batch = BatchEvaluation::new(&db, queries.clone()).unwrap();
+        let mut next = BatchEvaluation::new(&db, queries.clone()).unwrap();
         let l = x_sel % db.num_x_tuples();
         let members = &db.x_tuple(l).members;
         let keep_pos = members[alt_sel % members.len()];
-        let (next, _stats) = batch
-            .apply_collapse(l, &XTupleMutation::CollapseToAlternative { keep_pos })
+        next.apply_collapse_in_place(l, &XTupleMutation::CollapseToAlternative { keep_pos })
             .unwrap();
         let mutated = next.database();
         for (q, query) in queries.iter().enumerate() {

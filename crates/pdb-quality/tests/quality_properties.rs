@@ -1,6 +1,7 @@
 //! Property-based tests of the PWS-quality algorithms.
 
 use pdb_core::RankedDatabase;
+use pdb_engine::psr::rank_probabilities;
 use pdb_quality::prelude::*;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -89,10 +90,10 @@ proptest! {
     /// contribution is non-positive.
     #[test]
     fn breakdown_is_a_non_positive_decomposition(db in db(), k in 1usize..5) {
-        let shared = SharedEvaluation::new(&db, k).unwrap();
-        let b = shared.quality_breakdown();
+        let rp = rank_probabilities(&db, k).unwrap();
+        let b = quality_breakdown(&db, &rp);
         let sum: f64 = b.x_tuple_contribution.iter().sum();
-        prop_assert!((sum - shared.quality()).abs() < 1e-9);
+        prop_assert!((sum - quality_tp_with(&db, &rp)).abs() < 1e-9);
         for &g in &b.x_tuple_contribution {
             prop_assert!(g <= 1e-9);
         }

@@ -6,10 +6,10 @@
 //! `{"error": ...}` replies as [`ClientError::Server`].
 
 use crate::protocol::{
-    self, decode_chunk_data, Answers, ApplyMutation, ApplyProbe, CreateSession, DatasetSpec,
-    EvalMode, FetchChunk, MetricsReply, Persisted, ProbeAdvice, ProbeApplied, QualityReport,
-    QueryRegistered, RegisterQuery, Request, Response, RestoreSession, ServerStats, SessionCreated,
-    SessionRef, SnapshotChunk, CHUNK_SEED,
+    self, decode_chunk_data, Answers, ApplyMutation, CreateSession, DatasetSpec, EvalMode,
+    FetchChunk, MetricsReply, Persisted, ProbeAdvice, ProbeApplied, QualityReport, QueryRegistered,
+    RegisterQuery, Request, Response, RestoreSession, ServerStats, SessionCreated, SessionRef,
+    SnapshotChunk, CHUNK_SEED,
 };
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
@@ -225,14 +225,9 @@ impl Client {
         session: u64,
         x_tuple: usize,
         mutation: XTupleMutation,
-        mode: EvalMode,
     ) -> Result<ProbeApplied, ClientError> {
-        match self.call(&Request::ApplyMutation(ApplyMutation {
-            session,
-            x_tuple,
-            mutation,
-            mode,
-        }))? {
+        let request = ApplyMutation { session, x_tuple, mutation, mode: EvalMode::Delta };
+        match self.call(&Request::ApplyMutation(request))? {
             Response::ProbeApplied(applied) => Ok(applied),
             other => Err(unexpected("probe_applied", &other)),
         }
@@ -246,10 +241,9 @@ impl Client {
         session: u64,
         key: impl Into<String>,
         alternatives: Vec<(f64, f64)>,
-        mode: EvalMode,
     ) -> Result<ProbeApplied, ClientError> {
         let mutation = XTupleMutation::Insert { key: key.into(), alternatives };
-        self.apply_mutation(session, 0, mutation, mode)
+        self.apply_mutation(session, 0, mutation)
     }
 
     /// `apply_mutation` with [`XTupleMutation::Remove`]: x-tuple `x_tuple`
@@ -258,25 +252,8 @@ impl Client {
         &mut self,
         session: u64,
         x_tuple: usize,
-        mode: EvalMode,
     ) -> Result<ProbeApplied, ClientError> {
-        self.apply_mutation(session, x_tuple, XTupleMutation::Remove, mode)
-    }
-
-    /// `apply_probe`: fold one observed probe outcome into the session
-    /// (the historical alias verb of `apply_mutation`; same payload and
-    /// response).
-    pub fn apply_probe(
-        &mut self,
-        session: u64,
-        x_tuple: usize,
-        mutation: XTupleMutation,
-        mode: EvalMode,
-    ) -> Result<ProbeApplied, ClientError> {
-        match self.call(&Request::ApplyProbe(ApplyProbe { session, x_tuple, mutation, mode }))? {
-            Response::ProbeApplied(applied) => Ok(applied),
-            other => Err(unexpected("probe_applied", &other)),
-        }
+        self.apply_mutation(session, x_tuple, XTupleMutation::Remove)
     }
 
     /// `drop_session`: discard the session.

@@ -7,7 +7,7 @@
 //!
 //! * [`protocol`] — the newline-delimited JSON wire protocol
 //!   (`create_session`, `register_query`, `evaluate`, `quality`,
-//!   `recommend_probe`, `apply_probe`, `drop_session`, `persist`,
+//!   `recommend_probe`, `apply_mutation`, `drop_session`, `persist`,
 //!   `restore`, `stats`, `shutdown`);
 //! * [`session`] — persistent sessions (a database + a live
 //!   [`pdb_quality::BatchQuality`]) in a sharded, per-session-locked
@@ -23,12 +23,12 @@
 //! A session keeps the one shared PSR run of its registered query set
 //! alive across requests, so applying a probe outcome is a single O(n)
 //! in-place delta patch shared by every registered query — the
-//! `server_throughput` bench measures the resulting speedup over naive
-//! per-request full re-evaluation.
+//! `server_throughput` bench measures that round trip, and the
+//! `batch_evaluation` bench compares the patch with an in-process full
+//! re-evaluation.
 //!
 //! ```no_run
 //! use pdb_server::{Client, DatasetSpec, Server, ServerConfig};
-//! use pdb_server::protocol::EvalMode;
 //! use pdb_engine::queries::TopKQuery;
 //!
 //! let server = Server::bind(&ServerConfig::default()).unwrap();

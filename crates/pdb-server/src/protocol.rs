@@ -40,8 +40,9 @@
 //! [`XTupleMutation`] variant, including the streaming `Insert`/`Remove`
 //! membership mutations.  `apply_probe` is its historical alias — same
 //! payload shape ([`ApplyProbe`] is a type alias of [`ApplyMutation`]),
-//! same response, same WAL record — kept so probe-driven clients read
-//! naturally; a probe outcome *is* a mutation.
+//! same response, same WAL record.  The typed [`Client`](crate::Client)
+//! does not send it; the server answers it until the next change to the
+//! serving benchmark, which names the verb.
 //!
 //! See the README section *Serving & sessions* for one request/response
 //! example per verb.
@@ -130,29 +131,20 @@ pub struct SessionRef {
     pub session: u64,
 }
 
-/// How `apply_probe` folds the outcome into the session's evaluation.
-/// The `mode` field is mandatory on the wire — there is no implicit
-/// default, so callers always state which path they are measuring.
+/// How `apply_mutation` folds the mutation into the session's
+/// evaluation.  The `mode` field is mandatory on the wire and `"delta"` is
+/// its only accepted value; the full-rebuild oracle runs in process (tests
+/// and benches), not on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalMode {
     /// One in-place delta pass on the shared master matrix (the session
     /// path: O(k_max) per affected row, shared by every registered query).
     Delta,
-    /// Naive full re-evaluation: mutate the database and re-run PSR + TP
-    /// from scratch.  Kept as the correctness oracle and as the baseline
-    /// the `server_throughput` bench measures the delta path against.
-    Rebuild,
 }
 
 impl Serialize for EvalMode {
     fn to_value(&self) -> Value {
-        Value::Str(
-            match self {
-                EvalMode::Delta => "delta",
-                EvalMode::Rebuild => "rebuild",
-            }
-            .to_string(),
-        )
+        Value::Str("delta".to_string())
     }
 }
 
@@ -160,9 +152,8 @@ impl Deserialize for EvalMode {
     fn from_value(value: &Value) -> Result<Self, SerdeError> {
         match value.as_str() {
             Some("delta") => Ok(EvalMode::Delta),
-            Some("rebuild") => Ok(EvalMode::Rebuild),
             _ => Err(SerdeError::custom(format!(
-                "expected \"delta\" or \"rebuild\" for an evaluation mode, found {value:?}"
+                "expected \"delta\" for an evaluation mode, found {value:?}"
             ))),
         }
     }
@@ -182,7 +173,7 @@ pub struct ApplyMutation {
     pub x_tuple: usize,
     /// The mutation to fold in.
     pub mutation: XTupleMutation,
-    /// Delta patch (the session path) or naive full rebuild.
+    /// Always [`EvalMode::Delta`], the session path.
     pub mode: EvalMode,
 }
 
@@ -922,7 +913,7 @@ mod tests {
             session: 7,
             x_tuple: 2,
             mutation: XTupleMutation::Remove,
-            mode: EvalMode::Rebuild,
+            mode: EvalMode::Delta,
         }));
         round_trip_request(&Request::DropSession(SessionRef { session: 7 }));
         round_trip_request(&Request::Persist(SessionRef { session: 7 }));
@@ -1018,7 +1009,7 @@ mod tests {
         round_trip_response(&Response::ProbeRecommendation(ProbeAdvice { recommendation: None }));
         round_trip_response(&Response::ProbeApplied(ProbeApplied {
             session: 1,
-            mode: EvalMode::Rebuild,
+            mode: EvalMode::Delta,
             update: BatchCollapseUpdate {
                 qualities: vec![-1.85],
                 aggregate: -1.85,
@@ -1207,8 +1198,9 @@ mod tests {
     #[test]
     fn eval_mode_uses_lowercase_wire_names() {
         assert_eq!(encode(&EvalMode::Delta).unwrap(), "\"delta\"");
-        assert_eq!(encode(&EvalMode::Rebuild).unwrap(), "\"rebuild\"");
         assert!(serde_json::from_str::<EvalMode>("\"Delta\"").is_err());
+        // The full rebuild is an in-process oracle, not a wire mode.
+        assert!(serde_json::from_str::<EvalMode>("\"rebuild\"").is_err());
     }
 
     #[test]

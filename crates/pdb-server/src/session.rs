@@ -4,10 +4,9 @@
 //! [`BatchQuality`] evaluation: the paper's adaptive-cleaning loop is
 //! stateful (each probe outcome must be folded into the evaluation it was
 //! planned from), so the server keeps the shared PSR run alive across
-//! requests instead of rebuilding the world per call.  A probe is then one
-//! O(k_max)-per-affected-row delta pass shared by every registered query —
-//! never a full PSR rebuild (unless the naive
-//! [`EvalMode::Rebuild`] baseline is explicitly requested).
+//! requests instead of rebuilding the world per call.  A mutation is then
+//! one O(k_max)-per-affected-row delta pass shared by every registered
+//! query — never a full PSR rebuild.
 //!
 //! The [`SessionManager`] shards its `session-id → session` map across `N`
 //! independent [`RwLock`]s, keyed by a hash of the session id: concurrent
@@ -18,16 +17,15 @@
 //! shard, stay available.
 
 use crate::protocol::{
-    encode_chunk_data, Answers, ApplyMutation, ApplyProbe, CreateSession, EvalMode, FetchChunk,
-    Persisted, ProbeAdvice, ProbeApplied, ProbeRecommendation, QualityReport, QueryRegistered,
-    RegisterQuery, RestoreSession, SessionCreated, SessionRef, SessionStat, SnapshotChunk,
-    CHUNK_SEED,
+    encode_chunk_data, Answers, ApplyMutation, CreateSession, FetchChunk, Persisted, ProbeAdvice,
+    ProbeApplied, ProbeRecommendation, QualityReport, QueryRegistered, RegisterQuery,
+    RestoreSession, SessionCreated, SessionRef, SessionStat, SnapshotChunk, CHUNK_SEED,
 };
 use pdb_clean::{best_single_probe, CleaningContext, CleaningSetup};
 use pdb_core::{DbError, RankedDatabase, Result as DbResult};
-use pdb_engine::delta::{DeltaStats, XTupleMutation};
+use pdb_engine::delta::XTupleMutation;
 use pdb_gen::spec::build_dataset;
-use pdb_quality::{BatchCollapseUpdate, BatchQuality, WeightedQuery};
+use pdb_quality::{BatchQuality, WeightedQuery};
 use pdb_store::store::{CompactionStats, RecoveredState, Recovery, SessionCheckpoint};
 use pdb_store::{DatasetSpec, RecoveredSession, Store, WalRecord};
 use std::collections::HashMap;
@@ -282,58 +280,13 @@ impl Session {
     }
 
     /// Fold one mutation — a probe outcome or a streaming insert/remove —
-    /// into the session.
+    /// into the session: one in-place delta pass on the live evaluation.
     pub fn apply_mutation(&mut self, req: &ApplyMutation) -> DbResult<ProbeApplied> {
         self.ensure_journalled()?;
         let l = self.mutation_target(&req.mutation, req.x_tuple);
-        let update = match req.mode {
-            EvalMode::Delta => self.live_mut()?.apply_collapse_in_place(l, &req.mutation)?,
-            EvalMode::Rebuild => self.apply_mutation_rebuild(l, &req.mutation)?,
-        };
+        let update = self.live_mut()?.apply_collapse_in_place(l, &req.mutation)?;
         self.probes += 1;
         Ok(ProbeApplied { session: req.session, mode: req.mode, update })
-    }
-
-    /// Fold one observed probe outcome into the session: the historical
-    /// alias of [`apply_mutation`](Self::apply_mutation) (a probe outcome
-    /// *is* a mutation; [`ApplyProbe`] aliases [`ApplyMutation`]).
-    pub fn apply_probe(&mut self, req: &ApplyProbe) -> DbResult<ProbeApplied> {
-        self.apply_mutation(req)
-    }
-
-    /// The naive baseline: mutate the database and re-run the full
-    /// PSR + TP pipeline from scratch.  Equivalent to the delta path up to
-    /// floating-point round-off; `stats` is all zeros because no row was
-    /// patched incrementally.
-    fn apply_mutation_rebuild(
-        &mut self,
-        l: usize,
-        mutation: &XTupleMutation,
-    ) -> DbResult<BatchCollapseUpdate> {
-        pdb_obs::metrics::ENGINE_FULL_REBUILDS_TOTAL.inc();
-        let before = self.live()?.aggregate_quality();
-        let mut db = self.database().clone();
-        match mutation {
-            XTupleMutation::CollapseToAlternative { keep_pos } => {
-                db.collapse_x_tuple_in_place(l, *keep_pos)?
-            }
-            XTupleMutation::CollapseToNull => db.collapse_x_tuple_to_null_in_place(l)?,
-            XTupleMutation::Reweight { probs } => db.reweight_x_tuple_in_place(l, probs)?,
-            XTupleMutation::Insert { key, alternatives } => {
-                db.insert_x_tuple_in_place(key.clone(), alternatives)?;
-            }
-            XTupleMutation::Remove => db.remove_x_tuple_in_place(l)?,
-        }
-        let batch = BatchQuality::from_owned(db, self.specs.clone())?;
-        let update = BatchCollapseUpdate {
-            qualities: batch.quality_vector(),
-            aggregate: batch.aggregate_quality(),
-            aggregate_delta: batch.aggregate_quality() - before,
-            g: batch.aggregate_breakdown(),
-            stats: DeltaStats::default(),
-        };
-        self.state = State::Live(Box::new(batch));
-        Ok(update)
     }
 }
 
@@ -638,14 +591,6 @@ impl SessionManager {
         })
     }
 
-    /// Fold one observed probe outcome into a session: the historical
-    /// alias of [`apply_mutation`](Self::apply_mutation) ([`ApplyProbe`]
-    /// aliases [`ApplyMutation`]; both verbs journal the same record
-    /// kind).
-    pub fn apply_probe(&self, req: &ApplyProbe) -> DbResult<ProbeApplied> {
-        self.apply_mutation(req)
-    }
-
     /// Checkpoint one session into the store now (`persist` verb).
     pub fn persist(&self, id: u64) -> DbResult<Persisted> {
         let store = self.store.as_ref().ok_or_else(|| {
@@ -828,7 +773,7 @@ impl SessionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::DatasetSpec;
+    use crate::protocol::{DatasetSpec, EvalMode};
     use pdb_engine::queries::TopKQuery;
 
     fn create_req(dataset: DatasetSpec) -> CreateSession {
@@ -887,25 +832,21 @@ mod tests {
     #[test]
     fn delta_and_rebuild_probe_paths_agree() {
         let mgr = SessionManager::new(1);
-        let mk = || {
-            let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
-            mgr.with_session(id, |s| s.register_query(&register_req(id, 2))).unwrap();
-            id
-        };
-        let (a, b) = (mk(), mk());
+        let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
+        mgr.with_session(id, |s| s.register_query(&register_req(id, 2))).unwrap();
         let mutation = XTupleMutation::CollapseToAlternative { keep_pos: 2 };
-        let probe =
-            |id, mode| ApplyProbe { session: id, x_tuple: 2, mutation: mutation.clone(), mode };
-        let delta =
-            mgr.with_session(a, |s| s.apply_probe(&probe(a, EvalMode::Delta))).unwrap().update;
-        let rebuild =
-            mgr.with_session(b, |s| s.apply_probe(&probe(b, EvalMode::Rebuild))).unwrap().update;
-        assert!((delta.aggregate - rebuild.aggregate).abs() < 1e-9);
+        let req = ApplyMutation { session: id, x_tuple: 2, mutation, mode: EvalMode::Delta };
+        let delta = mgr.with_session(id, |s| s.apply_mutation(&req)).unwrap().update;
+        // The rebuild oracle: a fresh evaluation of the mutated database.
+        let mut db = build_dataset(&DatasetSpec::Udb1).unwrap();
+        db.collapse_x_tuple_in_place(2, 2).unwrap();
+        let specs = vec![WeightedQuery::new(register_req(id, 2).query)];
+        let rebuild = BatchQuality::from_owned(db, specs).unwrap();
+        assert!((delta.aggregate - rebuild.aggregate_quality()).abs() < 1e-9);
         assert!((delta.aggregate - (-1.85)).abs() < 0.005); // udb1 → udb2
         assert!(delta.stats.rows_total() > 0, "delta path patched rows");
-        assert_eq!(rebuild.stats, DeltaStats::default(), "rebuild path patches nothing");
         // Recommendations after the probe see the shrunk x-tuple set.
-        let advice = mgr.with_session(a, |s| s.recommend_probe()).unwrap();
+        let advice = mgr.with_session(id, |s| s.recommend_probe()).unwrap();
         assert!(advice.recommendation.is_some());
     }
 
@@ -954,13 +895,13 @@ mod tests {
         let mgr = SessionManager::with_store(2, Arc::new(store), recovery, 0);
         let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
         mgr.register_query(&register_req(id, 2)).unwrap();
-        let probe = ApplyProbe {
+        let probe = ApplyMutation {
             session: id,
             x_tuple: 2,
             mutation: XTupleMutation::CollapseToAlternative { keep_pos: 2 },
             mode: EvalMode::Delta,
         };
-        mgr.apply_probe(&probe).unwrap();
+        mgr.apply_mutation(&probe).unwrap();
         let before = mgr.with_session(id, |s| s.quality()).unwrap();
         let answers_before = mgr.with_session(id, |s| s.evaluate()).unwrap();
         drop(mgr);

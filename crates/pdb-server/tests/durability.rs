@@ -9,7 +9,6 @@
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
 use pdb_quality::{BatchQuality, WeightedQuery};
-use pdb_server::protocol::EvalMode;
 use pdb_server::{Client, DatasetSpec, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::path::Path;
@@ -73,7 +72,7 @@ fn store_backed_server_restarts_with_its_sessions() {
         let l = probe * 3;
         let keep_pos = mirror.database().x_tuple(l).members[0];
         let mutation = XTupleMutation::CollapseToAlternative { keep_pos };
-        client.apply_probe(session, l, mutation.clone(), EvalMode::Delta).unwrap();
+        client.apply_mutation(session, l, mutation.clone()).unwrap();
         mirror.apply_collapse_in_place(l, &mutation).unwrap();
     }
     // Snapshot files prove auto-compaction checkpointed the session

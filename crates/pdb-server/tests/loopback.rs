@@ -12,9 +12,9 @@ use pdb_clean::{best_single_probe, CleaningContext, CleaningSetup};
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
 use pdb_quality::{BatchQuality, WeightedQuery};
-use pdb_server::protocol::EvalMode;
 use pdb_server::{Client, DatasetSpec, Server, ServerConfig};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::thread;
 
 const TOL: f64 = 1e-12;
@@ -105,9 +105,8 @@ fn exercise_session(addr: SocketAddr, worker: usize) {
     let l = advice.recommendation.expect("synthetic data is uncertain").x_tuple;
     let keep_pos = mirror.database().x_tuple(l).members[0];
     let mutation = XTupleMutation::CollapseToAlternative { keep_pos };
-    let applied = client
-        .apply_probe(created.session, l, mutation.clone(), EvalMode::Delta)
-        .expect("apply_probe");
+    let applied =
+        client.apply_mutation(created.session, l, mutation.clone()).expect("apply_mutation");
     let direct_update = mirror.apply_collapse_in_place(l, &mutation).expect("mirror collapse");
     assert_eq!(applied.update.stats, direct_update.stats, "delta statistics");
     assert_all_close(&applied.update.qualities, &direct_update.qualities, "post-probe qualities");
@@ -150,25 +149,100 @@ fn concurrent_sessions_match_direct_engine_calls() {
     handle.join().expect("server thread").expect("clean shutdown");
 }
 
+/// One request line on a raw socket (below the typed `Client`), and its
+/// reply line.
+fn raw_call(raw: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
+    raw.write_all(line.as_bytes()).unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    reply
+}
+
 #[test]
 fn rebuild_mode_agrees_with_the_delta_path() {
     let (addr, handle) = boot(2, 2);
     let mut client = Client::connect(addr).unwrap();
-    let spec = DatasetSpec::Udb1;
+    let query = TopKQuery::PTk { k: 2, threshold: 0.4 };
+    let session = client.create_session(DatasetSpec::Udb1, 1, 0.8).unwrap().session;
+    client.register_query(session, query, 1.0).unwrap();
+    let mutation = XTupleMutation::CollapseToAlternative { keep_pos: 2 };
+    let delta = client.apply_mutation(session, 2, mutation).unwrap();
+    // A fresh in-process evaluation of the mutated database is the oracle
+    // for the delta patch (1e-9: different summation orders legitimately
+    // differ in round-off).
+    let mut db = pdb_gen::spec::build_dataset(&DatasetSpec::Udb1).unwrap();
+    db.collapse_x_tuple_in_place(2, 2).unwrap();
+    let rebuild = BatchQuality::from_owned(db, vec![WeightedQuery::new(query)]).unwrap();
+    assert!((delta.update.aggregate - rebuild.aggregate_quality()).abs() < 1e-9);
+    assert!((delta.update.aggregate - (-1.85)).abs() < 0.005, "udb1 → udb2 quality");
 
+    // `"rebuild"` is not a wire mode: an error reply, and the connection
+    // stays open.
+    let mut raw = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let line = format!(
+        "{{\"apply_mutation\": {{\"session\": {session}, \"x_tuple\": 0, \
+         \"mutation\": \"Remove\", \"mode\": \"rebuild\"}}}}\n"
+    );
+    let reply = raw_call(&mut raw, &mut reader, &line);
+    assert!(reply.starts_with("{\"error\":") && reply.contains("evaluation mode"), "{reply:?}");
+    let reply = raw_call(&mut raw, &mut reader, "\"stats\"\n");
+    assert!(reply.starts_with("{\"stats\":"), "{reply:?}");
+    assert_eq!(client.quality(session).unwrap().g.len(), 4, "the removal was not applied");
+
+    client.shutdown().unwrap();
+    handle.join().expect("server thread").expect("clean shutdown");
+}
+
+#[test]
+fn the_apply_probe_verb_still_answers_like_apply_mutation() {
+    let (addr, handle) = boot(2, 2);
+    let mut client = Client::connect(addr).unwrap();
     let mk = |client: &mut Client| {
-        let session = client.create_session(spec.clone(), 1, 0.8).unwrap().session;
+        let session = client.create_session(DatasetSpec::Udb1, 1, 0.8).unwrap().session;
         client.register_query(session, TopKQuery::PTk { k: 2, threshold: 0.4 }, 1.0).unwrap();
         session
     };
     let (a, b) = (mk(&mut client), mk(&mut client));
-    let mutation = XTupleMutation::CollapseToAlternative { keep_pos: 2 };
-    let delta = client.apply_probe(a, 2, mutation.clone(), EvalMode::Delta).unwrap();
-    let rebuild = client.apply_probe(b, 2, mutation, EvalMode::Rebuild).unwrap();
-    // Full rebuild is the oracle for the delta patch (1e-9: different
-    // summation orders legitimately differ in round-off).
-    assert!((delta.update.aggregate - rebuild.update.aggregate).abs() < 1e-9);
-    assert!((delta.update.aggregate - (-1.85)).abs() < 0.005, "udb1 → udb2 quality");
+    let typed =
+        client.apply_mutation(a, 2, XTupleMutation::CollapseToAlternative { keep_pos: 2 }).unwrap();
+    // No typed client sends `apply_probe`; a raw line still gets the
+    // identical update on the twin session.
+    let mut raw = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let line = format!(
+        "{{\"apply_probe\": {{\"session\": {b}, \"x_tuple\": 2, \
+         \"mutation\": {{\"CollapseToAlternative\": {{\"keep_pos\": 2}}}}, \"mode\": \"delta\"}}}}\n"
+    );
+    let reply = raw_call(&mut raw, &mut reader, &line);
+    match pdb_server::protocol::decode_response(reply.trim_end()).unwrap() {
+        pdb_server::Response::ProbeApplied(applied) => {
+            assert_eq!(applied.session, b);
+            assert_eq!(applied.update, typed.update);
+        }
+        other => panic!("expected probe_applied, got {other:?}"),
+    }
+
+    client.shutdown().unwrap();
+    handle.join().expect("server thread").expect("clean shutdown");
+}
+
+#[test]
+fn an_unallocatable_k_is_an_error_reply_and_the_session_keeps_serving() {
+    let (addr, handle) = boot(1, 1);
+    let mut client = Client::connect(addr).unwrap();
+    let session = client.create_session(DatasetSpec::Udb1, 1, 0.8).unwrap().session;
+    client.register_query(session, TopKQuery::PTk { k: 2, threshold: 0.4 }, 1.0).unwrap();
+    // 7 · k · 8 bytes exceeds isize::MAX (and 7 · (2^63 − 1) overflows
+    // usize): both are rejected before any allocation is attempted.
+    for k in [1usize << 60, i64::MAX as usize] {
+        let err = client.register_query(session, TopKQuery::UKRanks { k }, 1.0).unwrap_err();
+        assert!(err.to_string().contains("cannot be allocated"), "k = {k}: {err}");
+    }
+    // The same session still serves its one registered query.
+    let answers = client.evaluate(session).unwrap();
+    assert_eq!(answers.answers.len(), 1);
+    assert_eq!(answers.answers[0].len(), 3); // PT-2 = {t1, t2, t5}
 
     client.shutdown().unwrap();
     handle.join().expect("server thread").expect("clean shutdown");
@@ -176,14 +250,12 @@ fn rebuild_mode_agrees_with_the_delta_path() {
 
 #[test]
 fn errors_come_back_as_error_replies_not_disconnects() {
-    use std::io::{BufRead, BufReader, Write};
-
     let (addr, handle) = boot(1, 1);
 
     // Unparseable bytes on a raw socket (below the typed Client, which
     // validates requests before sending): the server must answer with an
     // error reply and keep the connection open.
-    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    let mut raw = TcpStream::connect(addr).unwrap();
     let mut raw_reader = BufReader::new(raw.try_clone().unwrap());
     let mut reply = String::new();
     for bad in ["not json\n", "{\"evaluate\": {}, \"quality\": {}}\n", "{\"bogus\": {}}\n"] {

@@ -2,7 +2,8 @@
 //! write-ahead log must match the uninterrupted in-process session.
 //!
 //! The property suite drives randomized sessions (random inline
-//! databases, query sets whose `k` routinely exceeds `n`, random
+//! databases, half of whose x-tuples are clustered null-mass entities,
+//! query sets whose `k` routinely exceeds `n`, random
 //! collapse / null / reweight / insert / remove sequences) twice: once
 //! directly on a [`BatchQuality`] mirror, and once as journalled records
 //! — collapses as the historical `ApplyProbe` kind, streaming membership
@@ -100,11 +101,23 @@ fn resolve(db: &RankedDatabase, s: &Step) -> Option<(usize, XTupleMutation)> {
     }
 }
 
+/// Half the x-tuples spread their alternatives over scores 0–100 with any
+/// total mass.  The other half mirror pdb-engine's `clustered_null_mass_db`:
+/// alternatives inside one 6-point band and a total of 0.55–0.999, so no
+/// factor saturates and replayed PSR runs and delta passes re-form the
+/// frozen × in-flight product.
 fn x_tuple() -> impl Strategy<Value = Vec<(f64, f64)>> {
-    (vec((0.0f64..100.0, 0.05f64..1.0), 1..4), 0.1f64..1.0).prop_map(|(alts, mass)| {
-        let total: f64 = alts.iter().map(|(_, w)| w).sum();
-        alts.into_iter().map(|(s, w)| (s, w / total * mass)).collect()
-    })
+    let alts = vec((0.0f64..100.0, 0.05f64..1.0), 1..4);
+    (0u8..2, 0.0f64..100.0, alts, 0.1f64..1.0, 0.55f64..0.999).prop_map(
+        |(clustered, centre, alts, spread_mass, clustered_mass)| {
+            let (start, width, mass) = match clustered {
+                0 => (0.0, 1.0, spread_mass),
+                _ => (centre, 0.06, clustered_mass),
+            };
+            let total: f64 = alts.iter().map(|(_, w)| w).sum();
+            alts.into_iter().map(|(s, w)| (start + s * width, w / total * mass)).collect()
+        },
+    )
 }
 
 /// A query whose `k` may exceed the database size (k ≥ n is a planning

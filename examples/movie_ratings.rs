@@ -23,18 +23,21 @@ fn main() {
     );
 
     let k = 10;
-    let shared = SharedEvaluation::new(&db, k).expect("valid k");
+    // One PSR run at k; its quality is the same for every semantics.
+    let batch = BatchQuality::new(&db, vec![WeightedQuery::new(TopKQuery::GlobalTopk { k })])
+        .expect("valid k");
+    let rp = batch.evaluation().master();
 
     // The three semantics studied in the paper, answered from one PSR run.
-    let global = shared.global_topk();
+    let global = global_topk(&db, rp);
     println!("\nGlobal-top{k} (most certainly recent & well-rated):");
     for entry in global.tuples.iter().take(5) {
         let t = db.tuple(entry.position);
         println!("  {}  score {:.3}  Pr[top-{k}] = {:.3}", t.id, t.score, entry.prob);
     }
-    let ptk = shared.pt_k(0.3).expect("valid threshold");
+    let ptk = pt_k(&db, rp, 0.3).expect("valid threshold");
     println!("PT-{k} with threshold 0.3 returns {} ratings", ptk.len());
-    let ukranks = shared.u_k_ranks();
+    let ukranks = u_k_ranks(&db, rp);
     println!("U-kRanks winners (rank 1..3):");
     for (h, winner) in ukranks.winners.iter().take(3).enumerate() {
         match winner {
@@ -43,7 +46,7 @@ fn main() {
         }
     }
 
-    let quality = shared.quality();
+    let quality = batch.aggregate_quality();
     println!("\nPWS-quality of the top-{k} answer: {quality:.3}");
 
     // Calling campaign: each viewer call costs 1-10 units and reaches the
@@ -53,7 +56,7 @@ fn main() {
         &uncertain_topk::gen::cleaning_params::CleaningParamsConfig::default(),
     );
     let setup = CleaningSetup::new(params.costs, params.sc_probs).expect("valid setup");
-    let ctx = CleaningContext::from_shared(&shared);
+    let ctx = CleaningContext::from_batch(&batch);
     let budget = 50;
     let mut rng = StdRng::seed_from_u64(7);
 

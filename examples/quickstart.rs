@@ -16,19 +16,20 @@ fn main() {
     println!("udb1: {} sensors, {} alternative readings", db.num_x_tuples(), db.len());
 
     // One PSR run answers the query *and* scores its quality (Section IV-C).
-    let shared = SharedEvaluation::new(&db, 2).expect("k = 2 is valid");
-    let answer = shared.pt_k(0.4).expect("threshold 0.4 is valid");
+    let query = WeightedQuery::new(TopKQuery::PTk { k: 2, threshold: 0.4 });
+    let batch = BatchQuality::new(&db, vec![query]).expect("k = 2 is valid");
+    let answer = pt_k(&db, batch.evaluation().master(), 0.4).expect("threshold 0.4 is valid");
     println!("\nPT-2 answer (threshold 0.4):");
     for tuple in &answer.tuples {
         let t = db.tuple(tuple.position);
         println!("  {} = {:.0} deg C   Pr[top-2] = {:.3}", t.id, t.score, tuple.prob);
     }
-    let quality = shared.quality();
+    let quality = batch.aggregate_quality();
     println!("\nPWS-quality of the answer: {quality:.2}  (paper: -2.55)");
 
     // Cleaning: each sensor can be probed for 1 unit and answers with
     // probability 0.8; we may spend at most 3 units.
-    let ctx = CleaningContext::from_shared(&shared);
+    let ctx = CleaningContext::from_batch(&batch);
     let setup = CleaningSetup::uniform(db.num_x_tuples(), 1, 0.8).expect("valid setup");
     let plan = plan_greedy(&ctx, &setup, 3).expect("planning succeeds");
     println!("\nGreedy cleaning plan under a budget of 3 probes:");

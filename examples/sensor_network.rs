@@ -31,9 +31,10 @@ fn main() {
 
     // 2. Which sensors are plausibly among the 15 hottest?
     let k = 15;
-    let shared = SharedEvaluation::new(&db, k).expect("valid k");
-    let answer = shared.pt_k(0.1).expect("valid threshold");
-    let quality = shared.quality();
+    let query = WeightedQuery::new(TopKQuery::PTk { k, threshold: 0.1 });
+    let batch = BatchQuality::new(&db, vec![query]).expect("valid k");
+    let answer = pt_k(&db, batch.evaluation().master(), 0.1).expect("valid threshold");
+    let quality = batch.aggregate_quality();
     println!("PT-{k} answer holds {} sensors; PWS-quality = {quality:.2}", answer.len());
 
     // 3. Probing plan: costs 1-10 units per probe, success probability
@@ -43,7 +44,7 @@ fn main() {
         &uncertain_topk::gen::cleaning_params::CleaningParamsConfig::default(),
     );
     let setup = CleaningSetup::new(params.costs, params.sc_probs).expect("valid setup");
-    let ctx = CleaningContext::from_shared(&shared);
+    let ctx = CleaningContext::from_batch(&batch);
     let budget = 100;
 
     let greedy = plan_greedy(&ctx, &setup, budget).expect("greedy plan");

@@ -29,11 +29,13 @@
 //! // Table I of the paper: four temperature sensors.
 //! let db = uncertain_topk::core::examples::udb1().rank_by(&ScoreRanking);
 //!
-//! // Evaluate a PT-2 query (threshold 0.4) and its PWS-quality.
-//! let shared = SharedEvaluation::new(&db, 2).unwrap();
-//! let answer = shared.pt_k(0.4).unwrap();
-//! assert_eq!(answer.len(), 3); // {t1, t2, t5} in the paper
-//! let quality = shared.quality();
+//! // Evaluate a PT-2 query (threshold 0.4) and its PWS-quality from one
+//! // PSR run.
+//! let query = WeightedQuery::new(TopKQuery::PTk { k: 2, threshold: 0.4 });
+//! let batch = BatchQuality::new(&db, vec![query]).unwrap();
+//! let answers = batch.answers().unwrap();
+//! assert_eq!(answers[0].len(), 3); // {t1, t2, t5} in the paper
+//! let quality = batch.aggregate_quality();
 //! assert!((quality - (-2.55)).abs() < 0.01);
 //! ```
 

@@ -137,16 +137,25 @@ fn shared_evaluation_matches_standalone_runs() {
     let mut rng = StdRng::seed_from_u64(4242);
     let db = random_db(&mut rng, 50, true);
     let k = 8;
-    let shared = SharedEvaluation::new(&db, k).unwrap();
-    assert!((shared.quality() - quality_tp(&db, k).unwrap()).abs() < 1e-12);
+    // One PSR run at k serves all three semantics and their quality.
+    let queries = [
+        TopKQuery::PTk { k, threshold: 0.1 },
+        TopKQuery::GlobalTopk { k },
+        TopKQuery::UKRanks { k },
+    ];
+    let shared =
+        BatchQuality::new(&db, queries.iter().map(|&q| WeightedQuery::new(q)).collect()).unwrap();
+    for quality in shared.quality_vector() {
+        assert!((quality - quality_tp(&db, k).unwrap()).abs() < 1e-12);
+    }
 
     let rp = rank_probabilities(&db, k).unwrap();
-    assert_eq!(shared.pt_k(0.1).unwrap(), pt_k(&db, &rp, 0.1).unwrap());
-    assert_eq!(shared.global_topk(), global_topk(&db, &rp));
-    assert_eq!(shared.u_k_ranks(), u_k_ranks(&db, &rp));
+    let answers = shared.answers().unwrap();
+    assert_eq!(answers[0], QueryAnswer::TupleSet(pt_k(&db, &rp, 0.1).unwrap()));
+    assert_eq!(answers[1], QueryAnswer::TupleSet(global_topk(&db, &rp)));
+    assert_eq!(answers[2], QueryAnswer::UKRanks(u_k_ranks(&db, &rp)));
 
     // The quality breakdown used by the cleaning problem sums to the score.
-    let breakdown = shared.quality_breakdown();
-    let sum: f64 = breakdown.x_tuple_contribution.iter().sum();
-    assert!((sum - shared.quality()).abs() < 1e-9);
+    let sum: f64 = shared.aggregate_breakdown().iter().sum();
+    assert!((sum - shared.aggregate_quality()).abs() < 1e-9);
 }

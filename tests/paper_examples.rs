@@ -38,8 +38,7 @@ fn possible_world_probability_example() {
 fn pt2_answer_matches_the_introduction() {
     // "If k = 2 and T = 0.4, then the answer of the PT-k query is {t1, t2, t5}"
     let db = udb1().rank_by(&ScoreRanking);
-    let shared = SharedEvaluation::new(&db, 2).unwrap();
-    let answer = shared.pt_k(0.4).unwrap();
+    let answer = pt_k(&db, &rank_probabilities(&db, 2).unwrap(), 0.4).unwrap();
     let ids: Vec<usize> = answer.tuples.iter().map(|t| t.id.0).collect();
     assert_eq!(ids, vec![1, 2, 5]);
 }
@@ -91,19 +90,18 @@ fn cleaning_s3_turns_udb1_into_udb2_and_improves_quality() {
 #[test]
 fn u_k_ranks_and_global_topk_answers_are_consistent_on_udb1() {
     let db = udb1().rank_by(&ScoreRanking);
-    let shared = SharedEvaluation::new(&db, 2).unwrap();
+    let rp = rank_probabilities(&db, 2).unwrap();
 
-    let uk = shared.u_k_ranks();
+    let uk = u_k_ranks(&db, &rp);
     assert_eq!(uk.k(), 2);
     // Every winner must hold the maximum rank probability for its rank.
-    let rp = shared.rank_probabilities();
     for (h0, winner) in uk.winners.iter().enumerate() {
         let winner = winner.expect("both ranks are reachable on udb1");
         let best = (0..db.len()).map(|p| rp.rank_prob(p, h0 + 1)).fold(f64::MIN, f64::max);
         assert!((winner.prob - best).abs() < 1e-12);
     }
 
-    let gt = shared.global_topk();
+    let gt = global_topk(&db, &rp);
     assert_eq!(gt.len(), 2);
     // Global-topk returns the tuples with the two highest top-2
     // probabilities: t2 (0.7) and t5 (0.432).
