@@ -14,12 +14,12 @@
 //! after every observed outcome.  Two [`ReplanMode`]s provide it:
 //!
 //! * [`ReplanMode::Incremental`] (the default) runs PSR **once** at
-//!   session start, as a one-query [`BatchEvaluation`], and then patches
+//!   session start, as a one-query [`BatchQuality`], and then patches
 //!   the rank probabilities through the delta engine
-//!   ([`BatchEvaluation::apply_collapse_in_place`]) after each successful
-//!   probe — O(k) per affected row instead of O(n·k) per probe.  TP's
-//!   [`quality_breakdown`] re-derives `g` from the patched matrix,
-//!   weighting only tuples with a non-zero top-k probability;
+//!   ([`BatchQuality::apply_collapse_in_place`]) after each successful
+//!   probe — O(k) per affected row of the live prefix instead of O(n·k)
+//!   per probe.  The update it returns carries the refreshed `g`, whose
+//!   Theorem-1 weights cover only the live prefix (Lemma 2's cut);
 //! * [`ReplanMode::FullRebuild`] re-runs the full pipeline after every
 //!   probe.  It is kept as the correctness oracle and as the baseline the
 //!   `adaptive_replanning` benchmark and the `adaptive-n` / `adaptive-c`
@@ -33,9 +33,11 @@
 use crate::improvement::marginal_gain_raw;
 use crate::model::CleaningSetup;
 use pdb_core::{DbError, RankedDatabase, Result};
-use pdb_engine::batch::BatchEvaluation;
 use pdb_engine::psr::rank_probabilities;
-use pdb_quality::{quality_breakdown, quality_tp, DeltaStats, TopKQuery, XTupleMutation};
+use pdb_quality::{
+    quality_breakdown, quality_tp, BatchQuality, DeltaStats, TopKQuery, WeightedQuery,
+    XTupleMutation,
+};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -88,14 +90,14 @@ impl AdaptiveOutcome {
 /// The evaluation state a session re-plans from.
 enum EvalState {
     Rebuild(RankedDatabase),
-    Incremental { eval: Box<BatchEvaluation<'static>>, g: Vec<f64> },
+    Incremental(Box<BatchQuality<'static>>),
 }
 
 impl EvalState {
     fn database(&self) -> &RankedDatabase {
         match self {
             EvalState::Rebuild(db) => db,
-            EvalState::Incremental { eval, .. } => eval.database(),
+            EvalState::Incremental(batch) => batch.database(),
         }
     }
 }
@@ -194,15 +196,19 @@ pub fn run_adaptive_session_with<R: Rng + ?Sized>(
     // indices stable; collapse-to-null removes the entry.
     let mut orig_of: Vec<usize> = (0..db.num_x_tuples()).collect();
 
+    // The contribution vector g(l, D′) the next probe is planned from:
+    // carried across probes by the incremental mode, rebuilt before every
+    // plan by the full-rebuild mode.
+    let mut g = Vec::new();
     let initial_quality;
     let mut state = match mode {
         ReplanMode::Incremental => {
             // Quality depends only on k, so any one semantics serves.
-            let query = TopKQuery::UKRanks { k };
-            let eval = Box::new(BatchEvaluation::from_owned(db.clone(), vec![query])?);
-            let breakdown = quality_breakdown(eval.database(), eval.master());
-            initial_quality = breakdown.quality;
-            EvalState::Incremental { eval, g: breakdown.x_tuple_contribution }
+            let query = WeightedQuery::new(TopKQuery::UKRanks { k });
+            let batch = Box::new(BatchQuality::from_owned(db.clone(), vec![query])?);
+            g = batch.aggregate_breakdown();
+            initial_quality = g.iter().sum();
+            EvalState::Incremental(batch)
         }
         ReplanMode::FullRebuild => {
             initial_quality = quality_tp(db, k)?;
@@ -216,15 +222,10 @@ pub fn run_adaptive_session_with<R: Rng + ?Sized>(
     loop {
         // Re-plan against the current state: obtain the per-x-tuple
         // contributions g(l, D′) and pick the best affordable probe.
-        let rebuilt_g;
-        let g: &[f64] = match &state {
-            EvalState::Rebuild(current) => {
-                let rp = rank_probabilities(current, k)?;
-                rebuilt_g = quality_breakdown(current, &rp).x_tuple_contribution;
-                &rebuilt_g
-            }
-            EvalState::Incremental { g, .. } => g,
-        };
+        if let EvalState::Rebuild(current) = &state {
+            let rp = rank_probabilities(current, k)?;
+            g = quality_breakdown(current, &rp).x_tuple_contribution;
+        }
         let mut best: Option<(f64, usize)> = None;
         for (l, &gl) in g.iter().enumerate() {
             // Lemma 5: only x-tuples with a non-zero contribution are worth
@@ -278,10 +279,10 @@ pub fn run_adaptive_session_with<R: Rng + ?Sized>(
                     Err(DbError::invalid_parameter("probe outcomes only collapse x-tuples"))
                 }
             },
-            EvalState::Incremental { eval, g } => {
-                eval.apply_collapse_in_place(l, &mutation).map(|stats| {
-                    *g = quality_breakdown(eval.database(), eval.master()).x_tuple_contribution;
-                    delta_stats.accumulate(&stats);
+            EvalState::Incremental(batch) => {
+                batch.apply_collapse_in_place(l, &mutation).map(|update| {
+                    g = update.g;
+                    delta_stats.accumulate(&update.stats);
                 })
             }
         };
@@ -309,7 +310,7 @@ pub fn run_adaptive_session_with<R: Rng + ?Sized>(
         match &state {
             EvalState::Rebuild(current) => quality_tp(current, k)?,
             // Σ g, the sum the initial quality and `CleaningContext` use.
-            EvalState::Incremental { g, .. } => g.iter().sum(),
+            EvalState::Incremental(_) => g.iter().sum(),
         }
     };
     Ok(AdaptiveOutcome {

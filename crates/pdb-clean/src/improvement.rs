@@ -61,13 +61,18 @@ impl CleaningContext {
     /// unchanged on the returned context and then maximizes the expected
     /// improvement summed over every registered query — the
     /// pick-one-plan-for-all-tenants step of a multi-query deployment.
+    ///
+    /// The per-tuple work covers only the batch's live prefix (Lemma 2's
+    /// cut at `k_max`), so a context costs O(live·Q + m), not O(n·Q).
     pub fn from_batch(batch: &BatchQuality<'_>) -> Self {
         let db = batch.database();
         let (g, combined) = batch.aggregate_parts();
         let quality = g.iter().sum();
         let mut x_topk = vec![0.0; db.num_x_tuples()];
-        for pos in 0..db.len() {
-            x_topk[db.tuple(pos).x_index] += combined[pos];
+        // `combined` covers the shared matrix's live prefix; every later
+        // tuple has probability zero under every registered query.
+        for (pos, &p) in combined.iter().enumerate() {
+            x_topk[db.tuple(pos).x_index] += p;
         }
         Self { k: batch.evaluation().k_max(), quality, g, x_topk }
     }

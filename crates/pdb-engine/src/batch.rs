@@ -17,7 +17,10 @@
 //! The per-query *snapshots* are deliberately cheap: a query at `kᵢ`
 //! needs its tuples' rank-h probabilities (columns `1..=kᵢ` of the master
 //! matrix, read in place — no copy) and its top-kᵢ probability vector
-//! (the running prefix sum of each master row, cut at `kᵢ`).  One pass
+//! (the running prefix sum of each master row, cut at `kᵢ`).  Both cover
+//! only the master's live prefix, the rows above Lemma 2's cut at
+//! `k_max` (see [`RankProbabilities`]); every later tuple has probability
+//! zero under every registered query.  One pass
 //! over the master emits every registered query's top-k vector at once,
 //! so the batch's total extra work is a single scan of the matrix it
 //! already computed — materializing per-query ρ copies would cost more
@@ -143,7 +146,7 @@ impl RankAccess for QueryRanks<'_> {
     }
 
     fn num_tuples(&self) -> usize {
-        self.top_k.len()
+        self.master.num_tuples()
     }
 
     fn rank_prob(&self, pos: usize, h: usize) -> f64 {
@@ -152,7 +155,8 @@ impl RankAccess for QueryRanks<'_> {
     }
 
     fn top_k_prob(&self, pos: usize) -> f64 {
-        self.top_k[pos]
+        assert!(pos < self.num_tuples(), "position {pos} out of {}", self.num_tuples());
+        self.top_k.get(pos).copied().unwrap_or(0.0)
     }
 
     fn top_k_probs(&self) -> &[f64] {
@@ -299,10 +303,12 @@ impl<'a> BatchEvaluation<'a> {
     }
 }
 
-/// One pass over the master matrix emitting every snapshot's top-k vector:
-/// the prefix sum of each row, cut at each distinct snapshot `k`.  Summing
-/// left to right reproduces the smaller run's own top-k sum bit for bit
-/// (it adds the identical values in the identical order).
+/// One pass over the master's live prefix emitting every snapshot's top-k
+/// vector: the prefix sum of each row, cut at each distinct snapshot `k`.
+/// Summing left to right reproduces the smaller run's own top-k sum bit
+/// for bit (it adds the identical values in the identical order).  Every
+/// snapshot covers the master's live prefix, which contains its own
+/// Lemma-2 cut; the rows in between sum to zero.
 fn snapshot_top_ks(master: &RankProbabilities, ks: &[usize]) -> Vec<Vec<f64>> {
     let mut out: Vec<Vec<f64>> = ks.iter().map(|_| Vec::new()).collect();
     refresh_snapshot_top_ks(master, ks, 0, &mut out);
@@ -311,17 +317,17 @@ fn snapshot_top_ks(master: &RankProbabilities, ks: &[usize]) -> Vec<Vec<f64>> {
 
 /// Recompute the snapshot vectors for positions `start..` only (rows above
 /// `start` are known untouched — the delta engine's untouched-prefix
-/// guarantee) and resize them to the master's current tuple count.
+/// guarantee) and resize them to the master's current live prefix.
 fn refresh_snapshot_top_ks(
     master: &RankProbabilities,
     ks: &[usize],
     start: usize,
     out: &mut [Vec<f64>],
 ) {
-    let n = master.num_tuples();
-    let start = start.min(n);
+    let live = master.live_rows();
+    let start = start.min(live);
     for v in out.iter_mut() {
-        v.resize(n, 0.0);
+        v.resize(live, 0.0);
     }
     let Some(&k_last) = ks.last() else {
         return;
@@ -329,8 +335,9 @@ fn refresh_snapshot_top_ks(
     // `pos` indexes into every snapshot's output vector at once, so a
     // plain indexed loop is clearer than zipping `ks.len()` iterators.
     #[allow(clippy::needless_range_loop)]
-    for pos in start..n {
-        let row = &master.rank_probs(pos)[..k_last];
+    for pos in start..live {
+        let row = master.rank_probs(pos);
+        let row = &row[..k_last];
         let mut sum = 0.0;
         let mut s = 0;
         for (h0, &v) in row.iter().enumerate() {

@@ -70,6 +70,23 @@
 //! the mutated database remain the correctness oracles; the
 //! `delta_equivalence` test suite pins the delta path against them across
 //! randomized mutation sequences.
+//!
+//! ## How Lemma 2's cut moves
+//!
+//! The matrix stores only its live prefix, the rows above Lemma 2's cut
+//! (see [`RankProbabilities`]).  After mutating the database the pass
+//! recomputes the cut in O(cut + m) with the scan's own saturation rule
+//! and patches only the surviving rows above it; the rows past it are
+//! dropped from storage and counted as copied, so
+//! [`DeltaStats::rows_total`] still equals the tuple count.  The cut moves
+//! up when the mutated x-tuple saturates earlier (a collapse to an
+//! alternative, an arriving complete x-tuple ranked near the top) and
+//! down when a saturated x-tuple loses mass or leaves (a reweight to a
+//! total below 1, a removal).  The rows that become live were identically
+//! zero, and the divided factor behind them had q ≈ 1, so they join the
+//! ill-conditioned rows in the rebuild.  Rows ranked above the mutated
+//! x-tuple's first alternative are live before and after or past the cut
+//! before and after: their saturated x-tuples are the same.
 
 use crate::poly;
 use crate::psr::{self, RankProbabilities, MAX_DIVISOR_Q};
@@ -142,7 +159,9 @@ pub enum XTupleMutation {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeltaStats {
     /// Rows whose mutated factor was unchanged (`q_L = q_L′`) or whose
-    /// existential probability is zero: copied verbatim.
+    /// existential probability is zero: copied verbatim.  Rows past the
+    /// new Lemma-2 cut are identically zero, are not stored, and count
+    /// here too.
     pub rows_copied: usize,
     /// Rows updated by the O(k) divide + multiply factor swap (for an
     /// insert, the always-well-conditioned multiply-only half of it).
@@ -187,10 +206,12 @@ impl DeltaStats {
 /// matrix.
 ///
 /// Rows ranked above the mutated x-tuple's first alternative are not
-/// touched at all; surviving rows below it are compacted forward (a
-/// `memmove` when alternatives were dropped), factor-swapped, rescaled or
-/// rebuilt as the module docs describe.  All validation happens before
-/// anything is mutated, so on `Err` both inputs are unchanged.
+/// touched at all; surviving rows below it and above the new Lemma-2 cut
+/// are compacted forward (a `memmove` when alternatives were dropped),
+/// factor-swapped, rescaled or rebuilt as the module docs describe, and
+/// the rows past the cut are dropped.  The work is O(cut·k + m) plus the
+/// database's own O(n) update.  All validation happens before anything
+/// is mutated, so on `Err` both inputs are unchanged.
 pub fn apply_mutation_in_place(
     db: &mut RankedDatabase,
     rp: &mut RankProbabilities,
@@ -215,7 +236,7 @@ pub fn apply_mutation_in_place(
         return Err(DbError::index_out_of_range(format!("x-tuple {l} of {}", db.num_x_tuples())));
     }
     let k = rp.k();
-    let old_n = db.len();
+    let (old_n, old_live) = (db.len(), rp.live_rows());
     // Snapshots of the mutated x-tuple (its pre-mutation probabilities are
     // needed while patching rows after the database has been updated).
     let members = db.x_tuple(l).members.clone();
@@ -262,10 +283,19 @@ pub fn apply_mutation_in_place(
         }
     };
 
-    let mut stats = DeltaStats::default();
+    let (new_n, new_live) = (db.len(), psr::lemma2_cut(db, k));
+    let first = members[0];
+    let mut stats = DeltaStats {
+        // Rows past the new cut are identically zero and leave storage;
+        // rows above the mutated x-tuple keep their values and positions.
+        rows_copied: new_n - new_live + first.min(new_live),
+        rows_dropped: kept.iter().filter(|&&kept| !kept).count(),
+        ..DeltaStats::default()
+    };
     // New positions whose update is ill-conditioned; ascending by
     // construction.
     let mut ill: Vec<usize> = Vec::new();
+    rp.reshape(old_n, old_live.max(new_live));
     {
         let (rho, top_k) = rp.parts_mut();
         // Running clamped folds of x-tuple l's higher-ranked mass — the
@@ -275,7 +305,7 @@ pub fn apply_mutation_in_place(
         let mut q_old = 0.0f64;
         let mut q_new = 0.0f64;
         let mut shift = 0usize;
-        for pos in 0..old_n {
+        for pos in first..old_n {
             while member_idx < members.len() && members[member_idx] < pos {
                 q_old = (q_old + old_probs[member_idx]).min(1.0);
                 q_new = (q_new + new_probs[member_idx]).min(1.0);
@@ -284,12 +314,26 @@ pub fn apply_mutation_in_place(
             let is_own = member_idx < members.len() && members[member_idx] == pos;
             if is_own && !kept[member_idx] {
                 shift += 1;
-                stats.rows_dropped += 1;
                 continue;
             }
             let new_pos = pos - shift;
+            if new_pos >= new_live {
+                break;
+            }
             let (src, dst) = (pos * k, new_pos * k);
-            if is_own {
+            if pos >= old_live {
+                // Past the old cut the row was identically zero.  It is
+                // live now because x-tuple l no longer saturates above it
+                // (a removal or a reweight below full mass), which is the
+                // q_old ≈ 1 regime the rebuild owns.
+                rho[dst..dst + k].fill(0.0);
+                top_k[new_pos] = 0.0;
+                if db.tuple(new_pos).prob <= 0.0 {
+                    stats.rows_copied += 1;
+                } else {
+                    ill.push(new_pos);
+                }
+            } else if is_own {
                 // The x-tuple's own rows never contained its own factor:
                 // only the leading eᵢ changes.
                 let e_old = old_probs[member_idx];
@@ -340,12 +384,11 @@ pub fn apply_mutation_in_place(
                 ill.push(new_pos);
             }
         }
-        rho.truncate((old_n - shift) * k);
-        top_k.truncate(old_n - shift);
     }
-    debug_assert_eq!(rp.num_tuples(), db.len());
+    rp.reshape(new_n, new_live);
 
     rebuild_ill_rows(db, rp, &mut stats, &ill)?;
+    pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(new_live as u64);
     Ok(stats)
 }
 
@@ -390,7 +433,7 @@ fn rebuild_ill_rows(
 }
 
 /// The [`XTupleMutation::Insert`] patch: append a brand-new x-tuple and
-/// grow the ρ matrix by its row-group.
+/// grow the ρ matrix by its row-group inside the new Lemma-2 cut.
 ///
 /// The arriving factor was never part of any stored row, so every
 /// surviving row below the new x-tuple's first alternative takes a single
@@ -414,25 +457,27 @@ fn insert_in_place(
             db.num_x_tuples()
         )));
     }
-    let k = rp.k();
+    let (k, old_live) = (rp.k(), rp.live_rows());
     // Validates everything (and allocates fresh ids) before mutating, so
     // on `Err` both inputs are unchanged.
     db.insert_x_tuple_in_place(key.to_string(), alternatives)?;
-    let new_n = db.len();
-    // Positions of the new alternatives in the *post-insert* database,
-    // ascending.
-    let members = db.x_tuple(l).members.clone();
+    let (new_n, new_live) = (db.len(), psr::lemma2_cut(db, k));
+    // Positions of the new alternatives inside the new cut, in the
+    // *post-insert* database, ascending.
+    let members: Vec<usize> =
+        db.x_tuple(l).members.iter().copied().take_while(|&p| p < new_live).collect();
 
-    let mut stats = DeltaStats::default();
+    // Rows past the new cut are identically zero and leave storage.
+    let mut stats = DeltaStats { rows_copied: new_n - new_live, ..DeltaStats::default() };
+    rp.reshape(new_n, old_live.max(new_live));
     {
         let (rho, top_k) = rp.parts_mut();
-        rho.resize(new_n * k, 0.0);
-        top_k.resize(new_n, 0.0);
         // Backward pass: move each surviving row from its pre-insert
         // position `pos - pending` to `pos`, zero-filling the slots where
-        // the new alternatives land.
+        // the new alternatives land.  A surviving row inside the new cut
+        // was inside the old one: an arrival only adds mass above it.
         let mut pending = members.len();
-        for pos in (0..new_n).rev() {
+        for pos in (0..new_live).rev() {
             if pending == 0 {
                 // Rows above the first new alternative keep their
                 // positions.
@@ -443,6 +488,7 @@ fn insert_in_place(
                 rho[pos * k..(pos + 1) * k].fill(0.0);
                 top_k[pos] = 0.0;
             } else {
+                debug_assert!(pos - pending < old_live, "row {pos} was past the old cut");
                 let src = (pos - pending) * k;
                 rho.copy_within(src..src + k, pos * k);
                 top_k[pos] = top_k[pos - pending];
@@ -452,7 +498,7 @@ fn insert_in_place(
         // clamped higher-ranked mass) into every surviving row below it.
         let mut member_idx = 0usize;
         let mut q_new = 0.0f64;
-        for pos in 0..new_n {
+        for pos in 0..new_live {
             while member_idx < members.len() && members[member_idx] < pos {
                 q_new = (q_new + db.tuple(members[member_idx]).prob).min(1.0);
                 member_idx += 1;
@@ -473,9 +519,10 @@ fn insert_in_place(
             }
         }
     }
-    debug_assert_eq!(rp.num_tuples(), db.len());
+    rp.reshape(new_n, new_live);
 
     rebuild_ill_rows(db, rp, &mut stats, &members)?;
+    pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(new_live as u64);
     Ok(stats)
 }
 
@@ -600,13 +647,20 @@ mod tests {
     #[test]
     fn insert_below_everything_copies_all_rows() {
         // An arrival ranked below the whole database affects no stored
-        // row: only its own row is built.
-        let (mut db, mut rp) = evaluated(udb1(), 2);
-        let mutation = XTupleMutation::Insert { key: "low".into(), alternatives: vec![(1.0, 0.4)] };
-        let stats = apply_mutation_in_place(&mut db, &mut rp, 4, &mutation).unwrap();
-        assert_eq!(stats.rows_copied, 7, "{stats:?}");
-        assert_eq!(stats.rows_swapped, 0);
-        assert_matches_oracle(&db, &rp, 1e-9);
+        // row.  At k = 5 fewer than k x-tuples saturate, every row is
+        // live and only the arrival's own row is built; at k = 2 it lands
+        // past Lemma 2's cut (row 5) and nothing is built at all.
+        for (k, copied, rebuilt, live) in [(5, 7, 1, 8), (2, 8, 0, 5)] {
+            let (mut db, mut rp) = evaluated(udb1(), k);
+            let mutation =
+                XTupleMutation::Insert { key: "low".into(), alternatives: vec![(1.0, 0.4)] };
+            let stats = apply_mutation_in_place(&mut db, &mut rp, 4, &mutation).unwrap();
+            assert_eq!(stats.rows_copied, copied, "k = {k}: {stats:?}");
+            assert_eq!(stats.rows_rebuilt, rebuilt, "k = {k}: {stats:?}");
+            assert_eq!(stats.rows_swapped, 0);
+            assert_eq!(rp.live_rows(), live, "k = {k}");
+            assert_matches_oracle(&db, &rp, 1e-9);
+        }
     }
 
     #[test]

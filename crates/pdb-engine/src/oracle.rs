@@ -38,7 +38,7 @@ pub fn rank_probabilities_by_enumeration_with_limit(
             rho[pos * k + rank0] += w.prob;
         }
     }
-    Ok(RankProbabilities::from_rho(k, rho))
+    Ok(RankProbabilities::from_rho(k, n, rho))
 }
 
 #[cfg(test)]

@@ -34,8 +34,10 @@
 //!   **saturated**: they contribute a deterministic `+1` to the count and
 //!   are tracked by a counter instead of a `(≈0) + (≈1)z` factor that would
 //!   make the later division explode.  Once `k` x-tuples are saturated, no
-//!   later tuple can enter a top-k answer (Lemma 2 of the paper) and the
-//!   scan stops early.
+//!   later tuple can enter a top-k answer (Lemma 2 of the paper): the scan
+//!   stops at that cut, and [`RankProbabilities`] stores only the rows
+//!   above it (its *live prefix*), so every consumer of the matrix works
+//!   in O(cut) instead of O(n).
 //! * a factor is only divided out of the product when its `q` is at most
 //!   [`MAX_DIVISOR_Q`] (the well-conditioned regime).  Otherwise the
 //!   product is **re-formed** without it, from two parts the scan keeps
@@ -58,6 +60,7 @@
 use crate::poly::{clamp_non_negative_in, divide_binomial_in, multiply_binomial_in, TruncatedPoly};
 use pdb_core::{DbError, RankedDatabase, Result};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Higher-ranked mass at or above this value is treated as certain
 /// (saturated); the corresponding tuple probabilities are at most
@@ -83,6 +86,11 @@ pub const MAX_DIVISOR_Q: f64 = 0.5;
 /// from an owned [`RankProbabilities`] matrix and from a zero-copy view
 /// into a larger shared matrix ([`crate::batch::QueryRanks`], the prefix
 /// views of the batched evaluation engine).
+///
+/// Only a *live prefix* of the rows is stored (see [`RankProbabilities`]):
+/// every tuple at or past [`live_rows`](RankAccess::live_rows) has
+/// ρᵢ(h) = pᵢ = 0, so consumers iterate `0..live_rows()` and never see
+/// the rest.
 pub trait RankAccess {
     /// The `k` the probabilities describe.
     fn k(&self) -> usize;
@@ -98,8 +106,15 @@ pub trait RankAccess {
     /// the top-k answer of a possible world.
     fn top_k_prob(&self, pos: usize) -> f64;
 
-    /// All top-k probabilities, indexed by rank position.
+    /// The top-k probabilities of the live prefix, indexed by rank
+    /// position; every later position has probability zero.
     fn top_k_probs(&self) -> &[f64];
+
+    /// Length of the live prefix: no tuple at or past this position can
+    /// appear in a top-k answer.
+    fn live_rows(&self) -> usize {
+        self.top_k_probs().len()
+    }
 }
 
 /// Rank-h and top-k probabilities of every tuple of a database, for a fixed
@@ -108,21 +123,34 @@ pub trait RankAccess {
 /// Produced by [`rank_probabilities`] (the PSR algorithm) or by the oracles
 /// in [`crate::oracle`]; consumed by the query semantics in
 /// [`crate::queries`] and by the TP quality algorithm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// **Storage invariant.**  Only rows `0..live_rows()` are stored.  PSR's
+/// live prefix ends at Lemma 2's cut: one past the position whose tuple
+/// completes the `k`-th saturated x-tuple (or `n` when fewer than `k`
+/// saturate), because every later tuple has `k` certain tuples above it.
+/// Every accessor reads the rows past the prefix as zero, and
+/// [`num_tuples`](Self::num_tuples) still counts all `n` tuples.
+/// Equality is logical: two matrices are equal when their stored rows
+/// plus implicit zero rows agree, whatever prefix each stores.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RankProbabilities {
     k: usize,
-    /// Row-major `n × k` matrix: `rho[i * k + (h-1)]` = ρᵢ(h).
+    /// Number of tuples covered; rows `live..n` are implicit zeros.
+    n: usize,
+    /// Row-major `live × k` matrix: `rho[i * k + (h-1)]` = ρᵢ(h).
     rho: Vec<f64>,
-    /// Per-tuple top-k probability pᵢ = Σ_h ρᵢ(h).
+    /// Per-tuple top-k probability pᵢ = Σ_h ρᵢ(h) of the live prefix.
     top_k: Vec<f64>,
 }
 
 impl RankProbabilities {
-    /// Build from a dense ρ matrix (row-major, `n × k`).
-    pub(crate) fn from_rho(k: usize, rho: Vec<f64>) -> Self {
+    /// Build from the row-major `live × k` matrix of the live prefix of an
+    /// `n`-tuple database.
+    pub(crate) fn from_rho(k: usize, n: usize, rho: Vec<f64>) -> Self {
         assert!(k > 0 && rho.len().is_multiple_of(k));
-        let top_k = rho.chunks_exact(k).map(|row| row.iter().sum()).collect();
-        Self { k, rho, top_k }
+        let top_k: Vec<f64> = rho.chunks_exact(k).map(|row| row.iter().sum()).collect();
+        assert!(top_k.len() <= n, "{} stored rows for {n} tuples", top_k.len());
+        Self { k, n, rho, top_k }
     }
 
     /// The `k` this structure was computed for.
@@ -132,6 +160,12 @@ impl RankProbabilities {
 
     /// Number of tuples covered.
     pub fn num_tuples(&self) -> usize {
+        self.n
+    }
+
+    /// Number of stored rows: every tuple at or past this position has
+    /// ρᵢ(h) = pᵢ = 0.
+    pub fn live_rows(&self) -> usize {
         self.top_k.len()
     }
 
@@ -143,21 +177,37 @@ impl RankProbabilities {
     /// Panics if `pos` is out of range or `h` is not in `1..=k`.
     pub fn rank_prob(&self, pos: usize, h: usize) -> f64 {
         assert!(h >= 1 && h <= self.k, "rank h = {h} out of 1..={}", self.k);
-        self.rho[pos * self.k + (h - 1)]
+        assert!(pos < self.n, "position {pos} out of {} tuples", self.n);
+        self.rho.get(pos * self.k + (h - 1)).copied().unwrap_or(0.0)
     }
 
-    /// The full ρ row of one tuple (index 0 = rank 1).
-    pub fn rank_probs(&self, pos: usize) -> &[f64] {
-        &self.rho[pos * self.k..(pos + 1) * self.k]
+    /// The full ρ row of one tuple (index 0 = rank 1): borrowed inside the
+    /// live prefix, a fresh zero row past it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is out of range.
+    pub fn rank_probs(&self, pos: usize) -> Cow<'_, [f64]> {
+        assert!(pos < self.n, "position {pos} out of {} tuples", self.n);
+        match self.rho.get(pos * self.k..(pos + 1) * self.k) {
+            Some(row) => Cow::Borrowed(row),
+            None => Cow::Owned(vec![0.0; self.k]),
+        }
     }
 
     /// pᵢ: probability that the tuple at rank position `pos` appears in the
     /// top-k answer of a possible world.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is out of range.
     pub fn top_k_prob(&self, pos: usize) -> f64 {
-        self.top_k[pos]
+        assert!(pos < self.n, "position {pos} out of {} tuples", self.n);
+        self.top_k.get(pos).copied().unwrap_or(0.0)
     }
 
-    /// All top-k probabilities, indexed by rank position.
+    /// The top-k probabilities of the live prefix, indexed by rank
+    /// position; every later position has probability zero.
     pub fn top_k_probs(&self) -> &[f64] {
         &self.top_k
     }
@@ -176,11 +226,22 @@ impl RankProbabilities {
         self.top_k.iter().enumerate().filter(|(_, &p)| p > 0.0).map(|(i, _)| i).collect()
     }
 
-    /// Mutable access to the backing storage for the in-place delta engine
+    /// Mutable access to the live prefix for the in-place delta engine
     /// ([`crate::delta`]).  Callers must keep the invariant
-    /// `rho.len() == top_k.len() * k` and `top_k[i] == Σ_h rho[i*k + h]`.
-    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<f64>, &mut Vec<f64>) {
+    /// `rho.len() == top_k.len() * k` and `top_k[i] == Σ_h rho[i*k + h]`,
+    /// and change the row count only through [`reshape`](Self::reshape).
+    pub(crate) fn parts_mut(&mut self) -> (&mut [f64], &mut [f64]) {
         (&mut self.rho, &mut self.top_k)
+    }
+
+    /// Cover `n` tuples and store a live prefix of `live` rows: rows
+    /// beyond the current prefix arrive zeroed, rows past `live` are
+    /// dropped.
+    pub(crate) fn reshape(&mut self, n: usize, live: usize) {
+        debug_assert!(live <= n, "live prefix {live} longer than {n} tuples");
+        self.n = n;
+        self.rho.resize(live * self.k, 0.0);
+        self.top_k.resize(live, 0.0);
     }
 
     /// The rank probabilities for a *smaller* `k`, extracted from this
@@ -195,12 +256,14 @@ impl RankProbabilities {
     /// division and freezing decisions depend on factor masses and
     /// positions, never on `k`.  A PSR run at `k_max` therefore contains
     /// the run at every `k ≤ k_max` bit for bit: its first `k` columns
-    /// *are* that run's ρ matrix (positions past a
-    /// smaller `k`'s Lemma-2 early stop carry ≥ `k` saturated x-tuples, so
-    /// their first `k` entries are identically zero), and the prefix
-    /// top-k probability is the same left-to-right partial sum the smaller
-    /// run would form.  `prefix_equivalence` in the tests and the
-    /// `batch_equivalence` suite pin this against independent runs.
+    /// *are* that run's ρ matrix, and the prefix top-k probability is the
+    /// same left-to-right partial sum the smaller run would form.  The
+    /// extracted matrix keeps this matrix's live prefix, which is at least
+    /// as long as the smaller `k`'s own Lemma-2 cut: the rows in between
+    /// carry ≥ `k` saturated x-tuples above them, so their first `k`
+    /// entries are identically zero, and the two compare equal.
+    /// `prefix_equivalence` in the tests and the `batch_equivalence` suite
+    /// pin this against independent runs.
     ///
     /// Returns an error when `k` is zero or exceeds the `k` this matrix
     /// was computed for.
@@ -214,11 +277,32 @@ impl RankProbabilities {
         if k == self.k {
             return Ok(self.clone());
         }
-        let mut rho = Vec::with_capacity(self.top_k.len() * k);
+        let mut rho = Vec::with_capacity(self.live_rows() * k);
         for row in self.rho.chunks_exact(self.k) {
             rho.extend_from_slice(&row[..k]);
         }
-        Ok(RankProbabilities::from_rho(k, rho))
+        Ok(RankProbabilities::from_rho(k, self.n, rho))
+    }
+}
+
+impl PartialEq for RankProbabilities {
+    /// Logical equality: the stored rows plus the implicit zero rows past
+    /// each live prefix.
+    fn eq(&self, other: &Self) -> bool {
+        if self.k != other.k || self.n != other.n {
+            return false;
+        }
+        let (long, short) =
+            if self.live_rows() >= other.live_rows() { (self, other) } else { (other, self) };
+        let (rho, rho_tail) = long.rho.split_at(short.rho.len());
+        let (top_k, top_k_tail) = long.top_k.split_at(short.top_k.len());
+        let is_zero = |&x: &f64| {
+            // pdb-analyze: allow(float-eq): equality compares exact values, as `==` on the stored rows does
+            x == 0.0
+        };
+        rho == short.rho.as_slice()
+            && top_k == short.top_k.as_slice()
+            && rho_tail.iter().chain(top_k_tail).all(is_zero)
     }
 }
 
@@ -255,19 +339,48 @@ fn validate_k(db: &RankedDatabase, k: usize) -> Result<()> {
     Ok(())
 }
 
+/// Lemma 2's cut for `k`: one past the position whose tuple completes
+/// the `k`-th saturated x-tuple, or `n` when fewer than `k` saturate.
+/// Every tuple from the cut on has `k` certain tuples above it and can
+/// reach no top-k answer, so PSR stores rows `0..cut` only.
+///
+/// One O(cut) pass with O(m) state, folding each x-tuple's higher-ranked
+/// mass exactly as the scan does, so the two agree on every database.
+/// The delta engine ([`crate::delta`]) calls it after each mutation.
+pub(crate) fn lemma2_cut(db: &RankedDatabase, k: usize) -> usize {
+    let n = db.len();
+    let mut q = vec![0.0f64; db.num_x_tuples()];
+    let mut saturated = 0usize;
+    // The scan advances past tuple `i` before it considers row `i + 1`,
+    // so the last tuple's mass never stops it.
+    for i in 0..n.saturating_sub(1) {
+        let t = db.tuple(i);
+        let old_q = q[t.x_index];
+        let new_q = (old_q + t.prob).min(1.0);
+        q[t.x_index] = new_q;
+        if old_q < SATURATION_THRESHOLD && new_q >= SATURATION_THRESHOLD {
+            saturated += 1;
+            if saturated >= k {
+                return i + 1;
+            }
+        }
+    }
+    n
+}
+
 /// One incremental PSR scan, writing each wanted tuple's ρ row straight
-/// into `rho` (row-major, `n × k`).
+/// into `rho` (row-major, one `k`-entry row per position).
 ///
 /// Maintains the running generating-function product: advancing past a
 /// tuple is one divide + one multiply, or an O(|in-flight|·k) re-form when
 /// the divisor is ill-conditioned (see the module docs).  The working
 /// state beyond `rho` itself is O(m + k).  Only the entries PSR makes
 /// non-zero are written: a row below `s` saturated x-tuples gets entries
-/// `s..k`, and the rows of saturated tuples and of tuples past the
-/// Lemma-2 early stop are skipped.  Callers therefore pass the wanted
-/// rows zeroed.
+/// `s..k`, and the rows of saturated tuples are skipped.  Callers
+/// therefore pass the wanted rows zeroed.
 ///
-/// The scan covers positions `0..end` (`end ≤ n`), and a row is only
+/// The scan covers positions `0..end`, where `end` is at most
+/// [`lemma2_cut`] (no later row can be non-zero), and a row is only
 /// written for positions accepted by `want`.  The running product is still
 /// advanced through every position, so accepted rows are computed with
 /// exactly the state the unrestricted scan would use — results are
@@ -305,7 +418,6 @@ pub(crate) fn scan_rows_into(
     let mut in_flight: Vec<usize> = Vec::new();
     // The running product: frozen × every in-flight factor.
     let mut poly = frozen.clone();
-    let mut scanned = end;
     let mut reform_factors = 0usize;
 
     /// Overwrite `out` (a prefix of the running product) with the frozen
@@ -378,13 +490,7 @@ pub(crate) fn scan_rows_into(
             }
         }
 
-        // Lemma 2: once k x-tuples certainly place a tuple above position i,
-        // no tuple from position i onwards can reach the top-k.
-        if saturated_count >= k {
-            scanned = i;
-            break;
-        }
-
+        debug_assert!(saturated_count < k, "row {i} lies past Lemma 2's cut");
         if !want(i) {
             continue;
         }
@@ -421,7 +527,7 @@ pub(crate) fn scan_rows_into(
         }
     }
 
-    pdb_obs::metrics::ENGINE_PSR_ROWS_SCANNED_TOTAL.add(scanned as u64);
+    pdb_obs::metrics::ENGINE_PSR_ROWS_SCANNED_TOTAL.add(end as u64);
     pdb_obs::metrics::ENGINE_PSR_REFORM_FACTORS_TOTAL.add(reform_factors as u64);
     Ok(())
 }
@@ -431,36 +537,38 @@ pub(crate) fn scan_rows_into(
 /// whose step or own factor is ill-conditioned, and O(m + k) working
 /// state beyond the ρ matrix itself.
 ///
-/// Complete x-tuples stay near O(n·k), with Lemma 2 often ending the scan
-/// early.  So do null-mass x-tuples whose alternatives sit in a narrow
-/// score band, because only a few of them are in flight at a time.
-/// Null-mass x-tuples whose alternatives spread across the whole ranking
-/// keep many factors in flight and approach O(n·m·k).
+/// Complete x-tuples stay near O(n·k), and the scan and the stored matrix
+/// both end at Lemma 2's cut ([`RankProbabilities`]'s live prefix), often
+/// far inside the table.  Null-mass x-tuples whose alternatives sit in a
+/// narrow score band also stay near O(n·k), because only a few of them
+/// are in flight at a time; they never saturate, so all `n` rows are
+/// live.  Null-mass x-tuples whose alternatives spread across the whole
+/// ranking keep many factors in flight and approach O(n·m·k).
 ///
 /// A `k` above the tuple count whose `n × k` matrix cannot be allocated
 /// is an invalid parameter: `k` arrives from clients, so that size is
 /// checked instead of aborting the process.
 pub fn rank_probabilities(db: &RankedDatabase, k: usize) -> Result<RankProbabilities> {
     pdb_obs::metrics::ENGINE_PSR_RUNS_TOTAL.inc();
+    validate_k(db, k)?;
+    let live = lemma2_cut(db, k);
     let too_large = || {
         DbError::invalid_parameter(format!(
-            "k = {k} needs a {} x {k} rank-probability matrix, which cannot be allocated",
-            db.len()
+            "k = {k} needs a {live} x {k} rank-probability matrix, which cannot be allocated"
         ))
     };
-    let len = db.len().checked_mul(k).ok_or_else(too_large)?;
-    // Past k = n the columns are all zero, so the caller's k alone sizes
-    // the matrix: a reservation checks that the allocator can provide it
-    // (`vec!` would abort the process instead).  Up to k = n the matrix is
-    // at most n² entries and `vec!` allocates it directly: a reservation
-    // released first would hand `vec!` reused memory it must clear, where
-    // fresh zeroed pages leave rows past Lemma 2's early stop untouched.
+    let len = live.checked_mul(k).ok_or_else(too_large)?;
+    // Past k = n fewer than k x-tuples exist, none of the n rows is cut
+    // and the caller's k alone sizes the matrix: a reservation checks that
+    // the allocator can provide it (`vec!` would abort the process
+    // instead).
     if k > db.len() {
         Vec::<f64>::new().try_reserve_exact(len).map_err(|_| too_large())?;
     }
     let mut rho = vec![0.0; len];
-    scan_rows_into(db, k, db.len(), |_| true, &mut rho)?;
-    Ok(RankProbabilities::from_rho(k, rho))
+    scan_rows_into(db, k, live, |_| true, &mut rho)?;
+    pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(live as u64);
+    Ok(RankProbabilities::from_rho(k, db.len(), rho))
 }
 
 /// One tuple's ρ row for the exact reference algorithm: rebuild the
@@ -494,14 +602,16 @@ pub(crate) fn exact_row(db: &RankedDatabase, k: usize, pos: usize) -> Vec<f64> {
 /// Reference implementation of PSR that rebuilds the generating-function
 /// product for every tuple: O(n·m·k) time, no divisions, no saturation
 /// approximation.  Used as a numerical oracle in tests and available to
-/// callers who prefer robustness over speed on small inputs.
+/// callers who prefer robustness over speed on small inputs.  It stores
+/// all `n` rows: without the saturation approximation, the rows past
+/// Lemma 2's cut hold values of order 1e-12 times `k` rather than zeros.
 pub fn rank_probabilities_exact(db: &RankedDatabase, k: usize) -> Result<RankProbabilities> {
     validate_k(db, k)?;
     let mut rho = Vec::with_capacity(db.len() * k);
     for pos in 0..db.len() {
         rho.extend_from_slice(&exact_row(db, k, pos));
     }
-    Ok(RankProbabilities::from_rho(k, rho))
+    Ok(RankProbabilities::from_rho(k, db.len(), rho))
 }
 
 #[cfg(test)]
@@ -529,10 +639,14 @@ mod tests {
         rho
     }
 
-    fn assert_matrix_close(a: &[f64], b: &[f64], tol: f64) {
-        assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert!((x - y).abs() < tol, "entry {i}: {x} vs {y}");
+    /// Every entry of `rp`, stored or past its live prefix, against a full
+    /// row-major `n × k` matrix.
+    fn assert_matrix_close(rp: &RankProbabilities, expected: &[f64], tol: f64) {
+        let k = rp.k();
+        assert_eq!(rp.num_tuples() * k, expected.len());
+        for (i, want) in expected.iter().enumerate() {
+            let got = rp.rank_prob(i / k, i % k + 1);
+            assert!((got - want).abs() < tol, "entry {i}: {got} vs {want}");
         }
     }
 
@@ -563,8 +677,8 @@ mod tests {
             let expected = rho_by_enumeration(&db, k);
             let psr = rank_probabilities(&db, k).unwrap();
             let exact = rank_probabilities_exact(&db, k).unwrap();
-            assert_matrix_close(&psr.rho, &expected, 1e-10);
-            assert_matrix_close(&exact.rho, &expected, 1e-10);
+            assert_matrix_close(&psr, &expected, 1e-10);
+            assert_matrix_close(&exact, &expected, 1e-10);
         }
     }
 
@@ -594,7 +708,7 @@ mod tests {
         for k in 1..=3 {
             let expected = rho_by_enumeration(&db, k);
             let rp = rank_probabilities(&db, k).unwrap();
-            assert_matrix_close(&rp.rho, &expected, 1e-10);
+            assert_matrix_close(&rp, &expected, 1e-10);
         }
     }
 
@@ -611,9 +725,14 @@ mod tests {
         let db = RankedDatabase::from_scored_x_tuples(&x).unwrap();
         let rp = rank_probabilities(&db, 3).unwrap();
         let expected = rho_by_enumeration(&db, 3);
-        assert_matrix_close(&rp.rho, &expected, 1e-10);
+        assert_matrix_close(&rp, &expected, 1e-10);
         assert_eq!(rp.top_k_prob(db.len() - 1), 0.0);
         assert_eq!(rp.nonzero_positions(), vec![0, 1, 2]);
+        // Lemma 2: the third certain tuple saturates the third x-tuple, so
+        // only rows 0..3 are stored; the other eight read as zero.
+        assert_eq!(rp.live_rows(), 3);
+        assert_eq!(rp.num_tuples(), 11);
+        assert_eq!(rp.rank_probs(10).as_ref(), &[0.0; 3]);
     }
 
     #[test]
@@ -672,7 +791,7 @@ mod tests {
             let independent = rank_probabilities(&db, k).unwrap();
             assert_eq!(master.prefix(k).unwrap(), independent, "clustered null mass, k = {k}");
             let exact = rank_probabilities_exact(&db, k).unwrap();
-            assert_matrix_close(&independent.rho, &exact.rho, 1e-12);
+            assert_matrix_close(&independent, &exact.rho, 1e-12);
         }
     }
 
@@ -734,7 +853,7 @@ mod tests {
         for k in 1..=6 {
             let fast = rank_probabilities(&db, k).unwrap();
             let exact = rank_probabilities_exact(&db, k).unwrap();
-            assert_matrix_close(&fast.rho, &exact.rho, 1e-8);
+            assert_matrix_close(&fast, &exact.rho, 1e-8);
         }
     }
 
@@ -762,7 +881,7 @@ mod tests {
         for &k in &[1, 5, 20] {
             let fast = rank_probabilities(&db, k).unwrap();
             let exact = rank_probabilities_exact(&db, k).unwrap();
-            assert_matrix_close(&fast.rho, &exact.rho, 1e-9);
+            assert_matrix_close(&fast, &exact.rho, 1e-9);
         }
     }
 }

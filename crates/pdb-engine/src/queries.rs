@@ -16,7 +16,9 @@
 //! [`RankProbabilities`](crate::psr::RankProbabilities) matrix or a
 //! zero-copy batch view), which is what allows the query evaluation to
 //! share its PSR run with quality computation (Section IV-C) and with
-//! other registered queries ([`crate::batch`]).
+//! other registered queries ([`crate::batch`]).  Each one scans only the
+//! live prefix ([`RankAccess::live_rows`]): a tuple past Lemma 2's cut
+//! has probability zero and qualifies under none of the semantics.
 
 use crate::psr::{rank_probabilities, RankAccess};
 use pdb_core::{DbError, RankedDatabase, Result, TupleId};
@@ -103,7 +105,7 @@ pub fn u_k_ranks<R: RankAccess + ?Sized>(db: &RankedDatabase, rp: &R) -> UKRanks
     let mut winners = Vec::with_capacity(k);
     for h in 1..=k {
         let mut best: Option<AnswerTuple> = None;
-        for pos in 0..rp.num_tuples() {
+        for pos in 0..rp.live_rows() {
             let p = rp.rank_prob(pos, h);
             if p <= 0.0 {
                 continue;
@@ -135,9 +137,12 @@ pub fn pt_k<R: RankAccess + ?Sized>(
             "PT-k threshold must lie in (0, 1], got {threshold}"
         )));
     }
-    let tuples = (0..rp.num_tuples())
-        .filter(|&pos| rp.top_k_prob(pos) >= threshold)
-        .map(|pos| AnswerTuple { position: pos, id: db.tuple(pos).id, prob: rp.top_k_prob(pos) })
+    let tuples = rp
+        .top_k_probs()
+        .iter()
+        .enumerate()
+        .filter(|&(_, &p)| p >= threshold)
+        .map(|(pos, &prob)| AnswerTuple { position: pos, id: db.tuple(pos).id, prob })
         .collect();
     Ok(TupleSetAnswer { tuples })
 }
@@ -146,7 +151,7 @@ pub fn pt_k<R: RankAccess + ?Sized>(
 /// probabilities, ties broken in favour of the higher-ranked tuple.
 pub fn global_topk<R: RankAccess + ?Sized>(db: &RankedDatabase, rp: &R) -> TupleSetAnswer {
     let k = rp.k();
-    let mut order: Vec<usize> = (0..rp.num_tuples()).filter(|&p| rp.top_k_prob(p) > 0.0).collect();
+    let mut order: Vec<usize> = (0..rp.live_rows()).filter(|&p| rp.top_k_prob(p) > 0.0).collect();
     // Sort by descending top-k probability; ties by ascending position
     // (higher rank first). The sort is stable but the explicit tiebreak makes
     // the intent explicit.

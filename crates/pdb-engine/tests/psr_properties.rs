@@ -54,6 +54,31 @@ proptest! {
         }
     }
 
+    /// On complete x-tuples PSR stores exactly Lemma 2's live prefix: the
+    /// rows up to and including the position where the `k`-th x-tuple
+    /// completes (each saturates at its last alternative here).  The
+    /// stored rows match the exact reference, and the reference's rows
+    /// past the prefix are zero up to the mass saturated x-tuples may miss.
+    #[test]
+    fn psr_stores_exactly_lemma_2s_live_prefix((db, k) in common::complete_db_with_inner_cut()) {
+        let rp = rank_probabilities(&db, k).unwrap();
+        let mut completions: Vec<usize> =
+            db.x_tuples().map(|info| *info.members.last().unwrap()).collect();
+        completions.sort_unstable();
+        let cut = completions.get(k - 1).map_or(db.len(), |&last| (last + 1).min(db.len()));
+        prop_assert_eq!(rp.live_rows(), cut);
+        prop_assert_eq!(rp.num_tuples(), db.len());
+        let exact = rank_probabilities_exact(&db, k).unwrap();
+        for pos in 0..db.len() {
+            for h in 1..=k {
+                prop_assert!((rp.rank_prob(pos, h) - exact.rank_prob(pos, h)).abs() < 1e-9);
+                if pos >= cut {
+                    prop_assert!(exact.rank_prob(pos, h).abs() < 1e-10);
+                }
+            }
+        }
+    }
+
     /// A tuple's top-k probability never exceeds its existential
     /// probability, and a certain tuple ranked first is always in the
     /// answer.

@@ -195,6 +195,38 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Complete x-tuples whose Lemma-2 cut lies inside the table, under a
+    /// mix that moves the cut both ways: removals and sub-unit reweights
+    /// of x-tuples that saturate above it move it down (the rows it passes
+    /// become live and are rebuilt), top-ranked complete inserts and
+    /// collapses move it up (rows leave storage).  After every step the
+    /// stored prefix is exactly a fresh run's and every row matches the
+    /// exact oracle.
+    #[test]
+    fn streaming_mutations_that_move_the_cut_match_the_exact_oracle(
+        (db, k) in common::complete_db_with_inner_cut(),
+        steps in vec(common::cut_step(true), 1..10),
+    ) {
+        let mut eval = evaluation(db, k);
+        for (i, s) in steps.iter().enumerate() {
+            let live = eval.master().live_rows();
+            let Some((l, mutation)) = common::resolve_cut_step(eval.database(), live, s) else {
+                continue;
+            };
+            eval.apply_collapse_in_place(l, &mutation).unwrap();
+            common::assert_live_prefix_matches_exact(
+                eval.database(),
+                eval.master(),
+                DELTA_TOLERANCE,
+                &format!("step {i} ({mutation:?})"),
+            );
+        }
+    }
+}
+
 #[test]
 fn shrinking_to_the_last_entity_stays_exact_and_the_final_removal_errors() {
     let db = RankedDatabase::from_scored_x_tuples(&[

@@ -81,6 +81,8 @@ pub static ENGINE_REBUILT_ROWS_TOTAL: Counter = Counter::new();
 pub static ENGINE_PSR_ROWS_SCANNED_TOTAL: Counter = Counter::new();
 /// In-flight factors multiplied while re-forming PSR's running product.
 pub static ENGINE_PSR_REFORM_FACTORS_TOTAL: Counter = Counter::new();
+/// Stored rank-probability rows after each PSR run and delta pass.
+pub static ENGINE_PSR_LIVE_ROWS: Histogram = Histogram::new();
 
 static FLEET_FORWARD_CELLS: [Histogram; SHARD_LABELS.len()] =
     [const { Histogram::new() }; SHARD_LABELS.len()];
@@ -122,7 +124,7 @@ pub enum SeriesRef {
     HistogramVec(&'static HistogramVec),
 }
 
-static REGISTRY: [MetricDef; 16] = [
+static REGISTRY: [MetricDef; 17] = [
     MetricDef {
         name: names::SERVER_REQUESTS_TOTAL,
         help: "requests dispatched, by verb",
@@ -182,6 +184,11 @@ static REGISTRY: [MetricDef; 16] = [
         name: names::ENGINE_PSR_REFORM_FACTORS_TOTAL,
         help: "in-flight factors multiplied while re-forming the PSR running product",
         series: SeriesRef::Counter(&ENGINE_PSR_REFORM_FACTORS_TOTAL),
+    },
+    MetricDef {
+        name: names::ENGINE_PSR_LIVE_ROWS,
+        help: "rank-probability rows stored after each PSR run and delta pass",
+        series: SeriesRef::Histogram(&ENGINE_PSR_LIVE_ROWS),
     },
     MetricDef {
         name: names::FLEET_FORWARD_LATENCY_NS,

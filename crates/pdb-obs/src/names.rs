@@ -44,6 +44,10 @@ pub const ENGINE_PSR_ROWS_SCANNED_TOTAL: &str = "engine_psr_rows_scanned_total";
 /// when each x-tuple's alternatives sit in a narrow score band, and
 /// hundreds when null-mass alternatives spread across the ranking.
 pub const ENGINE_PSR_REFORM_FACTORS_TOTAL: &str = "engine_psr_reform_factors_total";
+/// Rows of the rank-probability matrix stored after each PSR run and
+/// each delta pass: Lemma 2's cut, or every row when fewer than `k`
+/// x-tuples saturate (histogram).
+pub const ENGINE_PSR_LIVE_ROWS: &str = "engine_psr_live_rows";
 
 /// Router-side latency of one forwarded request, by shard (histogram
 /// family).
@@ -72,6 +76,7 @@ pub const ALL: &[&str] = &[
     ENGINE_REBUILT_ROWS_TOTAL,
     ENGINE_PSR_ROWS_SCANNED_TOTAL,
     ENGINE_PSR_REFORM_FACTORS_TOTAL,
+    ENGINE_PSR_LIVE_ROWS,
     FLEET_FORWARD_LATENCY_NS,
     FLEET_RETRIES_TOTAL,
     FLEET_RESPAWNS_TOTAL,

@@ -12,14 +12,16 @@
 //! ```
 //!
 //! Theorem 1 makes the per-query scores nearly free: the tuple weights ωᵢ
-//! depend only on the database (never on `k`), so one O(n) weight pass
-//! plus one dot product with each query's top-k probability vector yields
-//! the whole quality vector.  And because the aggregate is a fixed
-//! positive combination of per-query scores, Theorem 2 applies to it
-//! verbatim — the cleaning planners in `pdb-clean` run unchanged on a
-//! `CleaningContext` built from `g_agg` (see `CleaningContext::from_batch`
-//! there), so one plan maximizes the expected improvement summed over
-//! every registered query.
+//! depend only on the database (never on `k`), so one weight pass plus one
+//! dot product with each query's top-k probability vector yields the whole
+//! quality vector.  Both run over the shared matrix's live prefix only
+//! (Lemma 2's cut at `k_max`, see `RankProbabilities`): a tuple past it
+//! has pᵢ = 0 under every registered query, so its weight never counts.
+//! And because the aggregate is a fixed positive combination of
+//! per-query scores, Theorem 2 applies to it verbatim — the cleaning
+//! planners in `pdb-clean` run unchanged on a `CleaningContext` built
+//! from `g_agg` (see `CleaningContext::from_batch` there), so one plan
+//! maximizes the expected improvement summed over every registered query.
 //!
 //! Probe outcomes flow through
 //! [`BatchQuality::apply_collapse_in_place`]: one delta pass on the
@@ -31,7 +33,7 @@
 //! evaluation type: `CleaningContext::prepare` builds a one-query batch,
 //! the server holds one per session.
 
-use crate::tp::tuple_weights;
+use crate::tp::tuple_weight;
 use pdb_core::{DbError, RankedDatabase, Result};
 use pdb_engine::batch::BatchEvaluation;
 use pdb_engine::delta::{DeltaStats, XTupleMutation};
@@ -84,14 +86,22 @@ pub struct BatchCollapseUpdate {
 pub struct BatchQuality<'a> {
     eval: BatchEvaluation<'a>,
     weights: Vec<f64>,
-    /// Cached Theorem-1 tuple weights ωᵢ of the current database version.
-    /// They depend only on the database (never on `k`), so one O(n) pass
-    /// serves every registered query's quality; recomputed per mutation.
+    /// Cached Theorem-1 tuple weights ωᵢ of the current database version,
+    /// for the master matrix's live prefix.  They depend only on the
+    /// database (never on `k`), so one O(live) pass serves every
+    /// registered query's quality; recomputed per mutation.
     tuple_w: Vec<f64>,
     /// Cached aggregate quality `Σ_q w_q·S_q` of the current database
     /// version, maintained at construction and across mutations so a
     /// serving loop never rescans the matrix for the pre-probe score.
     aggregate: f64,
+}
+
+/// The Theorem-1 weights of the live prefix of `eval`'s master matrix:
+/// the only tuples any registered query can rank.
+fn live_tuple_weights(eval: &BatchEvaluation<'_>) -> Vec<f64> {
+    let db = eval.database();
+    (0..eval.master().live_rows()).map(|pos| tuple_weight(db, pos)).collect()
 }
 
 /// `Σ_q w_q·S_q` from a quality vector.
@@ -136,7 +146,7 @@ impl<'a> BatchQuality<'a> {
             specs.into_iter().map(|s| (s.query, s.weight)).unzip();
         validate_weights(&weights)?;
         let eval = evaluate(queries)?;
-        let tuple_w = tuple_weights(eval.database());
+        let tuple_w = live_tuple_weights(&eval);
         let mut batch = Self { eval, weights, tuple_w, aggregate: 0.0 };
         batch.aggregate = weighted_aggregate(&batch.quality_vector(), &batch.weights);
         Ok(batch)
@@ -168,14 +178,16 @@ impl<'a> BatchQuality<'a> {
     }
 
     /// `Σ_q w_q · pᵢ^{(q)}`: each tuple's top-k probability combined
-    /// across the registered queries.  This is the only per-tuple quantity
-    /// the aggregate quality and its decomposition need.
+    /// across the registered queries, over the live prefix (every later
+    /// tuple combines to zero).  This is the only per-tuple quantity the
+    /// aggregate quality and its decomposition need.
     pub fn combined_top_k_probs(&self) -> Vec<f64> {
         self.per_query_parts().1
     }
 
-    /// `S(D, Q_q)` for every registered query: one O(n) tuple-weight pass
-    /// (ωᵢ is independent of `k`) and one dot product per query.
+    /// `S(D, Q_q)` for every registered query: one dot product per query
+    /// of the cached tuple weights (ωᵢ is independent of `k`) with its
+    /// top-k probabilities, over the live prefix.
     pub fn quality_vector(&self) -> Vec<f64> {
         self.per_query_parts().0
     }
@@ -192,9 +204,8 @@ impl<'a> BatchQuality<'a> {
     /// `combined_top_k_probs`, `aggregate_parts` and the post-mutation
     /// refresh.
     fn per_query_parts(&self) -> (Vec<f64>, Vec<f64>) {
-        let n = self.database().len();
         let w = &self.tuple_w;
-        let mut combined = vec![0.0; n];
+        let mut combined = vec![0.0; w.len()];
         let mut qualities = Vec::with_capacity(self.num_queries());
         for q in 0..self.num_queries() {
             let wq = self.weights[q];
@@ -218,8 +229,8 @@ impl<'a> BatchQuality<'a> {
     fn g_from_combined(&self, combined: &[f64]) -> Vec<f64> {
         let db = self.database();
         let mut g = vec![0.0; db.num_x_tuples()];
-        for pos in 0..db.len() {
-            let term = self.tuple_w[pos] * combined[pos];
+        for (pos, (w, c)) in self.tuple_w.iter().zip(combined).enumerate() {
+            let term = w * c;
             // pdb-analyze: allow(float-eq): sparsity gate — skips exactly-zero terms so untouched x-tuples stay untouched; near-zero terms must accumulate
             if term != 0.0 {
                 g[db.tuple(pos).x_index] += term;
@@ -237,9 +248,9 @@ impl<'a> BatchQuality<'a> {
     }
 
     /// [`aggregate_breakdown`](Self::aggregate_breakdown) and
-    /// [`combined_top_k_probs`](Self::combined_top_k_probs) from one O(n·Q)
-    /// accumulation pass — the form `CleaningContext::from_batch` consumes,
-    /// since an aggregate re-planner needs both per probe.
+    /// [`combined_top_k_probs`](Self::combined_top_k_probs) from one
+    /// O(live·Q) accumulation pass — the form `CleaningContext::from_batch`
+    /// consumes, since an aggregate re-planner needs both per probe.
     pub fn aggregate_parts(&self) -> (Vec<f64>, Vec<f64>) {
         let (_, combined) = self.per_query_parts();
         (self.g_from_combined(&combined), combined)
@@ -249,7 +260,7 @@ impl<'a> BatchQuality<'a> {
     /// re-planning update (`before` is the pre-mutation aggregate).  The
     /// single code path both mutation forms share.
     fn finish_update(&mut self, before: f64, stats: DeltaStats) -> BatchCollapseUpdate {
-        self.tuple_w = tuple_weights(self.eval.database());
+        self.tuple_w = live_tuple_weights(&self.eval);
         let (qualities, combined) = self.per_query_parts();
         let aggregate = weighted_aggregate(&qualities, &self.weights);
         self.aggregate = aggregate;

@@ -83,8 +83,7 @@ pub fn quality_tp(db: &RankedDatabase, k: usize) -> Result<f64> {
 /// (computation sharing with query evaluation).
 pub fn quality_tp_with<R: RankAccess + ?Sized>(db: &RankedDatabase, rp: &R) -> f64 {
     let mut total = 0.0;
-    for pos in 0..db.len() {
-        let p = rp.top_k_prob(pos);
+    for (pos, &p) in rp.top_k_probs().iter().enumerate() {
         if p > 0.0 {
             total += tuple_weight(db, pos) * p;
         }
@@ -96,8 +95,7 @@ pub fn quality_tp_with<R: RankAccess + ?Sized>(db: &RankedDatabase, rp: &R) -> f
 /// `g(l, D)`, the input of the cleaning problem.
 pub fn quality_breakdown<R: RankAccess + ?Sized>(db: &RankedDatabase, rp: &R) -> QualityBreakdown {
     let mut per_x = vec![0.0; db.num_x_tuples()];
-    for pos in 0..db.len() {
-        let p = rp.top_k_prob(pos);
+    for (pos, &p) in rp.top_k_probs().iter().enumerate() {
         if p > 0.0 {
             per_x[db.tuple(pos).x_index] += tuple_weight(db, pos) * p;
         }

@@ -159,3 +159,27 @@ fn shared_evaluation_matches_standalone_runs() {
     let sum: f64 = shared.aggregate_breakdown().iter().sum();
     assert!((sum - shared.aggregate_quality()).abs() < 1e-9);
 }
+
+#[test]
+fn psr_stores_a_small_live_prefix_on_the_synthetic_dataset() {
+    // 10³ complete x-tuples × 10 bars: the 50th x-tuple to complete does so
+    // a few hundred positions down, and Lemma 2 makes every later row zero,
+    // so PSR at k = 50 stores under a tenth of the 10⁴ rows.
+    let db = uncertain_topk::gen::synthetic::generate_ranked(&SyntheticConfig::with_total_tuples(
+        10_000,
+    ))
+    .unwrap();
+    let k = 50;
+    let rp = rank_probabilities(&db, k).unwrap();
+    assert_eq!(rp.num_tuples(), 10_000);
+    assert!(rp.live_rows() < db.len() / 10, "{} live rows", rp.live_rows());
+    assert_eq!(rp.top_k_probs().len(), rp.live_rows());
+    assert_eq!(rp.top_k_prob(db.len() - 1), 0.0);
+    // Every possible world holds ≥ k tuples, so the stored prefix alone
+    // carries the whole expected answer size.
+    assert!((rp.expected_answer_size() - k as f64).abs() < 1e-9);
+    // The batch and quality layers serve from the same prefix.
+    let batch = BatchQuality::new(&db, vec![WeightedQuery::new(TopKQuery::UKRanks { k })]).unwrap();
+    assert_eq!(batch.combined_top_k_probs().len(), rp.live_rows());
+    assert!((batch.aggregate_quality() - quality_tp(&db, k).unwrap()).abs() < 1e-9);
+}
