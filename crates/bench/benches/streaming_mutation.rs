@@ -3,8 +3,8 @@
 //! query vs rebuilding the whole batch evaluation (PSR + per-query
 //! answers) on the mutated database.  The insert patch shifts the ρ
 //! row-groups below the arrival and multiplies one binomial factor into
-//! every other row; the remove patch divides the departing factor out
-//! (the `q' = 0` collapse).  Same workload shape as `batch/collapse`,
+//! every other row; the remove patch (the `q' = 0` collapse) rewrites
+//! the rows that carried the departing factor with one windowed PSR scan.  Same workload shape as `batch/collapse`,
 //! with the membership mutations on the new axis; the `bench-smoke` CI
 //! job runs this target in quick mode, emits `BENCH_streaming.json` (see
 //! `crates/bench/src/bin/bench_json.rs`) and asserts the delta patch

@@ -1,14 +1,14 @@
 //! **div-guard**: the paper's numerical-stability invariant as a lint.
 //!
-//! The delta kernels divide a row polynomial by `(1 - q)`-style factors;
-//! when the divisor approaches zero the division is ill-conditioned and
-//! the engine must rebuild the row instead (`MAX_DIVISOR_Q` in
-//! `psr.rs`/`delta.rs`, `DIVISION_REBUILD_THRESHOLD` in `poly.rs`,
-//! `MIN_SCALE_PROB` for the rescale path).  Any division in those
-//! kernels whose divisor is not a literal must therefore be dominated by
-//! one of the stability gates — a bare `a / q` with a probability-derived
-//! divisor is exactly the bug class the paper's Section on incremental
-//! re-evaluation warns about.
+//! The PSR scan divides its running polynomial by `(1 - q)`-style
+//! factors; when the divisor approaches zero the division is
+//! ill-conditioned and the scan must re-form the product instead
+//! (`MAX_DIVISOR_Q` in `psr.rs`, `DIVISION_REBUILD_THRESHOLD` in
+//! `poly.rs`).  Any division in the incremental kernels whose divisor is
+//! not a literal must therefore be dominated by one of the stability
+//! gates — a bare `a / q` with a probability-derived divisor is exactly
+//! the bug class the paper's Section on incremental re-evaluation warns
+//! about.
 //!
 //! "Dominated" is approximated textually: one of the gate identifiers
 //! appears earlier in the same function body (a `debug_assert!`, an
@@ -49,8 +49,8 @@ pub fn check_fn(path: &str, sum: &FnSummary) -> Vec<Diagnostic> {
                 path,
                 d.line,
                 "division with a non-literal divisor is not dominated by a stability gate \
-                 (MAX_DIVISOR_Q / MIN_SCALE_PROB / DIVISION_REBUILD_THRESHOLD); \
-                 ill-conditioned rows must be rebuilt, not divided",
+                 (MAX_DIVISOR_Q / DIVISION_REBUILD_THRESHOLD); \
+                 ill-conditioned factors must be re-formed, not divided",
             )
         })
         .collect()

@@ -20,8 +20,8 @@
 //!   statement-terminated `.ok();`.
 //! - *divisions*: `/` (and `/=`) with a non-literal divisor, with a
 //!   `guarded` flag when one of the engine's numerical-stability
-//!   constants (`MAX_DIVISOR_Q`, `MIN_SCALE_PROB`,
-//!   `DIVISION_REBUILD_THRESHOLD`) appears earlier in the body.
+//!   constants (`MAX_DIVISOR_Q`, `DIVISION_REBUILD_THRESHOLD`) appears
+//!   earlier in the body.
 //!
 //! [`propagate`] then runs a worklist fixpoint pushing the boolean facts
 //! (may-panic, takes-lock) from callees to callers over the resolved
@@ -42,7 +42,7 @@ pub const NARROW_INTS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 
 /// The engine's numerical-stability gates: a division dominated by any
 /// of these identifiers counts as guarded.
-pub const DIV_GUARDS: &[&str] = &["MAX_DIVISOR_Q", "MIN_SCALE_PROB", "DIVISION_REBUILD_THRESHOLD"];
+pub const DIV_GUARDS: &[&str] = &["MAX_DIVISOR_Q", "DIVISION_REBUILD_THRESHOLD"];
 
 /// One direct panic site inside a function.
 #[derive(Debug, Clone, PartialEq, Eq)]

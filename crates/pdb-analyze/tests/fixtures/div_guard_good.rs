@@ -1,12 +1,5 @@
 // Divisions the invariant allows: gate dominates, or the divisor is a
 // literal.
-fn rescale(e_new: f64, e_old: f64) -> f64 {
-    if e_old < MIN_SCALE_PROB {
-        return 0.0;
-    }
-    e_new / e_old
-}
-
 fn gated(q: f64, p: f64) -> f64 {
     debug_assert!(q <= MAX_DIVISOR_Q);
     p / (1.0 - q)

@@ -178,7 +178,7 @@ fn div_guard_bad_fixture_pins_lines() {
         "crates/pdb-engine/src/delta.rs",
         lints::div_guard::check,
     );
-    assert_eq!(lines(&diags), vec![3, 7], "{diags:?}");
+    assert_eq!(lines(&diags), vec![3, 7, 15], "{diags:?}");
     assert!(diags.iter().all(|d| d.lint == "div-guard"));
     assert!(diags[0].message.contains("stability gate"), "{}", diags[0].message);
 }

@@ -17,8 +17,8 @@
 //!   session start, as a one-query [`BatchQuality`], and then patches
 //!   the rank probabilities through the delta engine
 //!   ([`BatchQuality::apply_collapse_in_place`]) after each successful
-//!   probe — O(k) per affected row of the live prefix instead of O(n·k)
-//!   per probe.  The update it returns carries the refreshed `g`, whose
+//!   probe — one windowed PSR scan to the last changed row of the live
+//!   prefix instead of a full O(n·k) run per probe.  The update it returns carries the refreshed `g`, whose
 //!   Theorem-1 weights cover only the live prefix (Lemma 2's cut);
 //! * [`ReplanMode::FullRebuild`] re-runs the full pipeline after every
 //!   probe.  It is kept as the correctness oracle and as the baseline the

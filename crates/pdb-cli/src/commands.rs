@@ -601,8 +601,8 @@ fn adaptive(
         let mut improvement = 0.0;
         let mut probes = 0u64;
         let mut successes = 0u64;
-        let mut swapped = 0usize;
-        let mut rebuilt = 0usize;
+        let mut rewritten = 0usize;
+        let mut copied = 0usize;
         let (sessions, ms) = time_ms(|| -> Result<()> {
             for seed in 0..trials {
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -610,8 +610,8 @@ fn adaptive(
                 improvement += outcome.improvement();
                 probes += outcome.probes;
                 successes += outcome.successes;
-                swapped += outcome.delta_stats.rows_swapped;
-                rebuilt += outcome.delta_stats.rows_rebuilt;
+                rewritten += outcome.delta_stats.rows_rebuilt;
+                copied += outcome.delta_stats.rows_copied;
             }
             Ok(())
         });
@@ -629,9 +629,9 @@ fn adaptive(
         if mode == ReplanMode::Incremental {
             let _ = writeln!(
                 out,
-                "              delta rows per session: {:.1} swapped, {:.1} rebuilt",
-                swapped as f64 / t,
-                rebuilt as f64 / t,
+                "              delta rows per session: {:.1} rewritten, {:.1} copied",
+                rewritten as f64 / t,
+                copied as f64 / t,
             );
         }
     }

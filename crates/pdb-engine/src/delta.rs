@@ -6,12 +6,11 @@
 //! alternative, collapses to its implicit null alternative, or has its
 //! probabilities reweighted).  Re-running the full PSR + TP pipeline after
 //! every probe costs O(n·k) *per probe*, which makes a session of `C`
-//! probes O(C·n·k).  This module exploits the same algebraic structure PSR
-//! already uses *within* one scan — the Poisson-binomial product changes by
-//! a single binomial factor — to carry a completed [`RankProbabilities`]
-//! *across* database versions instead.
+//! probes O(C·n·k).  This module carries a completed
+//! [`RankProbabilities`] *across* database versions instead, and rewrites
+//! only the rows a mutation changes.
 //!
-//! ## How it works
+//! ## How rows are rewritten
 //!
 //! The stored ρ row of the tuple at position `i` is
 //!
@@ -20,55 +19,51 @@
 //! ```
 //!
 //! where `q_j` is x-tuple `j`'s existential mass ranked strictly above
-//! position `i`.  A mutation of x-tuple `L` changes only `q_L`, and both
-//! [`TruncatedPoly`](crate::poly::TruncatedPoly) operations are linear in
-//! the coefficients, so the new
-//! row is obtained **without knowing eᵢ** by one divide + one multiply on
-//! the stored row itself:
+//! position `i`.  A mutation of x-tuple `L` changes only `q_L`, the `eᵢ`
+//! of `L`'s own rows, and which of `L`'s alternatives survive.  Rows
+//! ranked above `L`'s first alternative are not touched at all.  The pass
+//! sorts every surviving row below it and above the new Lemma-2 cut into
+//! one of three cases:
 //!
-//! ```text
-//! ρᵢ′ = ρᵢ ÷ ((1 − q_L) + q_L·z) × ((1 − q_L′) + q_L′·z)
-//! ```
+//! * **zero** — its `eᵢ′` is 0, so the row is identically zero;
+//! * **copied** — not one of `L`'s own rows, inside the old cut, and its
+//!   `q_L` before and after the mutation agree within
+//!   `Q_EQUAL_EPSILON`: the value is unchanged, and the row only moves
+//!   up past dropped rows (one `memmove`);
+//! * **rewritten** — every other row: `L`'s own surviving rows, every row
+//!   whose `q_L` changed, and the rows a lowered cut makes live.
 //!
-//! Per row that is O(k) — and most rows are cheaper still:
+//! One PSR scan over the mutated database writes every rewritten row
+//! (`psr::scan_rows_into`): it runs from position 0 to the last rewritten
+//! row and stores only the rewritten ones, so each is bit-identical to
+//! the row a fresh [`rank_probabilities`](crate::psr::rank_probabilities)
+//! would store.  A copied row keeps a value the mutation did not change,
+//! so a chain of mutations accumulates no error: every stored row stays
+//! as close to the exact value as a fresh PSR run (up to the few ulps an
+//! arrival's multiply adds, below).
 //!
-//! * rows ranked above `L`'s first alternative (and rows where the old and
-//!   new clamped masses coincide, e.g. everything below a full-mass
-//!   x-tuple's last alternative) have `q_L = q_L′` and are **copied**;
-//! * the mutated x-tuple's own rows never contained `L`'s factor, so they
-//!   are **rescaled** by `eᵢ′ / eᵢ`;
-//! * zero-probability rows stay identically zero.
+//! A mutation costs one scan to its last rewritten row, O(last·k) plus
+//! O(|in-flight|·k) per step or row the scan re-forms, and O(k) per
+//! rewritten or moved row.  The scan starts at position 0 however far
+//! down the first changed row sits, so a mutation that changes a few rows
+//! deep in the prefix pays for every position above them, where dividing
+//! the old factor out of each row and multiplying the new one in would
+//! cost O(k) per row.  That patch is not used because its rounding error
+//! compounds along a chain of mutations.
 //!
-//! The same identity covers **streaming membership**
-//! ([`XTupleMutation::Insert`] / [`XTupleMutation::Remove`]): removing an
-//! x-tuple is the `q_L′ = 0` case (divide only, every alternative
-//! dropped), and inserting one is the `q_L = 0` case — the stored rows
-//! never contained the arriving factor, so each affected row takes one
-//! *multiply* (always well-conditioned; no divide can go ill) while the
-//! matrix grows by the new row-group, whose own rows are rebuilt exactly
-//! from the post-insert database.
+//! The same cases cover **streaming membership**
+//! ([`XTupleMutation::Insert`] / [`XTupleMutation::Remove`]).  Removing
+//! an x-tuple drops every alternative and rewrites the rows whose `q_L`
+//! was non-zero.  Inserting one is the `q_L = 0` case: the stored rows
+//! never contained the arriving factor, so each surviving row below the
+//! arrival takes one binomial *multiply* (its coefficients are convex
+//! combinations of the old ones, so it never amplifies error), while the
+//! matrix grows by the new row-group, whose own rows go to the same scan.
 //!
-//! ## When the oracle rebuild kicks in
-//!
-//! Dividing out a factor is only well-conditioned while
-//! `q_L ≤ [`MAX_DIVISOR_Q`]` (the same gate the PSR scan applies).  Rows
-//! whose divided factor is heavier than that — e.g. rows that were shadowed
-//! by a near-saturated x-tuple which the mutation now removes — are rebuilt
-//! from the mutated database instead of patched:
-//!
-//! * when the ill-conditioned rows are few, each is recomputed exactly
-//!   (`psr::exact_row`, O(m·k) per row);
-//! * when they are many, one **windowed scan** re-runs the incremental PSR
-//!   scan up to the last ill-conditioned position and writes only those
-//!   rows (O(w·k) for a window of length `w`) — never more expensive than
-//!   the full rebuild it replaces.
-//!
-//! The cheaper of the two is chosen per mutation; [`DeltaStats`] reports
-//! which rows took which path.
 //! [`rank_probabilities`](crate::psr::rank_probabilities) /
 //! [`rank_probabilities_exact`](crate::psr::rank_probabilities_exact) on
 //! the mutated database remain the correctness oracles; the
-//! `delta_equivalence` test suite pins the delta path against them across
+//! `delta_equivalence` test suite pins the delta path against both across
 //! randomized mutation sequences.
 //!
 //! ## How Lemma 2's cut moves
@@ -76,37 +71,30 @@
 //! The matrix stores only its live prefix, the rows above Lemma 2's cut
 //! (see [`RankProbabilities`]).  After mutating the database the pass
 //! recomputes the cut in O(cut + m) with the scan's own saturation rule
-//! and patches only the surviving rows above it; the rows past it are
+//! and keeps only the surviving rows above it; the rows past it are
 //! dropped from storage and counted as copied, so
 //! [`DeltaStats::rows_total`] still equals the tuple count.  The cut moves
 //! up when the mutated x-tuple saturates earlier (a collapse to an
 //! alternative, an arriving complete x-tuple ranked near the top) and
 //! down when a saturated x-tuple loses mass or leaves (a reweight to a
 //! total below 1, a removal).  The rows that become live were identically
-//! zero, and the divided factor behind them had q ≈ 1, so they join the
-//! ill-conditioned rows in the rebuild.  Rows ranked above the mutated
+//! zero, and the scan rewrites them.  Rows ranked above the mutated
 //! x-tuple's first alternative are live before and after or past the cut
 //! before and after: their saturated x-tuples are the same.
 
 use crate::poly;
-use crate::psr::{self, RankProbabilities, MAX_DIVISOR_Q};
+use crate::psr::{self, RankProbabilities};
 use pdb_core::{DbError, RankedDatabase, Result};
 use serde::{Deserialize, Serialize};
 
-/// Existential probabilities below this value make the "rescale the stored
-/// row by `eᵢ′ / eᵢ`" shortcut ill-conditioned (the division amplifies the
-/// row's absolute floating-point residue by `1 / eᵢ`); such rows are
-/// rebuilt from the mutated database instead.
-const MIN_SCALE_PROB: f64 = 1e-3;
-
 /// Old and new factor masses closer than this are treated as equal and the
-/// row is copied.  Copying instead of swapping a factor whose mass moved by
-/// `δ` changes each coefficient by at most `2·δ` (the error is linear in
-/// `δ` and independent of the factor's conditioning), so the tolerance
-/// directly bounds the introduced error.  Without it, a collapsed
-/// full-mass x-tuple whose member probabilities sum to 1 ± a few ulps
-/// would push every row below its last alternative (`q_old ≈ 1` vs
-/// `q_new = 1`) into the expensive rebuild path for no accuracy gain.
+/// row is copied.  Copying instead of rewriting a row whose factor mass
+/// moved by `δ` changes each coefficient by at most `2·δ` (the error is
+/// linear in `δ` and independent of the factor's conditioning), so the
+/// tolerance directly bounds the introduced error.  Without it, a
+/// collapsed full-mass x-tuple whose member probabilities sum to
+/// 1 ± a few ulps would send every row below its last alternative
+/// (`q_old ≈ 1` vs `q_new = 1`) to the scan for no accuracy gain.
 const Q_EQUAL_EPSILON: f64 = 1e-12;
 
 /// A mutation of a single x-tuple — the unified mutation surface shared by
@@ -158,25 +146,25 @@ pub enum XTupleMutation {
 /// produced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeltaStats {
-    /// Rows whose mutated factor was unchanged (`q_L = q_L′`) or whose
-    /// existential probability is zero: copied verbatim.  Rows past the
-    /// new Lemma-2 cut are identically zero, are not stored, and count
-    /// here too.
+    /// Rows whose value the mutation leaves alone, moved up past dropped
+    /// rows where needed: rows above the mutated x-tuple, rows whose
+    /// mutated factor kept its mass, and rows whose existential
+    /// probability is zero.  Rows past the new Lemma-2 cut are
+    /// identically zero, are not stored, and count here too.
     pub rows_copied: usize,
-    /// Rows updated by the O(k) divide + multiply factor swap (for an
-    /// insert, the always-well-conditioned multiply-only half of it).
+    /// Rows multiplied by an arriving x-tuple's binomial factor: an
+    /// insert's surviving rows below its first alternative.
     pub rows_swapped: usize,
-    /// Rows of the mutated x-tuple itself, rescaled by `eᵢ′ / eᵢ`.
-    pub rows_rescaled: usize,
-    /// Rows rebuilt from the mutated database (exact per-row rebuild or
-    /// windowed scan): ill-conditioned divides, plus an inserted
-    /// x-tuple's own brand-new rows.
+    /// Rows rewritten by the windowed PSR scan, bit-identical to a fresh
+    /// run: the mutated x-tuple's own surviving rows, rows whose mutated
+    /// factor changed, rows a lowered cut makes live, and an inserted
+    /// x-tuple's own rows.
     pub rows_rebuilt: usize,
     /// Rows removed together with the mutated x-tuple's dropped
     /// alternatives.
     pub rows_dropped: usize,
-    /// Number of mutations that fell back to a windowed PSR scan for
-    /// their rebuilt rows (as opposed to per-row exact rebuilds).
+    /// Number of windowed PSR scans that rewrote rows: at most one per
+    /// mutation.
     pub windowed_scans: usize,
 }
 
@@ -185,7 +173,6 @@ impl DeltaStats {
     pub fn accumulate(&mut self, other: &DeltaStats) {
         self.rows_copied += other.rows_copied;
         self.rows_swapped += other.rows_swapped;
-        self.rows_rescaled += other.rows_rescaled;
         self.rows_rebuilt += other.rows_rebuilt;
         self.rows_dropped += other.rows_dropped;
         self.windowed_scans += other.windowed_scans;
@@ -193,7 +180,7 @@ impl DeltaStats {
 
     /// Total number of rows of the mutated database that were produced.
     pub fn rows_total(&self) -> usize {
-        self.rows_copied + self.rows_swapped + self.rows_rescaled + self.rows_rebuilt
+        self.rows_copied + self.rows_swapped + self.rows_rebuilt
     }
 }
 
@@ -207,8 +194,8 @@ impl DeltaStats {
 ///
 /// Rows ranked above the mutated x-tuple's first alternative are not
 /// touched at all; surviving rows below it and above the new Lemma-2 cut
-/// are compacted forward (a `memmove` when alternatives were dropped),
-/// factor-swapped, rescaled or rebuilt as the module docs describe, and
+/// are zeroed, copied (a `memmove` when alternatives were dropped) or
+/// rewritten by one windowed PSR scan as the module docs describe, and
 /// the rows past the cut are dropped.  The work is O(cut·k + m) plus the
 /// database's own O(n) update.  All validation happens before anything
 /// is mutated, so on `Err` both inputs are unchanged.
@@ -292,9 +279,8 @@ pub fn apply_mutation_in_place(
         rows_dropped: kept.iter().filter(|&&kept| !kept).count(),
         ..DeltaStats::default()
     };
-    // New positions whose update is ill-conditioned; ascending by
-    // construction.
-    let mut ill: Vec<usize> = Vec::new();
+    // New positions the scan rewrites; ascending by construction.
+    let mut rewritten: Vec<usize> = Vec::new();
     rp.reshape(old_n, old_live.max(new_live));
     {
         let (rho, top_k) = rp.parts_mut();
@@ -321,112 +307,56 @@ pub fn apply_mutation_in_place(
                 break;
             }
             let (src, dst) = (pos * k, new_pos * k);
-            if pos >= old_live {
-                // Past the old cut the row was identically zero.  It is
-                // live now because x-tuple l no longer saturates above it
-                // (a removal or a reweight below full mass), which is the
-                // q_old ≈ 1 regime the rebuild owns.
+            if db.tuple(new_pos).prob <= 0.0 {
+                // ρ = eᵢ′ · (…) is identically zero.
                 rho[dst..dst + k].fill(0.0);
                 top_k[new_pos] = 0.0;
-                if db.tuple(new_pos).prob <= 0.0 {
-                    stats.rows_copied += 1;
-                } else {
-                    ill.push(new_pos);
-                }
-            } else if is_own {
-                // The x-tuple's own rows never contained its own factor:
-                // only the leading eᵢ changes.
-                let e_old = old_probs[member_idx];
-                let e_new = new_probs[member_idx];
-                if e_new <= 0.0 {
-                    // ρ = eᵢ′ · (…) is identically zero.
-                    rho[dst..dst + k].fill(0.0);
-                    top_k[new_pos] = 0.0;
-                    stats.rows_rescaled += 1;
-                } else if e_old >= MIN_SCALE_PROB {
-                    let scale = e_new / e_old;
-                    for j in 0..k {
-                        rho[dst + j] = rho[src + j] * scale;
-                    }
-                    top_k[new_pos] = top_k[pos] * scale;
-                    stats.rows_rescaled += 1;
-                } else {
-                    rho[dst..dst + k].fill(0.0);
-                    top_k[new_pos] = 0.0;
-                    ill.push(new_pos);
-                }
-            } else if (q_old - q_new).abs() <= Q_EQUAL_EPSILON || db.tuple(new_pos).prob <= 0.0 {
-                // Unchanged value (a zero-probability row is identically
-                // zero both before and after); move it only if rows above
-                // were dropped.
+                stats.rows_copied += 1;
+            } else if !is_own && pos < old_live && (q_old - q_new).abs() <= Q_EQUAL_EPSILON {
+                // Unchanged value; move it only if rows above were dropped.
                 if shift > 0 {
                     rho.copy_within(src..src + k, dst);
                     top_k[new_pos] = top_k[pos];
                 }
                 stats.rows_copied += 1;
-            } else if q_old <= MAX_DIVISOR_Q {
-                if shift > 0 {
-                    rho.copy_within(src..src + k, dst);
-                }
-                let row = &mut rho[dst..dst + k];
-                if q_old > 0.0 {
-                    poly::divide_binomial_in(row, q_old);
-                    poly::clamp_non_negative_in(row);
-                }
-                if q_new > 0.0 {
-                    poly::multiply_binomial_in(row, q_new);
-                }
-                top_k[new_pos] = row.iter().sum();
-                stats.rows_swapped += 1;
             } else {
+                // The scan writes only the entries PSR makes non-zero.
                 rho[dst..dst + k].fill(0.0);
                 top_k[new_pos] = 0.0;
-                ill.push(new_pos);
+                rewritten.push(new_pos);
             }
         }
     }
     rp.reshape(new_n, new_live);
 
-    rebuild_ill_rows(db, rp, &mut stats, &ill)?;
+    rewrite_rows(db, rp, &mut stats, &rewritten)?;
     pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(new_live as u64);
     Ok(stats)
 }
 
-/// Rebuild the rows at the given (post-mutation, ascending) positions from
-/// the mutated database: per-row exact rebuilds cost O(m·k) each, one
-/// windowed PSR scan costs O(last·k) plus O(|in-flight|·k) per
-/// ill-conditioned step or row it re-forms — pick the cheaper total.  The
-/// choice counts the scan as O(last·k), which holds while each x-tuple's
-/// alternatives sit in a narrow score band (few in flight), including on
-/// null-mass x-tuples that never saturate.
-fn rebuild_ill_rows(
+/// Rewrite the rows at the given (post-mutation, ascending) positions
+/// from the mutated database with one PSR scan over positions
+/// `0..=last`: O(last·k) plus O(|in-flight|·k) per step or row it
+/// re-forms.  The rows must arrive zeroed, and leave bit-identical to a
+/// fresh [`rank_probabilities`](crate::psr::rank_probabilities) run's.
+fn rewrite_rows(
     db: &RankedDatabase,
     rp: &mut RankProbabilities,
     stats: &mut DeltaStats,
-    ill: &[usize],
+    rows: &[usize],
 ) -> Result<()> {
-    let Some(&last) = ill.last() else { return Ok(()) };
+    let Some(&last) = rows.last() else { return Ok(()) };
     let k = rp.k();
-    stats.rows_rebuilt += ill.len();
-    pdb_obs::metrics::ENGINE_REBUILT_ROWS_TOTAL.add(ill.len() as u64);
-    let windowed = ill.len() * db.num_x_tuples() > last + 1;
-    let (rho, top_k) = rp.parts_mut();
-    if windowed {
-        stats.windowed_scans += 1;
-        let mut want = vec![false; last + 1];
-        for &p in ill {
-            want[p] = true;
-        }
-        // The ill rows were zeroed when they were flagged, as the scan
-        // requires.
-        psr::scan_rows_into(db, k, last + 1, |pos| want[pos], rho)?;
-    } else {
-        for &p in ill {
-            let row = psr::exact_row(db, k, p);
-            rho[p * k..(p + 1) * k].copy_from_slice(&row);
-        }
+    stats.rows_rebuilt += rows.len();
+    stats.windowed_scans += 1;
+    pdb_obs::metrics::ENGINE_REBUILT_ROWS_TOTAL.add(rows.len() as u64);
+    let mut want = vec![false; last + 1];
+    for &p in rows {
+        want[p] = true;
     }
-    for &p in ill {
+    let (rho, top_k) = rp.parts_mut();
+    psr::scan_rows_into(db, k, last + 1, |pos| want[pos], rho)?;
+    for &p in rows {
         top_k[p] = rho[p * k..(p + 1) * k].iter().sum();
     }
     Ok(())
@@ -437,13 +367,12 @@ fn rebuild_ill_rows(
 ///
 /// The arriving factor was never part of any stored row, so every
 /// surviving row below the new x-tuple's first alternative takes a single
-/// binomial *multiply* — the always-well-conditioned half of the factor
-/// swap; no divide can go ill here.  The backward pass shifts existing
-/// rows to their post-insert positions (back to front, so the move is
-/// alias-free), the forward pass multiplies the arriving factor in, and
-/// the new x-tuple's own rows — the only ones whose eᵢ-weighted product
-/// the matrix never contained — are rebuilt exactly from the post-insert
-/// database via the shared ill-row machinery.
+/// binomial *multiply*, which never amplifies error.  The backward pass
+/// shifts existing rows to their post-insert positions (back to front, so
+/// the move is alias-free), the forward pass multiplies the arriving
+/// factor in, and the new x-tuple's own rows — the only ones whose
+/// eᵢ-weighted product the matrix never contained — are written by the
+/// same windowed scan the other mutations use.
 fn insert_in_place(
     db: &mut RankedDatabase,
     rp: &mut RankProbabilities,
@@ -504,7 +433,7 @@ fn insert_in_place(
                 member_idx += 1;
             }
             if member_idx < members.len() && members[member_idx] == pos {
-                // The new x-tuple's own row: rebuilt exactly below.
+                // The new x-tuple's own row: the scan writes it below.
                 continue;
             }
             if q_new <= 0.0 || db.tuple(pos).prob <= 0.0 {
@@ -521,7 +450,7 @@ fn insert_in_place(
     }
     rp.reshape(new_n, new_live);
 
-    rebuild_ill_rows(db, rp, &mut stats, &members)?;
+    rewrite_rows(db, rp, &mut stats, &members)?;
     pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(new_live as u64);
     Ok(stats)
 }
@@ -550,10 +479,9 @@ mod tests {
         let stats = DeltaStats {
             rows_copied: 1,
             rows_swapped: 2,
-            rows_rescaled: 3,
-            rows_rebuilt: 4,
-            rows_dropped: 5,
-            windowed_scans: 6,
+            rows_rebuilt: 3,
+            rows_dropped: 4,
+            windowed_scans: 5,
         };
         let json = serde_json::to_string(&stats).unwrap();
         let back: DeltaStats = serde_json::from_str(&json).unwrap();
@@ -711,8 +639,7 @@ mod tests {
     fn shadowed_rows_are_rebuilt_when_a_certain_blocker_drops_out() {
         // One near-certain x-tuple with null mass shadows everything below
         // it at k = 1; collapsing it to null must resurrect those rows,
-        // which requires dividing out a factor with q > MAX_DIVISOR_Q —
-        // i.e. the rebuild path.
+        // whose factor drops from q = 0.99 to 0, so the scan rewrites them.
         let (mut db, mut rp) = evaluated(
             RankedDatabase::from_scored_x_tuples(&[
                 vec![(100.0, 0.99)],
@@ -724,7 +651,9 @@ mod tests {
         );
         let stats =
             apply_mutation_in_place(&mut db, &mut rp, 0, &XTupleMutation::CollapseToNull).unwrap();
-        assert!(stats.rows_rebuilt > 0, "expected the ill-conditioned rebuild path: {stats:?}");
+        // The 30-score tuple now lies past Lemma 2's cut.
+        assert_eq!(stats.rows_rebuilt, 2, "every live row is rewritten: {stats:?}");
+        assert_eq!(stats.windowed_scans, 1, "{stats:?}");
         assert_matches_oracle(&db, &rp, 1e-9);
         // The 50-score tuple now leads the ranking outright.
         assert!((rp.top_k_prob(0) - 0.6).abs() < 1e-9);

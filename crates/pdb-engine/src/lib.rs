@@ -10,12 +10,14 @@
 //!   studies (U-kRanks, PT-k and Global-topk), all answered from the PSR
 //!   output so the same computation can be shared with quality evaluation.
 //! * [`delta`] — incremental re-evaluation: carry a completed PSR result
-//!   across single-x-tuple mutations (probe outcomes) with one divide + one
-//!   multiply per affected row instead of a full O(n·k) rerun.
+//!   across single-x-tuple mutations (probe outcomes), rewriting only the
+//!   rows a mutation changes with one windowed PSR scan instead of a full
+//!   O(n·k) rerun.
 //! * [`batch`] — batched multi-query shared evaluation: one PSR run at
 //!   `k_max` serves a whole set of registered queries through prefix
 //!   snapshots, and one delta pass re-patches them all.
-//! * [`poly`] — the truncated generating-function polynomials PSR maintains.
+//! * [`poly`] — the truncated generating-function polynomial operations
+//!   PSR runs on coefficient slices.
 //! * [`oracle`] — brute-force possible-world oracles used to validate the
 //!   efficient algorithms on small databases.
 //!

@@ -57,7 +57,7 @@
 //! correctness oracle for tests and to quantify the incremental version's
 //! numerical error.
 
-use crate::poly::{clamp_non_negative_in, divide_binomial_in, multiply_binomial_in, TruncatedPoly};
+use crate::poly::{clamp_non_negative_in, divide_binomial_in, multiply_binomial_in};
 use pdb_core::{DbError, RankedDatabase, Result};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -74,9 +74,9 @@ const SATURATION_THRESHOLD: f64 = 1.0 - 1e-12;
 /// well-conditioned regime `q ≤ 0.5` (amplification ≤ 1).  The scan
 /// removes a factor with larger `q` by re-forming the product as the
 /// frozen product times the in-flight factors (see the module docs).
-/// The incremental re-evaluation engine ([`crate::delta`]) applies the
-/// same gate before dividing a mutated x-tuple's factor out of a stored
-/// ρ row, and rebuilds the rows it refuses.
+/// The gate is the scan's alone: the incremental re-evaluation engine
+/// ([`crate::delta`]) never divides a factor out of a stored ρ row; it
+/// rewrites every changed row with this scan.
 pub const MAX_DIVISOR_Q: f64 = 0.5;
 
 /// Read access to rank-probability information for a fixed `k`.
@@ -249,7 +249,7 @@ impl RankProbabilities {
     ///
     /// This is the prefix property the batched evaluation engine
     /// ([`crate::batch`]) builds on: ρᵢ(h) is the degree-(h−1) coefficient
-    /// of a generating-function product, and every [`TruncatedPoly`]
+    /// of a generating-function product, and every [`crate::poly`]
     /// operation (multiply, divide, and the re-form that multiplies the
     /// in-flight factors into a copy of the frozen product) computes
     /// coefficient `j` from coefficients `≤ j` only, while the saturation,
@@ -386,9 +386,8 @@ pub(crate) fn lemma2_cut(db: &RankedDatabase, k: usize) -> usize {
 /// exactly the state the unrestricted scan would use — results are
 /// bit-for-bit identical to the corresponding rows of
 /// [`rank_probabilities`].  The incremental re-evaluation engine
-/// ([`crate::delta`]) relies on this to rebuild only the (typically few)
-/// rows whose mutated factor is too ill-conditioned to divide out of the
-/// stored ρ row.
+/// ([`crate::delta`]) relies on this to rewrite only the rows a mutation
+/// changes, up to the last of them.
 pub(crate) fn scan_rows_into(
     db: &RankedDatabase,
     k: usize,
@@ -571,34 +570,6 @@ pub fn rank_probabilities(db: &RankedDatabase, k: usize) -> Result<RankProbabili
     Ok(RankProbabilities::from_rho(k, db.len(), rho))
 }
 
-/// One tuple's ρ row for the exact reference algorithm: rebuild the
-/// generating-function product from scratch using only the mass ranked
-/// strictly above `pos`. Pure per tuple, so rows can be computed in any
-/// order.
-pub(crate) fn exact_row(db: &RankedDatabase, k: usize, pos: usize) -> Vec<f64> {
-    let t = db.tuple(pos);
-    let mut poly = TruncatedPoly::one(k);
-    for (j, info) in db.x_tuples().enumerate() {
-        if j == t.x_index {
-            continue;
-        }
-        // Accumulate the x-tuple's mass above `pos` with the same
-        // (q + e).min(1.0) fold the incremental scan applies, so the two
-        // algorithms see identical factor values.
-        let mut qj = 0.0;
-        for &member in &info.members {
-            if member >= pos {
-                break;
-            }
-            qj = (qj + db.tuple(member).prob).min(1.0);
-        }
-        if qj > 0.0 {
-            poly.multiply_binomial(qj);
-        }
-    }
-    (1..=k).map(|h| t.prob * poly.coeff(h - 1)).collect()
-}
-
 /// Reference implementation of PSR that rebuilds the generating-function
 /// product for every tuple: O(n·m·k) time, no divisions, no saturation
 /// approximation.  Used as a numerical oracle in tests and available to
@@ -606,6 +577,36 @@ pub(crate) fn exact_row(db: &RankedDatabase, k: usize, pos: usize) -> Vec<f64> {
 /// all `n` rows: without the saturation approximation, the rows past
 /// Lemma 2's cut hold values of order 1e-12 times `k` rather than zeros.
 pub fn rank_probabilities_exact(db: &RankedDatabase, k: usize) -> Result<RankProbabilities> {
+    /// One tuple's ρ row: the product rebuilt from scratch out of the mass
+    /// ranked strictly above `pos`.
+    fn exact_row(db: &RankedDatabase, k: usize, pos: usize) -> Vec<f64> {
+        let t = db.tuple(pos);
+        let mut poly = vec![0.0; k];
+        poly[0] = 1.0;
+        for (j, info) in db.x_tuples().enumerate() {
+            if j == t.x_index {
+                continue;
+            }
+            // Accumulate the x-tuple's mass above `pos` with the same
+            // (q + e).min(1.0) fold the incremental scan applies, so the
+            // two algorithms see identical factor values.
+            let mut qj = 0.0;
+            for &member in &info.members {
+                if member >= pos {
+                    break;
+                }
+                qj = (qj + db.tuple(member).prob).min(1.0);
+            }
+            if qj > 0.0 {
+                multiply_binomial_in(&mut poly, qj);
+            }
+        }
+        for c in poly.iter_mut() {
+            *c *= t.prob;
+        }
+        poly
+    }
+
     validate_k(db, k)?;
     let mut rho = Vec::with_capacity(db.len() * k);
     for pos in 0..db.len() {

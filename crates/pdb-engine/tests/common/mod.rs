@@ -109,9 +109,29 @@ pub fn resolve_cut_step(
     }
 }
 
+/// Every ρ entry and every top-k probability of `rp` within 1e-12 of a
+/// fresh PSR run on `db`: the delta pass rewrites every changed row with
+/// the PSR scan itself, so a chain of mutations accumulates no error.
+#[allow(dead_code)]
+pub fn assert_matches_fresh(db: &RankedDatabase, rp: &RankProbabilities, context: &str) {
+    let fresh = rank_probabilities(db, rp.k()).unwrap();
+    for pos in 0..db.len() {
+        for h in 1..=rp.k() {
+            let (got, want) = (rp.rank_prob(pos, h), fresh.rank_prob(pos, h));
+            assert!(
+                (got - want).abs() <= 1e-12,
+                "{context}: pos {pos} h {h}: {got} vs fresh {want}"
+            );
+        }
+        let (got, want) = (rp.top_k_prob(pos), fresh.top_k_prob(pos));
+        assert!((got - want).abs() <= 1e-12, "{context}: pos {pos} p: {got} vs fresh {want}");
+    }
+}
+
 /// The stored matrix after a mutation: exactly as many rows as a fresh
-/// PSR run stores, every entry (stored or past the prefix) within `tol`
-/// of the exact oracle, and the oracle's rows past the prefix zero up to
+/// PSR run stores, every entry and top-k probability within 1e-12 of that
+/// run's, every entry (stored or past the prefix) within `tol` of the
+/// exact oracle, and the oracle's rows past the prefix zero up to
 /// the mass saturated x-tuples may miss (< 1e-12 each).
 #[allow(dead_code)]
 pub fn assert_live_prefix_matches_exact(
@@ -123,6 +143,7 @@ pub fn assert_live_prefix_matches_exact(
     let k = rp.k();
     let fresh = rank_probabilities(db, k).unwrap();
     assert_eq!(rp.live_rows(), fresh.live_rows(), "{context}: stored rows vs a fresh PSR run");
+    assert_matches_fresh(db, rp, context);
     assert_eq!(rp.num_tuples(), db.len(), "{context}: the matrix covers every tuple");
     let oracle = rank_probabilities_exact(db, k).unwrap();
     for pos in 0..db.len() {

@@ -3,16 +3,15 @@
 //!
 //! A one-query [`BatchEvaluation`] (the type the server runs) promises
 //! that, after any sequence of single-x-tuple mutations, its master rank
-//! probabilities match what
-//! [`rank_probabilities_exact`] computes from scratch on the mutated
-//! database within the documented tolerance (rebuilt rows match the
-//! incremental scan bit-for-bit; factor-swapped rows accumulate one
-//! divide + one multiply of floating-point error per mutation).  These
-//! tests pin that promise across proptest-generated collapse / reweight
-//! sequences (including clustered null-mass databases, whose heavy
-//! factors send many rows to the rebuild) and on deterministic databases
-//! that force the saturated and ill-conditioned (`q > MAX_DIVISOR_Q`)
-//! rebuild paths.
+//! probabilities match what [`rank_probabilities`] computes from scratch
+//! on the mutated database to 1e-12 (rewritten rows match the PSR scan
+//! bit for bit, and copied rows keep the value an earlier scan wrote),
+//! and what [`rank_probabilities_exact`] computes within the documented
+//! tolerance.  These tests pin that promise across proptest-generated
+//! collapse / reweight sequences (including clustered null-mass
+//! databases, whose heavy factors make the scan re-form its product) and
+//! on deterministic databases that force the saturated and
+//! heavy-factor (`q > MAX_DIVISOR_Q`) regimes.
 
 use pdb_core::RankedDatabase;
 use pdb_engine::batch::BatchEvaluation;
@@ -36,6 +35,7 @@ fn evaluation(db: RankedDatabase, k: usize) -> BatchEvaluation<'static> {
 fn assert_matches_exact(eval: &BatchEvaluation<'_>, tol: f64, context: &str) {
     let db = eval.database();
     let rp = eval.master();
+    common::assert_matches_fresh(db, rp, context);
     let oracle = rank_probabilities_exact(db, rp.k()).unwrap();
     for pos in 0..db.len() {
         for h in 1..=rp.k() {
@@ -110,8 +110,8 @@ fn db() -> impl Strategy<Value = RankedDatabase> {
 }
 
 /// An adversarial database family: clustered scores and near-certain
-/// alternatives drive the PSR saturation machinery and make the divided
-/// factors heavy, exercising the `q > MAX_DIVISOR_Q` rebuild paths.
+/// alternatives drive the PSR saturation machinery and make the mutated
+/// factors heavy (`q > MAX_DIVISOR_Q`).
 fn adversarial_db() -> impl Strategy<Value = RankedDatabase> {
     // The raw probability draw is bimodal: half the x-tuples are
     // near-certain (0.85..1.0), the rest are light (0.01..0.3).
@@ -146,9 +146,8 @@ proptest! {
         }
     }
 
-    /// Near-certain single-alternative databases force saturation and the
-    /// ill-conditioned rebuild fallbacks; the delta path must still track
-    /// the oracle.
+    /// Near-certain single-alternative databases force saturation and
+    /// heavy factors; the delta path must still track the oracle.
     #[test]
     fn adversarial_sequences_match_the_exact_oracle(
         db in adversarial_db(),
@@ -163,9 +162,9 @@ proptest! {
         }
     }
 
-    /// Clustered null-mass databases push most divided factors above
-    /// `MAX_DIVISOR_Q`, so mutations rebuild many rows, often through
-    /// the windowed scan's frozen × in-flight re-forms.
+    /// Clustered null-mass databases push most factors above
+    /// `MAX_DIVISOR_Q`, so the scan that rewrites the changed rows often
+    /// re-forms its product from the frozen and in-flight factors.
     #[test]
     fn clustered_null_mass_sequences_match_the_exact_oracle(
         db in common::clustered_null_mass_db(),
@@ -207,8 +206,8 @@ proptest! {
     /// reweight below full mass of an x-tuple that saturates above the cut
     /// moves the cut down, and its newly live rows must be rebuilt; a
     /// collapse moves it up and rows leave storage.  After every step the
-    /// stored prefix is exactly a fresh run's and every row matches the
-    /// exact oracle.
+    /// stored prefix is exactly a fresh run's and every row matches a
+    /// fresh run and the exact oracle.
     #[test]
     fn mutations_that_move_the_cut_match_the_exact_oracle(
         (db, k) in common::complete_db_with_inner_cut(),
@@ -231,12 +230,22 @@ proptest! {
     }
 }
 
+/// Every stored row of `eval`'s master is a fresh PSR run's row, bit for
+/// bit.
+fn assert_bit_identical_to_a_fresh_run(eval: &BatchEvaluation<'_>) {
+    let (db, rp) = (eval.database(), eval.master());
+    let fresh = rank_probabilities(db, rp.k()).unwrap();
+    let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for pos in 0..db.len() {
+        assert_eq!(bits(&rp.rank_probs(pos)), bits(&fresh.rank_probs(pos)), "row {pos}");
+    }
+}
+
 #[test]
 fn windowed_scan_handles_a_mass_resurrection() {
     // A near-certain blocker shadows thirty single-alternative x-tuples at
-    // k = 2; collapsing it to null makes every shadowed row ill-conditioned
-    // (divided factor q = 0.99 > MAX_DIVISOR_Q) at once, which must select
-    // the windowed-scan rebuild over thirty O(m·k) exact rebuilds.
+    // k = 2; collapsing it to null drops its factor from q = 0.99 to 0
+    // below it, so one windowed scan rewrites every shadowed row.
     let mut x = vec![vec![(1000.0, 0.99)], vec![(999.0, 0.99)]];
     for i in 0..30 {
         x.push(vec![(500.0 - i as f64, 0.5)]);
@@ -254,18 +263,14 @@ fn windowed_scan_handles_a_mass_resurrection() {
     }
     // The windowed scan shares the full PSR scan's arithmetic, so its rows
     // are the fresh run's rows bit for bit.
-    let fresh = rank_probabilities(db2, 2).unwrap();
-    for pos in 0..db2.len() {
-        let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&rp2.rank_probs(pos)), bits(&fresh.rank_probs(pos)), "row {pos}");
-    }
+    assert_bit_identical_to_a_fresh_run(&eval);
 }
 
 #[test]
-fn few_ill_rows_use_the_per_row_exact_rebuild() {
-    // Many well-conditioned rows above the blocker, only two shadowed rows
-    // below it: per-row exact rebuilds are cheaper than scanning the whole
-    // prefix, so no windowed scan must run.
+fn rows_rewritten_below_a_long_prefix_match_a_fresh_run_bit_for_bit() {
+    // Many rows above the blocker, only two shadowed rows below it: the
+    // scan advances through the whole prefix but writes just those two,
+    // and they come out as a fresh run's rows.
     let mut x: Vec<Vec<(f64, f64)>> = Vec::new();
     for i in 0..12 {
         x.push(vec![(1000.0 - i as f64, 0.3), (500.0 - i as f64, 0.3), (100.0 - i as f64, 0.2)]);
@@ -277,11 +282,11 @@ fn few_ill_rows_use_the_per_row_exact_rebuild() {
     let stats = eval.apply_collapse_in_place(12, &XTupleMutation::CollapseToNull).unwrap();
     let (db2, rp2) = (eval.database(), eval.master());
     assert_eq!(stats.rows_rebuilt, 2, "{stats:?}");
-    assert_eq!(stats.windowed_scans, 0, "{stats:?}");
     let oracle = rank_probabilities_exact(db2, 1).unwrap();
     for pos in 0..db2.len() {
         assert!((rp2.rank_prob(pos, 1) - oracle.rank_prob(pos, 1)).abs() < 1e-9);
     }
+    assert_bit_identical_to_a_fresh_run(&eval);
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //! `delta_equivalence.rs` for the new membership mutations: after any
 //! interleaving of inserts, removes, collapses and reweights, the
 //! incrementally patched ρ matrix must match a fresh PSR run on the
-//! mutated database within the documented tolerance — including the
-//! awkward corners (shrinking towards empty, `k >= n` crossings in both
+//! mutated database to 1e-12, and the exact oracle within the documented
+//! tolerance — including the awkward corners (shrinking towards empty, `k >= n` crossings in both
 //! directions, and re-inserting an entity that was just removed).
 //!
 //! [`Insert`]: XTupleMutation::Insert
@@ -38,6 +38,7 @@ fn assert_matches_exact(eval: &BatchEvaluation<'_>, tol: f64, context: &str) {
     let db = eval.database();
     let rp = eval.master();
     assert_eq!(rp.num_tuples(), db.len(), "{context}: ρ matrix tracks the database size");
+    common::assert_matches_fresh(db, rp, context);
     let oracle = rank_probabilities_exact(db, rp.k()).unwrap();
     for pos in 0..db.len() {
         for h in 1..=rp.k() {
@@ -126,8 +127,8 @@ fn db() -> impl Strategy<Value = RankedDatabase> {
 }
 
 /// An adversarial database family: clustered scores and near-certain
-/// alternatives make the divided factors heavy, so inserts and removes
-/// land next to the ill-conditioned (`q > MAX_DIVISOR_Q`) rebuild paths.
+/// alternatives make the mutated factors heavy (`q > MAX_DIVISOR_Q`), so
+/// inserts and removes land next to saturated and re-formed rows.
 fn adversarial_db() -> impl Strategy<Value = RankedDatabase> {
     vec((0.0f64..5.0, 0.0f64..1.0), 3..10).prop_map(|alts| {
         let x: Vec<Vec<(f64, f64)>> = alts
@@ -160,9 +161,9 @@ proptest! {
         }
     }
 
-    /// Near-certain single-alternative databases force the saturated and
-    /// ill-conditioned fallbacks; streaming membership changes must still
-    /// track the oracle there.
+    /// Near-certain single-alternative databases force saturation and
+    /// heavy factors; streaming membership changes must still track the
+    /// oracle there.
     #[test]
     fn adversarial_streaming_sequences_match_the_exact_oracle(
         db in adversarial_db(),
@@ -178,7 +179,7 @@ proptest! {
     }
 
     /// Clustered null-mass databases: inserts, removes and reweights
-    /// next to x-tuples that never saturate, so many rows are rebuilt,
+    /// next to x-tuples that never saturate, so many rows are rewritten,
     /// often through the windowed scan's frozen × in-flight re-forms.
     #[test]
     fn clustered_null_mass_streaming_sequences_match_the_exact_oracle(

@@ -51,7 +51,7 @@ fn push_pair(
     series[1].1.push((x, *full_ms));
     result.push_note(format!(
         "x = {x}: incremental {:.2} ms / full-rebuild {:.2} ms ({:.1}x); \
-         probes {} vs {}, improvement {:.4} vs {:.4}; delta rows: {} swapped, {} copied, {} rebuilt",
+         probes {} vs {}, improvement {:.4} vs {:.4}; delta rows: {} rewritten, {} copied",
         inc_ms,
         full_ms,
         full_ms / inc_ms.max(1e-9),
@@ -59,9 +59,8 @@ fn push_pair(
         full.probes,
         inc.improvement(),
         full.improvement(),
-        inc.delta_stats.rows_swapped,
-        inc.delta_stats.rows_copied,
         inc.delta_stats.rows_rebuilt,
+        inc.delta_stats.rows_copied,
     ));
 }
 

@@ -75,7 +75,7 @@ pub static WAL_DEGRADED: Gauge = Gauge::new();
 pub static ENGINE_PSR_RUNS_TOTAL: Counter = Counter::new();
 /// Mutations folded in incrementally by the delta kernel.
 pub static ENGINE_DELTA_PATCHES_TOTAL: Counter = Counter::new();
-/// Ill-conditioned rows rebuilt exactly inside delta patches.
+/// Rows rewritten by the windowed PSR scan inside delta patches.
 pub static ENGINE_REBUILT_ROWS_TOTAL: Counter = Counter::new();
 /// Positions the PSR scan advanced through, full or windowed.
 pub static ENGINE_PSR_ROWS_SCANNED_TOTAL: Counter = Counter::new();
@@ -172,7 +172,7 @@ static REGISTRY: [MetricDef; 17] = [
     },
     MetricDef {
         name: names::ENGINE_REBUILT_ROWS_TOTAL,
-        help: "ill-conditioned rows rebuilt exactly inside delta patches",
+        help: "rows rewritten by the windowed PSR scan inside delta patches",
         series: SeriesRef::Counter(&ENGINE_REBUILT_ROWS_TOTAL),
     },
     MetricDef {

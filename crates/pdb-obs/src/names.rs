@@ -34,7 +34,7 @@ pub const WAL_DEGRADED: &str = "wal_degraded";
 pub const ENGINE_PSR_RUNS_TOTAL: &str = "engine_psr_runs_total";
 /// Mutations folded in via the incremental delta kernel (counter).
 pub const ENGINE_DELTA_PATCHES_TOTAL: &str = "engine_delta_patches_total";
-/// Ill-conditioned rows the delta kernel rebuilt exactly (counter).
+/// Rows the delta kernel rewrote with the windowed PSR scan (counter).
 pub const ENGINE_REBUILT_ROWS_TOTAL: &str = "engine_rebuilt_rows_total";
 /// Positions the PSR scan advanced through, full or windowed (counter).
 pub const ENGINE_PSR_ROWS_SCANNED_TOTAL: &str = "engine_psr_rows_scanned_total";

@@ -138,7 +138,8 @@ pub struct SessionRef {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalMode {
     /// One in-place delta pass on the shared master matrix (the session
-    /// path: O(k_max) per affected row, shared by every registered query).
+    /// path: one windowed PSR scan to the last changed row, shared by
+    /// every registered query).
     Delta,
 }
 

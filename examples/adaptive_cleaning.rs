@@ -43,8 +43,8 @@ fn main() {
     let mut static_total = 0.0;
     let mut adaptive_total = 0.0;
     let mut adaptive_probes = 0u64;
-    let mut swapped = 0usize;
-    let mut rebuilt = 0usize;
+    let mut rewritten = 0usize;
+    let mut copied = 0usize;
     let mut mode_times = [0.0f64; 2];
     for trial in 0..trials {
         let mut rng = StdRng::seed_from_u64(trial);
@@ -64,8 +64,8 @@ fn main() {
             if *mode == ReplanMode::Incremental {
                 adaptive_total += outcome.improvement();
                 adaptive_probes += outcome.probes;
-                swapped += outcome.delta_stats.rows_swapped;
-                rebuilt += outcome.delta_stats.rows_rebuilt;
+                rewritten += outcome.delta_stats.rows_rebuilt;
+                copied += outcome.delta_stats.rows_copied;
             }
         }
     }
@@ -81,9 +81,9 @@ fn main() {
     println!("  incremental deltas  : {:.2} ms  (one PSR run per session)", mode_times[0] / t);
     println!("  full rebuilds       : {:.2} ms  (one PSR run per probe)", mode_times[1] / t);
     println!(
-        "  delta rows per campaign: {:.1} factor-swapped, {:.1} rebuilt",
-        swapped as f64 / t,
-        rebuilt as f64 / t
+        "  delta rows per campaign: {:.1} rewritten, {:.1} copied",
+        rewritten as f64 / t,
+        copied as f64 / t
     );
     println!("\nThe adaptive policy redirects budget away from already-cleaned or");
     println!("hopeless entities, so its realised improvement is at least the static plan's.");

@@ -183,3 +183,99 @@ fn psr_stores_a_small_live_prefix_on_the_synthetic_dataset() {
     assert_eq!(batch.combined_top_k_probs().len(), rp.live_rows());
     assert!((batch.aggregate_quality() - quality_tp(&db, k).unwrap()).abs() < 1e-9);
 }
+
+/// A probe outcome drawn from x-tuple `l`'s own distribution: a collapse
+/// to one of its alternatives, or to null with its null mass.
+fn sample_outcome(db: &RankedDatabase, l: usize, rng: &mut StdRng) -> XTupleMutation {
+    let info = db.x_tuple(l);
+    let u: f64 = rng.gen();
+    let mut acc = 0.0;
+    for &pos in &info.members {
+        acc += db.tuple(pos).prob;
+        if u < acc {
+            return XTupleMutation::CollapseToAlternative { keep_pos: pos };
+        }
+    }
+    if info.null_prob() > uncertain_topk::core::PROB_EPSILON {
+        XTupleMutation::CollapseToNull
+    } else {
+        // A complete x-tuple's masses may sum to 1 − a few ulps.
+        XTupleMutation::CollapseToAlternative { keep_pos: *info.members.last().unwrap() }
+    }
+}
+
+/// Run `steps` recommended collapses on `db` the way a cleaning session
+/// does, and return the largest distance of the delta-maintained master
+/// matrix from a fresh PSR run on the final database: over every ρ entry
+/// and over every top-k probability.
+fn collapse_chain_drift(db: RankedDatabase, seed: u64, steps: usize) -> (f64, f64) {
+    let specs = vec![
+        WeightedQuery::new(TopKQuery::UKRanks { k: 5 }),
+        WeightedQuery::new(TopKQuery::PTk { k: 15, threshold: 0.1 }),
+        WeightedQuery::new(TopKQuery::GlobalTopk { k: 50 }),
+    ];
+    let mut batch = BatchQuality::from_owned(db, specs).unwrap();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for _ in 0..steps {
+        let ctx = CleaningContext::from_batch(&batch);
+        let setup = CleaningSetup::uniform(ctx.num_x_tuples(), 1, 0.5).unwrap();
+        let Some((l, _)) = best_single_probe(&ctx, &setup) else { break };
+        let mutation = sample_outcome(batch.database(), l, &mut rng);
+        batch.apply_collapse_in_place(l, &mutation).unwrap();
+    }
+    let (db, master) = (batch.database(), batch.evaluation().master());
+    let fresh = rank_probabilities(db, master.k()).unwrap();
+    let (mut rho_err, mut p_err) = (0.0f64, 0.0f64);
+    for pos in 0..db.len() {
+        for h in 1..=master.k() {
+            rho_err = rho_err.max((master.rank_prob(pos, h) - fresh.rank_prob(pos, h)).abs());
+        }
+        p_err = p_err.max((master.top_k_prob(pos) - fresh.top_k_prob(pos)).abs());
+    }
+    (rho_err, p_err)
+}
+
+/// Chains of 50 recommended collapses, one per seed, on the database
+/// `db(seed)` builds: at the end of each, every ρ entry and every top-k
+/// probability lies within 1e-12 of a fresh PSR run.  A delta pass that
+/// patches stored rows instead of rewriting them drifts past that on some
+/// of the complete chains.
+fn assert_collapse_chains_stay_exact(name: &str, db: impl Fn(u64) -> RankedDatabase) {
+    for seed in 0..8 {
+        let (rho_err, p_err) = collapse_chain_drift(db(seed), seed, 50);
+        assert!(
+            rho_err <= 1e-12 && p_err <= 1e-12,
+            "{name} seed {seed}: ρ off by {rho_err:e}, p off by {p_err:e}"
+        );
+    }
+}
+
+#[test]
+fn collapse_chains_on_complete_synthetic_data_stay_exact() {
+    // The paper's synthetic data at 10⁴ tuples: Lemma 2 cuts the table.
+    assert_collapse_chains_stay_exact("complete", |seed| {
+        let config = SyntheticConfig { seed, ..SyntheticConfig::with_total_tuples(10_000) };
+        uncertain_topk::gen::synthetic::generate_ranked(&config).unwrap()
+    });
+}
+
+#[test]
+fn collapse_chains_on_null_mass_synthetic_data_stay_exact() {
+    // The same generator's x-tuples at 3·10³ tuples, rescaled to totals in
+    // [0.6, 0.99): nothing saturates, so every row is live.
+    assert_collapse_chains_stay_exact("null mass", |seed| {
+        let config = SyntheticConfig { seed, ..SyntheticConfig::with_total_tuples(3_000) };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x_tuples: Vec<Vec<(f64, f64)>> = uncertain_topk::gen::synthetic::generate(&config)
+            .unwrap()
+            .x_tuples()
+            .iter()
+            .map(|xt| {
+                let total = rng.gen_range(0.6..0.99);
+                let mass: f64 = xt.iter().map(|t| t.prob).sum();
+                xt.iter().map(|t| (t.payload, t.prob * total / mass)).collect()
+            })
+            .collect();
+        RankedDatabase::from_scored_x_tuples(&x_tuples).unwrap()
+    });
+}
