@@ -1,25 +1,18 @@
-//! Group commit vs per-record WAL flushing: the fleet's durability
-//! trade-off, measured at the store layer where it lives.  Four writer
-//! threads — standing in for a shard's worker threads acknowledging
-//! concurrent sessions — each append 16 probe records per iteration:
+//! Contended durable appends: the fleet's journal cost, measured at the
+//! store layer where it lives.  Four writer threads — standing in for a
+//! shard's worker threads acknowledging concurrent sessions — each append
+//! 16 probe records per iteration (`wal_append/group_commit`): the
+//! store's flusher batches the appends and pays one fsync per window
+//! while every writer blocks until the sync covering its record
+//! completes.
 //!
-//! * `wal_append/per_record` — `FlushPolicy::PerRecord`, one fsync per
-//!   record before the append returns (the durability oracle every
-//!   recovery test runs against);
-//! * `wal_append/group_commit` — `FlushPolicy::GroupCommit`, a dedicated
-//!   flusher batches the appends and pays one fsync per window while
-//!   every writer still blocks until the sync covering its record
-//!   completes.
-//!
-//! Same acknowledged-implies-durable contract, so group commit must win
-//! on fsync count alone; the `fleet-smoke` CI job runs this target in
-//! quick mode, asserts the direction, and tracks the medians as
-//! `BENCH_fleet.json`.  The WAL lives on a real filesystem (beware:
-//! on a tmpfs `/tmp` fsync is nearly free and the gap collapses).
+//! The `fleet-smoke` CI job runs this target in quick mode and tracks the
+//! median as `BENCH_fleet.json`.  The WAL lives on a real filesystem
+//! (beware: on a tmpfs `/tmp` fsync is nearly free).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pdb_engine::delta::XTupleMutation;
-use pdb_store::{FlushPolicy, Store, WalRecord};
+use pdb_store::{Store, WalRecord};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -51,25 +44,17 @@ fn bench_fleet_throughput(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(2));
 
-    let base = std::env::temp_dir().join(format!("pdb-bench-fleet-{}", std::process::id()));
-    std::fs::remove_dir_all(&base).ok();
-
-    for (name, policy) in [
-        ("per_record", FlushPolicy::PerRecord),
-        // max_wait 0: fsync as soon as the device is free — batches form
-        // from the records that accrue while the previous fsync runs,
-        // without taxing every commit with an artificial linger.
-        ("group_commit", FlushPolicy::GroupCommit { max_batch: 64, max_wait: Duration::ZERO }),
-    ] {
-        let dir = base.join(name);
-        std::fs::create_dir_all(&dir).unwrap();
-        let (store, _recovery) =
-            Store::open_with_policy(&dir, policy, &pdb_gen::build_dataset).expect("open store");
-        group.bench_function(format!("wal_append/{name}"), |b| b.iter(|| append_burst(&store)));
-    }
+    let dir = std::env::temp_dir().join(format!("pdb-bench-fleet-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    // The default policy, whose max_wait 0 fsyncs as soon as the device
+    // is free: batches form from the records that accrue while the
+    // previous fsync runs, without taxing every commit with a linger.
+    let (store, _recovery) = Store::open(&dir, &pdb_gen::build_dataset).expect("open store");
+    group.bench_function("wal_append/group_commit", |b| b.iter(|| append_burst(&store)));
+    drop(store);
 
     group.finish();
-    std::fs::remove_dir_all(&base).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 criterion_group!(benches, bench_fleet_throughput);

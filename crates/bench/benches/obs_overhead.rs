@@ -40,7 +40,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let server = Server::bind(&ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        shards: 4,
         ..ServerConfig::default()
     })
     .expect("bind ephemeral port");

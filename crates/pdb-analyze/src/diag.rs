@@ -21,7 +21,7 @@ pub const LINTS: &[&str] = &[
 /// One-line description per lint, in [`LINTS`] order (`--list-lints`).
 pub const LINT_DOCS: &[(&str, &str)] = &[
     ("panic-path", "no unwrap/expect/panic!/indexing on request, replay, or CLI paths (interprocedural: reachable panics count)"),
-    ("lock-order", "shard-map guard must drop before a session Mutex is taken (interprocedural: callees that lock count)"),
+    ("lock-order", "session-map guard must drop before a session Mutex is taken (interprocedural: callees that lock count)"),
     ("durability-pattern", "published files must be written tmp + fsync + rename"),
     ("float-eq", "no ==/!= on probability floats; compare with an epsilon"),
     ("forbid-unsafe", "every crate root must carry #![forbid(unsafe_code)]"),

@@ -10,9 +10,9 @@
 //!   `sync_all`/`sync_data` call *and* a `rename` call, otherwise the
 //!   `File::create` is flagged.
 //!
-//! Append-mode opens (`OpenOptions`) are not matched by the pattern; the
-//! WAL's append path carries its own fsync and is covered by the
-//! recovery test suite.
+//! Append-mode opens (`OpenOptions`) are not matched by the pattern: the
+//! store's group-commit flusher fsyncs every WAL append before it is
+//! acknowledged, and the recovery test suite covers that path.
 
 use crate::diag::Diagnostic;
 use crate::lexer::{SourceFile, TokenKind};

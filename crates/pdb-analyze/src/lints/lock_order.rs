@@ -1,10 +1,10 @@
-//! **lock-order**: a shard-map lock guard (`RwLock` `read()`/`write()`)
+//! **lock-order**: a session-map lock guard (`RwLock` `read()`/`write()`)
 //! must not be live when a per-session `Mutex` is taken (`.lock()`).
 //!
 //! The server's deadlock-freedom argument (see
-//! `pdb-server/src/session.rs`) is exactly this ordering: shard-map locks
-//! are only held for map operations, and every session `Mutex` is locked
-//! *after* the shard guard is dropped.  The lint enforces the argument
+//! `pdb-server/src/session.rs`) is exactly this ordering: the map lock is
+//! only held for map operations, and every session `Mutex` is locked
+//! *after* the map guard is dropped.  The lint enforces the argument
 //! per function body:
 //!
 //! - a `let` binding whose initializer ends in `.read()`/`.write()`
@@ -16,7 +16,7 @@
 //! - any `.lock()` while a guard is live is a violation.
 //!
 //! `try_lock()` is not flagged: it cannot block, so it cannot deadlock
-//! against the shard guard.
+//! against the map guard.
 
 use crate::diag::Diagnostic;
 use crate::lexer::{SourceFile, TokenKind};
@@ -44,7 +44,7 @@ pub fn check(file: &SourceFile, ctx: &FileContext) -> Vec<Diagnostic> {
 /// The interprocedural form: `takes_lock(name)` answers whether a callee
 /// named `name` *transitively* ends up in `.lock()` (the workspace pass
 /// feeds the fixpoint summaries in here).  A call to such a function
-/// while a shard guard is live deadlocks exactly like an inline
+/// while a map guard is live deadlocks exactly like an inline
 /// `.lock()` — the lock is merely one stack frame further down.
 pub fn check_with(
     file: &SourceFile,
@@ -158,8 +158,8 @@ fn check_body(
                             &file.path,
                             t.line,
                             format!(
-                                ".lock() taken while shard guard `{}` (line {}) is live; \
-                                 drop the shard guard first",
+                                ".lock() taken while map guard `{}` (line {}) is live; \
+                                 drop the map guard first",
                                 g.name, g.line
                             ),
                         ));
@@ -168,7 +168,7 @@ fn check_body(
                             "lock-order",
                             &file.path,
                             t.line,
-                            ".lock() taken in the same statement as a shard read()/write() \
+                            ".lock() taken in the same statement as a map read()/write() \
                              guard; split the statement so the guard drops first",
                         ));
                     }
@@ -183,8 +183,8 @@ fn check_body(
                             &file.path,
                             t.line,
                             format!(
-                                "`{name}(...)` takes a session lock transitively while shard \
-                                 guard `{}` (line {}) is live; drop the shard guard first",
+                                "`{name}(...)` takes a session lock transitively while map \
+                                 guard `{}` (line {}) is live; drop the map guard first",
                                 g.name, g.line
                             ),
                         ));
@@ -195,7 +195,7 @@ fn check_body(
                             t.line,
                             format!(
                                 "`{name}(...)` takes a session lock transitively in the same \
-                                 statement as a shard read()/write() guard; split the statement \
+                                 statement as a map read()/write() guard; split the statement \
                                  so the guard drops first"
                             ),
                         ));

@@ -4,6 +4,8 @@
 //! reported rather than ignored.
 
 use pdb_experiments::Scale;
+use pdb_store::FlushPolicy;
+use std::time::Duration;
 
 /// Usage text printed on parse errors and for `pdb help`.
 pub const USAGE: &str = "usage:
@@ -14,10 +16,10 @@ pub const USAGE: &str = "usage:
   pdb clean [--dataset synthetic|mov|udb1] [--k <k>] [--budget <C>] [--algo greedy|dp|randp|randu] [--json]
   pdb adaptive [--dataset synthetic|mov|udb1] [--k <k>] [--budget <C>] [--trials <t>] [--mode incremental|rebuild|both]
   pdb batch [--dataset synthetic|mov|udb1] [--ks <k1,k2,...>] [--weights <w1,w2,...>] [--threshold <T>] [--budget <C>]
-  pdb serve [--addr <host:port>] [--threads <n>] [--shards <n>] [--store-dir <dir>] [--compact-every <n>]
-            [--flush per-record|group-commit] [--flush-batch <n>] [--flush-wait-ms <ms>]
+  pdb serve [--addr <host:port>] [--threads <n>] [--store-dir <dir>] [--compact-every <n>]
+            [--flush group-commit] [--flush-batch <n>] [--flush-wait-ms <ms>]
   pdb fleet serve [--addr <host:port>] [--shards <n>] [--threads <n per shard>] [--store-dir <dir>]
-                  [--compact-every <n>] [--flush per-record|group-commit] [--flush-batch <n>] [--flush-wait-ms <ms>]
+                  [--compact-every <n>] [--flush group-commit] [--flush-batch <n>] [--flush-wait-ms <ms>]
   pdb fleet status [--addr <host:port>]
   pdb metrics [--addr <host:port>] [--text]
   pdb call <request-json | -> [--addr <host:port>] [--timing]   (- streams stdin lines over one connection)
@@ -121,14 +123,12 @@ pub enum Command {
         addr: String,
         /// Worker threads handling connections.
         threads: usize,
-        /// Shards of the session store.
-        shards: usize,
         /// Durable store directory (sessions journalled + recovered).
         store_dir: Option<String>,
         /// Auto-compaction threshold in WAL records (0 disables).
         compact_every: u64,
-        /// How journal appends reach disk.
-        flush: FlushChoice,
+        /// How the journal's group-commit flusher batches fsyncs.
+        flush: FlushPolicy,
     },
     /// `pdb fleet ...`
     Fleet {
@@ -198,25 +198,6 @@ pub enum Command {
     },
 }
 
-/// How `pdb serve` / `pdb fleet serve` flush journal appends (the CLI
-/// face of `pdb_store::FlushPolicy`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushChoice {
-    /// fsync every record before acknowledging it (the default, and the
-    /// durability oracle).
-    PerRecord,
-    /// Batch concurrent appends into one fsync per window.
-    GroupCommit {
-        /// Largest batch one fsync may cover.
-        max_batch: usize,
-        /// Optional linger for a fuller batch, in ms.  Zero (the
-        /// default) fsyncs as soon as the device is free — batches
-        /// still form from the appends that land during the previous
-        /// fsync.
-        max_wait_ms: u64,
-    },
-}
-
 /// Which fleet operation `pdb fleet` runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FleetOp {
@@ -233,8 +214,8 @@ pub enum FleetOp {
         store_dir: Option<String>,
         /// Per-shard auto-compaction threshold (0 disables).
         compact_every: u64,
-        /// Per-shard journal flush policy.
-        flush: FlushChoice,
+        /// How each shard's group-commit flusher batches fsyncs.
+        flush: FlushPolicy,
     },
     /// `pdb fleet status`: aggregated `stats` from a running router.
     Status {
@@ -360,7 +341,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         "serve" => {
             let mut addr = "127.0.0.1:7878".to_string();
             let mut threads = 4;
-            let mut shards = 8;
             let mut store_dir = None;
             let mut compact_every = 1024;
             let mut flush = FlushFlags::default();
@@ -371,7 +351,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     "--threads" => {
                         threads = parse_usize(flags.value_for("--threads")?, "--threads")?
                     }
-                    "--shards" => shards = parse_usize(flags.value_for("--shards")?, "--shards")?,
                     "--store-dir" => store_dir = Some(flags.value_for("--store-dir")?.to_string()),
                     "--compact-every" => {
                         compact_every =
@@ -382,11 +361,11 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     other => return Err(format!("unknown flag {other:?}")),
                 }
             }
-            if threads == 0 || shards == 0 {
-                return Err("--threads and --shards must be at least 1".to_string());
+            if threads == 0 {
+                return Err("--threads must be at least 1".to_string());
             }
             let flush = flush.resolve()?;
-            Ok(Command::Serve { addr, threads, shards, store_dir, compact_every, flush })
+            Ok(Command::Serve { addr, threads, store_dir, compact_every, flush })
         }
         "fleet" => {
             let (op_name, rest) = rest
@@ -647,8 +626,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
 }
 
 /// The three `--flush*` flags shared by `serve` and `fleet serve`,
-/// collected while scanning and validated together afterwards (the batch
-/// and wait knobs only make sense for group commit).
+/// collected while scanning and validated together afterwards.  Group
+/// commit is the only policy; `--flush group-commit` stays accepted
+/// because existing scripts pass it.
 #[derive(Default)]
 struct FlushFlags {
     policy: Option<String>,
@@ -676,28 +656,17 @@ impl FlushFlags {
         Ok(true)
     }
 
-    fn resolve(self) -> Result<FlushChoice, String> {
-        match self.policy.as_deref() {
-            None | Some("per-record") => {
-                if self.batch.is_some() || self.wait_ms.is_some() {
-                    return Err(
-                        "--flush-batch/--flush-wait-ms only apply with --flush group-commit"
-                            .to_string(),
-                    );
-                }
-                Ok(FlushChoice::PerRecord)
-            }
-            Some("group-commit") => {
-                let max_batch = self.batch.unwrap_or(64);
-                if max_batch == 0 {
-                    return Err("--flush-batch must be at least 1".to_string());
-                }
-                Ok(FlushChoice::GroupCommit { max_batch, max_wait_ms: self.wait_ms.unwrap_or(0) })
-            }
-            Some(other) => {
-                Err(format!("unknown flush policy {other:?} (expected per-record or group-commit)"))
-            }
+    fn resolve(self) -> Result<FlushPolicy, String> {
+        if let Some(other) = self.policy.filter(|p| p != "group-commit") {
+            return Err(format!("unknown flush policy {other:?} (expected group-commit)"));
         }
+        let FlushPolicy::GroupCommit { max_batch, max_wait } = FlushPolicy::default();
+        let max_batch = self.batch.unwrap_or(max_batch);
+        if max_batch == 0 {
+            return Err("--flush-batch must be at least 1".to_string());
+        }
+        let max_wait = self.wait_ms.map_or(max_wait, Duration::from_millis);
+        Ok(FlushPolicy::GroupCommit { max_batch, max_wait })
     }
 }
 
@@ -818,10 +787,9 @@ mod tests {
             Command::Serve {
                 addr: "127.0.0.1:7878".into(),
                 threads: 4,
-                shards: 8,
                 store_dir: None,
                 compact_every: 1024,
-                flush: FlushChoice::PerRecord,
+                flush: FlushPolicy::GroupCommit { max_batch: 64, max_wait: Duration::ZERO },
             }
         );
         let c = parse(&argv(&[
@@ -830,8 +798,6 @@ mod tests {
             "0.0.0.0:9000",
             "--threads",
             "8",
-            "--shards",
-            "16",
             "--store-dir",
             "/var/lib/pdb",
             "--compact-every",
@@ -849,19 +815,26 @@ mod tests {
             Command::Serve {
                 addr: "0.0.0.0:9000".into(),
                 threads: 8,
-                shards: 16,
                 store_dir: Some("/var/lib/pdb".into()),
                 compact_every: 64,
-                flush: FlushChoice::GroupCommit { max_batch: 32, max_wait_ms: 5 },
+                flush: FlushPolicy::GroupCommit {
+                    max_batch: 32,
+                    max_wait: Duration::from_millis(5),
+                },
             }
         );
+        // The batch and wait knobs need no `--flush`: group commit is the
+        // only policy.
+        let c = parse(&argv(&["serve", "--flush-batch", "8"])).unwrap();
+        let Command::Serve { flush, .. } = c else { panic!("serve") };
+        assert_eq!(flush, FlushPolicy::GroupCommit { max_batch: 8, max_wait: Duration::ZERO });
         assert!(parse(&argv(&["serve", "--threads", "0"])).is_err());
         assert!(parse(&argv(&["serve", "--bogus"])).is_err());
         assert!(parse(&argv(&["serve", "--flush", "sometimes"])).is_err());
-        assert!(
-            parse(&argv(&["serve", "--flush-batch", "8"])).is_err(),
-            "batch knob needs --flush group-commit"
-        );
+        let err = parse(&argv(&["serve", "--flush", "per-record"])).unwrap_err();
+        assert!(err.contains("expected group-commit"), "{err}");
+        let err = parse(&argv(&["serve", "--shards", "8"])).unwrap_err();
+        assert!(err.contains("--shards"), "{err}");
         assert!(parse(&argv(&["serve", "--flush", "group-commit", "--flush-batch", "0"])).is_err());
 
         let c = parse(&argv(&["call", "\"stats\"", "--addr", "127.0.0.1:9"])).unwrap();
@@ -904,7 +877,7 @@ mod tests {
                     threads: 4,
                     store_dir: None,
                     compact_every: 1024,
-                    flush: FlushChoice::PerRecord,
+                    flush: FlushPolicy::GroupCommit { max_batch: 64, max_wait: Duration::ZERO },
                 }
             }
         );
@@ -932,7 +905,7 @@ mod tests {
                     threads: 2,
                     store_dir: Some("/tmp/fleet".into()),
                     compact_every: 1024,
-                    flush: FlushChoice::GroupCommit { max_batch: 64, max_wait_ms: 0 },
+                    flush: FlushPolicy::GroupCommit { max_batch: 64, max_wait: Duration::ZERO },
                 }
             }
         );
@@ -941,6 +914,7 @@ mod tests {
         assert!(parse(&argv(&["fleet"])).is_err(), "operation is mandatory");
         assert!(parse(&argv(&["fleet", "scale"])).is_err(), "unknown operation");
         assert!(parse(&argv(&["fleet", "serve", "--shards", "0"])).is_err());
+        assert!(parse(&argv(&["fleet", "serve", "--flush", "per-record"])).is_err());
         assert!(parse(&argv(&["fleet", "status", "--shards", "2"])).is_err());
     }
 

@@ -1,6 +1,6 @@
 //! Execution of parsed CLI commands.
 
-use crate::args::{Command, DatasetChoice, FleetOp, FlushChoice, MutateOp, USAGE};
+use crate::args::{Command, DatasetChoice, FleetOp, MutateOp, USAGE};
 use pdb_clean::CleaningPlan;
 use pdb_clean::{
     best_single_probe, expected_improvement, plan_greedy, run_adaptive_session_with,
@@ -30,8 +30,8 @@ pub fn run(command: Command) -> Result<String> {
         Command::All { scale, csv_dir } => run_all(scale, csv_dir.as_deref()),
         Command::Quality { dataset, k, algo, json } => quality(dataset, k, &algo, json),
         Command::Clean { dataset, k, budget, algo, json } => clean(dataset, k, budget, &algo, json),
-        Command::Serve { addr, threads, shards, store_dir, compact_every, flush } => {
-            serve(&addr, threads, shards, store_dir, compact_every, flush)
+        Command::Serve { addr, threads, store_dir, compact_every, flush } => {
+            serve(&addr, threads, store_dir, compact_every, flush)
         }
         Command::Fleet { op } => fleet(op),
         Command::Call { addr, request, timing } => call(&addr, &request, timing),
@@ -226,35 +226,20 @@ fn clean(choice: DatasetChoice, k: usize, budget: u64, algo: &str, json: bool) -
 
 /// `pdb serve`: bind the cleaning service and block until a `shutdown`
 /// request drains it.
-/// Translate the CLI flush flags into the store's policy.
-fn flush_policy(flush: FlushChoice) -> pdb_store::FlushPolicy {
-    match flush {
-        FlushChoice::PerRecord => pdb_store::FlushPolicy::PerRecord,
-        FlushChoice::GroupCommit { max_batch, max_wait_ms } => {
-            pdb_store::FlushPolicy::GroupCommit {
-                max_batch,
-                max_wait: std::time::Duration::from_millis(max_wait_ms),
-            }
-        }
-    }
-}
-
 fn serve(
     addr: &str,
     threads: usize,
-    shards: usize,
     store_dir: Option<String>,
     compact_every: u64,
-    flush: FlushChoice,
+    flush: pdb_store::FlushPolicy,
 ) -> Result<String> {
     let durable = store_dir.clone();
     let config = pdb_server::ServerConfig {
         addr: addr.to_string(),
         threads,
-        shards,
         store_dir,
         compact_every,
-        flush: flush_policy(flush),
+        flush,
     };
     let server = pdb_server::Server::bind(&config)
         .map_err(|e| DbError::invalid_parameter(format!("binding {addr} failed: {e}")))?;
@@ -268,7 +253,7 @@ fn serve(
         );
     }
     // Announce readiness before blocking: scripts wait for this line.
-    println!("pdb-server listening on {bound} ({threads} threads, {shards} shards)");
+    println!("pdb-server listening on {bound} ({threads} threads)");
     server.run().map_err(|e| DbError::invalid_parameter(format!("server failed: {e}")))?;
     Ok(format!("pdb-server on {bound} drained in-flight requests and shut down"))
 }
@@ -291,7 +276,7 @@ fn fleet_serve(
     threads: usize,
     store_dir: Option<String>,
     compact_every: u64,
-    flush: FlushChoice,
+    flush: pdb_store::FlushPolicy,
 ) -> Result<String> {
     let program = std::env::current_exe()
         .map_err(|e| DbError::invalid_parameter(format!("resolving the pdb binary failed: {e}")))?;
@@ -301,7 +286,7 @@ fn fleet_serve(
         threads,
         store_dir: store_dir.map(std::path::PathBuf::from),
         compact_every,
-        flush: flush_policy(flush),
+        flush,
     };
     let fleet = std::sync::Arc::new(
         pdb_fleet::Fleet::spawn(config)
@@ -804,7 +789,6 @@ mod tests {
         let server = pdb_server::Server::bind(&pdb_server::ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             threads: 1,
-            shards: 1,
             ..pdb_server::ServerConfig::default()
         })
         .unwrap();
@@ -835,7 +819,6 @@ mod tests {
         let server = pdb_server::Server::bind(&pdb_server::ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             threads: 1,
-            shards: 1,
             ..pdb_server::ServerConfig::default()
         })
         .unwrap();
@@ -886,7 +869,6 @@ mod tests {
         let server = pdb_server::Server::bind(&pdb_server::ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             threads: 1,
-            shards: 1,
             ..pdb_server::ServerConfig::default()
         })
         .unwrap();
@@ -940,7 +922,7 @@ not json\n\
         let dir = std::env::temp_dir().join("pdb-cli-recover-test");
         std::fs::remove_dir_all(&dir).ok();
         {
-            let (store, _) = pdb_store::Store::open(&dir, true, &pdb_gen::build_dataset).unwrap();
+            let (store, _) = pdb_store::Store::open(&dir, &pdb_gen::build_dataset).unwrap();
             store
                 .append(&pdb_store::WalRecord::CreateSession {
                     session: 1,

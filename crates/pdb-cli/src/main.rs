@@ -6,7 +6,7 @@
 //! pdb all [--scale quick] [--csv DIR]
 //! pdb quality [--dataset synthetic|mov|udb1] [--k 15] [--algo tp|pwr|pw] [--json]
 //! pdb clean   [--dataset synthetic|mov|udb1] [--k 15] [--budget 100] [--algo greedy|dp|randp|randu] [--json]
-//! pdb serve   [--addr 127.0.0.1:7878] [--threads 4] [--shards 8]
+//! pdb serve   [--addr 127.0.0.1:7878] [--threads 4] [--store-dir DIR]
 //! pdb call '<request-json>' [--addr 127.0.0.1:7878]
 //! ```
 

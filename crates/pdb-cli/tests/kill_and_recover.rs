@@ -30,17 +30,7 @@ impl ServerProcess {
     /// for its readiness line.
     fn spawn(store_dir: &str) -> Self {
         let mut child = Command::new(env!("CARGO_BIN_EXE_pdb"))
-            .args([
-                "serve",
-                "--addr",
-                "127.0.0.1:0",
-                "--threads",
-                "2",
-                "--shards",
-                "2",
-                "--store-dir",
-                store_dir,
-            ])
+            .args(["serve", "--addr", "127.0.0.1:0", "--threads", "2", "--store-dir", store_dir])
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()

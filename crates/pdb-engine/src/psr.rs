@@ -544,9 +544,9 @@ pub(crate) fn scan_rows_into(
 /// live.  Null-mass x-tuples whose alternatives spread across the whole
 /// ranking keep many factors in flight and approach O(n·m·k).
 ///
-/// A `k` above the tuple count whose `n × k` matrix cannot be allocated
-/// is an invalid parameter: `k` arrives from clients, so that size is
-/// checked instead of aborting the process.
+/// A `k` whose live `cut × k` matrix cannot be allocated is an invalid
+/// parameter: `k` arrives from clients, so the allocation is fallible
+/// instead of aborting the process.
 pub fn rank_probabilities(db: &RankedDatabase, k: usize) -> Result<RankProbabilities> {
     pdb_obs::metrics::ENGINE_PSR_RUNS_TOTAL.inc();
     validate_k(db, k)?;
@@ -557,14 +557,9 @@ pub fn rank_probabilities(db: &RankedDatabase, k: usize) -> Result<RankProbabili
         ))
     };
     let len = live.checked_mul(k).ok_or_else(too_large)?;
-    // Past k = n fewer than k x-tuples exist, none of the n rows is cut
-    // and the caller's k alone sizes the matrix: a reservation checks that
-    // the allocator can provide it (`vec!` would abort the process
-    // instead).
-    if k > db.len() {
-        Vec::<f64>::new().try_reserve_exact(len).map_err(|_| too_large())?;
-    }
-    let mut rho = vec![0.0; len];
+    let mut rho = Vec::new();
+    rho.try_reserve_exact(len).map_err(|_| too_large())?;
+    rho.resize(len, 0.0);
     scan_rows_into(db, k, live, |_| true, &mut rho)?;
     pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(live as u64);
     Ok(RankProbabilities::from_rho(k, db.len(), rho))

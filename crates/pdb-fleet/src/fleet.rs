@@ -42,7 +42,7 @@ pub struct FleetConfig {
     pub store_dir: Option<PathBuf>,
     /// Per-shard auto-compaction threshold (0 disables).
     pub compact_every: u64,
-    /// Per-shard journal flush policy.
+    /// How each shard's group-commit flusher batches journal fsyncs.
     pub flush: FlushPolicy,
 }
 
@@ -62,19 +62,15 @@ impl FleetConfig {
             args.push("--store-dir".to_string());
             args.push(base.join(format!("shard-{index}")).display().to_string());
         }
-        match self.flush {
-            FlushPolicy::PerRecord => {}
-            FlushPolicy::GroupCommit { max_batch, max_wait } => {
-                args.extend([
-                    "--flush".to_string(),
-                    "group-commit".to_string(),
-                    "--flush-batch".to_string(),
-                    max_batch.to_string(),
-                    "--flush-wait-ms".to_string(),
-                    max_wait.as_millis().to_string(),
-                ]);
-            }
-        }
+        let FlushPolicy::GroupCommit { max_batch, max_wait } = self.flush;
+        args.extend([
+            "--flush".to_string(),
+            "group-commit".to_string(),
+            "--flush-batch".to_string(),
+            max_batch.to_string(),
+            "--flush-wait-ms".to_string(),
+            max_wait.as_millis().to_string(),
+        ]);
         args
     }
 }

@@ -1,14 +1,13 @@
 //! # pdb-fleet — multi-process scale-out for the cleaning service
 //!
 //! The paper's cleaning sessions are embarrassingly partitionable by
-//! session id, and `pdb-server` already shards them across in-process
-//! locks.  This crate adds the missing *fleet* layer: many shard
-//! **processes**, one thin router, and nothing shared between shards but
-//! the wire protocol.
+//! session id, and `pdb-server` already locks each one on its own.  This
+//! crate adds the missing *fleet* layer: many shard **processes**, one
+//! thin router, and nothing shared between shards but the wire protocol.
 //!
-//! * [`ring`] — a consistent-hash ring with virtual nodes over the same
-//!   SplitMix64 mixer the in-process shard map uses: adding or removing
-//!   a shard remaps only ~`1/N` of session ids;
+//! * [`ring`] — a consistent-hash ring with virtual nodes over the
+//!   SplitMix64 mixer: adding or removing a shard remaps only ~`1/N` of
+//!   session ids;
 //! * [`fleet`] — the shard-process supervisor: spawns N `pdb serve`
 //!   processes (each with its own store directory and WAL), respawns a
 //!   dead shard (WAL replay rehydrates its sessions), and streams
@@ -18,7 +17,8 @@
 //!   pins fleet-wide session ids into `create_session` / `restore`,
 //!   forwards each request to the ring-owning shard, merges `stats`
 //!   across shards, and fails over (respawn + bounded retry) when a
-//!   shard dies mid-traffic — never panicking on a malformed reply.
+//!   shard dies mid-traffic — never panicking on a malformed reply.  Its
+//!   client connections run through `pdb-server`'s connection loop.
 //!
 //! `pdb fleet serve --shards N` wires all three together; the
 //! `fleet_kill_and_recover` test SIGKILLs a shard of a live fleet under

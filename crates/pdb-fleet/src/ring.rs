@@ -32,8 +32,8 @@ pub struct HashRing {
     replicas: usize,
 }
 
-/// SplitMix64 — the same mixer `SessionManager::shard_of` uses, so the
-/// ring inherits its (well-studied) avalanche behavior.
+/// SplitMix64, so the ring inherits its (well-studied) avalanche
+/// behavior.
 fn mix(key: u64) -> u64 {
     let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

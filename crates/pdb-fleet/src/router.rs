@@ -28,22 +28,22 @@
 //! only durability story.  Forwarding **never panics on a malformed
 //! shard reply**: every decode failure becomes an `{"error": ...}` line
 //! for the client, and the poisoned connection is dropped.
+//!
+//! Client connections run through pdb-server's own connection loop
+//! ([`pdb_server::serve_connection`]), so persistent clients behave
+//! identically against a router and a single server.
 
 use crate::fleet::Fleet;
 use crate::ring::HashRing;
 use pdb_obs::snapshot::MetricsSnapshot;
 use pdb_server::protocol::{self, MetricsReply, ServerStats};
+use pdb_server::{serve_connection, wake_listener};
 use pdb_server::{Client, ClientError, Request, Response, RetryPolicy};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// How often an idle router connection wakes from a blocked read to
-/// re-check the shutdown flag (same rationale as pdb-server's drain).
-const IDLE_POLL: std::time::Duration = std::time::Duration::from_millis(100);
 
 /// Forward attempts per request: the first try plus one retry after the
 /// shard was respawned.  More would stall the client behind a shard that
@@ -111,8 +111,20 @@ impl Router {
             match conn {
                 Ok(stream) => {
                     let shared = Arc::clone(&self.shared);
-                    handles
-                        .push(std::thread::spawn(move || handle_connection(stream, &shared, addr)));
+                    handles.push(std::thread::spawn(move || {
+                        // Shard connections are per-router-connection: one
+                        // client's requests flow down one TCP stream per
+                        // shard, so replies can never interleave across
+                        // router connections.
+                        let mut clients = HashMap::new();
+                        // pdb-analyze: allow(error-swallow): a failed reply write only ends this client's connection; the router keeps no metric for it
+                        let _ = serve_connection(stream, &shared.shutdown, |line| {
+                            match protocol::decode_request(line) {
+                                Ok(request) => shared.dispatch(request, &mut clients, addr),
+                                Err(err) => Response::error(format!("malformed request: {err}")),
+                            }
+                        });
+                    }));
                 }
                 Err(_) => {
                     std::thread::sleep(std::time::Duration::from_millis(10));
@@ -345,10 +357,7 @@ impl RouterShared {
             Request::Shutdown => {
                 self.fleet.shutdown();
                 self.shutdown.store(true, Ordering::SeqCst);
-                // Wake the accept loop so it observes the flag (same
-                // self-wake pattern as pdb-server).
-                // pdb-analyze: allow(error-swallow): best-effort self-wake; raced clients also break the loop
-                let _ = TcpStream::connect(router_addr);
+                wake_listener(router_addr);
                 return Response::ShuttingDown;
             }
         };
@@ -377,67 +386,6 @@ impl RouterShared {
 /// (`snapshot-<sid>-<seq>.pdbs`), used to route `fetch_chunk`.
 fn snapshot_session(name: &str) -> Option<u64> {
     name.strip_prefix("snapshot-")?.strip_suffix(".pdbs")?.split_once('-')?.0.parse().ok()
-}
-
-/// Serve one router connection: one response line per request line.
-/// Mirrors pdb-server's read loop (timeout polling, partial-line
-/// reassembly) so persistent clients behave identically against a
-/// router and a single server.
-fn handle_connection(stream: TcpStream, shared: &RouterShared, router_addr: SocketAddr) {
-    // pdb-analyze: allow(error-swallow): latency knob only; correctness does not depend on it
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
-    // Shard connections are per-router-connection: one client's requests
-    // flow down one TCP stream per shard, so replies can never interleave
-    // across router connections.
-    let mut clients: HashMap<usize, Client> = HashMap::new();
-
-    loop {
-        line.clear();
-        loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => return,
-                Ok(_) => break,
-                Err(err)
-                    if matches!(
-                        err.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match protocol::decode_request(line.trim_end()) {
-            Ok(request) => shared.dispatch(request, &mut clients, router_addr),
-            Err(err) => Response::error(format!("malformed request: {err}")),
-        };
-        let payload = protocol::encode(&response).unwrap_or_else(|err| {
-            format!("{{\"error\":{{\"message\":\"encoding failed: {err}\"}}}}")
-        });
-        if writeln!(writer, "{payload}").and_then(|()| writer.flush()).is_err() {
-            return;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@ fn boot(store_dir: &Path) -> (SocketAddr, thread::JoinHandle<std::io::Result<()>
     let server = Server::bind(&ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        shards: 2,
         store_dir: Some(store_dir.display().to_string()),
         compact_every: 0,
         ..Default::default()

@@ -10,13 +10,16 @@
 //!   `recommend_probe`, `apply_mutation`, `drop_session`, `persist`,
 //!   `restore`, `stats`, `shutdown`);
 //! * [`session`] — persistent sessions (a database + a live
-//!   [`pdb_quality::BatchQuality`]) in a sharded, per-session-locked
-//!   store, so concurrent callers on different sessions never contend;
+//!   [`pdb_quality::BatchQuality`]) in one map whose lock is held only to
+//!   look a session up, each session behind its own lock, so concurrent
+//!   callers on different sessions never contend;
 //!   with a `--store-dir`, every session-mutating request is journalled
 //!   to a `pdb-store` write-ahead log and sessions are rehydrated from
 //!   it on startup (see the *Persistence & recovery* README section);
 //! * [`server`] — the `std::net` TCP server: a listener feeding a worker
-//!   thread pool, with graceful drain on `shutdown`;
+//!   thread pool, with graceful drain on `shutdown`.  Its per-connection
+//!   loop ([`serve_connection`]) and listener self-wake
+//!   ([`wake_listener`]) also serve the fleet router's connections;
 //! * [`client`] — a blocking client used by `pdb call`, the loopback
 //!   integration test and the `server_throughput` bench.
 //!
@@ -52,5 +55,5 @@ pub mod session;
 
 pub use client::{Client, ClientError, RetryPolicy};
 pub use protocol::{DatasetSpec, EvalMode, Request, Response};
-pub use server::{Server, ServerConfig};
+pub use server::{serve_connection, wake_listener, Server, ServerConfig};
 pub use session::{Session, SessionManager};

@@ -542,7 +542,8 @@ pub struct ServerStats {
     pub requests_served: u64,
     /// Probes applied across all sessions.
     pub probes_applied: u64,
-    /// Number of store shards.
+    /// Shard processes behind this address: 1 for a server, the ring
+    /// size for a fleet router.
     pub shards: usize,
     /// Number of worker threads.
     pub threads: usize,

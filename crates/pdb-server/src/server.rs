@@ -11,6 +11,10 @@
 //! so a parked persistent client never wedges the drain) — and
 //! [`Server::run`] returns after joining the pool.
 //!
+//! The per-connection loop ([`serve_connection`]) and the listener
+//! self-wake ([`wake_listener`]) are public: the fleet router serves its
+//! connections through the same two functions.
+//!
 //! **Connections, not requests, are the pooled unit**: a worker serves
 //! one connection for that connection's lifetime, so at most `--threads`
 //! *connections* are served concurrently and the `threads + 1`-th
@@ -25,14 +29,14 @@ use crate::session::SessionManager;
 use pdb_obs::metrics as obs;
 use pdb_store::FlushPolicy;
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 
-/// How a [`Server`] is configured
-/// (`pdb serve --addr --threads --shards --store-dir --compact-every`).
+/// How a [`Server`] is configured (`pdb serve --addr --threads
+/// --store-dir --compact-every --flush --flush-batch --flush-wait-ms`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Address to bind (`127.0.0.1:7878`; port 0 picks an ephemeral port).
@@ -42,21 +46,17 @@ pub struct ServerConfig {
     /// concurrently served connections — size it to the expected number
     /// of concurrent persistent clients.
     pub threads: usize,
-    /// Shards of the session store.
-    pub shards: usize,
     /// Durable store directory.  When set, [`Server::bind`] recovers
     /// every journalled session from it (WAL replay through the delta
-    /// engine) and every session-mutating request is journalled, fsync'd
-    /// per record.  `None` keeps sessions purely in memory.
+    /// engine) and every session-mutating request is journalled and
+    /// fsync'd before it is acknowledged.  `None` keeps sessions purely
+    /// in memory.
     pub store_dir: Option<String>,
     /// Auto-compaction threshold: checkpoint all sessions and truncate
     /// the log once this many records accumulate (0 disables).
     pub compact_every: u64,
-    /// How journal appends reach disk (only meaningful with a
-    /// `store_dir`): [`FlushPolicy::PerRecord`] fsyncs every record — the
-    /// durability oracle — while [`FlushPolicy::GroupCommit`] batches
-    /// concurrent appends into one fsync per window (see
-    /// `pdb-store`'s group-commit flusher).
+    /// How the store's group-commit flusher batches journal fsyncs (only
+    /// meaningful with a `store_dir`).
     pub flush: FlushPolicy,
 }
 
@@ -65,10 +65,9 @@ impl Default for ServerConfig {
         Self {
             addr: "127.0.0.1:7878".to_string(),
             threads: 4,
-            shards: 8,
             store_dir: None,
             compact_every: 1024,
-            flush: FlushPolicy::PerRecord,
+            flush: FlushPolicy::default(),
         }
     }
 }
@@ -102,14 +101,9 @@ impl Server {
                 .map_err(|err| {
                     std::io::Error::new(std::io::ErrorKind::InvalidData, err.to_string())
                 })?;
-                SessionManager::with_store(
-                    config.shards,
-                    Arc::new(store),
-                    recovery,
-                    config.compact_every,
-                )
+                SessionManager::with_store(Arc::new(store), recovery, config.compact_every)
             }
-            None => SessionManager::new(config.shards),
+            None => SessionManager::new(),
         };
         Ok(Self {
             listener,
@@ -160,9 +154,13 @@ impl Server {
                     // cannot leave the channel torn, so one worker's panic
                     // must not idle the rest of the pool.
                     let conn = queue_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                    match conn {
-                        Ok(stream) => handle_connection(stream, &ctx),
-                        Err(_) => break, // queue closed: drain complete
+                    let Ok(stream) = conn else {
+                        break; // queue closed: drain complete
+                    };
+                    if serve_connection(stream, &ctx.shutdown, |line| handle_line(line, &ctx))
+                        .is_err()
+                    {
+                        obs::SERVER_ERRORS_TOTAL.with("io").inc();
                     }
                 })
             })
@@ -210,29 +208,43 @@ struct HandlerContext {
     threads: usize,
 }
 
-/// How often an idle worker wakes from a blocking read to re-check the
-/// shutdown flag.  Without the timeout, a worker parked on a persistent
-/// connection that never sends another request would block `run`'s final
-/// join forever, hanging shutdown.
+/// How often an idle connection wakes from a blocking read to re-check
+/// the shutdown flag.  Without the timeout, a connection parked on a
+/// persistent client that never sends another request would block the
+/// final join forever, hanging shutdown.
 const IDLE_POLL: std::time::Duration = std::time::Duration::from_millis(100);
 
-/// Serve one connection: one response line per request line, until the
-/// client disconnects or the server begins shutting down.
-fn handle_connection(stream: TcpStream, ctx: &HandlerContext) {
+/// Serve one connection: one reply line per request line, until the
+/// client disconnects or `shutdown` is set.  `handle` turns each request
+/// line (trailing newline trimmed; blank lines are skipped) into its
+/// reply.  The server and the fleet router both run their connections
+/// through this loop, so persistent clients see the same behaviour from
+/// either.
+///
+/// Reads poll `shutdown` every 100 ms (`IDLE_POLL`), and a line split
+/// across packets is reassembled.  Once `shutdown` is set, an idle
+/// connection ends at its next poll and a busy one after writing its
+/// in-flight reply.  Returns an error only when a reply could not be
+/// written; read failures end the connection like a disconnect.
+pub fn serve_connection(
+    stream: TcpStream,
+    shutdown: &AtomicBool,
+    mut handle: impl FnMut(&str) -> Response,
+) -> std::io::Result<()> {
     // Nagle off: request/response lines are tiny and latency-bound.
     // Best-effort — a socket that cannot disable Nagle still serves
     // correctly, just with worse latency.
     // pdb-analyze: allow(error-swallow): latency knob only; correctness does not depend on it
     let _ = stream.set_nodelay(true);
     // The read timeout is NOT best-effort: the shutdown drain relies on
-    // idle workers waking from blocked reads (see IDLE_POLL).  A
-    // connection whose socket cannot take a timeout would park a worker
-    // forever, so drop it instead of serving it.
+    // idle connections waking from blocked reads (see IDLE_POLL).  A
+    // connection whose socket cannot take a timeout would park its
+    // thread forever, so drop it instead of serving it.
     if stream.set_read_timeout(Some(IDLE_POLL)).is_err() {
-        return;
+        return Ok(());
     }
     let Ok(read_half) = stream.try_clone() else {
-        return;
+        return Ok(());
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
@@ -244,8 +256,8 @@ fn handle_connection(stream: TcpStream, ctx: &HandlerContext) {
         line.clear();
         loop {
             match reader.read_line(&mut line) {
-                Ok(0) => return, // client disconnected
-                Ok(_) => break,  // one full line (or EOF mid-line)
+                Ok(0) => return Ok(()), // client disconnected
+                Ok(_) => break,         // one full line (or EOF mid-line)
                 Err(err)
                     if matches!(
                         err.kind(),
@@ -254,52 +266,70 @@ fn handle_connection(stream: TcpStream, ctx: &HandlerContext) {
                             | std::io::ErrorKind::Interrupted
                     ) =>
                 {
-                    if ctx.shutdown.load(Ordering::SeqCst) {
-                        return; // idle connection: nothing in flight to drain
+                    if shutdown.load(Ordering::SeqCst) {
+                        return Ok(()); // idle connection: nothing in flight to drain
                     }
                 }
-                Err(_) => return,
+                Err(_) => return Ok(()),
             }
         }
         if line.trim().is_empty() {
             continue;
         }
-        let response = match protocol::decode_request(line.trim_end()) {
-            Ok(request) => {
-                // Per-verb counters + latency span: the span covers the
-                // handler only (not the socket write), so the histogram
-                // measures the work a verb costs, not the client's
-                // draining speed.
-                let verb = request.verb();
-                obs::SERVER_REQUESTS_TOTAL.with(verb).inc();
-                let span = obs::SERVER_REQUEST_LATENCY_NS.with(verb).span();
-                let response = dispatch(request, ctx);
-                span.finish();
-                if matches!(response, Response::Error(_)) {
-                    obs::SERVER_ERRORS_TOTAL.with("handler").inc();
-                }
-                response
-            }
-            Err(err) => {
-                obs::SERVER_ERRORS_TOTAL.with("decode").inc();
-                Response::error(format!("malformed request: {err}"))
-            }
-        };
-        ctx.requests.fetch_add(1, Ordering::Relaxed);
+        let response = handle(line.trim_end());
         let payload = protocol::encode(&response).unwrap_or_else(|err| {
             format!("{{\"error\":{{\"message\":\"encoding failed: {err}\"}}}}")
         });
-        if writeln!(writer, "{payload}").and_then(|()| writer.flush()).is_err() {
-            obs::SERVER_ERRORS_TOTAL.with("io").inc();
-            return;
-        }
+        writeln!(writer, "{payload}").and_then(|()| writer.flush())?;
         // Finish the in-flight request, then stop picking up new ones so
         // shutdown can drain: a persistent client must reconnect (and will
         // be refused once the listener stopped).
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            return;
+        if shutdown.load(Ordering::SeqCst) {
+            return Ok(());
         }
     }
+}
+
+/// Wake a listener blocked in `accept` on `addr` so its loop observes
+/// the shutdown flag; the connection is dropped unserved.  A wildcard
+/// bind address (0.0.0.0 / ::) is not connectable on every platform, so
+/// the wake targets the loopback of the bound port instead.
+pub fn wake_listener(addr: SocketAddr) {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    // pdb-analyze: allow(error-swallow): best-effort self-wake; the next client to connect wakes the accept loop too
+    let _ = TcpStream::connect(SocketAddr::new(ip, addr.port()));
+}
+
+/// Answer one request line: decode, dispatch, and count it in the
+/// server's per-verb metrics.
+fn handle_line(line: &str, ctx: &HandlerContext) -> Response {
+    let response = match protocol::decode_request(line) {
+        Ok(request) => {
+            // Per-verb counters + latency span: the span covers the
+            // handler only (not the socket write), so the histogram
+            // measures the work a verb costs, not the client's draining
+            // speed.
+            let verb = request.verb();
+            obs::SERVER_REQUESTS_TOTAL.with(verb).inc();
+            let span = obs::SERVER_REQUEST_LATENCY_NS.with(verb).span();
+            let response = dispatch(request, ctx);
+            span.finish();
+            if matches!(response, Response::Error(_)) {
+                obs::SERVER_ERRORS_TOTAL.with("handler").inc();
+            }
+            response
+        }
+        Err(err) => {
+            obs::SERVER_ERRORS_TOTAL.with("decode").inc();
+            Response::error(format!("malformed request: {err}"))
+        }
+    };
+    ctx.requests.fetch_add(1, Ordering::Relaxed);
+    response
 }
 
 /// Route one request to the session store.
@@ -375,7 +405,9 @@ fn dispatch(request: Request, ctx: &HandlerContext) -> Response {
             sessions_created: manager.sessions_created(),
             requests_served: ctx.requests.load(Ordering::Relaxed) + 1,
             probes_applied: manager.probes_applied(),
-            shards: manager.num_shards(),
+            // Shard processes behind this address: a router reports its
+            // ring size here.
+            shards: 1,
             threads: ctx.threads,
             durable: manager.store().is_some(),
             connect_retries: 0,
@@ -385,20 +417,7 @@ fn dispatch(request: Request, ctx: &HandlerContext) -> Response {
         Request::Metrics => Response::Metrics(pdb_obs::metrics::snapshot().into()),
         Request::Shutdown => {
             ctx.shutdown.store(true, Ordering::SeqCst);
-            // Wake the accept loop so it observes the flag; the dummy
-            // connection is dropped unserved.  A wildcard bind address
-            // (0.0.0.0 / ::) is not connectable on every platform, so the
-            // self-wake targets the loopback of the bound port instead.
-            let wake_ip = if ctx.addr.ip().is_unspecified() {
-                match ctx.addr.ip() {
-                    std::net::IpAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                    std::net::IpAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-                }
-            } else {
-                ctx.addr.ip()
-            };
-            // pdb-analyze: allow(error-swallow): best-effort self-wake; the accept loop also polls the flag on its own timer
-            let _ = TcpStream::connect(SocketAddr::new(wake_ip, ctx.addr.port()));
+            wake_listener(ctx.addr);
             Response::ShuttingDown
         }
     }

@@ -1,4 +1,4 @@
-//! Persistent evaluation sessions and the sharded store that holds them.
+//! Persistent evaluation sessions and the map that holds them.
 //!
 //! A [`Session`] pins one database together with a live
 //! [`BatchQuality`] evaluation: the paper's adaptive-cleaning loop is
@@ -8,13 +8,13 @@
 //! one O(k_max)-per-affected-row delta pass shared by every registered
 //! query — never a full PSR rebuild.
 //!
-//! The [`SessionManager`] shards its `session-id → session` map across `N`
-//! independent [`RwLock`]s, keyed by a hash of the session id: concurrent
-//! requests touching sessions on different shards never contend, and
-//! because each session is boxed behind its own [`Mutex`] (an `Arc` cloned
-//! out of the shard under the read lock), one slow evaluation blocks only
-//! its own session — the shard map, and every other session on the same
-//! shard, stay available.
+//! The [`SessionManager`] keeps its `session-id → session` map behind one
+//! [`RwLock`].  A request holds the map's read lock only long enough to
+//! clone one session's `Arc`, and each session sits behind its own
+//! [`Mutex`], so one slow evaluation blocks only its own session — the
+//! map, and every other session, stay available.  No map guard is ever
+//! live while a session lock is taken (pdb-analyze's `lock-order` lint
+//! checks this).
 
 use crate::protocol::{
     encode_chunk_data, Answers, ApplyMutation, CreateSession, FetchChunk, Persisted, ProbeAdvice,
@@ -32,6 +32,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
+
+/// The session map: id → the session behind its own lock.
+type SessionMap = HashMap<u64, Arc<Mutex<Session>>>;
 
 /// Upper bound on one `fetch_chunk` reply's payload, whatever the client
 /// asked for: chunks are hex-encoded into a JSON line, so an unbounded
@@ -53,7 +56,7 @@ pub struct Session {
     /// the checkpoint record's counter).
     probes: u64,
     /// Set (under the session's own lock) when the session is dropped,
-    /// *before* it leaves the shard map: a racing request that already
+    /// *before* it leaves the session map: a racing request that already
     /// cloned the session's `Arc` out of the map must not mutate — or
     /// journal records for — a session whose `drop_session` record is
     /// already in the log, or the log becomes unreplayable.
@@ -70,7 +73,7 @@ pub struct Session {
 /// The evaluation state: until the first query is registered there is
 /// nothing to evaluate, so the session only holds the database.  The live
 /// evaluation is boxed: it dwarfs the idle variant, and sessions move
-/// (into the shard map, out of `register_query`) while in either state.
+/// (into the session map, out of `register_query`) while in either state.
 #[derive(Debug)]
 enum State {
     /// No registered queries yet.
@@ -116,7 +119,7 @@ impl Session {
     }
 
     /// Fail if the session was dropped (it may still be reachable through
-    /// an `Arc` cloned out of the shard map before the removal).
+    /// an `Arc` cloned out of the session map before the removal).
     pub(crate) fn ensure_not_dropped(&self) -> DbResult<()> {
         if self.dropped {
             return Err(DbError::invalid_parameter("session was dropped"));
@@ -125,7 +128,7 @@ impl Session {
     }
 
     /// Mark the session dropped (called under its lock, after the drop
-    /// record is journalled and before the shard-map removal).
+    /// record is journalled and before the session-map removal).
     pub(crate) fn mark_dropped(&mut self) {
         self.dropped = true;
     }
@@ -298,17 +301,16 @@ struct Counters {
     probes: AtomicU64,
 }
 
-/// The sharded session store.
+/// The session store.
 ///
-/// `shards[h(id)]` holds the sessions whose id hashes to shard `h(id)`;
-/// each shard is an independent `RwLock<HashMap<..>>`, so lookups on
-/// different shards proceed fully in parallel and a lookup only ever takes
-/// the *read* side.  Sessions are handed out as `Arc<Mutex<Session>>`
-/// clones: the shard lock is released before the session lock is taken, so
-/// a long-running evaluation never blocks the store.
+/// One `RwLock<HashMap<..>>` holds every session; a lookup only takes the
+/// *read* side, so lookups proceed in parallel.  Sessions are handed out
+/// as `Arc<Mutex<Session>>` clones: the map lock is released before the
+/// session lock is taken, so a long-running evaluation never blocks the
+/// store.
 #[derive(Debug)]
 pub struct SessionManager {
-    shards: Vec<RwLock<HashMap<u64, Arc<Mutex<Session>>>>>,
+    sessions: RwLock<SessionMap>,
     next_id: AtomicU64,
     counters: Counters,
     /// Serializes threshold-triggered compactions: a second trigger while
@@ -325,12 +327,17 @@ pub struct SessionManager {
     compact_every: u64,
 }
 
+impl Default for SessionManager {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl SessionManager {
-    /// A store with the given number of shards (clamped to at least 1).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
+    /// An empty, in-memory store.
+    pub fn new() -> Self {
         Self {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            sessions: RwLock::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             counters: Counters::default(),
             compacting: std::sync::atomic::AtomicBool::new(false),
@@ -341,13 +348,8 @@ impl SessionManager {
 
     /// A manager journalling to `store`, rehydrated with everything the
     /// store recovered.
-    pub fn with_store(
-        shards: usize,
-        store: Arc<Store>,
-        recovery: Recovery,
-        compact_every: u64,
-    ) -> Self {
-        let mut manager = Self::new(shards);
+    pub fn with_store(store: Arc<Store>, recovery: Recovery, compact_every: u64) -> Self {
+        let mut manager = Self::new();
         manager.store = Some(store);
         manager.compact_every = compact_every;
         manager.next_id.store(recovery.next_session_id.max(1), Ordering::Relaxed);
@@ -361,11 +363,6 @@ impl SessionManager {
     /// The durable store backing this manager, if any.
     pub fn store(&self) -> Option<&Arc<Store>> {
         self.store.as_ref()
-    }
-
-    /// Number of shards the store was built with.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Sessions currently live.
@@ -383,37 +380,19 @@ impl SessionManager {
         self.counters.probes.load(Ordering::Relaxed)
     }
 
-    /// SplitMix64: id → shard index.  Session ids are sequential, so a
-    /// plain modulo would put consecutive sessions on consecutive shards —
-    /// fine — but hashing keeps the distribution independent of how ids
-    /// are allocated.
-    fn shard_of(&self, id: u64) -> usize {
-        let mut z = id.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) as usize % self.shards.len()
-    }
-
-    /// The shard holding `id`.
-    fn shard(&self, id: u64) -> &RwLock<HashMap<u64, Arc<Mutex<Session>>>> {
-        // pdb-analyze: allow(panic-path): shard_of reduces modulo shards.len(), so the index is always in range
-        &self.shards[self.shard_of(id)]
-    }
-
-    /// Lock the shard holding `id` for reading, recovering from
-    /// poisoning.  The only code that ever runs under a shard lock is a
-    /// `HashMap` get/insert/remove — none of which can leave the map
+    /// Lock the session map for reading, recovering from poisoning.  The
+    /// only code that ever runs under the map lock is a `HashMap`
+    /// get/insert/remove/key scan — none of which can leave the map
     /// observably torn when a panic unwinds through them — so a poisoned
-    /// shard recovers its guard instead of condemning every future
-    /// request that hashes to the same shard.
-    fn read_shard(&self, id: u64) -> RwLockReadGuard<'_, HashMap<u64, Arc<Mutex<Session>>>> {
-        self.shard(id).read().unwrap_or_else(PoisonError::into_inner)
+    /// map recovers its guard instead of condemning every future request.
+    fn read_map(&self) -> RwLockReadGuard<'_, SessionMap> {
+        self.sessions.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Lock the shard holding `id` for writing (same poisoning argument
-    /// as [`read_shard`](Self::read_shard)).
-    fn write_shard(&self, id: u64) -> RwLockWriteGuard<'_, HashMap<u64, Arc<Mutex<Session>>>> {
-        self.shard(id).write().unwrap_or_else(PoisonError::into_inner)
+    /// Lock the session map for writing (same poisoning argument as
+    /// [`read_map`](Self::read_map)).
+    fn write_map(&self) -> RwLockWriteGuard<'_, SessionMap> {
+        self.sessions.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Make a ready session visible under the given id.
@@ -423,7 +402,7 @@ impl SessionManager {
         // increment that funded it (underflow to u64::MAX).
         self.counters.live.fetch_add(1, Ordering::Relaxed);
         self.counters.created.fetch_add(1, Ordering::Relaxed);
-        self.write_shard(id).insert(id, Arc::new(Mutex::new(session)));
+        self.write_map().insert(id, Arc::new(Mutex::new(session)));
     }
 
     /// Create a session over the requested dataset (journalled when a
@@ -449,7 +428,7 @@ impl SessionManager {
                 if id == 0 {
                     return Err(DbError::invalid_parameter("session id 0 is reserved"));
                 }
-                if self.read_shard(id).contains_key(&id) {
+                if self.read_map().contains_key(&id) {
                     return Err(DbError::invalid_parameter(format!("session {id} already exists")));
                 }
                 self.next_id.fetch_max(id + 1, Ordering::Relaxed);
@@ -612,12 +591,7 @@ impl SessionManager {
     /// Ids of every live session (a racy snapshot; callers tolerate
     /// sessions vanishing before they get to them).
     fn session_ids(&self) -> Vec<u64> {
-        let mut ids = Vec::new();
-        for shard in &self.shards {
-            // Poisoning recovery as in `read_shard`: map reads can't
-            // observe torn state.
-            ids.extend(shard.read().unwrap_or_else(PoisonError::into_inner).keys().copied());
-        }
+        let mut ids: Vec<u64> = self.read_map().keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -705,9 +679,9 @@ impl SessionManager {
         }
     }
 
-    /// Look up a session (the returned handle outlives the shard lock).
+    /// Look up a session (the returned handle outlives the map lock).
     pub fn session(&self, id: u64) -> DbResult<Arc<Mutex<Session>>> {
-        self.read_shard(id)
+        self.read_map()
             .get(&id)
             .cloned()
             .ok_or_else(|| DbError::invalid_parameter(format!("unknown session {id}")))
@@ -716,7 +690,7 @@ impl SessionManager {
     /// Drop a session (journalled, so recovery does not resurrect it).
     ///
     /// The drop record is appended and the session marked dropped under
-    /// the session's own lock, *before* it leaves the shard map: a
+    /// the session's own lock, *before* it leaves the session map: a
     /// racing request that cloned the session's `Arc` before the removal
     /// then observes the mark and fails instead of journalling records
     /// after the drop record (which would make the log unreplayable).
@@ -738,7 +712,7 @@ impl SessionManager {
             }
             session.mark_dropped();
         }
-        if self.write_shard(id).remove(&id).is_some() {
+        if self.write_map().remove(&id).is_some() {
             self.counters.live.fetch_sub(1, Ordering::Relaxed);
         }
         Ok(SessionRef { session: id })
@@ -754,7 +728,7 @@ impl SessionManager {
         // A poisoned session lock means a previous request panicked
         // mid-mutation; its evaluation state may be torn, so the session
         // fail-stops (every request errors) until it is dropped — unlike
-        // the shard locks, whose map state can never tear.
+        // the map lock, whose state can never tear.
         let mut session = handle.lock().map_err(|_| {
             DbError::internal(format!(
                 "session {id} is unavailable: a previous request panicked while mutating it; \
@@ -786,7 +760,7 @@ mod tests {
 
     #[test]
     fn session_lifecycle_on_udb1() {
-        let mgr = SessionManager::new(4);
+        let mgr = SessionManager::new();
         let created = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap();
         assert_eq!(created.tuples, 7);
         assert_eq!(created.x_tuples, 4);
@@ -819,7 +793,7 @@ mod tests {
 
     #[test]
     fn registering_a_larger_k_replans_the_shared_run() {
-        let mgr = SessionManager::new(2);
+        let mgr = SessionManager::new();
         let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
         let r1 = mgr.with_session(id, |s| s.register_query(&register_req(id, 2))).unwrap();
         assert_eq!(r1.k_max, 2);
@@ -831,7 +805,7 @@ mod tests {
 
     #[test]
     fn delta_and_rebuild_probe_paths_agree() {
-        let mgr = SessionManager::new(1);
+        let mgr = SessionManager::new();
         let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
         mgr.with_session(id, |s| s.register_query(&register_req(id, 2))).unwrap();
         let mutation = XTupleMutation::CollapseToAlternative { keep_pos: 2 };
@@ -852,7 +826,7 @@ mod tests {
 
     #[test]
     fn invalid_session_parameters_are_rejected() {
-        let mgr = SessionManager::new(4);
+        let mgr = SessionManager::new();
         assert!(mgr
             .create(&CreateSession {
                 dataset: DatasetSpec::Udb1,
@@ -874,7 +848,7 @@ mod tests {
 
     #[test]
     fn failed_registration_leaves_the_session_usable() {
-        let mgr = SessionManager::new(2);
+        let mgr = SessionManager::new();
         let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
         mgr.with_session(id, |s| s.register_query(&register_req(id, 2))).unwrap();
         // k = 0 is rejected by the batch planner; the session keeps serving
@@ -889,10 +863,10 @@ mod tests {
     fn store_backed_sessions_survive_a_reopen() {
         let dir = std::env::temp_dir().join("pdb-server-session-store-test");
         std::fs::remove_dir_all(&dir).ok();
-        let open = || Store::open(&dir, true, &build_dataset).unwrap();
+        let open = || Store::open(&dir, &build_dataset).unwrap();
 
         let (store, recovery) = open();
-        let mgr = SessionManager::with_store(2, Arc::new(store), recovery, 0);
+        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0);
         let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
         mgr.register_query(&register_req(id, 2)).unwrap();
         let probe = ApplyMutation {
@@ -910,7 +884,7 @@ mod tests {
         let (store, recovery) = open();
         assert_eq!(recovery.records, 3);
         assert_eq!(recovery.sessions.len(), 1);
-        let mgr = SessionManager::with_store(2, Arc::new(store), recovery, 0);
+        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0);
         assert_eq!(mgr.sessions_live(), 1);
         let after = mgr.with_session(id, |s| s.quality()).unwrap();
         assert!((after.aggregate - before.aggregate).abs() < 1e-12);
@@ -944,8 +918,8 @@ mod tests {
     fn journal_faulted_sessions_fail_stop_until_persisted() {
         let dir = std::env::temp_dir().join("pdb-server-session-fault-test");
         std::fs::remove_dir_all(&dir).ok();
-        let (store, recovery) = Store::open(&dir, true, &build_dataset).unwrap();
-        let mgr = SessionManager::with_store(1, Arc::new(store), recovery, 0);
+        let (store, recovery) = Store::open(&dir, &build_dataset).unwrap();
+        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0);
         let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
         mgr.register_query(&register_req(id, 2)).unwrap();
 
@@ -968,7 +942,7 @@ mod tests {
 
     #[test]
     fn persist_without_a_store_is_a_clean_error() {
-        let mgr = SessionManager::new(1);
+        let mgr = SessionManager::new();
         let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
         let err = mgr.persist(id).unwrap_err();
         assert!(err.to_string().contains("--store-dir"), "{err}");
@@ -984,7 +958,7 @@ mod tests {
         let db = build_dataset(&DatasetSpec::Udb1).unwrap();
         pdb_store::Snapshot::write(&db, &snapshot).unwrap();
 
-        let mgr = SessionManager::new(1);
+        let mgr = SessionManager::new();
         let req = RestoreSession {
             snapshot: snapshot.display().to_string(),
             probe_cost: 1,
@@ -1004,16 +978,5 @@ mod tests {
         };
         assert!(mgr.restore(&missing).is_err());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shards_spread_sessions() {
-        let mgr = SessionManager::new(4);
-        for _ in 0..32 {
-            mgr.create(&create_req(DatasetSpec::Udb1)).unwrap();
-        }
-        let occupied = mgr.shards.iter().filter(|s| !s.read().unwrap().is_empty()).count();
-        assert!(occupied >= 2, "32 sessions landed on {occupied} of 4 shards");
-        assert_eq!(mgr.sessions_created(), 32);
     }
 }

@@ -27,7 +27,6 @@ fn boot(
         match Server::bind(&ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             threads: 2,
-            shards: 2,
             store_dir: Some(store_dir.display().to_string()),
             compact_every,
             ..Default::default()

@@ -20,11 +20,10 @@ use std::thread;
 const TOL: f64 = 1e-12;
 
 /// Boot a server on an ephemeral loopback port.
-fn boot(threads: usize, shards: usize) -> (SocketAddr, thread::JoinHandle<std::io::Result<()>>) {
+fn boot(threads: usize) -> (SocketAddr, thread::JoinHandle<std::io::Result<()>>) {
     let server = Server::bind(&ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads,
-        shards,
         ..ServerConfig::default()
     })
     .expect("bind ephemeral loopback port");
@@ -129,7 +128,7 @@ fn exercise_session(addr: SocketAddr, worker: usize) {
 
 #[test]
 fn concurrent_sessions_match_direct_engine_calls() {
-    let (addr, handle) = boot(4, 4);
+    let (addr, handle) = boot(4);
 
     let workers: Vec<thread::JoinHandle<()>> =
         (0..4).map(|worker| thread::spawn(move || exercise_session(addr, worker))).collect();
@@ -144,6 +143,7 @@ fn concurrent_sessions_match_direct_engine_calls() {
     assert_eq!(stats.sessions_created, 4);
     assert_eq!(stats.probes_applied, 4);
     assert!(stats.requests_served >= 4 * 8);
+    assert_eq!(stats.shards, 1, "one server is one shard process");
 
     client.shutdown().unwrap();
     handle.join().expect("server thread").expect("clean shutdown");
@@ -160,7 +160,7 @@ fn raw_call(raw: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) 
 
 #[test]
 fn rebuild_mode_agrees_with_the_delta_path() {
-    let (addr, handle) = boot(2, 2);
+    let (addr, handle) = boot(2);
     let mut client = Client::connect(addr).unwrap();
     let query = TopKQuery::PTk { k: 2, threshold: 0.4 };
     let session = client.create_session(DatasetSpec::Udb1, 1, 0.8).unwrap().session;
@@ -196,7 +196,7 @@ fn rebuild_mode_agrees_with_the_delta_path() {
 
 #[test]
 fn the_apply_probe_verb_still_answers_like_apply_mutation() {
-    let (addr, handle) = boot(2, 2);
+    let (addr, handle) = boot(2);
     let mut client = Client::connect(addr).unwrap();
     let mk = |client: &mut Client| {
         let session = client.create_session(DatasetSpec::Udb1, 1, 0.8).unwrap().session;
@@ -229,7 +229,7 @@ fn the_apply_probe_verb_still_answers_like_apply_mutation() {
 
 #[test]
 fn an_unallocatable_k_is_an_error_reply_and_the_session_keeps_serving() {
-    let (addr, handle) = boot(1, 1);
+    let (addr, handle) = boot(1);
     let mut client = Client::connect(addr).unwrap();
     let session = client.create_session(DatasetSpec::Udb1, 1, 0.8).unwrap().session;
     client.register_query(session, TopKQuery::PTk { k: 2, threshold: 0.4 }, 1.0).unwrap();
@@ -250,7 +250,7 @@ fn an_unallocatable_k_is_an_error_reply_and_the_session_keeps_serving() {
 
 #[test]
 fn errors_come_back_as_error_replies_not_disconnects() {
-    let (addr, handle) = boot(1, 1);
+    let (addr, handle) = boot(1);
 
     // Unparseable bytes on a raw socket (below the typed Client, which
     // validates requests before sending): the server must answer with an
@@ -290,8 +290,33 @@ fn errors_come_back_as_error_replies_not_disconnects() {
 }
 
 #[test]
+fn a_deeply_nested_line_is_an_error_reply_and_the_session_keeps_serving() {
+    // Two workers: the typed client and the raw socket each hold one.
+    let (addr, handle) = boot(2);
+    let mut client = Client::connect(addr).unwrap();
+    let session = client.create_session(DatasetSpec::Udb1, 1, 0.8).unwrap().session;
+    client.register_query(session, TopKQuery::PTk { k: 2, threshold: 0.4 }, 1.0).unwrap();
+
+    // 10,000 nested arrays in a 10 KB line: the parser's recursion limit
+    // turns it into an error instead of overflowing the worker's stack.
+    let mut raw = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let line = format!("{{\"evaluate\": {}\n", "[".repeat(10_000));
+    let reply = raw_call(&mut raw, &mut reader, &line);
+    assert!(reply.starts_with("{\"error\":") && reply.contains("recursion limit"), "{reply:?}");
+    // The same connection, and the session, keep serving.
+    let reply =
+        raw_call(&mut raw, &mut reader, &format!("{{\"evaluate\": {{\"session\": {session}}}}}\n"));
+    assert!(reply.starts_with("{\"answers\":"), "{reply:?}");
+    assert_eq!(client.evaluate(session).unwrap().answers[0].len(), 3); // PT-2 = {t1, t2, t5}
+
+    client.shutdown().unwrap();
+    handle.join().expect("server thread").expect("clean shutdown");
+}
+
+#[test]
 fn shutdown_drains_even_with_an_idle_persistent_connection() {
-    let (addr, handle) = boot(2, 1);
+    let (addr, handle) = boot(2);
 
     // A client that connects and then never sends anything: its worker is
     // parked in a blocking read when shutdown arrives.

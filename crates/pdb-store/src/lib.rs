@@ -8,13 +8,14 @@
 //! * [`snapshot`] — a versioned, checksummed **binary snapshot format**
 //!   for probabilistic databases (columnar tuple/score/probability
 //!   layout, XXH64 integrity trailer) with bit-exact `f64` round trips;
-//! * [`wal`] — an append-only, per-record-fsync'd **write-ahead log** of
-//!   session lifecycle events (`create_session`, `register_query`,
-//!   `apply_probe` with the resolved mutation), tolerant of torn tails;
-//! * [`store`] — the **store directory** combining both: checkpoints,
-//!   log compaction, and a recovery path that replays the log through
-//!   the existing in-place delta machinery, so recovering a session
-//!   costs O(probes) delta passes — not a PSR rerun per probe;
+//! * [`wal`] — an append-only **write-ahead log** of session lifecycle
+//!   events (`create_session`, `register_query`, `apply_probe` with the
+//!   resolved mutation), tolerant of torn tails;
+//! * [`store`] — the **store directory** combining both: a group-commit
+//!   flusher that fsyncs every append before it is acknowledged,
+//!   checkpoints, log compaction, and a recovery path that replays the
+//!   log through the existing in-place delta machinery, so recovering a
+//!   session costs O(probes) delta passes — not a PSR rerun per probe;
 //! * [`spec`] — the durable [`DatasetSpec`] describing a session's base
 //!   database (materialized by `pdb_gen::spec::build_dataset`, above
 //!   this crate);

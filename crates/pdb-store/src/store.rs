@@ -147,18 +147,15 @@ pub struct CompactionStats {
     pub snapshots_removed: usize,
 }
 
-/// When an acknowledged [`Store::append`] is made durable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How the store's flusher batches fsyncs.  Every store group-commits:
+/// a dedicated flusher thread fsyncs the log once per window, and an
+/// append blocks until a flush covering its record has completed, so an
+/// acknowledged append is durable — only the fsync count amortizes
+/// across concurrent appenders.  The default (batch 64, no linger) is
+/// what `pdb serve` runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
-    /// One `fsync` per appended record, before the append returns — the
-    /// durability oracle, and exactly what `Store::open(dir, true, ..)`
-    /// does.
-    #[default]
-    PerRecord,
-    /// A dedicated flusher thread batches appends and fsyncs once per
-    /// window.  An append still blocks until a flush covering its record
-    /// has completed, so the durability *contract* is unchanged — only
-    /// the fsync count amortizes across concurrent appenders.
+    /// Batch concurrent appends into one fsync per window.
     GroupCommit {
         /// Flush as soon as this many unsynced records are pending.
         max_batch: usize,
@@ -171,6 +168,12 @@ pub enum FlushPolicy {
         /// reason PostgreSQL ships `commit_delay = 0`).
         max_wait: Duration,
     },
+}
+
+impl Default for FlushPolicy {
+    fn default() -> Self {
+        FlushPolicy::GroupCommit { max_batch: 64, max_wait: Duration::ZERO }
+    }
 }
 
 /// State shared between group-commit appenders and the flusher thread.
@@ -227,9 +230,7 @@ pub struct Store {
     wal: Arc<Mutex<Wal>>,
     snapshot_seq: AtomicU64,
     records_since_truncate: AtomicU64,
-    /// Present under [`FlushPolicy::GroupCommit`]; `None` means appends
-    /// sync (or not) inside [`Wal::append`] itself.
-    flusher: Option<Flusher>,
+    flusher: Flusher,
     /// Holds the OS advisory lock on [`LOCK_FILE`] for the store's
     /// lifetime (released automatically when the handle closes, so a
     /// killed process never leaves a stale lock behind).
@@ -244,47 +245,31 @@ impl Store {
     /// Open (or create) the store directory, replay the log, and return
     /// the store plus everything it recovered.  `build` materializes the
     /// dataset specs journalled by `create_session` records (pass
-    /// `pdb_gen::spec::build_dataset`).  With `sync`, every append is
-    /// fsync'd before it is acknowledged.
+    /// `pdb_gen::spec::build_dataset`).  Appends group-commit under the
+    /// default [`FlushPolicy`].
     /// Fails if another process already holds the store open: two
     /// writers appending to (and open-truncating) the same log through
     /// independent handles would interleave frames and destroy each
     /// other's acknowledged records.
-    pub fn open(dir: &Path, sync: bool, build: &DatasetBuilder<'_>) -> Result<(Self, Recovery)> {
-        Self::open_inner(dir, sync, None, build)
+    pub fn open(dir: &Path, build: &DatasetBuilder<'_>) -> Result<(Self, Recovery)> {
+        Self::open_with_policy(dir, FlushPolicy::default(), build)
     }
 
-    /// [`open`](Self::open) with an explicit [`FlushPolicy`].
-    /// `PerRecord` is identical to `open(dir, true, build)`;
-    /// `GroupCommit` opens the log unsynced and spawns the flusher
-    /// thread that batches fsyncs (appends still block until their
-    /// record is covered by a completed flush).
+    /// [`open`](Self::open) with an explicit [`FlushPolicy`] for the
+    /// flusher thread that batches fsyncs.
     pub fn open_with_policy(
         dir: &Path,
         policy: FlushPolicy,
         build: &DatasetBuilder<'_>,
     ) -> Result<(Self, Recovery)> {
-        match policy {
-            FlushPolicy::PerRecord => Self::open_inner(dir, true, None, build),
-            FlushPolicy::GroupCommit { max_batch, max_wait } => {
-                if max_batch == 0 {
-                    return Err(StoreError::io(
-                        "opening",
-                        dir,
-                        std::io::Error::other("group commit needs max_batch >= 1"),
-                    ));
-                }
-                Self::open_inner(dir, false, Some((max_batch, max_wait)), build)
-            }
+        let FlushPolicy::GroupCommit { max_batch, max_wait } = policy;
+        if max_batch == 0 {
+            return Err(StoreError::io(
+                "opening",
+                dir,
+                std::io::Error::other("group commit needs max_batch >= 1"),
+            ));
         }
-    }
-
-    fn open_inner(
-        dir: &Path,
-        sync: bool,
-        group: Option<(usize, Duration)>,
-        build: &DatasetBuilder<'_>,
-    ) -> Result<(Self, Recovery)> {
         fs::create_dir_all(dir).map_err(|e| StoreError::io("creating", dir, e))?;
         let lock_path = dir.join(LOCK_FILE);
         let lock_err = |e| StoreError::io("creating", &lock_path, e);
@@ -300,14 +285,9 @@ impl Store {
                 )),
             )
         })?;
-        let (wal, replay) = Wal::open(&dir.join(WAL_FILE), sync)?;
+        let (wal, replay) = Wal::open(&dir.join(WAL_FILE))?;
         let wal = Arc::new(Mutex::new(wal));
-        let flusher = match group {
-            None => None,
-            Some((max_batch, max_wait)) => {
-                Some(spawn_flusher(dir, Arc::clone(&wal), max_batch, max_wait)?)
-            }
-        };
+        let flusher = spawn_flusher(dir, Arc::clone(&wal), max_batch, max_wait)?;
         let snapshot_seq = max_snapshot_seq(dir)?;
         let store = Self {
             dir: dir.to_path_buf(),
@@ -359,37 +339,34 @@ impl Store {
         })
     }
 
-    /// Append one record to the log.  Under `sync` / `PerRecord` the
-    /// record is fsync'd before this returns; under `GroupCommit` the
-    /// call blocks until a batched flush covering the record completed —
-    /// either way an acknowledged append is durable.
+    /// Append one record to the log.  The call blocks until a batched
+    /// flush covering the record completed, so an acknowledged append is
+    /// durable.
     pub fn append(&self, record: &WalRecord) -> Result<()> {
         // The span covers framing *and* the wait for durability, so the
         // histogram reports what an acknowledged append actually costs
-        // callers (under group commit, mostly the wait).
+        // callers (mostly the wait).
         let _span = pdb_obs::metrics::WAL_APPEND_LATENCY_NS.span();
         self.wal()?.append(record)?;
-        if let Some(flusher) = &self.flusher {
-            flusher.wait_durable(&self.dir)?;
-        }
+        self.flusher.wait_durable(&self.dir)?;
         self.records_since_truncate.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Completed group-commit flush windows (0 under per-record fsync).
-    /// Under concurrency this stays well below the append count — the
-    /// whole point of the policy.
+    /// Completed group-commit flush windows.  Under concurrency this
+    /// stays well below the append count — the whole point of group
+    /// commit.
     pub fn flushes(&self) -> u64 {
-        self.flusher.as_ref().map_or(0, |f| f.shared.state().flushes)
+        self.flusher.shared.state().flushes
     }
 
-    /// The group-commit flusher's sticky fsync failure, if one has
-    /// happened (`None` under per-record fsync and on a healthy log).
-    /// Once set, the log has fail-stopped: every waiting and future
-    /// append errors.  Surfaced through `stats`/`metrics` so operators
-    /// see the degradation before the next write trips over it.
+    /// The flusher's sticky fsync failure, if one has happened (`None`
+    /// on a healthy log).  Once set, the log has fail-stopped: every
+    /// waiting and future append errors.  Surfaced through
+    /// `stats`/`metrics` so operators see the degradation before the
+    /// next write trips over it.
     pub fn flush_error(&self) -> Option<String> {
-        self.flusher.as_ref().and_then(|f| f.shared.state().error.clone())
+        self.flusher.shared.state().error.clone()
     }
 
     /// Records appended since the last [`truncate_log`](Self::truncate_log)
@@ -448,13 +425,13 @@ impl Store {
         };
         wal.rewrite(&kept)?;
         self.records_since_truncate.store(0, Ordering::Relaxed);
-        if let Some(flusher) = &self.flusher {
+        {
             // The rewrite was written atomically and fsync'd, and no
             // frame can land while the log lock is held: everything
             // framed so far is durable, so release any waiting appenders.
-            let mut state = flusher.shared.state();
+            let mut state = self.flusher.shared.state();
             state.synced = state.synced.max(state.dirty);
-            flusher.shared.done.notify_all();
+            self.flusher.shared.done.notify_all();
         }
         drop(wal);
 
@@ -483,19 +460,15 @@ impl Store {
 
 impl Drop for Store {
     fn drop(&mut self) {
-        if let Some(flusher) = self.flusher.take() {
-            {
-                let mut state = flusher.shared.state();
-                state.shutdown = true;
-            }
-            flusher.shared.work.notify_all();
-            flusher.shared.done.notify_all();
-            if let Some(handle) = flusher.handle {
-                // The flusher drains pending work before exiting; a
-                // panicked flusher already left the sticky error set.
-                // pdb-analyze: allow(error-swallow): drop path; a panicked flusher already fail-stopped every waiter via the sticky error
-                let _ = handle.join();
-            }
+        let flusher = &mut self.flusher;
+        flusher.shared.state().shutdown = true;
+        flusher.shared.work.notify_all();
+        flusher.shared.done.notify_all();
+        if let Some(handle) = flusher.handle.take() {
+            // The flusher drains pending work before exiting; a
+            // panicked flusher already left the sticky error set.
+            // pdb-analyze: allow(error-swallow): drop path; a panicked flusher already fail-stopped every waiter via the sticky error
+            let _ = handle.join();
         }
     }
 }
@@ -801,34 +774,25 @@ impl SessionBuild {
         }
     }
 
-    /// Fold the buffered probes into the state: one delta pass per probe
-    /// on a live evaluation, or plain database mutations while idle (a
-    /// log can only contain the latter if it was written by a client
-    /// driving mutations without registered queries).
+    /// Fold the buffered probes into the live evaluation: one delta pass
+    /// per probe.  The live server refuses a mutation before the first
+    /// `register_query`, so a log holding one for an idle session was not
+    /// written by it, and replay rejects it the same way.
     fn flush(&mut self) -> Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
+        let Some(&(first, ..)) = self.pending.first() else { return Ok(()) };
         let pending = std::mem::take(&mut self.pending);
-        match &mut self.state {
-            RecoveredState::Live(batch) => {
-                // Non-empty: the is_empty early return above just ran.
-                let first = match pending.first() {
-                    Some(p) => p.0,
-                    None => return Ok(()),
-                };
-                let update = batch
-                    .replay_in_place(pending.into_iter().map(|(_, l, m)| (l, m)))
-                    .map_err(|source| StoreError::Replay { record: first, source })?;
-                self.stats.accumulate(&update.stats);
-            }
-            RecoveredState::Idle(db) => {
-                for (index, l, mutation) in pending {
-                    apply_to_db(db, l, &mutation)
-                        .map_err(|source| StoreError::Replay { record: index, source })?;
-                }
-            }
-        }
+        let RecoveredState::Live(batch) = &mut self.state else {
+            return Err(StoreError::Replay {
+                record: first,
+                source: DbError::invalid_parameter(
+                    "mutation for a session with no registered query",
+                ),
+            });
+        };
+        let update = batch
+            .replay_in_place(pending.into_iter().map(|(_, l, m)| (l, m)))
+            .map_err(|source| StoreError::Replay { record: first, source })?;
+        self.stats.accumulate(&update.stats);
         Ok(())
     }
 
@@ -857,22 +821,6 @@ impl SessionBuild {
             replay_stats: self.stats,
             state: self.state,
         }
-    }
-}
-
-/// Apply one journalled mutation directly to a database (the idle-session
-/// replay path).
-fn apply_to_db(db: &mut RankedDatabase, l: usize, mutation: &XTupleMutation) -> DbResult<()> {
-    match mutation {
-        XTupleMutation::CollapseToAlternative { keep_pos } => {
-            db.collapse_x_tuple_in_place(l, *keep_pos)
-        }
-        XTupleMutation::CollapseToNull => db.collapse_x_tuple_to_null_in_place(l),
-        XTupleMutation::Reweight { probs } => db.reweight_x_tuple_in_place(l, probs),
-        XTupleMutation::Insert { key, alternatives } => {
-            db.insert_x_tuple_in_place(key.clone(), alternatives).map(|_| ())
-        }
-        XTupleMutation::Remove => db.remove_x_tuple_in_place(l),
     }
 }
 
@@ -934,7 +882,7 @@ mod tests {
     fn create_register_probe_replays_to_the_mutated_state() {
         let dir = temp_store("basic");
         {
-            let (store, recovery) = Store::open(&dir, true, &build).unwrap();
+            let (store, recovery) = Store::open(&dir, &build).unwrap();
             assert!(recovery.sessions.is_empty());
             assert_eq!(recovery.next_session_id, 1);
             store.append(&create1()).unwrap();
@@ -942,7 +890,7 @@ mod tests {
             store.append(&probe1()).unwrap();
         }
 
-        let (_, recovery) = Store::open(&dir, true, &build).unwrap();
+        let (_, recovery) = Store::open(&dir, &build).unwrap();
         assert_eq!(recovery.records, 3);
         assert_eq!(recovery.truncated_bytes, 0);
         assert_eq!(recovery.next_session_id, 2);
@@ -969,7 +917,7 @@ mod tests {
     #[test]
     fn checkpoint_supersedes_earlier_records_and_compaction_drops_them() {
         let dir = temp_store("checkpoint");
-        let (store, _) = Store::open(&dir, true, &build).unwrap();
+        let (store, _) = Store::open(&dir, &build).unwrap();
         store.append(&create1()).unwrap();
         store.append(&pt2()).unwrap();
         store.append(&probe1()).unwrap();
@@ -1009,7 +957,7 @@ mod tests {
         assert_eq!(store.records_since_truncate(), 0);
 
         drop(store);
-        let (_, recovery) = Store::open(&dir, true, &build).unwrap();
+        let (_, recovery) = Store::open(&dir, &build).unwrap();
         let session = &recovery.sessions[0];
         assert_eq!(session.probes, 2, "checkpointed probe count + replayed probe");
         assert_eq!(session.probes_replayed, 1, "only the post-checkpoint probe replays");
@@ -1023,7 +971,7 @@ mod tests {
     #[test]
     fn dropped_sessions_vanish_from_recovery_and_compaction() {
         let dir = temp_store("dropped");
-        let (store, _) = Store::open(&dir, true, &build).unwrap();
+        let (store, _) = Store::open(&dir, &build).unwrap();
         store.append(&create1()).unwrap();
         store
             .append(&WalRecord::CreateSession {
@@ -1038,7 +986,7 @@ mod tests {
         assert_eq!(stats.records_after, 1, "only session 2's create survives");
 
         drop(store);
-        let (_, recovery) = Store::open(&dir, true, &build).unwrap();
+        let (_, recovery) = Store::open(&dir, &build).unwrap();
         assert_eq!(recovery.sessions.len(), 1);
         assert_eq!(recovery.sessions[0].id, 2);
         assert!(matches!(recovery.sessions[0].state, RecoveredState::Idle(_)));
@@ -1051,7 +999,7 @@ mod tests {
     #[test]
     fn compaction_preserves_the_high_water_session_id() {
         let dir = temp_store("high-water");
-        let (store, _) = Store::open(&dir, true, &build).unwrap();
+        let (store, _) = Store::open(&dir, &build).unwrap();
         store.append(&create1()).unwrap();
         store
             .append(&WalRecord::CreateSession {
@@ -1066,7 +1014,7 @@ mod tests {
         // Session 1's create survives, plus the tombstone pinning id 2.
         assert_eq!(stats.records_after, 2);
         drop(store);
-        let (_, recovery) = Store::open(&dir, true, &build).unwrap();
+        let (_, recovery) = Store::open(&dir, &build).unwrap();
         assert_eq!(recovery.sessions.len(), 1);
         assert_eq!(recovery.next_session_id, 3, "ids must never regress to a dropped session's id");
         fs::remove_dir_all(&dir).ok();
@@ -1075,60 +1023,76 @@ mod tests {
     #[test]
     fn a_store_directory_has_exactly_one_writer() {
         let dir = temp_store("single-writer");
-        let (store, _) = Store::open(&dir, true, &build).unwrap();
-        let err = Store::open(&dir, true, &build).unwrap_err();
+        let (store, _) = Store::open(&dir, &build).unwrap();
+        let err = Store::open(&dir, &build).unwrap_err();
         assert!(err.to_string().contains("one writer"), "{err}");
         // The read-only peek is not a writer and stays available.
         assert!(Store::peek(&dir, &build).is_ok());
         drop(store);
-        assert!(Store::open(&dir, true, &build).is_ok(), "lock released on drop");
+        assert!(Store::open(&dir, &build).is_ok(), "lock released on drop");
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn replay_of_an_inconsistent_log_is_a_clean_error() {
         let dir = temp_store("inconsistent");
-        let (store, _) = Store::open(&dir, true, &build).unwrap();
+        let (store, _) = Store::open(&dir, &build).unwrap();
         // Probe for a session that was never created.
         store.append(&probe1()).unwrap();
         drop(store);
-        let err = Store::open(&dir, true, &build).unwrap_err();
+        let err = Store::open(&dir, &build).unwrap_err();
         assert!(matches!(err, StoreError::Replay { record: 0, .. }), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn group_commit_appends_survive_reopen_exactly_like_per_record() {
+    fn a_mutation_for_a_session_without_a_query_fails_replay() {
+        let dir = temp_store("idle-mutation");
+        let (store, _) = Store::open(&dir, &build).unwrap();
+        store.append(&create1()).unwrap();
+        // No register_query first: the live server refuses this mutation,
+        // so a log holding it was written by hand.
+        store.append(&probe1()).unwrap();
+        drop(store);
+        let err = Store::open(&dir, &build).unwrap_err();
+        assert!(matches!(err, StoreError::Replay { record: 1, .. }), "{err}");
+        assert!(err.to_string().contains("no registered query"), "{err}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn group_commit_appends_survive_reopen_and_match_the_in_process_state() {
         let policy = FlushPolicy::GroupCommit {
             max_batch: 8,
             max_wait: std::time::Duration::from_millis(20),
         };
-        let group_dir = temp_store("group-commit");
+        let dir = temp_store("group-commit");
         {
-            let (store, _) = Store::open_with_policy(&group_dir, policy, &build).unwrap();
-            store.append(&create1()).unwrap();
-            store.append(&pt2()).unwrap();
-            store.append(&probe1()).unwrap();
-        }
-        let per_record_dir = temp_store("group-commit-oracle");
-        {
-            let (store, _) =
-                Store::open_with_policy(&per_record_dir, FlushPolicy::PerRecord, &build).unwrap();
+            let (store, _) = Store::open_with_policy(&dir, policy, &build).unwrap();
             store.append(&create1()).unwrap();
             store.append(&pt2()).unwrap();
             store.append(&probe1()).unwrap();
         }
 
-        // Both logs replay to the identical session state.
-        let (_, group) = Store::open(&group_dir, true, &build).unwrap();
-        let (_, oracle) = Store::open(&per_record_dir, true, &build).unwrap();
-        assert_eq!(group.records, oracle.records);
-        assert_eq!(group.sessions.len(), 1);
-        let (g, o) = (&group.sessions[0], &oracle.sessions[0]);
-        assert_eq!((g.id, g.probes), (o.id, o.probes));
-        assert_eq!(g.state.database(), o.state.database());
-        fs::remove_dir_all(&group_dir).ok();
-        fs::remove_dir_all(&per_record_dir).ok();
+        // The recovered session is the same steps applied in process.
+        let (_, recovery) = Store::open(&dir, &build).unwrap();
+        assert_eq!(recovery.records, 3);
+        assert_eq!(recovery.sessions.len(), 1);
+        let session = &recovery.sessions[0];
+        assert_eq!((session.id, session.probes), (1, 1));
+        let mut mirror = BatchQuality::from_owned(
+            udb1(),
+            vec![WeightedQuery::new(TopKQuery::PTk { k: 2, threshold: 0.4 })],
+        )
+        .unwrap();
+        mirror
+            .apply_collapse_in_place(2, &XTupleMutation::CollapseToAlternative { keep_pos: 2 })
+            .unwrap();
+        let RecoveredState::Live(batch) = &session.state else { panic!("live session") };
+        assert_eq!(batch.database(), mirror.database());
+        assert_eq!(batch.answers().unwrap(), mirror.answers().unwrap());
+        assert!((batch.aggregate_quality() - mirror.aggregate_quality()).abs() < 1e-12);
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1140,6 +1104,9 @@ mod tests {
         };
         let (store, _) = Store::open_with_policy(&dir, policy, &build).unwrap();
         store.append(&create1()).unwrap();
+        // Replay applies mutations only to a session with a query, like
+        // the live server.
+        store.append(&pt2()).unwrap();
 
         let store = std::sync::Arc::new(store);
         let threads: Vec<_> = (0..4)
@@ -1164,13 +1131,13 @@ mod tests {
 
         let flushes = store.flushes();
         assert!(flushes > 0, "the flusher ran");
-        assert!(flushes < 65, "65 appends batched into {flushes} flushes");
-        assert_eq!(store.records(), 65);
+        assert!(flushes < 66, "66 appends batched into {flushes} flushes");
+        assert_eq!(store.records(), 66);
 
         // Every acknowledged append survives a reopen.
         drop(store);
-        let (_, recovery) = Store::open(&dir, true, &build).unwrap();
-        assert_eq!(recovery.records, 65);
+        let (_, recovery) = Store::open(&dir, &build).unwrap();
+        assert_eq!(recovery.records, 66);
         assert_eq!(recovery.sessions[0].probes, 64);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1215,7 +1182,7 @@ mod tests {
             })
             .unwrap();
         drop(store);
-        let (_, recovery) = Store::open(&dir, true, &build).unwrap();
+        let (_, recovery) = Store::open(&dir, &build).unwrap();
         assert_eq!(recovery.sessions[0].probes, 2);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1243,11 +1210,11 @@ mod tests {
             probe_success: 0.8,
             probes: 0,
         };
-        let (store, _) = Store::open(&dir, true, &build).unwrap();
+        let (store, _) = Store::open(&dir, &build).unwrap();
         store.append(&create1()).unwrap();
         let first = store.checkpoint(&checkpoint).unwrap();
         drop(store);
-        let (store, _) = Store::open(&dir, true, &build).unwrap();
+        let (store, _) = Store::open(&dir, &build).unwrap();
         let second = store.checkpoint(&checkpoint).unwrap();
         assert_ne!(first, second);
         fs::remove_dir_all(&dir).ok();

@@ -5,9 +5,11 @@
 //! and every probe outcome folded in (each probe is exactly one
 //! [`XTupleMutation`] — the incremental structure the paper's cleaning
 //! model gives us for free).  The WAL journals those events as
-//! append-only records, fsync'd per record, so a crash loses at most the
-//! record being written — and that torn tail is *tolerated*, not fatal:
-//! replay stops at the first corrupt record and truncates the file there.
+//! append-only records.  [`Wal::append`] only writes; the store's
+//! group-commit flusher fsyncs the log before any append is acknowledged
+//! (see [`crate::store`]), so a crash loses only unacknowledged records —
+//! and a torn tail is *tolerated*, not fatal: replay stops at the first
+//! corrupt record and truncates the file there.
 //!
 //! ## File layout
 //!
@@ -172,7 +174,6 @@ pub struct WalReplay {
 pub struct Wal {
     file: fs::File,
     path: PathBuf,
-    sync: bool,
     records: u64,
     /// Length of the valid prefix (header + every fully appended
     /// record): the offset a failed partial append is rolled back to.
@@ -298,8 +299,8 @@ pub(crate) fn scan_file(path: &Path) -> Result<Vec<WalRecord>> {
 impl Wal {
     /// Open (or create) the log at `path`, replaying every valid record
     /// and truncating a torn tail so appends continue from a clean
-    /// boundary.  With `sync`, every append is fsync'd before returning.
-    pub fn open(path: &Path, sync: bool) -> Result<(Self, WalReplay)> {
+    /// boundary.
+    pub fn open(path: &Path) -> Result<(Self, WalReplay)> {
         let bytes = match fs::read(path) {
             Ok(bytes) => bytes,
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => Vec::new(),
@@ -333,19 +334,14 @@ impl Wal {
 
         let records_count = records.len() as u64;
         let len = valid_len.max(WAL_HEADER_LEN) as u64;
-        let wal = Self {
-            file,
-            path: path.to_path_buf(),
-            sync,
-            records: records_count,
-            len,
-            poisoned: None,
-        };
+        let wal =
+            Self { file, path: path.to_path_buf(), records: records_count, len, poisoned: None };
         Ok((wal, WalReplay { records, truncated_bytes }))
     }
 
-    /// Append one record (write + per-record fsync when the log was
-    /// opened with `sync`).
+    /// Append one record.  This only writes the frame: the caller makes
+    /// it durable before acknowledging it (the store's flusher fsyncs a
+    /// duplicated handle of the log).
     ///
     /// A *failed* write is rolled back: the file is truncated to the last
     /// fully appended record, so a partial frame (e.g. `ENOSPC` mid-write)
@@ -371,17 +367,14 @@ impl Wal {
             ));
         }
         // The frame is fully written, so the valid prefix now includes it
-        // — even if the fsync below fails.  Keeping `len` in step matters:
-        // rolling a *later* failed append back to a stale `len` would
-        // truncate this (complete, possibly acknowledged) frame.
+        // — even if the fsync that should cover it fails.  Keeping `len`
+        // in step matters: rolling a *later* failed append back to a stale
+        // `len` would truncate this (complete, possibly acknowledged)
+        // frame.  A failed fsync is *not* rolled back: the frame is
+        // complete and valid, so it either survives the crash (matching
+        // the state the caller already applied) or tears off cleanly.
         self.len += framed.len() as u64;
         self.records += 1;
-        // A failed fsync is *not* rolled back: the frame is complete and
-        // valid, so it either survives the crash (matching the state the
-        // caller already applied) or tears off cleanly.
-        if self.sync {
-            self.file.sync_data().map_err(|e| StoreError::io("syncing", &self.path, e))?;
-        }
         Ok(())
     }
 
@@ -513,7 +506,7 @@ mod tests {
     #[test]
     fn appends_replay_in_order() {
         let path = temp_wal("replay.wal");
-        let (mut wal, replay) = Wal::open(&path, true).unwrap();
+        let (mut wal, replay) = Wal::open(&path).unwrap();
         assert!(replay.records.is_empty());
         for record in sample_records() {
             wal.append(&record).unwrap();
@@ -521,7 +514,7 @@ mod tests {
         assert_eq!(wal.records(), 7);
         drop(wal);
 
-        let (wal, replay) = Wal::open(&path, false).unwrap();
+        let (wal, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.records, sample_records());
         assert_eq!(replay.truncated_bytes, 0);
         assert_eq!(wal.records(), 7);
@@ -532,7 +525,7 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_not_fatal() {
         let path = temp_wal("torn.wal");
-        let (mut wal, _) = Wal::open(&path, true).unwrap();
+        let (mut wal, _) = Wal::open(&path).unwrap();
         for record in sample_records() {
             wal.append(&record).unwrap();
         }
@@ -547,7 +540,7 @@ mod tests {
         bytes.extend_from_slice(b"only a few payload bytes");
         fs::write(&path, &bytes).unwrap();
 
-        let (mut wal, replay) = Wal::open(&path, true).unwrap();
+        let (mut wal, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.records, sample_records());
         assert_eq!(replay.truncated_bytes, bytes.len() as u64 - intact_len);
         assert_eq!(fs::metadata(&path).unwrap().len(), intact_len, "tail truncated");
@@ -555,7 +548,7 @@ mod tests {
         // The log keeps working after truncation.
         wal.append(&WalRecord::DropSession { session: 9 }).unwrap();
         drop(wal);
-        let (_, replay) = Wal::open(&path, false).unwrap();
+        let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.records.len(), 8);
         fs::remove_file(&path).ok();
     }
@@ -563,7 +556,7 @@ mod tests {
     #[test]
     fn corrupt_mid_record_truncates_from_there() {
         let path = temp_wal("corrupt.wal");
-        let (mut wal, _) = Wal::open(&path, true).unwrap();
+        let (mut wal, _) = Wal::open(&path).unwrap();
         for record in sample_records() {
             wal.append(&record).unwrap();
         }
@@ -582,7 +575,7 @@ mod tests {
         bytes[offset + RECORD_HEADER_LEN + 5] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
 
-        let (_, replay) = Wal::open(&path, false).unwrap();
+        let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.records, sample_records()[..2].to_vec());
         assert!(replay.truncated_bytes > 0);
         fs::remove_file(&path).ok();
@@ -592,7 +585,7 @@ mod tests {
     fn foreign_files_are_rejected_not_truncated() {
         let path = temp_wal("foreign.wal");
         fs::write(&path, b"this is somebody's notes file, not a WAL").unwrap();
-        let err = Wal::open(&path, false).unwrap_err();
+        let err = Wal::open(&path).unwrap_err();
         assert!(matches!(err, StoreError::BadMagic { .. }));
         assert_eq!(fs::read(&path).unwrap().len(), 40, "file untouched");
 
@@ -600,7 +593,7 @@ mod tests {
         versioned.extend_from_slice(&WAL_MAGIC);
         versioned.extend_from_slice(&7u32.to_le_bytes());
         fs::write(&path, &versioned).unwrap();
-        let err = Wal::open(&path, false).unwrap_err();
+        let err = Wal::open(&path).unwrap_err();
         assert!(matches!(err, StoreError::UnsupportedVersion { version: 7, .. }));
         fs::remove_file(&path).ok();
     }
@@ -608,7 +601,7 @@ mod tests {
     #[test]
     fn rewrite_replaces_contents_atomically() {
         let path = temp_wal("rewrite.wal");
-        let (mut wal, _) = Wal::open(&path, true).unwrap();
+        let (mut wal, _) = Wal::open(&path).unwrap();
         for record in sample_records() {
             wal.append(&record).unwrap();
         }
@@ -618,7 +611,7 @@ mod tests {
         // Appends after a rewrite land after the rewritten records.
         wal.append(&WalRecord::DropSession { session: 2 }).unwrap();
         drop(wal);
-        let (_, replay) = Wal::open(&path, false).unwrap();
+        let (_, replay) = Wal::open(&path).unwrap();
         assert_eq!(replay.records.len(), 2);
         assert_eq!(replay.records[0], sample_records()[3]);
         fs::remove_file(&path).ok();

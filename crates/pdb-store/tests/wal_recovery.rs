@@ -154,7 +154,7 @@ proptest! {
 
         // The same session, journalled record by record.
         {
-            let (store, _) = Store::open(&dir, true, &build).unwrap();
+            let (store, _) = Store::open(&dir, &build).unwrap();
             store.append(&WalRecord::CreateSession {
                 session: 1,
                 dataset: spec.clone(),
@@ -194,7 +194,7 @@ proptest! {
         }
 
         // Recover and compare.
-        let (_, recovery) = Store::open(&dir, true, &build).unwrap();
+        let (_, recovery) = Store::open(&dir, &build).unwrap();
         prop_assert_eq!(recovery.sessions.len(), 1);
         let session = &recovery.sessions[0];
         prop_assert_eq!((recovery.truncated_bytes > 0) as usize, (!garbage.is_empty()) as usize);
@@ -246,7 +246,7 @@ fn interleaved_registrations_replay_exactly() {
     mirror.apply_collapse_in_place(appended_at, &arrival).unwrap();
     mirror.apply_collapse_in_place(1, &XTupleMutation::Remove).unwrap();
 
-    let (store, _) = Store::open(&dir, true, &build).unwrap();
+    let (store, _) = Store::open(&dir, &build).unwrap();
     for record in [
         WalRecord::CreateSession { session: 1, dataset: spec, probe_cost: 1, probe_success: 0.8 },
         WalRecord::RegisterQuery { session: 1, query: q1.query, weight: q1.weight },
@@ -260,7 +260,7 @@ fn interleaved_registrations_replay_exactly() {
     }
     drop(store);
 
-    let (_, recovery) = Store::open(&dir, true, &build).unwrap();
+    let (_, recovery) = Store::open(&dir, &build).unwrap();
     let session = &recovery.sessions[0];
     assert_eq!(session.probes_replayed, 4);
     let RecoveredState::Live(recovered) = &session.state else { panic!("live session") };
