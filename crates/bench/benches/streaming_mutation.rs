@@ -52,7 +52,8 @@ fn bench_insert(c: &mut Criterion) {
     // input a streaming session receives.
     group.bench_with_input(BenchmarkId::new("full_rebuild", QUERIES), &db, |b, db| {
         b.iter(|| {
-            let (grown, _) = db.insert_x_tuple("arrival".into(), &alternatives).unwrap();
+            let mut grown = db.clone();
+            grown.insert_x_tuple_in_place("arrival".into(), &alternatives).unwrap();
             let batch = BatchEvaluation::new(black_box(&grown), queries.clone()).unwrap();
             black_box(&batch);
             grown.len()
@@ -81,7 +82,8 @@ fn bench_remove(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::new("full_rebuild", QUERIES), &db, |b, db| {
         b.iter(|| {
-            let shrunk = db.remove_x_tuple(l).unwrap();
+            let mut shrunk = db.clone();
+            shrunk.remove_x_tuple_in_place(l).unwrap();
             let batch = BatchEvaluation::new(black_box(&shrunk), queries.clone()).unwrap();
             black_box(&batch);
             shrunk.len()

@@ -109,10 +109,11 @@ pub fn run(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     Ok(apply_suppressions(raw, sups))
 }
 
-/// Which files the panic-path lint covers: the server's request path,
-/// the store's WAL/replay path, the CLI's command path, and the fleet
-/// router's forwarding path (a router panic takes down every shard's
-/// clients at once, so it is held to the same bar as the server).
+/// Which files the panic-path lint covers: the server's request and
+/// replay path, the store's WAL and recovery path, the CLI's command
+/// path, and the fleet router's forwarding path (a router panic takes
+/// down every shard's clients at once, so it is held to the same bar as
+/// the server).
 fn panic_path_applies(rel: &str) -> bool {
     rel.starts_with("crates/pdb-server/src/")
         || rel.starts_with("crates/pdb-store/src/")

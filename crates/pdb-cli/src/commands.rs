@@ -518,7 +518,8 @@ fn import(file: &str, out: Option<&str>) -> Result<String> {
 /// `pdb recover`: dry-run a store directory's recovery and report what a
 /// server started with `--store-dir` would rehydrate.  Strictly
 /// read-only: nothing is created, and a torn log tail is reported, not
-/// truncated.
+/// truncated.  Each session is rebuilt by [`pdb_server::Session::replay`],
+/// the server's own recovery.
 fn recover(store_dir: &str) -> Result<String> {
     let recovery = pdb_store::Store::peek(std::path::Path::new(store_dir), &pdb_gen::build_dataset)
         .map_err(DbError::from)?;
@@ -530,26 +531,31 @@ fn recover(store_dir: &str) -> Result<String> {
         recovery.records, recovery.truncated_bytes
     );
     let _ = writeln!(text, "sessions   : {} recovered", recovery.sessions.len());
-    for session in &recovery.sessions {
-        let state = match &session.state {
-            pdb_store::RecoveredState::Idle(_) => "idle".to_string(),
-            pdb_store::RecoveredState::Live(batch) => {
-                format!("live, aggregate quality {:+.6}", batch.aggregate_quality())
-            }
+    for recovered in recovery.sessions {
+        let id = recovered.base.session;
+        let (session, replayed, stats) =
+            pdb_server::Session::replay(recovered).map_err(DbError::from)?;
+        let stat = session.stat(id);
+        let state = match stat.queries {
+            0 => "idle".to_string(),
+            _ => format!("live, aggregate quality {:+.6}", session.quality()?.aggregate),
         };
         let _ = writeln!(
             text,
             "  session {:>3}: {} tuples, {} quer{}, {} probe(s) ({} replayed, {} delta rows), {state}",
-            session.id,
-            session.state.database().len(),
-            session.specs.len(),
-            if session.specs.len() == 1 { "y" } else { "ies" },
-            session.probes,
-            session.probes_replayed,
-            session.replay_stats.rows_total(),
+            id,
+            session.database().len(),
+            stat.queries,
+            if stat.queries == 1 { "y" } else { "ies" },
+            stat.probes,
+            replayed,
+            stats.rows_total(),
         );
     }
-    let _ = writeln!(text, "next id    : {}", recovery.next_session_id);
+    let next = recovery
+        .next_session_id
+        .map_or("none (the log names the largest id)".to_string(), |id| id.to_string());
+    let _ = writeln!(text, "next id    : {next}");
     Ok(text)
 }
 

@@ -70,7 +70,8 @@ mod tests {
     fn udb2_is_udb1_with_s3_collapsed() {
         let r1 = udb1().rank_by(&ScoreRanking);
         let pos_27 = r1.tuples().position(|t| t.score == 27.0).unwrap();
-        let cleaned = r1.collapse_x_tuple(2, pos_27).unwrap();
+        let mut cleaned = r1.clone();
+        cleaned.collapse_x_tuple_in_place(2, pos_27).unwrap();
         let r2 = udb2().rank_by(&ScoreRanking);
         let scores1: Vec<(f64, f64)> = cleaned.tuples().map(|t| (t.score, t.prob)).collect();
         let scores2: Vec<(f64, f64)> = r2.tuples().map(|t| (t.score, t.prob)).collect();

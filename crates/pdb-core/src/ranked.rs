@@ -236,24 +236,16 @@ impl RankedDatabase {
         }
     }
 
-    /// Produce the cleaned database that results from a *successful*
-    /// `pclean(τ_l)` whose outcome is the alternative at rank position
-    /// `keep_pos` (Definition 5 of the paper): every other alternative of
-    /// x-tuple `l` is removed and the kept alternative becomes certain
-    /// (probability 1).
+    /// Apply a *successful* `pclean(τ_l)` whose outcome is the
+    /// alternative at rank position `keep_pos` (Definition 5 of the
+    /// paper): every other alternative of x-tuple `l` is removed and the
+    /// kept alternative becomes certain (probability 1).
     ///
-    /// Returns an error if `keep_pos` does not belong to x-tuple `l`.
-    pub fn collapse_x_tuple(&self, l: usize, keep_pos: usize) -> Result<Self> {
-        let mut next = self.clone();
-        next.collapse_x_tuple_in_place(l, keep_pos)?;
-        Ok(next)
-    }
-
-    /// [`collapse_x_tuple`](Self::collapse_x_tuple) without reallocating
-    /// the database: surviving tuples keep their relative order, so the
-    /// tuple array is compacted and the membership index rebuilt in one
-    /// O(n) pass — no re-sort, no key cloning.  On error the database is
-    /// unchanged.
+    /// Surviving tuples keep their relative order, so the tuple array is
+    /// compacted and the membership index rebuilt in one O(n) pass — no
+    /// re-sort, no key cloning.  Returns an error if `keep_pos` does not
+    /// belong to x-tuple `l`; on error the database is unchanged.  A
+    /// caller that still needs the uncleaned database cleans a clone.
     pub fn collapse_x_tuple_in_place(&mut self, l: usize, keep_pos: usize) -> Result<()> {
         if l >= self.x_tuples.len() {
             return Err(DbError::index_out_of_range(format!(
@@ -277,27 +269,19 @@ impl RankedDatabase {
         Ok(())
     }
 
-    /// Produce the database where x-tuple `l`'s alternatives keep their
-    /// scores (and therefore their rank positions) but carry new
-    /// existential probabilities.  `probs[i]` applies to the alternative at
+    /// Give x-tuple `l`'s alternatives new existential probabilities;
+    /// they keep their scores (and therefore their rank positions).
+    /// `probs[i]` applies to the alternative at
     /// `self.x_tuple(l).members[i]`, i.e. probabilities are given in the
     /// x-tuple's rank order.
     ///
     /// This is the "probability reweighting" mutation of the incremental
     /// re-evaluation engine: a partial cleaning observation (or an updated
     /// sensor model) that sharpens an entity's distribution without
-    /// collapsing it.  The usual construction invariants are re-validated:
-    /// every probability must lie in `[0, 1]` and the x-tuple's total mass
-    /// must not exceed 1.
-    pub fn reweight_x_tuple(&self, l: usize, probs: &[f64]) -> Result<Self> {
-        let mut next = self.clone();
-        next.reweight_x_tuple_in_place(l, probs)?;
-        Ok(next)
-    }
-
-    /// [`reweight_x_tuple`](Self::reweight_x_tuple) without reallocating
-    /// the database.  Validates the new probabilities (range and total
-    /// mass) before touching anything; on error the database is unchanged.
+    /// collapsing it.  The usual construction invariants are validated
+    /// before anything is touched: every probability must lie in `[0, 1]`
+    /// and the x-tuple's total mass must not exceed 1.  On error the
+    /// database is unchanged.
     pub fn reweight_x_tuple_in_place(&mut self, l: usize, probs: &[f64]) -> Result<()> {
         if l >= self.x_tuples.len() {
             return Err(DbError::index_out_of_range(format!(
@@ -334,23 +318,15 @@ impl RankedDatabase {
         Ok(())
     }
 
-    /// Produce the cleaned database where x-tuple `l` collapses to its
-    /// implicit *null* alternative (the entity turns out to have no
-    /// reading).  All explicit alternatives of `l` are removed; because a
-    /// certain null tuple ranks below everything and never enters a top-k
-    /// answer, the x-tuple is dropped from the physical representation and
-    /// the remaining x-tuples keep their indices.
-    pub fn collapse_x_tuple_to_null(&self, l: usize) -> Result<Self> {
-        let mut next = self.clone();
-        next.collapse_x_tuple_to_null_in_place(l)?;
-        Ok(next)
-    }
-
-    /// [`collapse_x_tuple_to_null`](Self::collapse_x_tuple_to_null)
-    /// without reallocating the database: the x-tuple's alternatives are
-    /// compacted out of the tuple array, the remaining x-tuples re-indexed
-    /// densely, and the membership index rebuilt — one O(n) pass, no
-    /// re-sort.  On error the database is unchanged.
+    /// Apply a successful `pclean(τ_l)` whose outcome is x-tuple `l`'s
+    /// implicit *null* alternative (Definition 5 of the paper; the entity
+    /// turns out to have no reading).  All explicit alternatives of `l`
+    /// are removed; because a certain null tuple ranks below everything
+    /// and never enters a top-k answer, the x-tuple is dropped from the
+    /// physical representation.  The alternatives are compacted out of
+    /// the tuple array, the remaining x-tuples re-indexed densely, and the
+    /// membership index rebuilt — one O(n) pass, no re-sort.  On error
+    /// the database is unchanged.
     pub fn collapse_x_tuple_to_null_in_place(&mut self, l: usize) -> Result<()> {
         if l >= self.x_tuples.len() {
             return Err(DbError::index_out_of_range(format!(
@@ -366,22 +342,10 @@ impl RankedDatabase {
         self.remove_x_tuple_in_place(l)
     }
 
-    /// Produce the database extended with a brand-new x-tuple built from
-    /// `(score, prob)` alternatives, returning `(database, x_index)`.
-    pub fn insert_x_tuple(
-        &self,
-        key: String,
-        alternatives: &[(f64, f64)],
-    ) -> Result<(Self, usize)> {
-        let mut next = self.clone();
-        let l = next.insert_x_tuple_in_place(key, alternatives)?;
-        Ok((next, l))
-    }
-
-    /// Insert a brand-new x-tuple (the streaming-arrival mutation),
-    /// returning its x-index, which is always `self.num_x_tuples()` before
-    /// the call — inserts append to the x-tuple table, so existing
-    /// x-indices stay stable.
+    /// Insert a brand-new x-tuple built from `(score, prob)` alternatives
+    /// (the streaming-arrival mutation), returning its x-index, which is
+    /// always `self.num_x_tuples()` before the call — inserts append to
+    /// the x-tuple table, so existing x-indices stay stable.
     ///
     /// The new alternatives receive fresh [`TupleId`]s larger than every
     /// id already in the database (allocated in the order given), which
@@ -429,16 +393,8 @@ impl RankedDatabase {
         Ok(l)
     }
 
-    /// Produce the database with x-tuple `l` removed entirely (the
-    /// streaming-departure mutation).
-    pub fn remove_x_tuple(&self, l: usize) -> Result<Self> {
-        let mut next = self.clone();
-        next.remove_x_tuple_in_place(l)?;
-        Ok(next)
-    }
-
-    /// Remove x-tuple `l` and every one of its alternatives, regardless of
-    /// null mass — unlike
+    /// Remove x-tuple `l` and every one of its alternatives (the
+    /// streaming-departure mutation), regardless of null mass — unlike
     /// [`collapse_x_tuple_to_null_in_place`](Self::collapse_x_tuple_to_null_in_place),
     /// which models an *observation* and therefore requires the null
     /// alternative to have been possible.  Later x-tuples are re-indexed
@@ -545,7 +501,8 @@ mod tests {
         let db = udb1();
         // Clean sensor S3 (x-index 2) to its 27-degree reading (position 2),
         // reproducing the udb1 -> udb2 transition of the paper.
-        let cleaned = db.collapse_x_tuple(2, 2).unwrap();
+        let mut cleaned = db.clone();
+        cleaned.collapse_x_tuple_in_place(2, 2).unwrap();
         assert_eq!(cleaned.len(), 6);
         assert_eq!(cleaned.num_x_tuples(), 4);
         let s3 = cleaned.x_tuple(2);
@@ -563,7 +520,8 @@ mod tests {
             vec!["a".into(), "b".into()],
         )
         .unwrap();
-        let cleaned = db.collapse_x_tuple(0, 1).unwrap();
+        let mut cleaned = db.clone();
+        cleaned.collapse_x_tuple_in_place(0, 1).unwrap();
         assert_eq!(cleaned.x_tuple(0).members.len(), 1);
         assert_eq!(cleaned.tuple(cleaned.x_tuple(0).members[0]).score, 9.0);
         assert!((cleaned.x_tuple(0).total_mass - 1.0).abs() < 1e-12);
@@ -571,9 +529,10 @@ mod tests {
 
     #[test]
     fn collapse_rejects_foreign_positions() {
-        let db = udb1();
-        assert!(db.collapse_x_tuple(2, 0).is_err());
-        assert!(db.collapse_x_tuple(99, 0).is_err());
+        let mut db = udb1();
+        assert!(db.collapse_x_tuple_in_place(2, 0).is_err());
+        assert!(db.collapse_x_tuple_in_place(99, 0).is_err());
+        assert_eq!(db, udb1(), "rejected collapses leave the database unchanged");
     }
 
     #[test]
@@ -583,19 +542,21 @@ mod tests {
             vec![(9.0, 1.0)],
         ])
         .unwrap();
-        let cleaned = db.collapse_x_tuple_to_null(0).unwrap();
+        let mut cleaned = db.clone();
+        cleaned.collapse_x_tuple_to_null_in_place(0).unwrap();
         assert_eq!(cleaned.num_x_tuples(), 1);
         assert_eq!(cleaned.len(), 1);
         assert_eq!(cleaned.tuple(0).score, 9.0);
         // The second x-tuple had no null mass: collapsing it is an error.
-        assert!(db.collapse_x_tuple_to_null(1).is_err());
+        assert!(db.clone().collapse_x_tuple_to_null_in_place(1).is_err());
     }
 
     #[test]
     fn reweight_x_tuple_replaces_member_probabilities() {
         let db = udb1();
         // Sharpen sensor S3 (members at positions 2 and 4) towards 27°.
-        let updated = db.reweight_x_tuple(2, &[0.9, 0.1]).unwrap();
+        let mut updated = db.clone();
+        updated.reweight_x_tuple_in_place(2, &[0.9, 0.1]).unwrap();
         assert_eq!(updated.len(), db.len());
         assert_eq!(updated.x_tuple(2).members, db.x_tuple(2).members);
         assert!((updated.tuple(2).prob - 0.9).abs() < 1e-12);
@@ -604,17 +565,19 @@ mod tests {
         assert_eq!(updated.tuple(0).prob, db.tuple(0).prob);
 
         // Mass may also be withdrawn, opening a null alternative.
-        let partial = db.reweight_x_tuple(2, &[0.5, 0.2]).unwrap();
+        let mut partial = db.clone();
+        partial.reweight_x_tuple_in_place(2, &[0.5, 0.2]).unwrap();
         assert!((partial.x_tuple(2).null_prob() - 0.3).abs() < 1e-12);
     }
 
     #[test]
     fn reweight_x_tuple_validates_input() {
-        let db = udb1();
-        assert!(db.reweight_x_tuple(99, &[0.5]).is_err());
-        assert!(db.reweight_x_tuple(2, &[0.5]).is_err(), "arity mismatch");
-        assert!(db.reweight_x_tuple(2, &[0.7, 0.7]).is_err(), "mass above 1");
-        assert!(db.reweight_x_tuple(2, &[-0.1, 0.5]).is_err(), "negative probability");
+        let mut db = udb1();
+        assert!(db.reweight_x_tuple_in_place(99, &[0.5]).is_err());
+        assert!(db.reweight_x_tuple_in_place(2, &[0.5]).is_err(), "arity mismatch");
+        assert!(db.reweight_x_tuple_in_place(2, &[0.7, 0.7]).is_err(), "mass above 1");
+        assert!(db.reweight_x_tuple_in_place(2, &[-0.1, 0.5]).is_err(), "negative probability");
+        assert_eq!(db, udb1(), "rejected reweights leave the database unchanged");
     }
 
     #[test]
@@ -678,7 +641,8 @@ mod tests {
         let db = udb1();
         // Unlike collapse-to-null, removal works even with zero null mass.
         assert!(db.x_tuple(1).null_prob() <= 1e-12);
-        let smaller = db.remove_x_tuple(1).unwrap();
+        let mut smaller = db.clone();
+        smaller.remove_x_tuple_in_place(1).unwrap();
         assert_eq!(smaller.num_x_tuples(), 3);
         assert_eq!(smaller.len(), 5);
         assert_eq!(smaller.x_tuple(1).key, "x2");
@@ -697,8 +661,9 @@ mod tests {
     #[test]
     fn remove_then_reinsert_round_trips_through_fresh_ids() {
         let db = udb1();
-        let removed = db.remove_x_tuple(3).unwrap();
-        let (back, l) = removed.insert_x_tuple("x3".into(), &[(26.0, 1.0)]).unwrap();
+        let mut back = db.clone();
+        back.remove_x_tuple_in_place(3).unwrap();
+        let l = back.insert_x_tuple_in_place("x3".into(), &[(26.0, 1.0)]).unwrap();
         assert_eq!(l, 3);
         assert_eq!(back.num_x_tuples(), db.num_x_tuples());
         let scores: Vec<f64> = back.tuples().map(|t| t.score).collect();

@@ -36,9 +36,9 @@
 use crate::fleet::Fleet;
 use crate::ring::HashRing;
 use pdb_obs::snapshot::MetricsSnapshot;
-use pdb_server::protocol::{self, MetricsReply, ServerStats};
+use pdb_server::protocol::{self, CreateSession, MetricsReply, RestoreSession, ServerStats};
 use pdb_server::{serve_connection, wake_listener};
-use pdb_server::{Client, ClientError, Request, Response, RetryPolicy};
+use pdb_server::{Client, ClientError, Request, Response, RetryPolicy, SessionIds};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
@@ -57,7 +57,7 @@ struct RouterShared {
     /// Fleet-wide session id allocator: the router pins an id into every
     /// `create_session` / `restore` it forwards, so ids are unique across
     /// shards and the ring can route by them.
-    next_id: AtomicU64,
+    next_id: SessionIds,
     shutdown: AtomicBool,
     /// Connect attempts beyond the first across every shard connection
     /// the router ever made (surfaced as `connect_retries` in merged
@@ -80,9 +80,9 @@ impl Router {
     pub fn bind(addr: &str, fleet: Arc<Fleet>) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let retry = RetryPolicy::default();
-        let shared = RouterShared {
+        let mut shared = RouterShared {
             ring: HashRing::with_default_replicas(fleet.len()),
-            next_id: AtomicU64::new(1),
+            next_id: SessionIds::starting_at(Some(1)),
             shutdown: AtomicBool::new(false),
             connect_retries: AtomicU64::new(0),
             retry,
@@ -142,7 +142,7 @@ impl Router {
 
 impl RouterShared {
     /// Seed the id allocator from the shards' recovered sessions.
-    fn seed_next_id(&self) {
+    fn seed_next_id(&mut self) {
         let mut clients = HashMap::new();
         let mut max_seen = 0;
         for shard in self.ring.shards() {
@@ -150,7 +150,7 @@ impl RouterShared {
                 max_seen = stats.sessions.iter().map(|s| s.session).fold(max_seen, u64::max);
             }
         }
-        self.next_id.store(max_seen + 1, Ordering::Relaxed);
+        self.next_id = SessionIds::starting_at(max_seen.checked_add(1));
     }
 
     /// The shard owning `session` (the ring is never empty: a fleet has
@@ -328,13 +328,12 @@ impl RouterShared {
         router_addr: SocketAddr,
     ) -> Response {
         let target = match &mut request {
-            Request::CreateSession(req) => {
-                let id = self.pin_id(&mut req.session);
-                self.shard_of(id)
-            }
-            Request::Restore(req) => {
-                let id = self.pin_id(&mut req.session);
-                self.shard_of(id)
+            Request::CreateSession(CreateSession { session, .. })
+            | Request::Restore(RestoreSession { session, .. }) => {
+                match pin_id(&self.next_id, session) {
+                    Ok(id) => self.shard_of(id),
+                    Err(err) => return Response::error(err),
+                }
             }
             Request::RegisterQuery(req) => self.shard_of(req.session),
             Request::Evaluate(req)
@@ -363,23 +362,20 @@ impl RouterShared {
         };
         self.forward(clients, target, &request)
     }
+}
 
-    /// Assign a fleet-wide session id if the request has none, and pin
-    /// it into the request so the shard honors it.
-    fn pin_id(&self, session: &mut Option<u64>) -> u64 {
-        match *session {
-            Some(id) => {
-                // A client-pinned id still bumps the allocator past it.
-                self.next_id.fetch_max(id + 1, Ordering::Relaxed);
-                id
-            }
-            None => {
-                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                *session = Some(id);
-                id
-            }
-        }
+/// Assign a fleet-wide session id if the request has none, and pin it
+/// into the request so the shard honors it.  A client-pinned id still
+/// bumps the allocator past it; one [`SessionIds::pin`] reserves is
+/// refused here, before any shard sees it.
+fn pin_id(ids: &SessionIds, session: &mut Option<u64>) -> Result<u64, String> {
+    let id = match *session {
+        Some(id) => ids.pin(id),
+        None => ids.allocate(),
     }
+    .map_err(|err| err.to_string())?;
+    *session = Some(id);
+    Ok(id)
 }
 
 /// The session id a persist-produced snapshot name embeds
@@ -391,6 +387,21 @@ fn snapshot_session(name: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pin_id_refuses_an_id_without_a_successor() {
+        let ids = SessionIds::starting_at(Some(1));
+        assert!(pin_id(&ids, &mut Some(u64::MAX)).is_err());
+        assert!(pin_id(&ids, &mut Some(0)).is_err());
+        // Neither refusal moved (or overflowed) the allocator.
+        let mut fresh = None;
+        assert_eq!(pin_id(&ids, &mut fresh).unwrap(), 1);
+        assert_eq!(fresh, Some(1), "the allocated id is pinned into the request");
+        // The largest pinnable id leaves nothing to allocate.
+        assert_eq!(pin_id(&ids, &mut Some(u64::MAX - 1)).unwrap(), u64::MAX - 1);
+        let err = pin_id(&ids, &mut None).unwrap_err();
+        assert!(err.contains("no session id is left"), "{err}");
+    }
 
     #[test]
     fn snapshot_names_route_by_embedded_session_id() {

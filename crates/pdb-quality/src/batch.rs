@@ -256,23 +256,6 @@ impl<'a> BatchQuality<'a> {
         (self.g_from_combined(&combined), combined)
     }
 
-    /// Refresh the caches after a successful delta pass and assemble the
-    /// re-planning update (`before` is the pre-mutation aggregate).  The
-    /// single code path both mutation forms share.
-    fn finish_update(&mut self, before: f64, stats: DeltaStats) -> BatchCollapseUpdate {
-        self.tuple_w = live_tuple_weights(&self.eval);
-        let (qualities, combined) = self.per_query_parts();
-        let aggregate = weighted_aggregate(&qualities, &self.weights);
-        self.aggregate = aggregate;
-        BatchCollapseUpdate {
-            aggregate,
-            aggregate_delta: aggregate - before,
-            qualities,
-            g: self.g_from_combined(&combined),
-            stats,
-        }
-    }
-
     /// Apply a single-x-tuple mutation (one observed probe outcome) to the
     /// batch: one shared delta pass patches the master matrix, every
     /// registered query is re-served from it, and the refreshed quality
@@ -285,30 +268,14 @@ impl<'a> BatchQuality<'a> {
         l: usize,
         mutation: &XTupleMutation,
     ) -> Result<BatchCollapseUpdate> {
-        let before = self.aggregate;
         let stats = self.eval.apply_collapse_in_place(l, mutation)?;
-        Ok(self.finish_update(before, stats))
-    }
-
-    /// Replay a journalled sequence of probe outcomes: every mutation is
-    /// one delta pass on the shared master matrix, and the quality caches
-    /// are refreshed **once** at the end instead of once per probe — the
-    /// intermediate quality vectors a live session serves to clients are
-    /// pure overhead during crash recovery.
-    ///
-    /// On `Err` the batch is inconsistent (the evaluation holds the
-    /// partially replayed state but the cached qualities do not) and must
-    /// be discarded.
-    pub fn replay_in_place(
-        &mut self,
-        probes: impl IntoIterator<Item = (usize, XTupleMutation)>,
-    ) -> Result<BatchCollapseUpdate> {
-        let before = self.aggregate;
-        let mut stats = DeltaStats::default();
-        for (l, mutation) in probes {
-            stats.accumulate(&self.eval.apply_collapse_in_place(l, &mutation)?);
-        }
-        Ok(self.finish_update(before, stats))
+        self.tuple_w = live_tuple_weights(&self.eval);
+        let (qualities, combined) = self.per_query_parts();
+        let aggregate = weighted_aggregate(&qualities, &self.weights);
+        let aggregate_delta = aggregate - self.aggregate;
+        self.aggregate = aggregate;
+        let g = self.g_from_combined(&combined);
+        Ok(BatchCollapseUpdate { qualities, aggregate, aggregate_delta, g, stats })
     }
 }
 
@@ -412,31 +379,6 @@ mod tests {
         // evaluation may fan out across threads.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<BatchQuality<'static>>();
-    }
-
-    #[test]
-    fn replay_in_place_matches_sequential_applies() {
-        let probes = vec![
-            (2usize, XTupleMutation::CollapseToAlternative { keep_pos: 2 }),
-            (1usize, XTupleMutation::Reweight { probs: vec![0.9, 0.1] }),
-        ];
-        let mut sequential = BatchQuality::from_owned(udb1(), specs()).unwrap();
-        let before = sequential.aggregate_quality();
-        let mut stats = DeltaStats::default();
-        for (l, mutation) in &probes {
-            stats.accumulate(&sequential.apply_collapse_in_place(*l, mutation).unwrap().stats);
-        }
-
-        let mut replayed = BatchQuality::from_owned(udb1(), specs()).unwrap();
-        let update = replayed.replay_in_place(probes).unwrap();
-        assert_eq!(update.stats, stats, "delta statistics accumulate across the replay");
-        assert!((update.aggregate - sequential.aggregate_quality()).abs() < 1e-12);
-        assert!((update.aggregate_delta - (update.aggregate - before)).abs() < 1e-12);
-        let sequential_qualities = sequential.quality_vector();
-        for (q, quality) in update.qualities.iter().enumerate() {
-            assert!((quality - sequential_qualities[q]).abs() < 1e-12, "query {q}");
-        }
-        assert_eq!(replayed.database(), sequential.database());
     }
 
     #[test]

@@ -59,13 +59,15 @@ proptest! {
                 if p <= 0.0 {
                     continue;
                 }
-                let cleaned = db.collapse_x_tuple(l, pos).unwrap();
+                let mut cleaned = db.clone();
+                cleaned.collapse_x_tuple_in_place(l, pos).unwrap();
                 expectation += p * quality_tp(&cleaned, k).unwrap();
                 mass += p;
             }
             let null = info.null_prob();
             if null > 1e-9 {
-                if let Ok(cleaned) = db.collapse_x_tuple_to_null(l) {
+                let mut cleaned = db.clone();
+                if cleaned.collapse_x_tuple_to_null_in_place(l).is_ok() {
                     expectation += null * quality_tp(&cleaned, k).unwrap();
                     mass += null;
                 } else {

@@ -6,8 +6,8 @@
 //! `{"error": ...}` replies as [`ClientError::Server`].
 
 use crate::protocol::{
-    self, decode_chunk_data, Answers, ApplyMutation, CreateSession, DatasetSpec, EvalMode,
-    FetchChunk, MetricsReply, Persisted, ProbeAdvice, ProbeApplied, QualityReport, QueryRegistered,
+    self, decode_chunk_data, Answers, ApplyMutation, CreateSession, DatasetSpec, FetchChunk,
+    MetricsReply, Persisted, ProbeAdvice, ProbeApplied, QualityReport, QueryRegistered,
     RegisterQuery, Request, Response, RestoreSession, ServerStats, SessionCreated, SessionRef,
     SnapshotChunk, CHUNK_SEED,
 };
@@ -226,7 +226,7 @@ impl Client {
         x_tuple: usize,
         mutation: XTupleMutation,
     ) -> Result<ProbeApplied, ClientError> {
-        let request = ApplyMutation { session, x_tuple, mutation, mode: EvalMode::Delta };
+        let request = ApplyMutation::new(session, x_tuple, mutation);
         match self.call(&Request::ApplyMutation(request))? {
             Response::ProbeApplied(applied) => Ok(applied),
             other => Err(unexpected("probe_applied", &other)),

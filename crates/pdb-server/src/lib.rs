@@ -14,8 +14,9 @@
 //!   look a session up, each session behind its own lock, so concurrent
 //!   callers on different sessions never contend;
 //!   with a `--store-dir`, every session-mutating request is journalled
-//!   to a `pdb-store` write-ahead log and sessions are rehydrated from
-//!   it on startup (see the *Persistence & recovery* README section);
+//!   to a `pdb-store` write-ahead log, and on startup each session is
+//!   rebuilt by replaying its records through the same session calls
+//!   (see the *Persistence & recovery* README section);
 //! * [`server`] — the `std::net` TCP server: a listener feeding a worker
 //!   thread pool, with graceful drain on `shutdown`.  Its per-connection
 //!   loop ([`serve_connection`]) and listener self-wake
@@ -54,6 +55,6 @@ pub mod server;
 pub mod session;
 
 pub use client::{Client, ClientError, RetryPolicy};
-pub use protocol::{DatasetSpec, EvalMode, Request, Response};
+pub use protocol::{DatasetSpec, Request, Response};
 pub use server::{serve_connection, wake_listener, Server, ServerConfig};
-pub use session::{Session, SessionManager};
+pub use session::{Session, SessionIds, SessionManager};

@@ -178,6 +178,13 @@ pub struct ApplyMutation {
     pub mode: EvalMode,
 }
 
+impl ApplyMutation {
+    /// A request folding `mutation` of x-tuple `x_tuple` into `session`.
+    pub fn new(session: u64, x_tuple: usize, mutation: XTupleMutation) -> Self {
+        Self { session, x_tuple, mutation, mode: EvalMode::Delta }
+    }
+}
+
 /// Payload of `apply_probe`: one observed probe outcome.  A probe outcome
 /// *is* a mutation, so this is an alias of [`ApplyMutation`] — the verbs
 /// differ in name only.
@@ -500,6 +507,13 @@ pub struct ProbeApplied {
     /// exactly what [`pdb_quality::BatchQuality::apply_collapse_in_place`]
     /// returns in process.
     pub update: BatchCollapseUpdate,
+}
+
+impl ProbeApplied {
+    /// The reply to a mutation of `session` that produced `update`.
+    pub fn new(session: u64, update: BatchCollapseUpdate) -> Self {
+        Self { session, mode: EvalMode::Delta, update }
+    }
 }
 
 /// Response to `persist`: where a session's checkpoint landed.
@@ -896,27 +910,24 @@ mod tests {
         round_trip_request(&Request::Evaluate(SessionRef { session: 7 }));
         round_trip_request(&Request::Quality(SessionRef { session: 7 }));
         round_trip_request(&Request::RecommendProbe(SessionRef { session: 7 }));
-        round_trip_request(&Request::ApplyProbe(ApplyProbe {
-            session: 7,
-            x_tuple: 3,
-            mutation: XTupleMutation::CollapseToAlternative { keep_pos: 12 },
-            mode: EvalMode::Delta,
-        }));
-        round_trip_request(&Request::ApplyMutation(ApplyMutation {
-            session: 7,
-            x_tuple: 4,
-            mutation: XTupleMutation::Insert {
+        round_trip_request(&Request::ApplyProbe(ApplyMutation::new(
+            7,
+            3,
+            XTupleMutation::CollapseToAlternative { keep_pos: 12 },
+        )));
+        round_trip_request(&Request::ApplyMutation(ApplyMutation::new(
+            7,
+            4,
+            XTupleMutation::Insert {
                 key: "s9".to_string(),
                 alternatives: vec![(4.5, 0.5), (3.0, 0.25)],
             },
-            mode: EvalMode::Delta,
-        }));
-        round_trip_request(&Request::ApplyMutation(ApplyMutation {
-            session: 7,
-            x_tuple: 2,
-            mutation: XTupleMutation::Remove,
-            mode: EvalMode::Delta,
-        }));
+        )));
+        round_trip_request(&Request::ApplyMutation(ApplyMutation::new(
+            7,
+            2,
+            XTupleMutation::Remove,
+        )));
         round_trip_request(&Request::DropSession(SessionRef { session: 7 }));
         round_trip_request(&Request::Persist(SessionRef { session: 7 }));
         round_trip_request(&Request::Restore(RestoreSession {
@@ -1009,17 +1020,16 @@ mod tests {
             recommendation: Some(ProbeRecommendation { x_tuple: 2, expected_gain: 0.56 }),
         }));
         round_trip_response(&Response::ProbeRecommendation(ProbeAdvice { recommendation: None }));
-        round_trip_response(&Response::ProbeApplied(ProbeApplied {
-            session: 1,
-            mode: EvalMode::Delta,
-            update: BatchCollapseUpdate {
+        round_trip_response(&Response::ProbeApplied(ProbeApplied::new(
+            1,
+            BatchCollapseUpdate {
                 qualities: vec![-1.85],
                 aggregate: -1.85,
                 aggregate_delta: 0.7,
                 g: vec![0.0, -1.85],
                 stats: DeltaStats::default(),
             },
-        }));
+        )));
         round_trip_response(&Response::SessionDropped(SessionRef { session: 1 }));
         round_trip_response(&Response::Persisted(Persisted {
             session: 1,
@@ -1151,18 +1161,8 @@ mod tests {
             Request::Evaluate(SessionRef { session: 0 }),
             Request::Quality(SessionRef { session: 0 }),
             Request::RecommendProbe(SessionRef { session: 0 }),
-            Request::ApplyMutation(ApplyMutation {
-                session: 0,
-                x_tuple: 0,
-                mutation: XTupleMutation::Remove,
-                mode: EvalMode::Delta,
-            }),
-            Request::ApplyProbe(ApplyProbe {
-                session: 0,
-                x_tuple: 0,
-                mutation: XTupleMutation::CollapseToNull,
-                mode: EvalMode::Delta,
-            }),
+            Request::ApplyMutation(ApplyMutation::new(0, 0, XTupleMutation::Remove)),
+            Request::ApplyProbe(ApplyMutation::new(0, 0, XTupleMutation::CollapseToNull)),
             Request::DropSession(SessionRef { session: 0 }),
             Request::Persist(SessionRef { session: 0 }),
             Request::Restore(RestoreSession {

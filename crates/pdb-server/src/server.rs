@@ -47,8 +47,8 @@ pub struct ServerConfig {
     /// of concurrent persistent clients.
     pub threads: usize,
     /// Durable store directory.  When set, [`Server::bind`] recovers
-    /// every journalled session from it (WAL replay through the delta
-    /// engine) and every session-mutating request is journalled and
+    /// every journalled session from it (WAL replay through the live
+    /// session calls) and every session-mutating request is journalled and
     /// fsync'd before it is acknowledged.  `None` keeps sessions purely
     /// in memory.
     pub store_dir: Option<String>,
@@ -85,23 +85,25 @@ pub struct Server {
 impl Server {
     /// Bind the listener and build the session store.  With a
     /// `store_dir` configured this is also where crash recovery happens:
-    /// the write-ahead log is replayed (one delta pass per journalled
-    /// probe) and every recovered session is live before the first
-    /// connection is accepted.  The server does not accept connections
+    /// every journalled record is replayed through the live session calls
+    /// (one delta pass per journalled probe) and every recovered session
+    /// is live before the first connection is accepted.  The server does not accept connections
     /// until [`run`](Self::run) is called.
     pub fn bind(config: &ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let manager = match &config.store_dir {
             Some(dir) => {
+                let invalid = |err: pdb_store::StoreError| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidData, err.to_string())
+                };
                 let (store, recovery) = pdb_store::Store::open_with_policy(
                     std::path::Path::new(dir),
                     config.flush,
                     &pdb_gen::spec::build_dataset,
                 )
-                .map_err(|err| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, err.to_string())
-                })?;
+                .map_err(invalid)?;
                 SessionManager::with_store(Arc::new(store), recovery, config.compact_every)
+                    .map_err(invalid)?
             }
             None => SessionManager::new(),
         };

@@ -15,6 +15,19 @@
 //! map, and every other session, stay available.  No map guard is ever
 //! live while a session lock is taken (pdb-analyze's `lock-order` lint
 //! checks this).
+//!
+//! A `Session` is also the only code that turns a journalled record into
+//! evaluation state.  On startup the store hands each session back as a
+//! base state (its dataset or last checkpoint) plus the records
+//! journalled after it, and [`Session::replay`] folds every one of them
+//! in through [`Session::register_query`] and [`Session::apply_mutation`]
+//! — the calls a live request runs — so from its base on, a recovered
+//! session repeats the live replies bit for bit.  (A checkpoint base
+//! with queries is re-planned by a fresh PSR run, which agrees with the
+//! live delta-patched state to rounding, not bit for bit.)
+//!
+//! [`SessionIds`] allocates session ids for a server and for the fleet
+//! router alike.
 
 use crate::protocol::{
     encode_chunk_data, Answers, ApplyMutation, CreateSession, FetchChunk, Persisted, ProbeAdvice,
@@ -23,11 +36,11 @@ use crate::protocol::{
 };
 use pdb_clean::{best_single_probe, CleaningContext, CleaningSetup};
 use pdb_core::{DbError, RankedDatabase, Result as DbResult};
-use pdb_engine::delta::XTupleMutation;
+use pdb_engine::delta::{DeltaStats, XTupleMutation};
 use pdb_gen::spec::build_dataset;
 use pdb_quality::{BatchQuality, WeightedQuery};
-use pdb_store::store::{CompactionStats, RecoveredState, Recovery, SessionCheckpoint};
-use pdb_store::{DatasetSpec, RecoveredSession, Store, WalRecord};
+use pdb_store::store::{CompactionStats, Recovery, SessionCheckpoint};
+use pdb_store::{DatasetSpec, RecoveredSession, Store, StoreError, WalRecord};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -144,23 +157,68 @@ impl Session {
         self.journal_fault = None;
     }
 
-    /// Rebuild a session from what the store recovered: the replayed
-    /// evaluation state slots straight back in, counters included.
-    pub fn from_recovered(recovered: RecoveredSession) -> Self {
-        let RecoveredSession { probe_cost, probe_success, specs, probes, state, .. } = recovered;
-        let state = match state {
-            RecoveredState::Idle(db) => State::Idle(db),
-            RecoveredState::Live(batch) => State::Live(batch),
-        };
-        Self {
-            specs,
-            state,
-            probe_cost,
-            probe_success,
-            created: Instant::now(),
-            probes,
-            dropped: false,
-            journal_fault: None,
+    /// Rebuild a session from a checkpointed state — the inverse of
+    /// [`checkpoint_state`](Self::checkpoint_state).  The parameters are
+    /// validated like a new session's, and a base with queries is
+    /// re-planned once, as live registration does.
+    pub fn from_checkpoint(checkpoint: SessionCheckpoint) -> DbResult<Self> {
+        let SessionCheckpoint { db, specs, probe_cost, probe_success, probes, .. } = checkpoint;
+        let mut session = Self::new(db, probe_cost, probe_success)?;
+        if !specs.is_empty() {
+            let batch = BatchQuality::from_owned(session.database().clone(), specs.clone())?;
+            session.state = State::Live(Box::new(batch));
+        }
+        session.specs = specs;
+        session.probes = probes;
+        Ok(session)
+    }
+
+    /// Rebuild one recovered session: start from its base and fold every
+    /// tail record in through the live request path.  Returns the
+    /// session, the number of replayed mutations and their summed delta
+    /// statistics.  A record that fails is a [`StoreError::Replay`]
+    /// naming it.
+    pub fn replay(recovered: RecoveredSession) -> pdb_store::Result<(Self, u64, DeltaStats)> {
+        let RecoveredSession { base, base_record, tail } = recovered;
+        let mut session = Self::from_checkpoint(base)
+            .map_err(|source| StoreError::Replay { record: base_record, source })?;
+        let (mut mutations, mut stats) = (0, DeltaStats::default());
+        for (record, entry) in tail {
+            let applied = session
+                .replay_record(entry)
+                .map_err(|source| StoreError::Replay { record, source })?;
+            if let Some(applied) = applied {
+                mutations += 1;
+                stats.accumulate(&applied.update.stats);
+            }
+        }
+        Ok((session, mutations, stats))
+    }
+
+    /// Fold one journalled tail record into the session through the call
+    /// its live request ran, returning a mutation's reply.
+    fn replay_record(&mut self, record: WalRecord) -> DbResult<Option<ProbeApplied>> {
+        match record {
+            WalRecord::RegisterQuery { session, query, weight } => {
+                self.register_query(&RegisterQuery { session, query, weight })?;
+                Ok(None)
+            }
+            WalRecord::ApplyProbe { session, x_tuple, mutation }
+            | WalRecord::ApplyMutation { session, x_tuple, mutation } => {
+                // The live path resolves an insert's target itself; the
+                // journalled one must be the index it resolved to.
+                let target = self.mutation_target(&mutation, x_tuple);
+                if target != x_tuple {
+                    return Err(DbError::invalid_parameter(format!(
+                        "inserts are append-only: target x-index {x_tuple} must equal the \
+                         x-tuple count {target}"
+                    )));
+                }
+                self.apply_mutation(&ApplyMutation::new(session, x_tuple, mutation)).map(Some)
+            }
+            other => {
+                Err(DbError::internal(format!("a {other:?} record cannot follow a session's base")))
+            }
         }
     }
 
@@ -289,7 +347,44 @@ impl Session {
         let l = self.mutation_target(&req.mutation, req.x_tuple);
         let update = self.live_mut()?.apply_collapse_in_place(l, &req.mutation)?;
         self.probes += 1;
-        Ok(ProbeApplied { session: req.session, mode: req.mode, update })
+        Ok(ProbeApplied::new(req.session, update))
+    }
+}
+
+/// The session-id allocator of a server or a fleet router.  The first
+/// id is 1, and an id is handed out or pinned only if it has a
+/// successor, so the counter never overflows and never hands out an id
+/// twice; once the next id would be `u64::MAX`, every allocation fails.
+#[derive(Debug)]
+pub struct SessionIds {
+    /// The next id to hand out.
+    next: AtomicU64,
+}
+
+impl SessionIds {
+    /// An allocator whose next id is `next` (`None`: no id is left, as
+    /// when a recovered log names `u64::MAX`).
+    pub fn starting_at(next: Option<u64>) -> Self {
+        Self { next: AtomicU64::new(next.unwrap_or(u64::MAX).max(1)) }
+    }
+
+    /// The next free id.
+    pub fn allocate(&self) -> DbResult<u64> {
+        self.next
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |id| id.checked_add(1))
+            .map_err(|_| DbError::invalid_parameter("no session id is left to allocate"))
+    }
+
+    /// Accept a client-pinned id and keep later allocations above it.
+    /// Id 0 is reserved, and so is `u64::MAX`, which has no successor.
+    pub fn pin(&self, id: u64) -> DbResult<u64> {
+        match id.checked_add(1) {
+            Some(next) if id != 0 => {
+                self.next.fetch_max(next, Ordering::Relaxed);
+                Ok(id)
+            }
+            _ => Err(DbError::invalid_parameter(format!("session id {id} is reserved"))),
+        }
     }
 }
 
@@ -311,7 +406,7 @@ struct Counters {
 #[derive(Debug)]
 pub struct SessionManager {
     sessions: RwLock<SessionMap>,
-    next_id: AtomicU64,
+    ids: SessionIds,
     counters: Counters,
     /// Serializes threshold-triggered compactions: a second trigger while
     /// one is running is dropped, not queued.
@@ -338,7 +433,7 @@ impl SessionManager {
     pub fn new() -> Self {
         Self {
             sessions: RwLock::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
+            ids: SessionIds::starting_at(Some(1)),
             counters: Counters::default(),
             compacting: std::sync::atomic::AtomicBool::new(false),
             store: None,
@@ -346,18 +441,23 @@ impl SessionManager {
         }
     }
 
-    /// A manager journalling to `store`, rehydrated with everything the
-    /// store recovered.
-    pub fn with_store(store: Arc<Store>, recovery: Recovery, compact_every: u64) -> Self {
+    /// A manager journalling to `store`, with every session the store
+    /// recovered rebuilt by [`Session::replay`].
+    pub fn with_store(
+        store: Arc<Store>,
+        recovery: Recovery,
+        compact_every: u64,
+    ) -> pdb_store::Result<Self> {
         let mut manager = Self::new();
         manager.store = Some(store);
         manager.compact_every = compact_every;
-        manager.next_id.store(recovery.next_session_id.max(1), Ordering::Relaxed);
+        manager.ids = SessionIds::starting_at(recovery.next_session_id);
         for recovered in recovery.sessions {
-            let id = recovered.id;
-            manager.publish_session(id, Session::from_recovered(recovered));
+            let id = recovered.base.session;
+            let (session, ..) = Session::replay(recovered)?;
+            manager.publish_session(id, session);
         }
-        manager
+        Ok(manager)
     }
 
     /// The durable store backing this manager, if any.
@@ -417,24 +517,22 @@ impl SessionManager {
     /// A request may pin an explicit session id (`req.session`): a fleet
     /// router allocates ids fleet-wide so every shard agrees on them, and
     /// a shard must honor the router's choice.  A pinned id that already
-    /// exists is an error, and the local allocator is bumped past every
-    /// pinned id so locally allocated ids never collide with routed ones.
+    /// exists or that [`SessionIds::pin`] reserves is an error, and the
+    /// local allocator is bumped past every pinned id so locally
+    /// allocated ids never collide with routed ones.
     pub fn create(&self, req: &CreateSession) -> DbResult<SessionCreated> {
         let db = build_dataset(&req.dataset)?;
         let info = SessionCreated { session: 0, tuples: db.len(), x_tuples: db.num_x_tuples() };
         let session = Session::new(db, req.probe_cost, req.probe_success)?;
         let id = match req.session {
             Some(id) => {
-                if id == 0 {
-                    return Err(DbError::invalid_parameter("session id 0 is reserved"));
-                }
+                self.ids.pin(id)?;
                 if self.read_map().contains_key(&id) {
                     return Err(DbError::invalid_parameter(format!("session {id} already exists")));
                 }
-                self.next_id.fetch_max(id + 1, Ordering::Relaxed);
                 id
             }
-            None => self.next_id.fetch_add(1, Ordering::Relaxed),
+            None => self.ids.allocate()?,
         };
         if let Some(store) = &self.store {
             match &req.dataset {
@@ -560,11 +658,7 @@ impl SessionManager {
         self.with_session(req.session, |s| {
             let x_tuple = s.mutation_target(&req.mutation, req.x_tuple);
             let applied = s.apply_mutation(req)?;
-            let record = WalRecord::ApplyMutation {
-                session: req.session,
-                x_tuple,
-                mutation: req.mutation.clone(),
-            };
+            let record = WalRecord::apply_mutation(req.session, x_tuple, req.mutation.clone());
             self.journal_mutation(s, record)?;
             Ok(applied)
         })
@@ -667,18 +761,6 @@ impl SessionManager {
         result
     }
 
-    /// Run [`compact`](Self::compact) if the log has grown past the
-    /// configured threshold.  Returns what compaction did, if it ran;
-    /// a compaction already in flight makes this a no-op rather than a
-    /// queued second pass.
-    pub fn maybe_compact(&self) -> DbResult<Option<CompactionStats>> {
-        if self.begin_compaction() {
-            self.run_claimed_compaction().map(Some)
-        } else {
-            Ok(None)
-        }
-    }
-
     /// Look up a session (the returned handle outlives the map lock).
     pub fn session(&self, id: u64) -> DbResult<Arc<Mutex<Session>>> {
         self.read_map()
@@ -747,7 +829,7 @@ impl SessionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{DatasetSpec, EvalMode};
+    use crate::protocol::DatasetSpec;
     use pdb_engine::queries::TopKQuery;
 
     fn create_req(dataset: DatasetSpec) -> CreateSession {
@@ -809,7 +891,7 @@ mod tests {
         let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
         mgr.with_session(id, |s| s.register_query(&register_req(id, 2))).unwrap();
         let mutation = XTupleMutation::CollapseToAlternative { keep_pos: 2 };
-        let req = ApplyMutation { session: id, x_tuple: 2, mutation, mode: EvalMode::Delta };
+        let req = ApplyMutation::new(id, 2, mutation);
         let delta = mgr.with_session(id, |s| s.apply_mutation(&req)).unwrap().update;
         // The rebuild oracle: a fresh evaluation of the mutated database.
         let mut db = build_dataset(&DatasetSpec::Udb1).unwrap();
@@ -866,15 +948,11 @@ mod tests {
         let open = || Store::open(&dir, &build_dataset).unwrap();
 
         let (store, recovery) = open();
-        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0);
+        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0).unwrap();
         let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
         mgr.register_query(&register_req(id, 2)).unwrap();
-        let probe = ApplyMutation {
-            session: id,
-            x_tuple: 2,
-            mutation: XTupleMutation::CollapseToAlternative { keep_pos: 2 },
-            mode: EvalMode::Delta,
-        };
+        let probe =
+            ApplyMutation::new(id, 2, XTupleMutation::CollapseToAlternative { keep_pos: 2 });
         mgr.apply_mutation(&probe).unwrap();
         let before = mgr.with_session(id, |s| s.quality()).unwrap();
         let answers_before = mgr.with_session(id, |s| s.evaluate()).unwrap();
@@ -884,7 +962,7 @@ mod tests {
         let (store, recovery) = open();
         assert_eq!(recovery.records, 3);
         assert_eq!(recovery.sessions.len(), 1);
-        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0);
+        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0).unwrap();
         assert_eq!(mgr.sessions_live(), 1);
         let after = mgr.with_session(id, |s| s.quality()).unwrap();
         assert!((after.aggregate - before.aggregate).abs() < 1e-12);
@@ -909,8 +987,8 @@ mod tests {
         let (_, recovery) = open();
         assert_eq!(recovery.sessions.len(), 2);
         let recovered = &recovery.sessions[0];
-        assert_eq!(recovered.probes, 1);
-        assert_eq!(recovered.probes_replayed, 0, "checkpoint absorbed the probe");
+        assert_eq!(recovered.base.probes, 1);
+        assert!(recovered.tail.is_empty(), "checkpoint absorbed the probe");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -919,7 +997,7 @@ mod tests {
         let dir = std::env::temp_dir().join("pdb-server-session-fault-test");
         std::fs::remove_dir_all(&dir).ok();
         let (store, recovery) = Store::open(&dir, &build_dataset).unwrap();
-        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0);
+        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0).unwrap();
         let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
         mgr.register_query(&register_req(id, 2)).unwrap();
 
@@ -947,7 +1025,7 @@ mod tests {
         let err = mgr.persist(id).unwrap_err();
         assert!(err.to_string().contains("--store-dir"), "{err}");
         assert!(mgr.compact().is_err());
-        assert_eq!(mgr.maybe_compact().unwrap(), None);
+        assert!(!mgr.begin_compaction());
     }
 
     #[test]
@@ -977,6 +1055,98 @@ mod tests {
             session: None,
         };
         assert!(mgr.restore(&missing).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replay_returns_the_live_replies_record_by_record() {
+        let dir = std::env::temp_dir().join("pdb-server-session-replay-test");
+        std::fs::remove_dir_all(&dir).ok();
+        let (store, recovery) = Store::open(&dir, &build_dataset).unwrap();
+        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0).unwrap();
+        // x-tuples 0 and 2 carry null mass.
+        let dataset = DatasetSpec::Inline {
+            x_tuples: vec![
+                vec![(21.0, 0.5), (32.0, 0.3)],
+                vec![(30.0, 0.7), (22.0, 0.3)],
+                vec![(25.0, 0.4), (27.0, 0.2)],
+                vec![(26.0, 1.0)],
+                vec![(24.0, 0.6), (29.0, 0.4)],
+            ],
+        };
+        let id = mgr.create(&create_req(dataset)).unwrap().session;
+        mgr.register_query(&register_req(id, 2)).unwrap();
+        let mut live = Vec::new();
+        let mut apply = |x_tuple, mutation| {
+            let req = ApplyMutation::new(id, x_tuple, mutation);
+            live.push(mgr.apply_mutation(&req).unwrap());
+        };
+        // Rank positions: 32 30 29 27 26 25 24 22 21.
+        apply(1, XTupleMutation::CollapseToAlternative { keep_pos: 1 });
+        apply(0, XTupleMutation::CollapseToNull);
+        let global = TopKQuery::GlobalTopk { k: 3 };
+        mgr.register_query(&RegisterQuery { session: id, query: global, weight: 2.0 }).unwrap();
+        apply(1, XTupleMutation::Reweight { probs: vec![0.3, 0.4] });
+        let arrival = vec![(28.5, 0.5), (23.0, 0.25)];
+        apply(0, XTupleMutation::Insert { key: "s9".into(), alternatives: arrival });
+        apply(2, XTupleMutation::Remove);
+        // Now 30 29 28.5 27 25 24 23: x-tuple 2 holds 29 and 24.
+        apply(2, XTupleMutation::CollapseToAlternative { keep_pos: 1 });
+        drop(mgr);
+
+        // No checkpoint: the base is the created dataset, and every
+        // registration and mutation replays from the tail.
+        let recovery = Store::peek(&dir, &build_dataset).unwrap();
+        let recovered = recovery.sessions.into_iter().next().unwrap();
+        assert_eq!(recovered.tail.len(), 8);
+        let mut session = Session::from_checkpoint(recovered.base.clone()).unwrap();
+        let mut replayed = Vec::new();
+        for (_, record) in recovered.tail.clone() {
+            replayed.extend(session.replay_record(record).unwrap());
+        }
+        assert_eq!(replayed, live, "replay returns each live reply bit for bit");
+
+        let (session, mutations, stats) = Session::replay(recovered).unwrap();
+        let mut live_stats = DeltaStats::default();
+        live.iter().for_each(|applied| live_stats.accumulate(&applied.update.stats));
+        assert_eq!((mutations, stats), (6, live_stats));
+        assert_eq!(session.stat(id).probes, 6);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_recovered_largest_id_exhausts_the_allocator_without_reuse() {
+        let dir = std::env::temp_dir().join("pdb-server-session-largest-id-test");
+        std::fs::remove_dir_all(&dir).ok();
+        let open = || Store::open(&dir, &build_dataset).unwrap();
+        let (store, recovery) = open();
+        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0).unwrap();
+        let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
+        mgr.register_query(&register_req(id, 2)).unwrap();
+        let probe = XTupleMutation::CollapseToAlternative { keep_pos: 2 };
+        mgr.apply_mutation(&ApplyMutation::new(id, 2, probe)).unwrap();
+        // This server refuses to pin u64::MAX, which has no successor...
+        let pinned = CreateSession { session: Some(u64::MAX), ..create_req(DatasetSpec::Udb1) };
+        let err = mgr.create(&pinned).unwrap_err();
+        assert!(err.to_string().contains("reserved"), "{err}");
+        // ...but an older one journalled it.
+        let record = WalRecord::CreateSession {
+            session: u64::MAX,
+            dataset: DatasetSpec::Udb1,
+            probe_cost: 1,
+            probe_success: 0.8,
+        };
+        mgr.store().unwrap().append(&record).unwrap();
+        let before = mgr.with_session(id, |s| s.quality()).unwrap();
+        drop(mgr);
+
+        let (store, recovery) = open();
+        assert_eq!(recovery.next_session_id, None);
+        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0).unwrap();
+        let err = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap_err();
+        assert!(err.to_string().contains("no session id is left"), "{err}");
+        assert_eq!(mgr.sessions_live(), 2);
+        assert_eq!(mgr.with_session(id, |s| s.quality()).unwrap(), before);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -6,8 +6,7 @@
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
 use pdb_server::protocol::{
-    self, ApplyMutation, CreateSession, EvalMode, FetchChunk, RegisterQuery, RestoreSession,
-    SessionRef,
+    self, ApplyMutation, CreateSession, FetchChunk, RegisterQuery, RestoreSession, SessionRef,
 };
 use pdb_server::{DatasetSpec, Request};
 use proptest::prelude::*;
@@ -15,15 +14,14 @@ use proptest::prelude::*;
 /// One valid line per verb, with nested payloads where the verb has them.
 fn valid_lines() -> Vec<String> {
     let session = SessionRef { session: 7 };
-    let apply = ApplyMutation {
-        session: 7,
-        x_tuple: 2,
-        mutation: XTupleMutation::Insert {
+    let apply = ApplyMutation::new(
+        7,
+        2,
+        XTupleMutation::Insert {
             key: "s9".to_string(),
             alternatives: vec![(28.5, 0.5), (23.0, 0.25)],
         },
-        mode: EvalMode::Delta,
-    };
+    );
     let requests = [
         Request::CreateSession(CreateSession {
             dataset: DatasetSpec::Inline { x_tuples: vec![vec![(21.0, 0.6), (32.0, 0.4)]] },
@@ -40,10 +38,11 @@ fn valid_lines() -> Vec<String> {
         Request::Quality(session),
         Request::RecommendProbe(session),
         Request::ApplyMutation(apply.clone()),
-        Request::ApplyProbe(ApplyMutation {
-            mutation: XTupleMutation::Reweight { probs: vec![0.25, 0.5] },
-            ..apply
-        }),
+        Request::ApplyProbe(ApplyMutation::new(
+            7,
+            2,
+            XTupleMutation::Reweight { probs: vec![0.25, 0.5] },
+        )),
         Request::DropSession(session),
         Request::Persist(session),
         Request::Restore(RestoreSession {

@@ -315,6 +315,31 @@ fn a_deeply_nested_line_is_an_error_reply_and_the_session_keeps_serving() {
 }
 
 #[test]
+fn a_pinned_session_id_without_a_successor_is_an_error_reply() {
+    // One worker: a panicking handler would leave none to serve the
+    // connection.
+    let (addr, handle) = boot(1);
+    let mut client = Client::connect(addr).unwrap();
+    let pinned = pdb_server::protocol::CreateSession {
+        dataset: DatasetSpec::Udb1,
+        probe_cost: 1,
+        probe_success: 0.8,
+        session: Some(u64::MAX),
+    };
+    match client.call(&pdb_server::Request::CreateSession(pinned)).unwrap() {
+        pdb_server::Response::Error(reply) => {
+            assert!(reply.message.contains("reserved"), "{}", reply.message)
+        }
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    // The same connection keeps serving, and the allocator did not move.
+    assert_eq!(client.create_session(DatasetSpec::Udb1, 1, 0.8).unwrap().session, 1);
+
+    client.shutdown().unwrap();
+    handle.join().expect("server thread").expect("clean shutdown");
+}
+
+#[test]
 fn shutdown_drains_even_with_an_idle_persistent_connection() {
     let (addr, handle) = boot(2);
 

@@ -1,5 +1,6 @@
 //! Recovery equivalence: a store-backed session replayed from its
-//! write-ahead log must match the uninterrupted in-process session.
+//! write-ahead log by [`Session::replay`] must match the uninterrupted
+//! in-process session.
 //!
 //! The property suite drives randomized sessions (random inline
 //! databases, half of whose x-tuples are clustered null-mass entities,
@@ -8,16 +9,18 @@
 //! directly on a [`BatchQuality`] mirror, and once as journalled records
 //! — collapses as the historical `ApplyProbe` kind, streaming membership
 //! changes as the newer `ApplyMutation` kind, so both record kinds replay
-//! in one log — in a store that is then dropped and reopened.  The recovered evaluation must
-//! agree with the mirror — answers exactly, qualities at 1e-12 — even
-//! when random garbage is appended to the log first (the torn tail a
-//! crash mid-append leaves behind).
+//! in one log — in a store that is then dropped and reopened.  The
+//! recovered session must agree with the mirror — answers exactly,
+//! qualities at 1e-12, the probe counter exactly — even when random
+//! garbage is appended to the log first (the torn tail a crash
+//! mid-append leaves behind).
 
 use pdb_core::RankedDatabase;
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
 use pdb_quality::{BatchQuality, WeightedQuery};
-use pdb_store::{DatasetSpec, RecoveredState, Store, WalRecord};
+use pdb_server::Session;
+use pdb_store::{DatasetSpec, SessionCheckpoint, Store, StoreError, WalRecord};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -31,7 +34,7 @@ fn fresh_dir() -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let id = NEXT.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir()
-        .join("pdb-store-wal-recovery")
+        .join("pdb-server-wal-recovery")
         .join(format!("case-{}-{id}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     dir
@@ -151,6 +154,7 @@ proptest! {
 
         // Uninterrupted in-process session.
         let mut mirror = BatchQuality::from_owned(db, queries.clone()).unwrap();
+        let mut applied = 0u64;
 
         // The same session, journalled record by record.
         {
@@ -171,13 +175,14 @@ proptest! {
             for s in &steps {
                 let Some((l, mutation)) = resolve(mirror.database(), s) else { continue };
                 mirror.apply_collapse_in_place(l, &mutation).unwrap();
+                applied += 1;
                 // Streaming membership changes journal as the newer
                 // `ApplyMutation` record kind; collapses and reweights stay
                 // on the historical `ApplyProbe` kind so one log carries
                 // both and replay must treat them identically.
                 let record = match &mutation {
                     XTupleMutation::Insert { .. } | XTupleMutation::Remove => {
-                        WalRecord::ApplyMutation { session: 1, x_tuple: l, mutation }
+                        WalRecord::apply_mutation(1, l, mutation)
                     }
                     _ => WalRecord::ApplyProbe { session: 1, x_tuple: l, mutation },
                 };
@@ -194,20 +199,21 @@ proptest! {
         }
 
         // Recover and compare.
-        let (_, recovery) = Store::open(&dir, &build).unwrap();
+        let (_, mut recovery) = Store::open(&dir, &build).unwrap();
         prop_assert_eq!(recovery.sessions.len(), 1);
-        let session = &recovery.sessions[0];
         prop_assert_eq!((recovery.truncated_bytes > 0) as usize, (!garbage.is_empty()) as usize);
-        let RecoveredState::Live(recovered) = &session.state else {
-            panic!("queries were registered; session must recover live");
-        };
+        let (recovered, mutations, _) = Session::replay(recovery.sessions.remove(0)).unwrap();
+        prop_assert_eq!(mutations, applied);
+        let stat = recovered.stat(1);
+        prop_assert_eq!((stat.queries, stat.probes), (queries.len(), applied));
         prop_assert_eq!(recovered.database(), mirror.database());
-        prop_assert!((recovered.aggregate_quality() - mirror.aggregate_quality()).abs() <= TOL);
-        let (got_q, want_q) = (recovered.quality_vector(), mirror.quality_vector());
+        let report = recovered.quality().expect("queries were registered; session must recover live");
+        prop_assert!((report.aggregate - mirror.aggregate_quality()).abs() <= TOL);
+        let (got_q, want_q) = (report.qualities, mirror.quality_vector());
         for (q, (got, want)) in got_q.iter().zip(&want_q).enumerate() {
             prop_assert!((got - want).abs() <= TOL, "quality of query {}: {} vs {}", q, got, want);
         }
-        prop_assert_eq!(recovered.answers().unwrap(), mirror.answers().unwrap());
+        prop_assert_eq!(recovered.evaluate().unwrap().answers, mirror.answers().unwrap());
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -253,19 +259,166 @@ fn interleaved_registrations_replay_exactly() {
         WalRecord::ApplyProbe { session: 1, x_tuple: 2, mutation: probe },
         WalRecord::RegisterQuery { session: 1, query: q2.query, weight: q2.weight },
         WalRecord::ApplyProbe { session: 1, x_tuple: 0, mutation: second },
-        WalRecord::ApplyMutation { session: 1, x_tuple: appended_at, mutation: arrival },
-        WalRecord::ApplyMutation { session: 1, x_tuple: 1, mutation: XTupleMutation::Remove },
+        WalRecord::apply_mutation(1, appended_at, arrival),
+        WalRecord::apply_mutation(1, 1, XTupleMutation::Remove),
     ] {
         store.append(&record).unwrap();
     }
     drop(store);
 
-    let (_, recovery) = Store::open(&dir, &build).unwrap();
-    let session = &recovery.sessions[0];
-    assert_eq!(session.probes_replayed, 4);
-    let RecoveredState::Live(recovered) = &session.state else { panic!("live session") };
+    let (_, mut recovery) = Store::open(&dir, &build).unwrap();
+    let (recovered, mutations, _) = Session::replay(recovery.sessions.remove(0)).unwrap();
+    assert_eq!(mutations, 4);
     assert_eq!(recovered.database(), mirror.database());
-    assert!((recovered.aggregate_quality() - mirror.aggregate_quality()).abs() <= TOL);
-    assert_eq!(recovered.answers().unwrap(), mirror.answers().unwrap());
+    let report = recovered.quality().expect("live session");
+    assert!((report.aggregate - mirror.aggregate_quality()).abs() <= TOL);
+    assert_eq!(recovered.evaluate().unwrap().answers, mirror.answers().unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn udb1_spec() -> DatasetSpec {
+    DatasetSpec::Inline {
+        x_tuples: vec![
+            vec![(21.0, 0.6), (32.0, 0.4)],
+            vec![(30.0, 0.7), (22.0, 0.3)],
+            vec![(25.0, 0.4), (27.0, 0.6)],
+            vec![(26.0, 1.0)],
+        ],
+    }
+}
+
+fn pt2() -> WeightedQuery {
+    WeightedQuery::new(TopKQuery::PTk { k: 2, threshold: 0.4 })
+}
+
+/// Create session 1 over udb1, register PT-2 and collapse x-tuple 2
+/// (udb1 → udb2); return the matching in-process mirror.
+fn journal_udb2(store: &Store) -> BatchQuality<'static> {
+    let probe = XTupleMutation::CollapseToAlternative { keep_pos: 2 };
+    for record in [
+        WalRecord::CreateSession {
+            session: 1,
+            dataset: udb1_spec(),
+            probe_cost: 1,
+            probe_success: 0.8,
+        },
+        WalRecord::RegisterQuery { session: 1, query: pt2().query, weight: 1.0 },
+        WalRecord::ApplyProbe { session: 1, x_tuple: 2, mutation: probe.clone() },
+    ] {
+        store.append(&record).unwrap();
+    }
+    let db = build(&udb1_spec()).unwrap();
+    let mut mirror = BatchQuality::from_owned(db, vec![pt2()]).unwrap();
+    mirror.apply_collapse_in_place(2, &probe).unwrap();
+    mirror
+}
+
+/// A replayed probe is the in-process session's probe: same database,
+/// answers and aggregate (udb1 → udb2), with the delta pass's rows and
+/// the probe counter accounted; an idle session replays idle.
+#[test]
+fn a_replayed_probe_matches_the_in_process_session() {
+    let dir = fresh_dir();
+    let (store, _) = Store::open(&dir, &build).unwrap();
+    let mirror = journal_udb2(&store);
+    let idle = WalRecord::CreateSession {
+        session: 2,
+        dataset: udb1_spec(),
+        probe_cost: 3,
+        probe_success: 0.5,
+    };
+    store.append(&idle).unwrap();
+    drop(store);
+
+    let (_, recovery) = Store::open(&dir, &build).unwrap();
+    let mut sessions = recovery.sessions.into_iter();
+    let (recovered, mutations, stats) = Session::replay(sessions.next().unwrap()).unwrap();
+    assert_eq!(mutations, 1);
+    assert!(stats.rows_total() > 0, "probe replayed via delta pass");
+    assert_eq!(recovered.stat(1).probes, 1);
+    assert_eq!(recovered.database(), mirror.database());
+    let report = recovered.quality().unwrap();
+    assert!((report.aggregate - mirror.aggregate_quality()).abs() < 1e-12);
+    assert!((report.aggregate - (-1.85)).abs() < 0.005, "udb1 → udb2");
+    assert_eq!(recovered.evaluate().unwrap().answers, mirror.answers().unwrap());
+
+    let (idle, mutations, _) = Session::replay(sessions.next().unwrap()).unwrap();
+    assert_eq!((mutations, idle.stat(2).queries, idle.stat(2).probes), (0, 0, 0));
+    assert!(idle.quality().is_err(), "no query registered");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint base replays only the records after it, and its probe
+/// counter carries over.
+#[test]
+fn a_checkpoint_base_replays_only_its_tail() {
+    let dir = fresh_dir();
+    let (store, _) = Store::open(&dir, &build).unwrap();
+    let mut mirror = journal_udb2(&store);
+    store
+        .checkpoint(&SessionCheckpoint {
+            session: 1,
+            db: mirror.database().clone(),
+            specs: vec![pt2()],
+            probe_cost: 1,
+            probe_success: 0.8,
+            probes: 1,
+        })
+        .unwrap();
+    let reweight = XTupleMutation::Reweight { probs: vec![0.5, 0.5] };
+    store
+        .append(&WalRecord::ApplyProbe { session: 1, x_tuple: 0, mutation: reweight.clone() })
+        .unwrap();
+    store.truncate_log().unwrap();
+    drop(store);
+    mirror.apply_collapse_in_place(0, &reweight).unwrap();
+
+    let (_, mut recovery) = Store::open(&dir, &build).unwrap();
+    let (recovered, mutations, _) = Session::replay(recovery.sessions.remove(0)).unwrap();
+    assert_eq!(mutations, 1, "only the post-checkpoint probe replays");
+    assert_eq!(recovered.stat(1).probes, 2, "checkpointed probe count + replayed probe");
+    assert_eq!(recovered.database(), mirror.database());
+    let report = recovered.quality().unwrap();
+    assert!((report.aggregate - mirror.aggregate_quality()).abs() <= TOL);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_mutation_for_a_session_without_a_query_fails_replay() {
+    let dir = fresh_dir();
+    let (store, _) = Store::open(&dir, &build).unwrap();
+    let create = WalRecord::CreateSession {
+        session: 1,
+        dataset: udb1_spec(),
+        probe_cost: 1,
+        probe_success: 0.8,
+    };
+    store.append(&create).unwrap();
+    // No register_query first: the live server refuses this mutation,
+    // so a log holding it was written by hand.
+    let probe = XTupleMutation::CollapseToAlternative { keep_pos: 2 };
+    store.append(&WalRecord::ApplyProbe { session: 1, x_tuple: 2, mutation: probe }).unwrap();
+    drop(store);
+    let (_, mut recovery) = Store::open(&dir, &build).unwrap();
+    let err = Session::replay(recovery.sessions.remove(0)).unwrap_err();
+    assert!(matches!(err, StoreError::Replay { record: 1, .. }), "{err}");
+    assert!(err.to_string().contains("no registered queries"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An insert journalled at anything but the append index is not what
+/// the live server wrote, and replay rejects it.
+#[test]
+fn an_insert_away_from_the_append_index_fails_replay() {
+    let dir = fresh_dir();
+    let (store, _) = Store::open(&dir, &build).unwrap();
+    journal_udb2(&store);
+    let arrival = XTupleMutation::Insert { key: "s9".into(), alternatives: vec![(28.5, 0.5)] };
+    store.append(&WalRecord::apply_mutation(1, 1, arrival)).unwrap();
+    drop(store);
+    let (_, mut recovery) = Store::open(&dir, &build).unwrap();
+    let err = Session::replay(recovery.sessions.remove(0)).unwrap_err();
+    assert!(matches!(err, StoreError::Replay { record: 3, .. }), "{err}");
+    assert!(err.to_string().contains("append-only"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }

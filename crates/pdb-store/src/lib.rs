@@ -13,9 +13,11 @@
 //!   resolved mutation), tolerant of torn tails;
 //! * [`store`] — the **store directory** combining both: a group-commit
 //!   flusher that fsyncs every append before it is acknowledged,
-//!   checkpoints, log compaction, and a recovery path that replays the
-//!   log through the existing in-place delta machinery, so recovering a
-//!   session costs O(probes) delta passes — not a PSR rerun per probe;
+//!   checkpoints, log compaction, and recovery, which hands each session
+//!   back as a base state (its dataset or last checkpoint) plus the
+//!   records journalled after it — the server, not this crate, folds
+//!   those records into an evaluation, through the same calls a live
+//!   request runs;
 //! * [`spec`] — the durable [`DatasetSpec`] describing a session's base
 //!   database (materialized by `pdb_gen::spec::build_dataset`, above
 //!   this crate);
@@ -24,9 +26,9 @@
 //!   a path and byte offset, never a panic.
 //!
 //! `pdb-server` journals every session-mutating request into a store
-//! (`pdb serve --store-dir`) and rehydrates sessions from it on startup;
-//! `pdb export` / `pdb import` / `pdb recover` drive the formats from
-//! the command line.
+//! (`pdb serve --store-dir`) and rebuilds its sessions from it on
+//! startup; `pdb export` / `pdb import` / `pdb recover` drive the
+//! formats from the command line.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -43,7 +45,6 @@ pub use error::{Result, StoreError};
 pub use snapshot::{Snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use spec::DatasetSpec;
 pub use store::{
-    CompactionStats, FlushPolicy, RecoveredSession, RecoveredState, Recovery, SessionCheckpoint,
-    Store, WAL_FILE,
+    CompactionStats, FlushPolicy, RecoveredSession, Recovery, SessionCheckpoint, Store, WAL_FILE,
 };
 pub use wal::{Wal, WalRecord, WAL_VERSION};

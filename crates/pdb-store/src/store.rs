@@ -1,5 +1,5 @@
 //! The store directory: one write-ahead log plus checkpoint snapshots,
-//! with crash recovery by delta replay.
+//! with crash recovery from the log.
 //!
 //! ## Directory layout
 //!
@@ -11,23 +11,27 @@
 //!
 //! ## Recovery
 //!
-//! [`Store::open`] replays the log front to back (truncating a torn tail,
-//! never erroring on one).  Per session the replay mirrors exactly what
-//! the live server did:
+//! [`Store::open`] reads the log front to back (truncating a torn tail,
+//! never erroring on one) and hands each live session back as a
+//! [`RecoveredSession`]: a base state plus the records journalled after
+//! it.  This crate only turns bytes into databases; it evaluates
+//! nothing.  The server folds each tail record in through the same
+//! session calls a live request runs, so recovery and serving share one
+//! state machine.
 //!
-//! * `create_session` materializes the journalled [`DatasetSpec`] through
-//!   the caller-supplied builder (the generators are deterministic, so
-//!   the base database comes back bit-for-bit);
-//! * `checkpoint` loads the referenced snapshot instead and discards
-//!   every earlier record of that session — the snapshot *is* those
-//!   records, pre-applied;
-//! * `register_query` re-plans the session's shared evaluation (one PSR
-//!   run at the new `k_max`, just like live registration);
-//! * `apply_probe` records are buffered and folded in through
-//!   [`BatchQuality::replay_in_place`] — **one in-place delta pass per
-//!   probe** on the shared master matrix, with a single quality refresh
-//!   per session at the end.  Recovery cost is O(probes) delta passes,
-//!   not a PSR rerun per probe.
+//! * `create_session` starts a base: the journalled [`DatasetSpec`]
+//!   materialized through the caller-supplied builder (the generators
+//!   are deterministic, so the base database comes back bit-for-bit), no
+//!   queries and no probes;
+//! * `checkpoint` starts a new base from the referenced snapshot, its
+//!   query set and its probe count, and discards every earlier record of
+//!   that session — the snapshot *is* those records, pre-applied;
+//! * `register_query`, `apply_probe` and `apply_mutation` join the
+//!   session's tail, each with its index in the log;
+//! * `drop_session` removes the session.
+//!
+//! A record for a session the log never created fails recovery with
+//! [`StoreError::Replay`] naming the record.
 //!
 //! ## Checkpoints and compaction
 //!
@@ -47,8 +51,7 @@ use crate::snapshot::Snapshot;
 use crate::spec::DatasetSpec;
 use crate::wal::{Wal, WalRecord};
 use pdb_core::{DbError, RankedDatabase, Result as DbResult};
-use pdb_engine::delta::{DeltaStats, XTupleMutation};
-use pdb_quality::{BatchQuality, WeightedQuery};
+use pdb_quality::WeightedQuery;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -79,57 +82,32 @@ pub struct SessionCheckpoint {
     pub probes: u64,
 }
 
-/// The evaluation state a session recovered in.
-#[derive(Debug)]
-pub enum RecoveredState {
-    /// No queries were registered: only the database exists.
-    Idle(RankedDatabase),
-    /// The live shared evaluation, rebuilt by one PSR run plus delta
-    /// replay of the journalled probes.
-    Live(Box<BatchQuality<'static>>),
-}
-
-impl RecoveredState {
-    /// The recovered database version.
-    pub fn database(&self) -> &RankedDatabase {
-        match self {
-            RecoveredState::Idle(db) => db,
-            RecoveredState::Live(batch) => batch.database(),
-        }
-    }
-}
-
-/// One session rebuilt from the log.
+/// One session as the log leaves it: the state of its last
+/// `create_session` or `checkpoint` record, and every record journalled
+/// after that.
 #[derive(Debug)]
 pub struct RecoveredSession {
-    /// The session's id (as originally assigned by the server).
-    pub id: u64,
-    /// Budget units one probe costs.
-    pub probe_cost: u64,
-    /// Probability that one probe succeeds.
-    pub probe_success: f64,
-    /// Registered queries, in registration order.
-    pub specs: Vec<WeightedQuery>,
-    /// Total probes ever applied (checkpointed + replayed).
-    pub probes: u64,
-    /// Probes replayed from the log during this recovery (excludes those
-    /// already baked into a checkpoint snapshot).
-    pub probes_replayed: u64,
-    /// How the replayed delta passes produced their rows.
-    pub replay_stats: DeltaStats,
-    /// The recovered evaluation state.
-    pub state: RecoveredState,
+    /// The session's base state.  For a `create_session` record: the
+    /// built dataset, no queries and no probes.  For a `checkpoint`
+    /// record: the snapshot's database, query set and probe count.
+    pub base: SessionCheckpoint,
+    /// Log index of the record the base comes from.
+    pub base_record: u64,
+    /// The `register_query`, `apply_probe` and `apply_mutation` records
+    /// journalled after the base, in log order, each with its log index.
+    pub tail: Vec<(u64, WalRecord)>,
 }
 
-/// What [`Store::open`] rebuilt from the directory.
+/// What [`Store::open`] read back from the directory.
 #[derive(Debug)]
 pub struct Recovery {
     /// Recovered sessions, ascending by id.
     pub sessions: Vec<RecoveredSession>,
-    /// The smallest session id the server may assign next (one past the
-    /// largest id the log has ever mentioned).
-    pub next_session_id: u64,
-    /// Valid records replayed from the log.
+    /// One past the largest session id the log has ever mentioned: the
+    /// smallest id the server may assign next.  `None` when the log
+    /// names `u64::MAX`, which has no successor, so no id is left.
+    pub next_session_id: Option<u64>,
+    /// Valid records read from the log.
     pub records: u64,
     /// Bytes of torn tail truncated from the log (0 for a clean log).
     pub truncated_bytes: u64,
@@ -242,9 +220,9 @@ pub struct Store {
 pub type DatasetBuilder<'a> = dyn Fn(&DatasetSpec) -> DbResult<RankedDatabase> + 'a;
 
 impl Store {
-    /// Open (or create) the store directory, replay the log, and return
-    /// the store plus everything it recovered.  `build` materializes the
-    /// dataset specs journalled by `create_session` records (pass
+    /// Open (or create) the store directory, read the log, and return
+    /// the store plus every session it recovered.  `build` materializes
+    /// the dataset specs journalled by `create_session` records (pass
     /// `pdb_gen::spec::build_dataset`).  Appends group-commit under the
     /// default [`FlushPolicy`].
     /// Fails if another process already holds the store open: two
@@ -302,12 +280,12 @@ impl Store {
             flusher,
             _lock: lock,
         };
-        let recovery = replay_records(dir, replay.records, replay.truncated_bytes, build)?;
+        let recovery = group_records(dir, replay.records, replay.truncated_bytes, build)?;
         Ok((store, recovery))
     }
 
     /// Read-only recovery preview (the dry run behind `pdb recover`):
-    /// scan and replay the log **without** creating the directory,
+    /// scan and group the log **without** creating the directory,
     /// writing a header, or truncating a torn tail on disk.  The torn
     /// tail a real [`open`](Self::open) would truncate is only
     /// *reported*, via [`Recovery::truncated_bytes`].
@@ -315,7 +293,7 @@ impl Store {
         let path = dir.join(WAL_FILE);
         let bytes = fs::read(&path).map_err(|e| StoreError::io("reading", &path, e))?;
         let (records, valid_len) = crate::wal::scan(&bytes, &path)?;
-        replay_records(dir, records, (bytes.len() - valid_len) as u64, build)
+        group_records(dir, records, (bytes.len() - valid_len) as u64, build)
     }
 
     /// The store's root directory.
@@ -591,42 +569,35 @@ fn flusher_loop(
     }
 }
 
-/// Replay scanned records into recovered sessions (checkpoint snapshots
-/// are loaded relative to `dir`).
-fn replay_records(
+/// Group scanned records by session: each live session's last base and
+/// the records after it (checkpoint snapshots are loaded relative to
+/// `dir`).
+fn group_records(
     dir: &Path,
     records: Vec<WalRecord>,
     truncated_bytes: u64,
     build: &DatasetBuilder<'_>,
 ) -> Result<Recovery> {
-    let mut sessions: BTreeMap<u64, SessionBuild> = BTreeMap::new();
+    let mut sessions: BTreeMap<u64, RecoveredSession> = BTreeMap::new();
     let mut max_id = 0u64;
     let total = records.len() as u64;
-    for (index, record) in records.into_iter().enumerate() {
-        let index = index as u64;
+    for (index, record) in (0u64..).zip(records) {
         max_id = max_id.max(record.session());
-        match record {
+        let base = match record {
             WalRecord::CreateSession { session, dataset, probe_cost, probe_success } => {
                 let db = build(&dataset)
                     .map_err(|source| StoreError::Replay { record: index, source })?;
-                sessions.insert(session, SessionBuild::new(db, probe_cost, probe_success));
+                SessionCheckpoint {
+                    session,
+                    db,
+                    specs: Vec::new(),
+                    probe_cost,
+                    probe_success,
+                    probes: 0,
+                }
             }
-            WalRecord::RegisterQuery { session, query, weight } => {
-                let s = lookup(&mut sessions, session, index)?;
-                s.flush()?;
-                s.specs.push(WeightedQuery::weighted(query, weight));
-                s.replan(index)?;
-            }
-            WalRecord::ApplyProbe { session, x_tuple, mutation }
-            | WalRecord::ApplyMutation { session, x_tuple, mutation } => {
-                let s = lookup(&mut sessions, session, index)?;
-                s.pending.push((index, x_tuple, mutation));
-                s.probes += 1;
-                s.probes_replayed += 1;
-            }
-            WalRecord::DropSession { session } => {
-                sessions.remove(&session);
-            }
+            // The snapshot already contains every earlier record's
+            // effect: the session starts over from it.
             WalRecord::Checkpoint {
                 session,
                 snapshot,
@@ -636,42 +607,32 @@ fn replay_records(
                 probes,
             } => {
                 let db = Snapshot::read(&dir.join(&snapshot))?;
-                // The snapshot already contains every earlier record's
-                // effect, including buffered probes: start over from it.
-                let mut s = SessionBuild::new(db, probe_cost, probe_success);
-                s.specs = specs;
-                s.probes = probes;
-                s.replan(index)?;
-                sessions.insert(session, s);
+                SessionCheckpoint { session, db, specs, probe_cost, probe_success, probes }
             }
-        }
-    }
-
-    let mut recovered = Vec::with_capacity(sessions.len());
-    for (id, mut s) in sessions {
-        s.flush()?;
-        recovered.push(s.finish(id));
+            WalRecord::DropSession { session } => {
+                sessions.remove(&session);
+                continue;
+            }
+            record => {
+                let session = record.session();
+                let recovered = sessions.get_mut(&session).ok_or_else(|| StoreError::Replay {
+                    record: index,
+                    source: DbError::invalid_parameter(format!(
+                        "log references session {session} before creating it"
+                    )),
+                })?;
+                recovered.tail.push((index, record));
+                continue;
+            }
+        };
+        sessions
+            .insert(base.session, RecoveredSession { base, base_record: index, tail: Vec::new() });
     }
     Ok(Recovery {
-        sessions: recovered,
-        next_session_id: max_id + 1,
+        sessions: sessions.into_values().collect(),
+        next_session_id: max_id.checked_add(1),
         records: total,
         truncated_bytes,
-    })
-}
-
-/// Look up a session during replay; a record naming an unknown session
-/// means the log is internally inconsistent.
-fn lookup(
-    sessions: &mut BTreeMap<u64, SessionBuild>,
-    session: u64,
-    record: u64,
-) -> Result<&mut SessionBuild> {
-    sessions.get_mut(&session).ok_or_else(|| StoreError::Replay {
-        record,
-        source: DbError::invalid_parameter(format!(
-            "log references session {session} before creating it"
-        )),
     })
 }
 
@@ -746,87 +707,10 @@ fn max_snapshot_seq(dir: &Path) -> Result<u64> {
     Ok(max)
 }
 
-/// Replay-time accumulator for one session.
-struct SessionBuild {
-    probe_cost: u64,
-    probe_success: f64,
-    specs: Vec<WeightedQuery>,
-    state: RecoveredState,
-    /// Probe records not yet folded into `state`, as
-    /// `(record index, x-tuple, mutation)`.
-    pending: Vec<(u64, usize, XTupleMutation)>,
-    probes: u64,
-    probes_replayed: u64,
-    stats: DeltaStats,
-}
-
-impl SessionBuild {
-    fn new(db: RankedDatabase, probe_cost: u64, probe_success: f64) -> Self {
-        Self {
-            probe_cost,
-            probe_success,
-            specs: Vec::new(),
-            state: RecoveredState::Idle(db),
-            pending: Vec::new(),
-            probes: 0,
-            probes_replayed: 0,
-            stats: DeltaStats::default(),
-        }
-    }
-
-    /// Fold the buffered probes into the live evaluation: one delta pass
-    /// per probe.  The live server refuses a mutation before the first
-    /// `register_query`, so a log holding one for an idle session was not
-    /// written by it, and replay rejects it the same way.
-    fn flush(&mut self) -> Result<()> {
-        let Some(&(first, ..)) = self.pending.first() else { return Ok(()) };
-        let pending = std::mem::take(&mut self.pending);
-        let RecoveredState::Live(batch) = &mut self.state else {
-            return Err(StoreError::Replay {
-                record: first,
-                source: DbError::invalid_parameter(
-                    "mutation for a session with no registered query",
-                ),
-            });
-        };
-        let update = batch
-            .replay_in_place(pending.into_iter().map(|(_, l, m)| (l, m)))
-            .map_err(|source| StoreError::Replay { record: first, source })?;
-        self.stats.accumulate(&update.stats);
-        Ok(())
-    }
-
-    /// Re-plan the shared evaluation over the current database — exactly
-    /// what live `register_query` does (and what a checkpoint load needs
-    /// when queries were registered).
-    fn replan(&mut self, at_record: u64) -> Result<()> {
-        if self.specs.is_empty() {
-            return Ok(());
-        }
-        let db = self.state.database().clone();
-        let batch = BatchQuality::from_owned(db, self.specs.clone())
-            .map_err(|source| StoreError::Replay { record: at_record, source })?;
-        self.state = RecoveredState::Live(Box::new(batch));
-        Ok(())
-    }
-
-    fn finish(self, id: u64) -> RecoveredSession {
-        RecoveredSession {
-            id,
-            probe_cost: self.probe_cost,
-            probe_success: self.probe_success,
-            specs: self.specs,
-            probes: self.probes,
-            probes_replayed: self.probes_replayed,
-            replay_stats: self.stats,
-            state: self.state,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdb_engine::delta::XTupleMutation;
     use pdb_engine::queries::TopKQuery;
 
     fn udb1() -> RankedDatabase {
@@ -837,6 +721,13 @@ mod tests {
             vec![(26.0, 1.0)],
         ])
         .unwrap()
+    }
+
+    /// udb1 after `probe1`: x-tuple 2 collapsed onto rank position 2.
+    fn udb2() -> RankedDatabase {
+        let mut db = udb1();
+        db.collapse_x_tuple_in_place(2, 2).unwrap();
+        db
     }
 
     fn build(spec: &DatasetSpec) -> DbResult<RankedDatabase> {
@@ -851,6 +742,10 @@ mod tests {
         let dir = std::env::temp_dir().join("pdb-store-store-test").join(name);
         fs::remove_dir_all(&dir).ok();
         dir
+    }
+
+    fn pt2_query() -> WeightedQuery {
+        WeightedQuery::new(TopKQuery::PTk { k: 2, threshold: 0.4 })
     }
 
     fn pt2() -> WalRecord {
@@ -878,13 +773,37 @@ mod tests {
         }
     }
 
+    fn reweight0() -> WalRecord {
+        WalRecord::ApplyProbe {
+            session: 1,
+            x_tuple: 0,
+            mutation: XTupleMutation::Reweight { probs: vec![0.5, 0.5] },
+        }
+    }
+
+    /// The post-probe state of session 1, as the server would checkpoint it.
+    fn checkpoint1() -> SessionCheckpoint {
+        SessionCheckpoint {
+            session: 1,
+            db: udb2(),
+            specs: vec![pt2_query()],
+            probe_cost: 1,
+            probe_success: 0.8,
+            probes: 1,
+        }
+    }
+
+    fn tail_indices(session: &RecoveredSession) -> Vec<u64> {
+        session.tail.iter().map(|(index, _)| *index).collect()
+    }
+
     #[test]
     fn create_register_probe_replays_to_the_mutated_state() {
         let dir = temp_store("basic");
         {
             let (store, recovery) = Store::open(&dir, &build).unwrap();
             assert!(recovery.sessions.is_empty());
-            assert_eq!(recovery.next_session_id, 1);
+            assert_eq!(recovery.next_session_id, Some(1));
             store.append(&create1()).unwrap();
             store.append(&pt2()).unwrap();
             store.append(&probe1()).unwrap();
@@ -893,24 +812,15 @@ mod tests {
         let (_, recovery) = Store::open(&dir, &build).unwrap();
         assert_eq!(recovery.records, 3);
         assert_eq!(recovery.truncated_bytes, 0);
-        assert_eq!(recovery.next_session_id, 2);
+        assert_eq!(recovery.next_session_id, Some(2));
+        // The base is the built dataset; the registration and the probe
+        // wait in the tail for the server to fold in.
         let session = &recovery.sessions[0];
-        assert_eq!((session.id, session.probes, session.probes_replayed), (1, 1, 1));
-        assert!(session.replay_stats.rows_total() > 0, "probe replayed via delta pass");
-
-        // The recovered state matches replaying the same steps in process.
-        let mut mirror = BatchQuality::from_owned(
-            udb1(),
-            vec![WeightedQuery::new(TopKQuery::PTk { k: 2, threshold: 0.4 })],
-        )
-        .unwrap();
-        mirror
-            .apply_collapse_in_place(2, &XTupleMutation::CollapseToAlternative { keep_pos: 2 })
-            .unwrap();
-        let RecoveredState::Live(batch) = &session.state else { panic!("live session") };
-        assert_eq!(batch.database(), mirror.database());
-        assert!((batch.aggregate_quality() - mirror.aggregate_quality()).abs() < 1e-12);
-        assert!((batch.aggregate_quality() - (-1.85)).abs() < 0.005, "udb1 → udb2");
+        assert_eq!((session.base.session, session.base_record), (1, 0));
+        assert_eq!(session.base.db, udb1());
+        assert!(session.base.specs.is_empty());
+        assert_eq!(session.base.probes, 0);
+        assert_eq!(session.tail, vec![(1, pt2()), (2, probe1())]);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -924,33 +834,11 @@ mod tests {
 
         // Checkpoint the post-probe state (as the server would, from the
         // live session).
-        let mut live = BatchQuality::from_owned(
-            udb1(),
-            vec![WeightedQuery::new(TopKQuery::PTk { k: 2, threshold: 0.4 })],
-        )
-        .unwrap();
-        live.apply_collapse_in_place(2, &XTupleMutation::CollapseToAlternative { keep_pos: 2 })
-            .unwrap();
-        let name = store
-            .checkpoint(&SessionCheckpoint {
-                session: 1,
-                db: live.database().clone(),
-                specs: vec![WeightedQuery::new(TopKQuery::PTk { k: 2, threshold: 0.4 })],
-                probe_cost: 1,
-                probe_success: 0.8,
-                probes: 1,
-            })
-            .unwrap();
+        let name = store.checkpoint(&checkpoint1()).unwrap();
         assert!(dir.join(&name).exists());
 
         // A probe after the checkpoint must survive compaction.
-        store
-            .append(&WalRecord::ApplyProbe {
-                session: 1,
-                x_tuple: 0,
-                mutation: XTupleMutation::Reweight { probs: vec![0.5, 0.5] },
-            })
-            .unwrap();
+        store.append(&reweight0()).unwrap();
         let stats = store.truncate_log().unwrap();
         assert_eq!(stats.records_before, 5);
         assert_eq!(stats.records_after, 2, "checkpoint + post-checkpoint probe");
@@ -959,12 +847,13 @@ mod tests {
         drop(store);
         let (_, recovery) = Store::open(&dir, &build).unwrap();
         let session = &recovery.sessions[0];
-        assert_eq!(session.probes, 2, "checkpointed probe count + replayed probe");
-        assert_eq!(session.probes_replayed, 1, "only the post-checkpoint probe replays");
-        // Mirror: checkpointed state + the reweight.
-        live.apply_collapse_in_place(0, &XTupleMutation::Reweight { probs: vec![0.5, 0.5] })
-            .unwrap();
-        assert_eq!(session.state.database(), live.database());
+        // The base is the snapshot with its counters; only the
+        // post-checkpoint probe is left to replay.
+        assert_eq!(session.base_record, 0);
+        assert_eq!(session.base.db, udb2());
+        assert_eq!(session.base.specs, vec![pt2_query()]);
+        assert_eq!(session.base.probes, 1, "the checkpointed probe count");
+        assert_eq!(session.tail, vec![(1, reweight0())]);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -988,11 +877,13 @@ mod tests {
         drop(store);
         let (_, recovery) = Store::open(&dir, &build).unwrap();
         assert_eq!(recovery.sessions.len(), 1);
-        assert_eq!(recovery.sessions[0].id, 2);
-        assert!(matches!(recovery.sessions[0].state, RecoveredState::Idle(_)));
+        let session = &recovery.sessions[0];
+        assert_eq!(session.base.session, 2);
+        assert_eq!((session.base.probe_cost, session.base.probe_success), (3, 0.5));
+        assert!(session.base.specs.is_empty() && session.tail.is_empty(), "an idle session");
         // Ids never regress below what the log has seen — session 2 is
         // the highest surviving mention after compaction.
-        assert!(recovery.next_session_id >= 3);
+        assert!(recovery.next_session_id.is_some_and(|id| id >= 3));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1016,7 +907,11 @@ mod tests {
         drop(store);
         let (_, recovery) = Store::open(&dir, &build).unwrap();
         assert_eq!(recovery.sessions.len(), 1);
-        assert_eq!(recovery.next_session_id, 3, "ids must never regress to a dropped session's id");
+        assert_eq!(
+            recovery.next_session_id,
+            Some(3),
+            "ids must never regress to a dropped session's id"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1046,21 +941,6 @@ mod tests {
     }
 
     #[test]
-    fn a_mutation_for_a_session_without_a_query_fails_replay() {
-        let dir = temp_store("idle-mutation");
-        let (store, _) = Store::open(&dir, &build).unwrap();
-        store.append(&create1()).unwrap();
-        // No register_query first: the live server refuses this mutation,
-        // so a log holding it was written by hand.
-        store.append(&probe1()).unwrap();
-        drop(store);
-        let err = Store::open(&dir, &build).unwrap_err();
-        assert!(matches!(err, StoreError::Replay { record: 1, .. }), "{err}");
-        assert!(err.to_string().contains("no registered query"), "{err}");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn group_commit_appends_survive_reopen_and_match_the_in_process_state() {
         let policy = FlushPolicy::GroupCommit {
             max_batch: 8,
@@ -1074,24 +954,15 @@ mod tests {
             store.append(&probe1()).unwrap();
         }
 
-        // The recovered session is the same steps applied in process.
+        // The recovered session is exactly the records appended in
+        // process.
         let (_, recovery) = Store::open(&dir, &build).unwrap();
         assert_eq!(recovery.records, 3);
         assert_eq!(recovery.sessions.len(), 1);
         let session = &recovery.sessions[0];
-        assert_eq!((session.id, session.probes), (1, 1));
-        let mut mirror = BatchQuality::from_owned(
-            udb1(),
-            vec![WeightedQuery::new(TopKQuery::PTk { k: 2, threshold: 0.4 })],
-        )
-        .unwrap();
-        mirror
-            .apply_collapse_in_place(2, &XTupleMutation::CollapseToAlternative { keep_pos: 2 })
-            .unwrap();
-        let RecoveredState::Live(batch) = &session.state else { panic!("live session") };
-        assert_eq!(batch.database(), mirror.database());
-        assert_eq!(batch.answers().unwrap(), mirror.answers().unwrap());
-        assert!((batch.aggregate_quality() - mirror.aggregate_quality()).abs() < 1e-12);
+        assert_eq!(session.base.session, 1);
+        assert_eq!(session.base.db, udb1());
+        assert_eq!(session.tail, vec![(1, pt2()), (2, probe1())]);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1104,8 +975,6 @@ mod tests {
         };
         let (store, _) = Store::open_with_policy(&dir, policy, &build).unwrap();
         store.append(&create1()).unwrap();
-        // Replay applies mutations only to a session with a query, like
-        // the live server.
         store.append(&pt2()).unwrap();
 
         let store = std::sync::Arc::new(store);
@@ -1114,13 +983,7 @@ mod tests {
                 let store = std::sync::Arc::clone(&store);
                 std::thread::spawn(move || {
                     for _ in 0..16 {
-                        store
-                            .append(&WalRecord::ApplyProbe {
-                                session: 1,
-                                x_tuple: 0,
-                                mutation: XTupleMutation::Reweight { probs: vec![0.5, 0.5] },
-                            })
-                            .unwrap();
+                        store.append(&reweight0()).unwrap();
                     }
                 })
             })
@@ -1138,7 +1001,10 @@ mod tests {
         drop(store);
         let (_, recovery) = Store::open(&dir, &build).unwrap();
         assert_eq!(recovery.records, 66);
-        assert_eq!(recovery.sessions[0].probes, 64);
+        let session = &recovery.sessions[0];
+        assert_eq!(tail_indices(session), (1..66).collect::<Vec<u64>>());
+        let probes = session.tail.iter().filter(|(_, record)| *record == reweight0()).count();
+        assert_eq!(probes, 64);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1153,37 +1019,17 @@ mod tests {
         store.append(&create1()).unwrap();
         store.append(&pt2()).unwrap();
         store.append(&probe1()).unwrap();
-        let mut live = BatchQuality::from_owned(
-            udb1(),
-            vec![WeightedQuery::new(TopKQuery::PTk { k: 2, threshold: 0.4 })],
-        )
-        .unwrap();
-        live.apply_collapse_in_place(2, &XTupleMutation::CollapseToAlternative { keep_pos: 2 })
-            .unwrap();
-        store
-            .checkpoint(&SessionCheckpoint {
-                session: 1,
-                db: live.database().clone(),
-                specs: vec![WeightedQuery::new(TopKQuery::PTk { k: 2, threshold: 0.4 })],
-                probe_cost: 1,
-                probe_success: 0.8,
-                probes: 1,
-            })
-            .unwrap();
+        store.checkpoint(&checkpoint1()).unwrap();
         let stats = store.truncate_log().unwrap();
         assert_eq!(stats.records_after, 1, "checkpoint survives");
         // Appends keep working (and keep being acknowledged) after the
         // rewrite advanced the synced watermark.
-        store
-            .append(&WalRecord::ApplyProbe {
-                session: 1,
-                x_tuple: 0,
-                mutation: XTupleMutation::Reweight { probs: vec![0.5, 0.5] },
-            })
-            .unwrap();
+        store.append(&reweight0()).unwrap();
         drop(store);
         let (_, recovery) = Store::open(&dir, &build).unwrap();
-        assert_eq!(recovery.sessions[0].probes, 2);
+        let session = &recovery.sessions[0];
+        assert_eq!(session.base.probes, 1);
+        assert_eq!(session.tail, vec![(1, reweight0())]);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -146,6 +146,12 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
+    /// The record journalling `mutation` of the resolved x-tuple index
+    /// `x_tuple` in `session`.
+    pub fn apply_mutation(session: u64, x_tuple: usize, mutation: XTupleMutation) -> Self {
+        WalRecord::ApplyMutation { session, x_tuple, mutation }
+    }
+
     /// The session this record belongs to.
     pub fn session(&self) -> u64 {
         match *self {
@@ -468,15 +474,15 @@ mod tests {
                 x_tuple: 2,
                 mutation: XTupleMutation::CollapseToAlternative { keep_pos: 2 },
             },
-            WalRecord::ApplyMutation {
-                session: 1,
-                x_tuple: 4,
-                mutation: XTupleMutation::Insert {
+            WalRecord::apply_mutation(
+                1,
+                4,
+                XTupleMutation::Insert {
                     key: "s4".to_string(),
                     alternatives: vec![(28.5, 0.5), (23.0, 0.25)],
                 },
-            },
-            WalRecord::ApplyMutation { session: 1, x_tuple: 0, mutation: XTupleMutation::Remove },
+            ),
+            WalRecord::apply_mutation(1, 0, XTupleMutation::Remove),
             WalRecord::Checkpoint {
                 session: 1,
                 snapshot: "snapshot-1-3.pdbs".to_string(),

@@ -80,7 +80,8 @@ fn cleaning_s3_turns_udb1_into_udb2_and_improves_quality() {
     // have; the expectation averages the 27 °C (udb2) and 25 °C outcomes.
     let q2_alt = {
         let pos_25 = db1.tuples().position(|t| t.score == 25.0).unwrap();
-        let cleaned = db1.collapse_x_tuple(2, pos_25).unwrap();
+        let mut cleaned = db1.clone();
+        cleaned.collapse_x_tuple_in_place(2, pos_25).unwrap();
         quality_tp(&cleaned, 2).unwrap()
     };
     let mixture = 0.6 * q2 + 0.4 * q2_alt;
