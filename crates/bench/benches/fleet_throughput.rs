@@ -1,10 +1,10 @@
 //! Contended durable appends: the fleet's journal cost, measured at the
 //! store layer where it lives.  Four writer threads — standing in for a
 //! shard's worker threads acknowledging concurrent sessions — each append
-//! 16 probe records per iteration (`wal_append/group_commit`): the
-//! store's flusher batches the appends and pays one fsync per window
-//! while every writer blocks until the sync covering its record
-//! completes.
+//! 16 probe records per iteration (`wal_append/group_commit`): group
+//! commit batches the appends and pays one fsync per window — the
+//! writer that finds no window open leads it — while every writer blocks
+//! until the sync covering its record completes.
 //!
 //! The `fleet-smoke` CI job runs this target in quick mode and tracks the
 //! median as `BENCH_fleet.json`.  The WAL lives on a real filesystem

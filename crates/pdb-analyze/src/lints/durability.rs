@@ -11,8 +11,9 @@
 //!   `File::create` is flagged.
 //!
 //! Append-mode opens (`OpenOptions`) are not matched by the pattern: the
-//! store's group-commit flusher fsyncs every WAL append before it is
-//! acknowledged, and the recovery test suite covers that path.
+//! store's group commit fsyncs every WAL append before it is
+//! acknowledged (the appender that finds no flush window open leads
+//! one), and the recovery test suite covers that path.
 
 use crate::diag::Diagnostic;
 use crate::lexer::{SourceFile, TokenKind};

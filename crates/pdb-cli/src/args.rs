@@ -32,7 +32,7 @@ pub const USAGE: &str = "usage:
 
 call verbs (one JSON object per request, e.g. {\"evaluate\":{\"session\":0}}):
   create_session register_query evaluate quality recommend_probe apply_mutation
-  apply_probe drop_session persist restore fetch_chunk stats metrics shutdown";
+  apply_probe drop_session persist fetch_chunk stats metrics shutdown";
 
 /// Which dataset a `quality` / `clean` invocation runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,7 +127,7 @@ pub enum Command {
         store_dir: Option<String>,
         /// Auto-compaction threshold in WAL records (0 disables).
         compact_every: u64,
-        /// How the journal's group-commit flusher batches fsyncs.
+        /// How the journal's group commit batches fsyncs.
         flush: FlushPolicy,
     },
     /// `pdb fleet ...`
@@ -214,7 +214,7 @@ pub enum FleetOp {
         store_dir: Option<String>,
         /// Per-shard auto-compaction threshold (0 disables).
         compact_every: u64,
-        /// How each shard's group-commit flusher batches fsyncs.
+        /// How each shard's group commit batches fsyncs.
         flush: FlushPolicy,
     },
     /// `pdb fleet status`: aggregated `stats` from a running router.

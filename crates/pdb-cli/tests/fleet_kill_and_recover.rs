@@ -17,7 +17,7 @@ use pdb_quality::{BatchQuality, TopKQuery, WeightedQuery, XTupleMutation};
 use pdb_server::{Client, DatasetSpec};
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const TOL: f64 = 1e-12;
 const SHARDS: usize = 3;
@@ -164,7 +164,7 @@ fn fleet_survives_a_sigkilled_shard_with_zero_lost_mutations() {
     std::fs::create_dir_all(&store_dir).unwrap();
     let store_dir_arg = store_dir.display().to_string();
 
-    let fleet = FleetProcess::spawn(&store_dir_arg);
+    let mut fleet = FleetProcess::spawn(&store_dir_arg);
     let mut client = Client::connect(&fleet.router_addr).expect("connect to router");
 
     // ---- phase 1: six sessions spread over the ring ------------------
@@ -270,6 +270,19 @@ fn fleet_survives_a_sigkilled_shard_with_zero_lost_mutations() {
         }
     }
 
+    // The reply comes first; the router then drains its connections and
+    // stops every shard, the respawned one included, before it exits.
     client.shutdown().expect("graceful fleet shutdown");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = fleet.child.try_wait().expect("poll the router") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "the router did not exit after shutdown");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "the router exited with {status}");
+    // The router reaped its shards; their pids may be reused.
+    fleet.shard_pids.clear();
     std::fs::remove_dir_all(&store_dir).ok();
 }

@@ -2,24 +2,39 @@
 //! (`0.0.0.0`) still exit after a `shutdown` request.  Both wake their
 //! blocked listener through the loopback of the bound port, because an
 //! unspecified address is not connectable on every platform.
+//!
+//! The fleet case sends `shutdown` on a connection that already used the
+//! only shard, which has one worker thread.  The router holds that worker
+//! for the connection, so the shards may only be asked to stop after the
+//! router's connections have drained.
 
-use pdb_server::Client;
-use std::io::BufRead;
-use std::net::SocketAddr;
+use std::io::{BufRead, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// How long a process may take to exit after `shutdown`.
 const EXIT_TIMEOUT: Duration = Duration::from_secs(20);
 
-/// A spawned `pdb` process, killed on drop so a failing test never leaks
-/// it (a fleet's shards are reaped by the router on its own shutdown).
-struct Spawned(Child);
+/// How long one request may wait for its reply.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(8);
+
+/// A spawned `pdb` process and the shard pids it announced, killed on
+/// drop so a failing test never leaks them (shards explicitly: a killed
+/// router cannot reap them).
+struct Spawned {
+    child: Child,
+    shard_pids: Vec<u32>,
+}
 
 impl Drop for Spawned {
     fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
+        for pid in &self.shard_pids {
+            let pid = pid.to_string();
+            let _ = Command::new("kill").args(["-9", &pid]).stderr(Stdio::null()).status();
+        }
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
@@ -34,13 +49,19 @@ fn spawn(args: &[&str], ready: &str) -> (Spawned, u16) {
         .spawn()
         .expect("spawn pdb");
     let stdout = child.stdout.take().expect("piped stdout");
-    let spawned = Spawned(child);
+    let mut spawned = Spawned { child, shard_pids: Vec::new() };
     let mut reader = std::io::BufReader::new(stdout);
     let mut line = String::new();
     loop {
         line.clear();
         if reader.read_line(&mut line).expect("read pdb stdout") == 0 {
             panic!("pdb {args:?} exited before announcing readiness");
+        }
+        // "pdb-fleet shard <i> pid <pid> listening on <addr>"
+        if let ["pdb-fleet", "shard", _, "pid", pid, ..] =
+            line.split_whitespace().collect::<Vec<_>>()[..]
+        {
+            spawned.shard_pids.push(pid.parse().expect("shard pid"));
         }
         if let Some(rest) = line.trim().strip_prefix(ready) {
             let addr: SocketAddr =
@@ -58,14 +79,35 @@ fn spawn(args: &[&str], ready: &str) -> (Spawned, u16) {
     }
 }
 
-/// Send `shutdown` over loopback and wait for the process to exit cleanly.
-fn shut_down(mut spawned: Spawned, port: u16) {
-    let mut client = Client::connect(SocketAddr::from(([127, 0, 0, 1], port))).expect("connect");
-    client.shutdown().expect("shutdown reply");
+/// On one loopback connection, send each `setup` line and then
+/// `shutdown`, and wait for the process to exit cleanly.  Every reply
+/// must arrive within `REPLY_TIMEOUT`, so a wedged shutdown fails the
+/// test instead of hanging it.
+fn shut_down(mut spawned: Spawned, port: u16, setup: &[&str]) {
+    let stream = TcpStream::connect(SocketAddr::from(([127, 0, 0, 1], port))).expect("connect");
+    stream.set_read_timeout(Some(REPLY_TIMEOUT)).expect("set read timeout");
+    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    let mut call = |line: &str| {
+        writeln!(writer, "{line}").and_then(|()| writer.flush()).expect("send request");
+        let mut reply = String::new();
+        match reader.read_line(&mut reply) {
+            Ok(n) if n > 0 => reply,
+            other => panic!("no reply to {line} within {REPLY_TIMEOUT:?}: {other:?}"),
+        }
+    };
+    for line in setup {
+        let reply = call(line);
+        assert!(!reply.contains("\"error\""), "{line} failed: {reply}");
+    }
+    let reply = call("\"shutdown\"");
+    assert!(reply.contains("shutting_down"), "shutdown reply: {reply}");
     let deadline = Instant::now() + EXIT_TIMEOUT;
     loop {
-        if let Some(status) = spawned.0.try_wait().expect("poll pdb") {
+        if let Some(status) = spawned.child.try_wait().expect("poll pdb") {
             assert!(status.success(), "pdb exited with {status}");
+            // A clean exit reaped the shards; their pids may be reused.
+            spawned.shard_pids.clear();
             return;
         }
         assert!(Instant::now() < deadline, "pdb still running {EXIT_TIMEOUT:?} after shutdown");
@@ -77,7 +119,7 @@ fn shut_down(mut spawned: Spawned, port: u16) {
 fn serve_on_the_wildcard_address_exits_after_shutdown() {
     let (spawned, port) =
         spawn(&["serve", "--addr", "0.0.0.0:0", "--threads", "1"], "pdb-server listening on ");
-    shut_down(spawned, port);
+    shut_down(spawned, port, &[]);
 }
 
 #[test]
@@ -86,5 +128,8 @@ fn fleet_serve_on_the_wildcard_address_exits_after_shutdown() {
         &["fleet", "serve", "--addr", "0.0.0.0:0", "--shards", "1", "--threads", "1"],
         "pdb-fleet router listening on ",
     );
-    shut_down(spawned, port);
+    // The session pins the shard's only worker to this connection.
+    let create =
+        r#"{"create_session": {"dataset": "Udb1", "probe_cost": 1, "probe_success": 0.8}}"#;
+    shut_down(spawned, port, &[create]);
 }

@@ -42,7 +42,7 @@ pub struct FleetConfig {
     pub store_dir: Option<PathBuf>,
     /// Per-shard auto-compaction threshold (0 disables).
     pub compact_every: u64,
-    /// How each shard's group-commit flusher batches journal fsyncs.
+    /// How each shard's group commit batches journal fsyncs.
     pub flush: FlushPolicy,
 }
 
@@ -320,11 +320,12 @@ impl From<pdb_server::ClientError> for StreamError {
 
 /// Rehydrate one session from a live peer over the wire: `persist` on
 /// the source shard, stream the snapshot down in verified chunks, write
-/// it into `scratch_dir`, and `restore` it on the destination shard
-/// under the *same* session id.  No shared disk between the two stores
-/// is required — the snapshot bytes travel through the protocol.
+/// it into `scratch_dir`, and open it on the destination shard with
+/// `create_session` over the downloaded file, pinned to the *same*
+/// session id.  No shared disk between the two stores is required — the
+/// snapshot bytes travel through the protocol.
 ///
-/// `probe_cost` / `probe_success` re-parameterize the restored session
+/// `probe_cost` / `probe_success` re-parameterize the rehydrated session
 /// (snapshots persist the database, not the cleaning parameters).
 pub fn stream_session(
     src: &mut Client,
@@ -334,7 +335,7 @@ pub fn stream_session(
     probe_cost: u64,
     probe_success: f64,
 ) -> Result<SessionCreated, StreamError> {
-    use pdb_server::protocol::{Request, RestoreSession};
+    use pdb_server::protocol::{CreateSession, DatasetSpec, Request};
     use pdb_server::Response;
 
     let persisted = src.persist(session)?;
@@ -342,8 +343,8 @@ pub fn stream_session(
     std::fs::create_dir_all(scratch_dir).map_err(StreamError::Scratch)?;
     let local = scratch_dir.join(&persisted.snapshot);
     std::fs::write(&local, &bytes).map_err(StreamError::Scratch)?;
-    let request = Request::Restore(RestoreSession {
-        snapshot: local.display().to_string(),
+    let request = Request::CreateSession(CreateSession {
+        dataset: DatasetSpec::Snapshot { path: local.display().to_string() },
         probe_cost,
         probe_success,
         session: Some(session),

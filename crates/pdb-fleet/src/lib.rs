@@ -14,7 +14,7 @@
 //!   snapshots between live peers ([`fleet::stream_session`]) so a fresh
 //!   replica needs no shared disk;
 //! * [`router`] — the router: accepts the *existing* wire protocol,
-//!   pins fleet-wide session ids into `create_session` / `restore`,
+//!   pins fleet-wide session ids into `create_session`,
 //!   forwards each request to the ring-owning shard, merges `stats`
 //!   across shards, and fails over (respawn + bounded retry) when a
 //!   shard dies mid-traffic — never panicking on a malformed reply.  Its

@@ -16,11 +16,10 @@
 //! | `apply_probe` | by session id over the ring |
 //! | `drop_session` | by session id over the ring |
 //! | `persist` | by session id over the ring |
-//! | `restore` | router assigns a fleet-wide id (like `create_session`) |
 //! | `fetch_chunk` | by the session id embedded in the snapshot name |
 //! | `stats` | broadcast to every shard, replies merged |
 //! | `metrics` | broadcast to every shard, snapshots merged with the router's own |
-//! | `shutdown` | broadcast to every shard, then the router stops |
+//! | `shutdown` | the router stops, drains its connections, then shuts every shard down |
 //!
 //! The router holds no session state of its own — only the id allocator
 //! and the ring — so it never becomes a second consistency domain: a
@@ -36,7 +35,7 @@
 use crate::fleet::Fleet;
 use crate::ring::HashRing;
 use pdb_obs::snapshot::MetricsSnapshot;
-use pdb_server::protocol::{self, CreateSession, MetricsReply, RestoreSession, ServerStats};
+use pdb_server::protocol::{self, CreateSession, MetricsReply, ServerStats};
 use pdb_server::{serve_connection, wake_listener};
 use pdb_server::{Client, ClientError, Request, Response, RetryPolicy, SessionIds};
 use std::collections::hash_map::Entry;
@@ -55,8 +54,8 @@ struct RouterShared {
     fleet: Arc<Fleet>,
     ring: HashRing,
     /// Fleet-wide session id allocator: the router pins an id into every
-    /// `create_session` / `restore` it forwards, so ids are unique across
-    /// shards and the ring can route by them.
+    /// `create_session` it forwards, so ids are unique across shards and
+    /// the ring can route by them.
     next_id: SessionIds,
     shutdown: AtomicBool,
     /// Connect attempts beyond the first across every shard connection
@@ -98,18 +97,22 @@ impl Router {
     }
 
     /// Accept and route connections until a `shutdown` request arrives,
-    /// then drain and return.  One thread per connection: the router
-    /// does no evaluation work of its own, so a connection's thread is
-    /// almost always parked on I/O and a pool would only add queueing.
+    /// then drain, shut the fleet down and return.  One thread per
+    /// connection: the router does no evaluation work of its own, so a
+    /// connection's thread is almost always parked on I/O and a pool
+    /// would only add queueing.
     pub fn run(self) -> std::io::Result<()> {
         let addr = self.listener.local_addr()?;
-        let mut handles = Vec::new();
+        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for conn in self.listener.incoming() {
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 break; // the self-wake (or a raced client) is dropped
             }
             match conn {
                 Ok(stream) => {
+                    // Let go of finished connection threads: an exited
+                    // thread that nobody joined keeps its stack mapped.
+                    handles.retain(|handle| !handle.is_finished());
                     let shared = Arc::clone(&self.shared);
                     handles.push(std::thread::spawn(move || {
                         // Shard connections are per-router-connection: one
@@ -136,6 +139,9 @@ impl Router {
             // pdb-analyze: allow(error-swallow): join only errs if the connection thread panicked; drain the rest regardless
             let _ = handle.join();
         }
+        // Every connection thread has dropped its shard connections, so
+        // no shard worker is held by this router while it shuts down.
+        self.shared.fleet.shutdown();
         Ok(())
     }
 }
@@ -328,8 +334,7 @@ impl RouterShared {
         router_addr: SocketAddr,
     ) -> Response {
         let target = match &mut request {
-            Request::CreateSession(CreateSession { session, .. })
-            | Request::Restore(RestoreSession { session, .. }) => {
+            Request::CreateSession(CreateSession { session, .. }) => {
                 match pin_id(&self.next_id, session) {
                     Ok(id) => self.shard_of(id),
                     Err(err) => return Response::error(err),
@@ -353,8 +358,10 @@ impl RouterShared {
             },
             Request::Stats => return self.merged_stats(clients),
             Request::Metrics => return self.merged_metrics(clients),
+            // The fleet shuts down in `Router::run`, after the connection
+            // threads drained: a shard with one worker may be held by one
+            // of them, and a polite `shutdown` would queue behind it.
             Request::Shutdown => {
-                self.fleet.shutdown();
                 self.shutdown.store(true, Ordering::SeqCst);
                 wake_listener(router_addr);
                 return Response::ShuttingDown;

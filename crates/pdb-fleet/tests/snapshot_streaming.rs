@@ -1,8 +1,9 @@
 //! Peer snapshot streaming: a session living on one store-backed server
 //! is rehydrated on a *second* server — separate process-style store
 //! directory, no shared disk — purely through the wire protocol
-//! (`persist` → chunked `fetch_chunk` download → `restore`), and the
-//! replica's answers and qualities match the source at 1e-12.
+//! (`persist` → chunked `fetch_chunk` download → `create_session` over
+//! the downloaded file), and the replica's answers and qualities match
+//! the source at 1e-12.
 
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
@@ -82,8 +83,9 @@ fn streamed_replica_matches_the_source_session() {
     }
     assert_eq!(dst.evaluate(session).unwrap().answers, source_answers);
 
-    // The streamed session is durable on the destination: its restore
-    // was journalled, so it survives losing the scratch file.
+    // The streamed session is durable on the destination: opening it
+    // checkpointed the file into the store, so it survives losing the
+    // scratch file.
     std::fs::remove_dir_all(&scratch).unwrap();
     let stats = dst.stats().unwrap();
     assert!(stats.durable);
@@ -91,7 +93,7 @@ fn streamed_replica_matches_the_source_session() {
 
     // A second stream of the same id must fail cleanly (the id exists).
     let dup = pdb_fleet::stream_session(&mut src, &mut dst, session, &scratch, 1, 0.8);
-    assert!(dup.is_err(), "restoring over a live session id must be rejected");
+    assert!(dup.is_err(), "opening over a live session id must be rejected");
 
     src.shutdown().unwrap();
     dst.shutdown().unwrap();

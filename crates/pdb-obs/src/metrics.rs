@@ -25,7 +25,6 @@ pub const VERB_LABELS: &[&str] = &[
     "apply_probe",
     "drop_session",
     "persist",
-    "restore",
     "fetch_chunk",
     "stats",
     "metrics",
@@ -68,7 +67,7 @@ pub static WAL_APPEND_LATENCY_NS: Histogram = Histogram::new();
 pub static WAL_FSYNC_LATENCY_NS: Histogram = Histogram::new();
 /// Records covered per completed group-commit flush window.
 pub static WAL_FSYNC_BATCH_RECORDS: Histogram = Histogram::new();
-/// 1 while the flusher is fail-stopped on a sticky fsync error.
+/// 1 while the WAL is fail-stopped on a sticky fsync error.
 pub static WAL_DEGRADED: Gauge = Gauge::new();
 
 /// Full PSR dynamic-programming runs.
@@ -157,7 +156,7 @@ static REGISTRY: [MetricDef; 17] = [
     },
     MetricDef {
         name: names::WAL_DEGRADED,
-        help: "1 while the WAL flusher is fail-stopped on a sticky fsync error",
+        help: "1 while the WAL is fail-stopped on a sticky fsync error",
         series: SeriesRef::Gauge(&WAL_DEGRADED),
     },
     MetricDef {

@@ -26,7 +26,7 @@ pub const WAL_APPEND_LATENCY_NS: &str = "wal_append_latency_ns";
 pub const WAL_FSYNC_LATENCY_NS: &str = "wal_fsync_latency_ns";
 /// Records each completed group-commit flush window covered.
 pub const WAL_FSYNC_BATCH_RECORDS: &str = "wal_fsync_batch_records";
-/// 1 while the group-commit flusher is fail-stopped on a sticky fsync
+/// 1 while the WAL's group commit is fail-stopped on a sticky fsync
 /// error, 0 otherwise (gauge; fleet merge takes the max).
 pub const WAL_DEGRADED: &str = "wal_degraded";
 

@@ -8,8 +8,8 @@
 use crate::protocol::{
     self, decode_chunk_data, Answers, ApplyMutation, CreateSession, DatasetSpec, FetchChunk,
     MetricsReply, Persisted, ProbeAdvice, ProbeApplied, QualityReport, QueryRegistered,
-    RegisterQuery, Request, Response, RestoreSession, ServerStats, SessionCreated, SessionRef,
-    SnapshotChunk, CHUNK_SEED,
+    RegisterQuery, Request, Response, ServerStats, SessionCreated, SessionRef, SnapshotChunk,
+    CHUNK_SEED,
 };
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
@@ -272,24 +272,6 @@ impl Client {
         }
     }
 
-    /// `restore`: open a new session over a snapshot file on the server.
-    pub fn restore(
-        &mut self,
-        snapshot: impl Into<String>,
-        probe_cost: u64,
-        probe_success: f64,
-    ) -> Result<SessionCreated, ClientError> {
-        match self.call(&Request::Restore(RestoreSession {
-            snapshot: snapshot.into(),
-            probe_cost,
-            probe_success,
-            session: None,
-        }))? {
-            Response::SessionCreated(created) => Ok(created),
-            other => Err(unexpected("session_created", &other)),
-        }
-    }
-
     /// `fetch_chunk`: one verified chunk of a snapshot file in the
     /// server's store directory.  The chunk's XXH64 and length are
     /// checked here, so a caller that loops to
@@ -329,7 +311,7 @@ impl Client {
     /// by looping `fetch_chunk` until `eof`, verifying every chunk.
     /// This is how a fresh replica rehydrates from a live peer without
     /// shared disk: `persist` on the peer, download, write locally,
-    /// `restore` against the local copy.
+    /// `create_session` over the local copy.
     pub fn download_snapshot(
         &mut self,
         snapshot: &str,

@@ -30,11 +30,15 @@
 //! | `apply_probe` | [`ApplyProbe`] | `probe_applied` ([`ProbeApplied`]) |
 //! | `drop_session` | [`SessionRef`] | `session_dropped` ([`SessionRef`]) |
 //! | `persist` | [`SessionRef`] | `persisted` ([`Persisted`]) |
-//! | `restore` | [`RestoreSession`] | `session_created` ([`SessionCreated`]) |
 //! | `fetch_chunk` | [`FetchChunk`] | `chunk` ([`SnapshotChunk`]) |
 //! | `stats` | — | `stats` ([`ServerStats`]) |
 //! | `metrics` | — | `metrics` ([`MetricsReply`]) |
 //! | `shutdown` | — | `shutting_down` |
+//!
+//! `create_session` is the only verb that opens a session: its
+//! [`DatasetSpec`] names a generated, inline or snapshot-file database
+//! (`{"Snapshot": {"path": ...}}` opens one that `pdb export` or
+//! `persist` wrote).
 //!
 //! `apply_mutation` is the canonical mutation verb: it accepts every
 //! [`XTupleMutation`] variant, including the streaming `Insert`/`Remove`
@@ -66,12 +70,18 @@ use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 /// Materialize a spec with [`pdb_gen::spec::build_dataset`].
 pub use pdb_store::DatasetSpec;
 
-/// Payload of `create_session`.
+/// Payload of `create_session`, the one verb that opens a session.
+///
+/// A [`DatasetSpec::Snapshot`] opens the session over a snapshot file on
+/// the server's filesystem (one `pdb export` or a `persist` wrote).  On a
+/// store-backed server the file is checkpointed into the store before the
+/// session opens, so the session survives restarts without the file.
 ///
 /// `session` is optional on the wire (omitted when `None`, and absent in
 /// every pre-fleet request): a plain client lets the server assign the
 /// next id, while the fleet router pre-assigns fleet-wide unique ids so
-/// two shards never hand out the same one.
+/// two shards never hand out the same one, and a peer rehydrate
+/// (`pdb_fleet::stream_session`) keeps the source's id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CreateSession {
     /// Database the session evaluates.
@@ -190,51 +200,6 @@ impl ApplyMutation {
 /// differ in name only.
 pub type ApplyProbe = ApplyMutation;
 
-/// Payload of `restore`: open a session directly over a snapshot file on
-/// the server's filesystem (e.g. one produced by `pdb export` or a
-/// previous `persist`).  On a store-backed server the snapshot is copied
-/// into the store via an immediate checkpoint, so the new session
-/// survives restarts without the external file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RestoreSession {
-    /// Path of the snapshot file to load.
-    pub snapshot: String,
-    /// Budget units one `pclean` probe costs (uniform across x-tuples).
-    pub probe_cost: u64,
-    /// Probability that one probe succeeds (uniform across x-tuples).
-    pub probe_success: f64,
-    /// Requested session id (`None`: the server assigns the next free
-    /// one; the fleet router pre-assigns ids, and a peer rehydrate keeps
-    /// the original id).  Optional on the wire, omitted when `None`.
-    pub session: Option<u64>,
-}
-
-impl Serialize for RestoreSession {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("snapshot".to_string(), self.snapshot.to_value()),
-            ("probe_cost".to_string(), self.probe_cost.to_value()),
-            ("probe_success".to_string(), self.probe_success.to_value()),
-        ];
-        if let Some(session) = self.session {
-            entries.push(("session".to_string(), session.to_value()));
-        }
-        Value::Map(entries)
-    }
-}
-
-impl Deserialize for RestoreSession {
-    fn from_value(value: &Value) -> Result<Self, SerdeError> {
-        let entries = object_entries(value, "restore")?;
-        Ok(RestoreSession {
-            snapshot: required_field(entries, "snapshot", "restore")?,
-            probe_cost: required_field(entries, "probe_cost", "restore")?,
-            probe_success: required_field(entries, "probe_success", "restore")?,
-            session: optional_field(entries, "session")?,
-        })
-    }
-}
-
 /// Payload of `fetch_chunk`: stream one byte range of a snapshot file
 /// out of the server's store directory, so a peer can rehydrate a
 /// session over the wire instead of over shared disk.  `snapshot` must
@@ -343,8 +308,6 @@ pub enum Request {
     /// `persist`: checkpoint a session's current state into the store
     /// (snapshot + WAL record), so recovery starts from the snapshot.
     Persist(SessionRef),
-    /// `restore`: open a new session over a snapshot file.
-    Restore(RestoreSession),
     /// `fetch_chunk`: stream one byte range of a store snapshot, so a
     /// peer can rehydrate over the wire.
     FetchChunk(FetchChunk),
@@ -370,7 +333,6 @@ impl Request {
             Request::ApplyProbe(_) => "apply_probe",
             Request::DropSession(_) => "drop_session",
             Request::Persist(_) => "persist",
-            Request::Restore(_) => "restore",
             Request::FetchChunk(_) => "fetch_chunk",
             Request::Stats => "stats",
             Request::Metrics => "metrics",
@@ -390,7 +352,6 @@ impl Serialize for Request {
             | Request::DropSession(p)
             | Request::Persist(p) => p.to_value(),
             Request::ApplyMutation(p) | Request::ApplyProbe(p) => p.to_value(),
-            Request::Restore(p) => p.to_value(),
             Request::FetchChunk(p) => p.to_value(),
             Request::Stats | Request::Metrics | Request::Shutdown => Value::Map(Vec::new()),
         };
@@ -421,7 +382,6 @@ impl Deserialize for Request {
             "apply_probe" => Ok(Request::ApplyProbe(Deserialize::from_value(payload)?)),
             "drop_session" => Ok(Request::DropSession(Deserialize::from_value(payload)?)),
             "persist" => Ok(Request::Persist(Deserialize::from_value(payload)?)),
-            "restore" => Ok(Request::Restore(Deserialize::from_value(payload)?)),
             "fetch_chunk" => Ok(Request::FetchChunk(Deserialize::from_value(payload)?)),
             "stats" => Ok(Request::Stats),
             "metrics" => Ok(Request::Metrics),
@@ -930,18 +890,6 @@ mod tests {
         )));
         round_trip_request(&Request::DropSession(SessionRef { session: 7 }));
         round_trip_request(&Request::Persist(SessionRef { session: 7 }));
-        round_trip_request(&Request::Restore(RestoreSession {
-            snapshot: "/tmp/db.pdbs".to_string(),
-            probe_cost: 1,
-            probe_success: 0.8,
-            session: None,
-        }));
-        round_trip_request(&Request::Restore(RestoreSession {
-            snapshot: "snapshot-41-2.pdbs".to_string(),
-            probe_cost: 1,
-            probe_success: 0.8,
-            session: Some(41),
-        }));
         round_trip_request(&Request::FetchChunk(FetchChunk {
             snapshot: "snapshot-41-2.pdbs".to_string(),
             offset: 65536,
@@ -981,8 +929,12 @@ mod tests {
         // Missing mandatory fields still error with context.
         let err = decode_request("{\"create_session\": {\"dataset\": \"Udb1\"}}").unwrap_err();
         assert!(err.to_string().contains("probe_cost"), "{err}");
-        let err = decode_request("{\"restore\": {\"probe_cost\": 1}}").unwrap_err();
-        assert!(err.to_string().contains("snapshot"), "{err}");
+        let err = decode_request(
+            "{\"create_session\": {\"dataset\": {\"Snapshot\": {}}, \"probe_cost\": 1, \
+             \"probe_success\": 0.8}}",
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("path"), "{err}");
     }
 
     #[test]
@@ -1165,12 +1117,6 @@ mod tests {
             Request::ApplyProbe(ApplyMutation::new(0, 0, XTupleMutation::CollapseToNull)),
             Request::DropSession(SessionRef { session: 0 }),
             Request::Persist(SessionRef { session: 0 }),
-            Request::Restore(RestoreSession {
-                snapshot: "s.pdbs".to_string(),
-                probe_cost: 1,
-                probe_success: 0.8,
-                session: None,
-            }),
             Request::FetchChunk(FetchChunk {
                 snapshot: "s.pdbs".to_string(),
                 offset: 0,
@@ -1210,6 +1156,14 @@ mod tests {
         assert!(decode_request("{}").is_err());
         assert!(decode_request("{\"evaluate\": {}, \"quality\": {}}").is_err());
         assert!(decode_request("{\"bogus\": {}}").is_err());
+        // `create_session` over a snapshot spec opens a session from a
+        // file; there is no second verb for it.
+        let err = decode_request(
+            "{\"restore\": {\"snapshot\": \"/tmp/db.pdbs\", \"probe_cost\": 1, \
+             \"probe_success\": 0.8}}",
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("unknown request verb \"restore\""), "{err}");
         assert!(decode_request("\"evaluate\"").is_err());
         assert!(decode_request("not json").is_err());
     }

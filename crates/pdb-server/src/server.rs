@@ -9,7 +9,8 @@
 //! connection already accepted finishes its in-flight request before its
 //! worker exits (idle connections poll the flag on a short read timeout,
 //! so a parked persistent client never wedges the drain) — and
-//! [`Server::run`] returns after joining the pool.
+//! [`Server::run`] returns after joining the pool and any auto-compaction
+//! still running, so nothing it started still holds the store.
 //!
 //! The per-connection loop ([`serve_connection`]) and the listener
 //! self-wake ([`wake_listener`]) are public: the fleet router serves its
@@ -55,7 +56,7 @@ pub struct ServerConfig {
     /// Auto-compaction threshold: checkpoint all sessions and truncate
     /// the log once this many records accumulate (0 disables).
     pub compact_every: u64,
-    /// How the store's group-commit flusher batches journal fsyncs (only
+    /// How the store's group commit batches journal fsyncs (only
     /// meaningful with a `store_dir`).
     pub flush: FlushPolicy,
 }
@@ -138,6 +139,7 @@ impl Server {
         // documented instead of accumulating in an unbounded queue.
         let (queue_tx, queue_rx) = mpsc::sync_channel::<TcpStream>(self.threads);
         let queue_rx = Arc::new(Mutex::new(queue_rx));
+        let compaction = Arc::new(Mutex::new(None));
 
         let workers: Vec<thread::JoinHandle<()>> = (0..self.threads)
             .map(|_| {
@@ -146,6 +148,7 @@ impl Server {
                     manager: Arc::clone(&self.manager),
                     shutdown: Arc::clone(&self.shutdown),
                     requests: Arc::clone(&self.requests),
+                    compaction: Arc::clone(&compaction),
                     addr,
                     threads: self.threads,
                 };
@@ -197,6 +200,11 @@ impl Server {
             // pdb-analyze: allow(error-swallow): join only errs if the worker panicked; shutdown must still reap the rest
             let _ = worker.join();
         }
+        // The workers are gone, so no compaction starts after this one.
+        if let Some(handle) = compaction.lock().unwrap_or_else(PoisonError::into_inner).take() {
+            // pdb-analyze: allow(error-swallow): join only errs if the compaction panicked; its claim and the log are already settled either way
+            let _ = handle.join();
+        }
         Ok(())
     }
 }
@@ -206,6 +214,8 @@ struct HandlerContext {
     manager: Arc<SessionManager>,
     shutdown: Arc<AtomicBool>,
     requests: Arc<AtomicU64>,
+    /// The auto-compaction thread started last, joined by [`Server::run`].
+    compaction: Arc<Mutex<Option<thread::JoinHandle<()>>>>,
     addr: SocketAddr,
     threads: usize,
 }
@@ -376,10 +386,19 @@ fn dispatch(request: Request, ctx: &HandlerContext) -> Response {
                     // operationally (the log keeps growing until a
                     // compaction succeeds).
                     if manager.begin_compaction() {
+                        // Spawned under the slot's lock, so the slot holds
+                        // the latest compaction: the one it replaces has
+                        // released its claim and is exiting.
+                        let mut slot =
+                            ctx.compaction.lock().unwrap_or_else(PoisonError::into_inner);
+                        if let Some(previous) = slot.take() {
+                            // pdb-analyze: allow(error-swallow): join only errs if that compaction panicked; its claim is already released
+                            let _ = previous.join();
+                        }
                         let manager = Arc::clone(manager);
-                        thread::spawn(move || {
+                        *slot = Some(thread::spawn(move || {
                             let _ = manager.run_claimed_compaction();
-                        });
+                        }));
                     }
                     Response::ProbeApplied(applied)
                 }
@@ -392,10 +411,6 @@ fn dispatch(request: Request, ctx: &HandlerContext) -> Response {
         },
         Request::Persist(req) => match manager.persist(req.session) {
             Ok(persisted) => Response::Persisted(persisted),
-            Err(err) => Response::error(err),
-        },
-        Request::Restore(req) => match manager.restore(&req) {
-            Ok(created) => Response::SessionCreated(created),
             Err(err) => Response::error(err),
         },
         Request::FetchChunk(req) => match manager.fetch_chunk(&req) {

@@ -32,7 +32,7 @@
 use crate::protocol::{
     encode_chunk_data, Answers, ApplyMutation, CreateSession, FetchChunk, Persisted, ProbeAdvice,
     ProbeApplied, ProbeRecommendation, QualityReport, QueryRegistered, RegisterQuery,
-    RestoreSession, SessionCreated, SessionRef, SessionStat, SnapshotChunk, CHUNK_SEED,
+    SessionCreated, SessionRef, SessionStat, SnapshotChunk, CHUNK_SEED,
 };
 use pdb_clean::{best_single_probe, CleaningContext, CleaningSetup};
 use pdb_core::{DbError, RankedDatabase, Result as DbResult};
@@ -538,8 +538,7 @@ impl SessionManager {
             match &req.dataset {
                 // A snapshot spec names a file *outside* the store; the
                 // log must never depend on it surviving, so the data is
-                // checkpointed into the store instead (exactly like the
-                // restore verb).
+                // checkpointed into the store instead.
                 DatasetSpec::Snapshot { .. } => {
                     store.checkpoint(&session.checkpoint_state(id)).map_err(DbError::from)?;
                 }
@@ -557,25 +556,11 @@ impl SessionManager {
         Ok(SessionCreated { session: id, ..info })
     }
 
-    /// Open a new session directly over a snapshot file.  With a store
-    /// attached the snapshot's contents are immediately checkpointed into
-    /// the store directory (before the session becomes visible, for the
-    /// same record-ordering reason as [`create`](Self::create)), so the
-    /// session's durability does not depend on the external file staying
-    /// around.
-    pub fn restore(&self, req: &RestoreSession) -> DbResult<SessionCreated> {
-        self.create(&CreateSession {
-            dataset: DatasetSpec::Snapshot { path: req.snapshot.clone() },
-            probe_cost: req.probe_cost,
-            probe_success: req.probe_success,
-            session: req.session,
-        })
-    }
-
     /// Serve one chunk of a snapshot file from the store directory
     /// (`fetch_chunk` verb): a fresh replica rehydrates from a live peer
     /// by downloading the snapshot a `persist` just produced, then
-    /// restoring it locally — no shared disk required.
+    /// opening a session over the local copy with `create_session` — no
+    /// shared disk required.
     ///
     /// The snapshot name must be a bare file name produced by `persist`
     /// (no path separators, `.pdbs` suffix): the verb reads files *only*
@@ -814,7 +799,7 @@ impl SessionManager {
         let mut session = handle.lock().map_err(|_| {
             DbError::internal(format!(
                 "session {id} is unavailable: a previous request panicked while mutating it; \
-                 drop the session and restore it from its last snapshot"
+                 drop the session and reopen it from its last snapshot"
             ))
         })?;
         op(&mut session)
@@ -1037,24 +1022,15 @@ mod tests {
         pdb_store::Snapshot::write(&db, &snapshot).unwrap();
 
         let mgr = SessionManager::new();
-        let req = RestoreSession {
-            snapshot: snapshot.display().to_string(),
-            probe_cost: 1,
-            probe_success: 0.8,
-            session: None,
-        };
-        let created = mgr.restore(&req).unwrap();
+        let req = create_req(DatasetSpec::Snapshot { path: snapshot.display().to_string() });
+        let created = mgr.create(&req).unwrap();
         assert_eq!((created.tuples, created.x_tuples), (7, 4));
         let reg = mgr.register_query(&register_req(created.session, 2)).unwrap();
         assert_eq!(reg.k_max, 2);
 
-        let missing = RestoreSession {
-            snapshot: dir.join("nope.pdbs").display().to_string(),
-            probe_cost: 1,
-            probe_success: 0.8,
-            session: None,
-        };
-        assert!(mgr.restore(&missing).is_err());
+        let missing =
+            create_req(DatasetSpec::Snapshot { path: dir.join("nope.pdbs").display().to_string() });
+        assert!(mgr.create(&missing).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -6,7 +6,7 @@
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
 use pdb_server::protocol::{
-    self, ApplyMutation, CreateSession, FetchChunk, RegisterQuery, RestoreSession, SessionRef,
+    self, ApplyMutation, CreateSession, FetchChunk, RegisterQuery, SessionRef,
 };
 use pdb_server::{DatasetSpec, Request};
 use proptest::prelude::*;
@@ -45,8 +45,8 @@ fn valid_lines() -> Vec<String> {
         )),
         Request::DropSession(session),
         Request::Persist(session),
-        Request::Restore(RestoreSession {
-            snapshot: "snapshot-7-1.pdbs".to_string(),
+        Request::CreateSession(CreateSession {
+            dataset: DatasetSpec::Snapshot { path: "snapshot-7-1.pdbs".to_string() },
             probe_cost: 2,
             probe_success: 0.5,
             session: None,

@@ -1,6 +1,7 @@
 //! Loopback durability: a store-backed server journals its sessions,
-//! auto-compacts its log, serves `persist`/`restore`, and rehydrates
-//! everything after a restart — all over a real TCP connection.
+//! auto-compacts its log, serves `persist` and `create_session` over a
+//! snapshot file, and rehydrates everything after a restart — all over a
+//! real TCP connection.
 //!
 //! (The harsher variant — SIGKILL instead of a graceful restart — lives
 //! in `pdb-cli/tests/kill_and_recover.rs`, which drives the real `pdb`
@@ -20,30 +21,20 @@ fn boot(
     store_dir: &Path,
     compact_every: u64,
 ) -> (SocketAddr, thread::JoinHandle<std::io::Result<()>>, u64) {
-    // The previous server's detached compaction thread may still hold
-    // the store's single-writer lock for a moment after shutdown; retry
-    // until it drains.
-    for _ in 0..100 {
-        match Server::bind(&ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 2,
-            store_dir: Some(store_dir.display().to_string()),
-            compact_every,
-            ..Default::default()
-        }) {
-            Ok(server) => {
-                let addr = server.local_addr().expect("bound address");
-                let recovered = server.sessions_recovered();
-                let handle = thread::spawn(move || server.run());
-                return (addr, handle, recovered);
-            }
-            Err(err) if err.to_string().contains("holds this store open") => {
-                thread::sleep(std::time::Duration::from_millis(100));
-            }
-            Err(err) => panic!("bind store-backed server: {err}"),
-        }
-    }
-    panic!("store lock never released");
+    // No retry: `Server::run` joins its auto-compaction before it
+    // returns, so the previous server has released the store's
+    // single-writer lock.
+    let server = Server::bind(&ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+        store_dir: Some(store_dir.display().to_string()),
+        compact_every,
+        ..Default::default()
+    })
+    .expect("bind store-backed server");
+    let addr = server.local_addr().expect("bound address");
+    let recovered = server.sessions_recovered();
+    (addr, thread::spawn(move || server.run()), recovered)
 }
 
 #[test]
@@ -74,19 +65,19 @@ fn store_backed_server_restarts_with_its_sessions() {
         client.apply_mutation(session, l, mutation.clone()).unwrap();
         mirror.apply_collapse_in_place(l, &mutation).unwrap();
     }
-    // Snapshot files prove auto-compaction checkpointed the session
-    // (threshold 3 < the 7 records this session wrote).
+    client.shutdown().unwrap();
+    handle.join().expect("server thread").expect("clean shutdown");
+
+    // ---- compaction ran in the background and finished before `run`
+    // returned.  Snapshot files prove auto-compaction checkpointed the
+    // session (threshold 3 < the 7 records this session wrote) --------
     let snapshots = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok())
         .filter(|e| e.file_name().to_string_lossy().starts_with("snapshot-"))
         .count();
     assert!(snapshots >= 1, "auto-compaction wrote a checkpoint snapshot");
-    client.shutdown().unwrap();
-    handle.join().expect("server thread").expect("clean shutdown");
-
-    // ---- compaction bounded the log (read-only peek: the lock may
-    // still be held briefly by the drained server's compaction thread) --
+    // ...and it bounded the log.
     let recovery = pdb_store::Store::peek(&dir, &pdb_gen::build_dataset).expect("peek store");
     assert!(
         recovery.records < 7,
@@ -94,7 +85,7 @@ fn store_backed_server_restarts_with_its_sessions() {
         recovery.records
     );
 
-    // ---- second server: recovery + restore over the wire ------------
+    // ---- second server: recovery + a snapshot session over the wire --
     let (addr, handle, recovered) = boot(&dir, 0);
     assert_eq!(recovered, 1, "the session rehydrated at bind time");
     let mut client = Client::connect(addr).unwrap();
@@ -103,10 +94,11 @@ fn store_backed_server_restarts_with_its_sessions() {
     assert!((report.aggregate - mirror.aggregate_quality()).abs() <= TOL);
     assert_eq!(client.evaluate(session).unwrap().answers, mirror.answers().unwrap());
 
-    // restore: open a second session from an exported snapshot file.
+    // Open a second session from an exported snapshot file.
     let exported = dir.join("exported.pdbs");
     pdb_store::Snapshot::write(mirror.database(), &exported).unwrap();
-    let restored = client.restore(exported.display().to_string(), 1, 0.8).expect("restore verb");
+    let snapshot = DatasetSpec::Snapshot { path: exported.display().to_string() };
+    let restored = client.create_session(snapshot, 1, 0.8).expect("create_session over a snapshot");
     assert_eq!(restored.tuples, mirror.database().len());
     client.register_query(restored.session, query, 1.0).unwrap();
     let restored_report = client.quality(restored.session).unwrap();
@@ -121,7 +113,7 @@ fn store_backed_server_restarts_with_its_sessions() {
     client.shutdown().unwrap();
     handle.join().expect("server thread").expect("clean shutdown");
 
-    // ---- the restored session is durable too -------------------------
+    // ---- the snapshot session is durable too --------------------------
     std::fs::remove_file(&exported).unwrap(); // durability must not need it
     let (_, _, recovered) = boot(&dir, 0);
     assert_eq!(recovered, 2, "both sessions survive another restart");

@@ -11,10 +11,11 @@
 //! * [`wal`] — an append-only **write-ahead log** of session lifecycle
 //!   events (`create_session`, `register_query`, `apply_probe` with the
 //!   resolved mutation), tolerant of torn tails;
-//! * [`store`] — the **store directory** combining both: a group-commit
-//!   flusher that fsyncs every append before it is acknowledged,
-//!   checkpoints, log compaction, and recovery, which hands each session
-//!   back as a base state (its dataset or last checkpoint) plus the
+//! * [`store`] — the **store directory** combining both: group commit,
+//!   which fsyncs every append before it is acknowledged (the appender
+//!   that finds no flush window open leads one; the store starts no
+//!   thread), checkpoints, log compaction, and recovery, which hands each
+//!   session back as a base state (its dataset or last checkpoint) plus the
 //!   records journalled after it — the server, not this crate, folds
 //!   those records into an evaluation, through the same calls a live
 //!   request runs;

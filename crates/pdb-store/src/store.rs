@@ -56,7 +56,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// File name of the write-ahead log inside a store directory.
@@ -125,25 +125,29 @@ pub struct CompactionStats {
     pub snapshots_removed: usize,
 }
 
-/// How the store's flusher batches fsyncs.  Every store group-commits:
-/// a dedicated flusher thread fsyncs the log once per window, and an
-/// append blocks until a flush covering its record has completed, so an
+/// How the store batches fsyncs.  Every store group-commits: an append
+/// blocks until an fsync covering its record has completed, so an
 /// acknowledged append is durable — only the fsync count amortizes
-/// across concurrent appenders.  The default (batch 64, no linger) is
-/// what `pdb serve` runs.
+/// across concurrent appenders.  The store starts no thread: the first
+/// appender that finds no flush window open leads one, and every record
+/// framed before its fsync starts rides along.  The default (batch 64,
+/// no linger) is what `pdb serve` runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushPolicy {
     /// Batch concurrent appends into one fsync per window.
     GroupCommit {
-        /// Flush as soon as this many unsynced records are pending.
+        /// End a `max_wait` linger early once this many unsynced records
+        /// are pending.  It does not cap a batch: each fsync covers every
+        /// record framed before it started, so with no linger this bound
+        /// changes nothing.
         max_batch: usize,
-        /// Optional linger: keep collecting up to this long after pending
-        /// records were first observed before flushing, trading commit
-        /// latency for fuller batches.  Zero — the recommended setting —
-        /// flushes as soon as the device is free; batches still form from
-        /// the records that accrue *while* the previous fsync runs, so on
-        /// a fast device a linger only taxes every commit (the same
-        /// reason PostgreSQL ships `commit_delay = 0`).
+        /// Optional linger: the leading appender keeps collecting up to
+        /// this long before it fsyncs, trading commit latency for fuller
+        /// batches.  Zero — the recommended setting — fsyncs at once;
+        /// batches still form from the records that accrue *while* the
+        /// previous fsync runs, so on a fast device a linger only taxes
+        /// every commit (the same reason PostgreSQL ships
+        /// `commit_delay = 0`).
         max_wait: Duration,
     },
 }
@@ -154,10 +158,10 @@ impl Default for FlushPolicy {
     }
 }
 
-/// State shared between group-commit appenders and the flusher thread.
-/// `dirty`/`synced` are monotone record counts: an append registers
-/// `dirty += 1` only *after* its frame is fully written, so a flush that
-/// read `target = dirty` and then fsync'd covers every registered record.
+/// Group-commit state shared by every appender.  `dirty`/`synced` are
+/// monotone record counts: an append registers `dirty += 1` only *after*
+/// its frame is fully written, so a window that read `target = dirty`
+/// and then fsync'd covers every registered record.
 #[derive(Debug, Default)]
 struct FlushState {
     /// Records fully framed into the log file.
@@ -172,43 +176,27 @@ struct FlushState {
     /// future append errors — instead of acknowledging records whose
     /// durability is unknown.
     error: Option<String>,
-    /// Set by [`Store::drop`]; the flusher drains pending work and exits.
-    shutdown: bool,
-}
-
-#[derive(Debug)]
-struct FlushShared {
-    state: Mutex<FlushState>,
-    /// Signalled by appenders when a record becomes pending.
-    work: Condvar,
-    /// Signalled by the flusher when `synced` advances or `error` is set.
-    done: Condvar,
-}
-
-impl FlushShared {
-    fn state(&self) -> MutexGuard<'_, FlushState> {
-        // The guarded state is a handful of scalars with no multi-field
-        // invariant a panicking holder could tear; recover the guard.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// The group-commit flusher: one background thread fsync'ing the log once
-/// per window on behalf of every concurrent appender.
-#[derive(Debug)]
-struct Flusher {
-    shared: Arc<FlushShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    /// Whether an appender is leading a flush window (lingering or
+    /// fsyncing); the others wait for it to finish.
+    leading: bool,
 }
 
 /// A durable session store rooted at one directory.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    wal: Arc<Mutex<Wal>>,
+    wal: Mutex<Wal>,
     snapshot_seq: AtomicU64,
     records_since_truncate: AtomicU64,
-    flusher: Flusher,
+    flush: Mutex<FlushState>,
+    /// Signalled by appenders when a record becomes pending (ends a
+    /// leader's linger once `max_batch` records are pending).
+    pending: Condvar,
+    /// Signalled when a window ends: `synced` advanced, `error` was set
+    /// or the leader stepped down.
+    done: Condvar,
+    max_batch: u64,
+    max_wait: Duration,
     /// Holds the OS advisory lock on [`LOCK_FILE`] for the store's
     /// lifetime (released automatically when the handle closes, so a
     /// killed process never leaves a stale lock behind).
@@ -234,7 +222,7 @@ impl Store {
     }
 
     /// [`open`](Self::open) with an explicit [`FlushPolicy`] for the
-    /// flusher thread that batches fsyncs.
+    /// group commit that batches fsyncs.
     pub fn open_with_policy(
         dir: &Path,
         policy: FlushPolicy,
@@ -264,12 +252,10 @@ impl Store {
             )
         })?;
         let (wal, replay) = Wal::open(&dir.join(WAL_FILE))?;
-        let wal = Arc::new(Mutex::new(wal));
-        let flusher = spawn_flusher(dir, Arc::clone(&wal), max_batch, max_wait)?;
         let snapshot_seq = max_snapshot_seq(dir)?;
         let store = Self {
             dir: dir.to_path_buf(),
-            wal,
+            wal: Mutex::new(wal),
             snapshot_seq: AtomicU64::new(snapshot_seq),
             // Count the records the log already holds: a server that is
             // restarted more often than it appends `compact_every`
@@ -277,7 +263,11 @@ impl Store {
             // threshold, and the log would grow without bound across
             // restarts.
             records_since_truncate: AtomicU64::new(replay.records.len() as u64),
-            flusher,
+            flush: Mutex::new(FlushState::default()),
+            pending: Condvar::new(),
+            done: Condvar::new(),
+            max_batch: max_batch as u64,
+            max_wait,
             _lock: lock,
         };
         let recovery = group_records(dir, replay.records, replay.truncated_bytes, build)?;
@@ -326,25 +316,119 @@ impl Store {
         // callers (mostly the wait).
         let _span = pdb_obs::metrics::WAL_APPEND_LATENCY_NS.span();
         self.wal()?.append(record)?;
-        self.flusher.wait_durable(&self.dir)?;
+        self.wait_durable()?;
         self.records_since_truncate.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// The group-commit state.  It is a handful of scalars with no
+    /// multi-field invariant a panicking holder could tear, so a poisoned
+    /// guard is recovered.
+    fn flush_state(&self) -> MutexGuard<'_, FlushState> {
+        self.flush.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Register one fully framed record and block until an fsync covers
+    /// it.  Must be called *after* [`Wal::append`] returned — the dirty
+    /// count's meaning is "frames completely in the file".  When no
+    /// window is open, this appender leads one; otherwise it waits, and
+    /// if the open window ends without covering its record, it (or
+    /// another waiter) leads the next.
+    fn wait_durable(&self) -> Result<()> {
+        let mut state = self.flush_state();
+        state.dirty += 1;
+        let seq = state.dirty;
+        if state.leading && !self.max_wait.is_zero() {
+            self.pending.notify_one();
+        }
+        while state.synced < seq {
+            if let Some(why) = &state.error {
+                return Err(StoreError::io(
+                    "syncing",
+                    &self.dir,
+                    std::io::Error::other(format!("group-commit flush failed: {why}")),
+                ));
+            }
+            state = if state.leading {
+                self.done.wait(state).unwrap_or_else(PoisonError::into_inner)
+            } else {
+                self.lead_window(state)
+            };
+        }
+        Ok(())
+    }
+
+    /// Lead one flush window: linger for a fuller batch (`max_wait` —
+    /// zero skips the linger entirely), fsync once, advance `synced` and
+    /// wake the group.  One fsync covers every record registered before
+    /// `target` was read, because a record's frame is completely written
+    /// before its registration.
+    fn lead_window<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, FlushState>,
+    ) -> MutexGuard<'a, FlushState> {
+        state.leading = true;
+        let window = Instant::now();
+        while !self.max_wait.is_zero() && state.dirty - state.synced < self.max_batch {
+            let Some(remaining) = self.max_wait.checked_sub(window.elapsed()) else { break };
+            let (next, timeout) =
+                self.pending.wait_timeout(state, remaining).unwrap_or_else(PoisonError::into_inner);
+            state = next;
+            if timeout.timed_out() {
+                break;
+            }
+        }
+        let target = state.dirty;
+        drop(state);
+        // fsync on a duplicated handle, *outside* the log lock: appenders
+        // keep framing records while the sync runs, and those records
+        // become the next batch.
+        let handle = self.wal.lock().unwrap_or_else(PoisonError::into_inner).sync_handle();
+        let fsync_span = pdb_obs::metrics::WAL_FSYNC_LATENCY_NS.span();
+        let result = handle.and_then(|file| {
+            file.sync_data().map_err(|e| StoreError::io("syncing", &self.dir.join(WAL_FILE), e))
+        });
+        fsync_span.finish();
+        let mut state = self.flush_state();
+        match result {
+            Ok(()) => {
+                // How many records this one fsync made durable — the
+                // batch-size distribution is the whole story of group
+                // commit (1 everywhere means the policy amortizes
+                // nothing).  Saturating: a concurrent compaction may have
+                // already marked everything synced, making this window
+                // empty.
+                let batch = target.saturating_sub(state.synced);
+                if batch > 0 {
+                    pdb_obs::metrics::WAL_FSYNC_BATCH_RECORDS.record(batch);
+                }
+                state.synced = state.synced.max(target);
+                state.flushes += 1;
+            }
+            Err(err) => {
+                pdb_obs::metrics::WAL_DEGRADED.set(1);
+                state.error = Some(err.to_string());
+            }
+        }
+        state.leading = false;
+        self.done.notify_all();
+        state
     }
 
     /// Completed group-commit flush windows.  Under concurrency this
     /// stays well below the append count — the whole point of group
     /// commit.
     pub fn flushes(&self) -> u64 {
-        self.flusher.shared.state().flushes
+        self.flush_state().flushes
     }
 
-    /// The flusher's sticky fsync failure, if one has happened (`None`
-    /// on a healthy log).  Once set, the log has fail-stopped: every
-    /// waiting and future append errors.  Surfaced through
-    /// `stats`/`metrics` so operators see the degradation before the
-    /// next write trips over it.
+    /// The sticky fsync failure, if one has happened (`None` on a
+    /// healthy log).  Once set, the log has fail-stopped: every waiting
+    /// and future append errors.  Surfaced through `stats`/`metrics` so
+    /// operators see the degradation before the next write trips over
+    /// it.
     pub fn flush_error(&self) -> Option<String> {
-        self.flusher.shared.state().error.clone()
+        self.flush_state().error.clone()
     }
 
     /// Records appended since the last [`truncate_log`](Self::truncate_log)
@@ -407,9 +491,9 @@ impl Store {
             // The rewrite was written atomically and fsync'd, and no
             // frame can land while the log lock is held: everything
             // framed so far is durable, so release any waiting appenders.
-            let mut state = self.flusher.shared.state();
+            let mut state = self.flush_state();
             state.synced = state.synced.max(state.dirty);
-            self.flusher.shared.done.notify_all();
+            self.done.notify_all();
         }
         drop(wal);
 
@@ -433,139 +517,6 @@ impl Store {
             }
         }
         Ok(CompactionStats { snapshots_removed: removed, ..stats })
-    }
-}
-
-impl Drop for Store {
-    fn drop(&mut self) {
-        let flusher = &mut self.flusher;
-        flusher.shared.state().shutdown = true;
-        flusher.shared.work.notify_all();
-        flusher.shared.done.notify_all();
-        if let Some(handle) = flusher.handle.take() {
-            // The flusher drains pending work before exiting; a
-            // panicked flusher already left the sticky error set.
-            // pdb-analyze: allow(error-swallow): drop path; a panicked flusher already fail-stopped every waiter via the sticky error
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Flusher {
-    /// Register one fully framed record and block until a flush covers
-    /// it.  Must be called *after* [`Wal::append`] returned — the
-    /// dirty count's meaning is "frames completely in the file".
-    fn wait_durable(&self, dir: &Path) -> Result<()> {
-        let mut state = self.shared.state();
-        state.dirty += 1;
-        let seq = state.dirty;
-        self.shared.work.notify_one();
-        while state.synced < seq {
-            if let Some(why) = &state.error {
-                return Err(StoreError::io(
-                    "syncing",
-                    dir,
-                    std::io::Error::other(format!("group-commit flush failed: {why}")),
-                ));
-            }
-            state = self.shared.done.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
-        Ok(())
-    }
-}
-
-/// Start the group-commit flusher thread.
-fn spawn_flusher(
-    dir: &Path,
-    wal: Arc<Mutex<Wal>>,
-    max_batch: usize,
-    max_wait: Duration,
-) -> Result<Flusher> {
-    let shared = Arc::new(FlushShared {
-        state: Mutex::new(FlushState::default()),
-        work: Condvar::new(),
-        done: Condvar::new(),
-    });
-    let thread_shared = Arc::clone(&shared);
-    let log_path = dir.join(WAL_FILE);
-    let handle = std::thread::Builder::new()
-        .name("pdb-store-flusher".to_string())
-        .spawn(move || flusher_loop(&wal, &thread_shared, max_batch as u64, max_wait, &log_path))
-        .map_err(|e| StoreError::io("spawning the flusher for", dir, e))?;
-    Ok(Flusher { shared, handle: Some(handle) })
-}
-
-/// The flusher: wait for pending records, optionally linger for a fuller
-/// batch (`max_wait` — zero skips the linger entirely), fsync once,
-/// advance `synced`, repeat.  One fsync covers every record registered
-/// before `target` was read, because a record's frame is completely
-/// written before its registration.
-fn flusher_loop(
-    wal: &Mutex<Wal>,
-    shared: &FlushShared,
-    max_batch: u64,
-    max_wait: Duration,
-    log_path: &Path,
-) {
-    loop {
-        let target = {
-            let mut state = shared.state();
-            loop {
-                if state.dirty > state.synced {
-                    break;
-                }
-                if state.shutdown {
-                    return;
-                }
-                state = shared.work.wait(state).unwrap_or_else(PoisonError::into_inner);
-            }
-            let window = Instant::now();
-            while !max_wait.is_zero() && state.dirty - state.synced < max_batch && !state.shutdown {
-                let Some(remaining) = max_wait.checked_sub(window.elapsed()) else { break };
-                let (next, timeout) = shared
-                    .work
-                    .wait_timeout(state, remaining)
-                    .unwrap_or_else(PoisonError::into_inner);
-                state = next;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            state.dirty
-        };
-        // fsync on a duplicated handle, *outside* the log lock: appenders
-        // keep framing records while the sync runs, and those records
-        // become the next batch.
-        let handle = {
-            let guard = wal.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.sync_handle()
-        };
-        let fsync_span = pdb_obs::metrics::WAL_FSYNC_LATENCY_NS.span();
-        let result = handle
-            .and_then(|file| file.sync_data().map_err(|e| StoreError::io("syncing", log_path, e)));
-        fsync_span.finish();
-        let mut state = shared.state();
-        match result {
-            Ok(()) => {
-                // How many records this one fsync made durable — the
-                // batch-size distribution is the whole story of group
-                // commit (1 everywhere means the policy amortizes
-                // nothing).  Saturating: a concurrent compaction may have
-                // already marked everything synced, making this window
-                // empty.
-                let batch = target.saturating_sub(state.synced);
-                if batch > 0 {
-                    pdb_obs::metrics::WAL_FSYNC_BATCH_RECORDS.record(batch);
-                }
-                state.synced = state.synced.max(target);
-                state.flushes += 1;
-            }
-            Err(err) => {
-                pdb_obs::metrics::WAL_DEGRADED.set(1);
-                state.error = Some(err.to_string());
-            }
-        }
-        shared.done.notify_all();
     }
 }
 

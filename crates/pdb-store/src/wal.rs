@@ -5,9 +5,9 @@
 //! and every probe outcome folded in (each probe is exactly one
 //! [`XTupleMutation`] — the incremental structure the paper's cleaning
 //! model gives us for free).  The WAL journals those events as
-//! append-only records.  [`Wal::append`] only writes; the store's
-//! group-commit flusher fsyncs the log before any append is acknowledged
-//! (see [`crate::store`]), so a crash loses only unacknowledged records —
+//! append-only records.  [`Wal::append`] only writes; the store's group
+//! commit fsyncs the log before any append is acknowledged (see
+//! [`crate::store`]), so a crash loses only unacknowledged records —
 //! and a torn tail is *tolerated*, not fatal: replay stops at the first
 //! corrupt record and truncates the file there.
 //!
@@ -346,8 +346,8 @@ impl Wal {
     }
 
     /// Append one record.  This only writes the frame: the caller makes
-    /// it durable before acknowledging it (the store's flusher fsyncs a
-    /// duplicated handle of the log).
+    /// it durable before acknowledging it (the store's group commit
+    /// fsyncs a duplicated handle of the log).
     ///
     /// A *failed* write is rolled back: the file is truncated to the last
     /// fully appended record, so a partial frame (e.g. `ENOSPC` mid-write)
@@ -384,11 +384,12 @@ impl Wal {
         Ok(())
     }
 
-    /// A duplicated handle to the log file, so the group-commit flusher
-    /// can fsync *outside* the log lock: `sync_data` on the clone covers
-    /// every frame fully written through the primary handle before the
-    /// clone was taken, and appenders keep writing while the fsync runs
-    /// — that overlap is where the next batch comes from.  (A compaction
+    /// A duplicated handle to the log file, so the appender leading a
+    /// group-commit window can fsync *outside* the log lock: `sync_data`
+    /// on the clone covers every frame fully written through the primary
+    /// handle before the clone was taken, and appenders keep writing
+    /// while the fsync runs — that overlap is where the next batch comes
+    /// from.  (A compaction
     /// rewrite may swap the file out from under an in-flight clone; the
     /// rewrite itself made every surviving record durable, so fsyncing
     /// the replaced inode is harmless.)
