@@ -4,6 +4,7 @@
 //! reported rather than ignored.
 
 use pdb_experiments::Scale;
+use pdb_server::ServerConfig;
 use pdb_store::FlushPolicy;
 use std::time::Duration;
 
@@ -18,8 +19,8 @@ pub const USAGE: &str = "usage:
   pdb batch [--dataset synthetic|mov|udb1] [--ks <k1,k2,...>] [--weights <w1,w2,...>] [--threshold <T>] [--budget <C>]
   pdb serve [--addr <host:port>] [--threads <n>] [--store-dir <dir>] [--compact-every <n>]
             [--flush group-commit] [--flush-batch <n>] [--flush-wait-ms <ms>]
-  pdb fleet serve [--addr <host:port>] [--shards <n>] [--threads <n per shard>] [--store-dir <dir>]
-                  [--compact-every <n>] [--flush group-commit] [--flush-batch <n>] [--flush-wait-ms <ms>]
+  pdb fleet serve [--addr <host:port>] [--shards <n>] [--store-dir <dir>]
+                  [any other pdb serve flag, passed to every shard as given]
   pdb fleet status [--addr <host:port>]
   pdb metrics [--addr <host:port>] [--text]
   pdb call <request-json | -> [--addr <host:port>] [--timing]   (- streams stdin lines over one connection)
@@ -118,18 +119,7 @@ pub enum Command {
         budget: u64,
     },
     /// `pdb serve`
-    Serve {
-        /// Address to bind (port 0 picks an ephemeral port).
-        addr: String,
-        /// Worker threads handling connections.
-        threads: usize,
-        /// Durable store directory (sessions journalled + recovered).
-        store_dir: Option<String>,
-        /// Auto-compaction threshold in WAL records (0 disables).
-        compact_every: u64,
-        /// How the journal's group commit batches fsyncs.
-        flush: FlushPolicy,
-    },
+    Serve(ServerConfig),
     /// `pdb fleet ...`
     Fleet {
         /// Which fleet operation to run.
@@ -207,15 +197,12 @@ pub enum FleetOp {
         addr: String,
         /// Shard processes to spawn.
         shards: usize,
-        /// Worker threads per shard process.
-        threads: usize,
         /// Base store directory; shard `i` journals into
         /// `<dir>/shard-<i>` (omit for in-memory shards).
         store_dir: Option<String>,
-        /// Per-shard auto-compaction threshold (0 disables).
-        compact_every: u64,
-        /// How each shard's group commit batches fsyncs.
-        flush: FlushPolicy,
+        /// Every other flag, a valid `pdb serve` flag passed to each
+        /// shard as given.
+        shard_flags: Vec<String>,
     },
     /// `pdb fleet status`: aggregated `stats` from a running router.
     Status {
@@ -338,35 +325,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Clean { dataset, k, budget, algo, json })
         }
-        "serve" => {
-            let mut addr = "127.0.0.1:7878".to_string();
-            let mut threads = 4;
-            let mut store_dir = None;
-            let mut compact_every = 1024;
-            let mut flush = FlushFlags::default();
-            let mut flags = Flags::new(rest);
-            while let Some(flag) = flags.next_flag() {
-                match flag {
-                    "--addr" => addr = flags.value_for("--addr")?.to_string(),
-                    "--threads" => {
-                        threads = parse_usize(flags.value_for("--threads")?, "--threads")?
-                    }
-                    "--store-dir" => store_dir = Some(flags.value_for("--store-dir")?.to_string()),
-                    "--compact-every" => {
-                        compact_every =
-                            parse_usize(flags.value_for("--compact-every")?, "--compact-every")?
-                                as u64
-                    }
-                    other if flush.try_flag(other, &mut flags)? => {}
-                    other => return Err(format!("unknown flag {other:?}")),
-                }
-            }
-            if threads == 0 {
-                return Err("--threads must be at least 1".to_string());
-            }
-            let flush = flush.resolve()?;
-            Ok(Command::Serve { addr, threads, store_dir, compact_every, flush })
-        }
+        "serve" => parse_serve_flags(rest).map(Command::Serve),
         "fleet" => {
             let (op_name, rest) = rest
                 .split_first()
@@ -375,10 +334,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 "serve" => {
                     let mut addr = "127.0.0.1:7900".to_string();
                     let mut shards = 3;
-                    let mut threads = 4;
                     let mut store_dir = None;
-                    let mut compact_every = 1024;
-                    let mut flush = FlushFlags::default();
+                    let mut shard_flags = Vec::new();
                     let mut flags = Flags::new(rest);
                     while let Some(flag) = flags.next_flag() {
                         match flag {
@@ -386,35 +343,20 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                             "--shards" => {
                                 shards = parse_usize(flags.value_for("--shards")?, "--shards")?
                             }
-                            "--threads" => {
-                                threads = parse_usize(flags.value_for("--threads")?, "--threads")?
-                            }
                             "--store-dir" => {
                                 store_dir = Some(flags.value_for("--store-dir")?.to_string())
                             }
-                            "--compact-every" => {
-                                compact_every = parse_usize(
-                                    flags.value_for("--compact-every")?,
-                                    "--compact-every",
-                                )? as u64
-                            }
-                            other if flush.try_flag(other, &mut flags)? => {}
-                            other => return Err(format!("unknown flag {other:?}")),
+                            other => shard_flags.push(other.to_string()),
                         }
                     }
-                    if threads == 0 || shards == 0 {
-                        return Err("--threads and --shards must be at least 1".to_string());
+                    if shards == 0 {
+                        return Err("--shards must be at least 1".to_string());
                     }
-                    let flush = flush.resolve()?;
+                    // A bad shard flag fails here, with `pdb serve`'s own
+                    // message, before any shard starts.
+                    parse_serve_flags(&shard_flags)?;
                     Ok(Command::Fleet {
-                        op: FleetOp::Serve {
-                            addr,
-                            shards,
-                            threads,
-                            store_dir,
-                            compact_every,
-                            flush,
-                        },
+                        op: FleetOp::Serve { addr, shards, store_dir, shard_flags },
                     })
                 }
                 "status" => {
@@ -625,49 +567,53 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     }
 }
 
-/// The three `--flush*` flags shared by `serve` and `fleet serve`,
-/// collected while scanning and validated together afterwards.  Group
-/// commit is the only policy; `--flush group-commit` stays accepted
-/// because existing scripts pass it.
-#[derive(Default)]
-struct FlushFlags {
-    policy: Option<String>,
-    batch: Option<usize>,
-    wait_ms: Option<u64>,
-}
-
-impl FlushFlags {
-    /// Consume `flag` if it is one of ours; `Ok(false)` hands it back to
-    /// the caller's own match.
-    fn try_flag(&mut self, flag: &str, flags: &mut Flags<'_>) -> Result<bool, String> {
+/// Parse `pdb serve`'s flags (everything after `serve`) into the
+/// server's own configuration; `pdb fleet serve` checks the flags it
+/// passes to its shards with it too.  Unset flags keep
+/// [`ServerConfig::default`].
+fn parse_serve_flags(rest: &[String]) -> Result<ServerConfig, String> {
+    let mut config = ServerConfig::default();
+    let FlushPolicy::GroupCommit { mut max_batch, mut max_wait } = config.flush;
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next_flag() {
         match flag {
-            "--flush" => self.policy = Some(flags.value_for("--flush")?.to_ascii_lowercase()),
+            "--addr" => config.addr = flags.value_for("--addr")?.to_string(),
+            "--threads" => {
+                config.threads = parse_usize(flags.value_for("--threads")?, "--threads")?
+            }
+            "--store-dir" => config.store_dir = Some(flags.value_for("--store-dir")?.to_string()),
+            "--compact-every" => {
+                config.compact_every =
+                    parse_usize(flags.value_for("--compact-every")?, "--compact-every")? as u64
+            }
+            // Group commit is the only policy; `--flush group-commit`
+            // stays accepted because existing scripts pass it.
+            "--flush" => match flags.value_for("--flush")?.to_ascii_lowercase().as_str() {
+                "group-commit" => {}
+                other => {
+                    return Err(format!("unknown flush policy {other:?} (expected group-commit)"))
+                }
+            },
             "--flush-batch" => {
-                self.batch = Some(parse_usize(flags.value_for("--flush-batch")?, "--flush-batch")?)
+                max_batch = parse_usize(flags.value_for("--flush-batch")?, "--flush-batch")?
             }
             "--flush-wait-ms" => {
-                self.wait_ms = Some(parse_usize(
+                max_wait = Duration::from_millis(parse_usize(
                     flags.value_for("--flush-wait-ms")?,
                     "--flush-wait-ms",
                 )? as u64)
             }
-            _ => return Ok(false),
+            other => return Err(format!("unknown flag {other:?}")),
         }
-        Ok(true)
     }
-
-    fn resolve(self) -> Result<FlushPolicy, String> {
-        if let Some(other) = self.policy.filter(|p| p != "group-commit") {
-            return Err(format!("unknown flush policy {other:?} (expected group-commit)"));
-        }
-        let FlushPolicy::GroupCommit { max_batch, max_wait } = FlushPolicy::default();
-        let max_batch = self.batch.unwrap_or(max_batch);
-        if max_batch == 0 {
-            return Err("--flush-batch must be at least 1".to_string());
-        }
-        let max_wait = self.wait_ms.map_or(max_wait, Duration::from_millis);
-        Ok(FlushPolicy::GroupCommit { max_batch, max_wait })
+    if config.threads == 0 {
+        return Err("--threads must be at least 1".to_string());
     }
+    if max_batch == 0 {
+        return Err("--flush-batch must be at least 1".to_string());
+    }
+    config.flush = FlushPolicy::GroupCommit { max_batch, max_wait };
+    Ok(config)
 }
 
 fn expect_no_flags(rest: &[String]) -> Result<(), String> {
@@ -784,13 +730,13 @@ mod tests {
         let c = parse(&argv(&["serve"])).unwrap();
         assert_eq!(
             c,
-            Command::Serve {
+            Command::Serve(ServerConfig {
                 addr: "127.0.0.1:7878".into(),
                 threads: 4,
                 store_dir: None,
                 compact_every: 1024,
                 flush: FlushPolicy::GroupCommit { max_batch: 64, max_wait: Duration::ZERO },
-            }
+            })
         );
         let c = parse(&argv(&[
             "serve",
@@ -812,7 +758,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             c,
-            Command::Serve {
+            Command::Serve(ServerConfig {
                 addr: "0.0.0.0:9000".into(),
                 threads: 8,
                 store_dir: Some("/var/lib/pdb".into()),
@@ -821,12 +767,12 @@ mod tests {
                     max_batch: 32,
                     max_wait: Duration::from_millis(5),
                 },
-            }
+            })
         );
         // The batch and wait knobs need no `--flush`: group commit is the
         // only policy.
         let c = parse(&argv(&["serve", "--flush-batch", "8"])).unwrap();
-        let Command::Serve { flush, .. } = c else { panic!("serve") };
+        let Command::Serve(ServerConfig { flush, .. }) = c else { panic!("serve") };
         assert_eq!(flush, FlushPolicy::GroupCommit { max_batch: 8, max_wait: Duration::ZERO });
         assert!(parse(&argv(&["serve", "--threads", "0"])).is_err());
         assert!(parse(&argv(&["serve", "--bogus"])).is_err());
@@ -865,6 +811,15 @@ mod tests {
         assert!(parse(&argv(&["metrics", "--bogus"])).is_err());
     }
 
+    /// The `pdb serve` configuration each shard of a `fleet serve`
+    /// parsed to `shard_flags` runs with.
+    fn shard_config(c: &Command) -> ServerConfig {
+        let Command::Fleet { op: FleetOp::Serve { shard_flags, .. } } = c else {
+            panic!("fleet serve: {c:?}")
+        };
+        parse_serve_flags(shard_flags).unwrap()
+    }
+
     #[test]
     fn parses_fleet_serve_and_status() {
         let c = parse(&argv(&["fleet", "serve"])).unwrap();
@@ -874,12 +829,17 @@ mod tests {
                 op: FleetOp::Serve {
                     addr: "127.0.0.1:7900".into(),
                     shards: 3,
-                    threads: 4,
                     store_dir: None,
-                    compact_every: 1024,
-                    flush: FlushPolicy::GroupCommit { max_batch: 64, max_wait: Duration::ZERO },
+                    shard_flags: Vec::new(),
                 }
             }
+        );
+        let shard = shard_config(&c);
+        assert_eq!(shard.threads, 4);
+        assert_eq!(shard.compact_every, 1024);
+        assert_eq!(
+            shard.flush,
+            FlushPolicy::GroupCommit { max_batch: 64, max_wait: Duration::ZERO }
         );
         let c = parse(&argv(&[
             "fleet",
@@ -902,12 +862,17 @@ mod tests {
                 op: FleetOp::Serve {
                     addr: "127.0.0.1:0".into(),
                     shards: 5,
-                    threads: 2,
                     store_dir: Some("/tmp/fleet".into()),
-                    compact_every: 1024,
-                    flush: FlushPolicy::GroupCommit { max_batch: 64, max_wait: Duration::ZERO },
+                    shard_flags: argv(&["--threads", "2", "--flush", "group-commit"]),
                 }
             }
+        );
+        let shard = shard_config(&c);
+        assert_eq!(shard.threads, 2);
+        assert_eq!(shard.compact_every, 1024);
+        assert_eq!(
+            shard.flush,
+            FlushPolicy::GroupCommit { max_batch: 64, max_wait: Duration::ZERO }
         );
         let c = parse(&argv(&["fleet", "status", "--addr", "127.0.0.1:9"])).unwrap();
         assert_eq!(c, Command::Fleet { op: FleetOp::Status { addr: "127.0.0.1:9".into() } });
@@ -916,6 +881,82 @@ mod tests {
         assert!(parse(&argv(&["fleet", "serve", "--shards", "0"])).is_err());
         assert!(parse(&argv(&["fleet", "serve", "--flush", "per-record"])).is_err());
         assert!(parse(&argv(&["fleet", "status", "--shards", "2"])).is_err());
+    }
+
+    #[test]
+    fn fleet_serve_rejects_a_shard_flag_with_pdb_serves_message() {
+        for flags in [&["--bogus"][..], &["--threads", "0"], &["--flush-batch"]] {
+            let serve = parse(&argv(&[&["serve"], flags].concat())).unwrap_err();
+            let fleet = parse(&argv(&[&["fleet", "serve"], flags].concat())).unwrap_err();
+            assert_eq!(fleet, serve, "fleet serve {flags:?}");
+        }
+        let err = parse(&argv(&["fleet", "serve", "--threads", "0"])).unwrap_err();
+        assert!(err.contains("--threads must be at least 1"), "{err}");
+    }
+
+    /// servebench starts `pdb serve` and `pdb fleet serve` with these
+    /// exact argument vectors (it sits outside the workspace, so this
+    /// pins its contract).
+    #[test]
+    fn servebench_argument_vectors_parse_to_the_expected_configs() {
+        let tail = [
+            "--addr",
+            "127.0.0.1:0",
+            "--store-dir",
+            "D",
+            "--flush",
+            "group-commit",
+            "--flush-batch",
+            "64",
+            "--flush-wait-ms",
+            "0",
+            "--compact-every",
+            "128",
+        ];
+        let expected = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            threads: 4,
+            store_dir: Some("D".into()),
+            compact_every: 128,
+            flush: FlushPolicy::GroupCommit { max_batch: 64, max_wait: Duration::ZERO },
+        };
+        let c = parse(&argv(&[&["serve", "--threads", "4"][..], &tail].concat())).unwrap();
+        assert_eq!(c, Command::Serve(expected.clone()));
+
+        let c = parse(&argv(
+            &[&["fleet", "serve", "--shards", "2", "--threads", "1"][..], &tail].concat(),
+        ))
+        .unwrap();
+        let shard_flags = argv(&[
+            "--threads",
+            "1",
+            "--flush",
+            "group-commit",
+            "--flush-batch",
+            "64",
+            "--flush-wait-ms",
+            "0",
+            "--compact-every",
+            "128",
+        ]);
+        assert_eq!(
+            c,
+            Command::Fleet {
+                op: FleetOp::Serve {
+                    addr: "127.0.0.1:0".into(),
+                    shards: 2,
+                    store_dir: Some("D".into()),
+                    shard_flags,
+                }
+            }
+        );
+        // Each shard binds its own ephemeral port and journals into its
+        // own subdirectory (see `FleetConfig`); the rest is servebench's.
+        let shard = shard_config(&c);
+        assert_eq!(
+            shard,
+            ServerConfig { addr: "127.0.0.1:7878".into(), threads: 1, store_dir: None, ..expected }
+        );
     }
 
     #[test]

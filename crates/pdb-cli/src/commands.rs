@@ -30,9 +30,7 @@ pub fn run(command: Command) -> Result<String> {
         Command::All { scale, csv_dir } => run_all(scale, csv_dir.as_deref()),
         Command::Quality { dataset, k, algo, json } => quality(dataset, k, &algo, json),
         Command::Clean { dataset, k, budget, algo, json } => clean(dataset, k, budget, &algo, json),
-        Command::Serve { addr, threads, store_dir, compact_every, flush } => {
-            serve(&addr, threads, store_dir, compact_every, flush)
-        }
+        Command::Serve(config) => serve(&config),
         Command::Fleet { op } => fleet(op),
         Command::Call { addr, request, timing } => call(&addr, &request, timing),
         Command::Metrics { addr, text } => metrics(&addr, text),
@@ -226,34 +224,22 @@ fn clean(choice: DatasetChoice, k: usize, budget: u64, algo: &str, json: bool) -
 
 /// `pdb serve`: bind the cleaning service and block until a `shutdown`
 /// request drains it.
-fn serve(
-    addr: &str,
-    threads: usize,
-    store_dir: Option<String>,
-    compact_every: u64,
-    flush: pdb_store::FlushPolicy,
-) -> Result<String> {
-    let durable = store_dir.clone();
-    let config = pdb_server::ServerConfig {
-        addr: addr.to_string(),
-        threads,
-        store_dir,
-        compact_every,
-        flush,
-    };
-    let server = pdb_server::Server::bind(&config)
-        .map_err(|e| DbError::invalid_parameter(format!("binding {addr} failed: {e}")))?;
+fn serve(config: &pdb_server::ServerConfig) -> Result<String> {
+    let server = pdb_server::Server::bind(config)
+        .map_err(|e| DbError::invalid_parameter(format!("binding {} failed: {e}", config.addr)))?;
     let bound = server
         .local_addr()
         .map_err(|e| DbError::invalid_parameter(format!("resolving bound address failed: {e}")))?;
-    if let Some(dir) = &durable {
+    if let Some(dir) = &config.store_dir {
         println!(
-            "pdb-server recovered {} session(s) from {dir} (compact every {compact_every} records)",
-            server.sessions_recovered()
+            "pdb-server recovered {} session(s) from {dir} (compact every {} records)",
+            server.sessions_recovered(),
+            config.compact_every
         );
     }
-    // Announce readiness before blocking: scripts wait for this line.
-    println!("pdb-server listening on {bound} ({threads} threads)");
+    // Announce readiness before blocking: scripts (and a fleet spawning
+    // this process as a shard) wait for this line.
+    println!("{}{bound} ({} threads)", pdb_fleet::SHARD_READY_PREFIX, config.threads);
     server.run().map_err(|e| DbError::invalid_parameter(format!("server failed: {e}")))?;
     Ok(format!("pdb-server on {bound} drained in-flight requests and shut down"))
 }
@@ -261,8 +247,8 @@ fn serve(
 /// `pdb fleet ...`: multi-process scale-out (see `pdb-fleet`).
 fn fleet(op: FleetOp) -> Result<String> {
     match op {
-        FleetOp::Serve { addr, shards, threads, store_dir, compact_every, flush } => {
-            fleet_serve(&addr, shards, threads, store_dir, compact_every, flush)
+        FleetOp::Serve { addr, shards, store_dir, shard_flags } => {
+            fleet_serve(&addr, shards, store_dir, shard_flags)
         }
         FleetOp::Status { addr } => fleet_status(&addr),
     }
@@ -273,25 +259,19 @@ fn fleet(op: FleetOp) -> Result<String> {
 fn fleet_serve(
     addr: &str,
     shards: usize,
-    threads: usize,
     store_dir: Option<String>,
-    compact_every: u64,
-    flush: pdb_store::FlushPolicy,
+    shard_flags: Vec<String>,
 ) -> Result<String> {
     let program = std::env::current_exe()
         .map_err(|e| DbError::invalid_parameter(format!("resolving the pdb binary failed: {e}")))?;
     let config = pdb_fleet::FleetConfig {
         program,
         shards,
-        threads,
         store_dir: store_dir.map(std::path::PathBuf::from),
-        compact_every,
-        flush,
+        shard_flags,
     };
-    let fleet = std::sync::Arc::new(
-        pdb_fleet::Fleet::spawn(config)
-            .map_err(|e| DbError::invalid_parameter(format!("spawning the fleet failed: {e}")))?,
-    );
+    let fleet = pdb_fleet::Fleet::spawn(config)
+        .map_err(|e| DbError::invalid_parameter(format!("spawning the fleet failed: {e}")))?;
     for status in fleet.statuses() {
         // One line per shard before the router line: scripts (and the
         // kill-and-recover test) parse these for pids and addresses.
@@ -340,11 +320,8 @@ fn fleet_status(addr: &str) -> Result<String> {
     // The router's merged `metrics` reply carries every shard's request
     // histograms (already merged, associatively, shard order immaterial);
     // surface per-verb latency quantiles for the verbs that ran.
-    let reply =
+    let snapshot =
         client.metrics().map_err(|e| DbError::invalid_parameter(format!("metrics failed: {e}")))?;
-    let snapshot = reply
-        .to_snapshot()
-        .map_err(|e| DbError::invalid_parameter(format!("metrics reply does not parse: {e}")))?;
     let mut latency_header = false;
     for sample in &snapshot.series {
         if sample.name != pdb_obs::names::SERVER_REQUEST_LATENCY_NS || sample.value == 0 {
@@ -377,10 +354,7 @@ fn metrics(addr: &str, text: bool) -> Result<String> {
     let reply =
         client.metrics().map_err(|e| DbError::invalid_parameter(format!("metrics failed: {e}")))?;
     if text {
-        let snapshot = reply.to_snapshot().map_err(|e| {
-            DbError::invalid_parameter(format!("metrics reply does not parse: {e}"))
-        })?;
-        Ok(pdb_obs::text::render(&snapshot))
+        Ok(pdb_obs::text::render(&reply))
     } else {
         pdb_server::protocol::encode(&pdb_server::Response::Metrics(reply))
             .map_err(|e| DbError::invalid_parameter(format!("encoding response failed: {e}")))

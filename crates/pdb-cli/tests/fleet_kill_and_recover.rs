@@ -16,17 +16,22 @@
 use pdb_quality::{BatchQuality, TopKQuery, WeightedQuery, XTupleMutation};
 use pdb_server::{Client, DatasetSpec};
 use std::io::BufRead;
+use std::os::unix::process::CommandExt;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 const TOL: f64 = 1e-12;
 const SHARDS: usize = 3;
+/// Connections each shard serves at once: every inbound router
+/// connection opens its own client per shard, so each shard must serve
+/// every concurrent router connection — six traffic threads + the main
+/// client + slack.
+const THREADS_PER_SHARD: usize = 8;
 const SESSIONS: usize = 6;
 const ROUNDS: usize = 150;
 
-/// A `pdb fleet serve` process tree: the router child plus the shard
-/// pids it announced.  Killed on drop — shards explicitly, because
-/// SIGKILLing the router would orphan them.
+/// A `pdb fleet serve` process tree: the router child, which leads its
+/// own process group, plus the shard pids it announced.  Killed on drop.
 struct FleetProcess {
     child: Child,
     router_addr: String,
@@ -43,12 +48,8 @@ impl FleetProcess {
                 "127.0.0.1:0",
                 "--shards",
                 &SHARDS.to_string(),
-                // Every inbound router connection opens its own client
-                // per shard, so each shard must have worker threads for
-                // every concurrent router connection: six traffic
-                // threads + the main client + slack.
                 "--threads",
-                "8",
+                &THREADS_PER_SHARD.to_string(),
                 "--store-dir",
                 store_dir,
                 "--flush",
@@ -56,6 +57,8 @@ impl FleetProcess {
             ])
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
+            // Every shard, a respawned one included, inherits the group.
+            .process_group(0)
             .spawn()
             .expect("spawn pdb fleet serve");
         let stdout = child.stdout.take().expect("piped stdout");
@@ -101,10 +104,12 @@ impl FleetProcess {
 
 impl Drop for FleetProcess {
     fn drop(&mut self) {
-        // Shards first (they are the router's children; killing the
-        // router with SIGKILL would leak them), then the router itself.
-        for pid in &self.shard_pids {
-            let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
+        // A router that exited cleanly reaped its shards, and its group
+        // id may be reused.  Otherwise SIGKILL the whole group: the
+        // shard pids announced at start-up miss a respawned shard.
+        if !matches!(self.child.try_wait(), Ok(Some(status)) if status.success()) {
+            let group = format!("-{}", self.child.id());
+            let _ = Command::new("kill").args(["-9", "--", &group]).status();
         }
         let _ = self.child.kill();
         let _ = self.child.wait();
@@ -253,6 +258,7 @@ fn fleet_survives_a_sigkilled_shard_with_zero_lost_mutations() {
     let stats = client.stats().expect("merged stats");
     assert!(stats.durable, "every shard reports a durable store");
     assert_eq!(stats.shards as usize, SHARDS);
+    assert_eq!(stats.threads, SHARDS * THREADS_PER_SHARD, "--threads reaches every shard");
     assert_eq!(stats.sessions_live as usize, SESSIONS, "no session was lost to the kill");
 
     for (i, (&session, mirror)) in sessions.iter().zip(&mirrors).enumerate() {
@@ -282,7 +288,5 @@ fn fleet_survives_a_sigkilled_shard_with_zero_lost_mutations() {
         std::thread::sleep(Duration::from_millis(20));
     };
     assert!(status.success(), "the router exited with {status}");
-    // The router reaped its shards; their pids may be reused.
-    fleet.shard_pids.clear();
     std::fs::remove_dir_all(&store_dir).ok();
 }

@@ -1,10 +1,11 @@
-//! The fleet router lets go of the thread of every connection that
-//! ended.  It serves each client connection on its own thread, and an
-//! exited thread that nobody joins keeps its stack mapped, so a router
-//! that kept every handle until shutdown grew by two memory mappings (a
-//! stack and its guard page) per connection it had ever served.
+//! `pdb serve` and the fleet router let go of the thread of every
+//! connection that ended.  Both serve each client connection on its own
+//! thread (`pdb_server::accept_connections`), and an exited thread that
+//! nobody joins keeps its stack mapped, so a process that kept every
+//! handle until shutdown grew by two memory mappings (a stack and its
+//! guard page) per connection it had ever served.
 //!
-//! Linux-only: the test counts the router's `/proc/<pid>/maps` lines.
+//! Linux-only: the tests count the process's `/proc/<pid>/maps` lines.
 #![cfg(target_os = "linux")]
 
 use pdb_server::Client;
@@ -15,20 +16,20 @@ use std::time::{Duration, Instant};
 /// One-request connections the test opens after its warm-up.
 const CONNECTIONS: usize = 300;
 
-/// Mapping growth the router may show over `CONNECTIONS` connections.
+/// Mapping growth a process may show over `CONNECTIONS` connections.
 /// Keeping every handle adds two lines per connection (600 here).
 const MAX_GROWTH: usize = 50;
 
-/// A `pdb fleet serve` process and the shard pids it announced, killed
-/// on drop so a failing test never leaks them (shards explicitly: a
-/// killed router cannot reap them).
-struct Fleet {
+/// A `pdb serve` or `pdb fleet serve` process and the shard pids it
+/// announced, killed on drop so a failing test never leaks them (shards
+/// explicitly: a killed router cannot reap them).
+struct Served {
     child: Child,
     addr: String,
     shard_pids: Vec<u32>,
 }
 
-impl Drop for Fleet {
+impl Drop for Served {
     fn drop(&mut self) {
         for pid in &self.shard_pids {
             let pid = pid.to_string();
@@ -39,30 +40,33 @@ impl Drop for Fleet {
     }
 }
 
-fn spawn_fleet() -> Fleet {
+/// Spawn `pdb <args>` and wait for its readiness line.
+fn spawn(args: &[&str]) -> Served {
     let mut child = Command::new(env!("CARGO_BIN_EXE_pdb"))
-        .args(["fleet", "serve", "--addr", "127.0.0.1:0", "--shards", "1", "--threads", "2"])
+        .args(args)
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
-        .expect("spawn pdb fleet serve");
+        .expect("spawn pdb");
     let stdout = child.stdout.take().expect("piped stdout");
-    let mut fleet = Fleet { child, addr: String::new(), shard_pids: Vec::new() };
+    let mut served = Served { child, addr: String::new(), shard_pids: Vec::new() };
     let mut reader = std::io::BufReader::new(stdout);
     let mut line = String::new();
-    while fleet.addr.is_empty() {
+    while served.addr.is_empty() {
         line.clear();
-        if reader.read_line(&mut line).expect("read fleet stdout") == 0 {
-            panic!("fleet exited before announcing readiness");
+        if reader.read_line(&mut line).expect("read pdb stdout") == 0 {
+            panic!("pdb {args:?} exited before announcing readiness");
         }
         match line.split_whitespace().collect::<Vec<_>>()[..] {
             // "pdb-fleet shard <i> pid <pid> listening on <addr>"
             ["pdb-fleet", "shard", _, "pid", pid, ..] => {
-                fleet.shard_pids.push(pid.parse().expect("shard pid"))
+                served.shard_pids.push(pid.parse().expect("shard pid"))
             }
             // "pdb-fleet router listening on <addr> (<n> shards)"
-            ["pdb-fleet", "router", "listening", "on", addr, ..] => fleet.addr = addr.to_string(),
+            ["pdb-fleet", "router", "listening", "on", addr, ..] => served.addr = addr.to_string(),
+            // "pdb-server listening on <addr> (<n> threads)"
+            ["pdb-server", "listening", "on", addr, ..] => served.addr = addr.to_string(),
             _ => {}
         }
     }
@@ -72,7 +76,7 @@ fn spawn_fleet() -> Fleet {
             sink.clear();
         }
     });
-    fleet
+    served
 }
 
 /// Lines of the process's memory map.
@@ -80,37 +84,51 @@ fn mappings(pid: u32) -> usize {
     std::fs::read_to_string(format!("/proc/{pid}/maps")).expect("read maps").lines().count()
 }
 
-/// Open a connection, send one `stats` (forwarded to the shard), close.
+/// Open a connection, send one `stats` (a router forwards it to the
+/// shard), close.
 fn one_request(addr: &str) {
-    let mut client = Client::connect(addr).expect("connect to the router");
-    client.stats().expect("stats through the router");
+    let mut client = Client::connect(addr).expect("connect");
+    client.stats().expect("stats");
+}
+
+/// `CONNECTIONS` one-request connections must not grow the process's
+/// memory map by `MAX_GROWTH` lines; then shut it down.
+fn lets_go_of_finished_connection_threads(mut served: Served, what: &str) {
+    let pid = served.child.id();
+    // Warm up: the first connections map the allocator arenas and the
+    // thread stacks that later threads reuse.
+    for _ in 0..20 {
+        one_request(&served.addr);
+    }
+    let before = mappings(pid);
+    for _ in 0..CONNECTIONS {
+        one_request(&served.addr);
+    }
+    let after = mappings(pid);
+    assert!(
+        after < before + MAX_GROWTH,
+        "{CONNECTIONS} ended connections grew the {what}'s maps from {before} to {after} lines"
+    );
+
+    Client::connect(&served.addr).expect("connect").shutdown().expect("shutdown reply");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while served.child.try_wait().expect("poll pdb").is_none() {
+        assert!(Instant::now() < deadline, "the {what} did not exit after shutdown");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // A clean exit reaped the shards; their pids may be reused.
+    served.shard_pids.clear();
 }
 
 #[test]
 fn the_router_lets_go_of_finished_connection_threads() {
-    let mut fleet = spawn_fleet();
-    let router = fleet.child.id();
-    // Warm up: the first connections map the allocator arenas and the
-    // thread stacks that later threads reuse.
-    for _ in 0..20 {
-        one_request(&fleet.addr);
-    }
-    let before = mappings(router);
-    for _ in 0..CONNECTIONS {
-        one_request(&fleet.addr);
-    }
-    let after = mappings(router);
-    assert!(
-        after < before + MAX_GROWTH,
-        "{CONNECTIONS} ended connections grew the router's maps from {before} to {after} lines"
-    );
+    let fleet =
+        spawn(&["fleet", "serve", "--addr", "127.0.0.1:0", "--shards", "1", "--threads", "2"]);
+    lets_go_of_finished_connection_threads(fleet, "router");
+}
 
-    Client::connect(&fleet.addr).expect("connect").shutdown().expect("shutdown reply");
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while fleet.child.try_wait().expect("poll the router").is_none() {
-        assert!(Instant::now() < deadline, "the router did not exit after shutdown");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    // A clean exit reaped the shards; their pids may be reused.
-    fleet.shard_pids.clear();
+#[test]
+fn pdb_serve_lets_go_of_finished_connection_threads() {
+    let server = spawn(&["serve", "--addr", "127.0.0.1:0", "--threads", "2"]);
+    lets_go_of_finished_connection_threads(server, "server");
 }

@@ -3,10 +3,14 @@
 //! blocked listener through the loopback of the bound port, because an
 //! unspecified address is not connectable on every platform.
 //!
-//! The fleet case sends `shutdown` on a connection that already used the
-//! only shard, which has one worker thread.  The router holds that worker
-//! for the connection, so the shards may only be asked to stop after the
-//! router's connections have drained.
+//! The fleet cases run one shard that serves one connection at a time.
+//! In the first, `shutdown` goes over a router connection that already
+//! used the shard: the router holds the shard's only connection slot
+//! for it, so the shards may only be asked to stop after the router's
+//! connections have drained.  In the second, a client connected straight
+//! to the shard holds that slot through the whole shutdown: the router
+//! does not wait for the shard's reply, and kills the shard once its
+//! shutdown deadline has passed.
 
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -19,12 +23,13 @@ const EXIT_TIMEOUT: Duration = Duration::from_secs(20);
 /// How long one request may wait for its reply.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(8);
 
-/// A spawned `pdb` process and the shard pids it announced, killed on
-/// drop so a failing test never leaks them (shards explicitly: a killed
+/// A spawned `pdb` process and the shards it announced, killed on drop
+/// so a failing test never leaks them (shards explicitly: a killed
 /// router cannot reap them).
 struct Spawned {
     child: Child,
     shard_pids: Vec<u32>,
+    shard_addrs: Vec<SocketAddr>,
 }
 
 impl Drop for Spawned {
@@ -49,7 +54,7 @@ fn spawn(args: &[&str], ready: &str) -> (Spawned, u16) {
         .spawn()
         .expect("spawn pdb");
     let stdout = child.stdout.take().expect("piped stdout");
-    let mut spawned = Spawned { child, shard_pids: Vec::new() };
+    let mut spawned = Spawned { child, shard_pids: Vec::new(), shard_addrs: Vec::new() };
     let mut reader = std::io::BufReader::new(stdout);
     let mut line = String::new();
     loop {
@@ -58,10 +63,11 @@ fn spawn(args: &[&str], ready: &str) -> (Spawned, u16) {
             panic!("pdb {args:?} exited before announcing readiness");
         }
         // "pdb-fleet shard <i> pid <pid> listening on <addr>"
-        if let ["pdb-fleet", "shard", _, "pid", pid, ..] =
+        if let ["pdb-fleet", "shard", _, "pid", pid, "listening", "on", addr] =
             line.split_whitespace().collect::<Vec<_>>()[..]
         {
             spawned.shard_pids.push(pid.parse().expect("shard pid"));
+            spawned.shard_addrs.push(addr.parse().expect("shard address"));
         }
         if let Some(rest) = line.trim().strip_prefix(ready) {
             let addr: SocketAddr =
@@ -128,8 +134,28 @@ fn fleet_serve_on_the_wildcard_address_exits_after_shutdown() {
         &["fleet", "serve", "--addr", "0.0.0.0:0", "--shards", "1", "--threads", "1"],
         "pdb-fleet router listening on ",
     );
-    // The session pins the shard's only worker to this connection.
+    // The session pins the shard's only connection slot to this
+    // router connection.
     let create =
         r#"{"create_session": {"dataset": "Udb1", "probe_cost": 1, "probe_success": 0.8}}"#;
     shut_down(spawned, port, &[create]);
+}
+
+#[test]
+fn fleet_serve_exits_after_shutdown_while_a_client_holds_a_one_thread_shard() {
+    let (spawned, port) = spawn(
+        &["fleet", "serve", "--addr", "0.0.0.0:0", "--shards", "1", "--threads", "1"],
+        "pdb-fleet router listening on ",
+    );
+    // A client straight to the shard, served (so holding the shard's only
+    // connection slot) and kept open until the router has exited.
+    let direct = TcpStream::connect(spawned.shard_addrs[0]).expect("connect to the shard");
+    direct.set_read_timeout(Some(REPLY_TIMEOUT)).expect("set read timeout");
+    let mut reader = std::io::BufReader::new(direct.try_clone().expect("clone stream"));
+    writeln!(&direct, "\"stats\"").expect("send stats to the shard");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("stats reply from the shard");
+    assert!(reply.contains("\"stats\""), "stats reply: {reply}");
+    shut_down(spawned, port, &[]);
+    drop(direct);
 }

@@ -1,8 +1,9 @@
 //! The shard-process supervisor.
 //!
 //! A [`Fleet`] spawns N `pdb serve` shard processes (each a full
-//! [`pdb_server::Server`] with its own store directory and WAL), parses
-//! their readiness lines to learn the ephemeral addresses they bound, and
+//! [`pdb_server::Server`] with its own store directory and WAL, started
+//! with the `pdb serve` flags the fleet was given), parses their
+//! readiness lines to learn the ephemeral addresses they bound, and
 //! can respawn a shard that died — the respawn reuses the shard's store
 //! directory, so WAL replay rehydrates every journalled session before
 //! the shard accepts its first forwarded request.  That recovery path is
@@ -13,18 +14,22 @@
 //! segfault) without taking the others down, which no amount of
 //! in-process sharding provides.
 
-use pdb_server::protocol::SessionCreated;
-use pdb_server::{Client, RetryPolicy};
-use pdb_store::FlushPolicy;
-use std::io::{BufRead, BufReader, Read};
-use std::net::SocketAddr;
+use pdb_server::protocol::{self, Request, SessionCreated};
+use pdb_server::Client;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
-/// The readiness line prefix every shard (a plain `pdb serve`) prints
+/// The readiness line prefix `pdb serve` — and so every shard — prints
 /// once its listener is bound.
 pub const SHARD_READY_PREFIX: &str = "pdb-server listening on ";
+
+/// How long [`Fleet::shutdown`] waits for the shards to exit before it
+/// kills the ones still running.
+const SHUTDOWN_DEADLINE: Duration = Duration::from_secs(5);
 
 /// How a [`Fleet`] spawns its shard processes.
 #[derive(Debug, Clone)]
@@ -34,43 +39,24 @@ pub struct FleetConfig {
     pub program: PathBuf,
     /// Shard processes to run.
     pub shards: usize,
-    /// Worker threads per shard process.
-    pub threads: usize,
     /// Base store directory; shard `i` journals into `<dir>/shard-<i>`.
     /// `None` runs shards in memory — a killed shard then loses its
     /// sessions on respawn, so durability-sensitive fleets set this.
     pub store_dir: Option<PathBuf>,
-    /// Per-shard auto-compaction threshold (0 disables).
-    pub compact_every: u64,
-    /// How each shard's group commit batches journal fsyncs.
-    pub flush: FlushPolicy,
+    /// Further `pdb serve` flags, passed to every shard as given
+    /// (`--threads`, `--compact-every`, `--flush*`).
+    pub shard_flags: Vec<String>,
 }
 
 impl FleetConfig {
     /// The `pdb serve` argument vector for shard `index`.
     fn shard_args(&self, index: usize) -> Vec<String> {
-        let mut args = vec![
-            "serve".to_string(),
-            "--addr".to_string(),
-            "127.0.0.1:0".to_string(),
-            "--threads".to_string(),
-            self.threads.max(1).to_string(),
-            "--compact-every".to_string(),
-            self.compact_every.to_string(),
-        ];
+        let mut args = vec!["serve".to_string(), "--addr".to_string(), "127.0.0.1:0".to_string()];
         if let Some(base) = &self.store_dir {
             args.push("--store-dir".to_string());
             args.push(base.join(format!("shard-{index}")).display().to_string());
         }
-        let FlushPolicy::GroupCommit { max_batch, max_wait } = self.flush;
-        args.extend([
-            "--flush".to_string(),
-            "group-commit".to_string(),
-            "--flush-batch".to_string(),
-            max_batch.to_string(),
-            "--flush-wait-ms".to_string(),
-            max_wait.as_millis().to_string(),
-        ]);
+        args.extend(self.shard_flags.iter().cloned());
         args
     }
 }
@@ -188,27 +174,30 @@ impl Fleet {
         }
     }
 
-    /// Ask every shard to drain and stop, then reap the processes.  A
-    /// shard that cannot be reached (already dead, or refusing) is
-    /// killed instead — shutdown must terminate the fleet either way.
+    /// Ask every shard to drain and stop, wait for them to exit until
+    /// one shared deadline, and kill the ones still running then, or
+    /// that could not be asked.  A shard's reply is not awaited: the
+    /// request may wait in its accept queue behind a client connected to
+    /// it directly.  The router calls this once its own connections have
+    /// drained, so only such a direct client's in-flight request can be
+    /// cut, and every acknowledged record is already durable.
     pub fn shutdown(&self) {
-        for slot in &self.shards {
-            let mut handle = lock(slot);
-            let polite = Client::connect_with(
-                handle.addr,
-                &RetryPolicy {
-                    connect_timeout: std::time::Duration::from_millis(500),
-                    attempts: 1,
-                    base_backoff: std::time::Duration::from_millis(1),
-                },
-            )
-            .map_err(|_| ())
-            .and_then(|mut client| client.shutdown().map_err(|_| ()));
-            if polite.is_err() {
-                kill_handle(&mut handle);
+        let mut handles: Vec<_> = self.shards.iter().map(lock).collect();
+        // Held open until the shards exit, so a shard that reaches the
+        // request can write its reply.
+        let mut requests = Vec::new();
+        for handle in &mut handles {
+            match send_shutdown(handle.addr) {
+                Ok(stream) => requests.push(stream),
+                Err(_) => kill_handle(handle),
             }
-            // pdb-analyze: allow(error-swallow): reaping a shard that already exited errs harmlessly
-            let _ = handle.child.wait();
+        }
+        let deadline = Instant::now() + SHUTDOWN_DEADLINE;
+        for handle in &mut handles {
+            while matches!(handle.child.try_wait(), Ok(None)) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            kill_handle(handle);
         }
     }
 
@@ -238,6 +227,15 @@ impl Drop for Fleet {
 /// any way that matters more than losing the whole shard would.
 fn lock(slot: &Mutex<ShardHandle>) -> std::sync::MutexGuard<'_, ShardHandle> {
     slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Send `shutdown` to the shard at `addr` without waiting for the reply.
+fn send_shutdown(addr: SocketAddr) -> std::io::Result<TcpStream> {
+    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_millis(500))?;
+    let line = protocol::encode(&Request::Shutdown)
+        .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err.to_string()))?;
+    writeln!(stream, "{line}")?;
+    Ok(stream)
 }
 
 fn kill_handle(handle: &mut ShardHandle) {
@@ -335,7 +333,7 @@ pub fn stream_session(
     probe_cost: u64,
     probe_success: f64,
 ) -> Result<SessionCreated, StreamError> {
-    use pdb_server::protocol::{CreateSession, DatasetSpec, Request};
+    use pdb_server::protocol::{CreateSession, DatasetSpec};
     use pdb_server::Response;
 
     let persisted = src.persist(session)?;
@@ -357,5 +355,39 @@ pub fn stream_session(
             other.kind()
         ))
         .into()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_shard_binds_its_own_port_and_store_and_takes_the_flags_as_given() {
+        let config = FleetConfig {
+            program: PathBuf::from("pdb"),
+            shards: 2,
+            store_dir: Some(PathBuf::from("/var/lib/pdb")),
+            shard_flags: ["--threads", "1", "--flush-batch", "8"].map(String::from).to_vec(),
+        };
+        assert_eq!(
+            config.shard_args(1),
+            [
+                "serve",
+                "--addr",
+                "127.0.0.1:0",
+                "--store-dir",
+                "/var/lib/pdb/shard-1",
+                "--threads",
+                "1",
+                "--flush-batch",
+                "8"
+            ]
+        );
+        let in_memory = FleetConfig { store_dir: None, ..config };
+        assert_eq!(
+            in_memory.shard_args(0),
+            ["serve", "--addr", "127.0.0.1:0", "--threads", "1", "--flush-batch", "8"]
+        );
     }
 }

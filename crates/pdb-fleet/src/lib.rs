@@ -9,18 +9,22 @@
 //!   SplitMix64 mixer: adding or removing a shard remaps only ~`1/N` of
 //!   session ids;
 //! * [`fleet`] — the shard-process supervisor: spawns N `pdb serve`
-//!   processes (each with its own store directory and WAL), respawns a
-//!   dead shard (WAL replay rehydrates its sessions), and streams
-//!   snapshots between live peers ([`fleet::stream_session`]) so a fresh
-//!   replica needs no shared disk;
+//!   processes (each with its own store directory and WAL, and the
+//!   `pdb serve` flags the fleet was given), respawns a dead shard (WAL
+//!   replay rehydrates its sessions), and streams snapshots between live
+//!   peers ([`fleet::stream_session`]) so a fresh replica needs no
+//!   shared disk;
 //! * [`router`] — the router: accepts the *existing* wire protocol,
 //!   pins fleet-wide session ids into `create_session`,
-//!   forwards each request to the ring-owning shard, merges `stats`
-//!   across shards, and fails over (respawn + bounded retry) when a
-//!   shard dies mid-traffic — never panicking on a malformed reply.  Its
-//!   client connections run through `pdb-server`'s connection loop.
+//!   forwards each request to the ring-owning shard, merges `stats` and
+//!   `metrics` across shards, and fails over (respawn + bounded retry)
+//!   when a shard dies mid-traffic — never panicking on a malformed
+//!   reply.  It accepts and serves its client connections through
+//!   `pdb-server`'s own accept and connection loops.
 //!
-//! `pdb fleet serve --shards N` wires all three together; the
+//! `pdb fleet serve --shards N` wires all three together, and passes
+//! every flag but `--addr`, `--shards` and `--store-dir` to each shard's
+//! `pdb serve` as given; the
 //! `fleet_kill_and_recover` test SIGKILLs a shard of a live fleet under
 //! concurrent traffic and asserts zero acknowledged probes are lost.
 

@@ -28,21 +28,21 @@
 //! shard reply**: every decode failure becomes an `{"error": ...}` line
 //! for the client, and the poisoned connection is dropped.
 //!
-//! Client connections run through pdb-server's own connection loop
-//! ([`pdb_server::serve_connection`]), so persistent clients behave
+//! Client connections run through pdb-server's own accept and
+//! connection loops ([`pdb_server::accept_connections`],
+//! [`pdb_server::serve_connection`]), so persistent clients behave
 //! identically against a router and a single server.
 
 use crate::fleet::Fleet;
 use crate::ring::HashRing;
 use pdb_obs::snapshot::MetricsSnapshot;
-use pdb_server::protocol::{self, CreateSession, MetricsReply, ServerStats};
-use pdb_server::{serve_connection, wake_listener};
+use pdb_server::protocol::{self, CreateSession, ServerStats};
+use pdb_server::{accept_connections, serve_connection, wake_listener};
 use pdb_server::{Client, ClientError, Request, Response, RetryPolicy, SessionIds};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Forward attempts per request: the first try plus one retry after the
 /// shard was respawned.  More would stall the client behind a shard that
@@ -51,7 +51,7 @@ const FORWARD_ATTEMPTS: usize = 2;
 
 /// State shared by every router connection thread.
 struct RouterShared {
-    fleet: Arc<Fleet>,
+    fleet: Fleet,
     ring: HashRing,
     /// Fleet-wide session id allocator: the router pins an id into every
     /// `create_session` it forwards, so ids are unique across shards and
@@ -69,14 +69,14 @@ struct RouterShared {
 /// A bound (but not yet running) fleet router.
 pub struct Router {
     listener: TcpListener,
-    shared: Arc<RouterShared>,
+    shared: RouterShared,
 }
 
 impl Router {
     /// Bind the router over a spawned fleet.  The session-id allocator
     /// is seeded past every session the shards recovered from their
     /// stores, so new ids never collide with rehydrated ones.
-    pub fn bind(addr: &str, fleet: Arc<Fleet>) -> std::io::Result<Self> {
+    pub fn bind(addr: &str, fleet: Fleet) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let retry = RetryPolicy::default();
         let mut shared = RouterShared {
@@ -88,7 +88,7 @@ impl Router {
             fleet,
         };
         shared.seed_next_id();
-        Ok(Self { listener, shared: Arc::new(shared) })
+        Ok(Self { listener, shared })
     }
 
     /// The address the listener actually bound (resolves port 0).
@@ -97,51 +97,28 @@ impl Router {
     }
 
     /// Accept and route connections until a `shutdown` request arrives,
-    /// then drain, shut the fleet down and return.  One thread per
-    /// connection: the router does no evaluation work of its own, so a
-    /// connection's thread is almost always parked on I/O and a pool
-    /// would only add queueing.
+    /// then drain, shut the fleet down and return.  Connections are not
+    /// limited: the router does no evaluation work of its own, so a
+    /// connection's thread is almost always parked on I/O.
     pub fn run(self) -> std::io::Result<()> {
         let addr = self.listener.local_addr()?;
-        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        for conn in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break; // the self-wake (or a raced client) is dropped
-            }
-            match conn {
-                Ok(stream) => {
-                    // Let go of finished connection threads: an exited
-                    // thread that nobody joined keeps its stack mapped.
-                    handles.retain(|handle| !handle.is_finished());
-                    let shared = Arc::clone(&self.shared);
-                    handles.push(std::thread::spawn(move || {
-                        // Shard connections are per-router-connection: one
-                        // client's requests flow down one TCP stream per
-                        // shard, so replies can never interleave across
-                        // router connections.
-                        let mut clients = HashMap::new();
-                        // pdb-analyze: allow(error-swallow): a failed reply write only ends this client's connection; the router keeps no metric for it
-                        let _ = serve_connection(stream, &shared.shutdown, |line| {
-                            match protocol::decode_request(line) {
-                                Ok(request) => shared.dispatch(request, &mut clients, addr),
-                                Err(err) => Response::error(format!("malformed request: {err}")),
-                            }
-                        });
-                    }));
-                }
-                Err(_) => {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    continue;
-                }
-            }
-        }
-        for handle in handles {
-            // pdb-analyze: allow(error-swallow): join only errs if the connection thread panicked; drain the rest regardless
-            let _ = handle.join();
-        }
+        let shared = &self.shared;
+        accept_connections(&self.listener, &shared.shutdown, usize::MAX, |stream| {
+            // Shard connections are per-router-connection: one client's
+            // requests flow down one TCP stream per shard, so replies can
+            // never interleave across router connections.
+            let mut clients = HashMap::new();
+            let route = |line: &str| match protocol::decode_request(line) {
+                Ok(request) => shared.dispatch(request, &mut clients, addr),
+                Err(err) => Response::error(format!("malformed request: {err}")),
+            };
+            // pdb-analyze: allow(error-swallow): a failed reply write only ends this client's connection; the router keeps no metric for it
+            let _ = serve_connection(stream, &shared.shutdown, route);
+        });
         // Every connection thread has dropped its shard connections, so
-        // no shard worker is held by this router while it shuts down.
-        self.shared.fleet.shutdown();
+        // this router holds no shard's connection slot while it shuts
+        // the fleet down.
+        shared.fleet.shutdown();
         Ok(())
     }
 }
@@ -300,14 +277,7 @@ impl RouterShared {
         let mut merged = MetricsSnapshot::default();
         for shard in self.ring.shards() {
             match self.forward(clients, shard, &Request::Metrics) {
-                Response::Metrics(reply) => match reply.to_snapshot() {
-                    Ok(snapshot) => merged.merge(&snapshot),
-                    Err(err) => {
-                        return Response::error(format!(
-                            "metrics from shard {shard} do not merge: {err}"
-                        ))
-                    }
-                },
+                Response::Metrics(snapshot) => merged.merge(&snapshot),
                 Response::Error(reply) => {
                     return Response::error(format!(
                         "metrics from shard {shard} failed: {}",
@@ -323,7 +293,7 @@ impl RouterShared {
             }
         }
         merged.merge(&pdb_obs::metrics::snapshot());
-        Response::Metrics(MetricsReply::from(merged))
+        Response::Metrics(merged)
     }
 
     /// Route one request (see the module-level table).
@@ -359,8 +329,9 @@ impl RouterShared {
             Request::Stats => return self.merged_stats(clients),
             Request::Metrics => return self.merged_metrics(clients),
             // The fleet shuts down in `Router::run`, after the connection
-            // threads drained: a shard with one worker may be held by one
-            // of them, and a polite `shutdown` would queue behind it.
+            // threads drained: a shard serving one connection at a time
+            // may be held by one of them, and a polite `shutdown` would
+            // queue behind it.
             Request::Shutdown => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 wake_listener(router_addr);

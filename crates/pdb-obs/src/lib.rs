@@ -3,8 +3,8 @@
 //! Everything here is built for the hot path of a server that is also
 //! doing real work:
 //!
-//! * **No dependencies.**  Like the rest of the workspace this crate is
-//!   std-only; nothing here allocates per event.
+//! * **One dependency.**  The vendored `serde`, so a snapshot is the
+//!   `metrics` wire reply itself; nothing here allocates per event.
 //! * **Relaxed atomics, no locks.**  An increment is one
 //!   `fetch_add(Relaxed)`; a histogram record is three.  Metrics are
 //!   monotone counters — cross-metric ordering carries no meaning, so
@@ -23,9 +23,9 @@
 //!   overhead can be *measured* (the `obs_overhead` bench) instead of
 //!   assumed.
 //!
-//! [`snapshot::MetricsSnapshot`] is the plain-data view: what the
-//! `metrics` verb serializes, what the router merges across shards, and
-//! what [`text::render`] formats for Prometheus-style scrapes.
+//! [`snapshot::MetricsSnapshot`] is the plain-data view: the `metrics`
+//! verb's reply as it crosses the wire, what the router merges across
+//! shards, and what [`text::render`] formats for Prometheus-style scrapes.
 
 #![forbid(unsafe_code)]
 

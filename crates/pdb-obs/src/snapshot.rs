@@ -1,6 +1,6 @@
-//! Plain-data metric snapshots: what the `metrics` wire verb carries,
-//! what a fleet router merges across shards, and what the text
-//! exposition renders.
+//! Plain-data metric snapshots: the `metrics` wire verb's reply (the
+//! serde impls here are its JSON), what a fleet router merges across
+//! shards, and what the text exposition renders.
 //!
 //! The merge is the load-bearing part.  Each shard process samples its
 //! own static registry; the router folds the per-shard snapshots into
@@ -11,8 +11,11 @@
 //! proptest suite in `tests/histogram_props.rs` pins this down.
 
 use crate::{bucket_upper_bound, HISTOGRAM_BUCKETS};
+use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
-/// What kind of series a sample came from.
+/// What kind of series a sample came from.  On the wire it is its
+/// [`as_str`](Self::as_str) spelling; an unknown spelling (a newer
+/// peer's kind) fails to decode rather than merge under a wrong rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SampleKind {
     /// Monotone event count; merges by wrapping sum.
@@ -44,9 +47,24 @@ impl SampleKind {
     }
 }
 
+impl Serialize for SampleKind {
+    fn to_value(&self) -> Value {
+        Value::Str(self.as_str().to_string())
+    }
+}
+
+impl Deserialize for SampleKind {
+    fn from_value(value: &Value) -> Result<Self, SerdeError> {
+        value
+            .as_str()
+            .and_then(SampleKind::parse)
+            .ok_or_else(|| SerdeError::custom(format!("unknown metric kind {value:?}")))
+    }
+}
+
 /// One sampled series (one scalar, or one histogram, for one label of a
 /// family).  Unlabeled series carry empty `label_key`/`label_value`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SeriesSample {
     /// Canonical metric name.
     pub name: String,
@@ -127,7 +145,7 @@ impl SeriesSample {
 }
 
 /// A full registry sample from one process (or a merged fleet view).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Every sampled series, sorted by `(name, label_key, label_value)`
     /// after a merge; in registry order when freshly sampled.

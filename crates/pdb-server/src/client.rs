@@ -354,7 +354,8 @@ impl Client {
         }
     }
 
-    /// `metrics`: every registered observability series.
+    /// `metrics`: every registered observability series, as pdb-obs's
+    /// mergeable snapshot.
     pub fn metrics(&mut self) -> Result<MetricsReply, ClientError> {
         match self.call(&Request::Metrics)? {
             Response::Metrics(reply) => Ok(reply),

@@ -17,10 +17,11 @@
 //!   to a `pdb-store` write-ahead log, and on startup each session is
 //!   rebuilt by replaying its records through the same session calls
 //!   (see the *Persistence & recovery* README section);
-//! * [`server`] — the `std::net` TCP server: a listener feeding a worker
-//!   thread pool, with graceful drain on `shutdown`.  Its per-connection
-//!   loop ([`serve_connection`]) and listener self-wake
-//!   ([`wake_listener`]) also serve the fleet router's connections;
+//! * [`server`] — the `std::net` TCP server: one thread per connection,
+//!   at most `--threads` at once, with graceful drain on `shutdown`.  Its
+//!   accept loop ([`accept_connections`]), per-connection loop
+//!   ([`serve_connection`]) and listener self-wake ([`wake_listener`])
+//!   also serve the fleet router's connections;
 //! * [`client`] — a blocking client used by `pdb call`, the loopback
 //!   integration test and the `server_throughput` bench.
 //!
@@ -56,5 +57,5 @@ pub mod session;
 
 pub use client::{Client, ClientError, RetryPolicy};
 pub use protocol::{DatasetSpec, Request, Response};
-pub use server::{serve_connection, wake_listener, Server, ServerConfig};
+pub use server::{accept_connections, serve_connection, wake_listener, Server, ServerConfig};
 pub use session::{Session, SessionIds, SessionManager};

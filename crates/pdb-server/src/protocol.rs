@@ -519,7 +519,8 @@ pub struct ServerStats {
     /// Shard processes behind this address: 1 for a server, the ring
     /// size for a fleet router.
     pub shards: usize,
-    /// Number of worker threads.
+    /// Connections served at once (`--threads`); a fleet router
+    /// reports the sum over its shards.
     pub threads: usize,
     /// Whether sessions are journalled to a durable store
     /// (`--store-dir`).
@@ -580,81 +581,12 @@ impl Deserialize for ServerStats {
     }
 }
 
-/// One sampled observability series inside a [`MetricsReply`]: the wire
-/// mirror of [`pdb_obs::snapshot::SeriesSample`].  `label_key` /
-/// `label_value` are empty for unlabeled series; `buckets` is the
-/// trimmed log2 bucket array (empty for scalars and never-recorded
-/// histograms).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricSeries {
-    /// Canonical metric name (see `pdb_obs::names`).
-    pub name: String,
-    /// `"counter"`, `"gauge"` or `"histogram"`.
-    pub kind: String,
-    /// Label dimension (e.g. `"verb"`), empty when unlabeled.
-    pub label_key: String,
-    /// Label value (e.g. `"evaluate"`), empty when unlabeled.
-    pub label_value: String,
-    /// Counter/gauge value; for histograms, the observation count.
-    pub value: u64,
-    /// Histogram observation sum (0 for scalars).
-    pub sum: u64,
-    /// Trimmed histogram buckets (empty for scalars).
-    pub buckets: Vec<u64>,
-}
-
 /// Response to `metrics`: every registered series of the answering
 /// process — or, from a fleet router, the associative merge of every
-/// shard's snapshot plus the router's own series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricsReply {
-    /// All sampled series, registry-ordered (canonically sorted after a
-    /// fleet merge).
-    pub series: Vec<MetricSeries>,
-}
-
-impl From<pdb_obs::snapshot::MetricsSnapshot> for MetricsReply {
-    fn from(snapshot: pdb_obs::snapshot::MetricsSnapshot) -> Self {
-        MetricsReply {
-            series: snapshot
-                .series
-                .into_iter()
-                .map(|s| MetricSeries {
-                    name: s.name,
-                    kind: s.kind.as_str().to_string(),
-                    label_key: s.label_key,
-                    label_value: s.label_value,
-                    value: s.value,
-                    sum: s.sum,
-                    buckets: s.buckets,
-                })
-                .collect(),
-        }
-    }
-}
-
-impl MetricsReply {
-    /// Convert back into the mergeable snapshot form.  Fails on a series
-    /// kind this build does not know (a newer peer's reply).
-    pub fn to_snapshot(&self) -> Result<pdb_obs::snapshot::MetricsSnapshot, SerdeError> {
-        let mut series = Vec::with_capacity(self.series.len());
-        for s in &self.series {
-            let kind = pdb_obs::snapshot::SampleKind::parse(&s.kind).ok_or_else(|| {
-                SerdeError::custom(format!("unknown metric kind {:?} in series {}", s.kind, s.name))
-            })?;
-            series.push(pdb_obs::snapshot::SeriesSample {
-                name: s.name.clone(),
-                kind,
-                label_key: s.label_key.clone(),
-                label_value: s.label_value.clone(),
-                value: s.value,
-                sum: s.sum,
-                buckets: s.buckets.clone(),
-            });
-        }
-        Ok(pdb_obs::snapshot::MetricsSnapshot { series })
-    }
-}
+/// shard's snapshot plus the router's own series.  It is pdb-obs's own
+/// snapshot type, so a reply merges and renders as decoded; a series of
+/// a kind this build does not know fails to decode.
+pub type MetricsReply = pdb_obs::snapshot::MetricsSnapshot;
 
 /// Error payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -835,6 +767,7 @@ fn single_entry<'v>(value: &'v Value, what: &str) -> Result<(&'v str, &'v Value)
 mod tests {
     use super::*;
     use pdb_engine::delta::DeltaStats;
+    use pdb_obs::snapshot::{SampleKind, SeriesSample};
 
     fn round_trip_request(req: &Request) {
         let json = encode(req).unwrap();
@@ -1024,24 +957,14 @@ mod tests {
         }));
         round_trip_response(&Response::Metrics(MetricsReply {
             series: vec![
-                MetricSeries {
-                    name: "engine_psr_runs_total".to_string(),
-                    kind: "counter".to_string(),
-                    label_key: String::new(),
-                    label_value: String::new(),
-                    value: 3,
-                    sum: 0,
-                    buckets: Vec::new(),
-                },
-                MetricSeries {
-                    name: "server_request_latency_ns".to_string(),
-                    kind: "histogram".to_string(),
-                    label_key: "verb".to_string(),
-                    label_value: "evaluate".to_string(),
-                    value: 2,
-                    sum: 1025,
-                    buckets: vec![0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
-                },
+                SeriesSample::scalar("engine_psr_runs_total", SampleKind::Counter, 3),
+                SeriesSample::histogram(
+                    "server_request_latency_ns",
+                    2,
+                    1025,
+                    &[0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+                )
+                .labeled("verb", "evaluate"),
             ],
         }));
         round_trip_response(&Response::ShuttingDown);
@@ -1074,23 +997,36 @@ mod tests {
         assert!(!encoded.contains("flush_error"), "{encoded}");
     }
 
+    /// The `metrics` reply is pdb-obs's snapshot on the wire: one counter
+    /// and one histogram series encode exactly as the field-by-field
+    /// wire mirror this replaced did, and a kind this build does not know
+    /// fails at decode instead of merging under a wrong rule.
     #[test]
     fn metrics_replies_convert_to_mergeable_snapshots() {
-        let reply: MetricsReply = pdb_obs::metrics::snapshot().into();
-        let snapshot = reply.to_snapshot().unwrap();
-        assert_eq!(snapshot.series.len(), reply.series.len());
-        let bad = MetricsReply {
-            series: vec![MetricSeries {
-                name: "x".to_string(),
-                kind: "tachometer".to_string(),
-                label_key: String::new(),
-                label_value: String::new(),
-                value: 0,
-                sum: 0,
-                buckets: Vec::new(),
-            }],
-        };
-        assert!(bad.to_snapshot().is_err(), "unknown kinds must not merge silently");
+        let counter = "{\"name\":\"engine_psr_runs_total\",\"kind\":\"counter\",\
+                       \"label_key\":\"\",\"label_value\":\"\",\"value\":3,\"sum\":0,\
+                       \"buckets\":[]}";
+        let histogram = "{\"name\":\"server_request_latency_ns\",\"kind\":\"histogram\",\
+                         \"label_key\":\"verb\",\"label_value\":\"evaluate\",\"value\":2,\
+                         \"sum\":1025,\"buckets\":[0,1,0,0,0,0,0,0,0,0,0,1]}";
+        let line = format!("{{\"metrics\":{{\"series\":[{counter},{histogram}]}}}}");
+        let reply = Response::Metrics(MetricsReply {
+            series: vec![
+                SeriesSample::scalar("engine_psr_runs_total", SampleKind::Counter, 3),
+                SeriesSample::histogram(
+                    "server_request_latency_ns",
+                    2,
+                    1025,
+                    &[0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
+                )
+                .labeled("verb", "evaluate"),
+            ],
+        });
+        assert_eq!(encode(&reply).unwrap(), line);
+        assert_eq!(decode_response(&line).unwrap(), reply);
+        let bad = line.replace("\"counter\"", "\"tachometer\"");
+        let err = decode_response(&bad).unwrap_err();
+        assert!(err.to_string().contains("tachometer"), "{err}");
     }
 
     #[test]

@@ -1,29 +1,31 @@
-//! The TCP server: listener, worker thread pool and request dispatch.
+//! The TCP server: listener, one thread per connection, and request
+//! dispatch.
 //!
-//! Built on `std::net` only.  The listener thread accepts connections and
-//! hands them to a fixed pool of worker threads over an MPSC queue; each
-//! worker reads newline-delimited JSON requests off its connection,
-//! dispatches them against the shared [`SessionManager`], and writes one
-//! response line per request.  A `shutdown` request flips the shared stop
-//! flag and wakes the listener; the queue is then drained — every
-//! connection already accepted finishes its in-flight request before its
-//! worker exits (idle connections poll the flag on a short read timeout,
-//! so a parked persistent client never wedges the drain) — and
-//! [`Server::run`] returns after joining the pool and any auto-compaction
-//! still running, so nothing it started still holds the store.
+//! Built on `std::net` only.  [`accept_connections`] serves each accepted
+//! connection on a thread of its own, at most `--threads` at once; each
+//! connection thread reads newline-delimited JSON requests, dispatches
+//! them against the shared [`SessionManager`], and writes one response
+//! line per request.  A `shutdown` request flips the shared stop flag
+//! and wakes the listener; every connection already accepted then
+//! finishes its in-flight request and ends (idle connections poll the
+//! flag on a short read timeout, so a parked persistent client never
+//! wedges the drain), and [`Server::run`] returns after joining those
+//! threads and any auto-compaction still running, so nothing it started
+//! still holds the store.
 //!
-//! The per-connection loop ([`serve_connection`]) and the listener
-//! self-wake ([`wake_listener`]) are public: the fleet router serves its
-//! connections through the same two functions.
+//! The accept loop ([`accept_connections`]), the per-connection loop
+//! ([`serve_connection`]) and the listener self-wake ([`wake_listener`])
+//! are public: the fleet router accepts and serves its connections
+//! through the same three functions.
 //!
-//! **Connections, not requests, are the pooled unit**: a worker serves
-//! one connection for that connection's lifetime, so at most `--threads`
+//! **Connections, not requests, are the limited unit**: a connection
+//! keeps its thread for its lifetime, so at most `--threads`
 //! *connections* are served concurrently and the `threads + 1`-th
-//! concurrent persistent client waits in the accept queue until a slot
-//! frees.  Size `--threads` to the expected number of concurrent
+//! concurrent persistent client waits in the accept queue until one
+//! ends.  Size `--threads` to the expected number of concurrent
 //! long-lived clients; the per-session locking (see
 //! [`crate::session`]) is what keeps one slow evaluation from blocking
-//! other *sessions* once their connections hold a worker.
+//! other *sessions* once their connections are served.
 
 use crate::protocol::{self, Request, Response, ServerStats};
 use crate::session::SessionManager;
@@ -32,8 +34,7 @@ use pdb_store::FlushPolicy;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 
 /// How a [`Server`] is configured (`pdb serve --addr --threads
@@ -42,10 +43,10 @@ use std::thread;
 pub struct ServerConfig {
     /// Address to bind (`127.0.0.1:7878`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// Worker threads handling connections.  Each worker owns one
-    /// connection for its lifetime, so this is also the maximum number of
-    /// concurrently served connections — size it to the expected number
-    /// of concurrent persistent clients.
+    /// Connections served at once, one thread each: a connection keeps
+    /// its thread for its lifetime, and further clients wait in the
+    /// accept queue — size it to the expected number of concurrent
+    /// persistent clients.
     pub threads: usize,
     /// Durable store directory.  When set, [`Server::bind`] recovers
     /// every journalled session from it (WAL replay through the live
@@ -78,8 +79,6 @@ impl Default for ServerConfig {
 pub struct Server {
     listener: TcpListener,
     manager: Arc<SessionManager>,
-    shutdown: Arc<AtomicBool>,
-    requests: Arc<AtomicU64>,
     threads: usize,
 }
 
@@ -108,13 +107,7 @@ impl Server {
             }
             None => SessionManager::new(),
         };
-        Ok(Self {
-            listener,
-            manager: Arc::new(manager),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            requests: Arc::new(AtomicU64::new(0)),
-            threads: config.threads.max(1),
-        })
+        Ok(Self { listener, manager: Arc::new(manager), threads: config.threads.max(1) })
     }
 
     /// Sessions recovered from the store at bind time (0 without a
@@ -132,76 +125,21 @@ impl Server {
     /// Accept and serve connections until a `shutdown` request arrives,
     /// then drain in-flight requests and return.
     pub fn run(self) -> std::io::Result<()> {
-        let addr = self.listener.local_addr()?;
-        // Bounded: with every worker busy, at most `threads` further
-        // accepted connections are buffered (the send below then blocks),
-        // so excess clients genuinely wait in the OS accept backlog as
-        // documented instead of accumulating in an unbounded queue.
-        let (queue_tx, queue_rx) = mpsc::sync_channel::<TcpStream>(self.threads);
-        let queue_rx = Arc::new(Mutex::new(queue_rx));
-        let compaction = Arc::new(Mutex::new(None));
-
-        let workers: Vec<thread::JoinHandle<()>> = (0..self.threads)
-            .map(|_| {
-                let queue_rx = Arc::clone(&queue_rx);
-                let ctx = HandlerContext {
-                    manager: Arc::clone(&self.manager),
-                    shutdown: Arc::clone(&self.shutdown),
-                    requests: Arc::clone(&self.requests),
-                    compaction: Arc::clone(&compaction),
-                    addr,
-                    threads: self.threads,
-                };
-                thread::spawn(move || loop {
-                    // Take the queue lock only long enough to pop one
-                    // connection; handling happens outside it.  Poisoning
-                    // recovery: the lock only ever guards `recv()`, which
-                    // cannot leave the channel torn, so one worker's panic
-                    // must not idle the rest of the pool.
-                    let conn = queue_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                    let Ok(stream) = conn else {
-                        break; // queue closed: drain complete
-                    };
-                    if serve_connection(stream, &ctx.shutdown, |line| handle_line(line, &ctx))
-                        .is_err()
-                    {
-                        obs::SERVER_ERRORS_TOTAL.with("io").inc();
-                    }
-                })
-            })
-            .collect();
-
-        for conn in self.listener.incoming() {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break; // the wake-up connection (or a raced client) is dropped
+        let ctx = HandlerContext {
+            manager: self.manager,
+            shutdown: AtomicBool::new(false),
+            requests: AtomicU64::new(0),
+            compaction: Mutex::new(None),
+            addr: self.listener.local_addr()?,
+            threads: self.threads,
+        };
+        accept_connections(&self.listener, &ctx.shutdown, ctx.threads, |stream| {
+            if serve_connection(stream, &ctx.shutdown, |line| handle_line(line, &ctx)).is_err() {
+                obs::SERVER_ERRORS_TOTAL.with("io").inc();
             }
-            match conn {
-                Ok(stream) => {
-                    // A send can only fail after every worker exited, which
-                    // only happens once shutdown already drained the queue.
-                    if queue_tx.send(stream).is_err() {
-                        break;
-                    }
-                }
-                Err(_) => {
-                    // Persistent accept failures (e.g. EMFILE when the fd
-                    // limit is hit) yield Err immediately and repeatedly;
-                    // back off briefly instead of busy-spinning a core.
-                    thread::sleep(std::time::Duration::from_millis(10));
-                    continue;
-                }
-            }
-        }
-
-        // Close the queue: workers finish the connections already accepted
-        // (draining their in-flight requests) and then exit.
-        drop(queue_tx);
-        for worker in workers {
-            // pdb-analyze: allow(error-swallow): join only errs if the worker panicked; shutdown must still reap the rest
-            let _ = worker.join();
-        }
-        // The workers are gone, so no compaction starts after this one.
-        if let Some(handle) = compaction.lock().unwrap_or_else(PoisonError::into_inner).take() {
+        });
+        // The connections are gone, so no compaction starts after this one.
+        if let Some(handle) = ctx.compaction.into_inner().unwrap_or_else(PoisonError::into_inner) {
             // pdb-analyze: allow(error-swallow): join only errs if the compaction panicked; its claim and the log are already settled either way
             let _ = handle.join();
         }
@@ -209,15 +147,107 @@ impl Server {
     }
 }
 
-/// Everything a worker needs to serve one connection.
+/// Everything a connection thread needs to serve its requests.
 struct HandlerContext {
     manager: Arc<SessionManager>,
-    shutdown: Arc<AtomicBool>,
-    requests: Arc<AtomicU64>,
+    shutdown: AtomicBool,
+    requests: AtomicU64,
     /// The auto-compaction thread started last, joined by [`Server::run`].
-    compaction: Arc<Mutex<Option<thread::JoinHandle<()>>>>,
+    compaction: Mutex<Option<thread::JoinHandle<()>>>,
     addr: SocketAddr,
     threads: usize,
+}
+
+/// Accept connections on `listener` until `shutdown` is set, serving each
+/// on a thread of its own with `serve`, at most `max_connections` at
+/// once: with every slot taken, the next client waits in the accept
+/// queue until a connection ends.  `pdb serve` passes `--threads`; the
+/// fleet router, whose threads only wait on I/O, passes `usize::MAX`.
+///
+/// Finished threads are joined at each accept, so an ended connection
+/// keeps no stack mapped, and the rest are joined before this returns.
+/// A connection's slot is freed when its thread ends, even by a panic
+/// in `serve`.  Set `shutdown` and then call [`wake_listener`] to stop
+/// the loop; `serve` must return once `shutdown` is set
+/// ([`serve_connection`] does).
+pub fn accept_connections(
+    listener: &TcpListener,
+    shutdown: &AtomicBool,
+    max_connections: usize,
+    serve: impl Fn(TcpStream) + Sync,
+) {
+    let slots = Slots { taken: Mutex::new(0), freed: Condvar::new() };
+    let serve = &serve;
+    thread::scope(|scope| {
+        let mut threads: Vec<thread::ScopedJoinHandle<'_, ()>> = Vec::new();
+        loop {
+            let slot = slots.take(max_connections.max(1));
+            let conn = listener.accept();
+            if shutdown.load(Ordering::SeqCst) {
+                break; // the wake-up connection (or a raced client) is dropped
+            }
+            let (finished, running) =
+                std::mem::take(&mut threads).into_iter().partition(|t| t.is_finished());
+            threads = running;
+            for handle in finished {
+                // pdb-analyze: allow(error-swallow): join only errs if the connection thread panicked; its slot is already free
+                let _ = handle.join();
+            }
+            let spawned = conn.and_then(|(stream, _)| {
+                thread::Builder::new().spawn_scoped(scope, move || {
+                    let _slot = slot;
+                    serve(stream);
+                })
+            });
+            match spawned {
+                Ok(handle) => threads.push(handle),
+                // Persistent accept failures (e.g. EMFILE when the fd
+                // limit is hit) and failed spawns yield Err immediately
+                // and repeatedly; back off briefly instead of
+                // busy-spinning a core.  The connection, if any, is
+                // dropped unserved.
+                Err(_) => thread::sleep(std::time::Duration::from_millis(10)),
+            }
+        }
+        for handle in threads {
+            // pdb-analyze: allow(error-swallow): join only errs if the connection thread panicked; shutdown must still reap the rest
+            let _ = handle.join();
+        }
+    });
+}
+
+/// The connection slots of [`accept_connections`]: how many are taken,
+/// and a wake-up for the accept loop when one is freed.
+struct Slots {
+    taken: Mutex<usize>,
+    freed: Condvar,
+}
+
+impl Slots {
+    /// Wait until fewer than `max` slots are taken, and take one.
+    fn take(&self, max: usize) -> Slot<'_> {
+        // Poisoning recovery: the lock only guards a count, which every
+        // holder leaves consistent.
+        let taken = self.taken.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut taken = self
+            .freed
+            .wait_while(taken, |taken| *taken >= max)
+            .unwrap_or_else(PoisonError::into_inner);
+        *taken += 1;
+        Slot(self)
+    }
+}
+
+/// One taken connection slot, freed on drop — also when the connection's
+/// handler unwinds.
+struct Slot<'a>(&'a Slots);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let mut taken = self.0.taken.lock().unwrap_or_else(PoisonError::into_inner);
+        *taken -= 1;
+        self.0.freed.notify_one();
+    }
 }
 
 /// How often an idle connection wakes from a blocking read to re-check
@@ -431,11 +461,45 @@ fn dispatch(request: Request, ctx: &HandlerContext) -> Response {
             flush_error: manager.store().and_then(|store| store.flush_error()),
             sessions: manager.session_stats(),
         }),
-        Request::Metrics => Response::Metrics(pdb_obs::metrics::snapshot().into()),
+        Request::Metrics => Response::Metrics(pdb_obs::metrics::snapshot()),
         Request::Shutdown => {
             ctx.shutdown.store(true, Ordering::SeqCst);
             wake_listener(ctx.addr);
             Response::ShuttingDown
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_connection_whose_handler_panics_frees_its_slot() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let stop = Arc::clone(&shutdown);
+        let accepted = AtomicU64::new(0);
+        let accepting = thread::spawn(move || {
+            accept_connections(&listener, &stop, 1, |mut stream| {
+                if accepted.fetch_add(1, Ordering::SeqCst) == 0 {
+                    panic!("the first connection's handler fails");
+                }
+                writeln!(stream, "served").unwrap();
+            })
+        });
+        let first = TcpStream::connect(addr).unwrap();
+        // With one slot, the second connection is served only once the
+        // first handler's unwinding freed the slot.
+        let second = TcpStream::connect(addr).unwrap();
+        second.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+        let mut line = String::new();
+        BufReader::new(second).read_line(&mut line).unwrap();
+        assert_eq!(line, "served\n");
+        drop(first);
+        shutdown.store(true, Ordering::SeqCst);
+        wake_listener(addr);
+        accepting.join().unwrap();
     }
 }

@@ -291,14 +291,16 @@ fn errors_come_back_as_error_replies_not_disconnects() {
 
 #[test]
 fn a_deeply_nested_line_is_an_error_reply_and_the_session_keeps_serving() {
-    // Two workers: the typed client and the raw socket each hold one.
+    // Two connection slots: the typed client and the raw socket each
+    // hold one.
     let (addr, handle) = boot(2);
     let mut client = Client::connect(addr).unwrap();
     let session = client.create_session(DatasetSpec::Udb1, 1, 0.8).unwrap().session;
     client.register_query(session, TopKQuery::PTk { k: 2, threshold: 0.4 }, 1.0).unwrap();
 
     // 10,000 nested arrays in a 10 KB line: the parser's recursion limit
-    // turns it into an error instead of overflowing the worker's stack.
+    // turns it into an error instead of overflowing the connection
+    // thread's stack.
     let mut raw = TcpStream::connect(addr).unwrap();
     let mut reader = BufReader::new(raw.try_clone().unwrap());
     let line = format!("{{\"evaluate\": {}\n", "[".repeat(10_000));
@@ -316,8 +318,8 @@ fn a_deeply_nested_line_is_an_error_reply_and_the_session_keeps_serving() {
 
 #[test]
 fn a_pinned_session_id_without_a_successor_is_an_error_reply() {
-    // One worker: a panicking handler would leave none to serve the
-    // connection.
+    // A panicking handler would end the connection, and the next call
+    // on it would fail.
     let (addr, handle) = boot(1);
     let mut client = Client::connect(addr).unwrap();
     let pinned = pdb_server::protocol::CreateSession {
@@ -343,7 +345,7 @@ fn a_pinned_session_id_without_a_successor_is_an_error_reply() {
 fn shutdown_drains_even_with_an_idle_persistent_connection() {
     let (addr, handle) = boot(2);
 
-    // A client that connects and then never sends anything: its worker is
+    // A client that connects and then never sends anything: its thread is
     // parked in a blocking read when shutdown arrives.
     let idle = Client::connect(addr).unwrap();
 
