@@ -7,13 +7,19 @@
 //! `psr/mass_k50_10000tuples` runs the scan on the synthetic fixture with
 //! every x-tuple rescaled to one total mass.  Below 1 the x-tuples carry
 //! null mass and never saturate, which is where PSR's running product
-//! used to be rebuilt from every passed x-tuple; mass 0.5 keeps every
-//! factor divisible and is the floor the other masses are held to.
+//! used to be rebuilt from every passed x-tuple and where the tail cut,
+//! not Lemma 2's, ends the scan; mass 0.5 keeps every factor divisible
+//! and is the floor the other masses are held to.
+//! `psr/mass_k50_10000tuples_spread` redraws every alternative's score
+//! uniformly over the fixture's score range, so each x-tuple's
+//! alternatives spread across the whole ranking and many factors are in
+//! flight at once.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdb_bench::synthetic;
 use pdb_core::RankedDatabase;
 use pdb_engine::psr::{rank_probabilities, rank_probabilities_exact};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -64,6 +70,23 @@ fn synthetic_with_mass(tuples: usize, total: f64) -> RankedDatabase {
     RankedDatabase::from_scored_x_tuples(&x_tuples).expect("rescaled x-tuples stay valid")
 }
 
+/// [`synthetic_with_mass`] with every alternative's score redrawn, from a
+/// fixed seed, uniformly over the fixture's score range.
+fn synthetic_spread_with_mass(tuples: usize, total: f64) -> RankedDatabase {
+    let db = synthetic_with_mass(tuples, total);
+    let scores = db.tuples().map(|t| t.score);
+    let (lo, hi) =
+        scores.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), s| (lo.min(s), hi.max(s)));
+    let mut rng = StdRng::seed_from_u64(42);
+    let x_tuples: Vec<Vec<(f64, f64)>> = db
+        .x_tuples()
+        .map(|info| {
+            info.members.iter().map(|&p| (rng.gen_range(lo..hi), db.tuple(p).prob)).collect()
+        })
+        .collect();
+    RankedDatabase::from_scored_x_tuples(&x_tuples).expect("redrawn scores stay valid")
+}
+
 fn bench_psr_vs_mass(c: &mut Criterion) {
     let mut group = c.benchmark_group("psr/mass_k50_10000tuples");
     group.sample_size(20);
@@ -75,6 +98,16 @@ fn bench_psr_vs_mass(c: &mut Criterion) {
             b.iter(|| rank_probabilities(black_box(db), 50).unwrap())
         });
     }
+    group.finish();
+
+    let mut group = c.benchmark_group("psr/mass_k50_10000tuples_spread");
+    group.sample_size(20);
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(2));
+    let db = synthetic_spread_with_mass(10_000, 0.9);
+    group.bench_with_input(BenchmarkId::from_parameter(0.9), &db, |b, db| {
+        b.iter(|| rank_probabilities(black_box(db), 50).unwrap())
+    });
     group.finish();
 }
 

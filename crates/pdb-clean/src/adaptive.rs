@@ -19,7 +19,8 @@
 //!   ([`BatchQuality::apply_collapse_in_place`]) after each successful
 //!   probe — one windowed PSR scan to the last changed row of the live
 //!   prefix instead of a full O(n·k) run per probe.  The update it returns carries the refreshed `g`, whose
-//!   Theorem-1 weights cover only the live prefix (Lemma 2's cut);
+//!   Theorem-1 weights cover only the live prefix (the tail cut, Lemma
+//!   2's on complete data);
 //! * [`ReplanMode::FullRebuild`] re-runs the full pipeline after every
 //!   probe.  It is kept as the correctness oracle and as the baseline the
 //!   `adaptive_replanning` benchmark and the `adaptive-n` / `adaptive-c`

@@ -62,8 +62,9 @@ impl CleaningContext {
     /// improvement summed over every registered query — the
     /// pick-one-plan-for-all-tenants step of a multi-query deployment.
     ///
-    /// The per-tuple work covers only the batch's live prefix (Lemma 2's
-    /// cut at `k_max`), so a context costs O(live·Q + m), not O(n·Q).
+    /// The per-tuple work covers only the batch's live prefix (the tail
+    /// cut at `k_max`, Lemma 2's on complete data), so a context costs
+    /// O(live·Q + m), not O(n·Q).
     pub fn from_batch(batch: &BatchQuality<'_>) -> Self {
         let db = batch.database();
         let (g, combined) = batch.aggregate_parts();

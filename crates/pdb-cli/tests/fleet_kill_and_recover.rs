@@ -116,6 +116,17 @@ impl Drop for FleetProcess {
     }
 }
 
+/// Removes a run's store directory when dropped, so a failing run leaves
+/// nothing behind.  Declared before the server processes, it drops after
+/// every one of them is killed, when nothing writes into the directory.
+struct StoreDirGuard(std::path::PathBuf);
+
+impl Drop for StoreDirGuard {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 fn assert_close(a: f64, b: f64, what: &str) {
     assert!((a - b).abs() <= TOL, "{what}: served {a} vs mirror {b}");
 }
@@ -167,6 +178,7 @@ fn fleet_survives_a_sigkilled_shard_with_zero_lost_mutations() {
         .join(format!("run-{}", std::process::id()));
     std::fs::remove_dir_all(&store_dir).ok();
     std::fs::create_dir_all(&store_dir).unwrap();
+    let _store_dir_guard = StoreDirGuard(store_dir.clone());
     let store_dir_arg = store_dir.display().to_string();
 
     let mut fleet = FleetProcess::spawn(&store_dir_arg);
@@ -288,5 +300,4 @@ fn fleet_survives_a_sigkilled_shard_with_zero_lost_mutations() {
         std::thread::sleep(Duration::from_millis(20));
     };
     assert!(status.success(), "the router exited with {status}");
-    std::fs::remove_dir_all(&store_dir).ok();
 }

@@ -70,6 +70,17 @@ impl Drop for ServerProcess {
     }
 }
 
+/// Removes a run's store directory when dropped, so a failing run leaves
+/// nothing behind.  Declared before the server processes, it drops after
+/// every one of them is killed, when nothing writes into the directory.
+struct StoreDirGuard(std::path::PathBuf);
+
+impl Drop for StoreDirGuard {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 fn assert_close(a: f64, b: f64, what: &str) {
     assert!((a - b).abs() <= TOL, "{what}: served {a} vs mirror {b}");
 }
@@ -80,6 +91,7 @@ fn killed_server_recovers_sessions_from_its_store() {
         .join("pdb-cli-kill-and-recover")
         .join(format!("run-{}", std::process::id()));
     std::fs::remove_dir_all(&store_dir).ok();
+    let _store_dir_guard = StoreDirGuard(store_dir.clone());
     let store_dir_arg = store_dir.display().to_string();
 
     let spec = DatasetSpec::Synthetic { tuples: 400 };
@@ -172,5 +184,4 @@ fn killed_server_recovers_sessions_from_its_store() {
     assert!(store_dir.join(&persisted.snapshot).exists(), "snapshot file written");
 
     client.shutdown().expect("graceful shutdown of the restarted server");
-    std::fs::remove_dir_all(&store_dir).ok();
 }

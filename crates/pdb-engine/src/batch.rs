@@ -18,9 +18,12 @@
 //! needs its tuples' rank-h probabilities (columns `1..=kᵢ` of the master
 //! matrix, read in place — no copy) and its top-kᵢ probability vector
 //! (the running prefix sum of each master row, cut at `kᵢ`).  Both cover
-//! only the master's live prefix, the rows above Lemma 2's cut at
-//! `k_max` (see [`RankProbabilities`]); every later tuple has probability
-//! zero under every registered query.  One pass
+//! only the master's live prefix, the rows above its tail cut at `k_max`
+//! (see [`RankProbabilities`]); every later tuple reads as probability
+//! zero under every registered query.  A snapshot keeps the master's
+//! prefix rather than re-cutting at its own `kᵢ` (as
+//! [`RankProbabilities::prefix`] does), so its entries between the two
+//! cuts are at most [`TAIL_EPSILON`](crate::psr::TAIL_EPSILON).  One pass
 //! over the master emits every registered query's top-k vector at once,
 //! so the batch's total extra work is a single scan of the matrix it
 //! already computed — materializing per-query ρ copies would cost more
@@ -290,9 +293,12 @@ impl<'a> BatchEvaluation<'a> {
     ) -> Result<DeltaStats> {
         // Rows ranked above the mutated x-tuple's first alternative are
         // untouched by the delta pass *and* keep their positions, so their
-        // snapshot entries stay valid; only the suffix is recomputed.
-        let untouched = if l < self.db.num_x_tuples() { self.db.x_tuple(l).members[0] } else { 0 };
+        // snapshot entries stay valid; only the suffix is recomputed.  An
+        // insert targets the appended x-index, so its arrival's first
+        // alternative is read once it is inserted.
+        let before = (l < self.db.num_x_tuples()).then(|| self.db.x_tuple(l).members[0]);
         let stats = apply_mutation_in_place(self.db.to_mut(), &mut self.master, l, mutation)?;
+        let untouched = before.unwrap_or_else(|| self.db.x_tuple(l).members[0]);
         refresh_snapshot_top_ks(
             &self.master,
             self.plan.snapshot_ks(),
@@ -307,8 +313,9 @@ impl<'a> BatchEvaluation<'a> {
 /// vector: the prefix sum of each row, cut at each distinct snapshot `k`.
 /// Summing left to right reproduces the smaller run's own top-k sum bit
 /// for bit (it adds the identical values in the identical order).  Every
-/// snapshot covers the master's live prefix, which contains its own
-/// Lemma-2 cut; the rows in between sum to zero.
+/// snapshot covers the master's live prefix, which contains its own tail
+/// cut; the entries in between are at most
+/// [`TAIL_EPSILON`](crate::psr::TAIL_EPSILON).
 fn snapshot_top_ks(master: &RankProbabilities, ks: &[usize]) -> Vec<Vec<f64>> {
     let mut out: Vec<Vec<f64>> = ks.iter().map(|_| Vec::new()).collect();
     refresh_snapshot_top_ks(master, ks, 0, &mut out);
@@ -507,6 +514,43 @@ mod tests {
         for q in 0..batch.num_queries() {
             let independent = rank_probabilities(batch.database(), batch.queries()[q].k()).unwrap();
             assert_view_matches(&batch.ranks(q), &independent, 1e-8, &format!("query {q}"));
+        }
+    }
+
+    #[test]
+    fn an_insert_refreshes_the_snapshots_from_its_arrival_down() {
+        // Forty null-mass x-tuples ranked one after the other: at
+        // k_max = 3 the tail cut falls inside the table.
+        let x: Vec<Vec<(f64, f64)>> =
+            (0..40).map(|i| vec![(100.0 - i as f64, 0.5), (99.5 - i as f64, 0.4)]).collect();
+        let db = RankedDatabase::from_scored_x_tuples(&x).unwrap();
+        let queries = vec![
+            TopKQuery::UKRanks { k: 1 },
+            TopKQuery::PTk { k: 2, threshold: 0.1 },
+            TopKQuery::GlobalTopk { k: 3 },
+        ];
+        let mut batch = BatchEvaluation::from_owned(db, queries.clone()).unwrap();
+        let live = batch.master().live_rows();
+        assert!(live + 10 < batch.database().len(), "the cut lies inside the table: {live}");
+        let cut_score = batch.database().tuple(live).score;
+        // Above every tuple, inside the stored prefix, and below the cut.
+        for (i, score) in [101.0, cut_score + 5.25, cut_score - 5.25].into_iter().enumerate() {
+            let l = batch.database().num_x_tuples();
+            let arrival =
+                XTupleMutation::Insert { key: format!("a{i}"), alternatives: vec![(score, 0.6)] };
+            batch.apply_collapse_in_place(l, &arrival).unwrap();
+            // The partial refresh equals a full pass over the patched
+            // master, bit for bit.
+            let full = snapshot_top_ks(&batch.master, batch.plan.snapshot_ks());
+            assert_eq!(batch.snapshot_top_k, full, "arrival {i} at score {score}");
+            // And it serves every query as independent runs do.
+            let fresh = rank_probabilities(batch.database(), batch.k_max()).unwrap();
+            assert_eq!(batch.master().live_rows(), fresh.live_rows(), "arrival {i}");
+            for (q, query) in queries.iter().enumerate() {
+                let independent = rank_probabilities(batch.database(), query.k()).unwrap();
+                let what = format!("arrival {i}, query {q}");
+                assert_view_matches(&batch.ranks(q), &independent, 1e-12, &what);
+            }
         }
     }
 

@@ -22,16 +22,17 @@
 //! position `i`.  A mutation of x-tuple `L` changes only `q_L`, the `eᵢ`
 //! of `L`'s own rows, and which of `L`'s alternatives survive.  Rows
 //! ranked above `L`'s first alternative are not touched at all.  The pass
-//! sorts every surviving row below it and above the new Lemma-2 cut into
-//! one of three cases:
+//! sorts every surviving row below it and above the old cut into one of
+//! three cases:
 //!
 //! * **zero** — its `eᵢ′` is 0, so the row is identically zero;
-//! * **copied** — not one of `L`'s own rows, inside the old cut, and its
-//!   `q_L` before and after the mutation agree within
-//!   `Q_EQUAL_EPSILON`: the value is unchanged, and the row only moves
-//!   up past dropped rows (one `memmove`);
-//! * **rewritten** — every other row: `L`'s own surviving rows, every row
-//!   whose `q_L` changed, and the rows a lowered cut makes live.
+//! * **copied** — not one of `L`'s own rows, and its `q_L` before and
+//!   after the mutation agree within `Q_EQUAL_EPSILON`: the value is
+//!   unchanged, and the row only moves up past dropped rows (one
+//!   `memmove`);
+//! * **rewritten** — every other row: `L`'s own surviving rows and every
+//!   row whose `q_L` changed.  Rows a lowered cut makes live are
+//!   rewritten too (see below).
 //!
 //! One PSR scan over the mutated database writes every rewritten row
 //! (`psr::scan_rows_into`): it runs from position 0 to the last rewritten
@@ -44,7 +45,8 @@
 //!
 //! A mutation costs one scan to its last rewritten row, O(last·k) plus
 //! O(|in-flight|·k) per step or row the scan re-forms, and O(k) per
-//! rewritten or moved row.  The scan starts at position 0 however far
+//! rewritten or moved row; a mutation whose x-tuple lies wholly past the
+//! cut costs no row work at all.  The scan starts at position 0 however far
 //! down the first changed row sits, so a mutation that changes a few rows
 //! deep in the prefix pays for every position above them, where dividing
 //! the old factor out of each row and multiplying the new one in would
@@ -66,24 +68,38 @@
 //! `delta_equivalence` test suite pins the delta path against both across
 //! randomized mutation sequences.
 //!
-//! ## How Lemma 2's cut moves
+//! ## How the tail cut moves
 //!
-//! The matrix stores only its live prefix, the rows above Lemma 2's cut
-//! (see [`RankProbabilities`]).  After mutating the database the pass
-//! recomputes the cut in O(cut + m) with the scan's own saturation rule
-//! and keeps only the surviving rows above it; the rows past it are
-//! dropped from storage and counted as copied, so
-//! [`DeltaStats::rows_total`] still equals the tuple count.  The cut moves
-//! up when the mutated x-tuple saturates earlier (a collapse to an
-//! alternative, an arriving complete x-tuple ranked near the top) and
-//! down when a saturated x-tuple loses mass or leaves (a reweight to a
-//! total below 1, a removal).  The rows that become live were identically
-//! zero, and the scan rewrites them.  Rows ranked above the mutated
-//! x-tuple's first alternative are live before and after or past the cut
-//! before and after: their saturated x-tuples are the same.
+//! The matrix stores only its live prefix, the rows above the tail cut
+//! (see [`TAIL_EPSILON`](crate::psr::TAIL_EPSILON)): the first position
+//! where T(i) = Pr[fewer than `k` existing tuples rank above `i`] is at
+//! most ε, Lemma 2's cut being the case T = 0.  Above `L`'s first
+//! alternative neither T nor any row changes, so:
+//!
+//! * **Wholly past the cut.**  When `L`'s first alternative (an arrival's
+//!   own position, for an insert) lies below the cut, the tuples above
+//!   the cut and the one at it are unchanged: only the database changes,
+//!   with no scan and no row moved.
+//! * **Otherwise** a copied row keeps its value and its T, so the cut
+//!   can newly fall only on a row the scan rewrites, which it reads as
+//!   it writes and stops there, or on a row an arrival multiplies (its T
+//!   falls), read in O(1) from the scan's own per-x-tuple mass fold.
+//!   The fold also moves Lemma 2's cut up when an x-tuple saturates
+//!   earlier.  When the cut falls on none of these, T at the old cut's
+//!   tuple is at most its old value unless `L` lost mass above it, so
+//!   the cut falls at that tuple without scanning down to it.
+//! * **Mass lost above the old cut** (a removal, a reweight or a
+//!   collapse that takes mass from above it) can raise T there: the scan
+//!   then goes on past the old cut, appending and writing the newly live
+//!   rows until the rule fires, until `k` x-tuples saturate, or to `n`.
+//!
+//! The rows past the new cut leave storage and count as copied, so
+//! [`DeltaStats::rows_total`] still equals the tuple count.  On complete
+//! data the cut is Lemma 2's, and the scan goes no further than the last
+//! rewritten row or the rows a lowered cut makes live.
 
 use crate::poly;
-use crate::psr::{self, RankProbabilities};
+use crate::psr::{self, MassFold, RankProbabilities};
 use pdb_core::{DbError, RankedDatabase, Result};
 use serde::{Deserialize, Serialize};
 
@@ -149,8 +165,10 @@ pub struct DeltaStats {
     /// Rows whose value the mutation leaves alone, moved up past dropped
     /// rows where needed: rows above the mutated x-tuple, rows whose
     /// mutated factor kept its mass, and rows whose existential
-    /// probability is zero.  Rows past the new Lemma-2 cut are
-    /// identically zero, are not stored, and count here too.
+    /// probability is zero.  Rows past the new tail cut are treated as
+    /// zero (their entries are at most
+    /// [`TAIL_EPSILON`](crate::psr::TAIL_EPSILON)), are not stored, and
+    /// count here too.
     pub rows_copied: usize,
     /// Rows multiplied by an arriving x-tuple's binomial factor: an
     /// insert's surviving rows below its first alternative.
@@ -158,7 +176,7 @@ pub struct DeltaStats {
     /// Rows rewritten by the windowed PSR scan, bit-identical to a fresh
     /// run: the mutated x-tuple's own surviving rows, rows whose mutated
     /// factor changed, rows a lowered cut makes live, and an inserted
-    /// x-tuple's own rows.
+    /// x-tuple's own rows, each above the new cut.
     pub rows_rebuilt: usize,
     /// Rows removed together with the mutated x-tuple's dropped
     /// alternatives.
@@ -193,11 +211,12 @@ impl DeltaStats {
 /// matrix.
 ///
 /// Rows ranked above the mutated x-tuple's first alternative are not
-/// touched at all; surviving rows below it and above the new Lemma-2 cut
+/// touched at all; surviving rows below it and above the new tail cut
 /// are zeroed, copied (a `memmove` when alternatives were dropped) or
 /// rewritten by one windowed PSR scan as the module docs describe, and
 /// the rows past the cut are dropped.  The work is O(cut·k + m) plus the
-/// database's own O(n) update.  All validation happens before anything
+/// database's own O(n) update, and only that update when the x-tuple
+/// lies wholly past the cut.  All validation happens before anything
 /// is mutated, so on `Err` both inputs are unchanged.
 pub fn apply_mutation_in_place(
     db: &mut RankedDatabase,
@@ -223,7 +242,7 @@ pub fn apply_mutation_in_place(
         return Err(DbError::index_out_of_range(format!("x-tuple {l} of {}", db.num_x_tuples())));
     }
     let k = rp.k();
-    let (old_n, old_live) = (db.len(), rp.live_rows());
+    let old_live = rp.live_rows();
     // Snapshots of the mutated x-tuple (its pre-mutation probabilities are
     // needed while patching rows after the database has been updated).
     let members = db.x_tuple(l).members.clone();
@@ -270,28 +289,41 @@ pub fn apply_mutation_in_place(
         }
     };
 
-    let (new_n, new_live) = (db.len(), psr::lemma2_cut(db, k));
+    let new_n = db.len();
     let first = members[0];
     let mut stats = DeltaStats {
-        // Rows past the new cut are identically zero and leave storage;
-        // rows above the mutated x-tuple keep their values and positions.
-        rows_copied: new_n - new_live + first.min(new_live),
         rows_dropped: kept.iter().filter(|&&kept| !kept).count(),
         ..DeltaStats::default()
     };
+    if first > old_live {
+        // Wholly past the cut: the tuples above the cut and the one at
+        // it are unchanged, so T there and the cut stay, and no stored
+        // row moves.
+        rp.reshape(new_n, old_live);
+        stats.rows_copied = new_n;
+        pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(old_live as u64);
+        return Ok(stats);
+    }
+
+    // The scan's masses above each post-mutation position, for Lemma 2's
+    // cut and for the rule at the old cut's tuple; nothing above `first`
+    // changed.
+    let mut fold = MassFold::new(db);
+    fold.advance_to(db, first);
     // New positions the scan rewrites; ascending by construction.
     let mut rewritten: Vec<usize> = Vec::new();
-    rp.reshape(old_n, old_live.max(new_live));
+    // The cut, once it falls on a row the scan does not write.
+    let mut bound = None;
+    // Running clamped folds of x-tuple l's higher-ranked mass — the
+    // exact quantity the PSR scan maintains, before and after the
+    // mutation — plus the forward-compaction shift from dropped rows.
+    let mut member_idx = 0usize;
+    let mut q_old = 0.0f64;
+    let mut q_new = 0.0f64;
+    let mut shift = 0usize;
     {
         let (rho, top_k) = rp.parts_mut();
-        // Running clamped folds of x-tuple l's higher-ranked mass — the
-        // exact quantity the PSR scan maintains, before and after the
-        // mutation — plus the forward-compaction shift from dropped rows.
-        let mut member_idx = 0usize;
-        let mut q_old = 0.0f64;
-        let mut q_new = 0.0f64;
-        let mut shift = 0usize;
-        for pos in first..old_n {
+        for pos in first..old_live {
             while member_idx < members.len() && members[member_idx] < pos {
                 q_old = (q_old + old_probs[member_idx]).min(1.0);
                 q_new = (q_new + new_probs[member_idx]).min(1.0);
@@ -303,22 +335,25 @@ pub fn apply_mutation_in_place(
                 continue;
             }
             let new_pos = pos - shift;
-            if new_pos >= new_live {
+            fold.advance_to(db, new_pos);
+            if fold.saturated() >= k {
+                // Lemma 2's cut moved up.
+                bound = Some(new_pos);
                 break;
             }
+            let t = db.tuple(new_pos);
             let (src, dst) = (pos * k, new_pos * k);
-            if db.tuple(new_pos).prob <= 0.0 {
+            if t.prob <= 0.0 {
                 // ρ = eᵢ′ · (…) is identically zero.
                 rho[dst..dst + k].fill(0.0);
                 top_k[new_pos] = 0.0;
-                stats.rows_copied += 1;
-            } else if !is_own && pos < old_live && (q_old - q_new).abs() <= Q_EQUAL_EPSILON {
-                // Unchanged value; move it only if rows above were dropped.
+            } else if !is_own && (q_old - q_new).abs() <= Q_EQUAL_EPSILON {
+                // Unchanged value, so unchanged T: the cut cannot fall
+                // here.  Move it only if rows above were dropped.
                 if shift > 0 {
                     rho.copy_within(src..src + k, dst);
                     top_k[new_pos] = top_k[pos];
                 }
-                stats.rows_copied += 1;
             } else {
                 // The scan writes only the entries PSR makes non-zero.
                 rho[dst..dst + k].fill(0.0);
@@ -327,52 +362,89 @@ pub fn apply_mutation_in_place(
             }
         }
     }
-    rp.reshape(new_n, new_live);
-
-    rewrite_rows(db, rp, &mut stats, &rewritten)?;
-    pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(new_live as u64);
+    // The old cut's tuple, or the first survivor below it, now sits at
+    // `start`.  T there is at most the old cut's (≤ ε, or k saturated
+    // x-tuples above) unless x-tuple l lost mass above the old cut; then
+    // the scan writes every row from `start` on until the cut falls.
+    let start = old_live - shift;
+    let mut extend = false;
+    let bound = match bound {
+        Some(bound) => bound,
+        None if start >= new_n => new_n,
+        None => {
+            while member_idx < members.len() && members[member_idx] < old_live {
+                q_old = (q_old + old_probs[member_idx]).min(1.0);
+                q_new = (q_new + new_probs[member_idx]).min(1.0);
+                member_idx += 1;
+            }
+            fold.advance_to(db, start);
+            if fold.saturated() >= k || (q_new >= q_old && fold.reads_tail(db.tuple(start))) {
+                start
+            } else {
+                extend = true;
+                new_n
+            }
+        }
+    };
+    let (grow_from, end) =
+        if extend { (start, new_n) } else { (bound, rewritten.last().map_or(0, |&p| p + 1)) };
+    rp.reshape(new_n, grow_from);
+    let cut = rewrite_rows(db, rp, &mut stats, &rewritten, grow_from, end)?.unwrap_or(bound);
+    rp.reshape(new_n, cut);
+    stats.rows_copied = new_n - stats.rows_rebuilt;
+    pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(cut as u64);
     Ok(stats)
 }
 
-/// Rewrite the rows at the given (post-mutation, ascending) positions
-/// from the mutated database with one PSR scan over positions
-/// `0..=last`: O(last·k) plus O(|in-flight|·k) per step or row it
-/// re-forms.  The rows must arrive zeroed, and leave bit-identical to a
-/// fresh [`rank_probabilities`](crate::psr::rank_probabilities) run's.
+/// Rewrite, with one PSR scan over the mutated database ending at `end`,
+/// the rows at `rows` (post-mutation positions, ascending, zeroed) and
+/// every row from `grow_from` on, which the scan appends as it reaches
+/// them: O(stop·k) plus O(|in-flight|·k) per step or row it re-forms.
+/// The rows leave bit-identical to a fresh
+/// [`rank_probabilities`](crate::psr::rank_probabilities) run's.  The scan
+/// stops at the cut if it falls on a row it writes; returns that
+/// position, or `None` when the scan ran to `end` (no scan when `end` is
+/// 0).
 fn rewrite_rows(
     db: &RankedDatabase,
     rp: &mut RankProbabilities,
     stats: &mut DeltaStats,
     rows: &[usize],
-) -> Result<()> {
-    let Some(&last) = rows.last() else { return Ok(()) };
+    grow_from: usize,
+    end: usize,
+) -> Result<Option<usize>> {
+    if end == 0 {
+        return Ok(None);
+    }
     let k = rp.k();
-    stats.rows_rebuilt += rows.len();
-    stats.windowed_scans += 1;
-    pdb_obs::metrics::ENGINE_REBUILT_ROWS_TOTAL.add(rows.len() as u64);
-    let mut want = vec![false; last + 1];
+    let mut want = vec![false; rows.last().map_or(0, |&p| p + 1)];
     for &p in rows {
         want[p] = true;
     }
     let (rho, top_k) = rp.parts_mut();
-    psr::scan_rows_into(db, k, last + 1, |pos| want[pos], rho)?;
-    for &p in rows {
-        top_k[p] = rho[p * k..(p + 1) * k].iter().sum();
-    }
-    Ok(())
+    let wanted = |pos: usize| pos >= grow_from || want.get(pos).copied().unwrap_or(false);
+    let stop = psr::scan_rows_into(db, k, end, wanted, rho, top_k)?;
+    let rebuilt = rows.partition_point(|&p| p < stop) + stop.saturating_sub(grow_from);
+    stats.rows_rebuilt += rebuilt;
+    stats.windowed_scans += 1;
+    pdb_obs::metrics::ENGINE_REBUILT_ROWS_TOTAL.add(rebuilt as u64);
+    Ok((stop < end).then_some(stop))
 }
 
 /// The [`XTupleMutation::Insert`] patch: append a brand-new x-tuple and
-/// grow the ρ matrix by its row-group inside the new Lemma-2 cut.
+/// grow the ρ matrix by its row-group inside the new cut.
 ///
 /// The arriving factor was never part of any stored row, so every
 /// surviving row below the new x-tuple's first alternative takes a single
 /// binomial *multiply*, which never amplifies error.  The backward pass
 /// shifts existing rows to their post-insert positions (back to front, so
 /// the move is alias-free), the forward pass multiplies the arriving
-/// factor in, and the new x-tuple's own rows — the only ones whose
-/// eᵢ-weighted product the matrix never contained — are written by the
-/// same windowed scan the other mutations use.
+/// factor in and reads the cut off each row it multiplies, and the new
+/// x-tuple's own rows — the only ones whose eᵢ-weighted product the
+/// matrix never contained — are written by the same windowed scan the
+/// other mutations use.  An arrival only adds mass above the rows below
+/// it, so T falls there and the cut never moves down; an arrival ranked
+/// below the cut changes no stored row.
 fn insert_in_place(
     db: &mut RankedDatabase,
     rp: &mut RankProbabilities,
@@ -386,27 +458,48 @@ fn insert_in_place(
             db.num_x_tuples()
         )));
     }
-    let (k, old_live) = (rp.k(), rp.live_rows());
+    let (k, old_n, old_live) = (rp.k(), db.len(), rp.live_rows());
     // Validates everything (and allocates fresh ids) before mutating, so
     // on `Err` both inputs are unchanged.
     db.insert_x_tuple_in_place(key.to_string(), alternatives)?;
-    let (new_n, new_live) = (db.len(), psr::lemma2_cut(db, k));
-    // Positions of the new alternatives inside the new cut, in the
-    // *post-insert* database, ascending.
-    let members: Vec<usize> =
-        db.x_tuple(l).members.iter().copied().take_while(|&p| p < new_live).collect();
+    let new_n = db.len();
+    // Positions of the new alternatives in the *post-insert* database,
+    // ascending.
+    let members = db.x_tuple(l).members.clone();
+    let first = members[0];
+    let mut stats = DeltaStats::default();
+    if old_live < old_n && first > old_live {
+        // Wholly past the cut: nothing above the cut's tuple moved.
+        rp.reshape(new_n, old_live);
+        stats.rows_copied = new_n;
+        pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(old_live as u64);
+        return Ok(stats);
+    }
+    // Arrival `j` has `members[j] - j` old tuples above it, a count that
+    // never falls with `j`.  `start` is the first post-insert position
+    // with all `old_live` stored rows above it, so T there is at most the
+    // old cut's; `cut_pos` is where the old cut's tuple landed, and only
+    // arrivals lie between the two.  With no old cut
+    // (`old_live == old_n`) nothing is known past the table's end.
+    let old_above: Vec<usize> = members.iter().enumerate().map(|(j, &p)| p - j).collect();
+    let (start, cut_pos) = if old_live < old_n {
+        (
+            old_live + old_above.partition_point(|&a| a < old_live),
+            old_live + old_above.partition_point(|&a| a <= old_live),
+        )
+    } else {
+        (new_n, new_n)
+    };
 
-    // Rows past the new cut are identically zero and leave storage.
-    let mut stats = DeltaStats { rows_copied: new_n - new_live, ..DeltaStats::default() };
-    rp.reshape(new_n, old_live.max(new_live));
+    rp.reshape(new_n, cut_pos);
+    let mut bound = None;
     {
         let (rho, top_k) = rp.parts_mut();
         // Backward pass: move each surviving row from its pre-insert
         // position `pos - pending` to `pos`, zero-filling the slots where
-        // the new alternatives land.  A surviving row inside the new cut
-        // was inside the old one: an arrival only adds mass above it.
-        let mut pending = members.len();
-        for pos in (0..new_live).rev() {
+        // the new alternatives land.
+        let mut pending = members.partition_point(|&p| p < cut_pos);
+        for pos in (0..cut_pos).rev() {
             if pending == 0 {
                 // Rows above the first new alternative keep their
                 // positions.
@@ -424,34 +517,54 @@ fn insert_in_place(
             }
         }
         // Forward pass: multiply the arriving factor (the new x-tuple's
-        // clamped higher-ranked mass) into every surviving row below it.
+        // clamped higher-ranked mass) into every surviving row below it,
+        // and read the cut off each row it multiplies.
+        let mut fold = MassFold::new(db);
         let mut member_idx = 0usize;
         let mut q_new = 0.0f64;
-        for pos in 0..new_live {
+        for pos in first..start {
             while member_idx < members.len() && members[member_idx] < pos {
                 q_new = (q_new + db.tuple(members[member_idx]).prob).min(1.0);
                 member_idx += 1;
+            }
+            fold.advance_to(db, pos);
+            if fold.saturated() >= k {
+                bound = Some(pos);
+                break;
             }
             if member_idx < members.len() && members[member_idx] == pos {
                 // The new x-tuple's own row: the scan writes it below.
                 continue;
             }
-            if q_new <= 0.0 || db.tuple(pos).prob <= 0.0 {
-                // Above the first alternative (or a mass-less one), or an
-                // identically-zero row: nothing to multiply.
-                stats.rows_copied += 1;
-            } else {
+            let t = db.tuple(pos);
+            if q_new > 0.0 && t.prob > 0.0 {
                 let row = &mut rho[pos * k..(pos + 1) * k];
                 poly::multiply_binomial_in(row, q_new);
                 top_k[pos] = row.iter().sum();
                 stats.rows_swapped += 1;
+                // The arriving mass lowered T here.
+                if fold.cuts_row(t, top_k[pos], row[k - 1]) {
+                    bound = Some(pos);
+                    break;
+                }
             }
         }
+        if bound.is_none() && start < new_n {
+            // The cut falls at `start` if the rule reads that row, and at
+            // the old cut's tuple otherwise.
+            fold.advance_to(db, start);
+            let at_start = fold.saturated() >= k || fold.reads_tail(db.tuple(start));
+            bound = Some(if at_start { start } else { cut_pos });
+        }
     }
-    rp.reshape(new_n, new_live);
+    let bound = bound.unwrap_or(new_n);
 
-    rewrite_rows(db, rp, &mut stats, &members)?;
-    pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(new_live as u64);
+    let own = &members[..members.partition_point(|&p| p < bound)];
+    let end = own.last().map_or(0, |&p| p + 1);
+    let cut = rewrite_rows(db, rp, &mut stats, own, bound, end)?.unwrap_or(bound);
+    rp.reshape(new_n, cut);
+    stats.rows_copied = new_n - stats.rows_rebuilt - stats.rows_swapped;
+    pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(cut as u64);
     Ok(stats)
 }
 
@@ -657,6 +770,48 @@ mod tests {
         assert_matches_oracle(&db, &rp, 1e-9);
         // The 50-score tuple now leads the ranking outright.
         assert!((rp.top_k_prob(0) - 0.6).abs() < 1e-9);
+    }
+
+    /// Forty x-tuples of two alternatives and total mass 0.9, ranked one
+    /// after the other: at k = 2 the tail cut falls about halfway down,
+    /// once some 20 x-tuples lie above it.
+    fn null_mass_chain() -> RankedDatabase {
+        let x: Vec<Vec<(f64, f64)>> =
+            (0..40).map(|i| vec![(100.0 - i as f64, 0.5), (99.5 - i as f64, 0.4)]).collect();
+        RankedDatabase::from_scored_x_tuples(&x).unwrap()
+    }
+
+    #[test]
+    fn mutations_wholly_past_the_tail_cut_touch_no_row() {
+        let (mut db, mut rp) = evaluated(null_mass_chain(), 2);
+        let live = rp.live_rows();
+        assert!(live > 2 && live + 10 < db.len(), "the cut lies inside the table: {live}");
+        let bits = |rp: &RankProbabilities| {
+            (0..rp.live_rows())
+                .flat_map(|pos| rp.rank_probs(pos).iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                .collect::<Vec<_>>()
+        };
+        let before = bits(&rp);
+        let past = db.tuple(live + 2).x_index;
+        let arrival = XTupleMutation::Insert { key: "low".into(), alternatives: vec![(1.0, 0.7)] };
+        for (l, mutation) in [
+            (Some(past), XTupleMutation::Reweight { probs: vec![0.1, 0.2] }),
+            (Some(past + 3), XTupleMutation::Remove),
+            (None, arrival),
+        ] {
+            let l = l.unwrap_or(db.num_x_tuples());
+            let stats = apply_mutation_in_place(&mut db, &mut rp, l, &mutation).unwrap();
+            assert_eq!(
+                (stats.rows_rebuilt, stats.rows_swapped, stats.windowed_scans),
+                (0, 0, 0),
+                "{mutation:?}: {stats:?}"
+            );
+            assert_eq!(stats.rows_total(), db.len());
+            assert_eq!(bits(&rp), before, "{mutation:?} left the stored prefix bit-identical");
+            let fresh = rank_probabilities(&db, 2).unwrap();
+            assert_eq!(rp.live_rows(), fresh.live_rows(), "{mutation:?}");
+            assert_eq!(rp, fresh, "{mutation:?}");
+        }
     }
 
     #[test]

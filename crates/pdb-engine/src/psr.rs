@@ -28,16 +28,25 @@
 //! gains its mass), so the product is maintained incrementally with one
 //! divide + one multiply per step — O(k) each — giving O(nk) overall.
 //!
-//! Two refinements keep the incremental version numerically safe:
+//! Three refinements keep the incremental version numerically safe and
+//! end it early:
 //!
 //! * x-tuples whose higher-ranked mass has (essentially) reached 1 are
 //!   **saturated**: they contribute a deterministic `+1` to the count and
 //!   are tracked by a counter instead of a `(≈0) + (≈1)z` factor that would
-//!   make the later division explode.  Once `k` x-tuples are saturated, no
-//!   later tuple can enter a top-k answer (Lemma 2 of the paper): the scan
-//!   stops at that cut, and [`RankProbabilities`] stores only the rows
-//!   above it (its *live prefix*), so every consumer of the matrix works
-//!   in O(cut) instead of O(n).
+//!   make the later division explode.
+//! * the scan ends at the **tail cut**: the first position `i` where
+//!   T(i) = Pr[fewer than `k` existing tuples rank above `i`] is at most
+//!   [`TAIL_EPSILON`].  Every tuple `j ≥ i` of x-tuple `l` has
+//!   ρⱼ(h) ≤ pⱼ = eⱼ·Pr\[others < k\] ≤ (1 − q_l(j))·Pr\[others < k\] ≤ T(j)
+//!   ≤ T(i), because eⱼ + q_l(j) ≤ 1 and T never increases down the
+//!   ranking, so the rows from the cut on hold only entries ≤ ε, and all
+//!   their top-k probabilities sum to at most n·ε.  Once `k` x-tuples
+//!   are saturated T ≡ 0: that is Lemma 2 of the paper, the cut on
+//!   complete data.  An x-tuple with null mass never saturates, and the
+//!   tail cut is what ends the scan there.  [`RankProbabilities`] stores
+//!   only the rows above the cut (its *live prefix*), so every consumer
+//!   of the matrix works in O(cut) instead of O(n).
 //! * a factor is only divided out of the product when its `q` is at most
 //!   [`MAX_DIVISOR_Q`] (the well-conditioned regime).  Otherwise the
 //!   product is **re-formed** without it, from two parts the scan keeps
@@ -58,7 +67,7 @@
 //! numerical error.
 
 use crate::poly::{clamp_non_negative_in, divide_binomial_in, multiply_binomial_in};
-use pdb_core::{DbError, RankedDatabase, Result};
+use pdb_core::{DbError, RankedDatabase, RankedTuple, Result};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
@@ -66,6 +75,24 @@ use std::borrow::Cow;
 /// (saturated); the corresponding tuple probabilities are at most
 /// `1 − SATURATION_THRESHOLD` and are rounded to zero.
 const SATURATION_THRESHOLD: f64 = 1.0 - 1e-12;
+
+/// The tail cut's ε: PSR stores no row at or past the first position `i`
+/// where T(i) = Pr[fewer than `k` existing tuples rank above `i`] ≤ ε
+/// (see the module docs).  Every dropped entry is at most ε, so the
+/// dropped top-k probabilities sum to at most n·ε, below 1e-12 up to
+/// n = 10⁶.
+///
+/// The cut is read off a row the scan writes, without dividing: with
+/// q = the mass of the tuple's own x-tuple above it, pᵢ/eᵢ =
+/// Pr\[others < k\] and ρᵢ(k)/eᵢ = Pr\[others = k − 1\], so
+/// T(i)·eᵢ = pᵢ − q·ρᵢ(k).
+/// The rule is read only where it says something: on a row whose own
+/// x-tuple is unsaturated (a saturated one's row is zero) and whose ε·eᵢ
+/// is a normal float (a zero or denormal eᵢ makes both sides round to
+/// zero).  A fresh run, the delta pass ([`crate::delta`]) and
+/// [`RankProbabilities::prefix`] all evaluate it from what they hold, so
+/// they agree on the cut.
+pub const TAIL_EPSILON: f64 = 1e-18;
 
 /// A binomial factor `(1 − q) + q·z` may only be divided out of the running
 /// product when `q` is at most this value.  The back-substitution used by
@@ -88,9 +115,9 @@ pub const MAX_DIVISOR_Q: f64 = 0.5;
 /// views of the batched evaluation engine).
 ///
 /// Only a *live prefix* of the rows is stored (see [`RankProbabilities`]):
-/// every tuple at or past [`live_rows`](RankAccess::live_rows) has
-/// ρᵢ(h) = pᵢ = 0, so consumers iterate `0..live_rows()` and never see
-/// the rest.
+/// every tuple at or past [`live_rows`](RankAccess::live_rows) reads as
+/// ρᵢ(h) = pᵢ = 0 (its true entries are at most [`TAIL_EPSILON`]), so
+/// consumers iterate `0..live_rows()` and never see the rest.
 pub trait RankAccess {
     /// The `k` the probabilities describe.
     fn k(&self) -> usize;
@@ -110,8 +137,9 @@ pub trait RankAccess {
     /// position; every later position has probability zero.
     fn top_k_probs(&self) -> &[f64];
 
-    /// Length of the live prefix: no tuple at or past this position can
-    /// appear in a top-k answer.
+    /// Length of the live prefix: every tuple at or past this position
+    /// appears in a top-k answer with probability at most
+    /// [`TAIL_EPSILON`], and is treated as never appearing.
     fn live_rows(&self) -> usize {
         self.top_k_probs().len()
     }
@@ -125,13 +153,14 @@ pub trait RankAccess {
 /// [`crate::queries`] and by the TP quality algorithm.
 ///
 /// **Storage invariant.**  Only rows `0..live_rows()` are stored.  PSR's
-/// live prefix ends at Lemma 2's cut: one past the position whose tuple
-/// completes the `k`-th saturated x-tuple (or `n` when fewer than `k`
-/// saturate), because every later tuple has `k` certain tuples above it.
-/// Every accessor reads the rows past the prefix as zero, and
-/// [`num_tuples`](Self::num_tuples) still counts all `n` tuples.
-/// Equality is logical: two matrices are equal when their stored rows
-/// plus implicit zero rows agree, whatever prefix each stores.
+/// live prefix ends at the tail cut (see [`TAIL_EPSILON`]): the first
+/// position where `k` x-tuples are saturated (Lemma 2's cut, T = 0), or
+/// the first row the scan writes whose T(i) is at most ε, or `n`.  Every
+/// later entry is at most ε.  Every accessor reads the rows past the
+/// prefix as zero, and [`num_tuples`](Self::num_tuples) still counts all
+/// `n` tuples.  Equality is logical: two matrices are equal when their
+/// stored rows plus implicit zero rows agree, whatever prefix each
+/// stores.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RankProbabilities {
     k: usize,
@@ -163,8 +192,9 @@ impl RankProbabilities {
         self.n
     }
 
-    /// Number of stored rows: every tuple at or past this position has
-    /// ρᵢ(h) = pᵢ = 0.
+    /// Number of stored rows: every tuple at or past this position reads
+    /// as ρᵢ(h) = pᵢ = 0, and its true entries are at most
+    /// [`TAIL_EPSILON`].
     pub fn live_rows(&self) -> usize {
         self.top_k.len()
     }
@@ -228,9 +258,9 @@ impl RankProbabilities {
 
     /// Mutable access to the live prefix for the in-place delta engine
     /// ([`crate::delta`]).  Callers must keep the invariant
-    /// `rho.len() == top_k.len() * k` and `top_k[i] == Σ_h rho[i*k + h]`,
-    /// and change the row count only through [`reshape`](Self::reshape).
-    pub(crate) fn parts_mut(&mut self) -> (&mut [f64], &mut [f64]) {
+    /// `rho.len() == top_k.len() * k` and `top_k[i] == Σ_h rho[i*k + h]`;
+    /// only [`scan_rows_into`] grows the vectors, by whole rows.
+    pub(crate) fn parts_mut(&mut self) -> (&mut Vec<f64>, &mut Vec<f64>) {
         (&mut self.rho, &mut self.top_k)
     }
 
@@ -258,30 +288,46 @@ impl RankProbabilities {
     /// the run at every `k ≤ k_max` bit for bit: its first `k` columns
     /// *are* that run's ρ matrix, and the prefix top-k probability is the
     /// same left-to-right partial sum the smaller run would form.  The
-    /// extracted matrix keeps this matrix's live prefix, which is at least
-    /// as long as the smaller `k`'s own Lemma-2 cut: the rows in between
-    /// carry ≥ `k` saturated x-tuples above them, so their first `k`
-    /// entries are identically zero, and the two compare equal.
+    /// smaller `k` has its own tail cut, at or above this one (fewer than
+    /// `k` tuples above a position is the rarer event), so the extracted
+    /// matrix is re-cut there with the same rule, read off each row's
+    /// first `k` columns against `db`, and equals the independent run.
     /// `prefix_equivalence` in the tests and the `batch_equivalence` suite
     /// pin this against independent runs.
     ///
     /// Returns an error when `k` is zero or exceeds the `k` this matrix
-    /// was computed for.
-    pub fn prefix(&self, k: usize) -> Result<RankProbabilities> {
+    /// was computed for, or when `db` is not the database it covers.
+    pub fn prefix(&self, db: &RankedDatabase, k: usize) -> Result<RankProbabilities> {
         if k == 0 || k > self.k {
             return Err(DbError::invalid_parameter(format!(
                 "prefix k = {k} must lie in 1..={}",
                 self.k
             )));
         }
+        if db.len() != self.n {
+            return Err(DbError::invalid_parameter(format!(
+                "rank probabilities cover {} tuples but the database has {}",
+                self.n,
+                db.len()
+            )));
+        }
         if k == self.k {
             return Ok(self.clone());
         }
+        let mut fold = MassFold::new(db);
         let mut rho = Vec::with_capacity(self.live_rows() * k);
-        for row in self.rho.chunks_exact(self.k) {
-            rho.extend_from_slice(&row[..k]);
+        let mut top_k = Vec::with_capacity(self.live_rows());
+        for (i, row) in self.rho.chunks_exact(self.k).enumerate() {
+            fold.advance_to(db, i);
+            let row = &row[..k];
+            let p: f64 = row.iter().sum();
+            if fold.saturated() >= k || fold.cuts_row(db.tuple(i), p, row[k - 1]) {
+                break;
+            }
+            rho.extend_from_slice(row);
+            top_k.push(p);
         }
-        Ok(RankProbabilities::from_rho(k, self.n, rho))
+        Ok(RankProbabilities { k, n: self.n, rho, top_k })
     }
 }
 
@@ -339,37 +385,98 @@ fn validate_k(db: &RankedDatabase, k: usize) -> Result<()> {
     Ok(())
 }
 
-/// Lemma 2's cut for `k`: one past the position whose tuple completes
-/// the `k`-th saturated x-tuple, or `n` when fewer than `k` saturate.
-/// Every tuple from the cut on has `k` certain tuples above it and can
-/// reach no top-k answer, so PSR stores rows `0..cut` only.
-///
-/// One O(cut) pass with O(m) state, folding each x-tuple's higher-ranked
-/// mass exactly as the scan does, so the two agree on every database.
-/// The delta engine ([`crate::delta`]) calls it after each mutation.
-pub(crate) fn lemma2_cut(db: &RankedDatabase, k: usize) -> usize {
-    let n = db.len();
-    let mut q = vec![0.0f64; db.num_x_tuples()];
-    let mut saturated = 0usize;
-    // The scan advances past tuple `i` before it considers row `i + 1`,
-    // so the last tuple's mass never stops it.
-    for i in 0..n.saturating_sub(1) {
-        let t = db.tuple(i);
-        let old_q = q[t.x_index];
-        let new_q = (old_q + t.prob).min(1.0);
-        q[t.x_index] = new_q;
-        if old_q < SATURATION_THRESHOLD && new_q >= SATURATION_THRESHOLD {
-            saturated += 1;
-            if saturated >= k {
-                return i + 1;
-            }
-        }
-    }
-    n
+/// The scan's mass bookkeeping without its polynomial work: every
+/// x-tuple's clamped existential mass ranked above the current position,
+/// and how many x-tuples that has saturated.  It folds each tuple in with
+/// the scan's own `(q + eᵢ).min(1.0)`, so every reader of the fold (the
+/// scan, [`lemma2_cut`], the delta pass, [`RankProbabilities::prefix`])
+/// agrees with the scan on every mass, saturation and cut.
+pub(crate) struct MassFold {
+    q: Vec<f64>,
+    saturated: usize,
+    /// The current position: tuples `0..pos` are folded in.
+    pos: usize,
 }
 
-/// One incremental PSR scan, writing each wanted tuple's ρ row straight
-/// into `rho` (row-major, one `k`-entry row per position).
+impl MassFold {
+    /// The fold at position 0: no mass above it.
+    pub(crate) fn new(db: &RankedDatabase) -> Self {
+        Self { q: vec![0.0; db.num_x_tuples()], saturated: 0, pos: 0 }
+    }
+
+    /// Fold in the tuple at the current position and move one down;
+    /// returns its x-index and that x-tuple's mass before the step.
+    fn pass(&mut self, db: &RankedDatabase) -> (usize, f64) {
+        let t = db.tuple(self.pos);
+        let old_q = self.q[t.x_index];
+        let new_q = (old_q + t.prob).min(1.0);
+        self.q[t.x_index] = new_q;
+        if old_q < SATURATION_THRESHOLD && new_q >= SATURATION_THRESHOLD {
+            self.saturated += 1;
+        }
+        self.pos += 1;
+        (t.x_index, old_q)
+    }
+
+    /// Fold in every tuple above `pos` (at or past the current position).
+    pub(crate) fn advance_to(&mut self, db: &RankedDatabase, pos: usize) {
+        while self.pos < pos {
+            self.pass(db);
+        }
+    }
+
+    /// Mass of x-tuple `l` ranked above the current position.
+    fn q(&self, l: usize) -> f64 {
+        self.q[l]
+    }
+
+    fn is_saturated(&self, l: usize) -> bool {
+        self.q[l] >= SATURATION_THRESHOLD
+    }
+
+    /// Number of saturated x-tuples above the current position: from `k`
+    /// on, T ≡ 0 and the position is Lemma 2's cut.
+    pub(crate) fn saturated(&self) -> usize {
+        self.saturated
+    }
+
+    /// Whether the tail rule reads T off the row of `t`, the tuple at the
+    /// current position (see [`TAIL_EPSILON`]): its x-tuple is unsaturated
+    /// above it and ε·eᵢ is a normal float.  A row at T ≤ ε that the rule
+    /// reads is the cut.
+    pub(crate) fn reads_tail(&self, t: &RankedTuple) -> bool {
+        !self.is_saturated(t.x_index) && TAIL_EPSILON * t.prob >= f64::MIN_POSITIVE
+    }
+
+    /// Whether the tail cut falls at the row of `t`, the tuple at the
+    /// current position, whose top-k probability is `p` and rank-k entry
+    /// `rho_k`: the rule reads the row and T(i)·eᵢ = pᵢ − q·ρᵢ(k) ≤ ε·eᵢ.
+    pub(crate) fn cuts_row(&self, t: &RankedTuple, p: f64, rho_k: f64) -> bool {
+        self.reads_tail(t) && p - self.q[t.x_index] * rho_k <= TAIL_EPSILON * t.prob
+    }
+}
+
+/// Lemma 2's cut for `k`: one past the position whose tuple completes
+/// the `k`-th saturated x-tuple, or `n` when fewer than `k` saturate.
+/// Every tuple from there on has `k` certain tuples above it (T = 0), so
+/// it bounds the tail cut from above; PSR reserves its matrix to this
+/// bound before it scans.  One O(cut) pass with O(m) state.
+pub(crate) fn lemma2_cut(db: &RankedDatabase, k: usize) -> usize {
+    let mut fold = MassFold::new(db);
+    // The scan advances past tuple `i` before it considers row `i + 1`,
+    // so the last tuple's mass never stops it.
+    for i in 1..db.len() {
+        fold.pass(db);
+        if fold.saturated() >= k {
+            return i;
+        }
+    }
+    db.len()
+}
+
+/// One incremental PSR scan, writing each wanted tuple's ρ row and top-k
+/// probability straight into `rho` (row-major, one `k`-entry row per
+/// position) and `top_k`.
 ///
 /// Maintains the running generating-function product: advancing past a
 /// tuple is one divide + one multiply, or an O(|in-flight|·k) re-form when
@@ -377,32 +484,35 @@ pub(crate) fn lemma2_cut(db: &RankedDatabase, k: usize) -> usize {
 /// state beyond `rho` itself is O(m + k).  Only the entries PSR makes
 /// non-zero are written: a row below `s` saturated x-tuples gets entries
 /// `s..k`, and the rows of saturated tuples are skipped.  Callers
-/// therefore pass the wanted rows zeroed.
+/// therefore pass the wanted rows zeroed; a position past the end of the
+/// vectors arrives as a zero row appended there (growing inside any
+/// capacity the caller reserved).
 ///
-/// The scan covers positions `0..end`, where `end` is at most
-/// [`lemma2_cut`] (no later row can be non-zero), and a row is only
-/// written for positions accepted by `want`.  The running product is still
-/// advanced through every position, so accepted rows are computed with
-/// exactly the state the unrestricted scan would use — results are
-/// bit-for-bit identical to the corresponding rows of
-/// [`rank_probabilities`].  The incremental re-evaluation engine
-/// ([`crate::delta`]) relies on this to rewrite only the rows a mutation
-/// changes, up to the last of them.
+/// The scan covers positions `0..end` and stops early at the tail cut:
+/// at the first position with `k` saturated x-tuples above it (Lemma 2),
+/// or at the first row it writes whose T is at most [`TAIL_EPSILON`],
+/// read off the row in O(1) ([`MassFold::cuts_row`]).  It returns where
+/// it stopped, `end` when it did not.  A row is only written for
+/// positions accepted by `want`; the running product is still advanced
+/// through every position, so accepted rows are computed with exactly the
+/// state the unrestricted scan would use — results are bit-for-bit
+/// identical to the corresponding rows of [`rank_probabilities`].  The
+/// incremental re-evaluation engine ([`crate::delta`]) relies on this to
+/// rewrite only the rows a mutation changes, up to the last of them or
+/// to the cut.
 pub(crate) fn scan_rows_into(
     db: &RankedDatabase,
     k: usize,
     end: usize,
     mut want: impl FnMut(usize) -> bool,
-    rho: &mut [f64],
-) -> Result<()> {
+    rho: &mut Vec<f64>,
+    top_k: &mut Vec<f64>,
+) -> Result<usize> {
     validate_k(db, k)?;
-    let m = db.num_x_tuples();
 
-    // q[l]: existential mass of x-tuple l's alternatives ranked strictly
-    // higher than the tuple currently being processed.
-    let mut q = vec![0.0; m];
-    let mut is_saturated = vec![false; m];
-    let mut saturated_count = 0usize;
+    // The fold's q[l]: existential mass of x-tuple l's alternatives ranked
+    // strictly higher than the tuple currently being processed.
+    let mut fold = MassFold::new(db);
     // unpassed[l]: an unsaturated x-tuple l's alternatives at or below the
     // current position.  Once it reaches 0, q[l] is final.
     let mut unpassed: Vec<usize> = db.x_tuples().map(|info| info.members.len()).collect();
@@ -426,40 +536,36 @@ pub(crate) fn scan_rows_into(
         out: &mut [f64],
         frozen: &[f64],
         in_flight: &mut Vec<usize>,
-        q: &[f64],
-        is_saturated: &[bool],
+        fold: &MassFold,
         unpassed: &[usize],
         skip: Option<usize>,
     ) -> usize {
-        in_flight.retain(|&l| !is_saturated[l] && unpassed[l] > 0);
+        in_flight.retain(|&l| !fold.is_saturated(l) && unpassed[l] > 0);
         out.copy_from_slice(&frozen[..out.len()]);
         let mut multiplied = 0;
         for &l in in_flight.iter() {
             if Some(l) != skip {
-                multiply_binomial_in(out, q[l]);
+                multiply_binomial_in(out, fold.q(l));
                 multiplied += 1;
             }
         }
         multiplied
     }
 
+    let mut stop = end;
     for i in 0..end {
         if i > 0 {
             // Advance: the previous tuple is now "higher-ranked"; its
             // x-tuple's factor gains the previous tuple's mass.
-            let prev = db.tuple(i - 1);
-            let pl = prev.x_index;
-            let old_q = q[pl];
-            let new_q = (old_q + prev.prob).min(1.0);
-            q[pl] = new_q;
-            if !is_saturated[pl] {
+            let (pl, old_q) = fold.pass(db);
+            if old_q < SATURATION_THRESHOLD {
+                let new_q = fold.q(pl);
                 unpassed[pl] -= 1;
-                let becomes_saturated = new_q >= SATURATION_THRESHOLD;
+                let becomes_saturated = fold.is_saturated(pl);
                 // pdb-analyze: allow(float-eq): q starts at exactly 0.0 and only this pass writes it, so the first-activation test is exact by construction
                 let activates = old_q == 0.0 && new_q > 0.0;
                 if becomes_saturated {
-                    is_saturated[pl] = true;
-                    saturated_count += 1;
+                    // The fold counts it; its factor leaves the product.
                 } else if unpassed[pl] == 0 {
                     if new_q > 0.0 {
                         multiply_binomial_in(&mut frozen, new_q);
@@ -476,39 +582,41 @@ pub(crate) fn scan_rows_into(
                         multiply_binomial_in(&mut poly, new_q);
                     }
                 } else {
-                    reform_factors += reform(
-                        &mut poly,
-                        &frozen,
-                        &mut in_flight,
-                        &q,
-                        &is_saturated,
-                        &unpassed,
-                        None,
-                    );
+                    reform_factors +=
+                        reform(&mut poly, &frozen, &mut in_flight, &fold, &unpassed, None);
                 }
             }
         }
 
-        debug_assert!(saturated_count < k, "row {i} lies past Lemma 2's cut");
+        let saturated = fold.saturated();
+        if saturated >= k {
+            // Lemma 2: k certain tuples above, T ≡ 0 from here on.
+            stop = i;
+            break;
+        }
+        if i >= top_k.len() {
+            rho.resize((i + 1) * k, 0.0);
+            top_k.resize(i + 1, 0.0);
+        }
         if !want(i) {
             continue;
         }
         let t = db.tuple(i);
         let l = t.x_index;
-        if is_saturated[l] {
+        if fold.is_saturated(l) {
             // The tuple's own siblings already occupy ~all of the x-tuple's
             // mass above it, so eᵢ ≤ 1 − SATURATION_THRESHOLD ≈ 0.
             continue;
         }
         // ρᵢ(h) = eᵢ · Pr[exactly h−1 higher-ranked tuples exist], where the
-        // saturated x-tuples contribute a deterministic `saturated_count`:
-        // entry h−1 takes coefficient h−1−saturated_count of the other
-        // x-tuples' product.  That product is the running one with the
-        // tuple's own factor divided out, computed here on the truncated
-        // prefix the row needs (every poly op computes coefficient j from
+        // saturated x-tuples contribute a deterministic `saturated`: entry
+        // h−1 takes coefficient h−1−saturated of the other x-tuples'
+        // product.  That product is the running one with the tuple's own
+        // factor divided out, computed here on the truncated prefix the
+        // row needs (every poly op computes coefficient j from
         // coefficients ≤ j only, so the prefix holds the same values).
-        let row = &mut rho[i * k + saturated_count..(i + 1) * k];
-        let ql = q[l];
+        let row = &mut rho[i * k + saturated..(i + 1) * k];
+        let ql = fold.q(l);
         if ql <= MAX_DIVISOR_Q {
             row.copy_from_slice(&poly[..row.len()]);
             if ql > 0.0 {
@@ -518,17 +626,24 @@ pub(crate) fn scan_rows_into(
         } else {
             // The tuple's own x-tuple is in flight (its q > 0 and this
             // alternative is not passed yet), so it is left out here.
-            reform_factors +=
-                reform(row, &frozen, &mut in_flight, &q, &is_saturated, &unpassed, Some(l));
+            reform_factors += reform(row, &frozen, &mut in_flight, &fold, &unpassed, Some(l));
         }
         for c in row.iter_mut() {
             *c *= t.prob;
         }
+        let row = &rho[i * k..(i + 1) * k];
+        let p: f64 = row.iter().sum();
+        top_k[i] = p;
+        if fold.cuts_row(t, p, row[k - 1]) {
+            stop = i;
+            break;
+        }
     }
 
-    pdb_obs::metrics::ENGINE_PSR_ROWS_SCANNED_TOTAL.add(end as u64);
+    let scanned = if stop < end { stop + 1 } else { end };
+    pdb_obs::metrics::ENGINE_PSR_ROWS_SCANNED_TOTAL.add(scanned as u64);
     pdb_obs::metrics::ENGINE_PSR_REFORM_FACTORS_TOTAL.add(reform_factors as u64);
-    Ok(())
+    Ok(stop)
 }
 
 /// Compute rank-h and top-k probabilities with the incremental PSR
@@ -536,33 +651,43 @@ pub(crate) fn scan_rows_into(
 /// whose step or own factor is ill-conditioned, and O(m + k) working
 /// state beyond the ρ matrix itself.
 ///
-/// Complete x-tuples stay near O(n·k), and the scan and the stored matrix
-/// both end at Lemma 2's cut ([`RankProbabilities`]'s live prefix), often
-/// far inside the table.  Null-mass x-tuples whose alternatives sit in a
-/// narrow score band also stay near O(n·k), because only a few of them
-/// are in flight at a time; they never saturate, so all `n` rows are
-/// live.  Null-mass x-tuples whose alternatives spread across the whole
-/// ranking keep many factors in flight and approach O(n·m·k).
+/// The scan and the stored matrix both end at the tail cut
+/// ([`RankProbabilities`]'s live prefix), often far inside the table.  On
+/// complete x-tuples that is Lemma 2's cut and the scan stays near
+/// O(cut·k).  Null-mass x-tuples never saturate, and the scan ends where
+/// T(i) first drops to [`TAIL_EPSILON`]: at k = 50 on the synthetic
+/// generator's 10⁴ tuples, 6–23 % of the table for totals 0.999–0.5, and
+/// a similar share when the alternatives spread across the ranking.
+/// Inside the cut, null-mass x-tuples whose alternatives sit in a narrow
+/// score band stay near O(cut·k), because only a few of them are in
+/// flight at a time; alternatives spread across the ranking keep more
+/// factors in flight.
 ///
-/// A `k` whose live `cut × k` matrix cannot be allocated is an invalid
-/// parameter: `k` arrives from clients, so the allocation is fallible
-/// instead of aborting the process.
+/// The matrix is reserved up to Lemma 2's cut, which bounds the tail cut
+/// from above, and grown row by row as the scan reaches each position, so
+/// only the rows above the tail cut are ever written.  A `k` whose
+/// `bound × k` reservation cannot be allocated is an invalid parameter:
+/// `k` arrives from clients, so the allocation is fallible instead of
+/// aborting the process.
 pub fn rank_probabilities(db: &RankedDatabase, k: usize) -> Result<RankProbabilities> {
     pdb_obs::metrics::ENGINE_PSR_RUNS_TOTAL.inc();
     validate_k(db, k)?;
-    let live = lemma2_cut(db, k);
+    let bound = lemma2_cut(db, k);
     let too_large = || {
         DbError::invalid_parameter(format!(
-            "k = {k} needs a {live} x {k} rank-probability matrix, which cannot be allocated"
+            "k = {k} needs a {bound} x {k} rank-probability matrix, which cannot be allocated"
         ))
     };
-    let len = live.checked_mul(k).ok_or_else(too_large)?;
+    let len = bound.checked_mul(k).ok_or_else(too_large)?;
     let mut rho = Vec::new();
     rho.try_reserve_exact(len).map_err(|_| too_large())?;
-    rho.resize(len, 0.0);
-    scan_rows_into(db, k, live, |_| true, &mut rho)?;
+    let mut top_k = Vec::new();
+    top_k.try_reserve_exact(bound).map_err(|_| too_large())?;
+    let live = scan_rows_into(db, k, bound, |_| true, &mut rho, &mut top_k)?;
+    rho.truncate(live * k);
+    top_k.truncate(live);
     pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(live as u64);
-    Ok(RankProbabilities::from_rho(k, db.len(), rho))
+    Ok(RankProbabilities { k, n: db.len(), rho, top_k })
 }
 
 /// Reference implementation of PSR that rebuilds the generating-function
@@ -770,13 +895,14 @@ mod tests {
         let master = rank_probabilities(&db, 5).unwrap();
         for k in 1..=5 {
             let independent = rank_probabilities(&db, k).unwrap();
-            let prefix = master.prefix(k).unwrap();
+            let prefix = master.prefix(&db, k).unwrap();
             // Bit-for-bit: every poly op computes coefficient j from
             // coefficients ≤ j only (see `prefix`'s docs).
             assert_eq!(prefix, independent, "k = {k}");
         }
-        assert!(master.prefix(0).is_err());
-        assert!(master.prefix(6).is_err());
+        assert!(master.prefix(&db, 0).is_err());
+        assert!(master.prefix(&db, 6).is_err());
+        assert!(master.prefix(&clustered_null_mass(), 2).is_err(), "a foreign database");
 
         // Clustered null-mass data, where rows come from frozen ×
         // in-flight re-forms, keeps the property that serves k = 5 and
@@ -785,7 +911,7 @@ mod tests {
         let master = rank_probabilities(&db, 50).unwrap();
         for k in [1, 5, 15, 50] {
             let independent = rank_probabilities(&db, k).unwrap();
-            assert_eq!(master.prefix(k).unwrap(), independent, "clustered null mass, k = {k}");
+            assert_eq!(master.prefix(&db, k).unwrap(), independent, "clustered null mass, k = {k}");
             let exact = rank_probabilities_exact(&db, k).unwrap();
             assert_matrix_close(&independent, &exact.rho, 1e-12);
         }
@@ -828,7 +954,7 @@ mod tests {
         let master = rank_probabilities(&db, 11).unwrap();
         for k in [1, 2, 3, 5, 10] {
             let independent = rank_probabilities(&db, k).unwrap();
-            assert_eq!(master.prefix(k).unwrap(), independent, "k = {k}");
+            assert_eq!(master.prefix(&db, k).unwrap(), independent, "k = {k}");
         }
     }
 

@@ -17,8 +17,10 @@
 //! zero-copy batch view), which is what allows the query evaluation to
 //! share its PSR run with quality computation (Section IV-C) and with
 //! other registered queries ([`crate::batch`]).  Each one scans only the
-//! live prefix ([`RankAccess::live_rows`]): a tuple past Lemma 2's cut
-//! has probability zero and qualifies under none of the semantics.
+//! live prefix ([`RankAccess::live_rows`]): a tuple past the tail cut
+//! reads as probability zero (its true top-k probability is at most
+//! [`TAIL_EPSILON`](crate::psr::TAIL_EPSILON)) and qualifies under none
+//! of the semantics.
 
 use crate::psr::{rank_probabilities, RankAccess};
 use pdb_core::{DbError, RankedDatabase, Result, TupleId};

@@ -2,9 +2,17 @@
 
 use pdb_core::RankedDatabase;
 use pdb_engine::delta::XTupleMutation;
-use pdb_engine::psr::{rank_probabilities, rank_probabilities_exact, RankProbabilities};
+use pdb_engine::poly::multiply_binomial_in;
+use pdb_engine::psr::{
+    rank_probabilities, rank_probabilities_exact, RankProbabilities, TAIL_EPSILON,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// The PSR scan's saturation threshold: an x-tuple whose mass above a
+/// position reaches it counts as certain there.
+#[allow(dead_code)]
+const SATURATED: f64 = 1.0 - 1e-12;
 
 /// Clustered null-mass databases, the regime where PSR freezes passed
 /// x-tuples out of its running product: 5–40 x-tuples, each with 1–5
@@ -22,6 +30,72 @@ pub fn clustered_null_mass_db() -> impl Strategy<Value = RankedDatabase> {
     vec(x_tuple, 5..41).prop_map(|x: Vec<Vec<(f64, f64)>>| {
         RankedDatabase::from_scored_x_tuples(&x).expect("generated x-tuples are valid")
     })
+}
+
+/// Spread null-mass databases, the regime where many x-tuples are in
+/// flight at once: 5–40 x-tuples, each with 1–5 alternatives scored
+/// anywhere in one 0–100 range and a total mass in [0.55, 0.999], so none
+/// saturates and each x-tuple's factor changes all down the ranking.
+pub fn spread_null_mass_db() -> impl Strategy<Value = RankedDatabase> {
+    let x_tuple =
+        (vec((0.0f64..100.0, 0.05f64..1.0), 1..6), 0.55f64..0.999).prop_map(|(alts, mass)| {
+            let total: f64 = alts.iter().map(|(_, w)| w).sum();
+            alts.into_iter().map(|(score, w)| (score, w / total * mass)).collect()
+        });
+    vec(x_tuple, 5..41).prop_map(|x: Vec<Vec<(f64, f64)>>| {
+        RankedDatabase::from_scored_x_tuples(&x).expect("generated x-tuples are valid")
+    })
+}
+
+/// Either null-mass family: clustered or spread alternatives.
+#[allow(dead_code)]
+pub fn null_mass_db() -> impl Strategy<Value = RankedDatabase> {
+    (any::<bool>(), clustered_null_mass_db(), spread_null_mass_db())
+        .prop_map(|(clustered, a, b)| if clustered { a } else { b })
+}
+
+/// T(pos) = Pr[fewer than `k` existing tuples rank above `pos`], computed
+/// on its own: one Poisson-binomial product over every x-tuple's clamped
+/// mass above `pos`, counting saturated x-tuples as certain, as the PSR
+/// scan does.
+#[allow(dead_code)]
+pub fn tail_probability(db: &RankedDatabase, k: usize, pos: usize) -> f64 {
+    let mut poly = vec![0.0; k];
+    poly[0] = 1.0;
+    let mut certain = 0;
+    for info in db.x_tuples() {
+        let mut q = 0.0f64;
+        for &member in info.members.iter().take_while(|&&member| member < pos) {
+            q = (q + db.tuple(member).prob).min(1.0);
+        }
+        if q >= SATURATED {
+            certain += 1;
+        } else if q > 0.0 {
+            multiply_binomial_in(&mut poly, q);
+        }
+    }
+    poly.iter().take(k.saturating_sub(certain)).sum()
+}
+
+/// The first position where [`tail_probability`] is at most
+/// [`TAIL_EPSILON`], or `n`: where PSR's stored prefix must end.
+#[allow(dead_code)]
+pub fn expected_tail_cut(db: &RankedDatabase, k: usize) -> usize {
+    (0..db.len()).find(|&pos| tail_probability(db, k, pos) <= TAIL_EPSILON).unwrap_or(db.len())
+}
+
+/// Every entry of the exact oracle past `rp`'s stored prefix is at most
+/// 1e-15: the rows the tail cut drops hold nothing above ε, up to the
+/// oracle's own rounding.
+#[allow(dead_code)]
+pub fn assert_oracle_tail_vanishes(db: &RankedDatabase, rp: &RankProbabilities, context: &str) {
+    let oracle = rank_probabilities_exact(db, rp.k()).unwrap();
+    for pos in rp.live_rows()..db.len() {
+        for h in 1..=rp.k() {
+            let want = oracle.rank_prob(pos, h);
+            assert!(want <= 1e-15, "{context}: oracle row {pos} h {h} past the cut: {want}");
+        }
+    }
 }
 
 /// Complete x-tuples (each total mass 1 up to rounding) paired with a `k`
@@ -105,6 +179,62 @@ pub fn resolve_cut_step(
                 (0..count).map(|i| (top + 1.0 + i as f64, 1.0 / count as f64)).collect();
             Some((m, XTupleMutation::Insert { key: format!("top{}", s.x_sel % 97), alternatives }))
         }
+        _ => None,
+    }
+}
+
+/// Steps that move the tail cut of a null-mass database, resolved by
+/// [`resolve_tail_step`]: probe outcomes only (reweights), or with
+/// `streaming` also removals and inserts.
+#[allow(dead_code)]
+pub fn tail_step(streaming: bool) -> impl Strategy<Value = CutStep> {
+    let kinds: usize = if streaming { 6 } else { 3 };
+    (0..kinds, any::<usize>(), any::<usize>(), 0.3f64..0.95)
+        .prop_map(|(kind, x_sel, alt_sel, mass)| CutStep { kind, x_sel, alt_sel, mass })
+}
+
+/// A concrete mutation for the null-mass database `db`, whose stored
+/// prefix has `live` rows, or `None` when the step has no valid target:
+///
+/// * kind 0 reweights an x-tuple with an alternative above the cut down
+///   to `mass` times its total, and kind 3 removes one: T rises below it
+///   and the cut moves down;
+/// * kind 1 reweights one up, towards total mass 1 (its null mass shrinks
+///   by the factor `mass`), and kind 4 inserts an x-tuple ranked above
+///   every tuple: T falls and the cut moves up;
+/// * kind 2 reweights an x-tuple wholly past the cut, and kind 5 inserts
+///   one ranked below every tuple: the cut stays.
+#[allow(dead_code)]
+pub fn resolve_tail_step(
+    db: &RankedDatabase,
+    live: usize,
+    s: &CutStep,
+) -> Option<(usize, XTupleMutation)> {
+    let m = db.num_x_tuples();
+    let (above, past): (Vec<usize>, Vec<usize>) =
+        (0..m).partition(|&l| db.x_tuple(l).members[0] < live);
+    let pick = |ls: &[usize]| (!ls.is_empty()).then(|| ls[s.x_sel % ls.len()]);
+    let scaled = |l: usize, factor: f64| {
+        let probs = db.x_tuple(l).members.iter().map(|&p| db.tuple(p).prob * factor).collect();
+        Some((l, XTupleMutation::Reweight { probs }))
+    };
+    let arrival = |score: f64| {
+        let count = 1 + s.alt_sel % 3;
+        let total = 0.55 + 0.44 * s.mass;
+        let alternatives = (0..count).map(|i| (score - i as f64, total / count as f64)).collect();
+        Some((m, XTupleMutation::Insert { key: format!("tail{}", s.x_sel % 97), alternatives }))
+    };
+    match s.kind {
+        0 => scaled(pick(&above)?, s.mass),
+        1 => {
+            let l = pick(&above)?;
+            let total = db.x_tuple(l).total_mass;
+            scaled(l, (1.0 - (1.0 - total) * s.mass) / total)
+        }
+        2 => scaled(pick(&past)?, s.mass),
+        3 if m > 1 => Some((pick(&above)?, XTupleMutation::Remove)),
+        4 => arrival(db.tuple(0).score + 3.0),
+        5 => arrival(db.tuple(db.len() - 1).score - 1.0),
         _ => None,
     }
 }

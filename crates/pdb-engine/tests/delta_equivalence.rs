@@ -230,6 +230,40 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Null-mass databases, clustered or spread, whose tail cut moves
+    /// with each reweight: down when an x-tuple above it loses mass, up
+    /// when one gains mass, and not at all when the x-tuple lies wholly
+    /// past it.  After every step the stored prefix is exactly a fresh
+    /// run's, every row matches a fresh run and the exact oracle, and
+    /// every oracle entry past the prefix is at most 1e-15.
+    #[test]
+    fn null_mass_mutations_that_move_the_tail_cut_match_a_fresh_run(
+        db in common::null_mass_db(),
+        k in 1usize..9,
+        steps in vec(common::tail_step(false), 1..10),
+    ) {
+        let mut eval = evaluation(db, k);
+        for (i, s) in steps.iter().enumerate() {
+            let live = eval.master().live_rows();
+            let Some((l, mutation)) = common::resolve_tail_step(eval.database(), live, s) else {
+                continue;
+            };
+            eval.apply_collapse_in_place(l, &mutation).unwrap();
+            let context = format!("step {i} ({mutation:?})");
+            common::assert_live_prefix_matches_exact(
+                eval.database(),
+                eval.master(),
+                DELTA_TOLERANCE,
+                &context,
+            );
+            common::assert_oracle_tail_vanishes(eval.database(), eval.master(), &context);
+        }
+    }
+}
+
 /// Every stored row of `eval`'s master is a fresh PSR run's row, bit for
 /// bit.
 fn assert_bit_identical_to_a_fresh_run(eval: &BatchEvaluation<'_>) {

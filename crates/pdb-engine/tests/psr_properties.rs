@@ -54,18 +54,46 @@ proptest! {
         }
     }
 
-    /// On complete x-tuples PSR stores exactly Lemma 2's live prefix: the
-    /// rows up to and including the position where the `k`-th x-tuple
-    /// completes (each saturates at its last alternative here).  The
-    /// stored rows match the exact reference, and the reference's rows
-    /// past the prefix are zero up to the mass saturated x-tuples may miss.
+    /// On null-mass data, clustered or spread, no x-tuple saturates and
+    /// PSR stores exactly the prefix above the tail cut: the first
+    /// position where T(i) = Pr[fewer than k existing tuples rank above
+    /// i], computed independently per position, is at most ε.  The stored
+    /// entries match the exact reference, and every entry the cut drops
+    /// is at most 1e-15 there.
     #[test]
-    fn psr_stores_exactly_lemma_2s_live_prefix((db, k) in common::complete_db_with_inner_cut()) {
+    fn psr_stores_exactly_the_tail_cut_prefix_on_null_mass(
+        db in common::null_mass_db(),
+        k in 1usize..9,
+    ) {
+        let rp = rank_probabilities(&db, k).unwrap();
+        prop_assert_eq!(rp.live_rows(), common::expected_tail_cut(&db, k));
+        let exact = rank_probabilities_exact(&db, k).unwrap();
+        for pos in 0..rp.live_rows() {
+            for h in 1..=k {
+                prop_assert!((rp.rank_prob(pos, h) - exact.rank_prob(pos, h)).abs() < 1e-9);
+            }
+        }
+        common::assert_oracle_tail_vanishes(&db, &rp, "fresh run");
+    }
+
+    /// On complete x-tuples PSR stores exactly the tail cut's prefix,
+    /// which Lemma 2's cut bounds: the rows up to and including the
+    /// position where the `k`-th x-tuple completes (each saturates at its
+    /// last alternative here), where T drops to 0, or fewer when T first
+    /// drops to ε above it.  The stored rows match the exact reference,
+    /// and the reference's rows past the prefix are zero up to the mass
+    /// saturated x-tuples may miss.
+    #[test]
+    fn psr_stores_exactly_the_tail_cut_prefix_on_complete_data(
+        (db, k) in common::complete_db_with_inner_cut(),
+    ) {
         let rp = rank_probabilities(&db, k).unwrap();
         let mut completions: Vec<usize> =
             db.x_tuples().map(|info| *info.members.last().unwrap()).collect();
         completions.sort_unstable();
-        let cut = completions.get(k - 1).map_or(db.len(), |&last| (last + 1).min(db.len()));
+        let lemma2 = completions.get(k - 1).map_or(db.len(), |&last| (last + 1).min(db.len()));
+        let cut = common::expected_tail_cut(&db, k);
+        prop_assert!(cut <= lemma2, "tail cut {} below Lemma 2's {}", cut, lemma2);
         prop_assert_eq!(rp.live_rows(), cut);
         prop_assert_eq!(rp.num_tuples(), db.len());
         let exact = rank_probabilities_exact(&db, k).unwrap();

@@ -228,6 +228,41 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Null-mass databases, clustered or spread, under reweights,
+    /// removals and inserts that move the tail cut both ways: a removal
+    /// or a reweight down above it moves it down, a top-ranked arrival or
+    /// a reweight up moves it up, and a reweight or an arrival wholly past
+    /// it leaves it.  After every step the stored prefix is exactly a
+    /// fresh run's, every row matches a fresh run and the exact oracle,
+    /// and every oracle entry past the prefix is at most 1e-15.
+    #[test]
+    fn null_mass_streaming_mutations_that_move_the_tail_cut_match_a_fresh_run(
+        db in common::null_mass_db(),
+        k in 1usize..9,
+        steps in vec(common::tail_step(true), 1..10),
+    ) {
+        let mut eval = evaluation(db, k);
+        for (i, s) in steps.iter().enumerate() {
+            let live = eval.master().live_rows();
+            let Some((l, mutation)) = common::resolve_tail_step(eval.database(), live, s) else {
+                continue;
+            };
+            eval.apply_collapse_in_place(l, &mutation).unwrap();
+            let context = format!("step {i} ({mutation:?})");
+            common::assert_live_prefix_matches_exact(
+                eval.database(),
+                eval.master(),
+                DELTA_TOLERANCE,
+                &context,
+            );
+            common::assert_oracle_tail_vanishes(eval.database(), eval.master(), &context);
+        }
+    }
+}
+
 #[test]
 fn shrinking_to_the_last_entity_stays_exact_and_the_final_removal_errors() {
     let db = RankedDatabase::from_scored_x_tuples(&[

@@ -186,7 +186,7 @@ static REGISTRY: [MetricDef; 17] = [
     },
     MetricDef {
         name: names::ENGINE_PSR_LIVE_ROWS,
-        help: "rank-probability rows stored after each PSR run and delta pass",
+        help: "rank-probability rows stored after each PSR run and delta pass, up to the tail cut",
         series: SeriesRef::Histogram(&ENGINE_PSR_LIVE_ROWS),
     },
     MetricDef {

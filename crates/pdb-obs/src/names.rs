@@ -45,8 +45,9 @@ pub const ENGINE_PSR_ROWS_SCANNED_TOTAL: &str = "engine_psr_rows_scanned_total";
 /// hundreds when null-mass alternatives spread across the ranking.
 pub const ENGINE_PSR_REFORM_FACTORS_TOTAL: &str = "engine_psr_reform_factors_total";
 /// Rows of the rank-probability matrix stored after each PSR run and
-/// each delta pass: Lemma 2's cut, or every row when fewer than `k`
-/// x-tuples saturate (histogram).
+/// each delta pass: the tail cut, where the probability that fewer than
+/// `k` tuples rank above first drops to 1e-18 (Lemma 2's cut on complete
+/// data), or every row when it never does (histogram).
 pub const ENGINE_PSR_LIVE_ROWS: &str = "engine_psr_live_rows";
 
 /// Router-side latency of one forwarded request, by shard (histogram

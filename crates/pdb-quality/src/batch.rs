@@ -15,8 +15,10 @@
 //! depend only on the database (never on `k`), so one weight pass plus one
 //! dot product with each query's top-k probability vector yields the whole
 //! quality vector.  Both run over the shared matrix's live prefix only
-//! (Lemma 2's cut at `k_max`, see `RankProbabilities`): a tuple past it
-//! has pᵢ = 0 under every registered query, so its weight never counts.
+//! (the tail cut at `k_max`, see `RankProbabilities`; Lemma 2's cut on
+//! complete data): a tuple past it reads as pᵢ = 0 under every registered
+//! query (its true pᵢ is at most `TAIL_EPSILON`, 1e-18), so its weight
+//! never counts.
 //! And because the aggregate is a fixed positive combination of
 //! per-query scores, Theorem 2 applies to it verbatim — the cleaning
 //! planners in `pdb-clean` run unchanged on a `CleaningContext` built
