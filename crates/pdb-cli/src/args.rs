@@ -33,7 +33,7 @@ pub const USAGE: &str = "usage:
 
 call verbs (one JSON object per request, e.g. {\"evaluate\":{\"session\":0}}):
   create_session register_query evaluate quality recommend_probe apply_mutation
-  apply_probe drop_session persist fetch_chunk stats metrics shutdown";
+  apply_probe drop_session persist stats metrics shutdown";
 
 /// Which dataset a `quality` / `clean` invocation runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -5,11 +5,17 @@
 //! handle until shutdown grew by two memory mappings (a stack and its
 //! guard page) per connection it had ever served.
 //!
+//! Before it shuts either down, each test also sends a `fetch_chunk`
+//! line: no verb hands out a store file's bytes, so both answer it as
+//! an unknown verb and keep serving the connection.
+//!
 //! Linux-only: the tests count the process's `/proc/<pid>/maps` lines.
 #![cfg(target_os = "linux")]
 
-use pdb_server::Client;
-use std::io::BufRead;
+use pdb_server::protocol::decode_response;
+use pdb_server::{Client, Response};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -91,8 +97,37 @@ fn one_request(addr: &str) {
     client.stats().expect("stats");
 }
 
+/// On one connection, a `fetch_chunk` line gets the unknown-verb error
+/// and the `stats` line after it still gets its reply.
+fn fetch_chunk_is_an_unknown_verb(addr: &str) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(20))).expect("set read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    let mut call = |line: &str| {
+        writeln!(writer, "{line}").and_then(|()| writer.flush()).expect("send request");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read reply");
+        decode_response(reply.trim_end()).expect("decode reply")
+    };
+    let fetch = r#"{"fetch_chunk": {"snapshot": "snapshot-1-1.pdbs", "offset": 0, "max_len": 64}}"#;
+    match call(fetch) {
+        Response::Error(reply) => assert!(
+            reply.message.contains("unknown request verb \"fetch_chunk\""),
+            "{}",
+            reply.message
+        ),
+        other => panic!("expected an error reply to fetch_chunk, got {}", other.kind()),
+    }
+    match call("\"stats\"") {
+        Response::Stats(_) => {}
+        other => panic!("expected a stats reply after the error, got {}", other.kind()),
+    }
+}
+
 /// `CONNECTIONS` one-request connections must not grow the process's
-/// memory map by `MAX_GROWTH` lines; then shut it down.
+/// memory map by `MAX_GROWTH` lines; then a `fetch_chunk` line must get
+/// the unknown-verb error, and the process must shut down.
 fn lets_go_of_finished_connection_threads(mut served: Served, what: &str) {
     let pid = served.child.id();
     // Warm up: the first connections map the allocator arenas and the
@@ -109,6 +144,7 @@ fn lets_go_of_finished_connection_threads(mut served: Served, what: &str) {
         after < before + MAX_GROWTH,
         "{CONNECTIONS} ended connections grew the {what}'s maps from {before} to {after} lines"
     );
+    fetch_chunk_is_an_unknown_verb(&served.addr);
 
     Client::connect(&served.addr).expect("connect").shutdown().expect("shutdown reply");
     let deadline = Instant::now() + Duration::from_secs(20);

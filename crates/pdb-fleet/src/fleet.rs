@@ -14,8 +14,7 @@
 //! segfault) without taking the others down, which no amount of
 //! in-process sharding provides.
 
-use pdb_server::protocol::{self, Request, SessionCreated};
-use pdb_server::Client;
+use pdb_server::protocol::{self, Request};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -125,11 +124,6 @@ impl Fleet {
     /// Whether the fleet has no shards (never true after `spawn`).
     pub fn is_empty(&self) -> bool {
         self.shards.is_empty()
-    }
-
-    /// The address currently serving `shard`.
-    pub fn addr(&self, shard: usize) -> std::io::Result<SocketAddr> {
-        Ok(lock(self.slot(shard)?).addr)
     }
 
     /// Every shard's current pid/address/respawn count, by index.
@@ -285,76 +279,6 @@ fn spawn_shard(config: &FleetConfig, index: usize) -> std::io::Result<(Child, So
         }
         // Anything before the readiness line (e.g. the recovery summary)
         // is informational; keep reading.
-    }
-}
-
-/// Why a peer-streaming rehydrate failed.
-#[derive(Debug)]
-pub enum StreamError {
-    /// A protocol call against the source or destination shard failed
-    /// (includes chunk checksum mismatches — the client verifies every
-    /// chunk before handing bytes up).
-    Client(pdb_server::ClientError),
-    /// Writing the downloaded snapshot into the scratch directory failed.
-    Scratch(std::io::Error),
-}
-
-impl std::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamError::Client(err) => write!(f, "streaming snapshot: {err}"),
-            StreamError::Scratch(err) => write!(f, "writing streamed snapshot: {err}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamError {}
-
-impl From<pdb_server::ClientError> for StreamError {
-    fn from(err: pdb_server::ClientError) -> Self {
-        StreamError::Client(err)
-    }
-}
-
-/// Rehydrate one session from a live peer over the wire: `persist` on
-/// the source shard, stream the snapshot down in verified chunks, write
-/// it into `scratch_dir`, and open it on the destination shard with
-/// `create_session` over the downloaded file, pinned to the *same*
-/// session id.  No shared disk between the two stores is required — the
-/// snapshot bytes travel through the protocol.
-///
-/// `probe_cost` / `probe_success` re-parameterize the rehydrated session
-/// (snapshots persist the database, not the cleaning parameters).
-pub fn stream_session(
-    src: &mut Client,
-    dst: &mut Client,
-    session: u64,
-    scratch_dir: &std::path::Path,
-    probe_cost: u64,
-    probe_success: f64,
-) -> Result<SessionCreated, StreamError> {
-    use pdb_server::protocol::{CreateSession, DatasetSpec};
-    use pdb_server::Response;
-
-    let persisted = src.persist(session)?;
-    let bytes = src.download_snapshot(&persisted.snapshot, 1 << 20)?;
-    std::fs::create_dir_all(scratch_dir).map_err(StreamError::Scratch)?;
-    let local = scratch_dir.join(&persisted.snapshot);
-    std::fs::write(&local, &bytes).map_err(StreamError::Scratch)?;
-    let request = Request::CreateSession(CreateSession {
-        dataset: DatasetSpec::Snapshot { path: local.display().to_string() },
-        probe_cost,
-        probe_success,
-        session: Some(session),
-    });
-    match dst.call(&request)? {
-        Response::SessionCreated(created) => Ok(created),
-        Response::Error(reply) => Err(pdb_server::ClientError::Server(reply.message).into()),
-        other => Err(pdb_server::ClientError::Protocol(format!(
-            "expected session_created, got {:?}",
-            other.kind()
-        ))
-        .into()),
     }
 }
 

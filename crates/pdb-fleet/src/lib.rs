@@ -10,10 +10,8 @@
 //!   session ids;
 //! * [`fleet`] — the shard-process supervisor: spawns N `pdb serve`
 //!   processes (each with its own store directory and WAL, and the
-//!   `pdb serve` flags the fleet was given), respawns a dead shard (WAL
-//!   replay rehydrates its sessions), and streams snapshots between live
-//!   peers ([`fleet::stream_session`]) so a fresh replica needs no
-//!   shared disk;
+//!   `pdb serve` flags the fleet was given) and respawns a dead shard
+//!   over its own store (WAL replay rehydrates its sessions);
 //! * [`router`] — the router: accepts the *existing* wire protocol,
 //!   pins fleet-wide session ids into `create_session`,
 //!   forwards each request to the ring-owning shard, merges `stats` and
@@ -35,6 +33,6 @@ pub mod fleet;
 pub mod ring;
 pub mod router;
 
-pub use fleet::{stream_session, Fleet, FleetConfig, ShardStatus, StreamError, SHARD_READY_PREFIX};
+pub use fleet::{Fleet, FleetConfig, ShardStatus, SHARD_READY_PREFIX};
 pub use ring::{HashRing, DEFAULT_REPLICAS};
 pub use router::Router;

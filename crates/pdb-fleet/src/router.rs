@@ -16,7 +16,6 @@
 //! | `apply_probe` | by session id over the ring |
 //! | `drop_session` | by session id over the ring |
 //! | `persist` | by session id over the ring |
-//! | `fetch_chunk` | by the session id embedded in the snapshot name |
 //! | `stats` | broadcast to every shard, replies merged |
 //! | `metrics` | broadcast to every shard, snapshots merged with the router's own |
 //! | `shutdown` | the router stops, drains its connections, then shuts every shard down |
@@ -317,15 +316,6 @@ impl RouterShared {
             | Request::DropSession(req)
             | Request::Persist(req) => self.shard_of(req.session),
             Request::ApplyMutation(req) | Request::ApplyProbe(req) => self.shard_of(req.session),
-            Request::FetchChunk(req) => match snapshot_session(&req.snapshot) {
-                Some(session) => self.shard_of(session),
-                None => {
-                    return Response::error(format!(
-                        "cannot route fetch_chunk: {:?} is not a persist-produced snapshot name",
-                        req.snapshot
-                    ))
-                }
-            },
             Request::Stats => return self.merged_stats(clients),
             Request::Metrics => return self.merged_metrics(clients),
             // The fleet shuts down in `Router::run`, after the connection
@@ -356,12 +346,6 @@ fn pin_id(ids: &SessionIds, session: &mut Option<u64>) -> Result<u64, String> {
     Ok(id)
 }
 
-/// The session id a persist-produced snapshot name embeds
-/// (`snapshot-<sid>-<seq>.pdbs`), used to route `fetch_chunk`.
-fn snapshot_session(name: &str) -> Option<u64> {
-    name.strip_prefix("snapshot-")?.strip_suffix(".pdbs")?.split_once('-')?.0.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,15 +363,5 @@ mod tests {
         assert_eq!(pin_id(&ids, &mut Some(u64::MAX - 1)).unwrap(), u64::MAX - 1);
         let err = pin_id(&ids, &mut None).unwrap_err();
         assert!(err.contains("no session id is left"), "{err}");
-    }
-
-    #[test]
-    fn snapshot_names_route_by_embedded_session_id() {
-        assert_eq!(snapshot_session("snapshot-7-12.pdbs"), Some(7));
-        assert_eq!(snapshot_session("snapshot-123-4.pdbs"), Some(123));
-        assert_eq!(snapshot_session("snapshot-x-4.pdbs"), None);
-        assert_eq!(snapshot_session("snapshot-7.pdbs"), None);
-        assert_eq!(snapshot_session("../../etc/passwd"), None);
-        assert_eq!(snapshot_session(""), None);
     }
 }

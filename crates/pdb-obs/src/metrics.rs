@@ -25,7 +25,6 @@ pub const VERB_LABELS: &[&str] = &[
     "apply_probe",
     "drop_session",
     "persist",
-    "fetch_chunk",
     "stats",
     "metrics",
     "shutdown",

@@ -6,10 +6,9 @@
 //! `{"error": ...}` replies as [`ClientError::Server`].
 
 use crate::protocol::{
-    self, decode_chunk_data, Answers, ApplyMutation, CreateSession, DatasetSpec, FetchChunk,
-    MetricsReply, Persisted, ProbeAdvice, ProbeApplied, QualityReport, QueryRegistered,
-    RegisterQuery, Request, Response, ServerStats, SessionCreated, SessionRef, SnapshotChunk,
-    CHUNK_SEED,
+    self, Answers, ApplyMutation, CreateSession, DatasetSpec, MetricsReply, Persisted, ProbeAdvice,
+    ProbeApplied, QualityReport, QueryRegistered, RegisterQuery, Request, Response, ServerStats,
+    SessionCreated, SessionRef,
 };
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
@@ -269,80 +268,6 @@ impl Client {
         match self.call(&Request::Persist(SessionRef { session }))? {
             Response::Persisted(persisted) => Ok(persisted),
             other => Err(unexpected("persisted", &other)),
-        }
-    }
-
-    /// `fetch_chunk`: one verified chunk of a snapshot file in the
-    /// server's store directory.  The chunk's XXH64 and length are
-    /// checked here, so a caller that loops to
-    /// [`download_snapshot`](Self::download_snapshot) semantics never
-    /// assembles corrupt bytes.
-    pub fn fetch_chunk(
-        &mut self,
-        snapshot: impl Into<String>,
-        offset: u64,
-        max_len: u64,
-    ) -> Result<(SnapshotChunk, Vec<u8>), ClientError> {
-        let snapshot = snapshot.into();
-        let chunk =
-            match self.call(&Request::FetchChunk(FetchChunk { snapshot, offset, max_len }))? {
-                Response::Chunk(chunk) => chunk,
-                other => return Err(unexpected("chunk", &other)),
-            };
-        let bytes = decode_chunk_data(&chunk.data)
-            .map_err(|err| ClientError::Protocol(format!("chunk data: {err}")))?;
-        if bytes.len() as u64 != chunk.len {
-            return Err(ClientError::Protocol(format!(
-                "chunk length mismatch: header says {}, payload has {}",
-                chunk.len,
-                bytes.len()
-            )));
-        }
-        if pdb_store::hash::xxh64(&bytes, CHUNK_SEED) != chunk.xxh64 {
-            return Err(ClientError::Protocol(format!(
-                "chunk at offset {} of {} failed its checksum",
-                chunk.offset, chunk.snapshot
-            )));
-        }
-        Ok((chunk, bytes))
-    }
-
-    /// Download a whole snapshot file from the server's store directory
-    /// by looping `fetch_chunk` until `eof`, verifying every chunk.
-    /// This is how a fresh replica rehydrates from a live peer without
-    /// shared disk: `persist` on the peer, download, write locally,
-    /// `create_session` over the local copy.
-    pub fn download_snapshot(
-        &mut self,
-        snapshot: &str,
-        chunk_len: u64,
-    ) -> Result<Vec<u8>, ClientError> {
-        let mut bytes = Vec::new();
-        loop {
-            let (chunk, data) = self.fetch_chunk(snapshot, bytes.len() as u64, chunk_len.max(1))?;
-            if chunk.offset != bytes.len() as u64 {
-                return Err(ClientError::Protocol(format!(
-                    "server answered offset {} for a request at offset {}",
-                    chunk.offset,
-                    bytes.len()
-                )));
-            }
-            bytes.extend_from_slice(&data);
-            if chunk.eof {
-                if bytes.len() as u64 != chunk.total {
-                    return Err(ClientError::Protocol(format!(
-                        "snapshot download ended at {} of {} bytes",
-                        bytes.len(),
-                        chunk.total
-                    )));
-                }
-                return Ok(bytes);
-            }
-            if data.is_empty() {
-                return Err(ClientError::Protocol(
-                    "server sent an empty non-final chunk; download cannot progress".to_string(),
-                ));
-            }
         }
     }
 

@@ -8,7 +8,7 @@
 //! * [`protocol`] — the newline-delimited JSON wire protocol
 //!   (`create_session`, `register_query`, `evaluate`, `quality`,
 //!   `recommend_probe`, `apply_mutation`, `drop_session`, `persist`,
-//!   `fetch_chunk`, `stats`, `shutdown`);
+//!   `stats`, `metrics`, `shutdown`);
 //! * [`session`] — persistent sessions (a database + a live
 //!   [`pdb_quality::BatchQuality`]) in one map whose lock is held only to
 //!   look a session up, each session behind its own lock, so concurrent

@@ -30,7 +30,6 @@
 //! | `apply_probe` | [`ApplyProbe`] | `probe_applied` ([`ProbeApplied`]) |
 //! | `drop_session` | [`SessionRef`] | `session_dropped` ([`SessionRef`]) |
 //! | `persist` | [`SessionRef`] | `persisted` ([`Persisted`]) |
-//! | `fetch_chunk` | [`FetchChunk`] | `chunk` ([`SnapshotChunk`]) |
 //! | `stats` | — | `stats` ([`ServerStats`]) |
 //! | `metrics` | — | `metrics` ([`MetricsReply`]) |
 //! | `shutdown` | — | `shutting_down` |
@@ -80,8 +79,7 @@ pub use pdb_store::DatasetSpec;
 /// `session` is optional on the wire (omitted when `None`, and absent in
 /// every pre-fleet request): a plain client lets the server assign the
 /// next id, while the fleet router pre-assigns fleet-wide unique ids so
-/// two shards never hand out the same one, and a peer rehydrate
-/// (`pdb_fleet::stream_session`) keeps the source's id.
+/// two shards never hand out the same one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CreateSession {
     /// Database the session evaluates.
@@ -200,83 +198,6 @@ impl ApplyMutation {
 /// differ in name only.
 pub type ApplyProbe = ApplyMutation;
 
-/// Payload of `fetch_chunk`: stream one byte range of a snapshot file
-/// out of the server's store directory, so a peer can rehydrate a
-/// session over the wire instead of over shared disk.  `snapshot` must
-/// be a bare file name inside the store directory (no path separators) —
-/// exactly what `persist` returns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FetchChunk {
-    /// File name of the snapshot inside the store directory.
-    pub snapshot: String,
-    /// Byte offset the chunk starts at.
-    pub offset: u64,
-    /// Upper bound on the chunk's length in bytes (the server may send
-    /// less at end of file; it never sends more).
-    pub max_len: u64,
-}
-
-/// Seed of the per-chunk XXH64 integrity check ("pdbc"), mirroring the
-/// WAL's per-record checksum framing.
-pub const CHUNK_SEED: u64 = 0x7064_6263;
-
-/// Response to `fetch_chunk`: one length- and checksum-framed byte range
-/// of a snapshot file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SnapshotChunk {
-    /// The snapshot file the bytes come from.
-    pub snapshot: String,
-    /// Byte offset the chunk starts at.
-    pub offset: u64,
-    /// Bytes in this chunk (`data` decodes to exactly this many).
-    pub len: u64,
-    /// Total size of the snapshot file, so the receiver can preallocate
-    /// and detect truncation.
-    pub total: u64,
-    /// XXH64 (seed [`CHUNK_SEED`]) of this chunk's raw bytes.
-    pub xxh64: u64,
-    /// The chunk's bytes, hex-encoded (JSON-safe framing of binary data).
-    pub data: String,
-    /// Whether this chunk ends the file (`offset + len == total`).
-    pub eof: bool,
-}
-
-/// Hex-encode a chunk's raw bytes for the wire.
-pub fn encode_chunk_data(bytes: &[u8]) -> String {
-    bytes
-        .iter()
-        .flat_map(|byte| [byte >> 4, byte & 0xF])
-        // Both nibbles are < 16, so `from_digit` always succeeds; the
-        // fallback only keeps this expression panic-free.
-        .map(|nibble| char::from_digit(u32::from(nibble), 16).unwrap_or('0'))
-        .collect()
-}
-
-/// Decode a chunk's hex payload back into raw bytes.
-pub fn decode_chunk_data(data: &str) -> Result<Vec<u8>, SerdeError> {
-    let data = data.as_bytes();
-    if !data.len().is_multiple_of(2) {
-        return Err(SerdeError::custom("chunk data has an odd hex length"));
-    }
-    let nibble = |c: u8| -> Result<u8, SerdeError> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            b'A'..=b'F' => Ok(c - b'A' + 10),
-            other => {
-                Err(SerdeError::custom(format!("invalid hex byte {other:#04x} in chunk data")))
-            }
-        }
-    };
-    data.chunks_exact(2)
-        .map(|pair| match pair {
-            [hi, lo] => Ok((nibble(*hi)? << 4) | nibble(*lo)?),
-            // `chunks_exact(2)` only ever yields two-byte windows.
-            _ => Err(SerdeError::custom("chunk data framing error")),
-        })
-        .collect()
-}
-
 /// One request of the wire protocol.
 ///
 /// Serializes as a single-entry JSON object keyed by the verb; `stats` and
@@ -308,9 +229,6 @@ pub enum Request {
     /// `persist`: checkpoint a session's current state into the store
     /// (snapshot + WAL record), so recovery starts from the snapshot.
     Persist(SessionRef),
-    /// `fetch_chunk`: stream one byte range of a store snapshot, so a
-    /// peer can rehydrate over the wire.
-    FetchChunk(FetchChunk),
     /// `stats`: server-wide counters.
     Stats,
     /// `metrics`: every registered observability series (counters,
@@ -333,7 +251,6 @@ impl Request {
             Request::ApplyProbe(_) => "apply_probe",
             Request::DropSession(_) => "drop_session",
             Request::Persist(_) => "persist",
-            Request::FetchChunk(_) => "fetch_chunk",
             Request::Stats => "stats",
             Request::Metrics => "metrics",
             Request::Shutdown => "shutdown",
@@ -352,7 +269,6 @@ impl Serialize for Request {
             | Request::DropSession(p)
             | Request::Persist(p) => p.to_value(),
             Request::ApplyMutation(p) | Request::ApplyProbe(p) => p.to_value(),
-            Request::FetchChunk(p) => p.to_value(),
             Request::Stats | Request::Metrics | Request::Shutdown => Value::Map(Vec::new()),
         };
         Value::Map(vec![(self.verb().to_string(), payload)])
@@ -382,7 +298,6 @@ impl Deserialize for Request {
             "apply_probe" => Ok(Request::ApplyProbe(Deserialize::from_value(payload)?)),
             "drop_session" => Ok(Request::DropSession(Deserialize::from_value(payload)?)),
             "persist" => Ok(Request::Persist(Deserialize::from_value(payload)?)),
-            "fetch_chunk" => Ok(Request::FetchChunk(Deserialize::from_value(payload)?)),
             "stats" => Ok(Request::Stats),
             "metrics" => Ok(Request::Metrics),
             "shutdown" => Ok(Request::Shutdown),
@@ -530,10 +445,10 @@ pub struct ServerStats {
     /// server; the fleet router reports its shard-connection retries
     /// here, summed into the merged fleet stats).
     pub connect_retries: u64,
-    /// The group-commit flusher's sticky fsync failure, if one has
-    /// happened: once an fsync fails the WAL fail-stops, and every
-    /// in-flight and future append errors.  Surfaced here so operators
-    /// see a degraded store *before* the next write fails, not at it.
+    /// Group commit's sticky fsync failure, if one has happened: once an
+    /// fsync fails the WAL fail-stops, and every in-flight and future
+    /// append errors.  Surfaced here so operators see a degraded store
+    /// *before* the next write fails, not at it.
     /// `None` (omitted on the wire) on a healthy or non-durable server;
     /// a merged fleet reply carries the first degraded shard's message.
     pub flush_error: Option<String>,
@@ -615,8 +530,6 @@ pub enum Response {
     SessionDropped(SessionRef),
     /// `persisted`
     Persisted(Persisted),
-    /// `chunk`
-    Chunk(SnapshotChunk),
     /// `stats`
     Stats(ServerStats),
     /// `metrics`
@@ -639,7 +552,6 @@ impl Response {
             Response::ProbeApplied(_) => "probe_applied",
             Response::SessionDropped(_) => "session_dropped",
             Response::Persisted(_) => "persisted",
-            Response::Chunk(_) => "chunk",
             Response::Stats(_) => "stats",
             Response::Metrics(_) => "metrics",
             Response::ShuttingDown => "shutting_down",
@@ -664,7 +576,6 @@ impl Serialize for Response {
             Response::ProbeApplied(p) => p.to_value(),
             Response::SessionDropped(p) => p.to_value(),
             Response::Persisted(p) => p.to_value(),
-            Response::Chunk(p) => p.to_value(),
             Response::Stats(p) => p.to_value(),
             Response::Metrics(p) => p.to_value(),
             Response::ShuttingDown => Value::Map(Vec::new()),
@@ -691,7 +602,6 @@ impl Deserialize for Response {
             "probe_applied" => Ok(Response::ProbeApplied(Deserialize::from_value(payload)?)),
             "session_dropped" => Ok(Response::SessionDropped(Deserialize::from_value(payload)?)),
             "persisted" => Ok(Response::Persisted(Deserialize::from_value(payload)?)),
-            "chunk" => Ok(Response::Chunk(Deserialize::from_value(payload)?)),
             "stats" => Ok(Response::Stats(Deserialize::from_value(payload)?)),
             "metrics" => Ok(Response::Metrics(Deserialize::from_value(payload)?)),
             "shutting_down" => Ok(Response::ShuttingDown),
@@ -823,11 +733,6 @@ mod tests {
         )));
         round_trip_request(&Request::DropSession(SessionRef { session: 7 }));
         round_trip_request(&Request::Persist(SessionRef { session: 7 }));
-        round_trip_request(&Request::FetchChunk(FetchChunk {
-            snapshot: "snapshot-41-2.pdbs".to_string(),
-            offset: 65536,
-            max_len: 65536,
-        }));
         round_trip_request(&Request::Stats);
         round_trip_request(&Request::Metrics);
         round_trip_request(&Request::Shutdown);
@@ -871,18 +776,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_data_hex_framing_round_trips() {
-        let bytes: Vec<u8> = (0..=255u8).collect();
-        let hex = encode_chunk_data(&bytes);
-        assert_eq!(hex.len(), 512);
-        assert_eq!(decode_chunk_data(&hex).unwrap(), bytes);
-        assert_eq!(decode_chunk_data("00FFa5").unwrap(), vec![0, 255, 165]);
-        assert!(decode_chunk_data("abc").is_err(), "odd length");
-        assert!(decode_chunk_data("zz").is_err(), "non-hex byte");
-        assert!(decode_chunk_data("").unwrap().is_empty());
-    }
-
-    #[test]
     fn every_response_kind_round_trips() {
         round_trip_response(&Response::SessionCreated(SessionCreated {
             session: 1,
@@ -921,15 +814,6 @@ mod tests {
             snapshot: "snapshot-1-3.pdbs".to_string(),
             tuples: 7,
             probes: 2,
-        }));
-        round_trip_response(&Response::Chunk(SnapshotChunk {
-            snapshot: "snapshot-41-2.pdbs".to_string(),
-            offset: 0,
-            len: 3,
-            total: 3,
-            xxh64: pdb_store::hash::xxh64(&[0xab, 0xcd, 0xef], CHUNK_SEED),
-            data: "abcdef".to_string(),
-            eof: true,
         }));
         round_trip_response(&Response::Stats(ServerStats {
             sessions_live: 1,
@@ -1053,11 +937,6 @@ mod tests {
             Request::ApplyProbe(ApplyMutation::new(0, 0, XTupleMutation::CollapseToNull)),
             Request::DropSession(SessionRef { session: 0 }),
             Request::Persist(SessionRef { session: 0 }),
-            Request::FetchChunk(FetchChunk {
-                snapshot: "s.pdbs".to_string(),
-                offset: 0,
-                max_len: 1,
-            }),
             Request::Stats,
             Request::Metrics,
             Request::Shutdown,
@@ -1100,6 +979,13 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("unknown request verb \"restore\""), "{err}");
+        // No verb hands out a store file's bytes.
+        let err = decode_request(
+            "{\"fetch_chunk\": {\"snapshot\": \"snapshot-1-2.pdbs\", \"offset\": 0, \
+             \"max_len\": 65536}}",
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("unknown request verb \"fetch_chunk\""), "{err}");
         assert!(decode_request("\"evaluate\"").is_err());
         assert!(decode_request("not json").is_err());
     }

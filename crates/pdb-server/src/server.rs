@@ -443,10 +443,6 @@ fn dispatch(request: Request, ctx: &HandlerContext) -> Response {
             Ok(persisted) => Response::Persisted(persisted),
             Err(err) => Response::error(err),
         },
-        Request::FetchChunk(req) => match manager.fetch_chunk(&req) {
-            Ok(chunk) => Response::Chunk(chunk),
-            Err(err) => Response::error(err),
-        },
         Request::Stats => Response::Stats(ServerStats {
             sessions_live: manager.sessions_live(),
             sessions_created: manager.sessions_created(),

@@ -30,9 +30,9 @@
 //! router alike.
 
 use crate::protocol::{
-    encode_chunk_data, Answers, ApplyMutation, CreateSession, FetchChunk, Persisted, ProbeAdvice,
-    ProbeApplied, ProbeRecommendation, QualityReport, QueryRegistered, RegisterQuery,
-    SessionCreated, SessionRef, SessionStat, SnapshotChunk, CHUNK_SEED,
+    Answers, ApplyMutation, CreateSession, Persisted, ProbeAdvice, ProbeApplied,
+    ProbeRecommendation, QualityReport, QueryRegistered, RegisterQuery, SessionCreated, SessionRef,
+    SessionStat,
 };
 use pdb_clean::{best_single_probe, CleaningContext, CleaningSetup};
 use pdb_core::{DbError, RankedDatabase, Result as DbResult};
@@ -48,11 +48,6 @@ use std::time::Instant;
 
 /// The session map: id → the session behind its own lock.
 type SessionMap = HashMap<u64, Arc<Mutex<Session>>>;
-
-/// Upper bound on one `fetch_chunk` reply's payload, whatever the client
-/// asked for: chunks are hex-encoded into a JSON line, so an unbounded
-/// `max_len` would balloon one reply line past what peers should buffer.
-const MAX_CHUNK_LEN: u64 = 4 << 20;
 
 /// One live session: a database, its cleaning parameters and (once a query
 /// is registered) the shared batch evaluation serving every registered
@@ -556,49 +551,6 @@ impl SessionManager {
         Ok(SessionCreated { session: id, ..info })
     }
 
-    /// Serve one chunk of a snapshot file from the store directory
-    /// (`fetch_chunk` verb): a fresh replica rehydrates from a live peer
-    /// by downloading the snapshot a `persist` just produced, then
-    /// opening a session over the local copy with `create_session` — no
-    /// shared disk required.
-    ///
-    /// The snapshot name must be a bare file name produced by `persist`
-    /// (no path separators, `.pdbs` suffix): the verb reads files *only*
-    /// out of the store directory, never an arbitrary path.
-    pub fn fetch_chunk(&self, req: &FetchChunk) -> DbResult<SnapshotChunk> {
-        let store = self.store.as_ref().ok_or_else(|| {
-            DbError::invalid_parameter(
-                "server has no durable store; start it with --store-dir to use fetch_chunk",
-            )
-        })?;
-        let name = &req.snapshot;
-        if name.is_empty()
-            || name.contains(['/', '\\'])
-            || name.contains("..")
-            || !name.ends_with(".pdbs")
-        {
-            return Err(DbError::invalid_parameter(format!(
-                "fetch_chunk snapshot must be a bare .pdbs file name from persist, got {name:?}"
-            )));
-        }
-        let path = store.dir().join(name);
-        let bytes = std::fs::read(&path)
-            .map_err(|err| DbError::invalid_parameter(format!("reading snapshot {name}: {err}")))?;
-        let total = bytes.len() as u64;
-        let offset = req.offset.min(total);
-        let len = req.max_len.min(total - offset).min(MAX_CHUNK_LEN);
-        let chunk = &bytes[offset as usize..(offset + len) as usize];
-        Ok(SnapshotChunk {
-            snapshot: name.clone(),
-            offset,
-            len,
-            total,
-            xxh64: pdb_store::hash::xxh64(chunk, CHUNK_SEED),
-            data: encode_chunk_data(chunk),
-            eof: offset + len >= total,
-        })
-    }
-
     /// Journal a record for a just-mutated session.  An append failure
     /// leaves the live state ahead of the log, so the session is marked
     /// faulted and fail-stops (see `Session::journal_fault`) instead of
@@ -1014,8 +966,8 @@ mod tests {
     }
 
     #[test]
-    fn restore_opens_a_session_over_a_snapshot_file() {
-        let dir = std::env::temp_dir().join("pdb-server-session-restore-test");
+    fn create_session_opens_a_session_over_a_snapshot_file() {
+        let dir = std::env::temp_dir().join("pdb-server-session-create-snapshot-test");
         std::fs::create_dir_all(&dir).unwrap();
         let snapshot = dir.join("udb1.pdbs");
         let db = build_dataset(&DatasetSpec::Udb1).unwrap();

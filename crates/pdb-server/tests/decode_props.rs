@@ -5,9 +5,7 @@
 
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
-use pdb_server::protocol::{
-    self, ApplyMutation, CreateSession, FetchChunk, RegisterQuery, SessionRef,
-};
+use pdb_server::protocol::{self, ApplyMutation, CreateSession, RegisterQuery, SessionRef};
 use pdb_server::{DatasetSpec, Request};
 use proptest::prelude::*;
 
@@ -50,11 +48,6 @@ fn valid_lines() -> Vec<String> {
             probe_cost: 2,
             probe_success: 0.5,
             session: None,
-        }),
-        Request::FetchChunk(FetchChunk {
-            snapshot: "snapshot-7-1.pdbs".to_string(),
-            offset: 64,
-            max_len: 4096,
         }),
         Request::Stats,
         Request::Metrics,

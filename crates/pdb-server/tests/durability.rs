@@ -10,7 +10,8 @@
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
 use pdb_quality::{BatchQuality, WeightedQuery};
-use pdb_server::{Client, DatasetSpec, Server, ServerConfig};
+use pdb_server::protocol::CreateSession;
+use pdb_server::{Client, DatasetSpec, Request, Response, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::thread;
@@ -94,15 +95,34 @@ fn store_backed_server_restarts_with_its_sessions() {
     assert!((report.aggregate - mirror.aggregate_quality()).abs() <= TOL);
     assert_eq!(client.evaluate(session).unwrap().answers, mirror.answers().unwrap());
 
-    // Open a second session from an exported snapshot file.
-    let exported = dir.join("exported.pdbs");
-    pdb_store::Snapshot::write(mirror.database(), &exported).unwrap();
-    let snapshot = DatasetSpec::Snapshot { path: exported.display().to_string() };
-    let restored = client.create_session(snapshot, 1, 0.8).expect("create_session over a snapshot");
+    // Open a second session, pinned to a fresh id, from the snapshot a
+    // `persist` of the recovered session wrote, copied out of the store.
+    let persisted = client.persist(session).unwrap();
+    let copied = dir.with_extension("pdbs");
+    std::fs::copy(dir.join(&persisted.snapshot), &copied).unwrap();
+    let pinned = session + 41;
+    let create = Request::CreateSession(CreateSession {
+        dataset: DatasetSpec::Snapshot { path: copied.display().to_string() },
+        probe_cost: 1,
+        probe_success: 0.8,
+        session: Some(pinned),
+    });
+    let restored = match client.call(&create).unwrap() {
+        Response::SessionCreated(created) => created,
+        other => panic!("expected session_created, got {}", other.kind()),
+    };
+    assert_eq!(restored.session, pinned, "a pinned session id is kept");
     assert_eq!(restored.tuples, mirror.database().len());
-    client.register_query(restored.session, query, 1.0).unwrap();
-    let restored_report = client.quality(restored.session).unwrap();
+    client.register_query(pinned, query, 1.0).unwrap();
+    let restored_report = client.quality(pinned).unwrap();
     assert!((restored_report.aggregate - mirror.aggregate_quality()).abs() <= TOL);
+    // A second create pinned to a live id is refused.
+    match client.call(&create).unwrap() {
+        Response::Error(reply) => {
+            assert!(reply.message.contains("already exists"), "{}", reply.message)
+        }
+        other => panic!("expected an error, got {}", other.kind()),
+    }
 
     let stats = client.stats().unwrap();
     assert!(stats.durable);
@@ -114,7 +134,7 @@ fn store_backed_server_restarts_with_its_sessions() {
     handle.join().expect("server thread").expect("clean shutdown");
 
     // ---- the snapshot session is durable too --------------------------
-    std::fs::remove_file(&exported).unwrap(); // durability must not need it
+    std::fs::remove_file(&copied).unwrap(); // durability must not need it
     let (_, _, recovered) = boot(&dir, 0);
     assert_eq!(recovered, 2, "both sessions survive another restart");
     std::fs::remove_dir_all(&dir).ok();

@@ -286,11 +286,6 @@ impl Store {
         group_records(dir, records, (bytes.len() - valid_len) as u64, build)
     }
 
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Lock the log, failing — not panicking — when a previous writer
     /// panicked while holding it.  `Wal::append` already rolls back or
     /// fail-stops on its own errors; a *poisoned lock* additionally means
