@@ -33,8 +33,10 @@ pub const VERB_LABELS: &[&str] = &[
 
 /// Where a failed request died: `decode` (the line never parsed),
 /// `handler` (dispatch returned an error reply), `io` (writing the
-/// reply back failed), plus the structural catch-all.
-pub const ERROR_CLASS_LABELS: &[&str] = &["decode", "handler", "io", "other"];
+/// reply back failed), `compaction` (the auto-compaction a mutation ran
+/// failed; the mutation itself was applied), plus the structural
+/// catch-all.
+pub const ERROR_CLASS_LABELS: &[&str] = &["decode", "handler", "io", "compaction", "other"];
 
 /// Ring slots the per-shard forward-latency family distinguishes;
 /// fleets larger than 16 shards fold the tail into `"other"`.

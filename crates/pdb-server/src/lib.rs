@@ -14,11 +14,14 @@
 //!   look a session up, each session behind its own lock, so concurrent
 //!   callers on different sessions never contend;
 //!   with a `--store-dir`, every session-mutating request is journalled
-//!   to a `pdb-store` write-ahead log, and on startup each session is
+//!   to a `pdb-store` write-ahead log, the mutation that brings the log
+//!   to `--compact-every` records checkpoints every session and
+//!   truncates the log before it replies, and on startup each session is
 //!   rebuilt by replaying its records through the same session calls
 //!   (see the *Persistence & recovery* README section);
 //! * [`server`] — the `std::net` TCP server: one thread per connection,
-//!   at most `--threads` at once, with graceful drain on `shutdown`.  Its
+//!   at most `--threads` at once, and no other thread, with graceful
+//!   drain on `shutdown`.  Its
 //!   accept loop ([`accept_connections`]), per-connection loop
 //!   ([`serve_connection`]) and listener self-wake ([`wake_listener`])
 //!   also serve the fleet router's connections;

@@ -10,8 +10,10 @@
 //! finishes its in-flight request and ends (idle connections poll the
 //! flag on a short read timeout, so a parked persistent client never
 //! wedges the drain), and [`Server::run`] returns after joining those
-//! threads and any auto-compaction still running, so nothing it started
-//! still holds the store.
+//! threads, so nothing it started still holds the store.  The server
+//! starts no other thread: the mutation that brings the log to
+//! `--compact-every` records runs the compaction itself, before it
+//! replies (see [`SessionManager::apply_mutation`]).
 //!
 //! The accept loop ([`accept_connections`]), the per-connection loop
 //! ([`serve_connection`]) and the listener self-wake ([`wake_listener`])
@@ -34,7 +36,7 @@ use pdb_store::FlushPolicy;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::thread;
 
 /// How a [`Server`] is configured (`pdb serve --addr --threads
@@ -54,8 +56,9 @@ pub struct ServerConfig {
     /// fsync'd before it is acknowledged.  `None` keeps sessions purely
     /// in memory.
     pub store_dir: Option<String>,
-    /// Auto-compaction threshold: checkpoint all sessions and truncate
-    /// the log once this many records accumulate (0 disables).
+    /// Auto-compaction threshold: the mutation that finds this many
+    /// records in the log since its last truncation checkpoints all
+    /// sessions and truncates the log before it replies (0 disables).
     pub compact_every: u64,
     /// How the store's group commit batches journal fsyncs (only
     /// meaningful with a `store_dir`).
@@ -78,7 +81,7 @@ impl Default for ServerConfig {
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
-    manager: Arc<SessionManager>,
+    manager: SessionManager,
     threads: usize,
 }
 
@@ -102,12 +105,12 @@ impl Server {
                     &pdb_gen::spec::build_dataset,
                 )
                 .map_err(invalid)?;
-                SessionManager::with_store(Arc::new(store), recovery, config.compact_every)
+                SessionManager::with_store(store, recovery, config.compact_every)
                     .map_err(invalid)?
             }
             None => SessionManager::new(),
         };
-        Ok(Self { listener, manager: Arc::new(manager), threads: config.threads.max(1) })
+        Ok(Self { listener, manager, threads: config.threads.max(1) })
     }
 
     /// Sessions recovered from the store at bind time (0 without a
@@ -129,7 +132,6 @@ impl Server {
             manager: self.manager,
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
-            compaction: Mutex::new(None),
             addr: self.listener.local_addr()?,
             threads: self.threads,
         };
@@ -138,22 +140,15 @@ impl Server {
                 obs::SERVER_ERRORS_TOTAL.with("io").inc();
             }
         });
-        // The connections are gone, so no compaction starts after this one.
-        if let Some(handle) = ctx.compaction.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            // pdb-analyze: allow(error-swallow): join only errs if the compaction panicked; its claim and the log are already settled either way
-            let _ = handle.join();
-        }
         Ok(())
     }
 }
 
 /// Everything a connection thread needs to serve its requests.
 struct HandlerContext {
-    manager: Arc<SessionManager>,
+    manager: SessionManager,
     shutdown: AtomicBool,
     requests: AtomicU64,
-    /// The auto-compaction thread started last, joined by [`Server::run`].
-    compaction: Mutex<Option<thread::JoinHandle<()>>>,
     addr: SocketAddr,
     threads: usize,
 }
@@ -404,34 +399,7 @@ fn dispatch(request: Request, ctx: &HandlerContext) -> Response {
         // payload, same handler, same response kind.
         Request::ApplyMutation(req) | Request::ApplyProbe(req) => {
             match manager.apply_mutation(&req) {
-                Ok(applied) => {
-                    manager.record_probe();
-                    // Compaction is triggered by the mutation path (the
-                    // only verbs that grow the log proportionally to work
-                    // done) but runs on its own thread: checkpointing
-                    // every live session must not stall the mutation that
-                    // happened to trip the threshold.  A failed compaction
-                    // must not fail any mutation either — it is applied
-                    // *and* journalled — so errors only surface
-                    // operationally (the log keeps growing until a
-                    // compaction succeeds).
-                    if manager.begin_compaction() {
-                        // Spawned under the slot's lock, so the slot holds
-                        // the latest compaction: the one it replaces has
-                        // released its claim and is exiting.
-                        let mut slot =
-                            ctx.compaction.lock().unwrap_or_else(PoisonError::into_inner);
-                        if let Some(previous) = slot.take() {
-                            // pdb-analyze: allow(error-swallow): join only errs if that compaction panicked; its claim is already released
-                            let _ = previous.join();
-                        }
-                        let manager = Arc::clone(manager);
-                        *slot = Some(thread::spawn(move || {
-                            let _ = manager.run_claimed_compaction();
-                        }));
-                    }
-                    Response::ProbeApplied(applied)
-                }
+                Ok(applied) => Response::ProbeApplied(applied),
                 Err(err) => Response::error(err),
             }
         }
@@ -469,6 +437,7 @@ fn dispatch(request: Request, ctx: &HandlerContext) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn a_connection_whose_handler_panics_frees_its_slot() {

@@ -38,13 +38,21 @@ use pdb_clean::{best_single_probe, CleaningContext, CleaningSetup};
 use pdb_core::{DbError, RankedDatabase, Result as DbResult};
 use pdb_engine::delta::{DeltaStats, XTupleMutation};
 use pdb_gen::spec::build_dataset;
+use pdb_gen::MovConfig;
+use pdb_obs::metrics as obs;
 use pdb_quality::{BatchQuality, WeightedQuery};
 use pdb_store::store::{CompactionStats, Recovery, SessionCheckpoint};
-use pdb_store::{DatasetSpec, RecoveredSession, Store, StoreError, WalRecord};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use pdb_store::{DatasetSpec, RecoveredSession, Snapshot, Store, StoreError, WalRecord};
+use std::collections::hash_map::{Entry, HashMap};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
+
+/// The most tuples a `create_session` may ask a generator for, so no
+/// request can make the server allocate without bound.  Far above
+/// anything the experiments, the examples or servebench generate.
+const MAX_GENERATED_TUPLES: usize = 10_000_000;
 
 /// The session map: id → the session behind its own lock.
 type SessionMap = HashMap<u64, Arc<Mutex<Session>>>;
@@ -136,7 +144,8 @@ impl Session {
     }
 
     /// Mark the session dropped (called under its lock, after the drop
-    /// record is journalled and before the session-map removal).
+    /// record is journalled or its create record failed to be, and
+    /// before the session-map removal).
     pub(crate) fn mark_dropped(&mut self) {
         self.dropped = true;
     }
@@ -403,17 +412,18 @@ pub struct SessionManager {
     sessions: RwLock<SessionMap>,
     ids: SessionIds,
     counters: Counters,
-    /// Serializes threshold-triggered compactions: a second trigger while
-    /// one is running is dropped, not queued.
-    compacting: std::sync::atomic::AtomicBool,
+    /// Set while a compaction runs: a mutation that reaches the
+    /// threshold meanwhile skips compacting instead of waiting.
+    compacting: AtomicBool,
     /// The durable store, when the server runs with `--store-dir`: every
     /// session-mutating request is journalled into it (under the
     /// session's own lock, so a session's records and its in-memory
     /// state always agree in order).
-    store: Option<Arc<Store>>,
-    /// Auto-compaction threshold: once this many records accumulate
-    /// since the last log truncation, an `apply_probe` triggers a full
-    /// checkpoint + compaction pass (0 disables auto-compaction).
+    store: Option<Store>,
+    /// Auto-compaction threshold: the mutation that finds this many
+    /// records in the log since its last truncation checkpoints every
+    /// session and truncates the log before it replies (0 disables
+    /// auto-compaction).
     compact_every: u64,
 }
 
@@ -430,7 +440,7 @@ impl SessionManager {
             sessions: RwLock::new(HashMap::new()),
             ids: SessionIds::starting_at(Some(1)),
             counters: Counters::default(),
-            compacting: std::sync::atomic::AtomicBool::new(false),
+            compacting: AtomicBool::new(false),
             store: None,
             compact_every: 0,
         }
@@ -439,7 +449,7 @@ impl SessionManager {
     /// A manager journalling to `store`, with every session the store
     /// recovered rebuilt by [`Session::replay`].
     pub fn with_store(
-        store: Arc<Store>,
+        store: Store,
         recovery: Recovery,
         compact_every: u64,
     ) -> pdb_store::Result<Self> {
@@ -450,13 +460,14 @@ impl SessionManager {
         for recovered in recovery.sessions {
             let id = recovered.base.session;
             let (session, ..) = Session::replay(recovered)?;
-            manager.publish_session(id, session);
+            manager.write_map().insert(id, Arc::new(Mutex::new(session)));
+            manager.count_created();
         }
         Ok(manager)
     }
 
     /// The durable store backing this manager, if any.
-    pub fn store(&self) -> Option<&Arc<Store>> {
+    pub fn store(&self) -> Option<&Store> {
         self.store.as_ref()
     }
 
@@ -490,24 +501,21 @@ impl SessionManager {
         self.sessions.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Make a ready session visible under the given id.
-    fn publish_session(&self, id: u64, session: Session) {
-        // Count before inserting: ids are predictable, so a racing
-        // drop_session of this id must never decrement `live` below the
-        // increment that funded it (underflow to u64::MAX).
+    /// Count one more live session.
+    fn count_created(&self) {
         self.counters.live.fetch_add(1, Ordering::Relaxed);
         self.counters.created.fetch_add(1, Ordering::Relaxed);
-        self.write_map().insert(id, Arc::new(Mutex::new(session)));
     }
 
     /// Create a session over the requested dataset (journalled when a
     /// store is attached).
     ///
-    /// The create record is appended **before** the session becomes
-    /// visible: session ids are predictable, so a concurrent request
-    /// could otherwise journal records for this id ahead of its create
-    /// record — a log no recovery could replay.  On append failure
-    /// nothing was published and the id is simply burned.
+    /// The new session enters the map already locked, and stays locked
+    /// until its create record is appended: session ids are predictable,
+    /// so a concurrent request for the id waits for that record instead
+    /// of journalling ahead of it (a log no recovery could replay).  On
+    /// append failure the session is marked dropped and removed, and its
+    /// id is burned.
     ///
     /// A request may pin an explicit session id (`req.session`): a fleet
     /// router allocates ids fleet-wide so every shard agrees on them, and
@@ -516,39 +524,64 @@ impl SessionManager {
     /// local allocator is bumped past every pinned id so locally
     /// allocated ids never collide with routed ones.
     pub fn create(&self, req: &CreateSession) -> DbResult<SessionCreated> {
-        let db = build_dataset(&req.dataset)?;
+        let db = build_requested(&req.dataset)?;
         let info = SessionCreated { session: 0, tuples: db.len(), x_tuples: db.num_x_tuples() };
-        let session = Session::new(db, req.probe_cost, req.probe_success)?;
-        let id = match req.session {
-            Some(id) => {
-                self.ids.pin(id)?;
-                if self.read_map().contains_key(&id) {
+        let handle = Arc::new(Mutex::new(Session::new(db, req.probe_cost, req.probe_success)?));
+        // Poisoning recovery: no other thread has seen this lock yet.
+        let mut session = handle.lock().unwrap_or_else(PoisonError::into_inner);
+        let id = self.insert_vacant(req.session, &handle)?;
+        if let Err(err) = self.journal_create(&session, id, req) {
+            session.mark_dropped();
+            self.write_map().remove(&id);
+            return Err(err);
+        }
+        // Counted under the session's lock: a racing drop_session of this
+        // id decrements `live` only after this increment.
+        self.count_created();
+        Ok(SessionCreated { session: id, ..info })
+    }
+
+    /// Insert `handle` under the pinned id, or under the next id the
+    /// allocator hands out, as one step under the map's write lock.  A
+    /// pinned id that is taken is an error; an allocated id that a racing
+    /// pin took draws the next one.
+    fn insert_vacant(&self, pinned: Option<u64>, handle: &Arc<Mutex<Session>>) -> DbResult<u64> {
+        loop {
+            let id = match pinned {
+                Some(id) => self.ids.pin(id)?,
+                None => self.ids.allocate()?,
+            };
+            match self.write_map().entry(id) {
+                Entry::Vacant(slot) => {
+                    slot.insert(Arc::clone(handle));
+                    return Ok(id);
+                }
+                Entry::Occupied(_) if pinned.is_some() => {
                     return Err(DbError::invalid_parameter(format!("session {id} already exists")));
                 }
-                id
-            }
-            None => self.ids.allocate()?,
-        };
-        if let Some(store) = &self.store {
-            match &req.dataset {
-                // A snapshot spec names a file *outside* the store; the
-                // log must never depend on it surviving, so the data is
-                // checkpointed into the store instead.
-                DatasetSpec::Snapshot { .. } => {
-                    store.checkpoint(&session.checkpoint_state(id)).map_err(DbError::from)?;
-                }
-                _ => store
-                    .append(&WalRecord::CreateSession {
-                        session: id,
-                        dataset: req.dataset.clone(),
-                        probe_cost: req.probe_cost,
-                        probe_success: req.probe_success,
-                    })
-                    .map_err(DbError::from)?,
+                Entry::Occupied(_) => {}
             }
         }
-        self.publish_session(id, session);
-        Ok(SessionCreated { session: id, ..info })
+    }
+
+    /// Journal a new session's base.  A snapshot spec names a file
+    /// *outside* the store; the log must never depend on it surviving,
+    /// so the data is checkpointed into the store instead of a create
+    /// record.
+    fn journal_create(&self, session: &Session, id: u64, req: &CreateSession) -> DbResult<()> {
+        let Some(store) = &self.store else { return Ok(()) };
+        match &req.dataset {
+            DatasetSpec::Snapshot { .. } => {
+                store.checkpoint(&session.checkpoint_state(id)).map(drop)
+            }
+            _ => store.append(&WalRecord::CreateSession {
+                session: id,
+                dataset: req.dataset.clone(),
+                probe_cost: req.probe_cost,
+                probe_success: req.probe_success,
+            }),
+        }
+        .map_err(DbError::from)
     }
 
     /// Journal a record for a just-mutated session.  An append failure
@@ -591,14 +624,35 @@ impl SessionManager {
     /// insert, the pre-insert x-tuple count), captured before the
     /// mutation runs so replay re-applies it to the identical database
     /// version.
+    ///
+    /// Mutations are the records that grow the log with the work done,
+    /// so they drive auto-compaction: once the session's lock is
+    /// released, a mutation that finds `compact_every` records in the
+    /// log since its last truncation, and no compaction running, runs
+    /// [`compact`](Self::compact) before it returns.  The mutation is
+    /// applied and journalled whatever the compaction's outcome; a
+    /// failure is counted as `server_errors_total{class="compaction"}`,
+    /// and the next mutation tries again.
     pub fn apply_mutation(&self, req: &ApplyMutation) -> DbResult<ProbeApplied> {
-        self.with_session(req.session, |s| {
+        let applied = self.with_session(req.session, |s| {
             let x_tuple = s.mutation_target(&req.mutation, req.x_tuple);
             let applied = s.apply_mutation(req)?;
             let record = WalRecord::apply_mutation(req.session, x_tuple, req.mutation.clone());
             self.journal_mutation(s, record)?;
             Ok(applied)
-        })
+        })?;
+        self.counters.probes.fetch_add(1, Ordering::Relaxed);
+        let due = self.store.as_ref().is_some_and(|store| {
+            self.compact_every > 0 && store.records_since_truncate() >= self.compact_every
+        });
+        if due && !self.compacting.swap(true, Ordering::Acquire) {
+            let compacted = self.compact();
+            self.compacting.store(false, Ordering::Release);
+            if compacted.is_err() {
+                obs::SERVER_ERRORS_TOTAL.with("compaction").inc();
+            }
+        }
+        Ok(applied)
     }
 
     /// Checkpoint one session into the store now (`persist` verb).
@@ -644,58 +698,20 @@ impl SessionManager {
             .collect()
     }
 
-    /// Checkpoint every live session and truncate the log.  Records that
-    /// land concurrently are never lost: each session's checkpoint is
-    /// appended under that session's lock, and the truncation filter only
-    /// drops records that precede their session's last checkpoint.
+    /// [`persist`](Self::persist) every live session, then truncate the
+    /// log.  Records that land concurrently are never lost: each
+    /// session's checkpoint is appended under that session's lock, and
+    /// the truncation filter only drops records that precede their
+    /// session's last checkpoint.
     pub fn compact(&self) -> DbResult<CompactionStats> {
         let store = self.store.as_ref().ok_or_else(|| {
             DbError::invalid_parameter("server has no durable store; nothing to compact")
         })?;
         for id in self.session_ids() {
-            // A session dropped since the id snapshot is fine — skip it
-            // (a checkpoint record after its drop record would resurrect
-            // it on replay, so the dropped mark is checked under the
-            // session lock).
-            let _ = self.with_session(id, |s| {
-                s.ensure_not_dropped()?;
-                store.checkpoint(&s.checkpoint_state(id)).map_err(DbError::from)?;
-                // Like persist: the checkpoint captured the live state,
-                // healing any earlier journal divergence.
-                s.clear_journal_fault();
-                Ok(())
-            });
+            // pdb-analyze: allow(error-swallow): a session dropped since the id snapshot refuses its checkpoint (one after its drop record would resurrect it on replay), and a live one whose checkpoint fails keeps its records, which the truncation leaves in the log
+            let _ = self.persist(id);
         }
         store.truncate_log().map_err(DbError::from)
-    }
-
-    /// Whether the log has grown past the auto-compaction threshold (a
-    /// cheap check the probe path uses before spawning the compaction).
-    pub fn should_compact(&self) -> bool {
-        self.compact_every > 0
-            && self
-                .store
-                .as_ref()
-                .is_some_and(|store| store.records_since_truncate() >= self.compact_every)
-    }
-
-    /// Claim the (single) compaction slot if the log needs compacting.
-    /// The winner must call
-    /// [`run_claimed_compaction`](Self::run_claimed_compaction) — on
-    /// any thread; the probe path
-    /// claims cheaply in the request thread and spawns only when it won,
-    /// so an in-flight compaction costs concurrent probes nothing.
-    pub fn begin_compaction(&self) -> bool {
-        self.should_compact() && !self.compacting.swap(true, Ordering::Acquire)
-    }
-
-    /// Run the compaction claimed by
-    /// [`begin_compaction`](Self::begin_compaction) and release the
-    /// slot.
-    pub fn run_claimed_compaction(&self) -> DbResult<CompactionStats> {
-        let result = self.compact();
-        self.compacting.store(false, Ordering::Release);
-        result
     }
 
     /// Look up a session (the returned handle outlives the map lock).
@@ -756,11 +772,35 @@ impl SessionManager {
         })?;
         op(&mut session)
     }
+}
 
-    /// Record one applied probe (for `stats`).
-    pub fn record_probe(&self) {
-        self.counters.probes.fetch_add(1, Ordering::Relaxed);
+/// Build the dataset a `create_session` names.  A generated spec above
+/// [`MAX_GENERATED_TUPLES`] is refused before anything is built, and a
+/// snapshot path that is missing, not a regular file or not a snapshot
+/// gets one reply that names only the path, so a client cannot tell
+/// such paths apart.
+fn build_requested(spec: &DatasetSpec) -> DbResult<RankedDatabase> {
+    let generated = match spec {
+        DatasetSpec::Synthetic { tuples } => *tuples,
+        DatasetSpec::Mov { x_tuples } => {
+            x_tuples.saturating_mul(MovConfig::paper_default().max_alternatives)
+        }
+        DatasetSpec::Snapshot { path } => {
+            return Snapshot::read(Path::new(path)).map_err(|err| match err {
+                StoreError::Io { .. } | StoreError::BadMagic { .. } => {
+                    DbError::invalid_parameter(format!("{path} is not a readable snapshot file"))
+                }
+                other => other.into(),
+            });
+        }
+        DatasetSpec::Udb1 | DatasetSpec::Inline { .. } => 0,
+    };
+    if generated > MAX_GENERATED_TUPLES {
+        return Err(DbError::invalid_parameter(format!(
+            "{spec:?} would generate up to {generated} tuples; the limit is {MAX_GENERATED_TUPLES}"
+        )));
     }
+    build_dataset(spec)
 }
 
 #[cfg(test)]
@@ -885,7 +925,7 @@ mod tests {
         let open = || Store::open(&dir, &build_dataset).unwrap();
 
         let (store, recovery) = open();
-        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0).unwrap();
+        let mgr = SessionManager::with_store(store, recovery, 0).unwrap();
         let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
         mgr.register_query(&register_req(id, 2)).unwrap();
         let probe =
@@ -899,7 +939,7 @@ mod tests {
         let (store, recovery) = open();
         assert_eq!(recovery.records, 3);
         assert_eq!(recovery.sessions.len(), 1);
-        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0).unwrap();
+        let mgr = SessionManager::with_store(store, recovery, 0).unwrap();
         assert_eq!(mgr.sessions_live(), 1);
         let after = mgr.with_session(id, |s| s.quality()).unwrap();
         assert!((after.aggregate - before.aggregate).abs() < 1e-12);
@@ -930,11 +970,75 @@ mod tests {
     }
 
     #[test]
+    fn the_mutation_reaching_compact_every_compacts_before_it_returns() {
+        let dir = std::env::temp_dir().join("pdb-server-session-inline-compaction-test");
+        std::fs::remove_dir_all(&dir).ok();
+        let (store, recovery) = Store::open(&dir, &build_dataset).unwrap();
+        let mgr = SessionManager::with_store(store, recovery, 3).unwrap();
+        let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
+        mgr.register_query(&register_req(id, 2)).unwrap();
+        // The third record: compacted to the session's checkpoint.
+        let probe = XTupleMutation::CollapseToAlternative { keep_pos: 2 };
+        mgr.apply_mutation(&ApplyMutation::new(id, 2, probe)).unwrap();
+        let store = mgr.store().unwrap();
+        assert_eq!((store.records(), store.records_since_truncate()), (1, 0));
+        assert_eq!(mgr.probes_applied(), 1);
+
+        // A compaction that fails still leaves the mutation applied (and
+        // journalled into the open log), and is counted.
+        let failures = || obs::SERVER_ERRORS_TOTAL.with("compaction").get();
+        let before = failures();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let reweight = XTupleMutation::Reweight { probs: vec![0.4, 0.5] };
+        for _ in 0..3 {
+            mgr.apply_mutation(&ApplyMutation::new(id, 0, reweight.clone())).unwrap();
+        }
+        assert_eq!(failures(), before + 1);
+        assert_eq!(mgr.probes_applied(), 4);
+        assert_eq!(mgr.session_stats()[0].probes, 4);
+    }
+
+    #[test]
+    fn racing_creates_pinned_to_one_id_admit_exactly_one() {
+        let dir = std::env::temp_dir().join("pdb-server-session-pinned-race-test");
+        std::fs::remove_dir_all(&dir).ok();
+        let (store, recovery) = Store::open(&dir, &build_dataset).unwrap();
+        let mgr = SessionManager::with_store(store, recovery, 0).unwrap();
+        let rounds = 40;
+        for id in 1..=rounds {
+            let pinned = CreateSession { session: Some(id), ..create_req(DatasetSpec::Udb1) };
+            let start = std::sync::Barrier::new(2);
+            let replies: Vec<_> = std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            mgr.create(&pinned)
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|racer| racer.join().unwrap()).collect()
+            });
+            let created = replies.iter().filter(|reply| reply.is_ok()).count();
+            assert_eq!(created, 1, "round {id}: {replies:?}");
+            assert!(replies.iter().any(|reply| reply
+                .as_ref()
+                .is_err_and(|err| err.to_string().contains("already exists"))));
+            assert_eq!(mgr.sessions_live(), id);
+        }
+        drop(mgr);
+        // One create record per id.
+        let recovery = Store::peek(&dir, &build_dataset).unwrap();
+        assert_eq!((recovery.records, recovery.sessions.len() as u64), (rounds, rounds));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn journal_faulted_sessions_fail_stop_until_persisted() {
         let dir = std::env::temp_dir().join("pdb-server-session-fault-test");
         std::fs::remove_dir_all(&dir).ok();
         let (store, recovery) = Store::open(&dir, &build_dataset).unwrap();
-        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0).unwrap();
+        let mgr = SessionManager::with_store(store, recovery, 0).unwrap();
         let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
         mgr.register_query(&register_req(id, 2)).unwrap();
 
@@ -962,7 +1066,6 @@ mod tests {
         let err = mgr.persist(id).unwrap_err();
         assert!(err.to_string().contains("--store-dir"), "{err}");
         assert!(mgr.compact().is_err());
-        assert!(!mgr.begin_compaction());
     }
 
     #[test]
@@ -980,9 +1083,19 @@ mod tests {
         let reg = mgr.register_query(&register_req(created.session, 2)).unwrap();
         assert_eq!(reg.k_max, 2);
 
-        let missing =
-            create_req(DatasetSpec::Snapshot { path: dir.join("nope.pdbs").display().to_string() });
-        assert!(mgr.create(&missing).is_err());
+        // A missing path, a directory, a text file and a device all get
+        // one reply, which names the path and not the OS error; the
+        // device is refused unread.
+        let text = dir.join("notes.txt");
+        std::fs::write(&text, "not a snapshot").unwrap();
+        for path in [dir.join("nope.pdbs"), dir.clone(), text, "/dev/zero".into()] {
+            let path = path.display().to_string();
+            let req = create_req(DatasetSpec::Snapshot { path: path.clone() });
+            let err = mgr.create(&req).unwrap_err();
+            let reply = format!("invalid parameter: {path} is not a readable snapshot file");
+            assert_eq!(err.to_string(), reply);
+        }
+        assert_eq!(mgr.sessions_live(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -991,7 +1104,7 @@ mod tests {
         let dir = std::env::temp_dir().join("pdb-server-session-replay-test");
         std::fs::remove_dir_all(&dir).ok();
         let (store, recovery) = Store::open(&dir, &build_dataset).unwrap();
-        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0).unwrap();
+        let mgr = SessionManager::with_store(store, recovery, 0).unwrap();
         // x-tuples 0 and 2 carry null mass.
         let dataset = DatasetSpec::Inline {
             x_tuples: vec![
@@ -1048,7 +1161,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let open = || Store::open(&dir, &build_dataset).unwrap();
         let (store, recovery) = open();
-        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0).unwrap();
+        let mgr = SessionManager::with_store(store, recovery, 0).unwrap();
         let id = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap().session;
         mgr.register_query(&register_req(id, 2)).unwrap();
         let probe = XTupleMutation::CollapseToAlternative { keep_pos: 2 };
@@ -1070,7 +1183,7 @@ mod tests {
 
         let (store, recovery) = open();
         assert_eq!(recovery.next_session_id, None);
-        let mgr = SessionManager::with_store(Arc::new(store), recovery, 0).unwrap();
+        let mgr = SessionManager::with_store(store, recovery, 0).unwrap();
         let err = mgr.create(&create_req(DatasetSpec::Udb1)).unwrap_err();
         assert!(err.to_string().contains("no session id is left"), "{err}");
         assert_eq!(mgr.sessions_live(), 2);

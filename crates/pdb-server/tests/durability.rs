@@ -22,9 +22,9 @@ fn boot(
     store_dir: &Path,
     compact_every: u64,
 ) -> (SocketAddr, thread::JoinHandle<std::io::Result<()>>, u64) {
-    // No retry: `Server::run` joins its auto-compaction before it
-    // returns, so the previous server has released the store's
-    // single-writer lock.
+    // No retry: `Server::run` owns the store and returns after joining
+    // its connection threads, so the previous server has released the
+    // store's single-writer lock.
     let server = Server::bind(&ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
@@ -65,13 +65,21 @@ fn store_backed_server_restarts_with_its_sessions() {
         let mutation = XTupleMutation::CollapseToAlternative { keep_pos };
         client.apply_mutation(session, l, mutation.clone()).unwrap();
         mirror.apply_collapse_in_place(l, &mutation).unwrap();
+        if probe == 0 {
+            // The first probe is the third record: its reply comes only
+            // after the compaction it ran, which left just the session's
+            // checkpoint in the log.
+            let recovery = pdb_store::Store::peek(&dir, &pdb_gen::build_dataset).unwrap();
+            assert_eq!(recovery.records, 1, "the log was compacted before the reply");
+            assert_eq!(recovery.sessions[0].base.probes, 1);
+            assert!(recovery.sessions[0].tail.is_empty());
+        }
     }
     client.shutdown().unwrap();
     handle.join().expect("server thread").expect("clean shutdown");
 
-    // ---- compaction ran in the background and finished before `run`
-    // returned.  Snapshot files prove auto-compaction checkpointed the
-    // session (threshold 3 < the 7 records this session wrote) --------
+    // ---- snapshot files prove auto-compaction checkpointed the session
+    // (threshold 3 < the 7 records this session wrote) ----------------
     let snapshots = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok())

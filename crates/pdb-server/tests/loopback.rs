@@ -342,6 +342,28 @@ fn a_pinned_session_id_without_a_successor_is_an_error_reply() {
 }
 
 #[test]
+fn an_oversized_generated_dataset_is_an_error_reply() {
+    // Building either would exhaust the server's memory and abort it.
+    let (addr, handle) = boot(1);
+    let mut client = Client::connect(addr).unwrap();
+    for dataset in
+        [DatasetSpec::Synthetic { tuples: 1 << 40 }, DatasetSpec::Mov { x_tuples: 1 << 40 }]
+    {
+        match client.create_session(dataset, 1, 0.8) {
+            Err(pdb_server::ClientError::Server(message)) => {
+                assert!(message.contains("the limit is"), "{message}")
+            }
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+    }
+    // The same connection keeps serving.
+    assert_eq!(client.create_session(DatasetSpec::Udb1, 1, 0.8).unwrap().tuples, 7);
+
+    client.shutdown().unwrap();
+    handle.join().expect("server thread").expect("clean shutdown");
+}
+
+#[test]
 fn shutdown_drains_even_with_an_idle_persistent_connection() {
     let (addr, handle) = boot(2);
 

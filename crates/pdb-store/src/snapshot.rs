@@ -41,7 +41,7 @@ use crate::error::{Result, StoreError};
 use crate::hash::xxh64;
 use pdb_core::{RankedDatabase, TupleId};
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every snapshot file.
@@ -243,9 +243,36 @@ impl Snapshot {
         RankedDatabase::from_entries(entries, keys).map_err(StoreError::Engine)
     }
 
-    /// Read a snapshot file.
+    /// Read a snapshot file.  Only a regular file is read, only once its
+    /// first four bytes are the snapshot magic, and its body is allocated
+    /// fallibly: a device, a directory, a non-snapshot file or one too
+    /// large to hold in memory is an error, never an unbounded read or
+    /// an abort.
     pub fn read(path: &Path) -> Result<RankedDatabase> {
-        let bytes = fs::read(path).map_err(|e| StoreError::io("reading", path, e))?;
+        let io = |e| StoreError::io("reading", path, e);
+        // Stat before opening, since opening a FIFO blocks until a writer
+        // appears.  Reads stop at the opened file's length, so a device
+        // swapped in since the stat yields nothing.
+        if !fs::metadata(path).map_err(io)?.is_file() {
+            return Err(io(std::io::Error::other("not a regular file")));
+        }
+        let file = fs::File::open(path).map_err(io)?;
+        let file_len = file.metadata().map_err(io)?.len();
+        let mut file = file.take(file_len);
+        let mut magic = [0u8; 4];
+        match file.read_exact(&mut magic) {
+            Err(e) if e.kind() != std::io::ErrorKind::UnexpectedEof => return Err(io(e)),
+            Ok(()) if magic == SNAPSHOT_MAGIC => {}
+            _ => {
+                return Err(StoreError::BadMagic { path: path.to_path_buf(), expected: "snapshot" })
+            }
+        }
+        let too_large = || io(std::io::Error::other("file is too large to load"));
+        let len = usize::try_from(file_len).map_err(|_| too_large())?;
+        let mut bytes = Vec::new();
+        bytes.try_reserve_exact(len).map_err(|_| too_large())?;
+        bytes.extend_from_slice(&magic);
+        file.read_to_end(&mut bytes).map_err(io)?;
         Self::decode(&bytes, path)
     }
 
@@ -353,6 +380,14 @@ mod tests {
         let err = Snapshot::decode(b"{\"json\": true}", Path::new("x.json")).unwrap_err();
         assert!(matches!(err, StoreError::BadMagic { .. }));
         assert!(!Snapshot::is_snapshot(b"PD"));
+        let dir = std::env::temp_dir().join("pdb-store-snapshot-magic-test");
+        fs::create_dir_all(&dir).unwrap();
+        for (name, bytes) in [("x.json", &b"{\"json\": true}"[..]), ("short", b"PD")] {
+            fs::write(dir.join(name), bytes).unwrap();
+            let err = Snapshot::read(&dir.join(name)).unwrap_err();
+            assert!(matches!(err, StoreError::BadMagic { .. }), "{name}: {err}");
+        }
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -392,5 +427,11 @@ mod tests {
     fn missing_file_is_an_io_error() {
         let err = Snapshot::read(Path::new("/definitely/not/here.pdbs")).unwrap_err();
         assert!(matches!(err, StoreError::Io { .. }));
+        // So is a device or a directory, refused before any byte is read
+        // (reading /dev/zero would never end).
+        for path in ["/dev/zero", "/"] {
+            let err = Snapshot::read(Path::new(path)).unwrap_err();
+            assert!(err.to_string().ends_with("not a regular file"), "{path}: {err}");
+        }
     }
 }
