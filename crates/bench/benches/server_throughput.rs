@@ -1,7 +1,8 @@
 //! Serving-path throughput: one `apply_mutation` round trip on a live
 //! session — the in-place delta patch every registered query shares plus
 //! the refreshed qualities — measured end-to-end over a real loopback TCP
-//! connection to a running `pdb-server`.
+//! connection to a running `pdb-server`; and the encoding of that
+//! mutation's `probe_applied` reply line on its own.
 //!
 //! The server has no full-rebuild mode; the in-process comparison of the
 //! delta patch against a from-scratch PSR + TP rerun is the
@@ -11,9 +12,11 @@
 //! `crates/bench/src/bin/bench_json.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pdb_engine::delta::XTupleMutation;
+use pdb_engine::delta::{DeltaStats, XTupleMutation};
 use pdb_engine::queries::TopKQuery;
-use pdb_server::{Client, DatasetSpec, Server, ServerConfig};
+use pdb_quality::BatchCollapseUpdate;
+use pdb_server::protocol::{self, ProbeApplied};
+use pdb_server::{Client, DatasetSpec, Response, Server, ServerConfig};
 use std::cell::Cell;
 use std::hint::black_box;
 use std::time::Duration;
@@ -77,5 +80,49 @@ fn bench_probe_requality(c: &mut Criterion) {
     server_thread.join().expect("server thread").expect("clean shutdown");
 }
 
-criterion_group!(benches, bench_probe_requality);
+/// A `probe_applied` reply shaped like `clean_loop`'s: three refreshed
+/// qualities and `g` over `x_tuples` x-tuples, of which only the 58
+/// holding a tuple above Lemma 2's cut are non-zero.
+fn probe_applied_reply(x_tuples: usize) -> Response {
+    const NON_ZERO: usize = 58;
+    let stride = x_tuples / NON_ZERO;
+    let mut g = vec![0.0; x_tuples];
+    for i in 0..NON_ZERO {
+        // Full-precision values in [-0.4, -0.001).
+        g[i * stride] = -(0.001 + ((i as f64 + 0.5) * 0.618_033_988_749_895).fract() * 0.4);
+    }
+    let update = BatchCollapseUpdate {
+        qualities: vec![-2.551_325_921_692_723, -6.903_517_284_102_517, -11.862_140_093_517_203],
+        aggregate: -21.316_983_299_312_443,
+        aggregate_delta: 0.057_128_339_407_812_6,
+        g,
+        stats: DeltaStats {
+            rows_copied: 9_911,
+            rows_swapped: 0,
+            rows_rebuilt: 44,
+            rows_dropped: 2,
+            windowed_scans: 1,
+        },
+    };
+    Response::ProbeApplied(ProbeApplied::new(1, update))
+}
+
+/// Encoding one `probe_applied` reply line, with `g` over 1,000 x-tuples
+/// (58 non-zero) and with only the 58 non-zero entries: the zeros past
+/// the cut should cost far less than the digits of the live entries.
+/// `server-smoke` gates the ratio of the two.
+fn bench_encode_probe_applied(c: &mut Criterion) {
+    let mut group = c.benchmark_group("server/wire");
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(2));
+    for (name, x_tuples) in [("g1000_nz58", 1_000), ("g58", 58)] {
+        let reply = probe_applied_reply(x_tuples);
+        group.bench_with_input(BenchmarkId::new("encode_probe_applied", name), &reply, |b, r| {
+            b.iter(|| protocol::encode(black_box(r)))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_probe_requality, bench_encode_probe_applied);
 criterion_main!(benches);

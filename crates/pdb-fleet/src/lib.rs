@@ -14,11 +14,12 @@
 //!   over its own store (WAL replay rehydrates its sessions);
 //! * [`router`] — the router: accepts the *existing* wire protocol,
 //!   pins fleet-wide session ids into `create_session`,
-//!   forwards each request to the ring-owning shard, merges `stats` and
-//!   `metrics` across shards, and fails over (respawn + bounded retry)
-//!   when a shard dies mid-traffic — never panicking on a malformed
-//!   reply.  It accepts and serves its client connections through
-//!   `pdb-server`'s own accept and connection loops.
+//!   forwards each request line to the ring-owning shard and relays the
+//!   shard's reply line byte for byte (after a syntax-only check),
+//!   merges `stats` and `metrics` across shards, and fails over
+//!   (respawn + bounded retry) when a shard dies mid-traffic — never
+//!   panicking on a malformed reply.  It accepts and serves its client
+//!   connections through `pdb-server`'s own accept and connection loops.
 //!
 //! `pdb fleet serve --shards N` wires all three together, and passes
 //! every flag but `--addr`, `--shards` and `--store-dir` to each shard's

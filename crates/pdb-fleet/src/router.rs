@@ -23,9 +23,19 @@
 //! The router holds no session state of its own — only the id allocator
 //! and the ring — so it never becomes a second consistency domain: a
 //! session lives exactly where the ring says, and the shard's WAL is the
-//! only durability story.  Forwarding **never panics on a malformed
-//! shard reply**: every decode failure becomes an `{"error": ...}` line
-//! for the client, and the poisoned connection is dropped.
+//! only durability story.
+//!
+//! **Lines are relayed, not re-encoded.**  The router decodes a request
+//! line only to route it: the line goes to the owning shard as it
+//! arrived (only `create_session` is re-encoded, with the fleet-wide id
+//! pinned into it), and the shard's reply line goes back to the client
+//! byte for byte.  Only `stats` and `metrics` replies are decoded, to
+//! merge them.  Each relayed reply must pass [`protocol::check_line`], a
+//! syntax-only scan that accepts exactly the lines the decoder accepts
+//! without building a value tree.  Forwarding **never panics on a
+//! malformed shard reply**: a reply that fails the check, or that EOF
+//! cut short, becomes a `shard N replied malformed: …` error line for
+//! the client, and the connection to that shard is dropped.
 //!
 //! Client connections run through pdb-server's own accept and
 //! connection loops ([`pdb_server::accept_connections`],
@@ -35,11 +45,9 @@
 use crate::fleet::Fleet;
 use crate::ring::HashRing;
 use pdb_obs::snapshot::MetricsSnapshot;
-use pdb_server::protocol::{self, CreateSession, ServerStats};
+use pdb_server::protocol::{self, ServerStats};
 use pdb_server::{accept_connections, serve_connection, wake_listener};
 use pdb_server::{Client, ClientError, Request, Response, RetryPolicy, SessionIds};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -47,6 +55,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// shard was respawned.  More would stall the client behind a shard that
 /// is genuinely gone.
 const FORWARD_ATTEMPTS: usize = 2;
+
+/// One router connection's connections to the shards, by shard index.
+/// One client's requests flow down one TCP stream per shard, so replies
+/// never interleave across router connections.
+type ShardConns = Vec<Option<Client>>;
 
 /// State shared by every router connection thread.
 struct RouterShared {
@@ -103,14 +116,8 @@ impl Router {
         let addr = self.listener.local_addr()?;
         let shared = &self.shared;
         accept_connections(&self.listener, &shared.shutdown, usize::MAX, |stream| {
-            // Shard connections are per-router-connection: one client's
-            // requests flow down one TCP stream per shard, so replies can
-            // never interleave across router connections.
-            let mut clients = HashMap::new();
-            let route = |line: &str| match protocol::decode_request(line) {
-                Ok(request) => shared.dispatch(request, &mut clients, addr),
-                Err(err) => Response::error(format!("malformed request: {err}")),
-            };
+            let mut conns = shared.no_conns();
+            let route = |line: &str| shared.route(line, &mut conns, addr);
             // pdb-analyze: allow(error-swallow): a failed reply write only ends this client's connection; the router keeps no metric for it
             let _ = serve_connection(stream, &shared.shutdown, route);
         });
@@ -125,14 +132,20 @@ impl Router {
 impl RouterShared {
     /// Seed the id allocator from the shards' recovered sessions.
     fn seed_next_id(&mut self) {
-        let mut clients = HashMap::new();
+        let mut conns = self.no_conns();
         let mut max_seen = 0;
         for shard in self.ring.shards() {
-            if let Response::Stats(stats) = self.forward(&mut clients, shard, &Request::Stats) {
+            if let Response::Stats(stats) = self.forward(&mut conns, shard, &Request::Stats) {
                 max_seen = stats.sessions.iter().map(|s| s.session).fold(max_seen, u64::max);
             }
         }
         self.next_id = SessionIds::starting_at(max_seen.checked_add(1));
+    }
+
+    /// A router connection's shard connections before its first request:
+    /// none.
+    fn no_conns(&self) -> ShardConns {
+        std::iter::repeat_with(|| None).take(self.fleet.len()).collect()
     }
 
     /// The shard owning `session` (the ring is never empty: a fleet has
@@ -141,84 +154,43 @@ impl RouterShared {
         self.ring.shard_for(session).unwrap_or(0)
     }
 
-    /// A connected client for `shard`, creating (and caching) one if the
-    /// connection map has none.  `ensure` first: a dead shard is
-    /// respawned — and recovers its WAL — before the connect.
-    fn client_for<'a>(
-        &self,
-        clients: &'a mut HashMap<usize, Client>,
-        shard: usize,
-    ) -> Result<&'a mut Client, std::io::Error> {
-        match clients.entry(shard) {
-            Entry::Occupied(entry) => Ok(entry.into_mut()),
-            Entry::Vacant(entry) => {
-                let addr = self.fleet.ensure(shard)?;
-                let client = Client::connect_with(addr, &self.retry)?;
-                self.connect_retries.fetch_add(client.connect_retries(), Ordering::Relaxed);
-                Ok(entry.insert(client))
-            }
+    /// Connect to `shard`.  `ensure` first: a dead shard is respawned —
+    /// and recovers its WAL — before the connect.
+    fn connect(&self, shard: usize) -> std::io::Result<Client> {
+        let addr = self.fleet.ensure(shard)?;
+        let client = Client::connect_with(addr, &self.retry)?;
+        self.connect_retries.fetch_add(client.connect_retries(), Ordering::Relaxed);
+        Ok(client)
+    }
+
+    /// Forward one request line to `shard` and return the reply line to
+    /// relay (see [`forward_over`]).
+    fn forward_line(&self, conns: &mut ShardConns, shard: usize, line: &str) -> String {
+        match conns.get_mut(shard) {
+            Some(conn) => forward_over(conn, shard, line, || self.connect(shard)),
+            None => error_line(format!("shard {shard} is not in the fleet")),
         }
     }
 
-    /// Forward one request to `shard`, retrying once through a respawn
-    /// when the connection died.  A retry can re-send a request the dead
-    /// shard already applied *and journalled*, so callers needing
-    /// exactly-once during a crash window send idempotent mutations
-    /// (e.g. `reweight`) — the router guarantees no *loss*, not
-    /// de-duplication.
-    fn forward(
-        &self,
-        clients: &mut HashMap<usize, Client>,
-        shard: usize,
-        request: &Request,
-    ) -> Response {
-        // Shards past the fixed label set share the "other" cell; the
-        // last SHARD_LABELS entry *is* "other", so indexing covers both.
-        let label = pdb_obs::metrics::SHARD_LABELS.get(shard).copied().unwrap_or("other");
-        let _span = pdb_obs::metrics::FLEET_FORWARD_LATENCY_NS.with(label).span();
-        let mut last_io = None;
-        for attempt in 0..FORWARD_ATTEMPTS {
-            if attempt > 0 {
-                pdb_obs::metrics::FLEET_RETRIES_TOTAL.inc();
-            }
-            let client = match self.client_for(clients, shard) {
-                Ok(client) => client,
-                Err(err) => {
-                    last_io = Some(err.to_string());
-                    continue;
-                }
-            };
-            match client.call(request) {
-                Ok(response) => return response,
-                Err(ClientError::Io(err)) => {
-                    // The connection died mid-call; the shard may be
-                    // gone.  Drop the cached connection and let the next
-                    // attempt respawn + reconnect.
-                    clients.remove(&shard);
-                    last_io = Some(err.to_string());
-                }
-                Err(ClientError::Protocol(msg)) => {
-                    // The shard replied bytes that do not parse: the
-                    // stream position is unknowable, so the connection
-                    // is poisoned.  Surface a clean error — never panic.
-                    clients.remove(&shard);
-                    return Response::error(format!("shard {shard} replied malformed: {msg}"));
-                }
-                Err(ClientError::Server(msg)) => {
-                    return Response::error(format!("shard {shard}: {msg}"))
-                }
-            }
-        }
-        Response::error(format!(
-            "shard {shard} is unavailable: {}",
-            last_io.unwrap_or_else(|| "no forward attempts".to_string())
-        ))
+    /// Forward `request` to `shard` and decode the reply: the `stats`
+    /// and `metrics` broadcasts, whose replies the router merges.
+    fn forward(&self, conns: &mut ShardConns, shard: usize, request: &Request) -> Response {
+        let line = match protocol::encode(request) {
+            Ok(line) => line,
+            Err(err) => return Response::error(format!("encoding request failed: {err}")),
+        };
+        let reply = self.forward_line(conns, shard, &line);
+        protocol::decode_response(&reply).unwrap_or_else(|err| {
+            Response::error(format!(
+                "shard {shard} replied malformed: parsing response failed: {err}"
+            ))
+        })
     }
 
     /// Broadcast `stats` and merge the replies: counters sum, session
     /// lists concatenate (sorted by id), `durable` holds only if every
     /// shard journals, and `shards` reports the *fleet's* shard count.
-    fn merged_stats(&self, clients: &mut HashMap<usize, Client>) -> Response {
+    fn merged_stats(&self, conns: &mut ShardConns) -> Response {
         let mut merged = ServerStats {
             sessions_live: 0,
             sessions_created: 0,
@@ -232,7 +204,7 @@ impl RouterShared {
             sessions: Vec::new(),
         };
         for shard in self.ring.shards() {
-            match self.forward(clients, shard, &Request::Stats) {
+            match self.forward(conns, shard, &Request::Stats) {
                 Response::Stats(stats) => {
                     merged.sessions_live += stats.sessions_live;
                     merged.sessions_created += stats.sessions_created;
@@ -272,10 +244,10 @@ impl RouterShared {
     /// router's own series (forward latency, retries, respawns, ring
     /// remaps).  The merge is associative and order-canonical, so the
     /// result is identical no matter which shard replies first.
-    fn merged_metrics(&self, clients: &mut HashMap<usize, Client>) -> Response {
+    fn merged_metrics(&self, conns: &mut ShardConns) -> Response {
         let mut merged = MetricsSnapshot::default();
         for shard in self.ring.shards() {
-            match self.forward(clients, shard, &Request::Metrics) {
+            match self.forward(conns, shard, &Request::Metrics) {
                 Response::Metrics(snapshot) => merged.merge(&snapshot),
                 Response::Error(reply) => {
                     return Response::error(format!(
@@ -295,19 +267,25 @@ impl RouterShared {
         Response::Metrics(merged)
     }
 
-    /// Route one request (see the module-level table).
-    fn dispatch(
-        &self,
-        mut request: Request,
-        clients: &mut HashMap<usize, Client>,
-        router_addr: SocketAddr,
-    ) -> Response {
-        let target = match &mut request {
-            Request::CreateSession(CreateSession { session, .. }) => {
-                match pin_id(&self.next_id, session) {
-                    Ok(id) => self.shard_of(id),
-                    Err(err) => return Response::error(err),
-                }
+    /// Route one request line (see the module-level table) and return
+    /// the reply line.
+    fn route(&self, line: &str, conns: &mut ShardConns, router_addr: SocketAddr) -> String {
+        let request = match protocol::decode_request(line) {
+            Ok(request) => request,
+            Err(err) => return error_line(format!("malformed request: {err}")),
+        };
+        let target = match request {
+            // The shard must see the pinned id, so this is the one
+            // request the router re-encodes.
+            Request::CreateSession(mut create) => {
+                let id = match pin_id(&self.next_id, &mut create.session) {
+                    Ok(id) => id,
+                    Err(err) => return error_line(err),
+                };
+                return match protocol::encode(&Request::CreateSession(create)) {
+                    Ok(pinned) => self.forward_line(conns, self.shard_of(id), &pinned),
+                    Err(err) => error_line(format!("encoding request failed: {err}")),
+                };
             }
             Request::RegisterQuery(req) => self.shard_of(req.session),
             Request::Evaluate(req)
@@ -316,8 +294,8 @@ impl RouterShared {
             | Request::DropSession(req)
             | Request::Persist(req) => self.shard_of(req.session),
             Request::ApplyMutation(req) | Request::ApplyProbe(req) => self.shard_of(req.session),
-            Request::Stats => return self.merged_stats(clients),
-            Request::Metrics => return self.merged_metrics(clients),
+            Request::Stats => return protocol::encode_reply(&self.merged_stats(conns)),
+            Request::Metrics => return protocol::encode_reply(&self.merged_metrics(conns)),
             // The fleet shuts down in `Router::run`, after the connection
             // threads drained: a shard serving one connection at a time
             // may be held by one of them, and a polite `shutdown` would
@@ -325,11 +303,80 @@ impl RouterShared {
             Request::Shutdown => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 wake_listener(router_addr);
-                return Response::ShuttingDown;
+                return protocol::encode_reply(&Response::ShuttingDown);
             }
         };
-        self.forward(clients, target, &request)
+        self.forward_line(conns, target, line)
     }
+}
+
+/// Forward one request line to `shard` over `conn`, connecting through
+/// `connect` when `conn` holds no connection, and return the reply line
+/// to relay.  When the connection died, the forward is retried once over
+/// a new one (`connect` respawns a dead shard first).  A retry can
+/// re-send a request the dead shard already applied *and journalled*, so
+/// callers needing exactly-once during a crash window send idempotent
+/// mutations (e.g. `reweight`) — the router guarantees no *loss*, not
+/// de-duplication.  A reply that EOF cut short or that fails
+/// [`protocol::check_line`] becomes an error line and drops `conn`: the
+/// stream position is unknowable.
+fn forward_over(
+    conn: &mut Option<Client>,
+    shard: usize,
+    line: &str,
+    mut connect: impl FnMut() -> std::io::Result<Client>,
+) -> String {
+    // Shards past the fixed label set share the "other" cell; the last
+    // SHARD_LABELS entry *is* "other", so indexing covers both.
+    let label = pdb_obs::metrics::SHARD_LABELS.get(shard).copied().unwrap_or("other");
+    let _span = pdb_obs::metrics::FLEET_FORWARD_LATENCY_NS.with(label).span();
+    let mut last_io = None;
+    for attempt in 0..FORWARD_ATTEMPTS {
+        if attempt > 0 {
+            pdb_obs::metrics::FLEET_RETRIES_TOTAL.inc();
+        }
+        let client = match conn {
+            Some(client) => client,
+            None => match connect() {
+                Ok(client) => conn.insert(client),
+                Err(err) => {
+                    last_io = Some(err.to_string());
+                    continue;
+                }
+            },
+        };
+        match relay(client, line) {
+            Ok(reply) => return reply,
+            Err(ClientError::Io(err)) => {
+                // The connection died mid-call; the shard may be gone.
+                // Drop it and let the next attempt respawn + reconnect.
+                *conn = None;
+                last_io = Some(err.to_string());
+            }
+            Err(ClientError::Protocol(msg) | ClientError::Server(msg)) => {
+                *conn = None;
+                return error_line(format!("shard {shard} replied malformed: {msg}"));
+            }
+        }
+    }
+    error_line(format!(
+        "shard {shard} is unavailable: {}",
+        last_io.unwrap_or_else(|| "no forward attempts".to_string())
+    ))
+}
+
+/// Send `line` over `client` and return the reply line once it passed
+/// the syntax check.
+fn relay(client: &mut Client, line: &str) -> Result<String, ClientError> {
+    let reply = client.call_line(line)?;
+    protocol::check_line(&reply)
+        .map_err(|err| ClientError::Protocol(format!("parsing response failed: {err}")))?;
+    Ok(reply)
+}
+
+/// The reply line of an error the router answers itself.
+fn error_line(message: impl std::fmt::Display) -> String {
+    protocol::encode_reply(&Response::error(message))
 }
 
 /// Assign a fleet-wide session id if the request has none, and pin it
@@ -349,6 +396,74 @@ fn pin_id(ids: &SessionIds, session: &mut Option<u64>) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::io::{BufRead, BufReader, Write};
+
+    /// A reply a decode-and-re-encode relay would rewrite: spaces, an
+    /// upper-case exponent and a float that is not in shortest form.
+    const VALID: &str = "{ \"quality_report\": {\"qualities\": [-2.5], \"weights\": [1.0], \
+                         \"aggregate\": -2.5, \"g\": [1E-7, -0.0, 0.10000000000000001]} }";
+
+    #[test]
+    fn relayed_lines_pass_byte_for_byte_and_a_malformed_reply_drops_the_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let valid = format!("{VALID}\n");
+        // A stand-in shard.  Per accepted connection: the replies it
+        // writes, one per request line it reads, and whether it then
+        // hangs up.  The second connection's only reply is cut short.
+        let script = [
+            (vec![valid.clone(), "{\"answers\":]\n".to_string()], false),
+            (vec!["{\"answers\":{\"answ".to_string()], true),
+            (vec![valid], false),
+        ];
+        let shard = std::thread::spawn(move || {
+            let mut requests = Vec::new();
+            let mut held = Vec::new();
+            for (replies, hang_up) in script {
+                let (stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut writer = stream;
+                for reply in replies {
+                    let mut request = String::new();
+                    reader.read_line(&mut request).unwrap();
+                    requests.push(request);
+                    writer.write_all(reply.as_bytes()).unwrap();
+                }
+                if !hang_up {
+                    held.push(writer);
+                }
+            }
+            requests
+        });
+
+        let line = "{\"quality\":  {\"session\": 7}}";
+        let connects = Cell::new(0);
+        let connect = || {
+            connects.set(connects.get() + 1);
+            Client::connect(addr)
+        };
+        let malformed = |reply: &str| match protocol::decode_response(reply).unwrap() {
+            Response::Error(err) => err.message.starts_with("shard 3 replied malformed: "),
+            _ => false,
+        };
+        let mut conn = None;
+        assert_eq!(forward_over(&mut conn, 3, line, connect), VALID);
+        assert_eq!((connects.get(), conn.is_some()), (1, true));
+        // A syntactically broken reply on the same connection.
+        let reply = forward_over(&mut conn, 3, line, connect);
+        assert!(malformed(&reply), "{reply}");
+        assert_eq!((connects.get(), conn.is_some()), (1, false));
+        // The next forward reconnects, and EOF cuts its reply short.
+        let reply = forward_over(&mut conn, 3, line, connect);
+        assert!(malformed(&reply) && reply.contains("cut short"), "{reply}");
+        assert_eq!((connects.get(), conn.is_some()), (2, false));
+        let reply = forward_over(&mut conn, 3, line, connect);
+        assert_eq!(reply, VALID);
+        assert_eq!((connects.get(), conn.is_some()), (3, true));
+        // Every request line reached the shard as it was given.
+        assert_eq!(shard.join().unwrap(), vec![format!("{line}\n"); 4]);
+    }
 
     #[test]
     fn pin_id_refuses_an_id_without_a_successor() {

@@ -142,11 +142,25 @@ impl Client {
         self.retries
     }
 
-    /// Send one request and read its response.
+    /// Send one request and read its response: [`call_line`](Self::call_line)
+    /// between encoding the request and decoding the reply.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
         let line = protocol::encode(request)
             .map_err(|err| ClientError::Protocol(format!("encoding request failed: {err}")))?;
-        writeln!(self.writer, "{line}")?;
+        let reply = self.call_line(&line)?;
+        protocol::decode_response(reply.trim_end())
+            .map_err(|err| ClientError::Protocol(format!("parsing response failed: {err}")))
+    }
+
+    /// Send one request line (no newline) and return the reply line as
+    /// the server wrote it, without its newline and without decoding it;
+    /// the fleet router relays shard replies this way.  A connection
+    /// closed before any reply byte is [`ClientError::Io`]; a reply line
+    /// that EOF cut short is [`ClientError::Protocol`], since its bytes
+    /// are not a whole reply.
+    pub fn call_line(&mut self, line: &str) -> Result<String, ClientError> {
+        self.writer.write_all(line.as_bytes())?;
+        self.writer.write_all(b"\n")?;
         self.writer.flush()?;
         let mut reply = String::new();
         if self.reader.read_line(&mut reply)? == 0 {
@@ -155,8 +169,14 @@ impl Client {
                 "server closed the connection",
             )));
         }
-        protocol::decode_response(reply.trim_end())
-            .map_err(|err| ClientError::Protocol(format!("parsing response failed: {err}")))
+        if !reply.ends_with('\n') {
+            return Err(ClientError::Protocol(format!(
+                "reply cut short after {} bytes: the server closed the connection mid-line",
+                reply.len()
+            )));
+        }
+        reply.pop();
+        Ok(reply)
     }
 
     /// `create_session`: open a session over `dataset` with uniform probe

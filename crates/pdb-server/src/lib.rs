@@ -8,7 +8,8 @@
 //! * [`protocol`] — the newline-delimited JSON wire protocol
 //!   (`create_session`, `register_query`, `evaluate`, `quality`,
 //!   `recommend_probe`, `apply_mutation`, `drop_session`, `persist`,
-//!   `stats`, `metrics`, `shutdown`);
+//!   `stats`, `metrics`, `shutdown`), and [`protocol::check_line`], the
+//!   syntax-only check the fleet router runs on each reply it relays;
 //! * [`session`] — persistent sessions (a database + a live
 //!   [`pdb_quality::BatchQuality`]) in one map whose lock is held only to
 //!   look a session up, each session behind its own lock, so concurrent
@@ -23,10 +24,13 @@
 //!   at most `--threads` at once, and no other thread, with graceful
 //!   drain on `shutdown`.  Its
 //!   accept loop ([`accept_connections`]), per-connection loop
-//!   ([`serve_connection`]) and listener self-wake ([`wake_listener`])
-//!   also serve the fleet router's connections;
+//!   ([`serve_connection`], which caps a request line at
+//!   [`MAX_REQUEST_LINE`] bytes) and listener self-wake
+//!   ([`wake_listener`]) also serve the fleet router's connections;
 //! * [`client`] — a blocking client used by `pdb call`, the loopback
-//!   integration test and the `server_throughput` bench.
+//!   integration test, the `server_throughput` bench and the fleet
+//!   router ([`Client::call_line`] sends a line and returns the reply
+//!   line undecoded).
 //!
 //! A session keeps the one shared PSR run of its registered query set
 //! alive across requests, so applying a probe outcome is a single O(n)
@@ -60,5 +64,7 @@ pub mod session;
 
 pub use client::{Client, ClientError, RetryPolicy};
 pub use protocol::{DatasetSpec, Request, Response};
-pub use server::{accept_connections, serve_connection, wake_listener, Server, ServerConfig};
+pub use server::{
+    accept_connections, serve_connection, wake_listener, Server, ServerConfig, MAX_REQUEST_LINE,
+};
 pub use session::{Session, SessionIds, SessionManager};

@@ -47,6 +47,11 @@
 //! does not send it; the server answers it until the next change to the
 //! serving benchmark, which names the verb.
 //!
+//! Floats travel in Rust's shortest round-trip form, so every `f64`
+//! decodes to the bits it was encoded from: plain decimals in
+//! [1e-4, 1e16) (`0.43200000000000005`, `2.0`), exponent form outside it
+//! (`1e-7`, `-2.5e-300`), and `0.0` / `-0.0` for the zeros.
+//!
 //! See the README section *Serving & sessions* for one request/response
 //! example per verb.
 
@@ -631,6 +636,241 @@ pub fn decode_response(line: &str) -> Result<Response, SerdeError> {
     serde_json::from_str(line)
 }
 
+/// Encode `response` as its reply line.  A response that cannot be
+/// encoded (a non-finite float) becomes an `encoding failed` error line,
+/// so every request still gets exactly one reply.
+pub fn encode_reply(response: &Response) -> String {
+    encode(response)
+        .unwrap_or_else(|err| format!("{{\"error\":{{\"message\":\"encoding failed: {err}\"}}}}"))
+}
+
+/// Arrays and objects [`check_line`] lets open at once: the vendored
+/// parser's recursion limit.
+const MAX_NESTING: u32 = 128;
+
+/// Check that `line` is one JSON value, accepting exactly the lines
+/// `serde_json::from_str::<Value>` accepts, without building the value:
+/// the fleet router checks each shard reply it relays with this.  The
+/// scan is a loop over the bytes with no recursion; the open containers
+/// are one bit each in a `u128`, so nesting past 128 levels is refused
+/// like the parser refuses it.
+pub fn check_line(line: &str) -> Result<(), SerdeError> {
+    let mut scan = Scan { bytes: line.as_bytes(), pos: 0 };
+    // Bit `i` is set when the container `i` levels above the innermost
+    // one is an object.
+    let mut objects: u128 = 0;
+    let mut depth = 0;
+    loop {
+        // A value starts here: at the top, or after `[`, `,` or `:`.
+        scan.skip_ws();
+        let start = scan.pos;
+        match scan.bump() {
+            Some(open @ (b'[' | b'{')) => {
+                if depth == MAX_NESTING {
+                    return Err(scan.error("recursion limit exceeded", start));
+                }
+                depth += 1;
+                objects = objects << 1 | u128::from(open == b'{');
+                scan.skip_ws();
+                let close = if open == b'[' { b']' } else { b'}' };
+                if scan.peek() == Some(close) {
+                    scan.pos += 1;
+                    depth -= 1;
+                    objects >>= 1;
+                } else {
+                    if open == b'{' {
+                        scan.key()?;
+                    }
+                    continue;
+                }
+            }
+            Some(b'"') => scan.string()?,
+            Some(b'n') => scan.literal(b"ull", start)?,
+            Some(b't') => scan.literal(b"rue", start)?,
+            Some(b'f') => scan.literal(b"alse", start)?,
+            Some(first @ (b'-' | b'0'..=b'9')) => scan.number(first, start)?,
+            Some(other) => {
+                return Err(SerdeError::custom(format!(
+                    "unexpected character {:?} at offset {start}",
+                    char::from(other)
+                )))
+            }
+            None => return Err(SerdeError::custom("unexpected end of JSON input")),
+        }
+        // A value ended: close containers until one takes another element.
+        loop {
+            scan.skip_ws();
+            if depth == 0 {
+                return match scan.peek() {
+                    None => Ok(()),
+                    Some(_) => Err(scan.error("trailing characters", scan.pos)),
+                };
+            }
+            let in_object = objects & 1 == 1;
+            match (scan.bump(), in_object) {
+                (Some(b','), true) => {
+                    scan.key()?;
+                    break;
+                }
+                (Some(b','), false) => break,
+                (Some(b'}'), true) | (Some(b']'), false) => {
+                    depth -= 1;
+                    objects >>= 1;
+                }
+                (_, true) => return Err(scan.error("expected ',' or '}'", scan.pos - 1)),
+                (_, false) => return Err(scan.error("expected ',' or ']'", scan.pos - 1)),
+            }
+        }
+    }
+}
+
+/// The cursor of [`check_line`].
+struct Scan<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Scan<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    /// The next byte, consumed.  At the end, `pos` still moves one past
+    /// it, so an error after `None` names the end of the input.
+    fn bump(&mut self) -> Option<u8> {
+        let byte = self.peek();
+        self.pos += 1;
+        byte
+    }
+
+    fn error(&self, what: &str, at: usize) -> SerdeError {
+        SerdeError::custom(format!("{what} at offset {at}"))
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// The rest of a keyword whose first byte was consumed at `start`.
+    fn literal(&mut self, rest: &[u8], start: usize) -> Result<(), SerdeError> {
+        if self.bytes.get(self.pos..).is_some_and(|tail| tail.starts_with(rest)) {
+            self.pos += rest.len();
+            Ok(())
+        } else {
+            Err(self.error("invalid literal", start))
+        }
+    }
+
+    /// An object key and its `:`, after `{` or `,`.
+    fn key(&mut self) -> Result<(), SerdeError> {
+        self.skip_ws();
+        if self.bump() != Some(b'"') {
+            return Err(self.error("expected '\"'", self.pos - 1));
+        }
+        self.string()?;
+        self.skip_ws();
+        if self.bump() != Some(b':') {
+            return Err(self.error("expected ':'", self.pos - 1));
+        }
+        Ok(())
+    }
+
+    /// The rest of a string whose `"` was consumed.  Every byte but `"`
+    /// and `\` stands for itself: the line is a `&str`, so multi-byte
+    /// characters are whole.
+    fn string(&mut self) -> Result<(), SerdeError> {
+        loop {
+            match self.bump() {
+                None => return Err(SerdeError::custom("unterminated JSON string")),
+                Some(b'"') => return Ok(()),
+                Some(b'\\') => match self.bump() {
+                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {}
+                    Some(b'u') => match self.hex4()? {
+                        0xD800..=0xDBFF => {
+                            // A high surrogate: a low one must follow.
+                            let tail = self.bytes.get(self.pos..).unwrap_or_default();
+                            if !tail.starts_with(b"\\u") {
+                                return Err(SerdeError::custom("unpaired surrogate"));
+                            }
+                            self.pos += 2;
+                            if !(0xDC00..=0xDFFF).contains(&self.hex4()?) {
+                                return Err(SerdeError::custom("invalid low surrogate"));
+                            }
+                        }
+                        0xDC00..=0xDFFF => {
+                            return Err(SerdeError::custom("invalid unicode escape"))
+                        }
+                        _ => {}
+                    },
+                    None => return Err(SerdeError::custom("unterminated escape sequence")),
+                    Some(other) => {
+                        return Err(SerdeError::custom(format!(
+                            "invalid escape character {:?}",
+                            char::from(other)
+                        )))
+                    }
+                },
+                Some(_) => {}
+            }
+        }
+    }
+
+    /// The four hex digits of a `\u` escape, read as the parser reads
+    /// them (`u32::from_str_radix`, which also takes a leading `+`).
+    fn hex4(&mut self) -> Result<u32, SerdeError> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| SerdeError::custom("truncated unicode escape"))?;
+        let mut code = 0;
+        for &digit in digits.strip_prefix(b"+").unwrap_or(digits) {
+            let value = char::from(digit)
+                .to_digit(16)
+                .ok_or_else(|| SerdeError::custom("invalid unicode escape"))?;
+            code = code << 4 | value;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// The rest of a number whose first byte (`-` or a digit) was
+    /// consumed at `start`: `-`? digits (`.` digits)? ([eE] [+-]? digits)?,
+    /// valid when Rust's integer or float parser takes it, as the JSON
+    /// parser decides.
+    fn number(&mut self, first: u8, start: usize) -> Result<(), SerdeError> {
+        let mut mantissa_digits = usize::from(first != b'-') + self.digits();
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            mantissa_digits += self.digits();
+        }
+        let mut exponent_ok = true;
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            exponent_ok = self.digits() > 0;
+        }
+        // Both parsers want a digit before or after the `.` (`1.` and `-.5`
+        // pass, `-.` does not), and one in any exponent.
+        if mantissa_digits > 0 && exponent_ok {
+            Ok(())
+        } else {
+            Err(self.error("invalid number", start))
+        }
+    }
+
+    fn digits(&mut self) -> usize {
+        let from = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - from
+    }
+}
+
 /// The entries of a JSON object payload (manual-impl helper).
 fn object_entries<'v>(value: &'v Value, what: &str) -> Result<&'v [(String, Value)], SerdeError> {
     value.as_map().ok_or_else(|| SerdeError::custom(format!("expected an object for {what}")))
@@ -777,82 +1017,238 @@ mod tests {
 
     #[test]
     fn every_response_kind_round_trips() {
-        round_trip_response(&Response::SessionCreated(SessionCreated {
-            session: 1,
-            tuples: 7,
-            x_tuples: 4,
-        }));
-        round_trip_response(&Response::QueryRegistered(QueryRegistered {
-            session: 1,
-            index: 0,
-            k_max: 15,
-        }));
-        round_trip_response(&Response::Answers(Answers { answers: Vec::new() }));
-        round_trip_response(&Response::QualityReport(QualityReport {
-            qualities: vec![-2.55, -1.0],
-            weights: vec![1.0, 0.5],
-            aggregate: -3.05,
-            g: vec![-1.0, -2.05],
-        }));
-        round_trip_response(&Response::ProbeRecommendation(ProbeAdvice {
-            recommendation: Some(ProbeRecommendation { x_tuple: 2, expected_gain: 0.56 }),
-        }));
-        round_trip_response(&Response::ProbeRecommendation(ProbeAdvice { recommendation: None }));
-        round_trip_response(&Response::ProbeApplied(ProbeApplied::new(
-            1,
-            BatchCollapseUpdate {
-                qualities: vec![-1.85],
-                aggregate: -1.85,
-                aggregate_delta: 0.7,
-                g: vec![0.0, -1.85],
-                stats: DeltaStats::default(),
-            },
-        )));
-        round_trip_response(&Response::SessionDropped(SessionRef { session: 1 }));
-        round_trip_response(&Response::Persisted(Persisted {
-            session: 1,
-            snapshot: "snapshot-1-3.pdbs".to_string(),
-            tuples: 7,
-            probes: 2,
-        }));
-        round_trip_response(&Response::Stats(ServerStats {
-            sessions_live: 1,
-            sessions_created: 2,
-            requests_served: 10,
-            probes_applied: 3,
-            shards: 8,
-            threads: 4,
-            durable: true,
-            connect_retries: 5,
-            flush_error: None,
-            sessions: vec![SessionStat { session: 1, age_ms: 1234, queries: 2, probes: 3 }],
-        }));
-        round_trip_response(&Response::Stats(ServerStats {
-            sessions_live: 0,
-            sessions_created: 0,
-            requests_served: 1,
-            probes_applied: 0,
-            shards: 1,
-            threads: 1,
-            durable: true,
-            connect_retries: 0,
-            flush_error: Some("syncing wal.log: disk gone".to_string()),
-            sessions: Vec::new(),
-        }));
-        round_trip_response(&Response::Metrics(MetricsReply {
-            series: vec![
-                SeriesSample::scalar("engine_psr_runs_total", SampleKind::Counter, 3),
-                SeriesSample::histogram(
-                    "server_request_latency_ns",
-                    2,
-                    1025,
-                    &[0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
-                )
-                .labeled("verb", "evaluate"),
-            ],
-        }));
-        round_trip_response(&Response::ShuttingDown);
-        round_trip_response(&Response::error("boom"));
+        for response in every_response_kind() {
+            round_trip_response(&response);
+        }
+    }
+
+    /// One response of every kind (two for the kinds with optional parts).
+    fn every_response_kind() -> Vec<Response> {
+        vec![
+            Response::SessionCreated(SessionCreated { session: 1, tuples: 7, x_tuples: 4 }),
+            Response::QueryRegistered(QueryRegistered { session: 1, index: 0, k_max: 15 }),
+            Response::Answers(Answers { answers: Vec::new() }),
+            Response::QualityReport(QualityReport {
+                qualities: vec![-2.55, -1.0],
+                weights: vec![1.0, 0.5],
+                aggregate: -3.05,
+                g: vec![-1.0, -2.05],
+            }),
+            // Floats outside [1e-4, 1e16) travel in exponent form.
+            Response::QualityReport(QualityReport {
+                qualities: vec![-2.551325921692723],
+                weights: vec![1.0],
+                aggregate: -2.551325921692723,
+                g: vec![-0.9709505944546685, 1e-7, -0.0, 0.0, -2.5e-300, 1e16],
+            }),
+            Response::ProbeRecommendation(ProbeAdvice {
+                recommendation: Some(ProbeRecommendation { x_tuple: 2, expected_gain: 0.56 }),
+            }),
+            Response::ProbeRecommendation(ProbeAdvice { recommendation: None }),
+            Response::ProbeApplied(ProbeApplied::new(
+                1,
+                BatchCollapseUpdate {
+                    qualities: vec![-1.85],
+                    aggregate: -1.85,
+                    aggregate_delta: 0.7,
+                    g: vec![0.0, -1.85],
+                    stats: DeltaStats::default(),
+                },
+            )),
+            Response::SessionDropped(SessionRef { session: 1 }),
+            Response::Persisted(Persisted {
+                session: 1,
+                snapshot: "snapshot-1-3.pdbs".to_string(),
+                tuples: 7,
+                probes: 2,
+            }),
+            Response::Stats(ServerStats {
+                sessions_live: 1,
+                sessions_created: 2,
+                requests_served: 10,
+                probes_applied: 3,
+                shards: 8,
+                threads: 4,
+                durable: true,
+                connect_retries: 5,
+                flush_error: None,
+                sessions: vec![SessionStat { session: 1, age_ms: 1234, queries: 2, probes: 3 }],
+            }),
+            Response::Stats(ServerStats {
+                sessions_live: 0,
+                sessions_created: 0,
+                requests_served: 1,
+                probes_applied: 0,
+                shards: 1,
+                threads: 1,
+                durable: true,
+                connect_retries: 0,
+                flush_error: Some("syncing wal.log: disk gone".to_string()),
+                sessions: Vec::new(),
+            }),
+            Response::Metrics(MetricsReply {
+                series: vec![
+                    SeriesSample::scalar("engine_psr_runs_total", SampleKind::Counter, 3),
+                    SeriesSample::histogram(
+                        "server_request_latency_ns",
+                        2,
+                        1025,
+                        &[0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+                    )
+                    .labeled("verb", "evaluate"),
+                ],
+            }),
+            Response::ShuttingDown,
+            Response::error("boom"),
+        ]
+    }
+
+    /// `check_line` accepts `line` exactly when the parser does.
+    fn check_agrees(line: &str) -> Result<(), String> {
+        let checked = check_line(line).is_ok();
+        let parsed = serde_json::from_str::<Value>(line).is_ok();
+        if checked == parsed {
+            Ok(())
+        } else {
+            Err(format!("check_line ok = {checked}, parser ok = {parsed} on {line:?}"))
+        }
+    }
+
+    #[test]
+    fn check_line_agrees_with_the_parser_on_edge_cases() {
+        for line in [
+            "",
+            "  ",
+            " 1 ",
+            "1 2",
+            "nul",
+            "truex",
+            "[true,false,null]",
+            "[1,]",
+            "[,1]",
+            "[1 2]",
+            "{}",
+            "{ }",
+            "{,}",
+            "{\"a\":1,}",
+            "{\"a\" 1}",
+            "{1:2}",
+            "{\"a\":1}}",
+            "-",
+            "-0",
+            "01",
+            "1.",
+            "-.5",
+            "-.",
+            ".5",
+            "1.e5",
+            "1e",
+            "1e+",
+            "1E-07",
+            "-e5",
+            "1e99999",
+            "18446744073709551616",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u00e9\"",
+            "\"\\u00\"",
+            "\"\\ud83d\\ude00\"",
+            "\"\\ud83d\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ude00\"",
+            "\"\\x\"",
+            "\"é\\\"\"",
+            "\"tab\tin a string\"",
+            "\"unterminated",
+            "{\"a\":[{\"b\":[]},{}],\"c\":\"\"}",
+        ] {
+            check_agrees(line).unwrap();
+        }
+    }
+
+    /// Every reply line a server sends, every prefix of it (a reply that
+    /// EOF cut short), and every single-byte replacement or deletion.
+    #[test]
+    fn check_line_agrees_with_the_parser_on_replies_their_truncations_and_byte_mutations() {
+        const REPLACEMENTS: &[u8] = b"{}[]\":,.-+0e\\u x";
+        for response in every_response_kind() {
+            let line = encode(&response).unwrap();
+            check_line(&line).unwrap();
+            for cut in 0..line.len() {
+                check_agrees(&line[..cut]).unwrap();
+            }
+            for at in 0..line.len() {
+                let mut deleted = line.clone().into_bytes();
+                deleted.remove(at);
+                check_agrees(&String::from_utf8(deleted).unwrap()).unwrap();
+                for &byte in REPLACEMENTS {
+                    let mut mutated = line.clone().into_bytes();
+                    mutated[at] = byte;
+                    check_agrees(&String::from_utf8(mutated).unwrap()).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn check_line_refuses_nesting_past_128_levels() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        check_line(&nested(128)).unwrap();
+        check_line(&format!("{}1{}", "{\"a\":".repeat(128), "}".repeat(128))).unwrap();
+        let wide = format!("[{}]", vec![nested(127); 3].join(","));
+        check_line(&wide).unwrap();
+        for deep in [nested(129), "[".repeat(10_000), "{\"a\":".repeat(10_000)] {
+            let err = check_line(&deep).unwrap_err();
+            assert!(err.to_string().contains("recursion limit exceeded"), "{err}");
+            check_agrees(&deep).unwrap();
+        }
+        // The scan keeps no stack: a 10,000-deep line is refused on a
+        // thread whose stack could not hold 10,000 frames.
+        let deep = "[".repeat(10_000) + &"]".repeat(10_000);
+        let refused = std::thread::Builder::new()
+            .stack_size(32 * 1024)
+            .spawn(move || check_line(&deep).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(refused);
+    }
+
+    /// Tokens random lines are drawn from: JSON's punctuation, literals,
+    /// number and escape pieces, whitespace, and a multi-byte character.
+    const TOKENS: &[&str] = &[
+        "{", "}", "[", "]", "\"", ":", ",", " ", "\t", "0", "7", "-", "+", ".", "e", "E", "\\",
+        "u", "d83d", "de00", "00e9", "n", "null", "true", "false", "\"a\"", "é", "x",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn check_line_agrees_with_the_parser_on_random_lines(
+            picks in proptest::collection::vec(0..TOKENS.len(), 0..40)
+        ) {
+            let line: String = picks.iter().map(|&i| TOKENS[i]).collect();
+            proptest::prop_assert_eq!(check_agrees(&line), Ok(()));
+        }
+
+        #[test]
+        fn check_line_agrees_with_the_parser_on_mutated_replies(
+            kind in 0..15usize,
+            edits in proptest::collection::vec((0..4096usize, 0..TOKENS.len()), 1..4)
+        ) {
+            let responses = every_response_kind();
+            let mut line = encode(&responses[kind % responses.len()]).unwrap();
+            for (at, token) in edits {
+                let at = at % (line.len() + 1);
+                // Every reply line is ASCII, and so every offset a
+                // char boundary until a multi-byte token lands.
+                if line.is_char_boundary(at) {
+                    line.insert_str(at, TOKENS[token]);
+                }
+            }
+            proptest::prop_assert_eq!(check_agrees(&line), Ok(()));
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::protocol::{self, Request, Response, ServerStats};
 use crate::session::SessionManager;
 use pdb_obs::metrics as obs;
 use pdb_store::FlushPolicy;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -136,7 +136,8 @@ impl Server {
             threads: self.threads,
         };
         accept_connections(&self.listener, &ctx.shutdown, ctx.threads, |stream| {
-            if serve_connection(stream, &ctx.shutdown, |line| handle_line(line, &ctx)).is_err() {
+            let handle = |line: &str| protocol::encode_reply(&handle_line(line, &ctx));
+            if serve_connection(stream, &ctx.shutdown, handle).is_err() {
                 obs::SERVER_ERRORS_TOTAL.with("io").inc();
             }
         });
@@ -251,22 +252,32 @@ impl Drop for Slot<'_> {
 /// final join forever, hanging shutdown.
 const IDLE_POLL: std::time::Duration = std::time::Duration::from_millis(100);
 
+/// The longest request line [`serve_connection`] reads, newline
+/// included (16 MiB).  Requests name their datasets (inline ones are a
+/// few tuples; larger ones are generated or opened from a snapshot
+/// file), so no valid request comes near it, and a client that never
+/// sends a newline cannot make a connection buffer more.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
+
 /// Serve one connection: one reply line per request line, until the
 /// client disconnects or `shutdown` is set.  `handle` turns each request
-/// line (trailing newline trimmed; blank lines are skipped) into its
-/// reply.  The server and the fleet router both run their connections
-/// through this loop, so persistent clients see the same behaviour from
-/// either.
+/// line (trailing whitespace trimmed; blank lines are skipped) into the
+/// reply line to write (without its newline).  The server and the fleet
+/// router both run their connections through this loop, so persistent
+/// clients see the same behaviour from either.
 ///
 /// Reads poll `shutdown` every 100 ms (`IDLE_POLL`), and a line split
 /// across packets is reassembled.  Once `shutdown` is set, an idle
 /// connection ends at its next poll and a busy one after writing its
-/// in-flight reply.  Returns an error only when a reply could not be
-/// written; read failures end the connection like a disconnect.
+/// in-flight reply.  A line that reaches [`MAX_REQUEST_LINE`] bytes
+/// without a newline gets one error reply, and the connection ends.
+/// Returns an error only when a reply could not be written; read
+/// failures, and a line that is not UTF-8, end the connection like a
+/// disconnect.
 pub fn serve_connection(
     stream: TcpStream,
     shutdown: &AtomicBool,
-    mut handle: impl FnMut(&str) -> Response,
+    mut handle: impl FnMut(&str) -> String,
 ) -> std::io::Result<()> {
     // Nagle off: request/response lines are tiny and latency-bound.
     // Best-effort — a socket that cannot disable Nagle still serves
@@ -285,16 +296,18 @@ pub fn serve_connection(
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
 
     loop {
         // A timeout mid-line leaves the bytes read so far in `line`; the
         // next pass appends to them, so split packets reassemble cleanly.
         line.clear();
         loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => return Ok(()), // client disconnected
-                Ok(_) => break,         // one full line (or EOF mid-line)
+            let room = MAX_REQUEST_LINE.saturating_sub(line.len()) as u64;
+            match (&mut reader).take(room).read_until(b'\n', &mut line) {
+                Ok(0) if line.is_empty() => return Ok(()), // client disconnected
+                // One full line, a line EOF ended, or the cap.
+                Ok(_) => break,
                 Err(err)
                     if matches!(
                         err.kind(),
@@ -310,14 +323,19 @@ pub fn serve_connection(
                 Err(_) => return Ok(()),
             }
         }
-        if line.trim().is_empty() {
+        if line.len() >= MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+            let refusal = Response::error(format!(
+                "malformed request: request line exceeds {MAX_REQUEST_LINE} bytes"
+            ));
+            return write_line(&mut writer, &protocol::encode_reply(&refusal));
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return Ok(());
+        };
+        if text.trim().is_empty() {
             continue;
         }
-        let response = handle(line.trim_end());
-        let payload = protocol::encode(&response).unwrap_or_else(|err| {
-            format!("{{\"error\":{{\"message\":\"encoding failed: {err}\"}}}}")
-        });
-        writeln!(writer, "{payload}").and_then(|()| writer.flush())?;
+        write_line(&mut writer, &handle(text.trim_end()))?;
         // Finish the in-flight request, then stop picking up new ones so
         // shutdown can drain: a persistent client must reconnect (and will
         // be refused once the listener stopped).
@@ -325,6 +343,13 @@ pub fn serve_connection(
             return Ok(());
         }
     }
+}
+
+/// Write `line` and its newline, and flush.
+fn write_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
+    writer.write_all(line.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
 }
 
 /// Wake a listener blocked in `accept` on `addr` so its loop observes

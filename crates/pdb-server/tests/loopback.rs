@@ -12,7 +12,7 @@ use pdb_clean::{best_single_probe, CleaningContext, CleaningSetup};
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
 use pdb_quality::{BatchQuality, WeightedQuery};
-use pdb_server::{Client, DatasetSpec, Server, ServerConfig};
+use pdb_server::{Client, DatasetSpec, Server, ServerConfig, MAX_REQUEST_LINE};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
@@ -312,6 +312,36 @@ fn a_deeply_nested_line_is_an_error_reply_and_the_session_keeps_serving() {
     assert!(reply.starts_with("{\"answers\":"), "{reply:?}");
     assert_eq!(client.evaluate(session).unwrap().answers[0].len(), 3); // PT-2 = {t1, t2, t5}
 
+    client.shutdown().unwrap();
+    handle.join().expect("server thread").expect("clean shutdown");
+}
+
+#[test]
+fn a_line_reaching_the_cap_without_a_newline_gets_one_error_reply_then_eof() {
+    // One connection slot: the next connection is served only once the
+    // refused one has ended.
+    let (addr, handle) = boot(1);
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    // Exactly the cap and no newline: the server reads every byte before
+    // it refuses the line, so its close leaves nothing unread to turn
+    // into a reset ahead of the reply.
+    let chunk = vec![b'x'; 1 << 16];
+    for _ in 0..MAX_REQUEST_LINE / chunk.len() {
+        raw.write_all(&chunk).unwrap();
+    }
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(
+        reply.starts_with("{\"error\":") && reply.contains("exceeds 16777216 bytes"),
+        "{reply:?}"
+    );
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "expected EOF, read {rest:?}");
+
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(client.stats().unwrap().threads, 1);
     client.shutdown().unwrap();
     handle.join().expect("server thread").expect("clean shutdown");
 }
