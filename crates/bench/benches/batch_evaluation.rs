@@ -1,6 +1,7 @@
 //! Batched multi-query shared evaluation: one PSR run at `k_max` serving a
-//! whole registered query set vs one independent evaluation per query, and
-//! the shared delta repatch vs a full batch rebuild after a probe outcome.
+//! whole registered query set vs one independent evaluation per query,
+//! the shared delta repatch vs a full batch rebuild after a probe outcome,
+//! and answering a registered query set from the shared matrix.
 //! Times the same workload as the `batch-q` experiment (n = 10⁴); the
 //! `bench-smoke` CI job runs this target in quick mode and commits its
 //! medians as `BENCH_batch.json` (see `crates/bench/src/bin/bench_json.rs`).
@@ -83,5 +84,25 @@ fn bench_collapse_repatch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_batch_vs_independent, bench_collapse_repatch);
+/// The `evaluate` verb's engine work: answering servebench's three
+/// registered queries (U-kRanks k = 5, PT-k k = 15 τ = 0.1, Global-topk
+/// k = 50) from one shared run over 10³ complete x-tuples × 10.
+fn bench_answers(c: &mut Criterion) {
+    let mut group = c.benchmark_group("batch/answers");
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(2));
+    let db = synthetic(TUPLES);
+    let queries = vec![
+        TopKQuery::UKRanks { k: 5 },
+        TopKQuery::PTk { k: 15, threshold: 0.1 },
+        TopKQuery::GlobalTopk { k: 50 },
+    ];
+    let batch = BatchEvaluation::new(&db, queries).unwrap();
+    group.bench_function(BenchmarkId::from_parameter(format!("n{TUPLES}")), |b| {
+        b.iter(|| black_box(&batch).answers().unwrap())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_batch_vs_independent, bench_collapse_repatch, bench_answers);
 criterion_main!(benches);

@@ -2,7 +2,8 @@
 //! session — the in-place delta patch every registered query shares plus
 //! the refreshed qualities — measured end-to-end over a real loopback TCP
 //! connection to a running `pdb-server`; and the encoding of that
-//! mutation's `probe_applied` reply line on its own.
+//! mutation's `probe_applied` reply line, and of an `evaluate` reply
+//! line, on their own.
 //!
 //! The server has no full-rebuild mode; the in-process comparison of the
 //! delta patch against a from-scratch PSR + TP rerun is the
@@ -12,10 +13,11 @@
 //! `crates/bench/src/bin/bench_json.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pdb_engine::batch::BatchEvaluation;
 use pdb_engine::delta::{DeltaStats, XTupleMutation};
 use pdb_engine::queries::TopKQuery;
 use pdb_quality::BatchCollapseUpdate;
-use pdb_server::protocol::{self, ProbeApplied};
+use pdb_server::protocol::{self, Answers, ProbeApplied};
 use pdb_server::{Client, DatasetSpec, Response, Server, ServerConfig};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -107,11 +109,27 @@ fn probe_applied_reply(x_tuples: usize) -> Response {
     Response::ProbeApplied(ProbeApplied::new(1, update))
 }
 
-/// Encoding one `probe_applied` reply line, with `g` over 1,000 x-tuples
-/// (58 non-zero) and with only the 58 non-zero entries: the zeros past
-/// the cut should cost far less than the digits of the live entries.
-/// `server-smoke` gates the ratio of the two.
-fn bench_encode_probe_applied(c: &mut Criterion) {
+/// An `answers` reply shaped like servebench's `fleet_read`: one U-kRanks
+/// (k = 5), PT-k (k = 15, τ = 0.1) and Global-topk (k = 50) answer over
+/// 10³ complete x-tuples × 10 alternatives.
+fn evaluate_reply() -> Response {
+    let db = pdb_gen::spec::build_dataset(&DatasetSpec::Synthetic { tuples: TUPLES })
+        .expect("generated dataset");
+    let queries = vec![
+        TopKQuery::UKRanks { k: 5 },
+        TopKQuery::PTk { k: 15, threshold: 0.1 },
+        TopKQuery::GlobalTopk { k: 50 },
+    ];
+    let answers = BatchEvaluation::new(&db, queries).and_then(|batch| batch.answers());
+    Response::Answers(Answers { answers: answers.expect("evaluate the query set") })
+}
+
+/// Encoding one reply line on its own.  `encode_probe_applied` has `g`
+/// over 1,000 x-tuples (58 non-zero) and only the 58 non-zero entries:
+/// the zeros past the cut should cost far less than the digits of the
+/// live entries, and `server-smoke` gates the ratio of the two.
+/// `encode_evaluate` is the `evaluate` reply of [`evaluate_reply`].
+fn bench_encode_replies(c: &mut Criterion) {
     let mut group = c.benchmark_group("server/wire");
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(2));
@@ -121,8 +139,12 @@ fn bench_encode_probe_applied(c: &mut Criterion) {
             b.iter(|| protocol::encode(black_box(r)))
         });
     }
+    let reply = evaluate_reply();
+    group.bench_with_input(BenchmarkId::new("encode_evaluate", "n10000"), &reply, |b, r| {
+        b.iter(|| protocol::encode(black_box(r)))
+    });
     group.finish();
 }
 
-criterion_group!(benches, bench_probe_requality, bench_encode_probe_applied);
+criterion_group!(benches, bench_probe_requality, bench_encode_replies);
 criterion_main!(benches);

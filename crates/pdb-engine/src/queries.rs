@@ -101,26 +101,22 @@ impl TupleSetAnswer {
 /// Evaluate a **U-kRanks** query from precomputed rank probabilities.
 ///
 /// Ties (two tuples equally likely to occupy rank h) are broken in favour of
-/// the higher-ranked tuple, keeping the answer deterministic.
+/// the higher-ranked tuple, keeping the answer deterministic.  One pass
+/// down the live rows fills every rank at once: each rank keeps the first
+/// position holding its strict maximum, which is what a scan of that
+/// rank's column alone would keep.
 pub fn u_k_ranks<R: RankAccess + ?Sized>(db: &RankedDatabase, rp: &R) -> UKRanksAnswer {
-    let k = rp.k();
-    let mut winners = Vec::with_capacity(k);
-    for h in 1..=k {
-        let mut best: Option<AnswerTuple> = None;
-        for pos in 0..rp.live_rows() {
-            let p = rp.rank_prob(pos, h);
+    let mut winners: Vec<Option<AnswerTuple>> = vec![None; rp.k()];
+    for pos in 0..rp.live_rows() {
+        for (h0, best) in winners.iter_mut().enumerate() {
+            let p = rp.rank_prob(pos, h0 + 1);
             if p <= 0.0 {
                 continue;
             }
-            let better = match &best {
-                None => true,
-                Some(b) => p > b.prob,
-            };
-            if better {
-                best = Some(AnswerTuple { position: pos, id: db.tuple(pos).id, prob: p });
+            if best.is_none_or(|b| p > b.prob) {
+                *best = Some(AnswerTuple { position: pos, id: db.tuple(pos).id, prob: p });
             }
         }
-        winners.push(best);
     }
     UKRanksAnswer { winners }
 }
@@ -153,19 +149,26 @@ pub fn pt_k<R: RankAccess + ?Sized>(
 /// probabilities, ties broken in favour of the higher-ranked tuple.
 pub fn global_topk<R: RankAccess + ?Sized>(db: &RankedDatabase, rp: &R) -> TupleSetAnswer {
     let k = rp.k();
-    let mut order: Vec<usize> = (0..rp.live_rows()).filter(|&p| rp.top_k_prob(p) > 0.0).collect();
-    // Sort by descending top-k probability; ties by ascending position
-    // (higher rank first). The sort is stable but the explicit tiebreak makes
-    // the intent explicit.
-    // total_cmp rather than partial_cmp: probabilities are finite and
-    // non-negative here, so the orders agree — but total_cmp cannot panic
-    // if a NaN ever slips through, it just sorts it deterministically.
-    order.sort_by(|&a, &b| rp.top_k_prob(b).total_cmp(&rp.top_k_prob(a)).then(a.cmp(&b)));
-    order.truncate(k);
+    let probs = rp.top_k_probs();
+    let mut order: Vec<usize> = (0..probs.len()).filter(|&p| probs[p] > 0.0).collect();
+    if order.len() > k {
+        // Descending top-k probability, ties by ascending position (higher
+        // rank first).  total_cmp rather than partial_cmp: probabilities
+        // are finite and non-negative here, so the orders agree, but
+        // total_cmp cannot panic if a NaN ever slips through.  The order
+        // is total, so the k it selects are exactly the first k of a full
+        // sort, and only those k are then sorted.
+        if k > 0 {
+            order.select_nth_unstable_by(k - 1, |&a, &b| {
+                probs[b].total_cmp(&probs[a]).then(a.cmp(&b))
+            });
+        }
+        order.truncate(k);
+    }
     order.sort_unstable();
     let tuples = order
         .into_iter()
-        .map(|pos| AnswerTuple { position: pos, id: db.tuple(pos).id, prob: rp.top_k_prob(pos) })
+        .map(|pos| AnswerTuple { position: pos, id: db.tuple(pos).id, prob: probs[pos] })
         .collect();
     TupleSetAnswer { tuples }
 }
@@ -259,7 +262,128 @@ impl QueryAnswer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchEvaluation;
     use crate::psr::rank_probabilities;
+    use proptest::prelude::*;
+
+    /// U-kRanks as one scan down the live rows per rank: the oracle for
+    /// the single row-major pass.
+    fn u_k_ranks_by_column<R: RankAccess + ?Sized>(db: &RankedDatabase, rp: &R) -> UKRanksAnswer {
+        let k = rp.k();
+        let mut winners = Vec::with_capacity(k);
+        for h in 1..=k {
+            let mut best: Option<AnswerTuple> = None;
+            for pos in 0..rp.live_rows() {
+                let p = rp.rank_prob(pos, h);
+                if p <= 0.0 {
+                    continue;
+                }
+                let better = match &best {
+                    None => true,
+                    Some(b) => p > b.prob,
+                };
+                if better {
+                    best = Some(AnswerTuple { position: pos, id: db.tuple(pos).id, prob: p });
+                }
+            }
+            winners.push(best);
+        }
+        UKRanksAnswer { winners }
+    }
+
+    /// Global-topk by sorting every live row: the oracle for selection.
+    fn global_topk_by_full_sort<R: RankAccess + ?Sized>(
+        db: &RankedDatabase,
+        rp: &R,
+    ) -> TupleSetAnswer {
+        let k = rp.k();
+        let mut order: Vec<usize> =
+            (0..rp.live_rows()).filter(|&p| rp.top_k_prob(p) > 0.0).collect();
+        order.sort_by(|&a, &b| rp.top_k_prob(b).total_cmp(&rp.top_k_prob(a)).then(a.cmp(&b)));
+        order.truncate(k);
+        order.sort_unstable();
+        let tuples = order
+            .into_iter()
+            .map(|pos| AnswerTuple {
+                position: pos,
+                id: db.tuple(pos).id,
+                prob: rp.top_k_prob(pos),
+            })
+            .collect();
+        TupleSetAnswer { tuples }
+    }
+
+    /// Alternative lists that x-tuples copy whole, so that many tuples tie
+    /// exactly in score and in every probability PSR derives for them.
+    /// Two lists leave null mass.
+    const TIED_ALTERNATIVES: [&[(f64, f64)]; 4] =
+        [&[(5.0, 0.5), (3.0, 0.5)], &[(4.0, 1.0)], &[(4.0, 0.25), (2.0, 0.25)], &[(3.0, 0.75)]];
+
+    fn tied_database(picks: &[usize]) -> RankedDatabase {
+        let x_tuples: Vec<Vec<(f64, f64)>> =
+            picks.iter().map(|&i| TIED_ALTERNATIVES[i].to_vec()).collect();
+        RankedDatabase::from_scored_x_tuples(&x_tuples).unwrap()
+    }
+
+    /// Both kernels agree with their oracles on `rp`; returns the number
+    /// of positive top-k probabilities and whether one tie straddles the
+    /// Global-topk cut.
+    fn check_kernels<R: RankAccess + ?Sized>(
+        db: &RankedDatabase,
+        rp: &R,
+    ) -> Result<(usize, bool), TestCaseError> {
+        prop_assert_eq!(u_k_ranks(db, rp), u_k_ranks_by_column(db, rp));
+        let answer = global_topk(db, rp);
+        prop_assert_eq!(&answer, &global_topk_by_full_sort(db, rp));
+        let probs = rp.top_k_probs();
+        let positive = probs.iter().filter(|&&p| p > 0.0).count();
+        let cut_tie = answer.tuples.iter().any(|t| {
+            probs.iter().enumerate().any(|(pos, &p)| p == t.prob && !answer.contains_position(pos))
+        });
+        Ok((positive, cut_tie))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Selection and the one-pass U-kRanks give the full scans'
+        /// answers, through an owned matrix and through batch views, for
+        /// k on both sides of the number of positive top-k probabilities.
+        #[test]
+        fn selecting_kernels_answer_exactly_as_the_full_scans(
+            picks in proptest::collection::vec(0..TIED_ALTERNATIVES.len(), 1..16),
+            ks in proptest::collection::vec(1usize..24, 1..4),
+        ) {
+            let db = tied_database(&picks);
+            for &k in &ks {
+                check_kernels(&db, &rank_probabilities(&db, k).unwrap())?;
+            }
+            let queries: Vec<TopKQuery> = ks
+                .iter()
+                .flat_map(|&k| [TopKQuery::UKRanks { k }, TopKQuery::GlobalTopk { k }])
+                .collect();
+            let batch = BatchEvaluation::new(&db, queries).unwrap();
+            for q in 0..batch.num_queries() {
+                check_kernels(&db, &batch.ranks(q))?;
+            }
+        }
+    }
+
+    /// The proptest's inputs reach both sides of the positive count and
+    /// ties at the Global-topk cut.
+    #[test]
+    fn tied_databases_reach_cut_ties_and_both_sides_of_the_positive_count() {
+        let db = tied_database(&[0, 1, 0, 2, 3, 1, 0, 2, 3, 3, 1]);
+        let (mut below, mut above, mut ties) = (false, false, 0);
+        for k in 1..=db.len() + 2 {
+            let rp = rank_probabilities(&db, k).unwrap();
+            let (positive, cut_tie) = check_kernels(&db, &rp).unwrap();
+            below |= k < positive;
+            above |= k > positive;
+            ties += usize::from(cut_tie);
+        }
+        assert!(below && above && ties > 0, "below {below}, above {above}, cut ties {ties}");
+    }
 
     fn udb1() -> RankedDatabase {
         RankedDatabase::from_scored_x_tuples(&[

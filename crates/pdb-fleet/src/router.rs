@@ -33,9 +33,10 @@
 //! merge them.  Each relayed reply must pass [`protocol::check_line`], a
 //! syntax-only scan that accepts exactly the lines the decoder accepts
 //! without building a value tree.  Forwarding **never panics on a
-//! malformed shard reply**: a reply that fails the check, or that EOF
-//! cut short, becomes a `shard N replied malformed: …` error line for
-//! the client, and the connection to that shard is dropped.
+//! malformed shard reply**: a reply that fails the check, that EOF cut
+//! short, or that reaches [`pdb_server::MAX_LINE`] bytes without a
+//! newline becomes a `shard N replied malformed: …` error line for the
+//! client, and the connection to that shard is dropped.
 //!
 //! Client connections run through pdb-server's own accept and
 //! connection loops ([`pdb_server::accept_connections`],
@@ -317,7 +318,8 @@ impl RouterShared {
 /// re-send a request the dead shard already applied *and journalled*, so
 /// callers needing exactly-once during a crash window send idempotent
 /// mutations (e.g. `reweight`) — the router guarantees no *loss*, not
-/// de-duplication.  A reply that EOF cut short or that fails
+/// de-duplication.  A reply that EOF cut short, that reaches
+/// [`pdb_server::MAX_LINE`] bytes without a newline, or that fails
 /// [`protocol::check_line`] becomes an error line and drops `conn`: the
 /// stream position is unknowable.
 fn forward_over(
@@ -411,10 +413,13 @@ mod tests {
         let valid = format!("{VALID}\n");
         // A stand-in shard.  Per accepted connection: the replies it
         // writes, one per request line it reads, and whether it then
-        // hangs up.  The second connection's only reply is cut short.
+        // hangs up.  The second connection's only reply is cut short; the
+        // third's reaches the line cap without a newline (a relay that read
+        // past the cap would read on to the hang-up and call it cut short).
         let script = [
             (vec![valid.clone(), "{\"answers\":]\n".to_string()], false),
             (vec!["{\"answers\":{\"answ".to_string()], true),
+            (vec!["x".repeat(pdb_server::MAX_LINE)], true),
             (vec![valid], false),
         ];
         let shard = std::thread::spawn(move || {
@@ -458,11 +463,15 @@ mod tests {
         let reply = forward_over(&mut conn, 3, line, connect);
         assert!(malformed(&reply) && reply.contains("cut short"), "{reply}");
         assert_eq!((connects.get(), conn.is_some()), (2, false));
+        // A reply that reaches the cap is read no further.
+        let reply = forward_over(&mut conn, 3, line, connect);
+        assert!(malformed(&reply) && reply.contains("exceeds 16777216 bytes"), "{reply}");
+        assert_eq!((connects.get(), conn.is_some()), (3, false));
         let reply = forward_over(&mut conn, 3, line, connect);
         assert_eq!(reply, VALID);
-        assert_eq!((connects.get(), conn.is_some()), (3, true));
+        assert_eq!((connects.get(), conn.is_some()), (4, true));
         // Every request line reached the shard as it was given.
-        assert_eq!(shard.join().unwrap(), vec![format!("{line}\n"); 4]);
+        assert_eq!(shard.join().unwrap(), vec![format!("{line}\n"); 5]);
     }
 
     #[test]

@@ -48,8 +48,8 @@ impl SampleKind {
 }
 
 impl Serialize for SampleKind {
-    fn to_value(&self) -> Value {
-        Value::Str(self.as_str().to_string())
+    fn write_json(&self, out: &mut String) -> Result<(), SerdeError> {
+        self.as_str().write_json(out)
     }
 }
 

@@ -8,12 +8,12 @@
 use crate::protocol::{
     self, Answers, ApplyMutation, CreateSession, DatasetSpec, MetricsReply, Persisted, ProbeAdvice,
     ProbeApplied, QualityReport, QueryRegistered, RegisterQuery, Request, Response, ServerStats,
-    SessionCreated, SessionRef,
+    SessionCreated, SessionRef, MAX_LINE,
 };
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
 use std::fmt;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -155,28 +155,34 @@ impl Client {
     /// Send one request line (no newline) and return the reply line as
     /// the server wrote it, without its newline and without decoding it;
     /// the fleet router relays shard replies this way.  A connection
-    /// closed before any reply byte is [`ClientError::Io`]; a reply line
-    /// that EOF cut short is [`ClientError::Protocol`], since its bytes
-    /// are not a whole reply.
+    /// closed before any reply byte is [`ClientError::Io`].  A reply line
+    /// that EOF cut short, one that reaches [`MAX_LINE`] bytes without
+    /// its newline (read no further), and one that is not UTF-8 are
+    /// [`ClientError::Protocol`], since their bytes are not a whole reply.
     pub fn call_line(&mut self, line: &str) -> Result<String, ClientError> {
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
         self.writer.flush()?;
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(ClientError::Io(std::io::Error::new(
+        let mut reply = Vec::new();
+        (&mut self.reader).take(MAX_LINE as u64).read_until(b'\n', &mut reply)?;
+        match reply.last() {
+            None => Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
-            )));
-        }
-        if !reply.ends_with('\n') {
-            return Err(ClientError::Protocol(format!(
+            ))),
+            Some(b'\n') => {
+                reply.pop();
+                String::from_utf8(reply)
+                    .map_err(|err| ClientError::Protocol(format!("reply line is not UTF-8: {err}")))
+            }
+            Some(_) if reply.len() >= MAX_LINE => {
+                Err(ClientError::Protocol(format!("reply line exceeds {MAX_LINE} bytes")))
+            }
+            Some(_) => Err(ClientError::Protocol(format!(
                 "reply cut short after {} bytes: the server closed the connection mid-line",
                 reply.len()
-            )));
+            ))),
         }
-        reply.pop();
-        Ok(reply)
     }
 
     /// `create_session`: open a session over `dataset` with uniform probe

@@ -25,12 +25,12 @@
 //!   drain on `shutdown`.  Its
 //!   accept loop ([`accept_connections`]), per-connection loop
 //!   ([`serve_connection`], which caps a request line at
-//!   [`MAX_REQUEST_LINE`] bytes) and listener self-wake
+//!   [`MAX_LINE`] bytes) and listener self-wake
 //!   ([`wake_listener`]) also serve the fleet router's connections;
 //! * [`client`] — a blocking client used by `pdb call`, the loopback
 //!   integration test, the `server_throughput` bench and the fleet
 //!   router ([`Client::call_line`] sends a line and returns the reply
-//!   line undecoded).
+//!   line undecoded, refusing one that reaches [`MAX_LINE`] bytes).
 //!
 //! A session keeps the one shared PSR run of its registered query set
 //! alive across requests, so applying a probe outcome is a single O(n)
@@ -63,8 +63,6 @@ pub mod server;
 pub mod session;
 
 pub use client::{Client, ClientError, RetryPolicy};
-pub use protocol::{DatasetSpec, Request, Response};
-pub use server::{
-    accept_connections, serve_connection, wake_listener, Server, ServerConfig, MAX_REQUEST_LINE,
-};
+pub use protocol::{DatasetSpec, Request, Response, MAX_LINE};
+pub use server::{accept_connections, serve_connection, wake_listener, Server, ServerConfig};
 pub use session::{Session, SessionIds, SessionManager};

@@ -52,6 +52,20 @@
 //! [1e-4, 1e16) (`0.43200000000000005`, `2.0`), exponent form outside it
 //! (`1e-7`, `-2.5e-300`), and `0.0` / `-0.0` for the zeros.
 //!
+//! ## Encoding and decoding
+//!
+//! [`encode`] runs the value's `Serialize` impl, which writes compact
+//! JSON straight into the line: the derived impls of the payloads write
+//! their field names as literals and each value through its own impl, and
+//! the hand-written impls here ([`Request`], [`Response`],
+//! [`CreateSession`], [`ServerStats`], [`EvalMode`]) do the same for the
+//! envelopes and the optional keys.  No value tree is built, so a reply
+//! costs its bytes.  Golden-line tests pin the bytes of every response
+//! kind.  Decoding ([`decode_request`], [`decode_response`]) parses into
+//! the vendored `serde::Value` tree and reads the typed value out of it;
+//! a server decodes only request lines, which are short.  Either
+//! direction reads at most [`MAX_LINE`] bytes of a line.
+//!
 //! See the README section *Serving & sessions* for one request/response
 //! example per verb.
 
@@ -99,16 +113,19 @@ pub struct CreateSession {
 }
 
 impl Serialize for CreateSession {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("dataset".to_string(), self.dataset.to_value()),
-            ("probe_cost".to_string(), self.probe_cost.to_value()),
-            ("probe_success".to_string(), self.probe_success.to_value()),
-        ];
+    fn write_json(&self, out: &mut String) -> Result<(), SerdeError> {
+        out.push_str("{\"dataset\":");
+        self.dataset.write_json(out)?;
+        out.push_str(",\"probe_cost\":");
+        self.probe_cost.write_json(out)?;
+        out.push_str(",\"probe_success\":");
+        self.probe_success.write_json(out)?;
         if let Some(session) = self.session {
-            entries.push(("session".to_string(), session.to_value()));
+            out.push_str(",\"session\":");
+            session.write_json(out)?;
         }
-        Value::Map(entries)
+        out.push('}');
+        Ok(())
     }
 }
 
@@ -157,8 +174,9 @@ pub enum EvalMode {
 }
 
 impl Serialize for EvalMode {
-    fn to_value(&self) -> Value {
-        Value::Str("delta".to_string())
+    fn write_json(&self, out: &mut String) -> Result<(), SerdeError> {
+        out.push_str("\"delta\"");
+        Ok(())
     }
 }
 
@@ -264,19 +282,21 @@ impl Request {
 }
 
 impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        let payload = match self {
-            Request::CreateSession(p) => p.to_value(),
-            Request::RegisterQuery(p) => p.to_value(),
+    fn write_json(&self, out: &mut String) -> Result<(), SerdeError> {
+        write_envelope_key(self.verb(), out);
+        match self {
+            Request::CreateSession(p) => p.write_json(out)?,
+            Request::RegisterQuery(p) => p.write_json(out)?,
             Request::Evaluate(p)
             | Request::Quality(p)
             | Request::RecommendProbe(p)
             | Request::DropSession(p)
-            | Request::Persist(p) => p.to_value(),
-            Request::ApplyMutation(p) | Request::ApplyProbe(p) => p.to_value(),
-            Request::Stats | Request::Metrics | Request::Shutdown => Value::Map(Vec::new()),
-        };
-        Value::Map(vec![(self.verb().to_string(), payload)])
+            | Request::Persist(p) => p.write_json(out)?,
+            Request::ApplyMutation(p) | Request::ApplyProbe(p) => p.write_json(out)?,
+            Request::Stats | Request::Metrics | Request::Shutdown => out.push_str("{}"),
+        }
+        out.push('}');
+        Ok(())
     }
 }
 
@@ -462,22 +482,31 @@ pub struct ServerStats {
 }
 
 impl Serialize for ServerStats {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("sessions_live".to_string(), self.sessions_live.to_value()),
-            ("sessions_created".to_string(), self.sessions_created.to_value()),
-            ("requests_served".to_string(), self.requests_served.to_value()),
-            ("probes_applied".to_string(), self.probes_applied.to_value()),
-            ("shards".to_string(), self.shards.to_value()),
-            ("threads".to_string(), self.threads.to_value()),
-            ("durable".to_string(), self.durable.to_value()),
-            ("connect_retries".to_string(), self.connect_retries.to_value()),
-        ];
+    fn write_json(&self, out: &mut String) -> Result<(), SerdeError> {
+        out.push_str("{\"sessions_live\":");
+        self.sessions_live.write_json(out)?;
+        out.push_str(",\"sessions_created\":");
+        self.sessions_created.write_json(out)?;
+        out.push_str(",\"requests_served\":");
+        self.requests_served.write_json(out)?;
+        out.push_str(",\"probes_applied\":");
+        self.probes_applied.write_json(out)?;
+        out.push_str(",\"shards\":");
+        self.shards.write_json(out)?;
+        out.push_str(",\"threads\":");
+        self.threads.write_json(out)?;
+        out.push_str(",\"durable\":");
+        self.durable.write_json(out)?;
+        out.push_str(",\"connect_retries\":");
+        self.connect_retries.write_json(out)?;
         if let Some(flush_error) = &self.flush_error {
-            entries.push(("flush_error".to_string(), flush_error.to_value()));
+            out.push_str(",\"flush_error\":");
+            flush_error.write_json(out)?;
         }
-        entries.push(("sessions".to_string(), self.sessions.to_value()));
-        Value::Map(entries)
+        out.push_str(",\"sessions\":");
+        self.sessions.write_json(out)?;
+        out.push('}');
+        Ok(())
     }
 }
 
@@ -571,22 +600,24 @@ impl Response {
 }
 
 impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        let payload = match self {
-            Response::SessionCreated(p) => p.to_value(),
-            Response::QueryRegistered(p) => p.to_value(),
-            Response::Answers(p) => p.to_value(),
-            Response::QualityReport(p) => p.to_value(),
-            Response::ProbeRecommendation(p) => p.to_value(),
-            Response::ProbeApplied(p) => p.to_value(),
-            Response::SessionDropped(p) => p.to_value(),
-            Response::Persisted(p) => p.to_value(),
-            Response::Stats(p) => p.to_value(),
-            Response::Metrics(p) => p.to_value(),
-            Response::ShuttingDown => Value::Map(Vec::new()),
-            Response::Error(p) => p.to_value(),
-        };
-        Value::Map(vec![(self.kind().to_string(), payload)])
+    fn write_json(&self, out: &mut String) -> Result<(), SerdeError> {
+        write_envelope_key(self.kind(), out);
+        match self {
+            Response::SessionCreated(p) => p.write_json(out)?,
+            Response::QueryRegistered(p) => p.write_json(out)?,
+            Response::Answers(p) => p.write_json(out)?,
+            Response::QualityReport(p) => p.write_json(out)?,
+            Response::ProbeRecommendation(p) => p.write_json(out)?,
+            Response::ProbeApplied(p) => p.write_json(out)?,
+            Response::SessionDropped(p) => p.write_json(out)?,
+            Response::Persisted(p) => p.write_json(out)?,
+            Response::Stats(p) => p.write_json(out)?,
+            Response::Metrics(p) => p.write_json(out)?,
+            Response::ShuttingDown => out.push_str("{}"),
+            Response::Error(p) => p.write_json(out)?,
+        }
+        out.push('}');
+        Ok(())
     }
 }
 
@@ -619,6 +650,23 @@ impl Deserialize for Response {
 // ---------------------------------------------------------------------------
 // Line framing
 // ---------------------------------------------------------------------------
+
+/// The longest line either side reads, newline included (16 MiB), so a
+/// peer that never sends a newline cannot make a connection buffer more.
+/// The server caps each request line at it ([`serve_connection`]
+/// answers one error reply and closes the connection), and a
+/// [`Client`](crate::Client) each reply line, so the fleet router's shard
+/// connections are capped too.  Requests name their datasets (inline
+/// ones are a few tuples; larger ones are generated or opened from a
+/// snapshot file), so none comes near it.  The longest replies carry a
+/// session's `g`, one float per x-tuple and at least 4 bytes each
+/// (`0.0,`): a generated dataset (at most 10⁷ tuples, so at most
+/// ~3.3·10⁶ MOV x-tuples) stays under the cap, while a session opened
+/// from a snapshot of more than ~4·10⁶ x-tuples answers `quality` and
+/// mutations with lines a client refuses.
+///
+/// [`serve_connection`]: crate::serve_connection
+pub const MAX_LINE: usize = 16 << 20;
 
 /// Serialize a protocol value as one compact JSON line (no trailing
 /// newline).
@@ -871,6 +919,15 @@ impl Scan<'_> {
     }
 }
 
+/// Open a protocol envelope, `{"<key>":`; the payload and the closing
+/// `}` follow.  `key` is a verb or response kind, a literal that needs
+/// no escaping.
+fn write_envelope_key(key: &str, out: &mut String) {
+    out.push_str("{\"");
+    out.push_str(key);
+    out.push_str("\":");
+}
+
 /// The entries of a JSON object payload (manual-impl helper).
 fn object_entries<'v>(value: &'v Value, what: &str) -> Result<&'v [(String, Value)], SerdeError> {
     value.as_map().ok_or_else(|| SerdeError::custom(format!("expected an object for {what}")))
@@ -933,49 +990,55 @@ mod tests {
 
     #[test]
     fn every_request_verb_round_trips() {
-        round_trip_request(&Request::CreateSession(CreateSession {
-            dataset: DatasetSpec::Synthetic { tuples: 1000 },
-            probe_cost: 2,
-            probe_success: 0.8,
-            session: None,
-        }));
-        round_trip_request(&Request::CreateSession(CreateSession {
-            dataset: DatasetSpec::Udb1,
-            probe_cost: 1,
-            probe_success: 0.8,
-            session: Some(41),
-        }));
-        round_trip_request(&Request::RegisterQuery(RegisterQuery {
-            session: 7,
-            query: TopKQuery::PTk { k: 15, threshold: 0.1 },
-            weight: 1.5,
-        }));
-        round_trip_request(&Request::Evaluate(SessionRef { session: 7 }));
-        round_trip_request(&Request::Quality(SessionRef { session: 7 }));
-        round_trip_request(&Request::RecommendProbe(SessionRef { session: 7 }));
-        round_trip_request(&Request::ApplyProbe(ApplyMutation::new(
-            7,
-            3,
-            XTupleMutation::CollapseToAlternative { keep_pos: 12 },
-        )));
-        round_trip_request(&Request::ApplyMutation(ApplyMutation::new(
-            7,
-            4,
-            XTupleMutation::Insert {
-                key: "s9".to_string(),
-                alternatives: vec![(4.5, 0.5), (3.0, 0.25)],
-            },
-        )));
-        round_trip_request(&Request::ApplyMutation(ApplyMutation::new(
-            7,
-            2,
-            XTupleMutation::Remove,
-        )));
-        round_trip_request(&Request::DropSession(SessionRef { session: 7 }));
-        round_trip_request(&Request::Persist(SessionRef { session: 7 }));
-        round_trip_request(&Request::Stats);
-        round_trip_request(&Request::Metrics);
-        round_trip_request(&Request::Shutdown);
+        for request in every_request_verb() {
+            round_trip_request(&request);
+        }
+    }
+
+    /// One request of every verb (two for `create_session`, whose
+    /// `session` is optional, and three for `apply_mutation`).
+    fn every_request_verb() -> Vec<Request> {
+        vec![
+            Request::CreateSession(CreateSession {
+                dataset: DatasetSpec::Synthetic { tuples: 1000 },
+                probe_cost: 2,
+                probe_success: 0.8,
+                session: None,
+            }),
+            Request::CreateSession(CreateSession {
+                dataset: DatasetSpec::Udb1,
+                probe_cost: 1,
+                probe_success: 0.8,
+                session: Some(41),
+            }),
+            Request::RegisterQuery(RegisterQuery {
+                session: 7,
+                query: TopKQuery::PTk { k: 15, threshold: 0.1 },
+                weight: 1.5,
+            }),
+            Request::Evaluate(SessionRef { session: 7 }),
+            Request::Quality(SessionRef { session: 7 }),
+            Request::RecommendProbe(SessionRef { session: 7 }),
+            Request::ApplyProbe(ApplyMutation::new(
+                7,
+                3,
+                XTupleMutation::CollapseToAlternative { keep_pos: 12 },
+            )),
+            Request::ApplyMutation(ApplyMutation::new(
+                7,
+                4,
+                XTupleMutation::Insert {
+                    key: "s9".to_string(),
+                    alternatives: vec![(4.5, 0.5), (3.0, 0.25)],
+                },
+            )),
+            Request::ApplyMutation(ApplyMutation::new(7, 2, XTupleMutation::Remove)),
+            Request::DropSession(SessionRef { session: 7 }),
+            Request::Persist(SessionRef { session: 7 }),
+            Request::Stats,
+            Request::Metrics,
+            Request::Shutdown,
+        ]
     }
 
     #[test]
@@ -1101,6 +1164,104 @@ mod tests {
             Response::ShuttingDown,
             Response::error("boom"),
         ]
+    }
+
+    /// The line of each entry of `every_request_verb()`, byte for byte.
+    const GOLDEN_REQUESTS: [&str; 14] = [
+        r#"{"create_session":{"dataset":{"Synthetic":{"tuples":1000}},"probe_cost":2,"probe_success":0.8}}"#,
+        r#"{"create_session":{"dataset":"Udb1","probe_cost":1,"probe_success":0.8,"session":41}}"#,
+        r#"{"register_query":{"session":7,"query":{"PTk":{"k":15,"threshold":0.1}},"weight":1.5}}"#,
+        r#"{"evaluate":{"session":7}}"#,
+        r#"{"quality":{"session":7}}"#,
+        r#"{"recommend_probe":{"session":7}}"#,
+        r#"{"apply_probe":{"session":7,"x_tuple":3,"mutation":{"CollapseToAlternative":{"keep_pos":12}},"mode":"delta"}}"#,
+        r#"{"apply_mutation":{"session":7,"x_tuple":4,"mutation":{"Insert":{"key":"s9","alternatives":[[4.5,0.5],[3.0,0.25]]}},"mode":"delta"}}"#,
+        r#"{"apply_mutation":{"session":7,"x_tuple":2,"mutation":"Remove","mode":"delta"}}"#,
+        r#"{"drop_session":{"session":7}}"#,
+        r#"{"persist":{"session":7}}"#,
+        r#"{"stats":{}}"#,
+        r#"{"metrics":{}}"#,
+        r#"{"shutdown":{}}"#,
+    ];
+
+    /// The line of each entry of `every_response_kind()`, byte for byte.
+    const GOLDEN_RESPONSES: [&str; 15] = [
+        r#"{"session_created":{"session":1,"tuples":7,"x_tuples":4}}"#,
+        r#"{"query_registered":{"session":1,"index":0,"k_max":15}}"#,
+        r#"{"answers":{"answers":[]}}"#,
+        r#"{"quality_report":{"qualities":[-2.55,-1.0],"weights":[1.0,0.5],"aggregate":-3.05,"g":[-1.0,-2.05]}}"#,
+        r#"{"quality_report":{"qualities":[-2.551325921692723],"weights":[1.0],"aggregate":-2.551325921692723,"g":[-0.9709505944546685,1e-7,-0.0,0.0,-2.5e-300,1e16]}}"#,
+        r#"{"probe_recommendation":{"recommendation":{"x_tuple":2,"expected_gain":0.56}}}"#,
+        r#"{"probe_recommendation":{"recommendation":null}}"#,
+        r#"{"probe_applied":{"session":1,"mode":"delta","update":{"qualities":[-1.85],"aggregate":-1.85,"aggregate_delta":0.7,"g":[0.0,-1.85],"stats":{"rows_copied":0,"rows_swapped":0,"rows_rebuilt":0,"rows_dropped":0,"windowed_scans":0}}}}"#,
+        r#"{"session_dropped":{"session":1}}"#,
+        r#"{"persisted":{"session":1,"snapshot":"snapshot-1-3.pdbs","tuples":7,"probes":2}}"#,
+        r#"{"stats":{"sessions_live":1,"sessions_created":2,"requests_served":10,"probes_applied":3,"shards":8,"threads":4,"durable":true,"connect_retries":5,"sessions":[{"session":1,"age_ms":1234,"queries":2,"probes":3}]}}"#,
+        r#"{"stats":{"sessions_live":0,"sessions_created":0,"requests_served":1,"probes_applied":0,"shards":1,"threads":1,"durable":true,"connect_retries":0,"flush_error":"syncing wal.log: disk gone","sessions":[]}}"#,
+        r#"{"metrics":{"series":[{"name":"engine_psr_runs_total","kind":"counter","label_key":"","label_value":"","value":3,"sum":0,"buckets":[]},{"name":"server_request_latency_ns","kind":"histogram","label_key":"verb","label_value":"evaluate","value":2,"sum":1025,"buckets":[0,1,0,0,0,0,0,0,0,0,0,1]}]}}"#,
+        r#"{"shutting_down":{}}"#,
+        r#"{"error":{"message":"boom"}}"#,
+    ];
+
+    /// Requests and replies keep their exact bytes: clients, the router's
+    /// relay and journalled lines see text, not values.
+    #[test]
+    fn every_request_and_response_encodes_to_its_golden_line() {
+        let requests = every_request_verb();
+        assert_eq!(requests.len(), GOLDEN_REQUESTS.len());
+        for (request, golden) in requests.iter().zip(GOLDEN_REQUESTS) {
+            assert_eq!(encode(request).unwrap(), golden);
+        }
+        let responses = every_response_kind();
+        assert_eq!(responses.len(), GOLDEN_RESPONSES.len());
+        for (response, golden) in responses.iter().zip(GOLDEN_RESPONSES) {
+            assert_eq!(encode(response).unwrap(), golden);
+            assert_eq!(encode_reply(response), golden);
+        }
+    }
+
+    #[test]
+    fn answers_and_escaped_error_messages_encode_to_their_golden_lines() {
+        use pdb_core::TupleId;
+        use pdb_engine::queries::{AnswerTuple, TupleSetAnswer, UKRanksAnswer};
+        let tuple = |position, id, prob| AnswerTuple { position, id: TupleId(id), prob };
+        // U-kRanks with an unreachable rank, then a PT-k and a
+        // Global-topk tuple set.
+        let answers = Response::Answers(Answers {
+            answers: vec![
+                QueryAnswer::UKRanks(UKRanksAnswer {
+                    winners: vec![Some(tuple(1, 4, 0.42)), Some(tuple(1, 4, 0.28)), None],
+                }),
+                QueryAnswer::TupleSet(TupleSetAnswer {
+                    tuples: vec![
+                        tuple(0, 2, 0.4),
+                        tuple(1, 4, 0.7),
+                        tuple(3, 6, 0.43200000000000005),
+                    ],
+                }),
+                QueryAnswer::TupleSet(TupleSetAnswer {
+                    tuples: vec![tuple(1, 4, 0.7), tuple(9999, 10_000, 1e-7)],
+                }),
+            ],
+        });
+        assert_eq!(
+            encode_reply(&answers),
+            r#"{"answers":{"answers":[{"UKRanks":{"winners":[{"position":1,"id":4,"prob":0.42},{"position":1,"id":4,"prob":0.28},null]}},{"TupleSet":{"tuples":[{"position":0,"id":2,"prob":0.4},{"position":1,"id":4,"prob":0.7},{"position":3,"id":6,"prob":0.43200000000000005}]}},{"TupleSet":{"tuples":[{"position":1,"id":4,"prob":0.7},{"position":9999,"id":10000,"prob":1e-7}]}}]}}"#
+        );
+        // Quotes, backslashes and control characters are escaped;
+        // non-ASCII text and U+007F pass through as UTF-8.
+        for (message, golden) in [
+            (
+                "bad \"x\" at C:\\tmp\nnext\u{1} line: température 温度 😀",
+                r#"{"error":{"message":"bad \"x\" at C:\\tmp\nnext\u0001 line: température 温度 😀"}}"#,
+            ),
+            (
+                "tab\there\r\u{8}\u{c}\u{1f}\u{7f}/",
+                "{\"error\":{\"message\":\"tab\\there\\r\\b\\f\\u001f\u{7f}/\"}}",
+            ),
+        ] {
+            assert_eq!(encode_reply(&Response::error(message)), golden);
+        }
     }
 
     /// `check_line` accepts `line` exactly when the parser does.

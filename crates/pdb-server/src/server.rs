@@ -29,7 +29,7 @@
 //! [`crate::session`]) is what keeps one slow evaluation from blocking
 //! other *sessions* once their connections are served.
 
-use crate::protocol::{self, Request, Response, ServerStats};
+use crate::protocol::{self, Request, Response, ServerStats, MAX_LINE};
 use crate::session::SessionManager;
 use pdb_obs::metrics as obs;
 use pdb_store::FlushPolicy;
@@ -252,13 +252,6 @@ impl Drop for Slot<'_> {
 /// final join forever, hanging shutdown.
 const IDLE_POLL: std::time::Duration = std::time::Duration::from_millis(100);
 
-/// The longest request line [`serve_connection`] reads, newline
-/// included (16 MiB).  Requests name their datasets (inline ones are a
-/// few tuples; larger ones are generated or opened from a snapshot
-/// file), so no valid request comes near it, and a client that never
-/// sends a newline cannot make a connection buffer more.
-pub const MAX_REQUEST_LINE: usize = 16 << 20;
-
 /// Serve one connection: one reply line per request line, until the
 /// client disconnects or `shutdown` is set.  `handle` turns each request
 /// line (trailing whitespace trimmed; blank lines are skipped) into the
@@ -269,7 +262,7 @@ pub const MAX_REQUEST_LINE: usize = 16 << 20;
 /// Reads poll `shutdown` every 100 ms (`IDLE_POLL`), and a line split
 /// across packets is reassembled.  Once `shutdown` is set, an idle
 /// connection ends at its next poll and a busy one after writing its
-/// in-flight reply.  A line that reaches [`MAX_REQUEST_LINE`] bytes
+/// in-flight reply.  A line that reaches [`MAX_LINE`] bytes
 /// without a newline gets one error reply, and the connection ends.
 /// Returns an error only when a reply could not be written; read
 /// failures, and a line that is not UTF-8, end the connection like a
@@ -303,7 +296,7 @@ pub fn serve_connection(
         // next pass appends to them, so split packets reassemble cleanly.
         line.clear();
         loop {
-            let room = MAX_REQUEST_LINE.saturating_sub(line.len()) as u64;
+            let room = MAX_LINE.saturating_sub(line.len()) as u64;
             match (&mut reader).take(room).read_until(b'\n', &mut line) {
                 Ok(0) if line.is_empty() => return Ok(()), // client disconnected
                 // One full line, a line EOF ended, or the cap.
@@ -323,9 +316,9 @@ pub fn serve_connection(
                 Err(_) => return Ok(()),
             }
         }
-        if line.len() >= MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+        if line.len() >= MAX_LINE && line.last() != Some(&b'\n') {
             let refusal = Response::error(format!(
-                "malformed request: request line exceeds {MAX_REQUEST_LINE} bytes"
+                "malformed request: request line exceeds {MAX_LINE} bytes"
             ));
             return write_line(&mut writer, &protocol::encode_reply(&refusal));
         }

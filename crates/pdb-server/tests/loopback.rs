@@ -12,9 +12,9 @@ use pdb_clean::{best_single_probe, CleaningContext, CleaningSetup};
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
 use pdb_quality::{BatchQuality, WeightedQuery};
-use pdb_server::{Client, DatasetSpec, Server, ServerConfig, MAX_REQUEST_LINE};
+use pdb_server::{Client, ClientError, DatasetSpec, Server, ServerConfig, MAX_LINE};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 
 const TOL: f64 = 1e-12;
@@ -328,7 +328,7 @@ fn a_line_reaching_the_cap_without_a_newline_gets_one_error_reply_then_eof() {
     // it refuses the line, so its close leaves nothing unread to turn
     // into a reset ahead of the reply.
     let chunk = vec![b'x'; 1 << 16];
-    for _ in 0..MAX_REQUEST_LINE / chunk.len() {
+    for _ in 0..MAX_LINE / chunk.len() {
         raw.write_all(&chunk).unwrap();
     }
     let mut reply = String::new();
@@ -344,6 +344,37 @@ fn a_line_reaching_the_cap_without_a_newline_gets_one_error_reply_then_eof() {
     assert_eq!(client.stats().unwrap().threads, 1);
     client.shutdown().unwrap();
     handle.join().expect("server thread").expect("clean shutdown");
+}
+
+#[test]
+fn a_reply_reaching_the_cap_without_a_newline_is_a_protocol_error() {
+    // A stand-in server.  Its first connection answers with exactly the
+    // cap and no newline, its second with a line that is not UTF-8; each
+    // then hangs up.  A client that read past the cap would read on to
+    // the hang-up and call the reply cut short.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = thread::spawn(move || {
+        for reply in [vec![b'x'; MAX_LINE], b"{\"error\":\"\xff\"}\n".to_vec()] {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(&stream).read_line(&mut request).unwrap();
+            stream.write_all(&reply).unwrap();
+        }
+    });
+    let protocol_error = |reply| match reply {
+        Err(ClientError::Protocol(msg)) => msg,
+        other => panic!("expected a protocol error, got {other:?}"),
+    };
+    let mut client = Client::connect(addr).unwrap();
+    let msg = protocol_error(client.call_line("\"stats\""));
+    assert_eq!(msg, "reply line exceeds 16777216 bytes");
+    drop(client);
+    let mut client = Client::connect(addr).unwrap();
+    let msg = protocol_error(client.call_line("\"stats\""));
+    assert!(msg.contains("not UTF-8"), "{msg}");
+    drop(client);
+    server.join().unwrap();
 }
 
 #[test]

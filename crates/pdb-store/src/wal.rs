@@ -496,6 +496,101 @@ mod tests {
         ]
     }
 
+    /// One record of every kind, over every dataset spec, query kind and
+    /// mutation kind, and an insert whose key needs escaping.
+    fn every_record_kind() -> Vec<WalRecord> {
+        let create = |dataset| WalRecord::CreateSession {
+            session: 3,
+            dataset,
+            probe_cost: 2,
+            probe_success: 0.8,
+        };
+        let register = |query, weight| WalRecord::RegisterQuery { session: 3, query, weight };
+        let mutate = |x_tuple, mutation| WalRecord::apply_mutation(3, x_tuple, mutation);
+        vec![
+            create(DatasetSpec::Synthetic { tuples: 10_000 }),
+            create(DatasetSpec::Mov { x_tuples: 20 }),
+            create(DatasetSpec::Udb1),
+            create(DatasetSpec::Inline {
+                x_tuples: vec![vec![(21.0, 0.6), (32.0, 0.4)], vec![(26.5, 1e-7)]],
+            }),
+            create(DatasetSpec::Snapshot { path: "/var/lib/pdb/db-1.pdbs".to_string() }),
+            register(TopKQuery::UKRanks { k: 5 }, 1.0),
+            register(TopKQuery::PTk { k: 15, threshold: 0.1 }, 0.5),
+            register(TopKQuery::GlobalTopk { k: 50 }, 2.0),
+            WalRecord::ApplyProbe {
+                session: 3,
+                x_tuple: 2,
+                mutation: XTupleMutation::CollapseToAlternative { keep_pos: 7 },
+            },
+            mutate(1, XTupleMutation::CollapseToAlternative { keep_pos: 12 }),
+            mutate(0, XTupleMutation::CollapseToNull),
+            mutate(4, XTupleMutation::Reweight { probs: vec![0.25, 0.5, -0.0, 1e-7] }),
+            mutate(
+                9,
+                XTupleMutation::Insert {
+                    key: "s9".to_string(),
+                    alternatives: vec![(28.5, 0.5), (23.0, 0.25)],
+                },
+            ),
+            mutate(
+                10,
+                XTupleMutation::Insert {
+                    key: "sensor \"north\" C:\\x\n\u{1}é".to_string(),
+                    alternatives: vec![(1e16, 1.0)],
+                },
+            ),
+            mutate(5, XTupleMutation::Remove),
+            WalRecord::DropSession { session: 3 },
+            WalRecord::Checkpoint {
+                session: 3,
+                snapshot: "snapshot-3-17.pdbs".to_string(),
+                probe_cost: 2,
+                probe_success: 0.8,
+                specs: vec![
+                    WeightedQuery::weighted(TopKQuery::UKRanks { k: 5 }, 1.0),
+                    WeightedQuery::weighted(TopKQuery::PTk { k: 15, threshold: 0.1 }, 0.5),
+                    WeightedQuery::weighted(TopKQuery::GlobalTopk { k: 50 }, 2.0),
+                ],
+                probes: 17,
+            },
+        ]
+    }
+
+    /// The JSON payload of each entry of `every_record_kind()`, byte for
+    /// byte: a log written by any build must replay on every other.
+    const GOLDEN_PAYLOADS: [&str; 17] = [
+        r#"{"CreateSession":{"session":3,"dataset":{"Synthetic":{"tuples":10000}},"probe_cost":2,"probe_success":0.8}}"#,
+        r#"{"CreateSession":{"session":3,"dataset":{"Mov":{"x_tuples":20}},"probe_cost":2,"probe_success":0.8}}"#,
+        r#"{"CreateSession":{"session":3,"dataset":"Udb1","probe_cost":2,"probe_success":0.8}}"#,
+        r#"{"CreateSession":{"session":3,"dataset":{"Inline":{"x_tuples":[[[21.0,0.6],[32.0,0.4]],[[26.5,1e-7]]]}},"probe_cost":2,"probe_success":0.8}}"#,
+        r#"{"CreateSession":{"session":3,"dataset":{"Snapshot":{"path":"/var/lib/pdb/db-1.pdbs"}},"probe_cost":2,"probe_success":0.8}}"#,
+        r#"{"RegisterQuery":{"session":3,"query":{"UKRanks":{"k":5}},"weight":1.0}}"#,
+        r#"{"RegisterQuery":{"session":3,"query":{"PTk":{"k":15,"threshold":0.1}},"weight":0.5}}"#,
+        r#"{"RegisterQuery":{"session":3,"query":{"GlobalTopk":{"k":50}},"weight":2.0}}"#,
+        r#"{"ApplyProbe":{"session":3,"x_tuple":2,"mutation":{"CollapseToAlternative":{"keep_pos":7}}}}"#,
+        r#"{"ApplyMutation":{"session":3,"x_tuple":1,"mutation":{"CollapseToAlternative":{"keep_pos":12}}}}"#,
+        r#"{"ApplyMutation":{"session":3,"x_tuple":0,"mutation":"CollapseToNull"}}"#,
+        r#"{"ApplyMutation":{"session":3,"x_tuple":4,"mutation":{"Reweight":{"probs":[0.25,0.5,-0.0,1e-7]}}}}"#,
+        r#"{"ApplyMutation":{"session":3,"x_tuple":9,"mutation":{"Insert":{"key":"s9","alternatives":[[28.5,0.5],[23.0,0.25]]}}}}"#,
+        r#"{"ApplyMutation":{"session":3,"x_tuple":10,"mutation":{"Insert":{"key":"sensor \"north\" C:\\x\n\u0001é","alternatives":[[1e16,1.0]]}}}}"#,
+        r#"{"ApplyMutation":{"session":3,"x_tuple":5,"mutation":"Remove"}}"#,
+        r#"{"DropSession":{"session":3}}"#,
+        r#"{"Checkpoint":{"session":3,"snapshot":"snapshot-3-17.pdbs","probe_cost":2,"probe_success":0.8,"specs":[{"query":{"UKRanks":{"k":5}},"weight":1.0},{"query":{"PTk":{"k":15,"threshold":0.1}},"weight":0.5},{"query":{"GlobalTopk":{"k":50}},"weight":2.0}],"probes":17}}"#,
+    ];
+
+    #[test]
+    fn every_record_kind_encodes_to_its_golden_payload_and_back() {
+        let records = every_record_kind();
+        assert_eq!(records.len(), GOLDEN_PAYLOADS.len());
+        for (record, golden) in records.iter().zip(GOLDEN_PAYLOADS) {
+            assert_eq!(serde_json::to_string(record).unwrap(), golden);
+            assert_eq!(&serde_json::from_str::<WalRecord>(golden).unwrap(), record);
+            // The frame carries exactly those bytes after its header.
+            assert_eq!(&frame(record).unwrap()[RECORD_HEADER_LEN..], golden.as_bytes());
+        }
+    }
+
     #[test]
     fn record_len_boundaries() {
         // At the policy bound: representable and accepted.
