@@ -2,8 +2,8 @@
 //! session — the in-place delta patch every registered query shares plus
 //! the refreshed qualities — measured end-to-end over a real loopback TCP
 //! connection to a running `pdb-server`; and the encoding of that
-//! mutation's `probe_applied` reply line, and of an `evaluate` reply
-//! line, on their own.
+//! mutation's `probe_applied` reply line, and the encoding, relay check
+//! and decoding of an `evaluate` reply line, on their own.
 //!
 //! The server has no full-rebuild mode; the in-process comparison of the
 //! delta patch against a from-scratch PSR + TP rerun is the
@@ -124,11 +124,13 @@ fn evaluate_reply() -> Response {
     Response::Answers(Answers { answers: answers.expect("evaluate the query set") })
 }
 
-/// Encoding one reply line on its own.  `encode_probe_applied` has `g`
-/// over 1,000 x-tuples (58 non-zero) and only the 58 non-zero entries:
-/// the zeros past the cut should cost far less than the digits of the
-/// live entries, and `server-smoke` gates the ratio of the two.
-/// `encode_evaluate` is the `evaluate` reply of [`evaluate_reply`].
+/// One reply line on its own.  `encode_probe_applied` has `g` over 1,000
+/// x-tuples (58 non-zero) and only the 58 non-zero entries: the zeros past
+/// the cut should cost far less than the digits of the live entries, and
+/// `server-smoke` gates the ratio of the two.  The `evaluate` reply of
+/// [`evaluate_reply`] is encoded (`encode_evaluate`), checked as the fleet
+/// router checks each reply it relays (`check_evaluate`), and decoded as
+/// a client decodes it (`decode_evaluate`).
 fn bench_encode_replies(c: &mut Criterion) {
     let mut group = c.benchmark_group("server/wire");
     group.warm_up_time(Duration::from_millis(500));
@@ -142,6 +144,13 @@ fn bench_encode_replies(c: &mut Criterion) {
     let reply = evaluate_reply();
     group.bench_with_input(BenchmarkId::new("encode_evaluate", "n10000"), &reply, |b, r| {
         b.iter(|| protocol::encode(black_box(r)))
+    });
+    let line = protocol::encode(&reply).expect("encode the evaluate reply");
+    group.bench_with_input(BenchmarkId::new("check_evaluate", "n10000"), &line, |b, l| {
+        b.iter(|| serde_json::validate(black_box(l)))
+    });
+    group.bench_with_input(BenchmarkId::new("decode_evaluate", "n10000"), &line, |b, l| {
+        b.iter(|| protocol::decode_response(black_box(l)))
     });
     group.finish();
 }

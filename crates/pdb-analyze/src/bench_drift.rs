@@ -57,87 +57,15 @@ pub fn check(root: &Path, file: &str) -> Result<Drift, String> {
     })
 }
 
-/// The keys of a flat JSON object, extracted with a scanner that respects
-/// string escapes and nesting (keys of nested objects are not bench ids).
+/// The top-level keys of a JSON object (keys of nested objects are not
+/// bench ids), read with the workspace's one JSON parser.
 pub fn top_level_keys(text: &str) -> Result<BTreeSet<String>, String> {
-    let bytes = text.as_bytes();
-    let mut keys = BTreeSet::new();
-    let mut depth = 0isize;
-    let mut i = 0usize;
-    let mut expect_key = false;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' => {
-                depth += 1;
-                if depth == 1 {
-                    expect_key = true;
-                }
-                i += 1;
-            }
-            b'}' => {
-                depth -= 1;
-                i += 1;
-            }
-            b'[' => {
-                depth += 1;
-                i += 1;
-            }
-            b']' => {
-                depth -= 1;
-                i += 1;
-            }
-            b',' => {
-                if depth == 1 {
-                    expect_key = true;
-                }
-                i += 1;
-            }
-            b'"' => {
-                let (s, next) = scan_string(text, i)?;
-                if depth == 1 && expect_key {
-                    keys.insert(s);
-                    expect_key = false;
-                }
-                i = next;
-            }
-            _ => i += 1,
-        }
-    }
-    if depth != 0 {
-        return Err("unbalanced braces — not a JSON object".to_string());
-    }
-    if keys.is_empty() {
+    let value: serde::Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    let entries = value.as_map().ok_or("not a JSON object")?;
+    if entries.is_empty() {
         return Err("no top-level keys found — not a bench-id map".to_string());
     }
-    Ok(keys)
-}
-
-/// Scan the string starting at the `"` at byte `at`; returns (content,
-/// index one past the closing quote).
-fn scan_string(text: &str, at: usize) -> Result<(String, usize), String> {
-    let bytes = text.as_bytes();
-    let mut i = at + 1;
-    let mut out = String::new();
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => {
-                // Keep escapes verbatim: bench ids never contain them, and
-                // set comparison only needs consistency.
-                out.push('\\');
-                if i + 1 < bytes.len() {
-                    out.push(bytes[i + 1] as char);
-                }
-                i += 2;
-            }
-            b'"' => return Ok((out, i + 1)),
-            _ => {
-                let c = text[i..].chars().next().ok_or("invalid utf-8 boundary")?;
-                out.push(c);
-                i += c.len_utf8();
-            }
-        }
-    }
-    Err("unterminated string".to_string())
+    Ok(entries.iter().map(|(key, _)| key.clone()).collect())
 }
 
 #[cfg(test)]

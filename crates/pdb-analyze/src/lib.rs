@@ -9,8 +9,9 @@
 //! instead of living in prose.  See the README's *Static analysis*
 //! section for the lint catalog and suppression syntax.
 //!
-//! The crate is deliberately dependency-free (same vendoring philosophy
-//! as `vendor/`): [`lexer`] classifies tokens, [`scanner`] recovers just
+//! The crate depends only on the vendored JSON codec, which reads
+//! `bench-drift`'s bench-id maps (same vendoring philosophy as
+//! `vendor/`): [`lexer`] classifies tokens, [`scanner`] recovers just
 //! enough structure (items, test regions, suppressions), and each
 //! module in [`lints`] is a small token-pattern pass.  On top of the
 //! per-file view, [`callgraph`] resolves call edges across the whole

@@ -18,33 +18,45 @@ use rand::{rngs::StdRng, SeedableRng};
 use serde::Serialize;
 use std::fmt::Write as _;
 
+/// What a command prints, or why it failed.  Engine failures are
+/// [`DbError`]s; the commands that talk to a server fail with their
+/// connection's or the protocol's own text (`connecting to … failed: …`,
+/// `protocol error: …`), not as invalid parameters.
+type Output = Result<String, Box<dyn std::error::Error>>;
+
 /// Run a parsed command and return the text to print.
-pub fn run(command: Command) -> Result<String> {
-    match command {
-        Command::Help => Ok(USAGE.to_string()),
-        Command::List => Ok(list()),
+pub fn run(command: Command) -> Output {
+    Ok(match command {
+        Command::Help => USAGE.to_string(),
+        Command::List => list(),
         Command::Experiment { id, scale, csv } => {
             let result = pdb_experiments::run(&id, scale)?;
-            Ok(if csv { result.to_csv() } else { result.to_table() })
+            if csv {
+                result.to_csv()
+            } else {
+                result.to_table()
+            }
         }
-        Command::All { scale, csv_dir } => run_all(scale, csv_dir.as_deref()),
-        Command::Quality { dataset, k, algo, json } => quality(dataset, k, &algo, json),
-        Command::Clean { dataset, k, budget, algo, json } => clean(dataset, k, budget, &algo, json),
-        Command::Serve(config) => serve(&config),
-        Command::Fleet { op } => fleet(op),
-        Command::Call { addr, request, timing } => call(&addr, &request, timing),
-        Command::Metrics { addr, text } => metrics(&addr, text),
-        Command::Mutate { addr, session, op } => mutate(&addr, session, op),
-        Command::Export { dataset, tuples, out } => export(dataset, tuples, &out),
-        Command::Import { file, out } => import(&file, out.as_deref()),
-        Command::Recover { store_dir } => recover(&store_dir),
+        Command::All { scale, csv_dir } => run_all(scale, csv_dir.as_deref())?,
+        Command::Quality { dataset, k, algo, json } => quality(dataset, k, &algo, json)?,
+        Command::Clean { dataset, k, budget, algo, json } => {
+            clean(dataset, k, budget, &algo, json)?
+        }
+        Command::Serve(config) => serve(&config)?,
+        Command::Fleet { op } => fleet(op)?,
+        Command::Call { addr, request, timing } => call(&addr, &request, timing)?,
+        Command::Metrics { addr, text } => metrics(&addr, text)?,
+        Command::Mutate { addr, session, op } => mutate(&addr, session, op)?,
+        Command::Export { dataset, tuples, out } => export(dataset, tuples, &out)?,
+        Command::Import { file, out } => import(&file, out.as_deref())?,
+        Command::Recover { store_dir } => recover(&store_dir)?,
         Command::Adaptive { dataset, k, budget, trials, mode } => {
-            adaptive(dataset, k, budget, trials, &mode)
+            adaptive(dataset, k, budget, trials, &mode)?
         }
         Command::Batch { dataset, ks, weights, threshold, budget } => {
-            batch(dataset, &ks, weights.as_deref(), threshold, budget)
+            batch(dataset, &ks, weights.as_deref(), threshold, budget)?
         }
-    }
+    })
 }
 
 fn list() -> String {
@@ -245,10 +257,10 @@ fn serve(config: &pdb_server::ServerConfig) -> Result<String> {
 }
 
 /// `pdb fleet ...`: multi-process scale-out (see `pdb-fleet`).
-fn fleet(op: FleetOp) -> Result<String> {
+fn fleet(op: FleetOp) -> Output {
     match op {
         FleetOp::Serve { addr, shards, store_dir, shard_flags } => {
-            fleet_serve(&addr, shards, store_dir, shard_flags)
+            Ok(fleet_serve(&addr, shards, store_dir, shard_flags)?)
         }
         FleetOp::Status { addr } => fleet_status(&addr),
     }
@@ -293,11 +305,10 @@ fn fleet_serve(
 }
 
 /// `pdb fleet status`: the router's merged `stats`, formatted.
-fn fleet_status(addr: &str) -> Result<String> {
+fn fleet_status(addr: &str) -> Output {
     let mut client = pdb_server::Client::connect_with(addr, &pdb_server::RetryPolicy::default())
-        .map_err(|e| DbError::invalid_parameter(format!("connecting to {addr} failed: {e}")))?;
-    let stats =
-        client.stats().map_err(|e| DbError::invalid_parameter(format!("stats failed: {e}")))?;
+        .map_err(|e| format!("connecting to {addr} failed: {e}"))?;
+    let stats = client.stats()?;
     let mut out = String::new();
     let _ = writeln!(out, "shards            : {}", stats.shards);
     let _ = writeln!(out, "threads (total)   : {}", stats.threads);
@@ -320,8 +331,7 @@ fn fleet_status(addr: &str) -> Result<String> {
     // The router's merged `metrics` reply carries every shard's request
     // histograms (already merged, associatively, shard order immaterial);
     // surface per-verb latency quantiles for the verbs that ran.
-    let snapshot =
-        client.metrics().map_err(|e| DbError::invalid_parameter(format!("metrics failed: {e}")))?;
+    let snapshot = client.metrics()?;
     let mut latency_header = false;
     for sample in &snapshot.series {
         if sample.name != pdb_obs::names::SERVER_REQUEST_LATENCY_NS || sample.value == 0 {
@@ -348,16 +358,15 @@ fn fleet_status(addr: &str) -> Result<String> {
 /// running server — or a fleet router, whose reply merges every shard's
 /// snapshot — and print it as the raw JSON response line, or (with
 /// `--text`) as Prometheus-style text exposition.
-fn metrics(addr: &str, text: bool) -> Result<String> {
+fn metrics(addr: &str, text: bool) -> Output {
     let mut client = pdb_server::Client::connect_with(addr, &pdb_server::RetryPolicy::default())
-        .map_err(|e| DbError::invalid_parameter(format!("connecting to {addr} failed: {e}")))?;
-    let reply =
-        client.metrics().map_err(|e| DbError::invalid_parameter(format!("metrics failed: {e}")))?;
+        .map_err(|e| format!("connecting to {addr} failed: {e}"))?;
+    let reply = client.metrics()?;
     if text {
         Ok(pdb_obs::text::render(&reply))
     } else {
         pdb_server::protocol::encode(&pdb_server::Response::Metrics(reply))
-            .map_err(|e| DbError::invalid_parameter(format!("encoding response failed: {e}")))
+            .map_err(|e| format!("encoding response failed: {e}").into())
     }
 }
 
@@ -366,21 +375,21 @@ fn metrics(addr: &str, text: bool) -> Result<String> {
 /// requests are streamed from stdin over one persistent connection — one
 /// response line per request line, printed as they arrive — so scripted
 /// clients pay the connect cost once instead of per request.
-fn call(addr: &str, request: &str, timing: bool) -> Result<String> {
+fn call(addr: &str, request: &str, timing: bool) -> Output {
     let mut client = pdb_server::Client::connect(addr)
-        .map_err(|e| DbError::invalid_parameter(format!("connecting to {addr} failed: {e}")))?;
+        .map_err(|e| format!("connecting to {addr} failed: {e}"))?;
     if request == "-" {
         return call_lines(&mut client, std::io::stdin().lock(), timing);
     }
     let request = pdb_server::protocol::decode_request(request)
         .map_err(|e| DbError::invalid_parameter(format!("invalid request JSON: {e}")))?;
     let started = std::time::Instant::now();
-    let response = client.call(&request).map_err(|e| DbError::invalid_parameter(e.to_string()))?;
+    let response = client.call(&request)?;
     if timing {
         print_timing(request.verb(), started.elapsed());
     }
     pdb_server::protocol::encode(&response)
-        .map_err(|e| DbError::invalid_parameter(format!("encoding response failed: {e}")))
+        .map_err(|e| format!("encoding response failed: {e}").into())
 }
 
 /// `--timing` output: one stderr line per request, so the response JSON
@@ -396,21 +405,19 @@ fn call_lines(
     client: &mut pdb_server::Client,
     input: impl std::io::BufRead,
     timing: bool,
-) -> Result<String> {
+) -> Output {
     use std::io::Write as _;
     let stdout = std::io::stdout();
     let mut served = 0u64;
     for line in input.lines() {
-        let line =
-            line.map_err(|e| DbError::invalid_parameter(format!("reading stdin failed: {e}")))?;
+        let line = line.map_err(|e| format!("reading stdin failed: {e}"))?;
         if line.trim().is_empty() {
             continue;
         }
         let response = match pdb_server::protocol::decode_request(line.trim()) {
             Ok(request) => {
                 let started = std::time::Instant::now();
-                let response =
-                    client.call(&request).map_err(|e| DbError::invalid_parameter(e.to_string()))?;
+                let response = client.call(&request)?;
                 if timing {
                     print_timing(request.verb(), started.elapsed());
                 }
@@ -419,13 +426,13 @@ fn call_lines(
             Err(err) => pdb_server::Response::error(format!("invalid request JSON: {err}")),
         };
         let encoded = pdb_server::protocol::encode(&response)
-            .map_err(|e| DbError::invalid_parameter(format!("encoding response failed: {e}")))?;
+            .map_err(|e| format!("encoding response failed: {e}"))?;
         let mut out = stdout.lock();
         if let Err(e) = writeln!(out, "{encoded}").and_then(|()| out.flush()) {
             if e.kind() == std::io::ErrorKind::BrokenPipe {
                 break; // reader hung up: stop streaming quietly
             }
-            return Err(DbError::invalid_parameter(format!("writing output failed: {e}")));
+            return Err(format!("writing output failed: {e}").into());
         }
         served += 1;
     }
@@ -436,16 +443,15 @@ fn call_lines(
 /// verb) to a running server through the typed client and print the
 /// `probe_applied` response line — the same JSON a scripted `pdb call`
 /// would see, so both entry points compose.
-fn mutate(addr: &str, session: u64, op: MutateOp) -> Result<String> {
+fn mutate(addr: &str, session: u64, op: MutateOp) -> Output {
     let mut client = pdb_server::Client::connect(addr)
-        .map_err(|e| DbError::invalid_parameter(format!("connecting to {addr} failed: {e}")))?;
+        .map_err(|e| format!("connecting to {addr} failed: {e}"))?;
     let applied = match op {
         MutateOp::Insert { key, alternatives } => client.insert_x_tuple(session, key, alternatives),
         MutateOp::Remove { x_tuple } => client.remove_x_tuple(session, x_tuple),
-    }
-    .map_err(|e| DbError::invalid_parameter(e.to_string()))?;
+    }?;
     pdb_server::protocol::encode(&pdb_server::Response::ProbeApplied(applied))
-        .map_err(|e| DbError::invalid_parameter(format!("encoding response failed: {e}")))
+        .map_err(|e| format!("encoding response failed: {e}").into())
 }
 
 /// The spec `pdb export` materializes for each dataset choice.
@@ -842,6 +848,25 @@ mod tests {
 
         call(&addr, "\"shutdown\"", false).unwrap();
         handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn client_failures_print_their_own_text_not_invalid_parameter() {
+        use std::io::{BufRead, BufReader, Write};
+        // A stand-in server that answers one line that is not JSON.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let stand_in = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            BufReader::new(&stream).read_line(&mut String::new()).unwrap();
+            (&stream).write_all(b"not json\n").unwrap();
+        });
+        let err = call(&addr, "\"stats\"", false).unwrap_err().to_string();
+        stand_in.join().unwrap();
+        assert!(err.starts_with("protocol error") && !err.contains("invalid parameter"), "{err}");
+        // Port 0 takes no connection.
+        let err = call("127.0.0.1:0", "\"stats\"", false).unwrap_err().to_string();
+        assert!(err.starts_with("connecting to 127.0.0.1:0 failed: "), "{err}");
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! * [`router`] — the router: accepts the *existing* wire protocol,
 //!   pins fleet-wide session ids into `create_session`,
 //!   forwards each request line to the ring-owning shard and relays the
-//!   shard's reply line byte for byte (after a syntax-only check),
+//!   shard's reply line byte for byte (after `serde_json::validate`
+//!   checks it is one JSON value),
 //!   merges `stats` and `metrics` across shards, and fails over
 //!   (respawn + bounded retry) when a shard dies mid-traffic — never
 //!   panicking on a malformed reply.  It accepts and serves its client

@@ -30,13 +30,13 @@
 //! arrived (only `create_session` is re-encoded, with the fleet-wide id
 //! pinned into it), and the shard's reply line goes back to the client
 //! byte for byte.  Only `stats` and `metrics` replies are decoded, to
-//! merge them.  Each relayed reply must pass [`protocol::check_line`], a
-//! syntax-only scan that accepts exactly the lines the decoder accepts
-//! without building a value tree.  Forwarding **never panics on a
-//! malformed shard reply**: a reply that fails the check, that EOF cut
-//! short, or that reaches [`pdb_server::MAX_LINE`] bytes without a
-//! newline becomes a `shard N replied malformed: …` error line for the
-//! client, and the connection to that shard is dropped.
+//! merge them.  Each relayed reply must pass [`serde_json::validate`],
+//! the decoder's own JSON scan run without building a value tree.
+//! Forwarding **never panics on a malformed shard reply**: a reply that
+//! fails the check, that EOF cut short, or that reaches
+//! [`pdb_server::MAX_LINE`] bytes without a newline becomes a `shard N
+//! replied malformed: …` error line for the client, and the connection to
+//! that shard is dropped.
 //!
 //! Client connections run through pdb-server's own accept and
 //! connection loops ([`pdb_server::accept_connections`],
@@ -319,9 +319,9 @@ impl RouterShared {
 /// callers needing exactly-once during a crash window send idempotent
 /// mutations (e.g. `reweight`) — the router guarantees no *loss*, not
 /// de-duplication.  A reply that EOF cut short, that reaches
-/// [`pdb_server::MAX_LINE`] bytes without a newline, or that fails
-/// [`protocol::check_line`] becomes an error line and drops `conn`: the
-/// stream position is unknowable.
+/// [`pdb_server::MAX_LINE`] bytes without a newline, or that is not one
+/// JSON value ([`serde_json::validate`]) becomes an error line and drops
+/// `conn`: the stream position is unknowable.
 fn forward_over(
     conn: &mut Option<Client>,
     shard: usize,
@@ -371,7 +371,7 @@ fn forward_over(
 /// the syntax check.
 fn relay(client: &mut Client, line: &str) -> Result<String, ClientError> {
     let reply = client.call_line(line)?;
-    protocol::check_line(&reply)
+    serde_json::validate(&reply)
         .map_err(|err| ClientError::Protocol(format!("parsing response failed: {err}")))?;
     Ok(reply)
 }

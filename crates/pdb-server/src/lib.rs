@@ -8,8 +8,9 @@
 //! * [`protocol`] — the newline-delimited JSON wire protocol
 //!   (`create_session`, `register_query`, `evaluate`, `quality`,
 //!   `recommend_probe`, `apply_mutation`, `drop_session`, `persist`,
-//!   `stats`, `metrics`, `shutdown`), and [`protocol::check_line`], the
-//!   syntax-only check the fleet router runs on each reply it relays;
+//!   `stats`, `metrics`, `shutdown`), encoded and decoded by the
+//!   vendored `serde_json`, whose one JSON scan also checks each reply
+//!   the fleet router relays;
 //! * [`session`] — persistent sessions (a database + a live
 //!   [`pdb_quality::BatchQuality`]) in one map whose lock is held only to
 //!   look a session up, each session behind its own lock, so concurrent

@@ -63,8 +63,11 @@
 //! costs its bytes.  Golden-line tests pin the bytes of every response
 //! kind.  Decoding ([`decode_request`], [`decode_response`]) parses into
 //! the vendored `serde::Value` tree and reads the typed value out of it;
-//! a server decodes only request lines, which are short.  Either
-//! direction reads at most [`MAX_LINE`] bytes of a line.
+//! a server decodes only request lines, which are short.  The fleet
+//! router checks each reply line it relays with `serde_json::validate`,
+//! the decoder's own scan building no tree, so it relays exactly the
+//! lines a client can decode.  Either direction reads at most
+//! [`MAX_LINE`] bytes of a line.
 //!
 //! See the README section *Serving & sessions* for one request/response
 //! example per verb.
@@ -692,233 +695,6 @@ pub fn encode_reply(response: &Response) -> String {
         .unwrap_or_else(|err| format!("{{\"error\":{{\"message\":\"encoding failed: {err}\"}}}}"))
 }
 
-/// Arrays and objects [`check_line`] lets open at once: the vendored
-/// parser's recursion limit.
-const MAX_NESTING: u32 = 128;
-
-/// Check that `line` is one JSON value, accepting exactly the lines
-/// `serde_json::from_str::<Value>` accepts, without building the value:
-/// the fleet router checks each shard reply it relays with this.  The
-/// scan is a loop over the bytes with no recursion; the open containers
-/// are one bit each in a `u128`, so nesting past 128 levels is refused
-/// like the parser refuses it.
-pub fn check_line(line: &str) -> Result<(), SerdeError> {
-    let mut scan = Scan { bytes: line.as_bytes(), pos: 0 };
-    // Bit `i` is set when the container `i` levels above the innermost
-    // one is an object.
-    let mut objects: u128 = 0;
-    let mut depth = 0;
-    loop {
-        // A value starts here: at the top, or after `[`, `,` or `:`.
-        scan.skip_ws();
-        let start = scan.pos;
-        match scan.bump() {
-            Some(open @ (b'[' | b'{')) => {
-                if depth == MAX_NESTING {
-                    return Err(scan.error("recursion limit exceeded", start));
-                }
-                depth += 1;
-                objects = objects << 1 | u128::from(open == b'{');
-                scan.skip_ws();
-                let close = if open == b'[' { b']' } else { b'}' };
-                if scan.peek() == Some(close) {
-                    scan.pos += 1;
-                    depth -= 1;
-                    objects >>= 1;
-                } else {
-                    if open == b'{' {
-                        scan.key()?;
-                    }
-                    continue;
-                }
-            }
-            Some(b'"') => scan.string()?,
-            Some(b'n') => scan.literal(b"ull", start)?,
-            Some(b't') => scan.literal(b"rue", start)?,
-            Some(b'f') => scan.literal(b"alse", start)?,
-            Some(first @ (b'-' | b'0'..=b'9')) => scan.number(first, start)?,
-            Some(other) => {
-                return Err(SerdeError::custom(format!(
-                    "unexpected character {:?} at offset {start}",
-                    char::from(other)
-                )))
-            }
-            None => return Err(SerdeError::custom("unexpected end of JSON input")),
-        }
-        // A value ended: close containers until one takes another element.
-        loop {
-            scan.skip_ws();
-            if depth == 0 {
-                return match scan.peek() {
-                    None => Ok(()),
-                    Some(_) => Err(scan.error("trailing characters", scan.pos)),
-                };
-            }
-            let in_object = objects & 1 == 1;
-            match (scan.bump(), in_object) {
-                (Some(b','), true) => {
-                    scan.key()?;
-                    break;
-                }
-                (Some(b','), false) => break,
-                (Some(b'}'), true) | (Some(b']'), false) => {
-                    depth -= 1;
-                    objects >>= 1;
-                }
-                (_, true) => return Err(scan.error("expected ',' or '}'", scan.pos - 1)),
-                (_, false) => return Err(scan.error("expected ',' or ']'", scan.pos - 1)),
-            }
-        }
-    }
-}
-
-/// The cursor of [`check_line`].
-struct Scan<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Scan<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    /// The next byte, consumed.  At the end, `pos` still moves one past
-    /// it, so an error after `None` names the end of the input.
-    fn bump(&mut self) -> Option<u8> {
-        let byte = self.peek();
-        self.pos += 1;
-        byte
-    }
-
-    fn error(&self, what: &str, at: usize) -> SerdeError {
-        SerdeError::custom(format!("{what} at offset {at}"))
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    /// The rest of a keyword whose first byte was consumed at `start`.
-    fn literal(&mut self, rest: &[u8], start: usize) -> Result<(), SerdeError> {
-        if self.bytes.get(self.pos..).is_some_and(|tail| tail.starts_with(rest)) {
-            self.pos += rest.len();
-            Ok(())
-        } else {
-            Err(self.error("invalid literal", start))
-        }
-    }
-
-    /// An object key and its `:`, after `{` or `,`.
-    fn key(&mut self) -> Result<(), SerdeError> {
-        self.skip_ws();
-        if self.bump() != Some(b'"') {
-            return Err(self.error("expected '\"'", self.pos - 1));
-        }
-        self.string()?;
-        self.skip_ws();
-        if self.bump() != Some(b':') {
-            return Err(self.error("expected ':'", self.pos - 1));
-        }
-        Ok(())
-    }
-
-    /// The rest of a string whose `"` was consumed.  Every byte but `"`
-    /// and `\` stands for itself: the line is a `&str`, so multi-byte
-    /// characters are whole.
-    fn string(&mut self) -> Result<(), SerdeError> {
-        loop {
-            match self.bump() {
-                None => return Err(SerdeError::custom("unterminated JSON string")),
-                Some(b'"') => return Ok(()),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {}
-                    Some(b'u') => match self.hex4()? {
-                        0xD800..=0xDBFF => {
-                            // A high surrogate: a low one must follow.
-                            let tail = self.bytes.get(self.pos..).unwrap_or_default();
-                            if !tail.starts_with(b"\\u") {
-                                return Err(SerdeError::custom("unpaired surrogate"));
-                            }
-                            self.pos += 2;
-                            if !(0xDC00..=0xDFFF).contains(&self.hex4()?) {
-                                return Err(SerdeError::custom("invalid low surrogate"));
-                            }
-                        }
-                        0xDC00..=0xDFFF => {
-                            return Err(SerdeError::custom("invalid unicode escape"))
-                        }
-                        _ => {}
-                    },
-                    None => return Err(SerdeError::custom("unterminated escape sequence")),
-                    Some(other) => {
-                        return Err(SerdeError::custom(format!(
-                            "invalid escape character {:?}",
-                            char::from(other)
-                        )))
-                    }
-                },
-                Some(_) => {}
-            }
-        }
-    }
-
-    /// The four hex digits of a `\u` escape, read as the parser reads
-    /// them (`u32::from_str_radix`, which also takes a leading `+`).
-    fn hex4(&mut self) -> Result<u32, SerdeError> {
-        let digits = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| SerdeError::custom("truncated unicode escape"))?;
-        let mut code = 0;
-        for &digit in digits.strip_prefix(b"+").unwrap_or(digits) {
-            let value = char::from(digit)
-                .to_digit(16)
-                .ok_or_else(|| SerdeError::custom("invalid unicode escape"))?;
-            code = code << 4 | value;
-        }
-        self.pos += 4;
-        Ok(code)
-    }
-
-    /// The rest of a number whose first byte (`-` or a digit) was
-    /// consumed at `start`: `-`? digits (`.` digits)? ([eE] [+-]? digits)?,
-    /// valid when Rust's integer or float parser takes it, as the JSON
-    /// parser decides.
-    fn number(&mut self, first: u8, start: usize) -> Result<(), SerdeError> {
-        let mut mantissa_digits = usize::from(first != b'-') + self.digits();
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            mantissa_digits += self.digits();
-        }
-        let mut exponent_ok = true;
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            exponent_ok = self.digits() > 0;
-        }
-        // Both parsers want a digit before or after the `.` (`1.` and `-.5`
-        // pass, `-.` does not), and one in any exponent.
-        if mantissa_digits > 0 && exponent_ok {
-            Ok(())
-        } else {
-            Err(self.error("invalid number", start))
-        }
-    }
-
-    fn digits(&mut self) -> usize {
-        let from = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        self.pos - from
-    }
-}
-
 /// Open a protocol envelope, `{"<key>":`; the payload and the closing
 /// `}` follow.  `key` is a verb or response kind, a literal that needs
 /// no escaping.
@@ -1264,77 +1040,26 @@ mod tests {
         }
     }
 
-    /// `check_line` accepts `line` exactly when the parser does.
+    /// `serde_json::validate` accepts `line` exactly when the decoder's
+    /// `from_str::<Value>` does.
     fn check_agrees(line: &str) -> Result<(), String> {
-        let checked = check_line(line).is_ok();
+        let validated = serde_json::validate(line).is_ok();
         let parsed = serde_json::from_str::<Value>(line).is_ok();
-        if checked == parsed {
+        if validated == parsed {
             Ok(())
         } else {
-            Err(format!("check_line ok = {checked}, parser ok = {parsed} on {line:?}"))
-        }
-    }
-
-    #[test]
-    fn check_line_agrees_with_the_parser_on_edge_cases() {
-        for line in [
-            "",
-            "  ",
-            " 1 ",
-            "1 2",
-            "nul",
-            "truex",
-            "[true,false,null]",
-            "[1,]",
-            "[,1]",
-            "[1 2]",
-            "{}",
-            "{ }",
-            "{,}",
-            "{\"a\":1,}",
-            "{\"a\" 1}",
-            "{1:2}",
-            "{\"a\":1}}",
-            "-",
-            "-0",
-            "01",
-            "1.",
-            "-.5",
-            "-.",
-            ".5",
-            "1.e5",
-            "1e",
-            "1e+",
-            "1E-07",
-            "-e5",
-            "1e99999",
-            "18446744073709551616",
-            "\"\\u+041\"",
-            "\"\\u-041\"",
-            "\"\\u00e9\"",
-            "\"\\u00\"",
-            "\"\\ud83d\\ude00\"",
-            "\"\\ud83d\"",
-            "\"\\ud83d\\u0041\"",
-            "\"\\ude00\"",
-            "\"\\x\"",
-            "\"é\\\"\"",
-            "\"tab\tin a string\"",
-            "\"unterminated",
-            "{\"a\":[{\"b\":[]},{}],\"c\":\"\"}",
-        ] {
-            check_agrees(line).unwrap();
+            Err(format!("validate ok = {validated}, from_str ok = {parsed} on {line:?}"))
         }
     }
 
     /// Every reply line a server sends, every prefix of it (a reply that
     /// EOF cut short), and every single-byte replacement or deletion.
     #[test]
-    fn check_line_agrees_with_the_parser_on_replies_their_truncations_and_byte_mutations() {
+    fn validate_agrees_with_from_str_on_replies_their_truncations_and_byte_mutations() {
         const REPLACEMENTS: &[u8] = b"{}[]\":,.-+0e\\u x";
         for response in every_response_kind() {
             let line = encode(&response).unwrap();
-            check_line(&line).unwrap();
+            serde_json::validate(&line).unwrap();
             for cut in 0..line.len() {
                 check_agrees(&line[..cut]).unwrap();
             }
@@ -1351,30 +1076,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn check_line_refuses_nesting_past_128_levels() {
-        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
-        check_line(&nested(128)).unwrap();
-        check_line(&format!("{}1{}", "{\"a\":".repeat(128), "}".repeat(128))).unwrap();
-        let wide = format!("[{}]", vec![nested(127); 3].join(","));
-        check_line(&wide).unwrap();
-        for deep in [nested(129), "[".repeat(10_000), "{\"a\":".repeat(10_000)] {
-            let err = check_line(&deep).unwrap_err();
-            assert!(err.to_string().contains("recursion limit exceeded"), "{err}");
-            check_agrees(&deep).unwrap();
-        }
-        // The scan keeps no stack: a 10,000-deep line is refused on a
-        // thread whose stack could not hold 10,000 frames.
-        let deep = "[".repeat(10_000) + &"]".repeat(10_000);
-        let refused = std::thread::Builder::new()
-            .stack_size(32 * 1024)
-            .spawn(move || check_line(&deep).is_err())
-            .unwrap()
-            .join()
-            .unwrap();
-        assert!(refused);
-    }
-
     /// Tokens random lines are drawn from: JSON's punctuation, literals,
     /// number and escape pieces, whitespace, and a multi-byte character.
     const TOKENS: &[&str] = &[
@@ -1386,7 +1087,7 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
 
         #[test]
-        fn check_line_agrees_with_the_parser_on_random_lines(
+        fn validate_agrees_with_from_str_on_random_lines(
             picks in proptest::collection::vec(0..TOKENS.len(), 0..40)
         ) {
             let line: String = picks.iter().map(|&i| TOKENS[i]).collect();
@@ -1394,7 +1095,7 @@ mod tests {
         }
 
         #[test]
-        fn check_line_agrees_with_the_parser_on_mutated_replies(
+        fn validate_agrees_with_from_str_on_mutated_replies(
             kind in 0..15usize,
             edits in proptest::collection::vec((0..4096usize, 0..TOKENS.len()), 1..4)
         ) {
