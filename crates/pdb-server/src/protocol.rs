@@ -1076,6 +1076,41 @@ mod tests {
         }
     }
 
+    /// The relay's line check (`serde_json::validate`) and the reply
+    /// decoder refuse a reply nested past 128 levels with the same error,
+    /// and the check keeps no stack while it scans.
+    #[test]
+    fn check_line_refuses_nesting_past_128_levels() {
+        // An error reply whose message is an array `depth` levels deep;
+        // the envelope adds two levels.
+        let reply = |depth: usize| {
+            format!("{{\"error\":{{\"message\":{}{}}}}}", "[".repeat(depth), "]".repeat(depth))
+        };
+        serde_json::validate(&reply(126)).unwrap();
+        let wide = format!(
+            "{{\"error\":{{\"message\":[{}]}}}}",
+            vec!["[".repeat(125) + &"]".repeat(125); 3].join(",")
+        );
+        serde_json::validate(&wide).unwrap();
+        for deep in [reply(127), "{\"error\":{\"message\":".to_string() + &"[".repeat(10_000)] {
+            let err = serde_json::validate(&deep).unwrap_err();
+            assert!(err.to_string().contains("recursion limit exceeded"), "{err}");
+            let err = decode_response(&deep).unwrap_err();
+            assert!(err.to_string().contains("recursion limit exceeded"), "{err}");
+            check_agrees(&deep).unwrap();
+        }
+        // A 10,000-deep reply is refused on a thread whose stack could
+        // not hold 10,000 frames.
+        let deep = reply(10_000);
+        let refused = std::thread::Builder::new()
+            .stack_size(32 * 1024)
+            .spawn(move || serde_json::validate(&deep).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(refused);
+    }
+
     /// Tokens random lines are drawn from: JSON's punctuation, literals,
     /// number and escape pieces, whitespace, and a multi-byte character.
     const TOKENS: &[&str] = &[
