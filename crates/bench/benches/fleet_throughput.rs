@@ -1,8 +1,9 @@
 //! Contended durable appends: the fleet's journal cost, measured at the
 //! store layer where it lives.  Four writer threads — standing in for a
 //! shard's worker threads acknowledging concurrent sessions — each append
-//! 16 probe records per iteration (`wal_append/group_commit`): group
-//! commit batches the appends and pays one fsync per window — the
+//! 16 `apply_mutation` records per iteration, the record `pdb serve`
+//! journals for every mutation it applies (`wal_append/group_commit`):
+//! group commit batches the appends and pays one fsync per window — the
 //! writer that finds no window open leads it — while every writer blocks
 //! until the sync covering its record completes.
 //!
@@ -20,17 +21,17 @@ const WRITERS: usize = 4;
 const APPENDS_PER_WRITER: usize = 16;
 
 /// One iteration of the contended-append workload: `WRITERS` threads
-/// each journal `APPENDS_PER_WRITER` resolved probe outcomes.
+/// each journal `APPENDS_PER_WRITER` resolved mutations.
 fn append_burst(store: &Store) {
     std::thread::scope(|scope| {
         for writer in 0..WRITERS {
             scope.spawn(move || {
                 for i in 0..APPENDS_PER_WRITER {
-                    let record = WalRecord::ApplyProbe {
-                        session: writer as u64 + 1,
-                        x_tuple: i,
-                        mutation: XTupleMutation::Reweight { probs: vec![0.25, 0.5] },
-                    };
+                    let record = WalRecord::apply_mutation(
+                        writer as u64 + 1,
+                        i,
+                        XTupleMutation::Reweight { probs: vec![0.25, 0.5] },
+                    );
                     store.append(black_box(&record)).expect("journal append");
                 }
             });

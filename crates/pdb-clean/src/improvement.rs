@@ -110,44 +110,20 @@ pub fn marginal_gain_raw(g_l: f64, sc_prob: f64, j: u64) -> f64 {
     -(1.0 - sc_prob).powi((j - 1).min(i32::MAX as u64) as i32) * sc_prob * g_l
 }
 
-/// Number of per-x-tuple terms per summation chunk.  Terms are summed
-/// chunk by chunk in index order, and the fixed chunking pins the
-/// floating-point result.
-const IMPROVEMENT_CHUNK: usize = 1024;
-
-/// The contribution of x-tuples `lo..hi` to Theorem 2's sum.
-fn improvement_chunk(
-    ctx: &CleaningContext,
-    setup: &CleaningSetup,
-    plan: &CleaningPlan,
-    lo: usize,
-    hi: usize,
-) -> f64 {
-    let mut total = 0.0;
-    for l in lo..hi {
-        let m = plan.count(l);
-        if m > 0 {
-            total -= setup.success_prob(l, m) * ctx.g[l];
-        }
-    }
-    total
-}
-
-/// The chunk boundaries covering `0..m`, allocation-free (the evaluation
-/// sits in exponential/iterative planner loops).
-fn improvement_chunk_bounds(m: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..m).step_by(IMPROVEMENT_CHUNK).map(move |lo| (lo, (lo + IMPROVEMENT_CHUNK).min(m)))
-}
-
 /// The expected quality improvement of a plan (Theorem 2).
 pub fn expected_improvement(
     ctx: &CleaningContext,
     setup: &CleaningSetup,
     plan: &CleaningPlan,
 ) -> f64 {
-    improvement_chunk_bounds(ctx.num_x_tuples())
-        .map(|(lo, hi)| improvement_chunk(ctx, setup, plan, lo, hi))
-        .sum()
+    let mut total = 0.0;
+    for l in 0..ctx.num_x_tuples() {
+        let m = plan.count(l);
+        if m > 0 {
+            total -= setup.success_prob(l, m) * ctx.g[l];
+        }
+    }
+    total
 }
 
 /// The first-attempt score of every candidate — `b(l, D, 1) / c_l`, the

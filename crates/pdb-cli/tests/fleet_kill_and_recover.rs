@@ -12,6 +12,9 @@
 //! at-least-once: a request the dying shard journalled but never
 //! acknowledged may be applied twice (once by replay, once by the
 //! retry), which for an absolute reweight is state-identical.
+//!
+//! A second test restarts a store-backed fleet and checks that it hands
+//! out no session id twice, a dropped session's included.
 
 use pdb_quality::{BatchQuality, TopKQuery, WeightedQuery, XTupleMutation};
 use pdb_server::{Client, DatasetSpec};
@@ -22,11 +25,11 @@ use std::time::{Duration, Instant};
 
 const TOL: f64 = 1e-12;
 const SHARDS: usize = 3;
-/// Connections each shard serves at once: every inbound router
-/// connection opens its own client per shard, so each shard must serve
-/// every concurrent router connection — six traffic threads + the main
-/// client + slack.
-const THREADS_PER_SHARD: usize = 8;
+/// Request slots per shard: one, for the several connections each shard
+/// holds (every router connection, six traffic threads and the main
+/// client, opens its own connection per shard it uses).  An idle
+/// connection holds no slot.
+const THREADS_PER_SHARD: usize = 1;
 const SESSIONS: usize = 6;
 const ROUNDS: usize = 150;
 
@@ -127,6 +130,34 @@ impl Drop for StoreDirGuard {
     }
 }
 
+/// A fresh store directory for one test run, removed when the guard
+/// drops.
+fn store_dir(run: &str) -> (StoreDirGuard, String) {
+    let dir = std::env::temp_dir()
+        .join("pdb-cli-fleet-kill-and-recover")
+        .join(format!("{run}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let arg = dir.display().to_string();
+    (StoreDirGuard(dir), arg)
+}
+
+/// Send `shutdown` through the router and wait for it to exit cleanly.
+fn shut_down(mut fleet: FleetProcess, client: &mut Client) {
+    // The reply comes first; the router then drains its connections and
+    // stops every shard, a respawned one included, before it exits.
+    client.shutdown().expect("graceful fleet shutdown");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = fleet.child.try_wait().expect("poll the router") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "the router did not exit after shutdown");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "the router exited with {status}");
+}
+
 fn assert_close(a: f64, b: f64, what: &str) {
     assert!((a - b).abs() <= TOL, "{what}: served {a} vs mirror {b}");
 }
@@ -173,15 +204,9 @@ fn apply_with_retry(
 
 #[test]
 fn fleet_survives_a_sigkilled_shard_with_zero_lost_mutations() {
-    let store_dir = std::env::temp_dir()
-        .join("pdb-cli-fleet-kill-and-recover")
-        .join(format!("run-{}", std::process::id()));
-    std::fs::remove_dir_all(&store_dir).ok();
-    std::fs::create_dir_all(&store_dir).unwrap();
-    let _store_dir_guard = StoreDirGuard(store_dir.clone());
-    let store_dir_arg = store_dir.display().to_string();
+    let (_store_dir_guard, store_dir_arg) = store_dir("run");
 
-    let mut fleet = FleetProcess::spawn(&store_dir_arg);
+    let fleet = FleetProcess::spawn(&store_dir_arg);
     let mut client = Client::connect(&fleet.router_addr).expect("connect to router");
 
     // ---- phase 1: six sessions spread over the ring ------------------
@@ -269,7 +294,7 @@ fn fleet_survives_a_sigkilled_shard_with_zero_lost_mutations() {
     let mut client = Client::connect(&fleet.router_addr).expect("reconnect to router");
     let stats = client.stats().expect("merged stats");
     assert!(stats.durable, "every shard reports a durable store");
-    assert_eq!(stats.shards as usize, SHARDS);
+    assert_eq!(stats.shards, SHARDS);
     assert_eq!(stats.threads, SHARDS * THREADS_PER_SHARD, "--threads reaches every shard");
     assert_eq!(stats.sessions_live as usize, SESSIONS, "no session was lost to the kill");
 
@@ -288,16 +313,40 @@ fn fleet_survives_a_sigkilled_shard_with_zero_lost_mutations() {
         }
     }
 
-    // The reply comes first; the router then drains its connections and
-    // stops every shard, the respawned one included, before it exits.
-    client.shutdown().expect("graceful fleet shutdown");
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let status = loop {
-        if let Some(status) = fleet.child.try_wait().expect("poll the router") {
-            break status;
-        }
-        assert!(Instant::now() < deadline, "the router did not exit after shutdown");
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert!(status.success(), "the router exited with {status}");
+    shut_down(fleet, &mut client);
+}
+
+#[test]
+fn a_restarted_fleet_hands_out_no_session_id_twice() {
+    let (guard, store_dir_arg) = store_dir("restart");
+    let fleet = FleetProcess::spawn(&store_dir_arg);
+    let mut client = Client::connect(&fleet.router_addr).expect("connect to router");
+    for expected in [1, 2] {
+        let created = client.create_session(DatasetSpec::Udb1, 1, 0.8).expect("create_session");
+        assert_eq!(created.session, expected);
+    }
+    client.drop_session(2).expect("drop_session");
+    assert_eq!(client.stats().expect("merged stats").next_session_id, Some(3));
+    shut_down(fleet, &mut client);
+
+    // One past the largest id any shard's log names, the dropped
+    // session's included.
+    let past_named = (0..SHARDS)
+        .map(|shard| {
+            let dir = guard.0.join(format!("shard-{shard}"));
+            let recovery = pdb_store::Store::peek(&dir, &pdb_gen::build_dataset).expect("peek");
+            recovery.next_session_id.expect("an id is left")
+        })
+        .max()
+        .expect("a fleet has shards");
+    assert_eq!(past_named, 3, "the log of the shard that owned session 2 still names it");
+
+    let fleet = FleetProcess::spawn(&store_dir_arg);
+    let mut client = Client::connect(&fleet.router_addr).expect("connect to the restarted router");
+    let created = client.create_session(DatasetSpec::Udb1, 1, 0.8).expect("create_session");
+    assert!(created.session >= past_named, "session {} was handed out before", created.session);
+    let stats = client.stats().expect("merged stats");
+    assert_eq!(stats.next_session_id, Some(created.session + 1), "the router's next id");
+    assert_eq!(stats.sessions_live, 2, "sessions 1 and {} live", created.session);
+    shut_down(fleet, &mut client);
 }

@@ -3,9 +3,9 @@
 //! equal, byte for byte, the lines the owning shard writes to a client
 //! connected straight to it.
 //!
-//! The fleet runs two shards with `--threads 2`: the router's connection
-//! to a shard holds one of its slots, which leaves the other free for
-//! the direct connection.
+//! The fleet runs two shards with `--threads 1`: the router's connection
+//! to a shard holds no request slot while it is idle, so the one slot
+//! also serves the direct connection.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -36,11 +36,11 @@ impl Drop for Fleet {
     }
 }
 
-/// Spawn `pdb fleet serve --shards 2 --threads 2` and wait for the
+/// Spawn `pdb fleet serve --shards 2 --threads 1` and wait for the
 /// router's readiness line.
 fn spawn_fleet() -> Fleet {
     let mut child = Command::new(env!("CARGO_BIN_EXE_pdb"))
-        .args(["fleet", "serve", "--addr", "127.0.0.1:0", "--shards", "2", "--threads", "2"])
+        .args(["fleet", "serve", "--addr", "127.0.0.1:0", "--shards", "2", "--threads", "1"])
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
@@ -121,8 +121,6 @@ fn routed_evaluate_and_quality_lines_equal_the_owning_shards_lines() {
         }
     }
 
-    // The router holds one of each shard's two slots; the direct
-    // connections take the other.
     let mut shards: Vec<Raw> = fleet.shard_addrs.iter().map(|addr| Raw::connect(addr)).collect();
     let mut owned = vec![0; shards.len()];
     for session in 1..=SESSIONS {
@@ -142,7 +140,7 @@ fn routed_evaluate_and_quality_lines_equal_the_owning_shards_lines() {
 
     // `stats` is still merged across both shards.
     let stats = router.call("\"stats\"");
-    assert!(stats.contains("\"shards\":2,\"threads\":4,"), "{stats}");
+    assert!(stats.contains("\"shards\":2,\"threads\":2,"), "{stats}");
 
     drop(shards);
     assert_eq!(router.call("\"shutdown\""), "{\"shutting_down\":{}}");

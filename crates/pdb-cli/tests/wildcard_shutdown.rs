@@ -3,14 +3,14 @@
 //! blocked listener through the loopback of the bound port, because an
 //! unspecified address is not connectable on every platform.
 //!
-//! The fleet cases run one shard that serves one connection at a time.
+//! The fleet cases run one shard with one request slot (`--threads 1`).
 //! In the first, `shutdown` goes over a router connection that already
-//! used the shard: the router holds the shard's only connection slot
-//! for it, so the shards may only be asked to stop after the router's
-//! connections have drained.  In the second, a client connected straight
-//! to the shard holds that slot through the whole shutdown: the router
-//! does not wait for the shard's reply, and kills the shard once its
-//! shutdown deadline has passed.
+//! used the shard, so the router holds a connection to it.  In the
+//! second, a client connected straight to the shard keeps its
+//! connection open through the whole shutdown.  An idle connection holds
+//! no request slot, so the shard serves the router's `shutdown` at once,
+//! and the router exits before `Fleet::shutdown`'s 5 s deadline, at which
+//! it kills a shard still running.
 
 use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -22,6 +22,9 @@ const EXIT_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// How long one request may wait for its reply.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(8);
+
+/// `Fleet::shutdown`'s deadline for the shards to exit.
+const SHUTDOWN_DEADLINE: Duration = Duration::from_secs(5);
 
 /// A spawned `pdb` process and the shards it announced, killed on drop
 /// so a failing test never leaks them (shards explicitly: a killed
@@ -86,10 +89,11 @@ fn spawn(args: &[&str], ready: &str) -> (Spawned, u16) {
 }
 
 /// On one loopback connection, send each `setup` line and then
-/// `shutdown`, and wait for the process to exit cleanly.  Every reply
-/// must arrive within `REPLY_TIMEOUT`, so a wedged shutdown fails the
-/// test instead of hanging it.
-fn shut_down(mut spawned: Spawned, port: u16, setup: &[&str]) {
+/// `shutdown`, wait for the process to exit cleanly, and return how long
+/// it took to exit after the reply.  Every reply must arrive within
+/// `REPLY_TIMEOUT`, so a wedged shutdown fails the test instead of
+/// hanging it.
+fn shut_down(mut spawned: Spawned, port: u16, setup: &[&str]) -> Duration {
     let stream = TcpStream::connect(SocketAddr::from(([127, 0, 0, 1], port))).expect("connect");
     stream.set_read_timeout(Some(REPLY_TIMEOUT)).expect("set read timeout");
     let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
@@ -108,13 +112,14 @@ fn shut_down(mut spawned: Spawned, port: u16, setup: &[&str]) {
     }
     let reply = call("\"shutdown\"");
     assert!(reply.contains("shutting_down"), "shutdown reply: {reply}");
-    let deadline = Instant::now() + EXIT_TIMEOUT;
+    let replied = Instant::now();
+    let deadline = replied + EXIT_TIMEOUT;
     loop {
         if let Some(status) = spawned.child.try_wait().expect("poll pdb") {
             assert!(status.success(), "pdb exited with {status}");
             // A clean exit reaped the shards; their pids may be reused.
             spawned.shard_pids.clear();
-            return;
+            return replied.elapsed();
         }
         assert!(Instant::now() < deadline, "pdb still running {EXIT_TIMEOUT:?} after shutdown");
         std::thread::sleep(Duration::from_millis(20));
@@ -134,7 +139,7 @@ fn fleet_serve_on_the_wildcard_address_exits_after_shutdown() {
         &["fleet", "serve", "--addr", "0.0.0.0:0", "--shards", "1", "--threads", "1"],
         "pdb-fleet router listening on ",
     );
-    // The session pins the shard's only connection slot to this
+    // The router keeps its connection to the shard open for this
     // router connection.
     let create =
         r#"{"create_session": {"dataset": "Udb1", "probe_cost": 1, "probe_success": 0.8}}"#;
@@ -147,8 +152,8 @@ fn fleet_serve_exits_after_shutdown_while_a_client_holds_a_one_thread_shard() {
         &["fleet", "serve", "--addr", "0.0.0.0:0", "--shards", "1", "--threads", "1"],
         "pdb-fleet router listening on ",
     );
-    // A client straight to the shard, served (so holding the shard's only
-    // connection slot) and kept open until the router has exited.
+    // A client straight to the shard, served once and kept open until
+    // the router has exited.
     let direct = TcpStream::connect(spawned.shard_addrs[0]).expect("connect to the shard");
     direct.set_read_timeout(Some(REPLY_TIMEOUT)).expect("set read timeout");
     let mut reader = std::io::BufReader::new(direct.try_clone().expect("clone stream"));
@@ -156,6 +161,7 @@ fn fleet_serve_exits_after_shutdown_while_a_client_holds_a_one_thread_shard() {
     let mut reply = String::new();
     reader.read_line(&mut reply).expect("stats reply from the shard");
     assert!(reply.contains("\"stats\""), "stats reply: {reply}");
-    shut_down(spawned, port, &[]);
+    let exited = shut_down(spawned, port, &[]);
+    assert!(exited < SHUTDOWN_DEADLINE, "the router took {exited:?} to exit: it killed the shard");
     drop(direct);
 }

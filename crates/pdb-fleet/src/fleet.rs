@@ -171,10 +171,11 @@ impl Fleet {
     /// Ask every shard to drain and stop, wait for them to exit until
     /// one shared deadline, and kill the ones still running then, or
     /// that could not be asked.  A shard's reply is not awaited: the
-    /// request may wait in its accept queue behind a client connected to
-    /// it directly.  The router calls this once its own connections have
-    /// drained, so only such a direct client's in-flight request can be
-    /// cut, and every acknowledged record is already durable.
+    /// request may wait for a request slot behind a long request of a
+    /// client connected to it directly.  The router calls this once its
+    /// own connections have drained, so only such a direct client's
+    /// in-flight request can be cut, and every acknowledged record is
+    /// already durable.
     pub fn shutdown(&self) {
         let mut handles: Vec<_> = self.shards.iter().map(lock).collect();
         // Held open until the shards exit, so a shard that reaches the

@@ -57,6 +57,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// is genuinely gone.
 const FORWARD_ATTEMPTS: usize = 2;
 
+/// The most client connections the router serves at once.  Each holds at
+/// most one connection per shard, so router connections alone never fill
+/// a shard's cap: the rest is left for direct clients and
+/// `Fleet::shutdown`.
+const MAX_CONNECTIONS: usize = 128;
+const _: () = assert!(MAX_CONNECTIONS < pdb_server::MAX_CONNECTIONS);
+
 /// One router connection's connections to the shards, by shard index.
 /// One client's requests flow down one TCP stream per shard, so replies
 /// never interleave across router connections.
@@ -87,8 +94,10 @@ pub struct Router {
 
 impl Router {
     /// Bind the router over a spawned fleet.  The session-id allocator
-    /// is seeded past every session the shards recovered from their
-    /// stores, so new ids never collide with rehydrated ones.
+    /// is seeded from the largest `next_session_id` of the shards, which
+    /// recovered it from their logs, so no id the fleet ever handed out,
+    /// a dropped session's included, is handed out again.  Fails when a
+    /// shard's `stats` cannot be read.
     pub fn bind(addr: &str, fleet: Fleet) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let retry = RetryPolicy::default();
@@ -100,7 +109,7 @@ impl Router {
             retry,
             fleet,
         };
-        shared.seed_next_id();
+        shared.seed_next_id()?;
         Ok(Self { listener, shared })
     }
 
@@ -110,37 +119,35 @@ impl Router {
     }
 
     /// Accept and route connections until a `shutdown` request arrives,
-    /// then drain, shut the fleet down and return.  Connections are not
-    /// limited: the router does no evaluation work of its own, so a
-    /// connection's thread is almost always parked on I/O.
+    /// then drain, shut the fleet down and return.
     pub fn run(self) -> std::io::Result<()> {
         let addr = self.listener.local_addr()?;
         let shared = &self.shared;
-        accept_connections(&self.listener, &shared.shutdown, usize::MAX, |stream| {
+        accept_connections(&self.listener, &shared.shutdown, MAX_CONNECTIONS, |stream| {
             let mut conns = shared.no_conns();
             let route = |line: &str| shared.route(line, &mut conns, addr);
             // pdb-analyze: allow(error-swallow): a failed reply write only ends this client's connection; the router keeps no metric for it
             let _ = serve_connection(stream, &shared.shutdown, route);
         });
-        // Every connection thread has dropped its shard connections, so
-        // this router holds no shard's connection slot while it shuts
-        // the fleet down.
+        // Every connection thread has ended, so none forwards to (and
+        // respawns) a shard that is stopping.
         shared.fleet.shutdown();
         Ok(())
     }
 }
 
 impl RouterShared {
-    /// Seed the id allocator from the shards' recovered sessions.
-    fn seed_next_id(&mut self) {
+    /// Seed the id allocator from the shards' next ids; a shard with no
+    /// id left leaves none to the router either.
+    fn seed_next_id(&mut self) -> std::io::Result<()> {
         let mut conns = self.no_conns();
-        let mut max_seen = 0;
+        let mut next = Some(1);
         for shard in self.ring.shards() {
-            if let Response::Stats(stats) = self.forward(&mut conns, shard, &Request::Stats) {
-                max_seen = stats.sessions.iter().map(|s| s.session).fold(max_seen, u64::max);
-            }
+            let stats = self.shard_stats(&mut conns, shard).map_err(std::io::Error::other)?;
+            next = next.zip(stats.next_session_id).map(|(ours, theirs)| ours.max(theirs));
         }
-        self.next_id = SessionIds::starting_at(max_seen.checked_add(1));
+        self.next_id = SessionIds::starting_at(next);
+        Ok(())
     }
 
     /// A router connection's shard connections before its first request:
@@ -188,9 +195,21 @@ impl RouterShared {
         })
     }
 
+    /// `stats` from `shard`, or why it could not be read.
+    fn shard_stats(&self, conns: &mut ShardConns, shard: usize) -> Result<ServerStats, String> {
+        match self.forward(conns, shard, &Request::Stats) {
+            Response::Stats(stats) => Ok(stats),
+            Response::Error(reply) => {
+                Err(format!("stats from shard {shard} failed: {}", reply.message))
+            }
+            other => Err(format!("stats from shard {shard} returned {:?}", other.kind())),
+        }
+    }
+
     /// Broadcast `stats` and merge the replies: counters sum, session
     /// lists concatenate (sorted by id), `durable` holds only if every
-    /// shard journals, and `shards` reports the *fleet's* shard count.
+    /// shard journals, `shards` reports the *fleet's* shard count and
+    /// `next_session_id` the router's own next id.
     fn merged_stats(&self, conns: &mut ShardConns) -> Response {
         let mut merged = ServerStats {
             sessions_live: 0,
@@ -203,39 +222,28 @@ impl RouterShared {
             connect_retries: self.connect_retries.load(Ordering::Relaxed),
             flush_error: None,
             sessions: Vec::new(),
+            next_session_id: self.next_id.next_id(),
         };
         for shard in self.ring.shards() {
-            match self.forward(conns, shard, &Request::Stats) {
-                Response::Stats(stats) => {
-                    merged.sessions_live += stats.sessions_live;
-                    merged.sessions_created += stats.sessions_created;
-                    merged.requests_served += stats.requests_served;
-                    merged.probes_applied += stats.probes_applied;
-                    merged.threads += stats.threads;
-                    merged.durable &= stats.durable;
-                    merged.connect_retries += stats.connect_retries;
-                    if merged.flush_error.is_none() {
-                        if let Some(err) = stats.flush_error {
-                            // First degraded shard wins; name it so the
-                            // operator knows where to look.
-                            merged.flush_error = Some(format!("shard {shard}: {err}"));
-                        }
-                    }
-                    merged.sessions.extend(stats.sessions);
-                }
-                Response::Error(reply) => {
-                    return Response::error(format!(
-                        "stats from shard {shard} failed: {}",
-                        reply.message
-                    ))
-                }
-                other => {
-                    return Response::error(format!(
-                        "stats from shard {shard} returned {:?}",
-                        other.kind()
-                    ))
+            let stats = match self.shard_stats(conns, shard) {
+                Ok(stats) => stats,
+                Err(err) => return Response::error(err),
+            };
+            merged.sessions_live += stats.sessions_live;
+            merged.sessions_created += stats.sessions_created;
+            merged.requests_served += stats.requests_served;
+            merged.probes_applied += stats.probes_applied;
+            merged.threads += stats.threads;
+            merged.durable &= stats.durable;
+            merged.connect_retries += stats.connect_retries;
+            if merged.flush_error.is_none() {
+                if let Some(err) = stats.flush_error {
+                    // First degraded shard wins; name it so the operator
+                    // knows where to look.
+                    merged.flush_error = Some(format!("shard {shard}: {err}"));
                 }
             }
+            merged.sessions.extend(stats.sessions);
         }
         merged.sessions.sort_by_key(|s| s.session);
         Response::Stats(merged)
@@ -297,10 +305,8 @@ impl RouterShared {
             Request::ApplyMutation(req) | Request::ApplyProbe(req) => self.shard_of(req.session),
             Request::Stats => return protocol::encode_reply(&self.merged_stats(conns)),
             Request::Metrics => return protocol::encode_reply(&self.merged_metrics(conns)),
-            // The fleet shuts down in `Router::run`, after the connection
-            // threads drained: a shard serving one connection at a time
-            // may be held by one of them, and a polite `shutdown` would
-            // queue behind it.
+            // The fleet shuts down in `Router::run`, once the connection
+            // threads drained.
             Request::Shutdown => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 wake_listener(router_addr);

@@ -21,9 +21,10 @@
 //!   truncates the log before it replies, and on startup each session is
 //!   rebuilt by replaying its records through the same session calls
 //!   (see the *Persistence & recovery* README section);
-//! * [`server`] — the `std::net` TCP server: one thread per connection,
-//!   at most `--threads` at once, and no other thread, with graceful
-//!   drain on `shutdown`.  Its
+//! * [`server`] — the `std::net` TCP server: one thread per connection
+//!   (at most [`MAX_CONNECTIONS`]) and no other thread, at most
+//!   `--threads` requests handled at once, with graceful drain on
+//!   `shutdown`.  Its
 //!   accept loop ([`accept_connections`]), per-connection loop
 //!   ([`serve_connection`], which caps a request line at
 //!   [`MAX_LINE`] bytes) and listener self-wake
@@ -65,5 +66,7 @@ pub mod session;
 
 pub use client::{Client, ClientError, RetryPolicy};
 pub use protocol::{DatasetSpec, Request, Response, MAX_LINE};
-pub use server::{accept_connections, serve_connection, wake_listener, Server, ServerConfig};
+pub use server::{
+    accept_connections, serve_connection, wake_listener, Server, ServerConfig, MAX_CONNECTIONS,
+};
 pub use session::{Session, SessionIds, SessionManager};

@@ -462,8 +462,8 @@ pub struct ServerStats {
     /// Shard processes behind this address: 1 for a server, the ring
     /// size for a fleet router.
     pub shards: usize,
-    /// Connections served at once (`--threads`); a fleet router
-    /// reports the sum over its shards.
+    /// Requests handled at once (`--threads`); a fleet router reports
+    /// the sum over its shards.
     pub threads: usize,
     /// Whether sessions are journalled to a durable store
     /// (`--store-dir`).
@@ -482,6 +482,11 @@ pub struct ServerStats {
     pub flush_error: Option<String>,
     /// Per-session age / query / probe counters, ascending by id.
     pub sessions: Vec<SessionStat>,
+    /// The id the next `create_session` without a pinned id gets: above
+    /// every id the server handed out, dropped ones included.  A fleet
+    /// router reports its own allocator's.  `None` (`null` on the wire)
+    /// when no id is left.
+    pub next_session_id: Option<u64>,
 }
 
 impl Serialize for ServerStats {
@@ -508,6 +513,8 @@ impl Serialize for ServerStats {
         }
         out.push_str(",\"sessions\":");
         self.sessions.write_json(out)?;
+        out.push_str(",\"next_session_id\":");
+        self.next_session_id.write_json(out)?;
         out.push('}');
         Ok(())
     }
@@ -529,6 +536,9 @@ impl Deserialize for ServerStats {
             // "no sticky flush failure".
             flush_error: optional_field(entries, "flush_error")?,
             sessions: required_field(entries, "sessions", "stats")?,
+            // Absent (a reply from before the key) reads as no id left,
+            // so a router seeded from it hands out no id twice.
+            next_session_id: optional_field(entries, "next_session_id")?,
         })
     }
 }
@@ -912,6 +922,7 @@ mod tests {
                 connect_retries: 5,
                 flush_error: None,
                 sessions: vec![SessionStat { session: 1, age_ms: 1234, queries: 2, probes: 3 }],
+                next_session_id: Some(3),
             }),
             Response::Stats(ServerStats {
                 sessions_live: 0,
@@ -924,6 +935,7 @@ mod tests {
                 connect_retries: 0,
                 flush_error: Some("syncing wal.log: disk gone".to_string()),
                 sessions: Vec::new(),
+                next_session_id: None,
             }),
             Response::Metrics(MetricsReply {
                 series: vec![
@@ -972,8 +984,8 @@ mod tests {
         r#"{"probe_applied":{"session":1,"mode":"delta","update":{"qualities":[-1.85],"aggregate":-1.85,"aggregate_delta":0.7,"g":[0.0,-1.85],"stats":{"rows_copied":0,"rows_swapped":0,"rows_rebuilt":0,"rows_dropped":0,"windowed_scans":0}}}}"#,
         r#"{"session_dropped":{"session":1}}"#,
         r#"{"persisted":{"session":1,"snapshot":"snapshot-1-3.pdbs","tuples":7,"probes":2}}"#,
-        r#"{"stats":{"sessions_live":1,"sessions_created":2,"requests_served":10,"probes_applied":3,"shards":8,"threads":4,"durable":true,"connect_retries":5,"sessions":[{"session":1,"age_ms":1234,"queries":2,"probes":3}]}}"#,
-        r#"{"stats":{"sessions_live":0,"sessions_created":0,"requests_served":1,"probes_applied":0,"shards":1,"threads":1,"durable":true,"connect_retries":0,"flush_error":"syncing wal.log: disk gone","sessions":[]}}"#,
+        r#"{"stats":{"sessions_live":1,"sessions_created":2,"requests_served":10,"probes_applied":3,"shards":8,"threads":4,"durable":true,"connect_retries":5,"sessions":[{"session":1,"age_ms":1234,"queries":2,"probes":3}],"next_session_id":3}}"#,
+        r#"{"stats":{"sessions_live":0,"sessions_created":0,"requests_served":1,"probes_applied":0,"shards":1,"threads":1,"durable":true,"connect_retries":0,"flush_error":"syncing wal.log: disk gone","sessions":[],"next_session_id":null}}"#,
         r#"{"metrics":{"series":[{"name":"engine_psr_runs_total","kind":"counter","label_key":"","label_value":"","value":3,"sum":0,"buckets":[]},{"name":"server_request_latency_ns","kind":"histogram","label_key":"verb","label_value":"evaluate","value":2,"sum":1025,"buckets":[0,1,0,0,0,0,0,0,0,0,0,1]}]}}"#,
         r#"{"shutting_down":{}}"#,
         r#"{"error":{"message":"boom"}}"#,

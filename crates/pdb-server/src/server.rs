@@ -2,13 +2,13 @@
 //! dispatch.
 //!
 //! Built on `std::net` only.  [`accept_connections`] serves each accepted
-//! connection on a thread of its own, at most `--threads` at once; each
-//! connection thread reads newline-delimited JSON requests, dispatches
-//! them against the shared [`SessionManager`], and writes one response
-//! line per request.  A `shutdown` request flips the shared stop flag
-//! and wakes the listener; every connection already accepted then
-//! finishes its in-flight request and ends (idle connections poll the
-//! flag on a short read timeout, so a parked persistent client never
+//! connection on a thread of its own, at most [`MAX_CONNECTIONS`] at
+//! once; each connection thread reads newline-delimited JSON requests,
+//! dispatches them against the shared [`SessionManager`], and writes one
+//! response line per request.  A `shutdown` request flips the shared
+//! stop flag and wakes the listener; every connection already accepted
+//! then finishes its in-flight request and ends (idle connections poll
+//! the flag on a short read timeout, so a parked persistent client never
 //! wedges the drain), and [`Server::run`] returns after joining those
 //! threads, so nothing it started still holds the store.  The server
 //! starts no other thread: the mutation that brings the log to
@@ -20,14 +20,12 @@
 //! are public: the fleet router accepts and serves its connections
 //! through the same three functions.
 //!
-//! **Connections, not requests, are the limited unit**: a connection
-//! keeps its thread for its lifetime, so at most `--threads`
-//! *connections* are served concurrently and the `threads + 1`-th
-//! concurrent persistent client waits in the accept queue until one
-//! ends.  Size `--threads` to the expected number of concurrent
-//! long-lived clients; the per-session locking (see
-//! [`crate::session`]) is what keeps one slow evaluation from blocking
-//! other *sessions* once their connections are served.
+//! **Requests, not connections, are the limited unit**: a request holds
+//! one of `--threads` slots from before it is decoded until its reply
+//! line is encoded, so an idle connection, or one whose client is slow
+//! to read, holds none.  Size `--threads` to the cores; the per-session
+//! locking (see [`crate::session`]) keeps one slow evaluation from
+//! blocking other *sessions*.
 
 use crate::protocol::{self, Request, Response, ServerStats, MAX_LINE};
 use crate::session::SessionManager;
@@ -45,10 +43,8 @@ use std::thread;
 pub struct ServerConfig {
     /// Address to bind (`127.0.0.1:7878`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// Connections served at once, one thread each: a connection keeps
-    /// its thread for its lifetime, and further clients wait in the
-    /// accept queue — size it to the expected number of concurrent
-    /// persistent clients.
+    /// Requests handled at once, each from its decode until its reply
+    /// line is encoded; connections are capped at [`MAX_CONNECTIONS`].
     pub threads: usize,
     /// Durable store directory.  When set, [`Server::bind`] recovers
     /// every journalled session from it (WAL replay through the live
@@ -76,6 +72,10 @@ impl Default for ServerConfig {
         }
     }
 }
+
+/// The most connections [`Server::run`] serves at once; later clients
+/// wait in the accept queue.
+pub const MAX_CONNECTIONS: usize = 256;
 
 /// A bound (but not yet running) cleaning service.
 #[derive(Debug)]
@@ -135,8 +135,13 @@ impl Server {
             addr: self.listener.local_addr()?,
             threads: self.threads,
         };
-        accept_connections(&self.listener, &ctx.shutdown, ctx.threads, |stream| {
-            let handle = |line: &str| protocol::encode_reply(&handle_line(line, &ctx));
+        let slots = Slots::default();
+        accept_connections(&self.listener, &ctx.shutdown, MAX_CONNECTIONS, |stream| {
+            let handle = |line: &str| {
+                // Freed once the reply is encoded, before it is written.
+                let _slot = slots.take(ctx.threads);
+                protocol::encode_reply(&handle_line(line, &ctx))
+            };
             if serve_connection(stream, &ctx.shutdown, handle).is_err() {
                 obs::SERVER_ERRORS_TOTAL.with("io").inc();
             }
@@ -157,8 +162,8 @@ struct HandlerContext {
 /// Accept connections on `listener` until `shutdown` is set, serving each
 /// on a thread of its own with `serve`, at most `max_connections` at
 /// once: with every slot taken, the next client waits in the accept
-/// queue until a connection ends.  `pdb serve` passes `--threads`; the
-/// fleet router, whose threads only wait on I/O, passes `usize::MAX`.
+/// queue until a connection ends.  `pdb serve` passes
+/// [`MAX_CONNECTIONS`]; the fleet router passes a smaller cap of its own.
 ///
 /// Finished threads are joined at each accept, so an ended connection
 /// keeps no stack mapped, and the rest are joined before this returns.
@@ -172,7 +177,7 @@ pub fn accept_connections(
     max_connections: usize,
     serve: impl Fn(TcpStream) + Sync,
 ) {
-    let slots = Slots { taken: Mutex::new(0), freed: Condvar::new() };
+    let slots = Slots::default();
     let serve = &serve;
     thread::scope(|scope| {
         let mut threads: Vec<thread::ScopedJoinHandle<'_, ()>> = Vec::new();
@@ -212,8 +217,10 @@ pub fn accept_connections(
     });
 }
 
-/// The connection slots of [`accept_connections`]: how many are taken,
-/// and a wake-up for the accept loop when one is freed.
+/// Slots that bound how many holders run at once (the connections of
+/// [`accept_connections`], the requests of [`Server::run`]): how many are
+/// taken, and a wake-up for a waiter when one is freed.
+#[derive(Default)]
 struct Slots {
     taken: Mutex<usize>,
     freed: Condvar,
@@ -234,8 +241,7 @@ impl Slots {
     }
 }
 
-/// One taken connection slot, freed on drop — also when the connection's
-/// handler unwinds.
+/// One taken slot, freed on drop — also when its holder unwinds.
 struct Slot<'a>(&'a Slots);
 
 impl Drop for Slot<'_> {
@@ -442,6 +448,7 @@ fn dispatch(request: Request, ctx: &HandlerContext) -> Response {
             connect_retries: 0,
             flush_error: manager.store().and_then(|store| store.flush_error()),
             sessions: manager.session_stats(),
+            next_session_id: manager.next_session_id(),
         }),
         Request::Metrics => Response::Metrics(pdb_obs::metrics::snapshot()),
         Request::Shutdown => {
@@ -456,6 +463,32 @@ fn dispatch(request: Request, ctx: &HandlerContext) -> Response {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn a_second_request_waits_for_the_only_slot_until_its_holder_unwinds() {
+        let slots = &Slots::default();
+        let (taken_tx, taken) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let (served_tx, served) = std::sync::mpsc::channel();
+        thread::scope(|scope| {
+            let holder = scope.spawn(move || {
+                let _slot = slots.take(1);
+                taken_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                panic!("the first request's handler fails");
+            });
+            taken.recv().unwrap();
+            scope.spawn(move || {
+                let _slot = slots.take(1);
+                served_tx.send(()).unwrap();
+            });
+            let timeout = |ms| std::time::Duration::from_millis(ms);
+            assert!(served.recv_timeout(timeout(200)).is_err(), "the slot is still held");
+            release.send(()).unwrap();
+            assert!(holder.join().is_err(), "the holder unwound");
+            served.recv_timeout(timeout(10_000)).expect("the freed slot serves the second request");
+        });
+    }
 
     #[test]
     fn a_connection_whose_handler_panics_frees_its_slot() {

@@ -372,6 +372,12 @@ impl SessionIds {
         Self { next: AtomicU64::new(next.unwrap_or(u64::MAX).max(1)) }
     }
 
+    /// The id the next [`allocate`](Self::allocate) hands out (`None`:
+    /// no id is left).
+    pub fn next_id(&self) -> Option<u64> {
+        Some(self.next.load(Ordering::Relaxed)).filter(|&next| next != u64::MAX)
+    }
+
     /// The next free id.
     pub fn allocate(&self) -> DbResult<u64> {
         self.next
@@ -484,6 +490,12 @@ impl SessionManager {
     /// Probes applied across all sessions.
     pub fn probes_applied(&self) -> u64 {
         self.counters.probes.load(Ordering::Relaxed)
+    }
+
+    /// The id the next unpinned `create_session` gets (`None`: no id is
+    /// left).  A recovered manager starts above every id its log names.
+    pub fn next_session_id(&self) -> Option<u64> {
+        self.ids.next_id()
     }
 
     /// Lock the session map for reading, recovering from poisoning.  The

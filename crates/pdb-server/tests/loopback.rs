@@ -128,7 +128,8 @@ fn exercise_session(addr: SocketAddr, worker: usize) {
 
 #[test]
 fn concurrent_sessions_match_direct_engine_calls() {
-    let (addr, handle) = boot(4);
+    // Two request slots for four workers: their requests take turns.
+    let (addr, handle) = boot(2);
 
     let workers: Vec<thread::JoinHandle<()>> =
         (0..4).map(|worker| thread::spawn(move || exercise_session(addr, worker))).collect();
@@ -160,7 +161,7 @@ fn raw_call(raw: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) 
 
 #[test]
 fn rebuild_mode_agrees_with_the_delta_path() {
-    let (addr, handle) = boot(2);
+    let (addr, handle) = boot(1);
     let mut client = Client::connect(addr).unwrap();
     let query = TopKQuery::PTk { k: 2, threshold: 0.4 };
     let session = client.create_session(DatasetSpec::Udb1, 1, 0.8).unwrap().session;
@@ -196,7 +197,7 @@ fn rebuild_mode_agrees_with_the_delta_path() {
 
 #[test]
 fn the_apply_probe_verb_still_answers_like_apply_mutation() {
-    let (addr, handle) = boot(2);
+    let (addr, handle) = boot(1);
     let mut client = Client::connect(addr).unwrap();
     let mk = |client: &mut Client| {
         let session = client.create_session(DatasetSpec::Udb1, 1, 0.8).unwrap().session;
@@ -291,9 +292,7 @@ fn errors_come_back_as_error_replies_not_disconnects() {
 
 #[test]
 fn a_deeply_nested_line_is_an_error_reply_and_the_session_keeps_serving() {
-    // Two connection slots: the typed client and the raw socket each
-    // hold one.
-    let (addr, handle) = boot(2);
+    let (addr, handle) = boot(1);
     let mut client = Client::connect(addr).unwrap();
     let session = client.create_session(DatasetSpec::Udb1, 1, 0.8).unwrap().session;
     client.register_query(session, TopKQuery::PTk { k: 2, threshold: 0.4 }, 1.0).unwrap();
@@ -318,8 +317,6 @@ fn a_deeply_nested_line_is_an_error_reply_and_the_session_keeps_serving() {
 
 #[test]
 fn a_line_reaching_the_cap_without_a_newline_gets_one_error_reply_then_eof() {
-    // One connection slot: the next connection is served only once the
-    // refused one has ended.
     let (addr, handle) = boot(1);
     let mut raw = TcpStream::connect(addr).unwrap();
     raw.set_read_timeout(Some(std::time::Duration::from_secs(60))).unwrap();
@@ -426,7 +423,7 @@ fn an_oversized_generated_dataset_is_an_error_reply() {
 
 #[test]
 fn shutdown_drains_even_with_an_idle_persistent_connection() {
-    let (addr, handle) = boot(2);
+    let (addr, handle) = boot(1);
 
     // A client that connects and then never sends anything: its thread is
     // parked in a blocking read when shutdown arrives.
@@ -443,4 +440,24 @@ fn shutdown_drains_even_with_an_idle_persistent_connection() {
         .expect("server drained despite the idle connection")
         .expect("clean shutdown");
     drop(idle);
+}
+
+#[test]
+fn an_idle_client_does_not_keep_a_one_thread_server_from_another_client() {
+    let (addr, handle) = boot(1);
+    // Served once and then idle: it keeps its connection, and no request
+    // slot.
+    let mut idle = Client::connect(addr).unwrap();
+    idle.stats().unwrap();
+
+    let other = TcpStream::connect(addr).unwrap();
+    other.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+    let mut reader = BufReader::new(other.try_clone().unwrap());
+    writeln!(&other, "\"stats\"").unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("stats within 5 s while another client sits idle");
+    assert!(reply.starts_with("{\"stats\":"), "{reply:?}");
+
+    idle.shutdown().unwrap();
+    handle.join().expect("server thread").expect("clean shutdown");
 }
