@@ -14,14 +14,15 @@
 //! retry), which for an absolute reweight is state-identical.
 //!
 //! A second test restarts a store-backed fleet and checks that it hands
-//! out no session id twice, a dropped session's included.
+//! out no session id twice, a dropped session's included; a third, that
+//! it restarts only with the shard count it was created with.
 
+mod common;
+
+use common::{Conn, Pdb, StoreDir};
 use pdb_quality::{BatchQuality, TopKQuery, WeightedQuery, XTupleMutation};
 use pdb_server::{Client, DatasetSpec};
-use std::io::BufRead;
-use std::os::unix::process::CommandExt;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const TOL: f64 = 1e-12;
 const SHARDS: usize = 3;
@@ -33,129 +34,34 @@ const THREADS_PER_SHARD: usize = 1;
 const SESSIONS: usize = 6;
 const ROUNDS: usize = 150;
 
-/// A `pdb fleet serve` process tree: the router child, which leads its
-/// own process group, plus the shard pids it announced.  Killed on drop.
-struct FleetProcess {
-    child: Child,
-    router_addr: String,
-    shard_pids: Vec<u32>,
-}
+/// How long the `shutdown` request may wait for its reply.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(20);
 
-impl FleetProcess {
-    fn spawn(store_dir: &str) -> Self {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_pdb"))
-            .args([
-                "fleet",
-                "serve",
-                "--addr",
-                "127.0.0.1:0",
-                "--shards",
-                &SHARDS.to_string(),
-                "--threads",
-                &THREADS_PER_SHARD.to_string(),
-                "--store-dir",
-                store_dir,
-                "--flush",
-                "group-commit",
-            ])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            // Every shard, a respawned one included, inherits the group.
-            .process_group(0)
-            .spawn()
-            .expect("spawn pdb fleet serve");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut reader = std::io::BufReader::new(stdout);
-        let mut shard_pids = vec![0u32; SHARDS];
-        let mut router_addr = None;
-        let mut line = String::new();
-        while router_addr.is_none() {
-            line.clear();
-            if reader.read_line(&mut line).expect("read fleet stdout") == 0 {
-                panic!("fleet exited before announcing readiness");
-            }
-            let words: Vec<&str> = line.split_whitespace().collect();
-            // "pdb-fleet shard <i> pid <pid> listening on <addr>"
-            if let ["pdb-fleet", "shard", index, "pid", pid, "listening", "on", _] = words[..] {
-                let index: usize = index.parse().expect("shard index");
-                shard_pids[index] = pid.parse().expect("shard pid");
-            }
-            // "pdb-fleet router listening on <addr> (<n> shards)"
-            if let ["pdb-fleet", "router", "listening", "on", addr, ..] = words[..] {
-                router_addr = Some(addr.to_string());
-            }
-        }
-        std::thread::spawn(move || {
-            let mut sink = String::new();
-            while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
-                sink.clear();
-            }
-        });
-        assert!(shard_pids.iter().all(|&p| p != 0), "every shard announced its pid");
-        Self { child, router_addr: router_addr.expect("router address parsed"), shard_pids }
-    }
-
-    /// SIGKILL one announced shard pid — no drain, mid-traffic.
-    fn sigkill_shard(&self, index: usize) {
-        let status = Command::new("kill")
-            .args(["-9", &self.shard_pids[index].to_string()])
-            .status()
-            .expect("run kill -9");
-        assert!(status.success(), "kill -9 shard {index}");
-    }
-}
-
-impl Drop for FleetProcess {
-    fn drop(&mut self) {
-        // A router that exited cleanly reaped its shards, and its group
-        // id may be reused.  Otherwise SIGKILL the whole group: the
-        // shard pids announced at start-up miss a respawned shard.
-        if !matches!(self.child.try_wait(), Ok(Some(status)) if status.success()) {
-            let group = format!("-{}", self.child.id());
-            let _ = Command::new("kill").args(["-9", "--", &group]).status();
-        }
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Removes a run's store directory when dropped, so a failing run leaves
-/// nothing behind.  Declared before the server processes, it drops after
-/// every one of them is killed, when nothing writes into the directory.
-struct StoreDirGuard(std::path::PathBuf);
-
-impl Drop for StoreDirGuard {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// A fresh store directory for one test run, removed when the guard
-/// drops.
-fn store_dir(run: &str) -> (StoreDirGuard, String) {
-    let dir = std::env::temp_dir()
-        .join("pdb-cli-fleet-kill-and-recover")
-        .join(format!("{run}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    let arg = dir.display().to_string();
-    (StoreDirGuard(dir), arg)
+/// Spawn a store-backed `pdb fleet serve` of `shards` shards.
+fn spawn_fleet(shards: usize, store: &StoreDir) -> Result<Pdb, String> {
+    let (shards, threads) = (shards.to_string(), THREADS_PER_SHARD.to_string());
+    Pdb::try_spawn(&[
+        "fleet",
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--shards",
+        &shards,
+        "--threads",
+        &threads,
+        "--store-dir",
+        &store.arg(),
+        "--flush",
+        "group-commit",
+    ])
 }
 
 /// Send `shutdown` through the router and wait for it to exit cleanly.
-fn shut_down(mut fleet: FleetProcess, client: &mut Client) {
-    // The reply comes first; the router then drains its connections and
-    // stops every shard, a respawned one included, before it exits.
-    client.shutdown().expect("graceful fleet shutdown");
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let status = loop {
-        if let Some(status) = fleet.child.try_wait().expect("poll the router") {
-            break status;
-        }
-        assert!(Instant::now() < deadline, "the router did not exit after shutdown");
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert!(status.success(), "the router exited with {status}");
+/// The reply comes first; the router then drains its connections and
+/// stops every shard, a respawned one included, before it exits.
+fn shut_down(fleet: Pdb) {
+    let mut conn = Conn::connect(&fleet.addr, REPLY_TIMEOUT);
+    fleet.shut_down(&mut conn);
 }
 
 fn assert_close(a: f64, b: f64, what: &str) {
@@ -204,10 +110,10 @@ fn apply_with_retry(
 
 #[test]
 fn fleet_survives_a_sigkilled_shard_with_zero_lost_mutations() {
-    let (_store_dir_guard, store_dir_arg) = store_dir("run");
+    let store = StoreDir::new("fleet-kill-and-recover");
 
-    let fleet = FleetProcess::spawn(&store_dir_arg);
-    let mut client = Client::connect(&fleet.router_addr).expect("connect to router");
+    let fleet = spawn_fleet(SHARDS, &store).unwrap();
+    let mut client = Client::connect(&fleet.addr).expect("connect to router");
 
     // ---- phase 1: six sessions spread over the ring ------------------
     let queries = [
@@ -264,7 +170,7 @@ fn fleet_survives_a_sigkilled_shard_with_zero_lost_mutations() {
         .iter()
         .zip(&programs)
         .map(|(&session, program)| {
-            let addr = fleet.router_addr.clone();
+            let addr = fleet.addr.clone();
             let program = program.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(&addr).expect("traffic client connects");
@@ -276,7 +182,7 @@ fn fleet_survives_a_sigkilled_shard_with_zero_lost_mutations() {
         .collect();
 
     std::thread::sleep(Duration::from_millis(30));
-    fleet.sigkill_shard(victim);
+    fleet.kill_shard(victim);
 
     for worker in workers {
         worker.join().expect("traffic thread");
@@ -291,7 +197,7 @@ fn fleet_survives_a_sigkilled_shard_with_zero_lost_mutations() {
     }
 
     // ---- phase 3: zero lost mutations across the whole fleet ---------
-    let mut client = Client::connect(&fleet.router_addr).expect("reconnect to router");
+    let mut client = Client::connect(&fleet.addr).expect("reconnect to router");
     let stats = client.stats().expect("merged stats");
     assert!(stats.durable, "every shard reports a durable store");
     assert_eq!(stats.shards, SHARDS);
@@ -313,27 +219,27 @@ fn fleet_survives_a_sigkilled_shard_with_zero_lost_mutations() {
         }
     }
 
-    shut_down(fleet, &mut client);
+    shut_down(fleet);
 }
 
 #[test]
 fn a_restarted_fleet_hands_out_no_session_id_twice() {
-    let (guard, store_dir_arg) = store_dir("restart");
-    let fleet = FleetProcess::spawn(&store_dir_arg);
-    let mut client = Client::connect(&fleet.router_addr).expect("connect to router");
+    let store = StoreDir::new("fleet-restart");
+    let fleet = spawn_fleet(SHARDS, &store).unwrap();
+    let mut client = Client::connect(&fleet.addr).expect("connect to router");
     for expected in [1, 2] {
         let created = client.create_session(DatasetSpec::Udb1, 1, 0.8).expect("create_session");
         assert_eq!(created.session, expected);
     }
     client.drop_session(2).expect("drop_session");
     assert_eq!(client.stats().expect("merged stats").next_session_id, Some(3));
-    shut_down(fleet, &mut client);
+    shut_down(fleet);
 
     // One past the largest id any shard's log names, the dropped
     // session's included.
     let past_named = (0..SHARDS)
         .map(|shard| {
-            let dir = guard.0.join(format!("shard-{shard}"));
+            let dir = store.0.join(format!("shard-{shard}"));
             let recovery = pdb_store::Store::peek(&dir, &pdb_gen::build_dataset).expect("peek");
             recovery.next_session_id.expect("an id is left")
         })
@@ -341,12 +247,44 @@ fn a_restarted_fleet_hands_out_no_session_id_twice() {
         .expect("a fleet has shards");
     assert_eq!(past_named, 3, "the log of the shard that owned session 2 still names it");
 
-    let fleet = FleetProcess::spawn(&store_dir_arg);
-    let mut client = Client::connect(&fleet.router_addr).expect("connect to the restarted router");
+    let fleet = spawn_fleet(SHARDS, &store).unwrap();
+    let mut client = Client::connect(&fleet.addr).expect("connect to the restarted router");
     let created = client.create_session(DatasetSpec::Udb1, 1, 0.8).expect("create_session");
     assert!(created.session >= past_named, "session {} was handed out before", created.session);
     let stats = client.stats().expect("merged stats");
     assert_eq!(stats.next_session_id, Some(created.session + 1), "the router's next id");
     assert_eq!(stats.sessions_live, 2, "sessions 1 and {} live", created.session);
-    shut_down(fleet, &mut client);
+    shut_down(fleet);
+}
+
+#[test]
+fn a_store_backed_fleet_restarts_only_with_its_own_shard_count() {
+    let store = StoreDir::new("fleet-shard-count");
+    let fleet = spawn_fleet(SHARDS, &store).unwrap();
+    let mut client = Client::connect(&fleet.addr).expect("connect to router");
+    for expected in 1..=SESSIONS as u64 {
+        let created = client.create_session(DatasetSpec::Udb1, 1, 0.8).expect("create_session");
+        assert_eq!(created.session, expected);
+    }
+    shut_down(fleet);
+
+    // Under another count the ring would send sessions to shards that
+    // never journalled them, so the restart is refused before any shard
+    // store is created or any shard spawned.
+    let held = || std::fs::read_dir(&store.0).unwrap().count();
+    for shards in [SHARDS - 1, SHARDS + 1] {
+        let Err(refusal) = spawn_fleet(shards, &store) else {
+            panic!("{SHARDS} shards' stores served a {shards}-shard fleet");
+        };
+        assert!(refusal.contains(&format!("holds {SHARDS} shard stores")), "{refusal}");
+        assert_eq!(held(), SHARDS, "{refusal}");
+    }
+
+    let fleet = spawn_fleet(SHARDS, &store).unwrap();
+    let mut client = Client::connect(&fleet.addr).expect("connect to the restarted router");
+    for session in 1..=SESSIONS as u64 {
+        let query = TopKQuery::PTk { k: 2, threshold: 0.4 };
+        client.register_query(session, query, 1.0).expect("every session is served");
+    }
+    shut_down(fleet);
 }

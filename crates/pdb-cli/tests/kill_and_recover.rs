@@ -11,74 +11,17 @@
 //! journalled base dataset — including the re-allocation of tuple ids for
 //! inserted x-tuples, which must come out byte-identical on replay.
 
+mod common;
+
+use common::{Pdb, StoreDir};
 use pdb_quality::{BatchQuality, TopKQuery, WeightedQuery, XTupleMutation};
 use pdb_server::{Client, DatasetSpec};
-use std::io::BufRead;
-use std::process::{Child, Command, Stdio};
 
 const TOL: f64 = 1e-12;
 
-/// A served `pdb serve` child process, killed on drop so a failing test
-/// never leaks a server.
-struct ServerProcess {
-    child: Child,
-    addr: String,
-}
-
-impl ServerProcess {
-    /// Spawn `pdb serve --store-dir <dir>` on an ephemeral port and wait
-    /// for its readiness line.
-    fn spawn(store_dir: &str) -> Self {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_pdb"))
-            .args(["serve", "--addr", "127.0.0.1:0", "--threads", "2", "--store-dir", store_dir])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .expect("spawn pdb serve");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut reader = std::io::BufReader::new(stdout);
-        let mut addr = None;
-        let mut line = String::new();
-        while addr.is_none() {
-            line.clear();
-            if reader.read_line(&mut line).expect("read server stdout") == 0 {
-                panic!("server exited before announcing readiness");
-            }
-            if let Some(rest) = line.trim().strip_prefix("pdb-server listening on ") {
-                addr = rest.split_whitespace().next().map(|a| a.to_string());
-            }
-        }
-        // Keep draining stdout so the server never blocks on a full pipe.
-        std::thread::spawn(move || {
-            let mut sink = String::new();
-            while matches!(reader.read_line(&mut sink), Ok(n) if n > 0) {
-                sink.clear();
-            }
-        });
-        Self { child, addr: addr.expect("address parsed") }
-    }
-
-    fn kill(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-impl Drop for ServerProcess {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
-/// Removes a run's store directory when dropped, so a failing run leaves
-/// nothing behind.  Declared before the server processes, it drops after
-/// every one of them is killed, when nothing writes into the directory.
-struct StoreDirGuard(std::path::PathBuf);
-
-impl Drop for StoreDirGuard {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
+/// Spawn `pdb serve --store-dir <dir>` on an ephemeral port.
+fn spawn_server(store: &StoreDir) -> Pdb {
+    Pdb::spawn(&["serve", "--addr", "127.0.0.1:0", "--threads", "2", "--store-dir", &store.arg()])
 }
 
 fn assert_close(a: f64, b: f64, what: &str) {
@@ -87,12 +30,7 @@ fn assert_close(a: f64, b: f64, what: &str) {
 
 #[test]
 fn killed_server_recovers_sessions_from_its_store() {
-    let store_dir = std::env::temp_dir()
-        .join("pdb-cli-kill-and-recover")
-        .join(format!("run-{}", std::process::id()));
-    std::fs::remove_dir_all(&store_dir).ok();
-    let _store_dir_guard = StoreDirGuard(store_dir.clone());
-    let store_dir_arg = store_dir.display().to_string();
+    let store = StoreDir::new("kill-and-recover");
 
     let spec = DatasetSpec::Synthetic { tuples: 400 };
     let queries = [
@@ -102,7 +40,7 @@ fn killed_server_recovers_sessions_from_its_store() {
     ];
 
     // ---- phase 1: scripted session against the first server ----------
-    let mut first = ServerProcess::spawn(&store_dir_arg);
+    let first = spawn_server(&store);
     let mut client = Client::connect(&first.addr).expect("connect to first server");
     let created = client.create_session(spec.clone(), 1, 0.8).expect("create_session");
     assert_eq!(created.tuples, 400);
@@ -144,11 +82,11 @@ fn killed_server_recovers_sessions_from_its_store() {
     assert_close(served.update.aggregate, direct.aggregate, "remove aggregate");
 
     // ---- phase 2: kill the process, no drain, mid-session ------------
-    first.kill();
+    drop(first); // SIGKILLs it: it has not exited cleanly
     drop(client);
 
     // ---- phase 3: restart on the same store and compare ---------------
-    let second = ServerProcess::spawn(&store_dir_arg);
+    let second = spawn_server(&store);
     let mut client = Client::connect(&second.addr).expect("connect to restarted server");
 
     let stats = client.stats().expect("stats");
@@ -181,7 +119,7 @@ fn killed_server_recovers_sessions_from_its_store() {
     let persisted = client.persist(created.session).expect("persist verb");
     assert!(persisted.snapshot.ends_with(".pdbs"), "{}", persisted.snapshot);
     assert_eq!(persisted.probes, 7);
-    assert!(store_dir.join(&persisted.snapshot).exists(), "snapshot file written");
+    assert!(store.0.join(&persisted.snapshot).exists(), "snapshot file written");
 
     client.shutdown().expect("graceful shutdown of the restarted server");
 }

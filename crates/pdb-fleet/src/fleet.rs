@@ -34,13 +34,14 @@ const SHUTDOWN_DEADLINE: Duration = Duration::from_secs(5);
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// The `pdb` binary to spawn shards with (the CLI passes its own
-    /// `current_exe`; tests pass `CARGO_BIN_EXE_pdb`).
+    /// `current_exe`).
     pub program: PathBuf,
     /// Shard processes to run.
     pub shards: usize,
-    /// Base store directory; shard `i` journals into `<dir>/shard-<i>`.
-    /// `None` runs shards in memory — a killed shard then loses its
-    /// sessions on respawn, so durability-sensitive fleets set this.
+    /// Base store directory; shard `i` journals into `<dir>/shard-<i>`,
+    /// and the directory holds no other `shard-<i>`.  `None` runs shards
+    /// in memory — a killed shard then loses its sessions on respawn, so
+    /// durability-sensitive fleets set this.
     pub store_dir: Option<PathBuf>,
     /// Further `pdb serve` flags, passed to every shard as given
     /// (`--threads`, `--compact-every`, `--flush*`).
@@ -58,6 +59,42 @@ impl FleetConfig {
         args.extend(self.shard_flags.iter().cloned());
         args
     }
+
+    /// Refuse a store directory that holds shard stores other than
+    /// exactly those of shards `0..shards` (under another count the ring
+    /// would route sessions to shards that never journalled them), then
+    /// create the missing ones, so that a first start cut short after its
+    /// first shard restarts with the same count.
+    fn prepare_store_dir(&self) -> std::io::Result<()> {
+        let Some(base) = &self.store_dir else { return Ok(()) };
+        let at = |err: std::io::Error| {
+            std::io::Error::new(err.kind(), format!("store directory {}: {err}", base.display()))
+        };
+        std::fs::create_dir_all(base).map_err(at)?;
+        let mut held = Vec::new();
+        for entry in std::fs::read_dir(base).map_err(at)? {
+            let name = entry.map_err(at)?.file_name().to_string_lossy().into_owned();
+            let index = name.strip_prefix("shard-").and_then(|index| index.parse::<usize>().ok());
+            held.extend(index.filter(|index| name == format!("shard-{index}")));
+        }
+        held.sort_unstable();
+        if !held.is_empty() && !held.iter().copied().eq(0..self.shards) {
+            let names: Vec<String> = held.iter().map(|index| format!("shard-{index}")).collect();
+            let message = format!(
+                "{} holds {} shard stores ({}), not those of a {}-shard fleet: a store-backed \
+                 fleet restarts with the shard count it was created with",
+                base.display(),
+                held.len(),
+                names.join(", "),
+                self.shards
+            );
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, message));
+        }
+        for index in 0..self.shards {
+            std::fs::create_dir_all(base.join(format!("shard-{index}"))).map_err(at)?;
+        }
+        Ok(())
+    }
 }
 
 /// One live (or recently dead) shard process.
@@ -65,11 +102,10 @@ impl FleetConfig {
 struct ShardHandle {
     child: Child,
     addr: SocketAddr,
-    /// Respawns this slot has seen (0 for the original process).
-    respawns: u64,
 }
 
-/// A snapshot of one shard's state for `fleet status` and tests.
+/// The process currently serving one shard, as `pdb fleet serve`
+/// announces it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardStatus {
     /// Shard index (also the ring identity).
@@ -78,8 +114,6 @@ pub struct ShardStatus {
     pub pid: u32,
     /// Address the shard bound.
     pub addr: SocketAddr,
-    /// Respawns this slot has seen.
-    pub respawns: u64,
 }
 
 /// A supervised set of shard processes.
@@ -91,7 +125,9 @@ pub struct Fleet {
 
 impl Fleet {
     /// Spawn every shard and wait for each to announce readiness.  Any
-    /// shard failing to come up kills the ones already running.
+    /// shard failing to come up kills the ones already running.  A store
+    /// directory that holds another count's shard stores is refused
+    /// before any shard is spawned.
     pub fn spawn(config: FleetConfig) -> std::io::Result<Self> {
         if config.shards == 0 {
             return Err(std::io::Error::new(
@@ -99,12 +135,11 @@ impl Fleet {
                 "a fleet needs at least 1 shard",
             ));
         }
+        config.prepare_store_dir()?;
         let mut shards = Vec::with_capacity(config.shards);
         for index in 0..config.shards {
             match spawn_shard(&config, index) {
-                Ok((child, addr)) => {
-                    shards.push(Mutex::new(ShardHandle { child, addr, respawns: 0 }))
-                }
+                Ok((child, addr)) => shards.push(Mutex::new(ShardHandle { child, addr })),
                 Err(err) => {
                     for handle in &shards {
                         kill_handle(&mut lock(handle));
@@ -126,19 +161,14 @@ impl Fleet {
         self.shards.is_empty()
     }
 
-    /// Every shard's current pid/address/respawn count, by index.
+    /// Every shard's current pid and address, by index.
     pub fn statuses(&self) -> Vec<ShardStatus> {
         self.shards
             .iter()
             .enumerate()
             .map(|(index, slot)| {
                 let handle = lock(slot);
-                ShardStatus {
-                    index,
-                    pid: handle.child.id(),
-                    addr: handle.addr,
-                    respawns: handle.respawns,
-                }
+                ShardStatus { index, pid: handle.child.id(), addr: handle.addr }
             })
             .collect()
     }
@@ -155,14 +185,7 @@ impl Fleet {
             Ok(Some(_)) | Err(_) => {
                 let (child, addr) = spawn_shard(&self.config, shard)?;
                 pdb_obs::metrics::FLEET_RESPAWNS_TOTAL.inc();
-                if addr != handle.addr {
-                    // The slot's address moved: every ring entry for this
-                    // shard now resolves somewhere new.
-                    pdb_obs::metrics::FLEET_RING_REMAPS_TOTAL.inc();
-                }
-                handle.child = child;
-                handle.addr = addr;
-                handle.respawns += 1;
+                *handle = ShardHandle { child, addr };
                 Ok(addr)
             }
         }
@@ -256,7 +279,7 @@ fn spawn_shard(config: &FleetConfig, index: usize) -> std::io::Result<(Child, So
     loop {
         line.clear();
         if reader.read_line(&mut line)? == 0 {
-            kill_handle(&mut ShardHandle { child, addr: ([127, 0, 0, 1], 0).into(), respawns: 0 });
+            kill_handle(&mut ShardHandle { child, addr: ([127, 0, 0, 1], 0).into() });
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 format!("shard {index} exited before announcing readiness"),
@@ -314,5 +337,68 @@ mod tests {
             in_memory.shard_args(0),
             ["serve", "--addr", "127.0.0.1:0", "--threads", "1", "--flush-batch", "8"]
         );
+    }
+
+    /// A temporary store directory, removed on drop.
+    struct TempDir(PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    #[test]
+    fn a_store_dir_restarts_only_with_the_shard_count_it_was_created_with() {
+        let dir = TempDir(
+            std::env::temp_dir().join(format!("pdb-fleet-store-dir-{}", std::process::id())),
+        );
+        std::fs::remove_dir_all(&dir.0).ok();
+        // No such program: every spawn that gets past the check fails.
+        let config = |shards| FleetConfig {
+            program: dir.0.join("no-such-pdb"),
+            shards,
+            store_dir: Some(dir.0.clone()),
+            shard_flags: Vec::new(),
+        };
+        let spawn = |shards| Fleet::spawn(config(shards)).unwrap_err();
+        let held = || {
+            let mut names: Vec<String> = std::fs::read_dir(&dir.0)
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+
+        // A first start cut short at its first shard leaves every
+        // shard's store, so it restarts with the same count.
+        assert_eq!(spawn(3).kind(), std::io::ErrorKind::NotFound);
+        assert_eq!(held(), ["shard-0", "shard-1", "shard-2"]);
+        assert_eq!(spawn(3).kind(), std::io::ErrorKind::NotFound);
+        for shards in [2, 4] {
+            let err = spawn(shards);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(
+                err.to_string().contains("holds 3 shard stores (shard-0, shard-1, shard-2)"),
+                "{err}"
+            );
+            assert_eq!(held(), ["shard-0", "shard-1", "shard-2"], "refused before any change");
+        }
+
+        // Any other file is not a shard store; a gap is refused.
+        std::fs::write(dir.0.join("shard-01"), b"").unwrap();
+        std::fs::remove_dir(dir.0.join("shard-1")).unwrap();
+        for shards in [2, 3] {
+            let err = spawn(shards);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains("holds 2 shard stores (shard-0, shard-2)"), "{err}");
+        }
+
+        // A store directory that cannot be one is named in the error.
+        let file = dir.0.join("shard-01");
+        let config = FleetConfig { store_dir: Some(file.clone()), ..config(1) };
+        let err = Fleet::spawn(config).unwrap_err();
+        assert!(err.to_string().contains(&format!("store directory {}", file.display())), "{err}");
     }
 }

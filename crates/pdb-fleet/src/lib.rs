@@ -6,8 +6,8 @@
 //! thin router, and nothing shared between shards but the wire protocol.
 //!
 //! * [`ring`] — a consistent-hash ring with virtual nodes over the
-//!   SplitMix64 mixer: adding or removing a shard remaps only ~`1/N` of
-//!   session ids;
+//!   SplitMix64 mixer, built once over the fleet's fixed shards, that
+//!   maps each session id to its owning shard;
 //! * [`fleet`] — the shard-process supervisor: spawns N `pdb serve`
 //!   processes (each with its own store directory and WAL, and the
 //!   `pdb serve` flags the fleet was given) and respawns a dead shard

@@ -1,35 +1,28 @@
 //! Consistent hashing over session ids.
 //!
-//! The in-process [`pdb_server::SessionManager`] hashes a session id
-//! straight to `hash % shards` — fine inside one process, where
-//! "resharding" never happens.  Across *processes* that scheme is fatal:
-//! growing a fleet from N to N+1 shards would remap almost every session
-//! to a different process.  A [`HashRing`] generalizes the same SplitMix64
-//! mixer to a ring with virtual nodes: each shard owns `replicas` points
-//! on a `u64` circle, and a key belongs to the first point clockwise of
-//! its own hash.  Adding or removing one shard then moves only the keys
-//! in the arcs that shard's points cover — about `1/N` of them — and the
-//! virtual nodes keep each shard's total arc length balanced.
+//! A fleet's shards are fixed for its life: `pdb fleet serve --shards N`
+//! runs shards `0..N`, and a store-backed fleet restarts with the N it
+//! was created with ([`crate::Fleet::spawn`] refuses another).  A
+//! [`HashRing`] over those shards is built once: each shard owns
+//! [`DEFAULT_REPLICAS`] points on a `u64` circle, placed by the
+//! SplitMix64 mixer, and a key belongs to the first point clockwise of
+//! its own hash.  The virtual nodes keep each shard's total arc length,
+//! and so its share of the sessions, balanced.
 //!
 //! The ring is deliberately dumb about *what* the shards are: it maps
 //! `u64` keys to `usize` shard indices and nothing else.  The router owns
 //! the index → address mapping.
 
-use std::collections::BTreeSet;
-
-/// Virtual nodes per shard when callers have no reason to pick a
-/// different trade-off (more points → tighter balance, larger ring).
+/// Virtual nodes per shard (more points → tighter balance, larger ring).
 pub const DEFAULT_REPLICAS: usize = 64;
 
 /// A consistent-hash ring mapping `u64` keys to shard indices.
 #[derive(Debug, Clone)]
 pub struct HashRing {
-    /// Ring points, sorted by point hash: `(point, shard)`.
+    /// Ring points, sorted: `(point, shard)`.
     points: Vec<(u64, usize)>,
-    /// Shards currently on the ring.
-    shards: BTreeSet<usize>,
-    /// Virtual nodes per shard.
-    replicas: usize,
+    /// The ring's shards are `0..shards`.
+    shards: usize,
 }
 
 /// SplitMix64, so the ring inherits its (well-studied) avalanche
@@ -49,40 +42,16 @@ fn point_of(shard: usize, replica: usize) -> u64 {
 }
 
 impl HashRing {
-    /// A ring over shards `0..shards` with `replicas` virtual nodes each
-    /// (`replicas` clamped to at least 1).
-    pub fn new(shards: usize, replicas: usize) -> Self {
-        let mut ring =
-            Self { points: Vec::new(), shards: BTreeSet::new(), replicas: replicas.max(1) };
-        for shard in 0..shards {
-            ring.add_shard(shard);
-        }
-        ring
-    }
-
     /// A ring over shards `0..shards` with [`DEFAULT_REPLICAS`] virtual
     /// nodes each.
     pub fn with_default_replicas(shards: usize) -> Self {
-        Self::new(shards, DEFAULT_REPLICAS)
-    }
-
-    /// Put `shard`'s virtual nodes on the ring (a no-op if present).
-    pub fn add_shard(&mut self, shard: usize) {
-        if !self.shards.insert(shard) {
-            return;
-        }
-        for replica in 0..self.replicas {
-            let point = (point_of(shard, replica), shard);
-            let at = self.points.partition_point(|p| *p < point);
-            self.points.insert(at, point);
-        }
-    }
-
-    /// Take `shard`'s virtual nodes off the ring (a no-op if absent).
-    pub fn remove_shard(&mut self, shard: usize) {
-        if self.shards.remove(&shard) {
-            self.points.retain(|&(_, s)| s != shard);
-        }
+        let mut points: Vec<(u64, usize)> = (0..shards)
+            .flat_map(|shard| {
+                (0..DEFAULT_REPLICAS).map(move |replica| (point_of(shard, replica), shard))
+            })
+            .collect();
+        points.sort_unstable();
+        Self { points, shards }
     }
 
     /// The shard owning `key`: the first ring point clockwise of the
@@ -98,19 +67,19 @@ impl HashRing {
         Some(shard)
     }
 
-    /// Shards currently on the ring, ascending.
-    pub fn shards(&self) -> impl Iterator<Item = usize> + '_ {
-        self.shards.iter().copied()
+    /// The ring's shards, ascending.
+    pub fn shards(&self) -> std::ops::Range<usize> {
+        0..self.shards
     }
 
     /// Number of shards on the ring.
     pub fn len(&self) -> usize {
-        self.shards.len()
+        self.shards
     }
 
     /// Whether the ring has no shards.
     pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
+        self.shards == 0
     }
 }
 
@@ -130,23 +99,33 @@ mod tests {
 
     #[test]
     fn empty_ring_routes_nowhere() {
-        let mut ring = HashRing::new(0, 8);
+        let ring = HashRing::with_default_replicas(0);
         assert!(ring.is_empty());
         assert_eq!(ring.shard_for(7), None);
-        ring.add_shard(2);
-        assert_eq!(ring.shard_for(7), Some(2), "a single shard owns everything");
-        ring.remove_shard(2);
-        assert_eq!(ring.shard_for(7), None);
+        let ring = HashRing::with_default_replicas(1);
+        assert_eq!(ring.shard_for(7), Some(0), "a single shard owns everything");
     }
 
+    /// The owners of sessions 1..=64 as every fleet so far has routed
+    /// them: a store-backed fleet finds each session only on the shard
+    /// that journalled it.
     #[test]
-    fn add_and_remove_round_trip_exactly() {
-        let reference = HashRing::new(5, 16);
-        let mut ring = HashRing::new(5, 16);
-        ring.remove_shard(3);
-        ring.add_shard(3);
-        assert_eq!(ring.points, reference.points, "re-adding rebuilds the identical ring");
-        ring.add_shard(3);
-        assert_eq!(ring.points.len(), 5 * 16, "double add is a no-op");
+    fn sessions_keep_their_owners() {
+        let owners = |shards| -> Vec<usize> {
+            let ring = HashRing::with_default_replicas(shards);
+            (1..=64).map(|id| ring.shard_for(id).unwrap()).collect()
+        };
+        let two = [
+            0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1,
+            0, 1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 1, 0, 0, 1, 0,
+            1, 1, 1, 0, 1, 1,
+        ];
+        let three = [
+            2, 2, 1, 0, 1, 1, 1, 2, 0, 0, 1, 0, 1, 2, 2, 2, 1, 1, 2, 2, 2, 2, 0, 0, 0, 1, 2, 2, 2,
+            0, 1, 0, 2, 1, 0, 0, 2, 0, 1, 1, 1, 1, 2, 2, 0, 2, 0, 2, 1, 2, 2, 0, 2, 2, 0, 2, 2, 0,
+            2, 2, 2, 0, 1, 1,
+        ];
+        assert_eq!(owners(2), two);
+        assert_eq!(owners(3), three);
     }
 }

@@ -250,9 +250,9 @@ impl RouterShared {
     }
 
     /// Broadcast `metrics` and merge every shard's snapshot with the
-    /// router's own series (forward latency, retries, respawns, ring
-    /// remaps).  The merge is associative and order-canonical, so the
-    /// result is identical no matter which shard replies first.
+    /// router's own series (forward latency, retries, respawns).  The
+    /// merge is associative and order-canonical, so the result is
+    /// identical no matter which shard replies first.
     fn merged_metrics(&self, conns: &mut ShardConns) -> Response {
         let mut merged = MetricsSnapshot::default();
         for shard in self.ring.shards() {

@@ -94,9 +94,6 @@ pub static FLEET_FORWARD_LATENCY_NS: HistogramVec =
 pub static FLEET_RETRIES_TOTAL: Counter = Counter::new();
 /// Dead shards the router had respawned.
 pub static FLEET_RESPAWNS_TOTAL: Counter = Counter::new();
-/// Observed shard address changes (ring slot remapped to a new
-/// process).
-pub static FLEET_RING_REMAPS_TOTAL: Counter = Counter::new();
 
 /// One registered metric: a canonical name bound to its series.
 #[derive(Debug)]
@@ -124,7 +121,7 @@ pub enum SeriesRef {
     HistogramVec(&'static HistogramVec),
 }
 
-static REGISTRY: [MetricDef; 17] = [
+static REGISTRY: [MetricDef; 16] = [
     MetricDef {
         name: names::SERVER_REQUESTS_TOTAL,
         help: "requests dispatched, by verb",
@@ -204,11 +201,6 @@ static REGISTRY: [MetricDef; 17] = [
         name: names::FLEET_RESPAWNS_TOTAL,
         help: "dead shard processes respawned",
         series: SeriesRef::Counter(&FLEET_RESPAWNS_TOTAL),
-    },
-    MetricDef {
-        name: names::FLEET_RING_REMAPS_TOTAL,
-        help: "shard address changes observed by the router",
-        series: SeriesRef::Counter(&FLEET_RING_REMAPS_TOTAL),
     },
 ];
 

@@ -59,9 +59,6 @@ pub const FLEET_RETRIES_TOTAL: &str = "fleet_retries_total";
 /// Dead shard processes the router asked the supervisor to respawn
 /// (counter).
 pub const FLEET_RESPAWNS_TOTAL: &str = "fleet_respawns_total";
-/// Shard address changes the router observed — each one remaps a ring
-/// slot to a new process (counter).
-pub const FLEET_RING_REMAPS_TOTAL: &str = "fleet_ring_remaps_total";
 
 /// Every canonical name, in registry order.
 pub const ALL: &[&str] = &[
@@ -81,5 +78,4 @@ pub const ALL: &[&str] = &[
     FLEET_FORWARD_LATENCY_NS,
     FLEET_RETRIES_TOTAL,
     FLEET_RESPAWNS_TOTAL,
-    FLEET_RING_REMAPS_TOTAL,
 ];
