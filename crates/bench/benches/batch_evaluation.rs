@@ -60,7 +60,9 @@ fn bench_collapse_repatch(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     let db = synthetic(TUPLES);
     let queries: Vec<TopKQuery> = query_set(10).into_iter().map(|s| s.query).collect();
-    // Probe a mid-ranking x-tuple: plenty of affected rows below it.
+    // Probe a mid-ranking x-tuple.  It lies below the tail cut (row ~2,000
+    // at k_max 200), so the delta pass runs no scan and the arm times the
+    // batch clone plus the database's own update.
     let l = db.tuple(db.len() / 2).x_index;
     let keep = db.x_tuple(l).members[0];
     let mutation = XTupleMutation::CollapseToAlternative { keep_pos: keep };

@@ -1,21 +1,26 @@
 //! Streaming membership mutations on a served batch: one incremental
 //! insert/remove patch of the shared ρ matrix re-serving every registered
 //! query vs rebuilding the whole batch evaluation (PSR + per-query
-//! answers) on the mutated database.  The insert patch shifts the ρ
-//! row-groups below the arrival and multiplies one binomial factor into
-//! every other row; the remove patch (the `q' = 0` collapse) rewrites
-//! the rows that carried the departing factor with one windowed PSR scan.  Same workload shape as `batch/collapse`,
-//! with the membership mutations on the new axis; the `bench-smoke` CI
-//! job runs this target in quick mode, emits `BENCH_streaming.json` (see
-//! `crates/bench/src/bin/bench_json.rs`) and asserts the delta patch
-//! beats the rebuild.
+//! answers) on the mutated database.  Same workload shape as
+//! `batch/collapse`, with the membership mutations on the new axis.  The
+//! mutated x-tuple sits at position 5,000 of 10⁴, below the tail cut
+//! (row ~2,000 at k_max 200), so the `delta` arms run no scan and time
+//! the batch clone plus the database's own update.
+//! `streaming/null_mass_k50` is the arm that scans: a run of null-mass
+//! reweights, inserts and removes inside the live prefix of a 3·10³-tuple
+//! database at k_max 50, each rewriting its rows with one windowed PSR
+//! scan.  The `bench-smoke` CI job runs this target in quick mode, emits
+//! `BENCH_streaming.json` (see `crates/bench/src/bin/bench_json.rs`) and
+//! asserts the delta patch beats the rebuild.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdb_bench::synthetic;
+use pdb_core::RankedDatabase;
 use pdb_engine::batch::BatchEvaluation;
 use pdb_engine::delta::XTupleMutation;
 use pdb_engine::queries::TopKQuery;
 use pdb_experiments::sharing_exp::batch_query_set as query_set;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -30,8 +35,8 @@ fn bench_insert(c: &mut Criterion) {
     let db = synthetic(TUPLES);
     let queries: Vec<TopKQuery> = query_set(QUERIES).into_iter().map(|s| s.query).collect();
     let batch = BatchEvaluation::new(&db, queries.clone()).unwrap();
-    // The arrival straddles the middle of the ranking: half the rows
-    // shift and rescale, half only rescale.
+    // The arrival straddles the middle of the ranking, below the tail
+    // cut: no stored row shifts or takes its factor.
     let mid = db.tuple(db.len() / 2).score;
     let alternatives = vec![(mid + 0.25, 0.25), (mid * 0.5, 0.1)];
     let l = db.num_x_tuples();
@@ -70,7 +75,8 @@ fn bench_remove(c: &mut Criterion) {
     let db = synthetic(TUPLES);
     let queries: Vec<TopKQuery> = query_set(QUERIES).into_iter().map(|s| s.query).collect();
     let batch = BatchEvaluation::new(&db, queries.clone()).unwrap();
-    // Remove a mid-ranking entity: plenty of affected rows below it.
+    // Remove a mid-ranking entity, below the tail cut: no stored row
+    // changes.
     let l = db.tuple(db.len() / 2).x_index;
     group.bench_with_input(BenchmarkId::new("delta", QUERIES), &l, |b, &l| {
         b.iter(|| {
@@ -92,5 +98,87 @@ fn bench_remove(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_insert, bench_remove);
+/// Mutations in the null-mass run.
+const RUN: usize = 24;
+
+/// The synthetic fixture at 3·10³ tuples (300 x-tuples × 10) with every
+/// x-tuple rescaled to a total mass drawn from [0.6, 0.99), the served
+/// `null_churn` database's shape: no x-tuple saturates and the tail cut
+/// ends the live prefix.
+fn null_mass_db(rng: &mut StdRng) -> RankedDatabase {
+    let db = synthetic(3_000);
+    let x_tuples: Vec<Vec<(f64, f64)>> = db
+        .x_tuples()
+        .map(|info| {
+            let scale = rng.gen_range(0.6..0.99) / info.total_mass;
+            info.members.iter().map(|&p| (db.tuple(p).score, db.tuple(p).prob * scale)).collect()
+        })
+        .collect();
+    RankedDatabase::from_scored_x_tuples(&x_tuples).expect("rescaled x-tuples stay valid")
+}
+
+/// A run of reweights, inserts and removes in turn, each aimed at a
+/// tuple drawn from the live prefix the run has reached, so that each
+/// rewrites rows with one windowed scan.
+fn null_mass_run(batch: &BatchEvaluation<'_>, rng: &mut StdRng) -> Vec<(usize, XTupleMutation)> {
+    let mut next = batch.clone();
+    (0..RUN)
+        .map(|i| {
+            let db = next.database();
+            let inside = db.tuple(rng.gen_range(0..next.master().live_rows()));
+            let (l, total) = (inside.x_index, rng.gen_range(0.6..0.99));
+            let (l, mutation) = match i % 3 {
+                0 => {
+                    let info = db.x_tuple(l);
+                    let scale = total / info.total_mass;
+                    let probs = info.members.iter().map(|&p| db.tuple(p).prob * scale).collect();
+                    (l, XTupleMutation::Reweight { probs })
+                }
+                1 => {
+                    let alternatives =
+                        (0..5).map(|_| (inside.score + rng.gen_range(-30.0..30.0), total / 5.0));
+                    let key = format!("arrival{i}");
+                    let arrival =
+                        XTupleMutation::Insert { key, alternatives: alternatives.collect() };
+                    (db.num_x_tuples(), arrival)
+                }
+                _ => (l, XTupleMutation::Remove),
+            };
+            let stats = next.apply_collapse_in_place(l, &mutation).unwrap();
+            assert_eq!(stats.windowed_scans, 1, "mutation {i} ({mutation:?}) ran no scan");
+            (l, mutation)
+        })
+        .collect()
+}
+
+fn bench_null_mass_run(c: &mut Criterion) {
+    let mut group = c.benchmark_group("streaming/null_mass_k50");
+    group.sample_size(10);
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(2));
+    let mut rng = StdRng::seed_from_u64(42);
+    let db = null_mass_db(&mut rng);
+    // servebench's three queries: U-kRanks k = 5, PT-k k = 15, Global-topk
+    // k = 50.
+    let queries = vec![
+        TopKQuery::UKRanks { k: 5 },
+        TopKQuery::PTk { k: 15, threshold: 0.1 },
+        TopKQuery::GlobalTopk { k: 50 },
+    ];
+    let batch = BatchEvaluation::new(&db, queries).unwrap();
+    let run = null_mass_run(&batch, &mut rng);
+    // Each iteration applies the whole run to a fresh clone.
+    group.bench_with_input(BenchmarkId::new("delta", RUN), &run, |b, run| {
+        b.iter(|| {
+            let mut next = batch.clone();
+            for (l, mutation) in run {
+                next.apply_collapse_in_place(black_box(*l), mutation).unwrap();
+            }
+            next
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_insert, bench_remove, bench_null_mass_run);
 criterion_main!(benches);

@@ -21,7 +21,8 @@ use std::fmt::Write as _;
 /// What a command prints, or why it failed.  Engine failures are
 /// [`DbError`]s; the commands that talk to a server fail with their
 /// connection's or the protocol's own text (`connecting to … failed: …`,
-/// `protocol error: …`), not as invalid parameters.
+/// `protocol error: …`), and those that bind, serve or write files with
+/// the I/O failure's (`binding … failed: …`), not as invalid parameters.
 type Output = Result<String, Box<dyn std::error::Error>>;
 
 /// Run a parsed command and return the text to print.
@@ -67,7 +68,7 @@ fn list() -> String {
     out
 }
 
-fn run_all(scale: Scale, csv_dir: Option<&str>) -> Result<String> {
+fn run_all(scale: Scale, csv_dir: Option<&str>) -> Output {
     let mut out = String::new();
     for id in ALL_EXPERIMENTS {
         let result = pdb_experiments::run(id, scale)?;
@@ -82,14 +83,12 @@ fn run_all(scale: Scale, csv_dir: Option<&str>) -> Result<String> {
     Ok(out)
 }
 
-fn write_csv(dir: &str, result: &ExperimentResult) -> Result<()> {
+fn write_csv(dir: &str, result: &ExperimentResult) -> Result<(), String> {
     let dir = std::path::Path::new(dir);
-    std::fs::create_dir_all(dir).map_err(|e| {
-        DbError::invalid_parameter(format!("creating {} failed: {e}", dir.display()))
-    })?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating {} failed: {e}", dir.display()))?;
     let path = dir.join(format!("{}.csv", result.id));
     std::fs::write(&path, result.to_csv())
-        .map_err(|e| DbError::invalid_parameter(format!("writing {} failed: {e}", path.display())))
+        .map_err(|e| format!("writing {} failed: {e}", path.display()))
 }
 
 fn load_dataset(choice: DatasetChoice) -> Result<RankedDatabase> {
@@ -236,12 +235,10 @@ fn clean(choice: DatasetChoice, k: usize, budget: u64, algo: &str, json: bool) -
 
 /// `pdb serve`: bind the cleaning service and block until a `shutdown`
 /// request drains it.
-fn serve(config: &pdb_server::ServerConfig) -> Result<String> {
+fn serve(config: &pdb_server::ServerConfig) -> Output {
     let server = pdb_server::Server::bind(config)
-        .map_err(|e| DbError::invalid_parameter(format!("binding {} failed: {e}", config.addr)))?;
-    let bound = server
-        .local_addr()
-        .map_err(|e| DbError::invalid_parameter(format!("resolving bound address failed: {e}")))?;
+        .map_err(|e| format!("binding {} failed: {e}", config.addr))?;
+    let bound = server.local_addr().map_err(|e| format!("resolving bound address failed: {e}"))?;
     if let Some(dir) = &config.store_dir {
         println!(
             "pdb-server recovered {} session(s) from {dir} (compact every {} records)",
@@ -252,7 +249,7 @@ fn serve(config: &pdb_server::ServerConfig) -> Result<String> {
     // Announce readiness before blocking: scripts (and a fleet spawning
     // this process as a shard) wait for this line.
     println!("{}{bound} ({} threads)", pdb_fleet::SHARD_READY_PREFIX, config.threads);
-    server.run().map_err(|e| DbError::invalid_parameter(format!("server failed: {e}")))?;
+    server.run().map_err(|e| format!("server failed: {e}"))?;
     Ok(format!("pdb-server on {bound} drained in-flight requests and shut down"))
 }
 
@@ -260,7 +257,7 @@ fn serve(config: &pdb_server::ServerConfig) -> Result<String> {
 fn fleet(op: FleetOp) -> Output {
     match op {
         FleetOp::Serve { addr, shards, store_dir, shard_flags } => {
-            Ok(fleet_serve(&addr, shards, store_dir, shard_flags)?)
+            fleet_serve(&addr, shards, store_dir, shard_flags)
         }
         FleetOp::Status { addr } => fleet_status(&addr),
     }
@@ -273,17 +270,17 @@ fn fleet_serve(
     shards: usize,
     store_dir: Option<String>,
     shard_flags: Vec<String>,
-) -> Result<String> {
-    let program = std::env::current_exe()
-        .map_err(|e| DbError::invalid_parameter(format!("resolving the pdb binary failed: {e}")))?;
+) -> Output {
+    let program =
+        std::env::current_exe().map_err(|e| format!("resolving the pdb binary failed: {e}"))?;
     let config = pdb_fleet::FleetConfig {
         program,
         shards,
         store_dir: store_dir.map(std::path::PathBuf::from),
         shard_flags,
     };
-    let fleet = pdb_fleet::Fleet::spawn(config)
-        .map_err(|e| DbError::invalid_parameter(format!("spawning the fleet failed: {e}")))?;
+    let fleet =
+        pdb_fleet::Fleet::spawn(config).map_err(|e| format!("spawning the fleet failed: {e}"))?;
     for status in fleet.statuses() {
         // One line per shard before the router line: scripts (and the
         // kill-and-recover test) parse these for pids and addresses.
@@ -293,14 +290,12 @@ fn fleet_serve(
         );
     }
     let router = pdb_fleet::Router::bind(addr, fleet)
-        .map_err(|e| DbError::invalid_parameter(format!("binding the router failed: {e}")))?;
-    let bound = router
-        .local_addr()
-        .map_err(|e| DbError::invalid_parameter(format!("resolving bound address failed: {e}")))?;
+        .map_err(|e| format!("binding the router failed: {e}"))?;
+    let bound = router.local_addr().map_err(|e| format!("resolving bound address failed: {e}"))?;
     // Announce readiness last, like `pdb serve`: once this line prints,
     // the whole fleet serves.
     println!("pdb-fleet router listening on {bound} ({shards} shards)");
-    router.run().map_err(|e| DbError::invalid_parameter(format!("router failed: {e}")))?;
+    router.run().map_err(|e| format!("router failed: {e}"))?;
     Ok(format!("pdb-fleet router on {bound} drained in-flight requests and shut down"))
 }
 
@@ -867,6 +862,32 @@ mod tests {
         // Port 0 takes no connection.
         let err = call("127.0.0.1:0", "\"stats\"", false).unwrap_err().to_string();
         assert!(err.starts_with("connecting to 127.0.0.1:0 failed: "), "{err}");
+    }
+
+    #[test]
+    fn serving_failures_print_their_own_text_not_invalid_parameter() {
+        // A port a listener already holds refuses a second bind.
+        let held = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = held.local_addr().unwrap().to_string();
+        let config = pdb_server::ServerConfig { addr: addr.clone(), ..Default::default() };
+        let err = serve(&config).unwrap_err().to_string();
+        assert!(
+            err.starts_with(&format!("binding {addr} failed: "))
+                && !err.contains("invalid parameter"),
+            "{err}"
+        );
+        // A store directory that is a file is refused before any shard
+        // is spawned, so no process starts.
+        let file = std::env::temp_dir().join(format!("pdb-cli-store-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let store_dir = Some(file.display().to_string());
+        let err = fleet_serve("127.0.0.1:0", 1, store_dir, Vec::new()).unwrap_err().to_string();
+        std::fs::remove_file(&file).unwrap();
+        assert!(
+            err.starts_with("spawning the fleet failed: store directory ")
+                && !err.contains("invalid parameter"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -35,23 +35,41 @@
 //!   rewritten too (see below).
 //!
 //! One PSR scan over the mutated database writes every rewritten row
-//! (`psr::scan_rows_into`): it runs from position 0 to the last rewritten
-//! row and stores only the rewritten ones, so each is bit-identical to
-//! the row a fresh [`rank_probabilities`](crate::psr::rank_probabilities)
-//! would store.  A copied row keeps a value the mutation did not change,
-//! so a chain of mutations accumulates no error: every stored row stays
-//! as close to the exact value as a fresh PSR run (up to the few ulps an
-//! arrival's multiply adds, below).
+//! (`psr::scan_rows_into`): it resumes at the deepest checkpoint the
+//! matrix stores at or above the first rewritten row (one every 64
+//! positions of the live prefix, see [`crate::psr`]), runs to the last
+//! rewritten row and stores only the rewritten ones, so each is
+//! bit-identical to the row a fresh
+//! [`rank_probabilities`](crate::psr::rank_probabilities) would store.  A
+//! copied row keeps a value the mutation did not change, so a chain of
+//! mutations accumulates no error: every stored row stays as close to the
+//! exact value as a fresh PSR run (up to the few ulps an arrival's
+//! multiply adds, below).
 //!
-//! A mutation costs one scan to its last rewritten row, O(last·k) plus
+//! A checkpoint holds the scan's running and frozen products at its
+//! position, which depend only on the tuples above it.  A mutation of `L`
+//! leaves every tuple above `L`'s first alternative in place with its
+//! mass (a removal renumbers the later x-tuples but moves no mass and no
+//! tuple above it), so the checkpoints at or above that position stay
+//! exact.  Every mutation drops the ones past it (past an arrival's first
+//! post-insert position) before it writes a row; the scan re-records each
+//! one it passes, and those at or past the new cut leave with the rows.
+//! The stored checkpoints are therefore always a prefix of those a fresh
+//! run over the mutated database records.
+//!
+//! A mutation costs one scan from the checkpoint above its first rewritten
+//! row to its last: O(start + m) to replay the bookkeeping above the
+//! checkpoint with no polynomial work, then O((last − start)·k) plus
 //! O(|in-flight|·k) per step or row the scan re-forms, and O(k) per
 //! rewritten or moved row; a mutation whose x-tuple lies wholly past the
-//! cut costs no row work at all.  The scan starts at position 0 however far
-//! down the first changed row sits, so a mutation that changes a few rows
-//! deep in the prefix pays for every position above them, where dividing
-//! the old factor out of each row and multiplying the new one in would
-//! cost O(k) per row.  That patch is not used because its rounding error
-//! compounds along a chain of mutations.
+//! cut costs no row work at all.  A mutation deep in the prefix thus pays
+//! polynomial work only from the deepest stored checkpoint above its first
+//! changed row (at most 63 positions above it when the checkpoints reach
+//! that far; a scan re-records only those it passes), not for the whole
+//! prefix above it.  Dividing the old factor out of each
+//! changed row and multiplying the new one in would cost O(k) per row, but
+//! that patch is not used because its rounding error compounds along a
+//! chain of mutations.
 //!
 //! The same cases cover **streaming membership**
 //! ([`XTupleMutation::Insert`] / [`XTupleMutation::Remove`]).  Removing
@@ -99,7 +117,7 @@
 //! rewritten row or the rows a lowered cut makes live.
 
 use crate::poly;
-use crate::psr::{self, MassFold, RankProbabilities};
+use crate::psr::{self, MassFold, RankProbabilities, Scan};
 use pdb_core::{DbError, RankedDatabase, Result};
 use serde::{Deserialize, Serialize};
 
@@ -224,6 +242,17 @@ pub fn apply_mutation_in_place(
     l: usize,
     mutation: &XTupleMutation,
 ) -> Result<DeltaStats> {
+    mutate_in_place(db, rp, l, mutation).map(|(stats, _)| stats)
+}
+
+/// [`apply_mutation_in_place`], also returning where its windowed scan
+/// ran (`None` when it ran none).
+fn mutate_in_place(
+    db: &mut RankedDatabase,
+    rp: &mut RankProbabilities,
+    l: usize,
+    mutation: &XTupleMutation,
+) -> Result<(DeltaStats, Option<Scan>)> {
     pdb_obs::metrics::ENGINE_DELTA_PATCHES_TOTAL.inc();
     if rp.num_tuples() != db.len() {
         return Err(DbError::invalid_parameter(format!(
@@ -291,6 +320,9 @@ pub fn apply_mutation_in_place(
 
     let new_n = db.len();
     let first = members[0];
+    // Nothing above `first` changed, so neither did the scan's state at
+    // or above it.
+    rp.drop_checkpoints_past(first);
     let mut stats = DeltaStats {
         rows_dropped: kept.iter().filter(|&&kept| !kept).count(),
         ..DeltaStats::default()
@@ -302,7 +334,7 @@ pub fn apply_mutation_in_place(
         rp.reshape(new_n, old_live);
         stats.rows_copied = new_n;
         pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(old_live as u64);
-        return Ok(stats);
+        return Ok((stats, None));
     }
 
     // The scan's masses above each post-mutation position, for Lemma 2's
@@ -389,22 +421,24 @@ pub fn apply_mutation_in_place(
     let (grow_from, end) =
         if extend { (start, new_n) } else { (bound, rewritten.last().map_or(0, |&p| p + 1)) };
     rp.reshape(new_n, grow_from);
-    let cut = rewrite_rows(db, rp, &mut stats, &rewritten, grow_from, end)?.unwrap_or(bound);
+    let scan = rewrite_rows(db, rp, &mut stats, &rewritten, grow_from, end)?;
+    let cut = scan.filter(|scan| scan.stop < end).map_or(bound, |scan| scan.stop);
     rp.reshape(new_n, cut);
     stats.rows_copied = new_n - stats.rows_rebuilt;
     pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(cut as u64);
-    Ok(stats)
+    Ok((stats, scan))
 }
 
 /// Rewrite, with one PSR scan over the mutated database ending at `end`,
 /// the rows at `rows` (post-mutation positions, ascending, zeroed) and
 /// every row from `grow_from` on, which the scan appends as it reaches
-/// them: O(stop·k) plus O(|in-flight|·k) per step or row it re-forms.
-/// The rows leave bit-identical to a fresh
+/// them.  The scan resumes at the deepest checkpoint above the first of
+/// them: O(start + m) to rebuild its bookkeeping there, then
+/// O((stop − start)·k) plus O(|in-flight|·k) per step or row it
+/// re-forms.  The rows leave bit-identical to a fresh
 /// [`rank_probabilities`](crate::psr::rank_probabilities) run's.  The scan
-/// stops at the cut if it falls on a row it writes; returns that
-/// position, or `None` when the scan ran to `end` (no scan when `end` is
-/// 0).
+/// stops at the cut if it falls on a row it writes (`stop < end`).
+/// Returns where it ran, or `None` when `end` is 0 and no scan ran.
 fn rewrite_rows(
     db: &RankedDatabase,
     rp: &mut RankProbabilities,
@@ -412,23 +446,22 @@ fn rewrite_rows(
     rows: &[usize],
     grow_from: usize,
     end: usize,
-) -> Result<Option<usize>> {
+) -> Result<Option<Scan>> {
     if end == 0 {
         return Ok(None);
     }
-    let k = rp.k();
     let mut want = vec![false; rows.last().map_or(0, |&p| p + 1)];
     for &p in rows {
         want[p] = true;
     }
-    let (rho, top_k) = rp.parts_mut();
+    let from = rows.first().map_or(grow_from, |&p| p.min(grow_from));
     let wanted = |pos: usize| pos >= grow_from || want.get(pos).copied().unwrap_or(false);
-    let stop = psr::scan_rows_into(db, k, end, wanted, rho, top_k)?;
-    let rebuilt = rows.partition_point(|&p| p < stop) + stop.saturating_sub(grow_from);
+    let scan = psr::scan_rows_into(db, rp, from, end, wanted)?;
+    let rebuilt = rows.partition_point(|&p| p < scan.stop) + scan.stop.saturating_sub(grow_from);
     stats.rows_rebuilt += rebuilt;
     stats.windowed_scans += 1;
     pdb_obs::metrics::ENGINE_REBUILT_ROWS_TOTAL.add(rebuilt as u64);
-    Ok((stop < end).then_some(stop))
+    Ok(Some(scan))
 }
 
 /// The [`XTupleMutation::Insert`] patch: append a brand-new x-tuple and
@@ -451,7 +484,7 @@ fn insert_in_place(
     l: usize,
     key: &str,
     alternatives: &[(f64, f64)],
-) -> Result<DeltaStats> {
+) -> Result<(DeltaStats, Option<Scan>)> {
     if l != db.num_x_tuples() {
         return Err(DbError::invalid_parameter(format!(
             "inserts are append-only: target x-index {l} must equal the x-tuple count {}",
@@ -467,13 +500,15 @@ fn insert_in_place(
     // ascending.
     let members = db.x_tuple(l).members.clone();
     let first = members[0];
+    // Every tuple above the arrival's first position kept its place.
+    rp.drop_checkpoints_past(first);
     let mut stats = DeltaStats::default();
     if old_live < old_n && first > old_live {
         // Wholly past the cut: nothing above the cut's tuple moved.
         rp.reshape(new_n, old_live);
         stats.rows_copied = new_n;
         pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(old_live as u64);
-        return Ok(stats);
+        return Ok((stats, None));
     }
     // Arrival `j` has `members[j] - j` old tuples above it, a count that
     // never falls with `j`.  `start` is the first post-insert position
@@ -561,17 +596,20 @@ fn insert_in_place(
 
     let own = &members[..members.partition_point(|&p| p < bound)];
     let end = own.last().map_or(0, |&p| p + 1);
-    let cut = rewrite_rows(db, rp, &mut stats, own, bound, end)?.unwrap_or(bound);
+    let scan = rewrite_rows(db, rp, &mut stats, own, bound, end)?;
+    let cut = scan.filter(|scan| scan.stop < end).map_or(bound, |scan| scan.stop);
     rp.reshape(new_n, cut);
     stats.rows_copied = new_n - stats.rows_rebuilt - stats.rows_swapped;
     pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(cut as u64);
-    Ok(stats)
+    Ok((stats, scan))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::psr::{rank_probabilities, rank_probabilities_exact};
+    use crate::psr::{rank_probabilities, rank_probabilities_exact, PSR_CHECKPOINT_ROWS};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn mutations_and_delta_stats_round_trip_through_json() {
@@ -834,5 +872,171 @@ mod tests {
         let mut rp_other = rank_probabilities(&other, 2).unwrap();
         let null = XTupleMutation::CollapseToNull;
         assert!(apply_mutation_in_place(&mut db2, &mut rp_other, 0, &null).is_err());
+    }
+
+    /// Every stored checkpoint is, bit for bit, the one a fresh PSR run
+    /// on `db` records at that position, and no more are stored than that
+    /// run stores.
+    fn assert_checkpoints_match_a_fresh_run(
+        db: &RankedDatabase,
+        rp: &RankProbabilities,
+        context: &str,
+    ) {
+        let fresh = rank_probabilities(db, rp.k()).unwrap();
+        let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (stored, want) = (bits(rp.checkpoints()), bits(fresh.checkpoints()));
+        assert!(
+            stored.len() <= want.len(),
+            "{context}: {} checkpoints stored, a fresh run stores {}",
+            rp.checkpoints_stored(),
+            fresh.checkpoints_stored()
+        );
+        assert_eq!(stored, want[..stored.len()], "{context}: checkpoints vs a fresh run");
+    }
+
+    /// 200 x-tuples of four alternatives each, in narrow bands one after
+    /// the other, every one of total mass 0.6: at k = 8 the live prefix
+    /// holds several checkpoints.
+    fn long_null_mass_chain() -> RankedDatabase {
+        let x: Vec<Vec<(f64, f64)>> = (0..200)
+            .map(|i| (0..4).map(|j| (1000.0 - 4.0 * i as f64 - 0.9 * j as f64, 0.15)).collect())
+            .collect();
+        RankedDatabase::from_scored_x_tuples(&x).unwrap()
+    }
+
+    #[test]
+    fn a_mutation_deep_in_the_prefix_resumes_its_scan_at_the_checkpoint_above_it() {
+        let k = 8;
+        let (db, rp) = evaluated(long_null_mass_chain(), k);
+        let live = rp.live_rows();
+        assert!(rp.checkpoints_stored() >= 3, "{live} live rows");
+        let l = db.tuple(live * 3 / 4).x_index;
+        let members = db.x_tuple(l).members.clone();
+        let first = members[0];
+        let resume_at = first / PSR_CHECKPOINT_ROWS * PSR_CHECKPOINT_ROWS;
+        assert!(resume_at >= 2 * PSR_CHECKPOINT_ROWS, "x-tuple {l} starts at {first}");
+        // An arrival whose first alternative lands at `first`, just above
+        // x-tuple l, and whose second lands some 30 rows further down.
+        let score = db.tuple(first).score;
+        let arrival = XTupleMutation::Insert {
+            key: "deep".into(),
+            alternatives: vec![(score + 0.05, 0.3), (score - 30.0, 0.3)],
+        };
+        for (target, mutation) in [
+            (l, XTupleMutation::Reweight { probs: vec![0.05; 4] }),
+            (l, XTupleMutation::CollapseToAlternative { keep_pos: members[1] }),
+            (l, XTupleMutation::CollapseToNull),
+            (l, XTupleMutation::Remove),
+            (db.num_x_tuples(), arrival),
+        ] {
+            let (mut db, mut rp) = (db.clone(), rp.clone());
+            let (stats, scan) = mutate_in_place(&mut db, &mut rp, target, &mutation).unwrap();
+            let scan = scan.unwrap_or_else(|| panic!("{mutation:?} ran no scan: {stats:?}"));
+            assert_eq!(scan.start, resume_at, "{mutation:?}: where the scan resumed");
+            assert!(stats.rows_rebuilt > 0, "{mutation:?}: {stats:?}");
+            // Every row the scan writes is a fresh run's row; so is every
+            // other one here, except the rows an arrival multiplies.
+            let fresh = rank_probabilities(&db, k).unwrap();
+            let bits = |row: &[f64]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let insert = matches!(mutation, XTupleMutation::Insert { .. });
+            for pos in 0..db.len() {
+                if insert && pos >= first && db.tuple(pos).x_index != target {
+                    continue;
+                }
+                let (got, want) = (rp.rank_probs(pos), fresh.rank_probs(pos));
+                assert_eq!(bits(&got), bits(&want), "{mutation:?}: row {pos}");
+            }
+            assert_eq!(rp.live_rows(), fresh.live_rows(), "{mutation:?}");
+            assert_checkpoints_match_a_fresh_run(&db, &rp, &format!("{mutation:?}"));
+        }
+    }
+
+    /// 50–80 x-tuples of 5–10 alternatives from one of three families:
+    /// complete with scores spread over one 0–100 range (the scan ends at
+    /// Lemma 2's cut), or total mass in [0.55, 0.999] with each x-tuple's
+    /// scores inside one 6-point band (clustered) or spread.  At k = 3–6
+    /// the live prefix spans at least three checkpoints.
+    fn checkpointed_db() -> impl Strategy<Value = RankedDatabase> {
+        let x_tuple = (0.0f64..100.0, vec((0.0f64..100.0, 0.05f64..1.0), 5..11), 0.55f64..0.999);
+        (0usize..3, vec(x_tuple, 50..81)).prop_map(|(family, x)| {
+            let x: Vec<Vec<(f64, f64)>> = x
+                .into_iter()
+                .map(|(centre, alts, mass)| {
+                    let total: f64 = alts.iter().map(|(_, w)| w).sum();
+                    let mass = if family == 0 { 1.0 } else { mass };
+                    let score = |s: f64| if family == 1 { centre + s * 0.06 } else { s };
+                    alts.into_iter().map(|(s, w)| (score(s), w / total * mass)).collect()
+                })
+                .collect();
+            RankedDatabase::from_scored_x_tuples(&x).unwrap()
+        })
+    }
+
+    /// A mutation of any of the five kinds for `db`, or `None` when the
+    /// drawn kind has no valid target.  An arrival lands next to a random
+    /// tuple, so it is often inside the live prefix.
+    fn any_mutation(
+        db: &RankedDatabase,
+        step: usize,
+        (kind, x_sel, alt_sel, u): (usize, usize, usize, f64),
+    ) -> Option<(usize, XTupleMutation)> {
+        let m = db.num_x_tuples();
+        let l = x_sel % m;
+        let info = db.x_tuple(l);
+        match kind {
+            0 => {
+                let keep_pos = info.members[alt_sel % info.members.len()];
+                Some((l, XTupleMutation::CollapseToAlternative { keep_pos }))
+            }
+            1 if m > 1 && info.null_prob() > 1e-9 => Some((l, XTupleMutation::CollapseToNull)),
+            2 => {
+                let scale = (0.3 + 0.69 * u) / info.total_mass;
+                let probs = info.members.iter().map(|&p| db.tuple(p).prob * scale).collect();
+                Some((l, XTupleMutation::Reweight { probs }))
+            }
+            3 => {
+                let count = 1 + alt_sel % 5;
+                let score = db.tuple(x_sel % db.len()).score;
+                let prob = (0.55 + 0.44 * u) / count as f64;
+                let alternatives = (0..count).map(|i| (score - i as f64 * 5.0, prob)).collect();
+                Some((m, XTupleMutation::Insert { key: format!("a{step}"), alternatives }))
+            }
+            4 if m > 1 => Some((l, XTupleMutation::Remove)),
+            _ => None,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// After every step of a random sequence of all five mutation
+        /// kinds, the stored checkpoints are a fresh run's and the rows,
+        /// written by scans that resumed from them, match a fresh run.
+        #[test]
+        fn stored_checkpoints_stay_a_fresh_runs_across_mutations(
+            db in checkpointed_db(),
+            k in 3usize..7,
+            steps in vec((0usize..5, any::<usize>(), any::<usize>(), 0.0f64..1.0), 1..9),
+        ) {
+            let (mut db, mut rp) = evaluated(db, k);
+            prop_assert!(rp.checkpoints_stored() >= 3, "{} live rows", rp.live_rows());
+            for (i, &step) in steps.iter().enumerate() {
+                let Some((l, mutation)) = any_mutation(&db, i, step) else { continue };
+                apply_mutation_in_place(&mut db, &mut rp, l, &mutation).unwrap();
+                let context = format!("step {i} ({mutation:?})");
+                assert_checkpoints_match_a_fresh_run(&db, &rp, &context);
+                let fresh = rank_probabilities(&db, k).unwrap();
+                prop_assert_eq!(rp.live_rows(), fresh.live_rows(), "{}", context);
+                for pos in 0..rp.live_rows() {
+                    for h in 1..=k {
+                        let (got, want) = (rp.rank_prob(pos, h), fresh.rank_prob(pos, h));
+                        prop_assert!(
+                            (got - want).abs() <= 1e-12,
+                            "{context}: pos {pos} h {h}: {got} vs fresh {want}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

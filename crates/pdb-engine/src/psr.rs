@@ -61,6 +61,15 @@
 //!   Complete x-tuples saturate when their last alternative is passed, so
 //!   on complete data nothing freezes.
 //!
+//! Every scan also records a **checkpoint** every 64 positions
+//! (`PSR_CHECKPOINT_ROWS`) of the live prefix: the running and the frozen
+//! product it holds there (2·k floats).  The rest of its state (the masses, the
+//! saturated count, the unpassed alternatives and the in-flight list) is
+//! bookkeeping with no polynomial work, so a windowed scan (see
+//! [`crate::delta`]) rebuilds it in one O(position + m) pass and resumes
+//! at the deepest checkpoint above the first row it must write, instead
+//! of at position 0.
+//!
 //! [`rank_probabilities_exact`] is a slower O(n·m·k) reference
 //! implementation that rebuilds the product for every tuple; it exists as a
 //! correctness oracle for tests and to quantify the incremental version's
@@ -68,7 +77,6 @@
 
 use crate::poly::{clamp_non_negative_in, divide_binomial_in, multiply_binomial_in};
 use pdb_core::{DbError, RankedDatabase, RankedTuple, Result};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// Higher-ranked mass at or above this value is treated as certain
@@ -105,6 +113,12 @@ pub const TAIL_EPSILON: f64 = 1e-18;
 /// ([`crate::delta`]) never divides a factor out of a stored ρ row; it
 /// rewrites every changed row with this scan.
 pub const MAX_DIVISOR_Q: f64 = 0.5;
+
+/// A scan records its running and frozen products at every positive
+/// multiple of this many positions inside the live prefix
+/// ([`RankProbabilities`] stores them).  A checkpoint is 2·k floats per
+/// 64 stored rows of `k` floats: 1/32 of the matrix.
+pub(crate) const PSR_CHECKPOINT_ROWS: usize = 64;
 
 /// Read access to rank-probability information for a fixed `k`.
 ///
@@ -161,7 +175,13 @@ pub trait RankAccess {
 /// `n` tuples.  Equality is logical: two matrices are equal when their
 /// stored rows plus implicit zero rows agree, whatever prefix each
 /// stores.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// A PSR run also stores the scan's checkpoints inside the live prefix
+/// (see the module docs), so that the delta pass ([`crate::delta`]) can
+/// resume a windowed scan part-way down.  They are the state a fresh
+/// run over the covered database records: only the PSR scan writes them,
+/// and every mutation drops those it invalidates.  Equality ignores them.
+#[derive(Debug, Clone)]
 pub struct RankProbabilities {
     k: usize,
     /// Number of tuples covered; rows `live..n` are implicit zeros.
@@ -170,6 +190,12 @@ pub struct RankProbabilities {
     rho: Vec<f64>,
     /// Per-tuple top-k probability pᵢ = Σ_h ρᵢ(h) of the live prefix.
     top_k: Vec<f64>,
+    /// Checkpoint `j` (2·k floats: the running product, then the frozen
+    /// product) is the scan's state at position
+    /// `(j + 1) · PSR_CHECKPOINT_ROWS`, after it advanced past every
+    /// tuple above.  The stored ones are a prefix of those positions, all
+    /// inside the live prefix.
+    checkpoints: Vec<f64>,
 }
 
 impl RankProbabilities {
@@ -179,7 +205,7 @@ impl RankProbabilities {
         assert!(k > 0 && rho.len().is_multiple_of(k));
         let top_k: Vec<f64> = rho.chunks_exact(k).map(|row| row.iter().sum()).collect();
         assert!(top_k.len() <= n, "{} stored rows for {n} tuples", top_k.len());
-        Self { k, n, rho, top_k }
+        Self { k, n, rho, top_k, checkpoints: Vec::new() }
     }
 
     /// The `k` this structure was computed for.
@@ -266,12 +292,37 @@ impl RankProbabilities {
 
     /// Cover `n` tuples and store a live prefix of `live` rows: rows
     /// beyond the current prefix arrive zeroed, rows past `live` are
-    /// dropped.
+    /// dropped, and so are the checkpoints at or past `live`.
     pub(crate) fn reshape(&mut self, n: usize, live: usize) {
         debug_assert!(live <= n, "live prefix {live} longer than {n} tuples");
         self.n = n;
         self.rho.resize(live * self.k, 0.0);
         self.top_k.resize(live, 0.0);
+        self.drop_checkpoints_past(live.saturating_sub(1));
+    }
+
+    /// Drop every checkpoint at a position past `pos`.  A mutation of the
+    /// tuples from `pos` on leaves the scan's state at `pos` and above as
+    /// it was, so the delta pass calls this with the mutated x-tuple's
+    /// first position before it writes a row.
+    pub(crate) fn drop_checkpoints_past(&mut self, pos: usize) {
+        let mut kept = self.checkpoints_stored();
+        while kept * PSR_CHECKPOINT_ROWS > pos {
+            kept -= 1;
+        }
+        self.checkpoints.truncate(kept * 2 * self.k);
+    }
+
+    /// Number of stored checkpoints: they sit at positions
+    /// `PSR_CHECKPOINT_ROWS`, `2 · PSR_CHECKPOINT_ROWS`, … in turn.
+    pub(crate) fn checkpoints_stored(&self) -> usize {
+        self.checkpoints.chunks_exact(2 * self.k).len()
+    }
+
+    /// The stored checkpoints, 2·k floats each (see the field docs).
+    #[cfg(test)]
+    pub(crate) fn checkpoints(&self) -> &[f64] {
+        &self.checkpoints
     }
 
     /// The rank probabilities for a *smaller* `k`, extracted from this
@@ -327,13 +378,13 @@ impl RankProbabilities {
             rho.extend_from_slice(row);
             top_k.push(p);
         }
-        Ok(RankProbabilities { k, n: self.n, rho, top_k })
+        Ok(RankProbabilities { k, n: self.n, rho, top_k, checkpoints: Vec::new() })
     }
 }
 
 impl PartialEq for RankProbabilities {
     /// Logical equality: the stored rows plus the implicit zero rows past
-    /// each live prefix.
+    /// each live prefix.  The checkpoints are not compared.
     fn eq(&self, other: &Self) -> bool {
         if self.k != other.k || self.n != other.n {
             return false;
@@ -474,76 +525,74 @@ pub(crate) fn lemma2_cut(db: &RankedDatabase, k: usize) -> usize {
     db.len()
 }
 
-/// One incremental PSR scan, writing each wanted tuple's ρ row and top-k
-/// probability straight into `rho` (row-major, one `k`-entry row per
-/// position) and `top_k`.
-///
-/// Maintains the running generating-function product: advancing past a
-/// tuple is one divide + one multiply, or an O(|in-flight|·k) re-form when
-/// the divisor is ill-conditioned (see the module docs).  The working
-/// state beyond `rho` itself is O(m + k).  Only the entries PSR makes
-/// non-zero are written: a row below `s` saturated x-tuples gets entries
-/// `s..k`, and the rows of saturated tuples are skipped.  Callers
-/// therefore pass the wanted rows zeroed; a position past the end of the
-/// vectors arrives as a zero row appended there (growing inside any
-/// capacity the caller reserved).
-///
-/// The scan covers positions `0..end` and stops early at the tail cut:
-/// at the first position with `k` saturated x-tuples above it (Lemma 2),
-/// or at the first row it writes whose T is at most [`TAIL_EPSILON`],
-/// read off the row in O(1) ([`MassFold::cuts_row`]).  It returns where
-/// it stopped, `end` when it did not.  A row is only written for
-/// positions accepted by `want`; the running product is still advanced
-/// through every position, so accepted rows are computed with exactly the
-/// state the unrestricted scan would use — results are bit-for-bit
-/// identical to the corresponding rows of [`rank_probabilities`].  The
-/// incremental re-evaluation engine ([`crate::delta`]) relies on this to
-/// rewrite only the rows a mutation changes, up to the last of them or
-/// to the cut.
-pub(crate) fn scan_rows_into(
-    db: &RankedDatabase,
-    k: usize,
-    end: usize,
-    mut want: impl FnMut(usize) -> bool,
-    rho: &mut Vec<f64>,
-    top_k: &mut Vec<f64>,
-) -> Result<usize> {
-    validate_k(db, k)?;
+/// The scan's bookkeeping without its polynomial work: the mass fold,
+/// every x-tuple's unpassed alternatives and the in-flight list.
+/// [`advance`](Self::advance) applies the saturation, freeze and
+/// activation rules once for both of its callers: the scan, which turns
+/// each [`Step`] into polynomial work, and a resumed scan, which replays
+/// the steps above its checkpoint to rebuild this state there.
+struct ScanState {
+    /// q[l]: existential mass of x-tuple l's alternatives ranked strictly
+    /// higher than the current position.
+    fold: MassFold,
+    /// unpassed[l]: an unsaturated x-tuple l's alternatives at or below
+    /// the current position.  Once it reaches 0, q[l] is final.
+    unpassed: Vec<usize>,
+    /// The *in-flight* x-tuples in activation order: some but not all
+    /// alternatives passed, unsaturated.  Entries that saturate or freeze
+    /// are pruned lazily at the next re-form.
+    in_flight: Vec<usize>,
+}
 
-    // The fold's q[l]: existential mass of x-tuple l's alternatives ranked
-    // strictly higher than the tuple currently being processed.
-    let mut fold = MassFold::new(db);
-    // unpassed[l]: an unsaturated x-tuple l's alternatives at or below the
-    // current position.  Once it reaches 0, q[l] is final.
-    let mut unpassed: Vec<usize> = db.x_tuples().map(|info| info.members.len()).collect();
-    // Product of ((1 − q_l) + q_l z) over the *frozen* x-tuples: every
-    // alternative passed, unsaturated, q_l > 0.  Their q never changes
-    // again, so this product is only ever multiplied.
-    let mut frozen = vec![0.0; k];
-    frozen[0] = 1.0;
-    // The *in-flight* x-tuples: some but not all alternatives passed,
-    // unsaturated.  Entries that saturate or freeze are pruned lazily at
-    // the next re-form.
-    let mut in_flight: Vec<usize> = Vec::new();
-    // The running product: frozen × every in-flight factor.
-    let mut poly = frozen.clone();
-    let mut reform_factors = 0usize;
+/// What advancing past one tuple did to its unsaturated x-tuple's factor
+/// `(1 − q) + q·z`.
+struct Step {
+    old_q: f64,
+    new_q: f64,
+    /// The x-tuple saturated: its factor leaves the product.
+    saturates: bool,
+    /// Its last alternative was passed without saturating: `q` is final
+    /// and the factor joins the frozen product.
+    freezes: bool,
+}
+
+impl ScanState {
+    fn new(db: &RankedDatabase) -> Self {
+        Self {
+            fold: MassFold::new(db),
+            unpassed: db.x_tuples().map(|info| info.members.len()).collect(),
+            in_flight: Vec::new(),
+        }
+    }
+
+    /// Pass the tuple at the current position: the next position sees it
+    /// as higher-ranked.  `None` when its x-tuple was already saturated,
+    /// so no factor changes.
+    fn advance(&mut self, db: &RankedDatabase) -> Option<Step> {
+        let (l, old_q) = self.fold.pass(db);
+        if old_q >= SATURATION_THRESHOLD {
+            return None;
+        }
+        let new_q = self.fold.q(l);
+        self.unpassed[l] -= 1;
+        let saturates = self.fold.is_saturated(l);
+        let freezes = !saturates && self.unpassed[l] == 0;
+        // pdb-analyze: allow(float-eq): q starts at exactly 0.0 and only this pass writes it, so the first-activation test is exact by construction
+        if !saturates && !freezes && old_q == 0.0 && new_q > 0.0 {
+            self.in_flight.push(l);
+        }
+        Some(Step { old_q, new_q, saturates, freezes })
+    }
 
     /// Overwrite `out` (a prefix of the running product) with the frozen
     /// product times every in-flight factor except `skip`'s; returns the
     /// number of factors multiplied.
-    fn reform(
-        out: &mut [f64],
-        frozen: &[f64],
-        in_flight: &mut Vec<usize>,
-        fold: &MassFold,
-        unpassed: &[usize],
-        skip: Option<usize>,
-    ) -> usize {
-        in_flight.retain(|&l| !fold.is_saturated(l) && unpassed[l] > 0);
+    fn reform(&mut self, out: &mut [f64], frozen: &[f64], skip: Option<usize>) -> usize {
+        let (fold, unpassed) = (&self.fold, &self.unpassed);
+        self.in_flight.retain(|&l| !fold.is_saturated(l) && unpassed[l] > 0);
         out.copy_from_slice(&frozen[..out.len()]);
         let mut multiplied = 0;
-        for &l in in_flight.iter() {
+        for &l in &self.in_flight {
             if Some(l) != skip {
                 multiply_binomial_in(out, fold.q(l));
                 multiplied += 1;
@@ -551,59 +600,133 @@ pub(crate) fn scan_rows_into(
         }
         multiplied
     }
+}
+
+/// Where one [`scan_rows_into`] pass ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Scan {
+    /// The checkpoint position it resumed at (0 for a scan from the top).
+    pub(crate) start: usize,
+    /// Where it stopped: the tail cut, or `end` when the cut was not
+    /// reached.
+    pub(crate) stop: usize,
+}
+
+/// One incremental PSR scan over `db`, writing each wanted tuple's ρ row
+/// and top-k probability straight into `rp`'s rows (one `k`-entry row
+/// per position).
+///
+/// Maintains the running generating-function product: advancing past a
+/// tuple is one divide + one multiply, or an O(|in-flight|·k) re-form when
+/// the divisor is ill-conditioned (see the module docs).  The working
+/// state beyond the matrix itself is O(m + k).  Only the entries PSR
+/// makes non-zero are written: a row below `s` saturated x-tuples gets
+/// entries `s..k`, and the rows of saturated tuples are skipped.  Callers
+/// therefore pass the wanted rows zeroed; a position past the stored
+/// rows arrives as a zero row appended there (growing inside any
+/// capacity the caller reserved).
+///
+/// `from` is the first row the caller wants: the scan resumes at the
+/// deepest stored checkpoint, which must lie at or above it (position 0
+/// when there is none).  It rebuilds the bookkeeping there by replaying
+/// every step above without polynomial work, takes the two products from
+/// the checkpoint, and records each later checkpoint it passes.  The
+/// stored checkpoints must be the state a fresh scan of `db` records,
+/// which [`rank_probabilities`] and this scan write and the delta pass
+/// keeps by dropping those a mutation invalidates.
+///
+/// The scan covers positions `start..end` and stops early at the tail
+/// cut: at the first position with `k` saturated x-tuples above it
+/// (Lemma 2), or at the first row it writes whose T is at most
+/// [`TAIL_EPSILON`], read off the row in O(1) ([`MassFold::cuts_row`]).
+/// A row is only written for positions accepted by `want`; the running
+/// product is still advanced through every position, so accepted rows
+/// are computed with exactly the state the unrestricted scan would use —
+/// results are bit-for-bit identical to the corresponding rows of
+/// [`rank_probabilities`].  The incremental re-evaluation engine
+/// ([`crate::delta`]) relies on this to rewrite only the rows a mutation
+/// changes, from the checkpoint above the first of them to the last of
+/// them or to the cut.
+pub(crate) fn scan_rows_into(
+    db: &RankedDatabase,
+    rp: &mut RankProbabilities,
+    from: usize,
+    end: usize,
+    mut want: impl FnMut(usize) -> bool,
+) -> Result<Scan> {
+    let k = rp.k;
+    validate_k(db, k)?;
+
+    // The callers drop every checkpoint a mutation invalidated, which
+    // includes every one past `from`, so the deepest stored one is the
+    // deepest at or above it.
+    let resumed = rp.checkpoints_stored();
+    let start = resumed * PSR_CHECKPOINT_ROWS;
+    assert!(start <= from, "checkpoint {start} is stored past the first row to write, {from}");
+    debug_assert!(start == 0 || start < rp.live_rows(), "checkpoint {start} past the stored rows");
+    let mut state = ScanState::new(db);
+    // Product of ((1 − q_l) + q_l z) over the *frozen* x-tuples: every
+    // alternative passed, unsaturated, q_l > 0.  Their q never changes
+    // again, so this product is only ever multiplied.
+    let mut frozen = vec![0.0; k];
+    // The running product: frozen × every in-flight factor.
+    let mut poly = vec![0.0; k];
+    if resumed == 0 {
+        frozen[0] = 1.0;
+        poly[0] = 1.0;
+    } else {
+        while state.fold.pos < start {
+            state.advance(db);
+        }
+        let saved = &rp.checkpoints[(resumed - 1) * 2 * k..];
+        poly.copy_from_slice(&saved[..k]);
+        frozen.copy_from_slice(&saved[k..]);
+    }
+    let mut reform_factors = 0usize;
 
     let mut stop = end;
-    for i in 0..end {
-        if i > 0 {
+    for i in start..end {
+        if i > start {
             // Advance: the previous tuple is now "higher-ranked"; its
             // x-tuple's factor gains the previous tuple's mass.
-            let (pl, old_q) = fold.pass(db);
-            if old_q < SATURATION_THRESHOLD {
-                let new_q = fold.q(pl);
-                unpassed[pl] -= 1;
-                let becomes_saturated = fold.is_saturated(pl);
-                // pdb-analyze: allow(float-eq): q starts at exactly 0.0 and only this pass writes it, so the first-activation test is exact by construction
-                let activates = old_q == 0.0 && new_q > 0.0;
-                if becomes_saturated {
-                    // The fold counts it; its factor leaves the product.
-                } else if unpassed[pl] == 0 {
-                    if new_q > 0.0 {
-                        multiply_binomial_in(&mut frozen, new_q);
-                    }
-                } else if activates {
-                    in_flight.push(pl);
+            if let Some(step) = state.advance(db) {
+                if step.freezes && step.new_q > 0.0 {
+                    multiply_binomial_in(&mut frozen, step.new_q);
                 }
-                if old_q <= MAX_DIVISOR_Q {
-                    if old_q > 0.0 {
-                        divide_binomial_in(&mut poly, old_q);
+                if step.old_q <= MAX_DIVISOR_Q {
+                    if step.old_q > 0.0 {
+                        divide_binomial_in(&mut poly, step.old_q);
                         clamp_non_negative_in(&mut poly);
                     }
-                    if !becomes_saturated && new_q > 0.0 {
-                        multiply_binomial_in(&mut poly, new_q);
+                    if !step.saturates && step.new_q > 0.0 {
+                        multiply_binomial_in(&mut poly, step.new_q);
                     }
                 } else {
-                    reform_factors +=
-                        reform(&mut poly, &frozen, &mut in_flight, &fold, &unpassed, None);
+                    reform_factors += state.reform(&mut poly, &frozen, None);
                 }
             }
         }
 
-        let saturated = fold.saturated();
+        let saturated = state.fold.saturated();
         if saturated >= k {
             // Lemma 2: k certain tuples above, T ≡ 0 from here on.
             stop = i;
             break;
         }
-        if i >= top_k.len() {
-            rho.resize((i + 1) * k, 0.0);
-            top_k.resize(i + 1, 0.0);
+        if i > start && i.is_multiple_of(PSR_CHECKPOINT_ROWS) {
+            rp.checkpoints.extend_from_slice(&poly);
+            rp.checkpoints.extend_from_slice(&frozen);
+        }
+        if i >= rp.top_k.len() {
+            rp.rho.resize((i + 1) * k, 0.0);
+            rp.top_k.resize(i + 1, 0.0);
         }
         if !want(i) {
             continue;
         }
         let t = db.tuple(i);
         let l = t.x_index;
-        if fold.is_saturated(l) {
+        if state.fold.is_saturated(l) {
             // The tuple's own siblings already occupy ~all of the x-tuple's
             // mass above it, so eᵢ ≤ 1 − SATURATION_THRESHOLD ≈ 0.
             continue;
@@ -615,8 +738,8 @@ pub(crate) fn scan_rows_into(
         // factor divided out, computed here on the truncated prefix the
         // row needs (every poly op computes coefficient j from
         // coefficients ≤ j only, so the prefix holds the same values).
-        let row = &mut rho[i * k + saturated..(i + 1) * k];
-        let ql = fold.q(l);
+        let row = &mut rp.rho[i * k + saturated..(i + 1) * k];
+        let ql = state.fold.q(l);
         if ql <= MAX_DIVISOR_Q {
             row.copy_from_slice(&poly[..row.len()]);
             if ql > 0.0 {
@@ -626,24 +749,24 @@ pub(crate) fn scan_rows_into(
         } else {
             // The tuple's own x-tuple is in flight (its q > 0 and this
             // alternative is not passed yet), so it is left out here.
-            reform_factors += reform(row, &frozen, &mut in_flight, &fold, &unpassed, Some(l));
+            reform_factors += state.reform(row, &frozen, Some(l));
         }
         for c in row.iter_mut() {
             *c *= t.prob;
         }
-        let row = &rho[i * k..(i + 1) * k];
+        let row = &rp.rho[i * k..(i + 1) * k];
         let p: f64 = row.iter().sum();
-        top_k[i] = p;
-        if fold.cuts_row(t, p, row[k - 1]) {
+        rp.top_k[i] = p;
+        if state.fold.cuts_row(t, p, row[k - 1]) {
             stop = i;
             break;
         }
     }
 
     let scanned = if stop < end { stop + 1 } else { end };
-    pdb_obs::metrics::ENGINE_PSR_ROWS_SCANNED_TOTAL.add(scanned as u64);
+    pdb_obs::metrics::ENGINE_PSR_ROWS_SCANNED_TOTAL.add((scanned - start) as u64);
     pdb_obs::metrics::ENGINE_PSR_REFORM_FACTORS_TOTAL.add(reform_factors as u64);
-    Ok(stop)
+    Ok(Scan { start, stop })
 }
 
 /// Compute rank-h and top-k probabilities with the incremental PSR
@@ -668,7 +791,8 @@ pub(crate) fn scan_rows_into(
 /// only the rows above the tail cut are ever written.  A `k` whose
 /// `bound × k` reservation cannot be allocated is an invalid parameter:
 /// `k` arrives from clients, so the allocation is fallible instead of
-/// aborting the process.
+/// aborting the process.  The run stores the scan's checkpoints with the
+/// matrix.
 pub fn rank_probabilities(db: &RankedDatabase, k: usize) -> Result<RankProbabilities> {
     pdb_obs::metrics::ENGINE_PSR_RUNS_TOTAL.inc();
     validate_k(db, k)?;
@@ -683,11 +807,11 @@ pub fn rank_probabilities(db: &RankedDatabase, k: usize) -> Result<RankProbabili
     rho.try_reserve_exact(len).map_err(|_| too_large())?;
     let mut top_k = Vec::new();
     top_k.try_reserve_exact(bound).map_err(|_| too_large())?;
-    let live = scan_rows_into(db, k, bound, |_| true, &mut rho, &mut top_k)?;
-    rho.truncate(live * k);
-    top_k.truncate(live);
+    let mut rp = RankProbabilities { k, n: db.len(), rho, top_k, checkpoints: Vec::new() };
+    let live = scan_rows_into(db, &mut rp, 0, bound, |_| true)?.stop;
+    rp.reshape(db.len(), live);
     pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(live as u64);
-    Ok(RankProbabilities { k, n: db.len(), rho, top_k })
+    Ok(rp)
 }
 
 /// Reference implementation of PSR that rebuilds the generating-function

@@ -77,7 +77,8 @@ pub static ENGINE_PSR_RUNS_TOTAL: Counter = Counter::new();
 pub static ENGINE_DELTA_PATCHES_TOTAL: Counter = Counter::new();
 /// Rows rewritten by the windowed PSR scan inside delta patches.
 pub static ENGINE_REBUILT_ROWS_TOTAL: Counter = Counter::new();
-/// Positions the PSR scan advanced through, full or windowed.
+/// Positions the PSR scan advanced through, full or windowed, from where
+/// it resumed.
 pub static ENGINE_PSR_ROWS_SCANNED_TOTAL: Counter = Counter::new();
 /// In-flight factors multiplied while re-forming PSR's running product.
 pub static ENGINE_PSR_REFORM_FACTORS_TOTAL: Counter = Counter::new();
@@ -174,7 +175,7 @@ static REGISTRY: [MetricDef; 16] = [
     },
     MetricDef {
         name: names::ENGINE_PSR_ROWS_SCANNED_TOTAL,
-        help: "positions the PSR scan advanced through, full or windowed",
+        help: "positions the PSR scan advanced through from where it resumed, full or windowed",
         series: SeriesRef::Counter(&ENGINE_PSR_ROWS_SCANNED_TOTAL),
     },
     MetricDef {

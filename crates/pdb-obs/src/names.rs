@@ -36,7 +36,9 @@ pub const ENGINE_PSR_RUNS_TOTAL: &str = "engine_psr_runs_total";
 pub const ENGINE_DELTA_PATCHES_TOTAL: &str = "engine_delta_patches_total";
 /// Rows the delta kernel rewrote with the windowed PSR scan (counter).
 pub const ENGINE_REBUILT_ROWS_TOTAL: &str = "engine_rebuilt_rows_total";
-/// Positions the PSR scan advanced through, full or windowed (counter).
+/// Positions the PSR scan advanced through, full or windowed, counted
+/// from where it resumed: position 0 for a full run, the checkpoint above
+/// the first rewritten row for a windowed scan (counter).
 pub const ENGINE_PSR_ROWS_SCANNED_TOTAL: &str = "engine_psr_rows_scanned_total";
 /// In-flight factors the PSR scan multiplied while re-forming its running
 /// product after an ill-conditioned step or for an ill-conditioned row
