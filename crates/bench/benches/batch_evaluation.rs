@@ -60,13 +60,15 @@ fn bench_collapse_repatch(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     let db = synthetic(TUPLES);
     let queries: Vec<TopKQuery> = query_set(10).into_iter().map(|s| s.query).collect();
-    // Probe a mid-ranking x-tuple.  It lies below the tail cut (row ~2,000
-    // at k_max 200), so the delta pass runs no scan and the arm times the
-    // batch clone plus the database's own update.
-    let l = db.tuple(db.len() / 2).x_index;
+    let batch = BatchEvaluation::new(&db, queries.clone()).unwrap();
+    // Probe the x-tuple at the middle of the live prefix (row ~1,000 above
+    // the tail cut at ~2,000 for k_max 200): the delta pass rewrites the
+    // rows below it with one windowed PSR scan, checked before timing.
+    let l = db.tuple(batch.master().live_rows() / 2).x_index;
     let keep = db.x_tuple(l).members[0];
     let mutation = XTupleMutation::CollapseToAlternative { keep_pos: keep };
-    let batch = BatchEvaluation::new(&db, queries.clone()).unwrap();
+    let stats = batch.clone().apply_collapse_in_place(l, &mutation).unwrap();
+    assert_eq!(stats.windowed_scans, 1, "the collapse of x-tuple {l} runs one scan: {stats:?}");
     // One shared delta pass re-serves all 10 registered queries.  Each
     // iteration patches a fresh clone, so the database and matrix copy is
     // timed along with the patch.

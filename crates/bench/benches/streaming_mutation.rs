@@ -2,16 +2,16 @@
 //! insert/remove patch of the shared ρ matrix re-serving every registered
 //! query vs rebuilding the whole batch evaluation (PSR + per-query
 //! answers) on the mutated database.  Same workload shape as
-//! `batch/collapse`, with the membership mutations on the new axis.  The
-//! mutated x-tuple sits at position 5,000 of 10⁴, below the tail cut
-//! (row ~2,000 at k_max 200), so the `delta` arms run no scan and time
-//! the batch clone plus the database's own update.
-//! `streaming/null_mass_k50` is the arm that scans: a run of null-mass
-//! reweights, inserts and removes inside the live prefix of a 3·10³-tuple
-//! database at k_max 50, each rewriting its rows with one windowed PSR
-//! scan.  The `bench-smoke` CI job runs this target in quick mode, emits
+//! `batch/collapse`, with the membership mutations on the new axis.  Each
+//! mutation sits at the middle of the live prefix (the tuple at
+//! `live_rows() / 2`, ~1,000 of ~2,000 rows at k_max 200), so each `delta`
+//! arm rewrites the rows below it with one windowed PSR scan, asserted
+//! before timing.  `streaming/null_mass_k50` runs 24 null-mass reweights,
+//! inserts and removes inside the live prefix of a 3·10³-tuple database at
+//! k_max 50, one scan each, against rebuilding after each mutation.  The
+//! `bench-smoke` CI job runs this target in quick mode, emits
 //! `BENCH_streaming.json` (see `crates/bench/src/bin/bench_json.rs`) and
-//! asserts the delta patch beats the rebuild.
+//! asserts every delta patch beats its rebuild.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdb_bench::synthetic;
@@ -35,13 +35,14 @@ fn bench_insert(c: &mut Criterion) {
     let db = synthetic(TUPLES);
     let queries: Vec<TopKQuery> = query_set(QUERIES).into_iter().map(|s| s.query).collect();
     let batch = BatchEvaluation::new(&db, queries.clone()).unwrap();
-    // The arrival straddles the middle of the ranking, below the tail
-    // cut: no stored row shifts or takes its factor.
-    let mid = db.tuple(db.len() / 2).score;
+    // The arrival's first alternative lands in the middle of the live
+    // prefix: the rows below it take its factor.
+    let mid = db.tuple(batch.master().live_rows() / 2).score;
     let alternatives = vec![(mid + 0.25, 0.25), (mid * 0.5, 0.1)];
     let l = db.num_x_tuples();
     let mutation =
         XTupleMutation::Insert { key: "arrival".into(), alternatives: alternatives.clone() };
+    assert_one_scan(&batch, l, &mutation);
     // One shared delta pass grows the master matrix and re-serves all
     // registered queries; each iteration patches a fresh clone, like the
     // rebuild arm starting from the unmutated database.
@@ -75,9 +76,10 @@ fn bench_remove(c: &mut Criterion) {
     let db = synthetic(TUPLES);
     let queries: Vec<TopKQuery> = query_set(QUERIES).into_iter().map(|s| s.query).collect();
     let batch = BatchEvaluation::new(&db, queries.clone()).unwrap();
-    // Remove a mid-ranking entity, below the tail cut: no stored row
-    // changes.
-    let l = db.tuple(db.len() / 2).x_index;
+    // Remove the entity at the middle of the live prefix: the rows below
+    // it lose its factor.
+    let l = db.tuple(batch.master().live_rows() / 2).x_index;
+    assert_one_scan(&batch, l, &XTupleMutation::Remove);
     group.bench_with_input(BenchmarkId::new("delta", QUERIES), &l, |b, &l| {
         b.iter(|| {
             let mut next = batch.clone();
@@ -96,6 +98,13 @@ fn bench_remove(c: &mut Criterion) {
         })
     });
     group.finish();
+}
+
+/// Check, before timing, that patching `batch` with `mutation` rewrites
+/// rows with exactly one windowed scan, so the `delta` arm times a scan.
+fn assert_one_scan(batch: &BatchEvaluation<'_>, l: usize, mutation: &XTupleMutation) {
+    let stats = batch.clone().apply_collapse_in_place(l, mutation).unwrap();
+    assert_eq!(stats.windowed_scans, 1, "{mutation:?} on x-tuple {l}: {stats:?}");
 }
 
 /// Mutations in the null-mass run.
@@ -119,8 +128,12 @@ fn null_mass_db(rng: &mut StdRng) -> RankedDatabase {
 
 /// A run of reweights, inserts and removes in turn, each aimed at a
 /// tuple drawn from the live prefix the run has reached, so that each
-/// rewrites rows with one windowed scan.
-fn null_mass_run(batch: &BatchEvaluation<'_>, rng: &mut StdRng) -> Vec<(usize, XTupleMutation)> {
+/// rewrites rows with one windowed scan.  Returns the run and the
+/// database after each of its mutations.
+fn null_mass_run(
+    batch: &BatchEvaluation<'_>,
+    rng: &mut StdRng,
+) -> (Vec<(usize, XTupleMutation)>, Vec<RankedDatabase>) {
     let mut next = batch.clone();
     (0..RUN)
         .map(|i| {
@@ -145,10 +158,10 @@ fn null_mass_run(batch: &BatchEvaluation<'_>, rng: &mut StdRng) -> Vec<(usize, X
                 _ => (l, XTupleMutation::Remove),
             };
             let stats = next.apply_collapse_in_place(l, &mutation).unwrap();
-            assert_eq!(stats.windowed_scans, 1, "mutation {i} ({mutation:?}) ran no scan");
-            (l, mutation)
+            assert_eq!(stats.windowed_scans, 1, "mutation {i} ({mutation:?}): {stats:?}");
+            ((l, mutation), next.database().clone())
         })
-        .collect()
+        .unzip()
 }
 
 fn bench_null_mass_run(c: &mut Criterion) {
@@ -165,8 +178,8 @@ fn bench_null_mass_run(c: &mut Criterion) {
         TopKQuery::PTk { k: 15, threshold: 0.1 },
         TopKQuery::GlobalTopk { k: 50 },
     ];
-    let batch = BatchEvaluation::new(&db, queries).unwrap();
-    let run = null_mass_run(&batch, &mut rng);
+    let batch = BatchEvaluation::new(&db, queries.clone()).unwrap();
+    let (run, states) = null_mass_run(&batch, &mut rng);
     // Each iteration applies the whole run to a fresh clone.
     group.bench_with_input(BenchmarkId::new("delta", RUN), &run, |b, run| {
         b.iter(|| {
@@ -175,6 +188,16 @@ fn bench_null_mass_run(c: &mut Criterion) {
                 next.apply_collapse_in_place(black_box(*l), mutation).unwrap();
             }
             next
+        })
+    });
+    // Baseline: rebuild the whole batch evaluation on the database each
+    // mutation of the run leaves (prepared above, so only the 24 rebuilds
+    // are timed).
+    group.bench_with_input(BenchmarkId::new("full_rebuild", RUN), &states, |b, states| {
+        b.iter(|| {
+            for db in states {
+                black_box(BatchEvaluation::new(black_box(db), queries.clone()).unwrap());
+            }
         })
     });
     group.finish();

@@ -26,12 +26,16 @@
 //!   `adaptive_replanning` benchmark and the `adaptive-n` / `adaptive-c`
 //!   experiments measure the delta path against.
 //!
+//! Each step picks its probe by the crate's candidacy rule and attempt
+//! order, and reveals its outcome through the draw of
+//! [`simulate_cleaning`](crate::simulate_cleaning) (see the crate docs).
+//!
 //! The simulator is used by the `adaptive_cleaning` example, by the
 //! `pdb adaptive` CLI command and by tests comparing the adaptive policy
 //! against the paper's static plans; it is not required for reproducing
 //! any figure.
 
-use crate::improvement::marginal_gain_raw;
+use crate::improvement::{is_candidate, select_alternative, Attempt};
 use crate::model::CleaningSetup;
 use pdb_core::{DbError, RankedDatabase, Result};
 use pdb_engine::psr::rank_probabilities;
@@ -100,37 +104,6 @@ impl EvalState {
             EvalState::Rebuild(db) => db,
             EvalState::Incremental(batch) => batch.database(),
         }
-    }
-}
-
-/// Map a uniform draw `u ∈ [0, 1)` to the revealed alternative of x-tuple
-/// `l` (a rank position), or to `None` for the implicit null alternative.
-///
-/// A *complete* x-tuple's member probabilities can sum to slightly below 1
-/// (e.g. `0.9999999999999998`) purely from floating-point rounding; a draw
-/// landing in that phantom gap must not be routed to a null alternative
-/// the model says does not exist.  Null is therefore only selected when
-/// the x-tuple genuinely has missing mass; otherwise the residual `u` is
-/// rounding noise and the last alternative with positive probability is
-/// selected.
-fn select_alternative(db: &RankedDatabase, l: usize, u: f64) -> Option<usize> {
-    let info = db.x_tuple(l);
-    let mut u = u;
-    let mut last_positive = None;
-    for &pos in &info.members {
-        let p = db.tuple(pos).prob;
-        if p > 0.0 {
-            last_positive = Some(pos);
-            if u < p {
-                return Some(pos);
-            }
-            u -= p;
-        }
-    }
-    if info.null_prob() <= pdb_core::PROB_EPSILON {
-        last_positive
-    } else {
-        None
     }
 }
 
@@ -227,29 +200,16 @@ pub fn run_adaptive_session_with<R: Rng + ?Sized>(
             let rp = rank_probabilities(current, k)?;
             g = quality_breakdown(current, &rp).x_tuple_contribution;
         }
-        let mut best: Option<(f64, usize)> = None;
-        for (l, &gl) in g.iter().enumerate() {
-            // Lemma 5: only x-tuples with a non-zero contribution are worth
-            // cleaning — and entities that already collapsed never are,
-            // regardless of floating-point residue in the updated g.
-            if gl >= -crate::improvement::G_EPSILON {
-                continue;
-            }
+        let best = Attempt::best(g.iter().enumerate().filter_map(|(l, &gl)| {
             let ol = orig_of[l];
-            if resolved[ol] {
-                continue;
-            }
-            let cost = setup.cost(ol);
-            if cost > remaining || setup.sc_prob(ol) <= 0.0 {
-                continue;
-            }
-            let gain = marginal_gain_raw(gl, setup.sc_prob(ol), failed_attempts[ol] + 1);
-            let ratio = gain / cost as f64;
-            if ratio > 0.0 && best.is_none_or(|(r, _)| ratio > r) {
-                best = Some((ratio, l));
-            }
-        }
-        let Some((_, l)) = best else { break };
+            // Lemma 5 picks the candidates; an entity that already
+            // collapsed never is one, whatever residue its updated g holds.
+            let affordable = setup.cost(ol) <= remaining;
+            (is_candidate(gl) && !resolved[ol] && affordable).then(|| {
+                Attempt::new(l, failed_attempts[ol] + 1, gl, setup.sc_prob(ol), setup.cost(ol))
+            })
+        }));
+        let Some(Attempt { l, .. }) = best else { break };
         let ol = orig_of[l];
 
         remaining -= setup.cost(ol);
@@ -261,26 +221,16 @@ pub fn run_adaptive_session_with<R: Rng + ?Sized>(
         successes += 1;
         // Reveal the true alternative of x-tuple l and collapse it.
         let chosen = select_alternative(state.database(), l, rng.gen());
-        let mutation = match chosen {
-            Some(pos) => XTupleMutation::CollapseToAlternative { keep_pos: pos },
-            None => XTupleMutation::CollapseToNull,
-        };
         let applied = match &mut state {
-            EvalState::Rebuild(current) => match &mutation {
-                XTupleMutation::CollapseToAlternative { keep_pos } => {
-                    current.collapse_x_tuple_in_place(l, *keep_pos)
-                }
-                XTupleMutation::CollapseToNull => current.collapse_x_tuple_to_null_in_place(l),
-                // The probe planner only emits collapse mutations; anything
-                // else reaching this arm is a logic error, reported rather
-                // than panicking on the session path.
-                XTupleMutation::Reweight { .. }
-                | XTupleMutation::Insert { .. }
-                | XTupleMutation::Remove => {
-                    Err(DbError::invalid_parameter("probe outcomes only collapse x-tuples"))
-                }
+            EvalState::Rebuild(current) => match chosen {
+                Some(keep_pos) => current.collapse_x_tuple_in_place(l, keep_pos),
+                None => current.collapse_x_tuple_to_null_in_place(l),
             },
             EvalState::Incremental(batch) => {
+                let mutation = match chosen {
+                    Some(keep_pos) => XTupleMutation::CollapseToAlternative { keep_pos },
+                    None => XTupleMutation::CollapseToNull,
+                };
                 batch.apply_collapse_in_place(l, &mutation).map(|update| {
                     g = update.g;
                     delta_stats.accumulate(&update.stats);

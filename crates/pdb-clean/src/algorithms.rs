@@ -18,16 +18,15 @@
 //! [`plan_exhaustive`] enumerates every feasible plan and exists purely as
 //! the optimality oracle for small instances.
 
-use crate::improvement::{expected_improvement, marginal_gain, CleaningContext, G_EPSILON};
+use crate::improvement::{expected_improvement, marginal_gain, Attempt, CleaningContext};
 use crate::model::{CleaningPlan, CleaningSetup};
 use pdb_core::{DbError, Result};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Validate that the context and setup describe the same x-tuples.
-fn validate(ctx: &CleaningContext, setup: &CleaningSetup) -> Result<()> {
+pub(crate) fn validate(ctx: &CleaningContext, setup: &CleaningSetup) -> Result<()> {
     if ctx.num_x_tuples() != setup.len() {
         return Err(DbError::invalid_parameter(format!(
             "cleaning context covers {} x-tuples but the setup covers {}",
@@ -123,33 +122,6 @@ pub fn plan_dp(ctx: &CleaningContext, setup: &CleaningSetup, budget: u64) -> Res
 // Greedy
 // ---------------------------------------------------------------------------
 
-/// Heap entry for the greedy algorithm: the next attempt on one x-tuple,
-/// scored by expected improvement per budget unit.
-#[derive(Debug, Clone, Copy)]
-struct GreedyItem {
-    score: f64,
-    l: usize,
-    next_attempt: u64,
-}
-
-impl PartialEq for GreedyItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.score == other.score && self.l == other.l
-    }
-}
-impl Eq for GreedyItem {}
-impl PartialOrd for GreedyItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for GreedyItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap by score; ties broken by x-tuple index for determinism.
-        self.score.total_cmp(&other.score).then_with(|| other.l.cmp(&self.l))
-    }
-}
-
 /// Greedy cleaning plan (Section V-D.4): repeatedly take the attempt with
 /// the highest expected improvement per budget unit, as long as it fits.
 ///
@@ -165,12 +137,9 @@ pub fn plan_greedy(
     let mut plan = CleaningPlan::empty(m);
     let mut remaining = budget;
 
-    let candidates = affordable_candidates(ctx, setup, budget);
-    let scores = crate::improvement::first_attempt_scores(ctx, setup, &candidates);
-    let mut heap: BinaryHeap<GreedyItem> = candidates
+    let mut heap: BinaryHeap<Attempt> = affordable_candidates(ctx, setup, budget)
         .into_iter()
-        .zip(scores)
-        .map(|(l, score)| GreedyItem { score, l, next_attempt: 1 })
+        .map(|l| Attempt::planned(ctx, setup, l, 1))
         .collect();
 
     while let Some(item) = heap.pop() {
@@ -185,14 +154,9 @@ pub fn plan_greedy(
         }
         plan.add_attempt(item.l);
         remaining -= cost;
-        let next = item.next_attempt + 1;
         // Attempts beyond the budget's capacity can never be taken.
         if cost <= remaining {
-            heap.push(GreedyItem {
-                score: marginal_gain(ctx, setup, item.l, next) / cost as f64,
-                l: item.l,
-                next_attempt: next,
-            });
+            heap.push(Attempt::planned(ctx, setup, item.l, item.j + 1));
         }
     }
     Ok(plan)
@@ -392,12 +356,6 @@ impl std::fmt::Display for CleaningAlgorithm {
     }
 }
 
-/// Helper used in tests and experiments: is x-tuple `l` worth cleaning at
-/// all?
-pub fn is_candidate(ctx: &CleaningContext, l: usize) -> bool {
-    ctx.g[l] < -G_EPSILON
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,7 +442,7 @@ mod tests {
             RankedDatabase::from_scored_x_tuples(&[vec![(3.0, 1.0)], vec![(2.0, 1.0)]]).unwrap();
         let ctx = CleaningContext::prepare(&db, 2).unwrap();
         let setup = CleaningSetup::uniform(2, 1, 0.9).unwrap();
-        assert!(!is_candidate(&ctx, 0));
+        assert!(ctx.candidates().is_empty());
         let plan = plan_greedy(&ctx, &setup, 100).unwrap();
         assert_eq!(plan.total_attempts(), 0);
         let plan = plan_dp(&ctx, &setup, 100).unwrap();

@@ -15,16 +15,31 @@
 //! expectation over all possible cleaned databases (Equation 17 — the test
 //! oracle for Theorem 2), and a Monte-Carlo cleaning simulator that actually
 //! executes a plan.
+//!
+//! It is also the one home of three cleaning rules the rest of the crate
+//! routes through: candidacy (`is_candidate`, Lemma 5), the attempt order
+//! (`Attempt`, gain per unit cost) and the revealed outcome
+//! (`select_alternative`, which reveals null only for an x-tuple whose
+//! null mass exceeds [`PROB_EPSILON`](pdb_core::PROB_EPSILON)).
 
 use crate::model::{CleaningPlan, CleaningSetup};
 use pdb_core::{DbError, RankedDatabase, Result, TupleId};
 use pdb_quality::{quality_tp, BatchQuality, TopKQuery, WeightedQuery};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// `g(l, D)` values below this magnitude are treated as zero: cleaning such
 /// an x-tuple cannot measurably improve quality (Lemma 5).
 pub const G_EPSILON: f64 = 1e-12;
+
+/// The candidacy rule (Lemma 5): cleaning x-tuple `l` can improve the
+/// quality only when its contribution `g(l, D)` is negative, and a `g`
+/// within [`G_EPSILON`] of zero is rounding residue.  Every planner, the
+/// target solvers and the adaptive session select through it.
+pub(crate) fn is_candidate(g_l: f64) -> bool {
+    g_l < -G_EPSILON
+}
 
 /// Everything the cleaning algorithms need to know about the database and
 /// the query: the quality score, its per-x-tuple decomposition `g(l, D)`,
@@ -86,7 +101,66 @@ impl CleaningContext {
     /// The candidate set `Z`: x-tuples whose contribution `g(l, D)` is
     /// non-zero, i.e. the only ones worth cleaning (Lemma 5 of the paper).
     pub fn candidates(&self) -> Vec<usize> {
-        (0..self.g.len()).filter(|&l| self.g[l] < -G_EPSILON).collect()
+        self.candidate_iter().collect()
+    }
+
+    /// [`candidates`](Self::candidates) in increasing x-index, unallocated.
+    pub(crate) fn candidate_iter(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.g.len()).filter(|&l| is_candidate(self.g[l]))
+    }
+}
+
+/// One `pclean` attempt — the `j`-th on x-tuple `l` — ordered by its
+/// expected improvement per budget unit, `b(l, D, j) / c_l`, with ties
+/// going to the lower x-index so every choice is deterministic.  This is
+/// the one attempt order: [`plan_greedy`](crate::algorithms::plan_greedy)
+/// and [`min_cost_greedy`](crate::target::min_cost_greedy) heap it, and
+/// [`best_single_probe`] and the adaptive session take its maximum
+/// ([`Attempt::best`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Attempt {
+    /// `b(l, D, j) / c_l`.
+    pub(crate) score: f64,
+    /// The x-tuple.
+    pub(crate) l: usize,
+    /// Which attempt on it, from 1.
+    pub(crate) j: u64,
+}
+
+impl Attempt {
+    /// Attempt `j` on x-tuple `l`, whose contribution is `g_l` and whose
+    /// cleaner succeeds with `sc_prob` at `cost` per attempt.
+    pub(crate) fn new(l: usize, j: u64, g_l: f64, sc_prob: f64, cost: u64) -> Self {
+        Self { score: marginal_gain_raw(g_l, sc_prob, j) / cost as f64, l, j }
+    }
+
+    /// Attempt `j` on x-tuple `l` of a planning context.
+    pub(crate) fn planned(ctx: &CleaningContext, setup: &CleaningSetup, l: usize, j: u64) -> Self {
+        Self::new(l, j, ctx.g[l], setup.sc_prob(l), setup.cost(l))
+    }
+
+    /// The best of `attempts`, if it improves the quality at all: a score
+    /// of zero (a cleaner that never succeeds, or a gain that underflowed)
+    /// is never worth its cost, however ambiguous the x-tuple is.
+    pub(crate) fn best(attempts: impl Iterator<Item = Attempt>) -> Option<Attempt> {
+        attempts.max().filter(|a| a.score > 0.0)
+    }
+}
+
+impl PartialEq for Attempt {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Attempt {}
+impl PartialOrd for Attempt {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Attempt {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.score.total_cmp(&other.score).then_with(|| other.l.cmp(&self.l))
     }
 }
 
@@ -126,38 +200,20 @@ pub fn expected_improvement(
     total
 }
 
-/// The first-attempt score of every candidate — `b(l, D, 1) / c_l`, the
-/// quantity the greedy planner seeds its heap with — in candidate order.
-pub fn first_attempt_scores(
-    ctx: &CleaningContext,
-    setup: &CleaningSetup,
-    candidates: &[usize],
-) -> Vec<f64> {
-    candidates.iter().map(|&l| marginal_gain(ctx, setup, l, 1) / setup.cost(l) as f64).collect()
-}
-
 /// The single next cleaning action with the best expected improvement per
 /// unit cost: `argmax_l b(l, D, 1) / c_l` over the candidate set.
 ///
 /// Returns the chosen x-tuple and the expected improvement `b(l, D, 1)` of
 /// one attempt on it, or `None` when no x-tuple can improve the quality
-/// (the database is effectively certain).  On a context built with
+/// (the database is effectively certain, or no candidate's cleaner can
+/// succeed).  On a context built with
 /// [`CleaningContext::from_batch`] this is the probe maximizing the
 /// *aggregate* improvement across every registered query — the greedy
 /// serving-loop step of a multi-query deployment.  Ties break toward the
 /// lower x-index, keeping the choice deterministic.
 pub fn best_single_probe(ctx: &CleaningContext, setup: &CleaningSetup) -> Option<(usize, f64)> {
-    let candidates = ctx.candidates();
-    let scores = first_attempt_scores(ctx, setup, &candidates);
-    let mut best: Option<(usize, f64)> = None;
-    for (&l, &score) in candidates.iter().zip(&scores) {
-        // Strictly positive only: a candidate whose sc-probability is 0
-        // can never improve the quality, no matter how ambiguous it is.
-        if score > 0.0 && best.is_none_or(|(_, s)| score > s) {
-            best = Some((l, score));
-        }
-    }
-    best.map(|(l, _)| (l, marginal_gain(ctx, setup, l, 1)))
+    let best = Attempt::best(ctx.candidate_iter().map(|l| Attempt::planned(ctx, setup, l, 1)))?;
+    Some((best.l, marginal_gain(ctx, setup, best.l, 1)))
 }
 
 /// Outcome of the cleaning attempts on one x-tuple.
@@ -175,6 +231,12 @@ pub enum CleanOutcome {
 
 /// Apply per-x-tuple outcomes, producing the cleaned database.
 ///
+/// A [`CleanOutcome::Null`] needs an x-tuple whose null alternative exists
+/// ([`XTupleInfo::has_null`](pdb_core::ranked::XTupleInfo::has_null)), the rule
+/// [`RankedDatabase::collapse_x_tuple_to_null_in_place`] applies too;
+/// otherwise, or when a [`CleanOutcome::Tuple`] names another x-tuple's
+/// position, nothing is built and an error is returned.
+///
 /// Returns `Ok(None)` when every x-tuple collapsed to null and nothing is
 /// left (the degenerate fully-certain empty database, whose quality is 0).
 pub fn apply_outcomes(
@@ -188,14 +250,20 @@ pub fn apply_outcomes(
             db.num_x_tuples()
         )));
     }
-    // Validate tuple outcomes before building.
-    for (l, outcome) in outcomes.iter().enumerate() {
-        if let CleanOutcome::Tuple(pos) = outcome {
-            if *pos >= db.len() || db.tuple(*pos).x_index != l {
+    // Validate every outcome before building.
+    for (l, &outcome) in outcomes.iter().enumerate() {
+        match outcome {
+            CleanOutcome::Tuple(pos) if pos >= db.len() || db.tuple(pos).x_index != l => {
                 return Err(DbError::index_out_of_range(format!(
                     "outcome of x-tuple {l} references position {pos}"
                 )));
             }
+            CleanOutcome::Null if !db.x_tuple(l).has_null() => {
+                return Err(DbError::invalid_parameter(format!(
+                    "x-tuple {l} has no null alternative to collapse to"
+                )));
+            }
+            _ => {}
         }
     }
     let mut entries: Vec<(TupleId, usize, f64, f64)> = Vec::new();
@@ -278,46 +346,17 @@ fn enumerate_outcomes(
         return Ok(());
     }
     let l = selected[idx];
+    let info = db.x_tuple(l);
     let success = setup.success_prob(l, plan.count(l));
-
-    // Outcome 1: all attempts failed.
-    outcomes[l] = CleanOutcome::Unchanged;
-    enumerate_outcomes(
-        db,
-        k,
-        setup,
-        plan,
-        selected,
-        idx + 1,
-        prob * (1.0 - success),
-        outcomes,
-        total,
-    )?;
-
-    // Outcome 2: success, true value is one of the explicit alternatives.
-    for &pos in &db.x_tuple(l).members {
-        outcomes[l] = CleanOutcome::Tuple(pos);
-        let p = db.tuple(pos).prob * success;
+    // Every attempt failed, or one succeeded and revealed an explicit
+    // alternative, or the null alternative when the x-tuple has one.
+    let revealed = info.members.iter().map(|&pos| (CleanOutcome::Tuple(pos), db.tuple(pos).prob));
+    let null = info.has_null().then(|| (CleanOutcome::Null, info.null_prob()));
+    let succeeded = revealed.chain(null).map(|(outcome, p)| (outcome, p * success));
+    for (outcome, p) in std::iter::once((CleanOutcome::Unchanged, 1.0 - success)).chain(succeeded) {
+        outcomes[l] = outcome;
         enumerate_outcomes(db, k, setup, plan, selected, idx + 1, prob * p, outcomes, total)?;
     }
-
-    // Outcome 3: success, true value is the null alternative.
-    let null = db.x_tuple(l).null_prob();
-    if null > pdb_core::PROB_EPSILON {
-        outcomes[l] = CleanOutcome::Null;
-        enumerate_outcomes(
-            db,
-            k,
-            setup,
-            plan,
-            selected,
-            idx + 1,
-            prob * null * success,
-            outcomes,
-            total,
-        )?;
-    }
-
     outcomes[l] = CleanOutcome::Unchanged;
     Ok(())
 }
@@ -334,9 +373,44 @@ pub fn expected_improvement_exhaustive(
     Ok(expected_quality_exhaustive(db, k, setup, plan)? - before)
 }
 
+/// Map a uniform draw `u ∈ [0, 1)` to the alternative a successful
+/// `pclean(τ_l)` reveals (a rank position), or to `None` for the implicit
+/// null alternative.  The one outcome draw: [`simulate_cleaning`] and the
+/// adaptive session both reveal through it.
+///
+/// A *complete* x-tuple's member probabilities can sum to slightly below 1
+/// (e.g. `0.9999999999999998`) purely from floating-point rounding; a draw
+/// landing in that phantom gap must not be routed to a null alternative
+/// the model says does not exist.  Null is therefore only selected when
+/// the x-tuple has one ([`XTupleInfo::has_null`](pdb_core::ranked::XTupleInfo::has_null));
+/// otherwise the residual `u` is rounding noise and the last alternative
+/// with positive probability is selected.
+pub(crate) fn select_alternative(db: &RankedDatabase, l: usize, u: f64) -> Option<usize> {
+    let info = db.x_tuple(l);
+    let mut u = u;
+    let mut last_positive = None;
+    for &pos in &info.members {
+        let p = db.tuple(pos).prob;
+        if p > 0.0 {
+            last_positive = Some(pos);
+            if u < p {
+                return Some(pos);
+            }
+            u -= p;
+        }
+    }
+    if info.has_null() {
+        None
+    } else {
+        last_positive
+    }
+}
+
 /// Execute a cleaning plan once: every selected x-tuple's attempts succeed
-/// or fail at random (sc-probability), and successful cleanings reveal the
-/// true alternative drawn from the existential probabilities.
+/// or fail at random (sc-probability), and a successful cleaning reveals
+/// the true alternative drawn from the existential probabilities, through
+/// the adaptive session's draw: a null only for an x-tuple whose null
+/// mass exceeds [`PROB_EPSILON`](pdb_core::PROB_EPSILON).
 ///
 /// Returns the cleaned database, or `None` in the degenerate case where
 /// every x-tuple collapsed to null.
@@ -352,24 +426,11 @@ pub fn simulate_cleaning<R: Rng + ?Sized>(
     let mut outcomes = vec![CleanOutcome::Unchanged; db.num_x_tuples()];
     for (l, outcome) in outcomes.iter_mut().enumerate() {
         let attempts = plan.count(l);
-        if attempts == 0 {
-            continue;
+        if attempts == 0 || rng.gen::<f64>() >= setup.success_prob(l, attempts) {
+            continue; // not selected, or every attempt failed
         }
-        if rng.gen::<f64>() >= setup.success_prob(l, attempts) {
-            continue; // every attempt failed
-        }
-        // Cleaning succeeded: draw the true alternative.
-        let mut u: f64 = rng.gen();
-        let mut chosen = CleanOutcome::Null;
-        for &pos in &db.x_tuple(l).members {
-            let p = db.tuple(pos).prob;
-            if u < p {
-                chosen = CleanOutcome::Tuple(pos);
-                break;
-            }
-            u -= p;
-        }
-        *outcome = chosen;
+        *outcome =
+            select_alternative(db, l, rng.gen()).map_or(CleanOutcome::Null, CleanOutcome::Tuple);
     }
     apply_outcomes(db, &outcomes)
 }
@@ -502,13 +563,70 @@ mod tests {
         assert_eq!(cleaned.len(), 1);
         assert!((cleaned.tuple(0).prob - 1.0).abs() < 1e-12);
 
-        // All-null outcome yields the empty database sentinel.
-        assert!(apply_outcomes(&db, &[CleanOutcome::Null, CleanOutcome::Null]).unwrap().is_none());
+        // An all-null outcome yields the empty database sentinel, once
+        // every x-tuple has a null alternative.
+        let partial = RankedDatabase::from_scored_x_tuples(&[
+            vec![(10.0, 0.5)],
+            vec![(9.0, 0.4), (8.0, 0.5)],
+        ])
+        .unwrap();
+        let all_null = [CleanOutcome::Null, CleanOutcome::Null];
+        assert!(apply_outcomes(&partial, &all_null).unwrap().is_none());
 
+        // A null outcome on a complete x-tuple is rejected.
+        assert!(apply_outcomes(&db, &all_null).is_err());
         // Wrong position is rejected.
         assert!(apply_outcomes(&db, &[CleanOutcome::Tuple(1), CleanOutcome::Unchanged]).is_err());
         // Wrong arity is rejected.
         assert!(apply_outcomes(&db, &[CleanOutcome::Unchanged]).is_err());
+    }
+
+    /// X-tuple 0 misses 5·10⁻⁹ of its mass, below `PROB_EPSILON`: a gap
+    /// of rounding size, so it has no null alternative.
+    fn db_with_a_rounding_gap() -> RankedDatabase {
+        let db = RankedDatabase::from_scored_x_tuples(&[
+            vec![(10.0, 0.5), (9.0, 0.5 - 5e-9)],
+            vec![(8.0, 1.0)],
+        ])
+        .unwrap();
+        assert!(db.x_tuple(0).null_prob() > 0.0);
+        assert!(!db.x_tuple(0).has_null());
+        db
+    }
+
+    /// An `RngCore` whose every `f64` draw is the largest one below 1.
+    struct TopOfRange;
+
+    impl rand::RngCore for TopOfRange {
+        fn next_u64(&mut self) -> u64 {
+            u64::MAX
+        }
+    }
+
+    /// Regression: a draw in a gap below `PROB_EPSILON` reveals the last
+    /// alternative with positive probability.  `simulate_cleaning` once
+    /// revealed a null there and dropped the entity.
+    #[test]
+    fn simulated_cleaning_reveals_no_null_in_a_rounding_gap() {
+        let db = db_with_a_rounding_gap();
+        let setup = CleaningSetup::uniform(2, 1, 1.0).unwrap();
+        let plan = CleaningPlan::from_counts(vec![1, 0]);
+        let cleaned = simulate_cleaning(&db, &setup, &plan, &mut TopOfRange).unwrap().unwrap();
+        assert_eq!(cleaned.num_x_tuples(), 2, "the entity survives");
+        let kept = cleaned.x_tuple(0);
+        assert_eq!(kept.members.len(), 1);
+        assert_eq!(cleaned.tuple(kept.members[0]).score, 9.0);
+        assert_eq!(cleaned.tuple(kept.members[0]).prob, 1.0);
+    }
+
+    /// Regression: `apply_outcomes` applies the null rule of
+    /// `collapse_x_tuple_to_null_in_place`.
+    #[test]
+    fn a_null_outcome_needs_null_mass_above_prob_epsilon() {
+        let db = db_with_a_rounding_gap();
+        let null = [CleanOutcome::Null, CleanOutcome::Unchanged];
+        assert!(apply_outcomes(&db, &null).is_err());
+        assert!(db.clone().collapse_x_tuple_to_null_in_place(0).is_err());
     }
 
     #[test]

@@ -19,6 +19,23 @@
 //! * [`adaptive`] — adaptive cleaning that re-plans after observing each
 //!   probe's outcome.
 //!
+//! ## One rule per cleaning decision
+//!
+//! * **Null existence** — [`XTupleInfo::has_null`](pdb_core::ranked::XTupleInfo::has_null):
+//!   null mass above [`PROB_EPSILON`](pdb_core::PROB_EPSILON); a smaller
+//!   gap is rounding.  A probe reveals null only then, and
+//!   [`apply_outcomes`] refuses any other null outcome.
+//! * **Candidacy** (Lemma 5) — `improvement::is_candidate`,
+//!   `g(l, D) < −`[`G_EPSILON`](improvement::G_EPSILON): behind
+//!   [`CleaningContext::candidates`], [`max_achievable_improvement`] and
+//!   the adaptive step.
+//! * **Attempt order** (Theorem 2, Lemma 4) — `improvement::Attempt`, gain
+//!   per unit cost with ties to the lower x-index: [`plan_greedy`] and
+//!   [`min_cost_greedy`] heap it, [`best_single_probe`] and the adaptive
+//!   step take its maximum.
+//! * **Revealed outcome** (Definition 5) — `improvement::select_alternative`,
+//!   the one draw [`simulate_cleaning`] and the adaptive session share.
+//!
 //! ```
 //! use pdb_core::prelude::*;
 //! use pdb_clean::prelude::*;
@@ -47,8 +64,8 @@ pub use algorithms::{
 };
 pub use improvement::{
     apply_outcomes, best_single_probe, expected_improvement, expected_improvement_exhaustive,
-    expected_quality_exhaustive, first_attempt_scores, marginal_gain, marginal_gain_raw,
-    simulate_cleaning, CleanOutcome, CleaningContext,
+    expected_quality_exhaustive, marginal_gain, marginal_gain_raw, simulate_cleaning, CleanOutcome,
+    CleaningContext,
 };
 pub use model::{CleaningPlan, CleaningSetup};
 pub use target::{

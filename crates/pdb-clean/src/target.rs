@@ -22,11 +22,12 @@
 //! [`max_achievable_improvement`], the limit of Theorem 2 as every attempt
 //! count goes to infinity.
 
-use crate::algorithms::plan_dp;
-use crate::improvement::{expected_improvement, marginal_gain, CleaningContext, G_EPSILON};
+use crate::algorithms::{plan_dp, validate};
+use crate::improvement::{expected_improvement, marginal_gain, Attempt, CleaningContext};
 use crate::model::{CleaningPlan, CleaningSetup};
 use pdb_core::{DbError, Result};
 use serde::{Deserialize, Serialize};
+use std::collections::BinaryHeap;
 
 /// A plan found by one of the min-cost solvers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -43,20 +44,11 @@ pub struct TargetPlan {
 /// budget: `Σ_l −g(l, D)` over candidates whose sc-probability is positive
 /// (an x-tuple that can never be cleaned successfully contributes nothing).
 pub fn max_achievable_improvement(ctx: &CleaningContext, setup: &CleaningSetup) -> f64 {
-    (0..ctx.num_x_tuples())
-        .filter(|&l| ctx.g[l] < -G_EPSILON && setup.sc_prob(l) > 0.0)
-        .map(|l| -ctx.g[l])
-        .sum()
+    ctx.candidate_iter().filter(|&l| setup.sc_prob(l) > 0.0).map(|l| -ctx.g[l]).sum()
 }
 
 fn validate_target(ctx: &CleaningContext, setup: &CleaningSetup, target: f64) -> Result<()> {
-    if ctx.num_x_tuples() != setup.len() {
-        return Err(DbError::invalid_parameter(format!(
-            "cleaning context covers {} x-tuples but the setup covers {}",
-            ctx.num_x_tuples(),
-            setup.len()
-        )));
-    }
+    validate(ctx, setup)?;
     if !target.is_finite() || target < 0.0 {
         return Err(DbError::invalid_parameter(format!(
             "target improvement must be a non-negative finite number, got {target}"
@@ -86,37 +78,11 @@ pub fn min_cost_greedy(
     }
 
     // Lazy best-ratio selection, as in the forward Greedy: the candidate
-    // heap holds, per x-tuple, the ratio of its *next* attempt.
-    use std::cmp::Ordering;
-    #[derive(Debug)]
-    struct Item {
-        ratio: f64,
-        l: usize,
-        next: u64,
-    }
-    impl PartialEq for Item {
-        fn eq(&self, other: &Self) -> bool {
-            self.ratio == other.ratio && self.l == other.l
-        }
-    }
-    impl Eq for Item {}
-    impl PartialOrd for Item {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Item {
-        fn cmp(&self, other: &Self) -> Ordering {
-            self.ratio.total_cmp(&other.ratio).then_with(|| other.l.cmp(&self.l))
-        }
-    }
-
-    let mut heap: std::collections::BinaryHeap<Item> = ctx
-        .candidates()
-        .into_iter()
-        .filter(|&l| setup.sc_prob(l) > 0.0)
-        .map(|l| Item { ratio: marginal_gain(ctx, setup, l, 1) / setup.cost(l) as f64, l, next: 1 })
-        .collect();
+    // heap holds, per x-tuple, its *next* attempt.
+    // A cleaner that never succeeds scores 0 and surfaces only once no
+    // attempt can gain anything, which ends the search below.
+    let mut heap: BinaryHeap<Attempt> =
+        ctx.candidate_iter().map(|l| Attempt::planned(ctx, setup, l, 1)).collect();
 
     let mut achieved = 0.0;
     let mut cost = 0u64;
@@ -125,18 +91,14 @@ pub fn min_cost_greedy(
             // Numerically unreachable tail (marginal gains underflowed).
             return Ok(None);
         };
-        let gain = marginal_gain(ctx, setup, item.l, item.next);
+        let gain = marginal_gain(ctx, setup, item.l, item.j);
         if gain <= 0.0 {
             return Ok(None);
         }
         plan.add_attempt(item.l);
         cost += setup.cost(item.l);
         achieved += gain;
-        heap.push(Item {
-            ratio: marginal_gain(ctx, setup, item.l, item.next + 1) / setup.cost(item.l) as f64,
-            l: item.l,
-            next: item.next + 1,
-        });
+        heap.push(Attempt::planned(ctx, setup, item.l, item.j + 1));
     }
     let expected = expected_improvement(ctx, setup, &plan);
     Ok(Some(TargetPlan { plan, cost, expected_improvement: expected }))

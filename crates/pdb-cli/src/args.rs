@@ -6,6 +6,7 @@
 use pdb_experiments::Scale;
 use pdb_server::ServerConfig;
 use pdb_store::FlushPolicy;
+use std::net::Ipv4Addr;
 use std::time::Duration;
 
 /// Usage text printed on parse errors and for `pdb help`.
@@ -339,7 +340,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     let mut flags = Flags::new(rest);
                     while let Some(flag) = flags.next_flag() {
                         match flag {
-                            "--addr" => addr = flags.value_for("--addr")?.to_string(),
+                            "--addr" => addr = parse_addr(flags.value_for("--addr")?)?,
                             "--shards" => {
                                 shards = parse_usize(flags.value_for("--shards")?, "--shards")?
                             }
@@ -364,7 +365,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     let mut flags = Flags::new(rest);
                     while let Some(flag) = flags.next_flag() {
                         match flag {
-                            "--addr" => addr = flags.value_for("--addr")?.to_string(),
+                            "--addr" => addr = parse_addr(flags.value_for("--addr")?)?,
                             other => return Err(format!("unknown flag {other:?}")),
                         }
                     }
@@ -384,7 +385,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let mut flags = Flags::new(rest);
             while let Some(flag) = flags.next_flag() {
                 match flag {
-                    "--addr" => addr = flags.value_for("--addr")?.to_string(),
+                    "--addr" => addr = parse_addr(flags.value_for("--addr")?)?,
                     "--timing" => timing = true,
                     other => return Err(format!("unknown flag {other:?}")),
                 }
@@ -397,7 +398,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let mut flags = Flags::new(rest);
             while let Some(flag) = flags.next_flag() {
                 match flag {
-                    "--addr" => addr = flags.value_for("--addr")?.to_string(),
+                    "--addr" => addr = parse_addr(flags.value_for("--addr")?)?,
                     "--text" => text = true,
                     other => return Err(format!("unknown flag {other:?}")),
                 }
@@ -421,7 +422,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let mut flags = Flags::new(rest);
             while let Some(flag) = flags.next_flag() {
                 match flag {
-                    "--addr" => addr = flags.value_for("--addr")?.to_string(),
+                    "--addr" => addr = parse_addr(flags.value_for("--addr")?)?,
                     "--key" => key = Some(flags.value_for("--key")?.to_string()),
                     "--alts" => alts = Some(parse_alternatives(flags.value_for("--alts")?)?),
                     "--x-tuple" => {
@@ -577,7 +578,7 @@ fn parse_serve_flags(rest: &[String]) -> Result<ServerConfig, String> {
     let mut flags = Flags::new(rest);
     while let Some(flag) = flags.next_flag() {
         match flag {
-            "--addr" => config.addr = flags.value_for("--addr")?.to_string(),
+            "--addr" => config.addr = parse_addr(flags.value_for("--addr")?)?,
             "--threads" => {
                 config.threads = parse_usize(flags.value_for("--threads")?, "--threads")?
             }
@@ -622,6 +623,21 @@ fn expect_no_flags(rest: &[String]) -> Result<(), String> {
     } else {
         Err(format!("unexpected arguments: {rest:?}"))
     }
+}
+
+/// Check an `--addr` value, `host:port`, before anything binds, connects
+/// or resolves: a host of only digits and dots must be an IPv4 address,
+/// since the resolver reads `1.2.3` as 1.2.0.3 and looks `256.0.0.1` up.
+fn parse_addr(s: &str) -> Result<String, String> {
+    let malformed = || format!("--addr expects host:port with a port in 0..=65535, got {s:?}");
+    let (host, port) = s.rsplit_once(':').ok_or_else(malformed)?;
+    port.parse::<u16>().map_err(|_| malformed())?;
+    if host.bytes().all(|b| b.is_ascii_digit() || b == b'.') && host.parse::<Ipv4Addr>().is_err() {
+        return Err(format!(
+            "--addr host {host:?} is not an IPv4 address (four numbers 0-255, like 127.0.0.1)"
+        ));
+    }
+    Ok(s.to_string())
 }
 
 fn parse_scale(s: &str) -> Result<Scale, String> {
@@ -800,6 +816,33 @@ mod tests {
         );
         assert!(parse(&argv(&["call"])).is_err());
         assert!(parse(&argv(&["call", "\"stats\"", "--bogus"])).is_err());
+    }
+
+    /// Every `--addr` flag goes through one parser, which refuses a
+    /// digits-and-dots host that is not an IPv4 address before anything
+    /// binds, connects or resolves.
+    #[test]
+    fn every_addr_flag_takes_one_parser() {
+        let commands: [&[&str]; 6] = [
+            &["serve"],
+            &["fleet", "serve"],
+            &["fleet", "status"],
+            &["metrics"],
+            &["call", "\"stats\""],
+            &["mutate", "0", "remove", "--x-tuple", "1"],
+        ];
+        for command in commands {
+            let with = |addr: &str| parse(&argv(&[command, &["--addr", addr]].concat()));
+            for good in ["localhost:7878", "127.0.0.1:0", "[::1]:0", "0.0.0.0:9000"] {
+                assert!(with(good).is_ok(), "{command:?} --addr {good}: {:?}", with(good));
+            }
+            for bad in ["256.0.0.1:1", "1.2.3:7", "1.2.3.4.5:7", ":7878", "127.0.0.1", "host:x"] {
+                let err = with(bad).expect_err(bad);
+                assert!(err.contains("--addr"), "{command:?} --addr {bad}: {err}");
+            }
+        }
+        let err = parse(&argv(&["serve", "--addr", "256.0.0.1:1"])).unwrap_err();
+        assert!(err.contains("not an IPv4 address"), "{err}");
     }
 
     #[test]

@@ -99,6 +99,16 @@ fn load_dataset(choice: DatasetChoice) -> Result<RankedDatabase> {
     }
 }
 
+/// The cleaning costs and sc-probabilities `clean`, `adaptive` and `batch`
+/// plan with: every probe of udb1 costs 1 and succeeds with 0.8, the
+/// generated datasets take the paper's defaults.
+fn cleaning_setup(choice: DatasetChoice, db: &RankedDatabase) -> Result<CleaningSetup> {
+    match choice {
+        DatasetChoice::Udb1 => CleaningSetup::uniform(db.num_x_tuples(), 1, 0.8),
+        _ => datasets::default_cleaning_setup(db.num_x_tuples()),
+    }
+}
+
 fn dataset_name(choice: DatasetChoice) -> &'static str {
     match choice {
         DatasetChoice::Synthetic => "synthetic (quick scale)",
@@ -196,10 +206,7 @@ fn clean(choice: DatasetChoice, k: usize, budget: u64, algo: &str, json: bool) -
         }
     };
     let ctx = CleaningContext::prepare(&db, k)?;
-    let setup = match choice {
-        DatasetChoice::Udb1 => CleaningSetup::uniform(db.num_x_tuples(), 1, 0.8)?,
-        _ => datasets::default_cleaning_setup(db.num_x_tuples())?,
-    };
+    let setup = cleaning_setup(choice, &db)?;
     let mut rng = StdRng::seed_from_u64(budget);
     let plan = algorithm.plan(&ctx, &setup, budget, &mut rng)?;
     let improvement = expected_improvement(&ctx, &setup, &plan);
@@ -555,10 +562,7 @@ fn adaptive(
     if trials == 0 {
         return Err(DbError::invalid_parameter("at least one trial is required"));
     }
-    let setup = match choice {
-        DatasetChoice::Udb1 => CleaningSetup::uniform(db.num_x_tuples(), 1, 0.8)?,
-        _ => datasets::default_cleaning_setup(db.num_x_tuples())?,
-    };
+    let setup = cleaning_setup(choice, &db)?;
     let mut out = String::new();
     let _ = writeln!(out, "dataset : {}", dataset_name(choice));
     let _ =
@@ -675,10 +679,7 @@ fn batch(
     );
 
     // Aggregate cleaning: one plan maximizing Σ_q w_q · improvement.
-    let setup = match choice {
-        DatasetChoice::Udb1 => CleaningSetup::uniform(db.num_x_tuples(), 1, 0.8)?,
-        _ => datasets::default_cleaning_setup(db.num_x_tuples())?,
-    };
+    let setup = cleaning_setup(choice, &db)?;
     let ctx = CleaningContext::from_batch(&batch_eval);
     match best_single_probe(&ctx, &setup) {
         Some((l, gain)) => {

@@ -41,6 +41,13 @@ impl XTupleInfo {
     pub fn null_prob(&self) -> f64 {
         (1.0 - self.total_mass).max(0.0)
     }
+
+    /// Whether the implicit null alternative exists: null mass above
+    /// [`PROB_EPSILON`](crate::PROB_EPSILON).  A smaller gap is rounding
+    /// residue of a complete x-tuple (`0.3 + 0.3 + 0.3 + 0.1 < 1` in f64).
+    pub fn has_null(&self) -> bool {
+        self.null_prob() > crate::PROB_EPSILON
+    }
 }
 
 /// A probabilistic database flattened and sorted by descending rank.
@@ -209,8 +216,7 @@ impl RankedDatabase {
     pub fn world_count(&self) -> u128 {
         let mut count: u128 = 1;
         for info in &self.x_tuples {
-            let alts = info.members.len() as u128
-                + if info.null_prob() > crate::PROB_EPSILON { 1 } else { 0 };
+            let alts = info.members.len() as u128 + u128::from(info.has_null());
             count = count.saturating_mul(alts.max(1));
         }
         count
@@ -334,7 +340,7 @@ impl RankedDatabase {
                 self.x_tuples.len()
             )));
         }
-        if self.x_tuples[l].null_prob() <= crate::PROB_EPSILON {
+        if !self.x_tuples[l].has_null() {
             return Err(DbError::invalid_parameter(format!(
                 "x-tuple {l} has no null alternative to collapse to"
             )));

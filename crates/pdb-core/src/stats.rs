@@ -43,11 +43,9 @@ pub fn describe(db: &RankedDatabase) -> DatabaseStats {
     let mut entropy_sum = 0.0;
     for info in db.x_tuples() {
         max_alternatives = max_alternatives.max(info.members.len());
-        let null = info.null_prob();
-        if null > crate::PROB_EPSILON {
+        if info.has_null() {
             with_null += 1;
-        }
-        if info.members.len() == 1 && null <= crate::PROB_EPSILON {
+        } else if info.members.len() == 1 {
             certain += 1;
         }
         let mut h = 0.0;
@@ -57,6 +55,7 @@ pub fn describe(db: &RankedDatabase) -> DatabaseStats {
                 h -= p * p.log2();
             }
         }
+        let null = info.null_prob();
         if null > 0.0 {
             h -= null * null.log2();
         }

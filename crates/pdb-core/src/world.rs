@@ -68,9 +68,8 @@ impl WorldIter {
             .map(|info| {
                 let mut alts: Vec<(Option<usize>, f64)> =
                     info.members.iter().map(|&pos| (Some(pos), db.tuple(pos).prob)).collect();
-                let null = info.null_prob();
-                if null > crate::PROB_EPSILON {
-                    alts.push((None, null));
+                if info.has_null() {
+                    alts.push((None, info.null_prob()));
                 }
                 alts
             })

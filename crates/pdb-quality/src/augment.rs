@@ -42,12 +42,9 @@ pub fn augment_with_nulls(db: &RankedDatabase) -> Result<AugmentedDatabase> {
     let max_id = db.tuples().map(|t| t.id.0).max().unwrap_or(0);
 
     let mut next_id = max_id + 1;
-    let mut has_null = Vec::new();
     for (l, info) in db.x_tuples().enumerate() {
-        let null = info.null_prob();
-        if null > pdb_core::PROB_EPSILON {
-            entries.push((TupleId(next_id), l, null_score, null));
-            has_null.push((next_id, l));
+        if info.has_null() {
+            entries.push((TupleId(next_id), l, null_score, info.null_prob()));
             next_id += 1;
         }
     }

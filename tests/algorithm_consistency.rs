@@ -196,7 +196,7 @@ fn sample_outcome(db: &RankedDatabase, l: usize, rng: &mut StdRng) -> XTupleMuta
             return XTupleMutation::CollapseToAlternative { keep_pos: pos };
         }
     }
-    if info.null_prob() > uncertain_topk::core::PROB_EPSILON {
+    if info.has_null() {
         XTupleMutation::CollapseToNull
     } else {
         // A complete x-tuple's masses may sum to 1 − a few ulps.
