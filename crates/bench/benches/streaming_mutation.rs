@@ -8,10 +8,15 @@
 //! arm rewrites the rows below it with one windowed PSR scan, asserted
 //! before timing.  `streaming/null_mass_k50` runs 24 null-mass reweights,
 //! inserts and removes inside the live prefix of a 3·10³-tuple database at
-//! k_max 50, one scan each, against rebuilding after each mutation.  The
-//! `bench-smoke` CI job runs this target in quick mode, emits
-//! `BENCH_streaming.json` (see `crates/bench/src/bin/bench_json.rs`) and
-//! asserts every delta patch beats its rebuild.
+//! k_max 50, one scan each, against rebuilding after each mutation.
+//! `streaming/db` times the database's own index patch, with no matrix,
+//! at the middle of the same 10⁴-tuple live prefix: a reweight and its
+//! restore (O(alternatives): no tuple moves) against an insert and its
+//! removal (each moves every row below it).  The `bench-smoke` CI job
+//! runs this target in quick mode, emits `BENCH_streaming.json` (see
+//! `crates/bench/src/bin/bench_json.rs`), asserts every delta patch
+//! beats its rebuild and that the reweight pair costs under a tenth of
+//! the insert/remove pair.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdb_bench::synthetic;
@@ -203,5 +208,39 @@ fn bench_null_mass_run(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_insert, bench_remove, bench_null_mass_run);
+fn bench_database_patch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("streaming/db");
+    group.sample_size(10);
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(2));
+    let mut db = synthetic(TUPLES);
+    let queries: Vec<TopKQuery> = query_set(QUERIES).into_iter().map(|s| s.query).collect();
+    let mid = BatchEvaluation::new(&db, queries).unwrap().master().live_rows() / 2;
+    // Reweight the x-tuple at the middle of the live prefix towards its
+    // first alternative, then restore it.
+    let l = db.tuple(mid).x_index;
+    let info = db.x_tuple(l);
+    let original: Vec<f64> = info.members.iter().map(|&p| db.tuple(p).prob).collect();
+    let mut sharpened: Vec<f64> = original.iter().map(|p| p * 0.5).collect();
+    sharpened[0] += info.total_mass * 0.5;
+    group.bench_function(BenchmarkId::new("reweight_and_back", TUPLES), |b| {
+        b.iter(|| {
+            db.reweight_x_tuple_in_place(black_box(l), &sharpened).unwrap();
+            db.reweight_x_tuple_in_place(black_box(l), &original).unwrap();
+        })
+    });
+    // An arrival whose alternatives land at the same place, then its
+    // removal.
+    let score = db.tuple(mid).score;
+    let alternatives = vec![(score + 0.25, 0.25), (score * 0.5, 0.1)];
+    group.bench_function(BenchmarkId::new("insert_and_remove", TUPLES), |b| {
+        b.iter(|| {
+            let l = db.insert_x_tuple_in_place("arrival".into(), black_box(&alternatives)).unwrap();
+            db.remove_x_tuple_in_place(l).unwrap();
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_insert, bench_remove, bench_null_mass_run, bench_database_patch);
 criterion_main!(benches);

@@ -10,6 +10,7 @@
 use crate::error::{DbError, Result};
 use crate::tuple::TupleId;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// One tuple of a [`RankedDatabase`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -22,6 +23,12 @@ pub struct RankedTuple {
     pub score: f64,
     /// Existential probability `eᵢ`.
     pub prob: f64,
+}
+
+/// The rank order of [`RankedDatabase`]: descending score, ties broken
+/// by ascending tuple id.  `Less` means `a` ranks above `b`.
+fn rank_order(a: &RankedTuple, b: &RankedTuple) -> Ordering {
+    b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id))
 }
 
 /// Per-x-tuple metadata kept alongside the sorted tuple array.
@@ -76,7 +83,7 @@ impl RankedDatabase {
     /// Entries may be given in any order; they are sorted by descending
     /// score with ties broken by tuple id.
     pub fn from_entries(
-        mut entries: Vec<(TupleId, usize, f64, f64)>,
+        entries: Vec<(TupleId, usize, f64, f64)>,
         x_keys: Vec<String>,
     ) -> Result<Self> {
         if entries.is_empty() || x_keys.is_empty() {
@@ -99,12 +106,11 @@ impl RankedDatabase {
                 )));
             }
         }
-        entries.sort_by(|a, b| b.2.total_cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
-
-        let tuples: Vec<RankedTuple> = entries
+        let mut tuples: Vec<RankedTuple> = entries
             .into_iter()
             .map(|(id, x_index, score, prob)| RankedTuple { id, x_index, score, prob })
             .collect();
+        tuples.sort_by(rank_order);
 
         let mut x_tuples: Vec<XTupleInfo> = x_keys
             .into_iter()
@@ -222,23 +228,49 @@ impl RankedDatabase {
         count
     }
 
-    /// Recompute the per-x-tuple membership index and the within-x-tuple
-    /// higher-ranked masses from the tuple array.  The in-place mutators
-    /// call this after editing `tuples`; it never re-sorts (every mutation
-    /// preserves the score/id order of the surviving tuples).
-    fn rebuild_index(&mut self) {
+    /// Fold x-tuple `l`'s within-x-tuple masses in member (rank) order,
+    /// exactly as [`from_entries`](Self::from_entries) folds them: each
+    /// member's `higher_mass_within` is the running sum above it, and
+    /// `total_mass` the sum of all.  O(alternatives).
+    fn fold_masses(&mut self, l: usize) {
         let Self { tuples, x_tuples, higher_mass_within } = self;
-        for info in x_tuples.iter_mut() {
-            info.members.clear();
-            info.total_mass = 0.0;
+        let info = &mut x_tuples[l];
+        let mut mass = 0.0;
+        for &pos in &info.members {
+            higher_mass_within[pos] = mass;
+            mass += tuples[pos].prob;
         }
-        higher_mass_within.clear();
-        higher_mass_within.resize(tuples.len(), 0.0);
-        for (pos, t) in tuples.iter().enumerate() {
-            let info = &mut x_tuples[t.x_index];
-            higher_mass_within[pos] = info.total_mass;
-            info.members.push(pos);
-            info.total_mass += t.prob;
+        info.total_mass = mass;
+    }
+
+    /// Drop the rows at the ascending positions `gone` (alternatives of
+    /// one x-tuple, already out of every member list): the tuple column
+    /// and the mass column are compacted in one `copy_within` pass, and
+    /// every member position below the first dropped row moves up by the
+    /// number of rows dropped above it.  The surviving tuples keep their
+    /// order and their masses, so no re-sort and no refold is needed.
+    fn drop_rows(&mut self, gone: &[usize]) {
+        let Some(&first) = gone.first() else {
+            return;
+        };
+        let Self { tuples, x_tuples, higher_mass_within } = self;
+        let n = tuples.len();
+        let mut write = first;
+        for (j, &pos) in gone.iter().enumerate() {
+            let next = gone.get(j + 1).copied().unwrap_or(n);
+            tuples.copy_within(pos + 1..next, write);
+            higher_mass_within.copy_within(pos + 1..next, write);
+            write += next - pos - 1;
+        }
+        tuples.truncate(write);
+        higher_mass_within.truncate(write);
+        for info in x_tuples.iter_mut() {
+            for pos in info.members.iter_mut().rev() {
+                if *pos < first {
+                    break;
+                }
+                *pos -= gone.partition_point(|&g| g < *pos);
+            }
         }
     }
 
@@ -247,11 +279,15 @@ impl RankedDatabase {
     /// paper): every other alternative of x-tuple `l` is removed and the
     /// kept alternative becomes certain (probability 1).
     ///
-    /// Surviving tuples keep their relative order, so the tuple array is
-    /// compacted and the membership index rebuilt in one O(n) pass — no
-    /// re-sort, no key cloning.  Returns an error if `keep_pos` does not
-    /// belong to x-tuple `l`; on error the database is unchanged.  A
-    /// caller that still needs the uncleaned database cleans a clone.
+    /// Surviving tuples keep their relative order: the dropped
+    /// alternatives are compacted out of the tuple and mass columns in
+    /// one `copy_within` pass, and the other x-tuples' member positions
+    /// below the first of them move up by the rows dropped above them —
+    /// no re-sort, no refold, no key cloning.  Only the rows from the
+    /// first dropped alternative down move: O(m + n − first).
+    /// Returns an error if `keep_pos` does not belong to x-tuple `l`; on
+    /// error the database is unchanged.  A caller that still needs the
+    /// uncleaned database cleans a clone.
     pub fn collapse_x_tuple_in_place(&mut self, l: usize, keep_pos: usize) -> Result<()> {
         if l >= self.x_tuples.len() {
             return Err(DbError::index_out_of_range(format!(
@@ -265,13 +301,10 @@ impl RankedDatabase {
             )));
         }
         self.tuples[keep_pos].prob = 1.0;
-        let mut pos = 0usize;
-        self.tuples.retain(|t| {
-            let keep = t.x_index != l || pos == keep_pos;
-            pos += 1;
-            keep
-        });
-        self.rebuild_index();
+        let mut gone = std::mem::replace(&mut self.x_tuples[l].members, vec![keep_pos]);
+        gone.retain(|&pos| pos != keep_pos);
+        self.fold_masses(l);
+        self.drop_rows(&gone);
         Ok(())
     }
 
@@ -287,7 +320,8 @@ impl RankedDatabase {
     /// collapsing it.  The usual construction invariants are validated
     /// before anything is touched: every probability must lie in `[0, 1]`
     /// and the x-tuple's total mass must not exceed 1.  On error the
-    /// database is unchanged.
+    /// database is unchanged.  No tuple moves and no other x-tuple's
+    /// masses change, so only `l`'s masses are refolded: O(alternatives).
     pub fn reweight_x_tuple_in_place(&mut self, l: usize, probs: &[f64]) -> Result<()> {
         if l >= self.x_tuples.len() {
             return Err(DbError::index_out_of_range(format!(
@@ -316,11 +350,10 @@ impl RankedDatabase {
         if total > 1.0 + 1e-6 {
             return Err(DbError::XTupleMassExceedsOne { x_tuple: info.key.clone(), total });
         }
-        let members = self.x_tuples[l].members.clone();
-        for (&pos, &p) in members.iter().zip(probs) {
+        for (&pos, &p) in self.x_tuples[l].members.iter().zip(probs) {
             self.tuples[pos].prob = p;
         }
-        self.rebuild_index();
+        self.fold_masses(l);
         Ok(())
     }
 
@@ -329,10 +362,9 @@ impl RankedDatabase {
     /// turns out to have no reading).  All explicit alternatives of `l`
     /// are removed; because a certain null tuple ranks below everything
     /// and never enters a top-k answer, the x-tuple is dropped from the
-    /// physical representation.  The alternatives are compacted out of
-    /// the tuple array, the remaining x-tuples re-indexed densely, and the
-    /// membership index rebuilt — one O(n) pass, no re-sort.  On error
-    /// the database is unchanged.
+    /// physical representation, exactly as
+    /// [`remove_x_tuple_in_place`](Self::remove_x_tuple_in_place) drops
+    /// it.  On error the database is unchanged.
     pub fn collapse_x_tuple_to_null_in_place(&mut self, l: usize) -> Result<()> {
         if l >= self.x_tuples.len() {
             return Err(DbError::index_out_of_range(format!(
@@ -361,6 +393,15 @@ impl RankedDatabase {
     /// construction invariants are validated up front (finite scores,
     /// probabilities in `[0, 1]`, total mass ≤ 1, at least one
     /// alternative); on error the database is unchanged.
+    ///
+    /// The existing tuples never change order, so nothing is re-sorted:
+    /// the arrivals are sorted by the rank order among themselves, each
+    /// finds its slot by binary search, and one back-to-front pass
+    /// splices them into the tuple and mass columns, moving only the rows
+    /// below the first slot.  The other x-tuples' member positions below
+    /// it move down by the arrivals above them, and only the new
+    /// x-tuple's masses are folded.  Allocating the fresh ids reads every
+    /// id once.
     pub fn insert_x_tuple_in_place(
         &mut self,
         key: String,
@@ -387,15 +428,46 @@ impl RankedDatabase {
         if total > 1.0 + 1e-6 {
             return Err(DbError::XTupleMassExceedsOne { x_tuple: key, total });
         }
-        for (i, &(score, prob)) in alternatives.iter().enumerate() {
-            self.tuples.push(RankedTuple { id: TupleId(next_id + i), x_index: l, score, prob });
+        let mut arrivals: Vec<RankedTuple> = alternatives
+            .iter()
+            .enumerate()
+            .map(|(i, &(score, prob))| RankedTuple {
+                id: TupleId(next_id + i),
+                x_index: l,
+                score,
+                prob,
+            })
+            .collect();
+        arrivals.sort_by(rank_order);
+        // Arrival `j` lands below `slots[j]` existing tuples and `j`
+        // earlier arrivals.  Its id is fresh, so it ranks below every
+        // existing tuple of equal score.
+        let slots: Vec<usize> = arrivals
+            .iter()
+            .map(|a| self.tuples.partition_point(|t| rank_order(t, a) == Ordering::Less))
+            .collect();
+        let Self { tuples, x_tuples, higher_mass_within } = self;
+        let n = tuples.len();
+        tuples.resize(n + arrivals.len(), arrivals[0]);
+        higher_mass_within.resize(n + arrivals.len(), 0.0);
+        let mut end = n;
+        for (j, (&slot, arrival)) in slots.iter().zip(&arrivals).enumerate().rev() {
+            tuples.copy_within(slot..end, slot + j + 1);
+            higher_mass_within.copy_within(slot..end, slot + j + 1);
+            tuples[slot + j] = *arrival;
+            end = slot;
         }
-        // Existing tuples are already in this order (scores and ids never
-        // change after construction), so the stable sort only threads the
-        // new alternatives into place.
-        self.tuples.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id)));
-        self.x_tuples.push(XTupleInfo { key, members: Vec::new(), total_mass: 0.0 });
-        self.rebuild_index();
+        for info in x_tuples.iter_mut() {
+            for pos in info.members.iter_mut().rev() {
+                if *pos < slots[0] {
+                    break;
+                }
+                *pos += slots.partition_point(|&slot| slot <= *pos);
+            }
+        }
+        let members = slots.iter().enumerate().map(|(j, &slot)| slot + j).collect();
+        x_tuples.push(XTupleInfo { key, members, total_mass: 0.0 });
+        self.fold_masses(l);
         Ok(l)
     }
 
@@ -404,10 +476,13 @@ impl RankedDatabase {
     /// [`collapse_x_tuple_to_null_in_place`](Self::collapse_x_tuple_to_null_in_place),
     /// which models an *observation* and therefore requires the null
     /// alternative to have been possible.  Later x-tuples are re-indexed
-    /// densely (index `l+1` becomes `l`, and so on); one O(n) pass, no
-    /// re-sort.  Removing the last x-tuple is an error (a
-    /// [`RankedDatabase`] is never empty); on error the database is
-    /// unchanged.
+    /// densely (index `l+1` becomes `l`, and so on).  The alternatives
+    /// are compacted out of the tuple and mass columns in one
+    /// `copy_within` pass and the other member positions below the first
+    /// of them move up, as for a collapse; no re-sort, no refold.  The
+    /// re-indexing reads every tuple's x-index once.  Removing the last
+    /// x-tuple is an error (a [`RankedDatabase`] is never empty); on error
+    /// the database is unchanged.
     pub fn remove_x_tuple_in_place(&mut self, l: usize) -> Result<()> {
         if l >= self.x_tuples.len() {
             return Err(DbError::index_out_of_range(format!(
@@ -418,14 +493,13 @@ impl RankedDatabase {
         if self.x_tuples[l].members.len() == self.tuples.len() {
             return Err(DbError::EmptyDatabase);
         }
-        self.tuples.retain(|t| t.x_index != l);
+        let gone = self.x_tuples.remove(l).members;
+        self.drop_rows(&gone);
         for t in &mut self.tuples {
             if t.x_index > l {
                 t.x_index -= 1;
             }
         }
-        self.x_tuples.remove(l);
-        self.rebuild_index();
         Ok(())
     }
 }

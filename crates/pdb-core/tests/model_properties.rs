@@ -137,3 +137,104 @@ proptest! {
         prop_assert_eq!(rebuilt, db);
     }
 }
+
+/// `db` rebuilt from scratch by `from_entries` over its own tuples (in
+/// rank order) and x-tuple keys.
+fn rebuilt(db: &RankedDatabase) -> RankedDatabase {
+    let entries = db.tuples().map(|t| (t.id, t.x_index, t.score, t.prob)).collect();
+    let keys = db.x_tuples().map(|x| x.key.clone()).collect();
+    RankedDatabase::from_entries(entries, keys).unwrap()
+}
+
+/// `patched` equals `from_entries` over its own tuples and keys, with
+/// every score, probability and mass compared by its bits.
+fn assert_matches_rebuild(patched: &RankedDatabase) -> Result<(), TestCaseError> {
+    let fresh = rebuilt(patched);
+    prop_assert_eq!(patched, &fresh);
+    for (pos, (a, b)) in patched.tuples().zip(fresh.tuples()).enumerate() {
+        prop_assert_eq!((a.id, a.x_index), (b.id, b.x_index), "position {}", pos);
+        prop_assert_eq!(a.score.to_bits(), b.score.to_bits(), "position {}", pos);
+        prop_assert_eq!(a.prob.to_bits(), b.prob.to_bits(), "position {}", pos);
+        prop_assert_eq!(
+            patched.higher_mass_within(pos).to_bits(),
+            fresh.higher_mass_within(pos).to_bits(),
+            "higher_mass_within at position {}",
+            pos
+        );
+    }
+    for (l, (a, b)) in patched.x_tuples().zip(fresh.x_tuples()).enumerate() {
+        prop_assert_eq!(&a.key, &b.key);
+        prop_assert_eq!(&a.members, &b.members, "members of x-tuple {}", l);
+        prop_assert_eq!(a.total_mass.to_bits(), b.total_mass.to_bits(), "total_mass of {}", l);
+    }
+    Ok(())
+}
+
+/// Integer scores from a narrow band, so that ties are common.
+fn tied_x_tuple() -> impl Strategy<Value = Vec<(f64, f64)>> {
+    (vec((0u8..8, 0.05f64..1.0), 1..5), 0.3f64..1.0).prop_map(|(alts, mass)| {
+        let total: f64 = alts.iter().map(|(_, w)| w).sum();
+        alts.into_iter().map(|(s, w)| (f64::from(s), w / total * mass)).collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every in-place mutator patches the tuple order, the member lists
+    /// and the within-x-tuple masses to exactly what `from_entries`
+    /// builds from the mutated tuples, across random chains of all five
+    /// mutators over tied scores, null mass and single-alternative
+    /// x-tuples; a rejected mutation leaves the database unchanged.
+    #[test]
+    fn in_place_mutators_match_a_rebuild(
+        x in vec(tied_x_tuple(), 1..7),
+        steps in vec((0usize..5, any::<usize>(), any::<usize>(), 0.05f64..1.0, tied_x_tuple()), 1..16),
+    ) {
+        let mut db = RankedDatabase::from_scored_x_tuples(&x).unwrap();
+        for (i, (kind, a, b, mass, arrival)) in steps.into_iter().enumerate() {
+            let before = db.clone();
+            let m = db.num_x_tuples();
+            let l = a % m;
+            let members = db.x_tuple(l).members.clone();
+            let result = match kind {
+                0 => db.collapse_x_tuple_in_place(l, members[b % members.len()]),
+                1 => db.collapse_x_tuple_to_null_in_place(l),
+                2 => {
+                    let weights: Vec<f64> = (0..members.len()).map(|j| ((b >> j) % 7 + 1) as f64).collect();
+                    let total: f64 = weights.iter().sum();
+                    let probs: Vec<f64> = weights.iter().map(|w| w / total * mass).collect();
+                    db.reweight_x_tuple_in_place(l, &probs)
+                }
+                3 => {
+                    // Arrivals tie existing scores, and some land above the
+                    // first tuple or below the last.
+                    let (top, bottom) = (db.tuple(0).score, db.tuple(db.len() - 1).score);
+                    let mut alternatives = arrival;
+                    match b % 3 {
+                        0 => alternatives[0].0 = top + 1.0,
+                        1 => alternatives[0].0 = bottom - 1.0,
+                        _ => {}
+                    }
+                    db.insert_x_tuple_in_place(format!("arrival{i}"), &alternatives).map(|new| {
+                        assert_eq!(new, m);
+                    })
+                }
+                _ => {
+                    // Every other removal takes the x-tuple holding the
+                    // largest id, so the next arrival reuses its ids.
+                    let l = if b % 2 == 0 {
+                        db.tuples().max_by_key(|t| t.id).unwrap().x_index
+                    } else {
+                        l
+                    };
+                    db.remove_x_tuple_in_place(l)
+                }
+            };
+            if result.is_err() {
+                prop_assert_eq!(&db, &before, "step {} (kind {}) failed but changed the database", i, kind);
+            }
+            assert_matches_rebuild(&db)?;
+        }
+    }
+}

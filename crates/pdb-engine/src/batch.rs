@@ -46,7 +46,7 @@
 //! cleaning) lives in `pdb-quality`'s `batch` module, which wraps this
 //! type.
 
-use crate::delta::{apply_mutation_in_place, DeltaStats, XTupleMutation};
+use crate::delta::{mutate_in_place, DeltaStats, RowMoves, XTupleMutation};
 use crate::psr::{rank_probabilities, RankAccess, RankProbabilities};
 use crate::queries::{QueryAnswer, TopKQuery};
 use pdb_core::{DbError, RankedDatabase, Result};
@@ -291,13 +291,26 @@ impl<'a> BatchEvaluation<'a> {
         l: usize,
         mutation: &XTupleMutation,
     ) -> Result<DeltaStats> {
+        self.apply_collapse_with_moves(l, mutation).map(|(stats, _)| stats)
+    }
+
+    /// [`apply_collapse_in_place`](Self::apply_collapse_in_place), also
+    /// returning how the delta pass moved the master's live rows, so a
+    /// caller that keeps one value per live row (the quality layer's
+    /// tuple weights) moves its values with them instead of recomputing
+    /// them all.
+    pub fn apply_collapse_with_moves(
+        &mut self,
+        l: usize,
+        mutation: &XTupleMutation,
+    ) -> Result<(DeltaStats, RowMoves)> {
         // Rows ranked above the mutated x-tuple's first alternative are
         // untouched by the delta pass *and* keep their positions, so their
         // snapshot entries stay valid; only the suffix is recomputed.  An
         // insert targets the appended x-index, so its arrival's first
         // alternative is read once it is inserted.
         let before = (l < self.db.num_x_tuples()).then(|| self.db.x_tuple(l).members[0]);
-        let stats = apply_mutation_in_place(self.db.to_mut(), &mut self.master, l, mutation)?;
+        let patch = mutate_in_place(self.db.to_mut(), &mut self.master, l, mutation)?;
         let untouched = before.unwrap_or_else(|| self.db.x_tuple(l).members[0]);
         refresh_snapshot_top_ks(
             &self.master,
@@ -305,7 +318,7 @@ impl<'a> BatchEvaluation<'a> {
             untouched,
             &mut self.snapshot_top_k,
         );
-        Ok(stats)
+        Ok((patch.stats, patch.moves))
     }
 }
 

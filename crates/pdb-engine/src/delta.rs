@@ -220,39 +220,125 @@ impl DeltaStats {
     }
 }
 
+/// How one delta pass moved the rows of the matrix's live prefix, for a
+/// caller that keeps one value per live row beside it (the quality
+/// layer's Theorem-1 weights).  The delta pass that moves the matrix rows
+/// records it, so which rows left and which arrived is decided once.
+#[derive(Debug, Clone)]
+pub struct RowMoves {
+    /// Pre-mutation positions of the rows the mutation dropped (the
+    /// mutated x-tuple's removed alternatives), ascending.
+    dropped: Vec<usize>,
+    /// Post-mutation positions of the mutated x-tuple's rows (its
+    /// surviving alternatives, or an arrival's), ascending.
+    own: Vec<usize>,
+    /// Whether the `own` rows arrived (an insert) instead of surviving.
+    arrived: bool,
+}
+
+impl RowMoves {
+    /// Move `values`, one per row of the pre-mutation live prefix, the
+    /// way the mutation moved the rows, and fit them to the
+    /// post-mutation live prefix of `live` rows: a dropped row's value
+    /// leaves, every other value moves with its row, and `fresh(pos)`
+    /// computes the rows whose value the caller cannot carry — the
+    /// mutated x-tuple's own rows and the rows newly inside the prefix.
+    /// O(live) moves and O(own + new rows) calls of `fresh`.
+    pub fn carry<T: Copy>(
+        &self,
+        values: &mut Vec<T>,
+        live: usize,
+        mut fresh: impl FnMut(usize) -> T,
+    ) {
+        // Dropped rows leave: one pass compacts the values below the first.
+        if let Some(&first) = self.dropped.first() {
+            let mut gone = self.dropped.iter().copied().peekable();
+            let mut write = first;
+            for read in first..values.len() {
+                if gone.next_if_eq(&read).is_none() {
+                    values[write] = values[read];
+                    write += 1;
+                }
+            }
+            values.truncate(write);
+        }
+        // Arrivals take their slots: arrival `j` at `pos` lands below
+        // `pos − j` carried rows, and one back-to-front pass moves the
+        // values below each slot down.  An arrival below every carried
+        // row is a new row of the prefix.
+        if self.arrived {
+            let carried = values.len();
+            let inside =
+                self.own.iter().enumerate().take_while(|&(j, &pos)| pos - j < carried).count();
+            if let Some(&fill) = values.first() {
+                values.resize(carried + inside, fill);
+            }
+            let mut end = carried;
+            for (j, &pos) in self.own[..inside].iter().enumerate().rev() {
+                values.copy_within(pos - j..end, pos + 1);
+                end = pos - j;
+            }
+        }
+        let carried = values.len();
+        values.truncate(live);
+        let kept = values.len();
+        for &pos in self.own.iter().take_while(|&&pos| pos < kept) {
+            values[pos] = fresh(pos);
+        }
+        values.extend((carried..live).map(&mut fresh));
+    }
+}
+
+/// One delta pass: its statistics, how it moved the rows, and where its
+/// windowed scan ran (`None` when it ran none).
+pub(crate) struct Patch {
+    pub(crate) stats: DeltaStats,
+    pub(crate) moves: RowMoves,
+    /// Read by the tests that pin where a scan resumes.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) scan: Option<Scan>,
+}
+
 /// Apply a single-x-tuple mutation to a database **and** its completed
 /// rank-probability matrix, in place: the database is mutated without a
 /// re-sort (every mutation preserves the rank order of the surviving
 /// tuples) and the ρ matrix is patched row by row.  Callers that need the
-/// pre-mutation state keep a clone; this is the only mutation entry
-/// point, and `BatchEvaluation` runs it once per mutation on its master
-/// matrix.
+/// pre-mutation state keep a clone.  This is the engine's one mutation
+/// pass: `BatchEvaluation` runs the same pass once per mutation on its
+/// master matrix, and also hands its caller the [`RowMoves`] it recorded.
 ///
 /// Rows ranked above the mutated x-tuple's first alternative are not
 /// touched at all; surviving rows below it and above the new tail cut
 /// are zeroed, copied (a `memmove` when alternatives were dropped) or
 /// rewritten by one windowed PSR scan as the module docs describe, and
-/// the rows past the cut are dropped.  The work is O(cut·k + m) plus the
-/// database's own O(n) update, and only that update when the x-tuple
-/// lies wholly past the cut.  All validation happens before anything
-/// is mutated, so on `Err` both inputs are unchanged.
+/// the rows past the cut are dropped.  The matrix work is O(cut·k + m).
+/// The database patches its own index: a reweight moves no tuple and
+/// refolds only its x-tuple's masses, O(alternatives); a collapse, a
+/// null collapse or a removal compacts the rows below the first dropped
+/// alternative in one `copy_within` pass; an insert splices its arrivals
+/// in with one back-to-front pass over the rows below the first of them
+/// (a removal also renumbers the later x-indices and an insert allocates
+/// fresh ids, each one read of the tuple column).  A mutation whose
+/// x-tuple lies wholly past the cut costs only that update.  All
+/// validation happens before anything is mutated, so on `Err` both inputs
+/// are unchanged.
 pub fn apply_mutation_in_place(
     db: &mut RankedDatabase,
     rp: &mut RankProbabilities,
     l: usize,
     mutation: &XTupleMutation,
 ) -> Result<DeltaStats> {
-    mutate_in_place(db, rp, l, mutation).map(|(stats, _)| stats)
+    mutate_in_place(db, rp, l, mutation).map(|patch| patch.stats)
 }
 
-/// [`apply_mutation_in_place`], also returning where its windowed scan
-/// ran (`None` when it ran none).
-fn mutate_in_place(
+/// [`apply_mutation_in_place`], also returning how it moved the rows and
+/// where its windowed scan ran.
+pub(crate) fn mutate_in_place(
     db: &mut RankedDatabase,
     rp: &mut RankProbabilities,
     l: usize,
     mutation: &XTupleMutation,
-) -> Result<(DeltaStats, Option<Scan>)> {
+) -> Result<Patch> {
     pdb_obs::metrics::ENGINE_DELTA_PATCHES_TOTAL.inc();
     if rp.num_tuples() != db.len() {
         return Err(DbError::invalid_parameter(format!(
@@ -327,6 +413,9 @@ fn mutate_in_place(
         rows_dropped: kept.iter().filter(|&&kept| !kept).count(),
         ..DeltaStats::default()
     };
+    let dropped = members.iter().zip(&kept).filter(|(_, &kept)| !kept).map(|(&pos, _)| pos);
+    let own = if kept.contains(&true) { db.x_tuple(l).members.clone() } else { Vec::new() };
+    let moves = RowMoves { dropped: dropped.collect(), own, arrived: false };
     if first > old_live {
         // Wholly past the cut: the tuples above the cut and the one at
         // it are unchanged, so T there and the cut stay, and no stored
@@ -334,7 +423,7 @@ fn mutate_in_place(
         rp.reshape(new_n, old_live);
         stats.rows_copied = new_n;
         pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(old_live as u64);
-        return Ok((stats, None));
+        return Ok(Patch { stats, moves, scan: None });
     }
 
     // The scan's masses above each post-mutation position, for Lemma 2's
@@ -426,7 +515,7 @@ fn mutate_in_place(
     rp.reshape(new_n, cut);
     stats.rows_copied = new_n - stats.rows_rebuilt;
     pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(cut as u64);
-    Ok((stats, scan))
+    Ok(Patch { stats, moves, scan })
 }
 
 /// Rewrite, with one PSR scan over the mutated database ending at `end`,
@@ -484,7 +573,7 @@ fn insert_in_place(
     l: usize,
     key: &str,
     alternatives: &[(f64, f64)],
-) -> Result<(DeltaStats, Option<Scan>)> {
+) -> Result<Patch> {
     if l != db.num_x_tuples() {
         return Err(DbError::invalid_parameter(format!(
             "inserts are append-only: target x-index {l} must equal the x-tuple count {}",
@@ -503,12 +592,13 @@ fn insert_in_place(
     // Every tuple above the arrival's first position kept its place.
     rp.drop_checkpoints_past(first);
     let mut stats = DeltaStats::default();
+    let moves = RowMoves { dropped: Vec::new(), own: members.clone(), arrived: true };
     if old_live < old_n && first > old_live {
         // Wholly past the cut: nothing above the cut's tuple moved.
         rp.reshape(new_n, old_live);
         stats.rows_copied = new_n;
         pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(old_live as u64);
-        return Ok((stats, None));
+        return Ok(Patch { stats, moves, scan: None });
     }
     // Arrival `j` has `members[j] - j` old tuples above it, a count that
     // never falls with `j`.  `start` is the first post-insert position
@@ -601,7 +691,7 @@ fn insert_in_place(
     rp.reshape(new_n, cut);
     stats.rows_copied = new_n - stats.rows_rebuilt - stats.rows_swapped;
     pdb_obs::metrics::ENGINE_PSR_LIVE_ROWS.record(cut as u64);
-    Ok((stats, scan))
+    Ok(Patch { stats, moves, scan })
 }
 
 #[cfg(test)]
@@ -930,7 +1020,8 @@ mod tests {
             (db.num_x_tuples(), arrival),
         ] {
             let (mut db, mut rp) = (db.clone(), rp.clone());
-            let (stats, scan) = mutate_in_place(&mut db, &mut rp, target, &mutation).unwrap();
+            let Patch { stats, scan, .. } =
+                mutate_in_place(&mut db, &mut rp, target, &mutation).unwrap();
             let scan = scan.unwrap_or_else(|| panic!("{mutation:?} ran no scan: {stats:?}"));
             assert_eq!(scan.start, resume_at, "{mutation:?}: where the scan resumed");
             assert!(stats.rows_rebuilt > 0, "{mutation:?}: {stats:?}");

@@ -42,7 +42,7 @@ pub mod psr;
 pub mod queries;
 
 pub use batch::{BatchEvaluation, BatchPlan, QueryRanks};
-pub use delta::{apply_mutation_in_place, DeltaStats, XTupleMutation};
+pub use delta::{apply_mutation_in_place, DeltaStats, RowMoves, XTupleMutation};
 pub use psr::{rank_probabilities, rank_probabilities_exact, RankAccess, RankProbabilities};
 pub use queries::{
     global_topk, pt_k, u_k_ranks, AnswerTuple, QueryAnswer, TopKQuery, TupleSetAnswer,

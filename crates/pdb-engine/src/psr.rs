@@ -25,8 +25,14 @@
 //! The Poisson-binomial distribution is the coefficient vector of
 //! `Π_j ((1 − q_j) + q_j z)`, truncated to degree k − 1.  Moving from one
 //! tuple to the next changes a single factor (the previous tuple's x-tuple
-//! gains its mass), so the product is maintained incrementally with one
-//! divide + one multiply per step — O(k) each — giving O(nk) overall.
+//! gains its mass), so the product is maintained incrementally: each step
+//! divides the old factor out and multiplies the new one in, and each row
+//! is written in one pass that divides the tuple's own factor out,
+//! clamps, scales by eᵢ and sums the row into pᵢ — O(k) each, O(nk)
+//! overall.  No division runs a floating-point divide per coefficient:
+//! each computes the two reciprocal factors of [`crate::poly`] once, so
+//! each link of its back-substitution chain is one multiply and one
+//! subtract.
 //!
 //! Three refinements keep the incremental version numerically safe and
 //! end it early:
@@ -75,7 +81,10 @@
 //! correctness oracle for tests and to quantify the incremental version's
 //! numerical error.
 
-use crate::poly::{clamp_non_negative_in, divide_binomial_in, multiply_binomial_in};
+use crate::poly::{
+    clamp_non_negative_in, divide_binomial_in, divide_binomial_scaled_into, multiply_binomial_in,
+    scale_in,
+};
 use pdb_core::{DbError, RankedDatabase, RankedTuple, Result};
 use std::borrow::Cow;
 
@@ -617,8 +626,12 @@ pub(crate) struct Scan {
 /// per position).
 ///
 /// Maintains the running generating-function product: advancing past a
-/// tuple is one divide + one multiply, or an O(|in-flight|·k) re-form when
-/// the divisor is ill-conditioned (see the module docs).  The working
+/// tuple is one division and one multiply, or an O(|in-flight|·k) re-form
+/// when the divisor is ill-conditioned (see the module docs).  Each row
+/// is written in one fused pass ([`divide_binomial_scaled_into`]: the
+/// quotient by the tuple's own factor, clamped, scaled by eᵢ and summed
+/// into pᵢ as it is written).  No division divides per coefficient; each
+/// link of its chain is a multiply and a subtract.  The working
 /// state beyond the matrix itself is O(m + k).  Only the entries PSR
 /// makes non-zero are written: a row below `s` saturated x-tuples gets
 /// entries `s..k`, and the rows of saturated tuples are skipped.  Callers
@@ -738,26 +751,26 @@ pub(crate) fn scan_rows_into(
         // factor divided out, computed here on the truncated prefix the
         // row needs (every poly op computes coefficient j from
         // coefficients ≤ j only, so the prefix holds the same values).
+        // Each branch writes the row scaled by eᵢ and sums it as it goes;
+        // the entries below `saturated` are zero and add nothing.
         let row = &mut rp.rho[i * k + saturated..(i + 1) * k];
         let ql = state.fold.q(l);
-        if ql <= MAX_DIVISOR_Q {
-            row.copy_from_slice(&poly[..row.len()]);
+        let p = if ql <= MAX_DIVISOR_Q {
+            let own = &poly[..row.len()];
             if ql > 0.0 {
-                divide_binomial_in(row, ql);
-                clamp_non_negative_in(row);
+                divide_binomial_scaled_into(row, own, ql, t.prob)
+            } else {
+                row.copy_from_slice(own);
+                scale_in(row, t.prob)
             }
         } else {
             // The tuple's own x-tuple is in flight (its q > 0 and this
             // alternative is not passed yet), so it is left out here.
             reform_factors += state.reform(row, &frozen, Some(l));
-        }
-        for c in row.iter_mut() {
-            *c *= t.prob;
-        }
-        let row = &rp.rho[i * k..(i + 1) * k];
-        let p: f64 = row.iter().sum();
+            scale_in(row, t.prob)
+        };
         rp.top_k[i] = p;
-        if state.fold.cuts_row(t, p, row[k - 1]) {
+        if state.fold.cuts_row(t, p, rp.rho[(i + 1) * k - 1]) {
             stop = i;
             break;
         }

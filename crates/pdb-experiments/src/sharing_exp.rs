@@ -5,7 +5,7 @@
 
 use crate::datasets;
 use crate::report::{ExperimentResult, Series};
-use crate::scale::{time_ms, Scale};
+use crate::scale::{min_time_ms, time_ms, Scale};
 use pdb_core::{RankedDatabase, Result};
 use pdb_engine::psr::rank_probabilities;
 use pdb_engine::queries::{global_topk, pt_k, u_k_ranks, TopKQuery};
@@ -167,19 +167,6 @@ pub fn batch_q(scale: Scale) -> Result<ExperimentResult> {
         "Q (registered queries)",
         "time (ms)",
     );
-    // Best of five repetitions per measurement: the workload is
-    // deterministic, so the minimum is the least noisy estimator (shared
-    // CI runners and frequency scaling only ever add time).
-    const REPS: usize = 5;
-    let min_time = |f: &dyn Fn() -> Result<()>| -> Result<f64> {
-        let mut best = f64::INFINITY;
-        for _ in 0..REPS {
-            let (res, ms) = time_ms(f);
-            res?;
-            best = best.min(ms);
-        }
-        Ok(best)
-    };
 
     let mut independent = Vec::new();
     let mut batched = Vec::new();
@@ -190,7 +177,7 @@ pub fn batch_q(scale: Scale) -> Result<ExperimentResult> {
 
         // Independent: one full evaluation (PSR + answer + quality) per
         // registered query.
-        let indep_ms = min_time(&|| -> Result<()> {
+        let ((), indep_ms) = min_time_ms(|| -> Result<()> {
             for spec in &specs {
                 let rp = rank_probabilities(&db, spec.query.k())?;
                 let _answer = pt_k(&db, &rp, datasets::DEFAULT_THRESHOLD)?;
@@ -201,7 +188,7 @@ pub fn batch_q(scale: Scale) -> Result<ExperimentResult> {
         independent.push((x, indep_ms));
 
         // Batched: one PSR run at k_max serves every answer and quality.
-        let batch_ms = min_time(&|| -> Result<()> {
+        let ((), batch_ms) = min_time_ms(|| -> Result<()> {
             let batch = BatchQuality::new(&db, specs.clone())?;
             let _answers = batch.answers()?;
             let _qualities = batch.quality_vector();

@@ -91,7 +91,11 @@ pub struct BatchQuality<'a> {
     /// Cached Theorem-1 tuple weights ωᵢ of the current database version,
     /// for the master matrix's live prefix.  They depend only on the
     /// database (never on `k`), so one O(live) pass serves every
-    /// registered query's quality; recomputed per mutation.
+    /// registered query's quality.  A tuple's weight depends only on its
+    /// own x-tuple's masses, so a mutation carries the others with their
+    /// rows ([`RowMoves::carry`](pdb_engine::delta::RowMoves::carry)) and
+    /// computes only the mutated x-tuple's rows and the rows newly inside
+    /// the live prefix.
     tuple_w: Vec<f64>,
     /// Cached aggregate quality `Σ_q w_q·S_q` of the current database
     /// version, maintained at construction and across mutations so a
@@ -270,8 +274,9 @@ impl<'a> BatchQuality<'a> {
         l: usize,
         mutation: &XTupleMutation,
     ) -> Result<BatchCollapseUpdate> {
-        let stats = self.eval.apply_collapse_in_place(l, mutation)?;
-        self.tuple_w = live_tuple_weights(&self.eval);
+        let (stats, moves) = self.eval.apply_collapse_with_moves(l, mutation)?;
+        let (db, live) = (self.eval.database(), self.eval.master().live_rows());
+        moves.carry(&mut self.tuple_w, live, |pos| tuple_weight(db, pos));
         let (qualities, combined) = self.per_query_parts();
         let aggregate = weighted_aggregate(&qualities, &self.weights);
         let aggregate_delta = aggregate - self.aggregate;
@@ -405,6 +410,68 @@ mod tests {
         }
         // The clone the mutation was applied to is independent.
         assert!((batch.aggregate_quality() - before).abs() < 1e-12);
+    }
+
+    /// 150 x-tuples × 4 alternatives, each inside its own 3-point score
+    /// band, every one with null mass (totals 0.6–0.84): none saturates,
+    /// so the tail cut ends the live prefix well inside the table.
+    fn null_mass_chain() -> RankedDatabase {
+        let x: Vec<Vec<(f64, f64)>> = (0..150)
+            .map(|i| {
+                let prob = 0.15 + 0.01 * (i % 7) as f64;
+                (0..4).map(|j| (1000.0 - 4.0 * i as f64 - 0.9 * j as f64, prob)).collect()
+            })
+            .collect();
+        RankedDatabase::from_scored_x_tuples(&x).unwrap()
+    }
+
+    #[test]
+    fn carried_tuple_weights_equal_a_full_recompute_after_every_mutation_kind() {
+        let specs = vec![
+            WeightedQuery::new(TopKQuery::UKRanks { k: 3 }),
+            WeightedQuery::new(TopKQuery::GlobalTopk { k: 8 }),
+        ];
+        let mut batch = BatchQuality::from_owned(null_mass_chain(), specs).unwrap();
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut cut_moved_down = false;
+        let mut arrived_inside = false;
+        for kind in 0..6 {
+            let live = batch.evaluation().master().live_rows();
+            assert!(live < batch.database().len() / 2, "the tail cut ends the prefix: {live}");
+            let db = batch.database();
+            let l = db.tuple(live / 2).x_index;
+            let members = db.x_tuple(l).members.clone();
+            let (target, mutation) = match kind {
+                // Withdrawing mass above the cut moves the cut down.
+                0 => (l, XTupleMutation::Reweight { probs: vec![0.02; members.len()] }),
+                1 => (l, XTupleMutation::Reweight { probs: vec![0.2; members.len()] }),
+                2 => (l, XTupleMutation::CollapseToAlternative { keep_pos: members[1] }),
+                3 => (l, XTupleMutation::CollapseToNull),
+                4 => {
+                    let score = db.tuple(live / 3).score;
+                    let alternatives = vec![(score + 0.1, 0.3), (score - 2.0, 0.3)];
+                    (
+                        db.num_x_tuples(),
+                        XTupleMutation::Insert { key: "arrival".into(), alternatives },
+                    )
+                }
+                _ => (l, XTupleMutation::Remove),
+            };
+            batch.apply_collapse_in_place(target, &mutation).unwrap();
+            let after = batch.evaluation().master().live_rows();
+            cut_moved_down |= after > live;
+            if kind == 4 {
+                arrived_inside = batch.database().x_tuple(target).members[0] < live;
+            }
+            assert_eq!(batch.tuple_w.len(), after, "{mutation:?}");
+            assert_eq!(
+                bits(&batch.tuple_w),
+                bits(&live_tuple_weights(&batch.eval)),
+                "{mutation:?}: carried weights vs a full recompute"
+            );
+        }
+        assert!(cut_moved_down, "one mutation moved the tail cut down");
+        assert!(arrived_inside, "the arrival landed inside the live prefix");
     }
 
     #[test]

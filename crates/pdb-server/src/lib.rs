@@ -35,8 +35,11 @@
 //!   line undecoded, refusing one that reaches [`MAX_LINE`] bytes).
 //!
 //! A session keeps the one shared PSR run of its registered query set
-//! alive across requests, so applying a probe outcome is a single O(n)
-//! in-place delta patch shared by every registered query — the
+//! alive across requests, so applying a probe outcome is a single
+//! in-place delta patch shared by every registered query: a windowed PSR
+//! scan of the rows the mutation changes inside the live prefix, the
+//! database's own index patch, and the Theorem-1 weights of the mutated
+//! x-tuple's rows (every other weight moves with its row) — the
 //! `server_throughput` bench measures that round trip, and the
 //! `batch_evaluation` bench compares the patch with an in-process full
 //! re-evaluation.
